@@ -139,7 +139,12 @@ class _Backend:
 
     def __init__(self, address: str) -> None:
         self.address = address
+        #: Forwards client requests.  The member answers one
+        #: connection's requests in order, so health probes ride their
+        #: own connection (``prober``): queued behind a slow read they
+        #: would time out, and the read would pay for it.
         self.client: Optional[DirectoryClient] = None
+        self.prober: Optional[DirectoryClient] = None
         self.alive = True
         self.fails = 0
         self.position: Optional[dict] = None
@@ -248,6 +253,7 @@ class FrontDoor:
             await asyncio.gather(*pending, return_exceptions=True)
         for backend in self._backends():
             await self._drop_client(backend)
+            await self._drop_prober(backend)
 
     def _backends(self) -> List[_Backend]:
         return [self._primary] + list(self._replicas)
@@ -255,27 +261,38 @@ class FrontDoor:
     # ------------------------------------------------------------------
     # backend pool
     # ------------------------------------------------------------------
+    async def _connect(self, backend: _Backend) -> DirectoryClient:
+        host, _, port = backend.address.rpartition(":")
+        client = await asyncio.wait_for(
+            DirectoryClient.connect(host, int(port)), self.probe_timeout
+        )
+        try:
+            await client.bind("cn=frontdoor")
+        except BaseException:
+            await client.close()
+            raise
+        return client
+
     async def _ensure_client(self, backend: _Backend) -> DirectoryClient:
         if backend.client is None:
-            host, _, port = backend.address.rpartition(":")
-            client = await asyncio.wait_for(
-                DirectoryClient.connect(host, int(port)), self.probe_timeout
-            )
-            try:
-                await client.bind("cn=frontdoor")
-            except BaseException:
-                await client.close()
-                raise
-            backend.client = client
+            backend.client = await self._connect(backend)
         return backend.client
 
-    async def _drop_client(self, backend: _Backend) -> None:
-        client, backend.client = backend.client, None
+    @staticmethod
+    async def _close(client: Optional[DirectoryClient]) -> None:
         if client is not None:
             try:
                 await client.close()
             except Exception:
                 pass
+
+    async def _drop_client(self, backend: _Backend) -> None:
+        client, backend.client = backend.client, None
+        await self._close(client)
+
+    async def _drop_prober(self, backend: _Backend) -> None:
+        prober, backend.prober = backend.prober, None
+        await self._close(prober)
 
     async def _mark_dead(self, backend: _Backend) -> None:
         backend.alive = False
@@ -556,16 +573,23 @@ class FrontDoor:
                         await self._failover()
 
     async def _probe(self, backend: _Backend) -> None:
+        """Ask ``backend`` for its frontier on the probe connection.
+
+        A failed or timed-out probe costs only that connection: the
+        forwarding connection, and whatever request is in flight on it,
+        is closed only once ``fail_after`` consecutive failures declare
+        the member dead."""
         try:
-            client = await self._ensure_client(backend)
+            if backend.prober is None:
+                backend.prober = await self._connect(backend)
             response = await asyncio.wait_for(
-                client.position(), self.probe_timeout
+                backend.prober.position(), self.probe_timeout
             )
         except Exception:
             backend.fails += 1
-            await self._drop_client(backend)
+            await self._drop_prober(backend)
             if backend.fails >= self.fail_after:
-                backend.alive = False
+                await self._mark_dead(backend)
             return
         backend.fails = 0
         backend.alive = True

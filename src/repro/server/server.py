@@ -686,11 +686,9 @@ class DirectoryServer:
                     "txn requires at least one change record",
                 )
 
-        def run():
-            outcome = self.store.apply(transaction)
-            return outcome, self._store_position()
-
-        outcome, position = await self._run_write(run)
+        outcome, position = await self._run_write(
+            self.store.apply, transaction
+        )
         response = ok_response(
             request.get("id"),
             applied=outcome.applied,
@@ -717,12 +715,9 @@ class DirectoryServer:
         committed = False
         position = None
         for record in records:
-
-            def run(record=record):
-                outcome = self.store.modify(record)
-                return outcome, self._store_position()
-
-            outcome, position = await self._run_write(run)
+            outcome, position = await self._run_write(
+                self.store.modify, record
+            )
             results.append(
                 {
                     "dn": str(record.dn),
@@ -740,13 +735,20 @@ class DirectoryServer:
             position=position,
         )
 
-    async def _run_write(self, fn):
-        """Serialize ``fn`` onto the dedicated writer thread: the store
-        object is single-writer, and the journal fsync must not stall
-        the event loop."""
+    async def _run_write(self, write, change):
+        """Run one store write (``store.apply`` or ``store.modify`` —
+        both are ``stage(change).commit()``) on the dedicated writer
+        thread: the store object is single-writer, and the journal
+        fsync must not stall the event loop.  Returns ``(outcome,
+        position)``, the position read on the same thread so it is
+        atomic with the commit."""
+
+        def run():
+            return write(change), self._store_position()
+
         async with self._write_lock:
             loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(self._writer_pool, fn)
+            return await loop.run_in_executor(self._writer_pool, run)
 
     async def _commit_happened(self) -> None:
         self._commit_seq += 1

@@ -37,12 +37,19 @@ by crashing at every I/O boundary):
   :class:`~repro.errors.StoreReadOnlyError` until an explicit
   ``recover`` run quarantines the damage;
 * in a **sharded** deployment each store doubles as a two-phase-commit
-  participant: :meth:`prepare` appends a durable ``#PREPARE`` frame
-  that stays invisible to readers and recovery until the matching
-  ``#DECIDE`` frame lands (:meth:`decide`).  A store reopened with an
-  undecided prepare is *in doubt*: ordinary writes refuse until
-  :meth:`resolve_pending` applies the coordinator's presumed-abort
-  verdict (:mod:`repro.store.txlog`).
+  participant: :meth:`StagedWrite.prepare` appends a durable
+  ``#PREPARE`` frame that stays invisible to readers and recovery until
+  the matching ``#DECIDE`` frame lands (:meth:`decide`).  A store
+  reopened with an undecided prepare is *in doubt*: ordinary writes
+  refuse until :meth:`resolve_pending` applies the coordinator's
+  presumed-abort verdict (:mod:`repro.store.txlog`).
+
+Every write takes one path (``DESIGN.md`` §6, "write pipeline"):
+:meth:`DirectoryStore.stage` guards a change and applies it in memory,
+and the returned :class:`StagedWrite` leaves through ``commit()`` (one
+ordinary frame), ``abort()`` (blind inverse, nothing durable) or
+``prepare(txid)``; :meth:`apply` and :meth:`modify` are
+``stage(change).commit()``.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from __future__ import annotations
 import glob
 import os
 import shutil
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Tuple
 
 from repro.errors import (
@@ -59,6 +67,13 @@ from repro.errors import (
     UpdateError,
 )
 from repro.ldif.changes import parse_changes, serialize_changes
+from repro.ldif.modify import (
+    ModifyRecord,
+    apply_modification,
+    apply_modify_blind,
+    inverse_modification,
+    serialize_modification,
+)
 from repro.ldif.writer import serialize_ldif
 from repro.legality.extras import ExtrasChecker
 from repro.legality.report import LegalityReport, Violation
@@ -86,9 +101,8 @@ from repro.store.recovery import (
 from repro.store.wal import StoreIO
 from repro.updates.incremental import IncrementalChecker, UpdateOutcome
 from repro.updates.operations import InsertEntry, UpdateTransaction
-from repro.updates.transactions import apply_subtree_update, decompose
 
-__all__ = ["DirectoryStore", "inverse_transaction"]
+__all__ = ["DirectoryStore", "StagedWrite", "inverse_transaction"]
 
 #: Bounded retries for reclaiming a stale advisory lock (a dead holder
 #: pid).  Each retry either acquires a fresh lock file or observes a
@@ -119,15 +133,15 @@ def _pid_alive(pid: int) -> bool:
 
 
 def inverse_transaction(
-    transaction: UpdateTransaction, instance: DirectoryInstance
+    instance: DirectoryInstance, transaction: UpdateTransaction
 ) -> UpdateTransaction:
     """The exact inverse of ``transaction`` against the pre-state
     ``instance``: built *before* applying, with operations in reverse
     order so every delete finds a leaf and every re-insert finds its
-    parent.  :meth:`DirectoryStore.prepare` captures it so an aborted
-    prepare can be rolled back in memory without touching disk (the
-    abort ``#DECIDE`` frame already makes the prepare invisible to
-    replay)."""
+    parent.  :meth:`DirectoryStore.stage` captures it so a staged or
+    prepared transaction can be rolled back in memory without touching
+    disk (the abort ``#DECIDE`` frame already makes a prepare invisible
+    to replay)."""
     inverse = UpdateTransaction()
     for op in reversed(transaction.operations):
         if isinstance(op, InsertEntry):
@@ -145,6 +159,130 @@ def inverse_transaction(
             }
             inverse.insert(op.dn, tuple(entry.classes), attributes)
     return inverse
+
+
+@dataclass(frozen=True)
+class _ChangeKind:
+    """What the write pipeline needs from one kind of change; each
+    function takes its target first and the change second."""
+
+    #: The journal frame payload (what recovery and readers replay).
+    payload: Callable
+    #: Apply through the incremental guard, returning the
+    #: :class:`UpdateOutcome`; a rejected change is left rolled back.
+    #: The guard's methods are looked up per call, never cached.
+    guarded: Callable
+    #: Apply to an instance with no legality check.
+    replay: Callable
+    #: The change that undoes this one, built against the pre-state.
+    inverse: Callable
+
+
+_TRANSACTION = _ChangeKind(
+    payload=serialize_changes,
+    guarded=lambda guard, transaction: guard.apply_transaction(transaction),
+    replay=_recovery.replay_transaction,
+    inverse=inverse_transaction,
+)
+_MODIFY = _ChangeKind(
+    payload=serialize_modification,
+    guarded=apply_modification,
+    replay=apply_modify_blind,
+    inverse=inverse_modification,
+)
+
+
+def _kind_of(change) -> _ChangeKind:
+    if isinstance(change, UpdateTransaction):
+        return _TRANSACTION
+    if isinstance(change, ModifyRecord):
+        return _MODIFY
+    raise UpdateError(
+        "only insert/delete transactions and changetype: modify records "
+        f"are journaled; got {type(change).__name__}"
+    )
+
+
+class StagedWrite:
+    """A change :meth:`DirectoryStore.stage` applied in memory, not yet
+    durable.  :attr:`outcome` is the guard's verdict; exactly one of
+    :meth:`commit`, :meth:`abort` and :meth:`prepare` ends the write.
+    When the change was rejected (or is empty) there is nothing staged
+    and every exit is a no-op, as is any exit after the first."""
+
+    def __init__(
+        self,
+        store: "DirectoryStore",
+        kind: _ChangeKind,
+        change,
+        outcome: UpdateOutcome,
+        inverse=None,
+        *,
+        live: bool = True,
+    ) -> None:
+        self.outcome = outcome
+        self._store = store
+        self._kind = kind
+        self._change = change
+        self._inverse = inverse
+        self._live = live and outcome.applied
+
+    def _leave(self) -> bool:
+        """Whether this exit has work to do; true at most once."""
+        live, self._live = self._live, False
+        return live
+
+    def commit(self) -> UpdateOutcome:
+        """Make the change durable and visible: one ordinary WAL frame,
+        fsynced (poisoning contract of :meth:`DirectoryStore.apply`)."""
+        if self._leave():
+            store = self._store
+            frame = wal.encode_record(
+                store._journal_count + 1,
+                store._generation,
+                self._kind.payload(self._change),
+            )
+            store._append_frame(frame, "journal")
+        return self.outcome
+
+    def abort(self) -> None:
+        """Undo the change in memory by blindly applying its pre-state
+        inverse.  Nothing was written, so nothing is left to recover; a
+        failing rollback poisons the store."""
+        if self._leave():
+            self._rollback()
+
+    def _rollback(self) -> None:
+        store = self._store
+        store._replay(
+            lambda: self._kind.replay(store.instance, self._inverse),
+            "staged-write rollback",
+        )
+
+    def prepare(self, txid: str) -> UpdateOutcome:
+        """2PC phase one: append a durable ``#PREPARE`` frame.
+
+        The prepare is invisible to readers, recovery, and replay until
+        the matching ``#DECIDE`` frame lands — so a crash here leaves
+        the shard in doubt, and the coordinator log's presumed-abort
+        rule resolves it at the next open.  The change stays applied in
+        memory; :meth:`DirectoryStore.decide` keeps or rolls it back.
+        When the guard rejected the change nothing is written and the
+        rejection outcome is returned; the caller aborts the global
+        transaction.
+        """
+        if self._leave():
+            store = self._store
+            frame = wal.encode_prepare(
+                txid,
+                store._journal_count + 1,
+                store._generation,
+                self._kind.payload(self._change),
+            )
+            store._append_frame(frame, f"prepare ({txid})")
+            store._pending_txid = txid
+            store._pending_staged = self
+        return self.outcome
 
 
 class DirectoryStore:
@@ -184,14 +322,13 @@ class DirectoryStore:
         self._closed = False
         self._manifest_version = 0
         #: 2PC participant state: the prepared-but-undecided transaction
-        #: (at most one — the WAL scan discipline enforces it).
+        #: (at most one — the WAL scan discipline enforces it).  On the
+        #: writer path it is applied in memory and ``_pending_staged``
+        #: holds its handle; found in the journal at open time it was
+        #: withheld from replay and ``_pending_payload`` preserves it.
         self._pending_txid: Optional[str] = None
         self._pending_payload: Optional[str] = None
-        #: Whether the pending transaction is applied in memory (True on
-        #: the writer path via :meth:`prepare`; False when it was found
-        #: in the journal at open time and withheld from replay).
-        self._pending_applied = False
-        self._pending_inverse: Optional[UpdateTransaction] = None
+        self._pending_staged: Optional[StagedWrite] = None
         #: Verdicts imported from the warm-start sidecar at open time
         #: (0 when the sidecar was absent, stale, or corrupt).
         self.warm_start_verdicts = 0
@@ -353,7 +490,6 @@ class DirectoryStore:
             if report.in_doubt_txid is not None:
                 store._pending_txid = report.in_doubt_txid
                 store._pending_payload = report.in_doubt_payload
-                store._pending_applied = False
             store._adopt_manifest()
             if report.legacy_format and not report.read_only:
                 store.compact()  # rewrites snapshot+journal in WAL format
@@ -424,11 +560,11 @@ class DirectoryStore:
             pass
 
     # ------------------------------------------------------------------
-    # updates
+    # updates: one staged pipeline, stage -> check -> commit | abort
     # ------------------------------------------------------------------
     def apply(self, transaction: UpdateTransaction) -> UpdateOutcome:
         """Run a transaction through the incremental checker; journal it
-        when (and only when) it commits.
+        when (and only when) it commits — ``stage(change).commit()``.
 
         If the journal append fails (disk full, I/O error) the store is
         *poisoned*: the in-memory state is ahead of the durable state,
@@ -447,42 +583,9 @@ class DirectoryStore:
         full-instance :class:`ExtrasChecker` pass.  A violating
         transaction is rolled back in memory and never journaled.
         """
-        self._ensure_writable()
-        extras_guarded = self._extras_enforced()
-        if extras_guarded:
-            extras_inverse = inverse_transaction(transaction, self.instance)
-            extras_before = self._extras_checkpoint()
-        baseline = self._guard.session.stats.copy()
-        outcome = self._guard.apply_transaction(transaction)
-        outcome.stats = self._guard.session.stats.since(baseline)
-        if outcome.applied and extras_guarded:
-            self._extras_settle(
-                outcome,
-                extras_before,
-                lambda: self.revert_applied(extras_inverse),
-            )
-        if outcome.applied:
-            frame = wal.encode_record(
-                self._journal_count + 1,
-                self._generation,
-                serialize_changes(transaction),
-            )
-            try:
-                self._io.append_bytes(self._journal_path(self._dir), frame)
-            except Exception as exc:
-                self._poisoned = f"journal append failed: {exc}"
-                raise StoreError(
-                    "journal append failed; the store is poisoned (the "
-                    "in-memory state is ahead of disk) — close and reopen "
-                    f"to recover the committed prefix: {exc}"
-                ) from exc
-            self._journal_count += 1
-        return outcome
+        return self._stage(transaction, False).commit()
 
-    # ------------------------------------------------------------------
-    # in-place modification (journaled extension — see ldif/modify.py)
-    # ------------------------------------------------------------------
-    def modify(self, record) -> "UpdateOutcome":
+    def modify(self, record: ModifyRecord) -> UpdateOutcome:
         """Run one RFC 2849 ``changetype: modify`` record through the
         incremental checker; journal it when (and only when) it commits.
 
@@ -493,234 +596,83 @@ class DirectoryStore:
         contract as :meth:`apply`.  ``modrdn`` records are rejected:
         renames remain a memory-only extension with no replay form.
         """
-        from repro.ldif.modify import (
-            ModifyRecord,
-            apply_modification,
-            inverse_modification,
-            serialize_modification,
-        )
+        return self._stage(record, False).commit()
 
-        self._ensure_writable()
-        if not isinstance(record, ModifyRecord):
-            raise UpdateError(
-                "only changetype: modify records are journaled; "
-                f"got {type(record).__name__}"
-            )
-        extras_guarded = self._extras_enforced()
-        if extras_guarded:
-            extras_inverse = inverse_modification(self.instance, record)
-            extras_before = self._extras_checkpoint()
-        baseline = self._guard.session.stats.copy()
-        outcome = apply_modification(self._guard, record)
-        outcome.stats = self._guard.session.stats.since(baseline)
-        if outcome.applied and extras_guarded:
-            self._extras_settle(
-                outcome,
-                extras_before,
-                lambda: self.revert_modified(extras_inverse),
-            )
-        if outcome.applied:
-            self._append_journal_payload(serialize_modification(record))
-        return outcome
+    def stage(self, change) -> "StagedWrite":
+        """Guard ``change`` (an :class:`UpdateTransaction` or a
+        :class:`~repro.ldif.modify.ModifyRecord`) and apply it *in
+        memory only*; the returned :class:`StagedWrite` carries the
+        :class:`UpdateOutcome` and the three ways out.
 
-    def modify_tentative(self, record):
-        """Guard and apply a modify record *in memory only*; returns
-        ``(outcome, inverse_record)`` where the inverse — computed
-        against the pre-state — undoes the modification via
-        :meth:`revert_modified`.  The sharded coordinator's modify fast
-        path stages with this, checks the composite, then either
-        :meth:`commit_modified` or :meth:`revert_modified` — the same
-        zero-durable-footprint discipline as :meth:`apply_tentative`.
+        Content and structure are Δ-checked by the incremental guard,
+        then — when the schema declares Section 6.1 extras — the index
+        probes vet the delta; a change either check rejects is already
+        rolled back when this returns, and every exit of its handle is
+        a no-op.  Nothing reaches the journal before an exit is taken,
+        so a caller (the sharded coordinator's composite check) may
+        still :meth:`StagedWrite.abort` with zero durable footprint.
+        Settle the handle before the next call on this store.
         """
-        from repro.ldif.modify import (
-            ModifyRecord,
-            apply_modification,
-            inverse_modification,
-        )
+        return self._stage(change, True)
 
+    def _stage(self, change, abortable: bool) -> "StagedWrite":
+        """:meth:`stage`, capturing the pre-state inverse only when a
+        rollback is reachable: the caller keeps the handle
+        (``abortable``) or the extras probe may reject.  ``apply`` and
+        ``modify`` on a schema without extras can only commit, so the
+        hot path never builds an inverse."""
         self._ensure_writable()
-        if not isinstance(record, ModifyRecord):
-            raise UpdateError(
-                "only changetype: modify records are journaled; "
-                f"got {type(record).__name__}"
-            )
-        inverse = inverse_modification(self.instance, record)
+        kind = _kind_of(change)
+        if isinstance(change, UpdateTransaction) and not change.operations:
+            # Nothing to check, journal or ship: an empty frame would
+            # advance the journal (and every replica) for no change.
+            return StagedWrite(self, kind, change, UpdateOutcome(), live=False)
         extras_guarded = self._extras_enforced()
+        inverse = None
+        if abortable or extras_guarded:
+            inverse = kind.inverse(self.instance, change)
         if extras_guarded:
             extras_before = self._extras_checkpoint()
         baseline = self._guard.session.stats.copy()
-        outcome = apply_modification(self._guard, record)
+        outcome = kind.guarded(self._guard, change)
         outcome.stats = self._guard.session.stats.since(baseline)
+        staged = StagedWrite(self, kind, change, outcome, inverse)
         if outcome.applied and extras_guarded:
-            self._extras_settle(
-                outcome,
-                extras_before,
-                lambda: self.revert_modified(inverse),
-            )
-        return outcome, inverse
+            self._extras_settle(staged, extras_before)
+        return staged
 
-    def commit_modified(self, record) -> None:
-        """Journal a modify record that :meth:`modify_tentative` already
-        applied in memory (poisoning contract of :meth:`apply`)."""
-        from repro.ldif.modify import serialize_modification
-
-        self._ensure_writable()
-        self._append_journal_payload(serialize_modification(record))
-
-    def revert_modified(self, inverse) -> None:
-        """Blindly apply the inverse record from :meth:`modify_tentative`
-        to undo a staged modify in memory.  No guard, no journal; a
-        failure poisons the store (memory would diverge from disk)."""
-        from repro.ldif.modify import apply_modify_blind
-
-        try:
-            apply_modify_blind(self.instance, inverse)
-        except Exception as exc:
-            self._poisoned = f"tentative modify rollback failed: {exc}"
-            raise StoreError(
-                "tentative modify rollback failed; the store is poisoned — "
-                f"close and reopen to recover the committed prefix: {exc}"
-            ) from exc
-
-    def _append_journal_payload(self, payload: str) -> None:
-        """Append one ordinary WAL frame carrying ``payload``, with the
-        shared poisoning contract: a failed append leaves memory ahead
-        of disk, so the store fails stop until reopened."""
-        frame = wal.encode_record(
-            self._journal_count + 1, self._generation, payload
-        )
+    def _append_frame(self, frame: bytes, what: str) -> None:
+        """Append one WAL frame and advance the journal position — the
+        only append site, so the poisoning contract lives here: a
+        failed append leaves memory ahead of (or, for a decide, out of
+        step with) disk, and the store fails stop until reopened."""
         try:
             self._io.append_bytes(self._journal_path(self._dir), frame)
         except Exception as exc:
-            self._poisoned = f"journal append failed: {exc}"
+            self._poisoned = f"{what} append failed: {exc}"
             raise StoreError(
-                "journal append failed; the store is poisoned (the "
-                "in-memory state is ahead of disk) — close and reopen "
-                f"to recover the committed prefix: {exc}"
+                f"{what} append failed; the store is poisoned (the "
+                "in-memory state is out of step with disk) — close and "
+                f"reopen to recover the committed prefix: {exc}"
             ) from exc
         self._journal_count += 1
+
+    def _replay(self, replay: Callable[[], None], what: str) -> None:
+        """Run a blind in-memory replay — no guard, no journal.  A
+        failure poisons the store: memory would diverge from the
+        durable state."""
+        try:
+            replay()
+        except Exception as exc:
+            self._poisoned = f"{what} failed: {exc}"
+            raise StoreError(
+                f"{what} failed; the store is poisoned — close and "
+                f"reopen to recover the committed prefix: {exc}"
+            ) from exc
 
     # ------------------------------------------------------------------
     # 2PC participant surface (driven by repro.store.sharded)
     # ------------------------------------------------------------------
-    def apply_tentative(self, transaction: UpdateTransaction) -> UpdateOutcome:
-        """Run a transaction through the incremental checker and apply
-        it *in memory only* — nothing reaches the journal.
-
-        The coordinator's single-shard fast path uses this to stage a
-        routed transaction, runs the composite check on the staged
-        state, and then either durably commits it
-        (:meth:`commit_applied`) or rolls the memory back
-        (:meth:`revert_applied`) with zero durable footprint — a
-        rejected transaction never touches disk, so there is no
-        compensation crash window.
-        """
-        self._ensure_writable()
-        extras_guarded = self._extras_enforced()
-        if extras_guarded:
-            extras_inverse = inverse_transaction(transaction, self.instance)
-            extras_before = self._extras_checkpoint()
-        baseline = self._guard.session.stats.copy()
-        outcome = self._guard.apply_transaction(transaction)
-        outcome.stats = self._guard.session.stats.since(baseline)
-        if outcome.applied and extras_guarded:
-            self._extras_settle(
-                outcome,
-                extras_before,
-                lambda: self.revert_applied(extras_inverse),
-            )
-        return outcome
-
-    def commit_applied(self, transaction: UpdateTransaction) -> None:
-        """Journal a transaction that :meth:`apply_tentative` already
-        applied in memory.  Same poisoning contract as :meth:`apply`:
-        an append failure leaves memory ahead of disk, so the store
-        fails stop until reopened."""
-        self._ensure_writable()
-        frame = wal.encode_record(
-            self._journal_count + 1,
-            self._generation,
-            serialize_changes(transaction),
-        )
-        try:
-            self._io.append_bytes(self._journal_path(self._dir), frame)
-        except Exception as exc:
-            self._poisoned = f"journal append failed: {exc}"
-            raise StoreError(
-                "journal append failed; the store is poisoned (the "
-                "in-memory state is ahead of disk) — close and reopen "
-                f"to recover the committed prefix: {exc}"
-            ) from exc
-        self._journal_count += 1
-
-    def revert_applied(self, inverse: UpdateTransaction) -> None:
-        """Blindly replay ``inverse`` (built by :func:`inverse_transaction`
-        against the pre-state) to undo an :meth:`apply_tentative` in
-        memory.  No guard, no journal — the forward transaction never
-        reached disk.  A replay failure poisons the store: memory would
-        diverge from the durable state."""
-        try:
-            for step in decompose(inverse, self.instance):
-                apply_subtree_update(self.instance, step)
-        except Exception as exc:
-            self._poisoned = f"tentative rollback failed: {exc}"
-            raise StoreError(
-                "tentative rollback failed; the store is poisoned — "
-                f"close and reopen to recover the committed prefix: {exc}"
-            ) from exc
-
-    def prepare(self, txid: str, transaction: UpdateTransaction) -> UpdateOutcome:
-        """Phase one: guard the transaction, apply it in memory, and
-        append a durable ``#PREPARE`` frame.
-
-        The prepare is invisible to readers, recovery, and replay until
-        the matching ``#DECIDE`` frame lands — so a crash here leaves
-        the shard in doubt, and the coordinator log's presumed-abort
-        rule resolves it at the next open.  When the guard rejects the
-        transaction nothing is written and the rejection outcome is
-        returned; the caller aborts the global transaction.
-        """
-        self._ensure_writable()
-        baseline = self._guard.session.stats.copy()
-        inverse = inverse_transaction(transaction, self.instance)
-        extras_guarded = self._extras_enforced()
-        if extras_guarded:
-            extras_before = self._extras_checkpoint()
-        outcome = self._guard.apply_transaction(transaction)
-        outcome.stats = self._guard.session.stats.since(baseline)
-        if not outcome.applied:
-            return outcome
-        if extras_guarded:
-            # Vet the delta *before* the durable #PREPARE frame: a
-            # violating transaction must leave no trace for recovery
-            # (or the coordinator) to resolve.
-            self._extras_settle(
-                outcome,
-                extras_before,
-                lambda: self.revert_applied(inverse),
-            )
-            if not outcome.applied:
-                return outcome
-        payload = serialize_changes(transaction)
-        frame = wal.encode_prepare(
-            txid, self._journal_count + 1, self._generation, payload
-        )
-        try:
-            self._io.append_bytes(self._journal_path(self._dir), frame)
-        except Exception as exc:
-            self._poisoned = f"prepare append failed: {exc}"
-            raise StoreError(
-                f"prepare append failed for {txid}; the store is poisoned "
-                "(the in-memory state is ahead of disk) — close and reopen "
-                f"to recover the committed prefix: {exc}"
-            ) from exc
-        self._journal_count += 1
-        self._pending_txid = txid
-        self._pending_payload = payload
-        self._pending_applied = True
-        self._pending_inverse = inverse
-        return outcome
-
     def decide(self, txid: str, verdict: str) -> None:
         """Phase two: append the ``#DECIDE`` frame for the prepared
         transaction, then reconcile memory with the verdict (an abort
@@ -767,36 +719,20 @@ class DirectoryStore:
         frame = wal.encode_decide(
             txid, verdict, self._journal_count + 1, self._generation
         )
-        try:
-            self._io.append_bytes(self._journal_path(self._dir), frame)
-        except Exception as exc:
-            self._poisoned = f"decide append failed: {exc}"
-            raise StoreError(
-                f"decide append failed for {txid}; the store is poisoned — "
-                f"close and reopen to recover: {exc}"
-            ) from exc
-        self._journal_count += 1
-        payload = self._pending_payload
-        applied = self._pending_applied
-        inverse = self._pending_inverse
+        self._append_frame(frame, f"decide ({txid})")
+        payload, staged = self._pending_payload, self._pending_staged
         self._pending_txid = None
         self._pending_payload = None
-        self._pending_applied = False
-        self._pending_inverse = None
-        try:
-            if verdict == "commit" and not applied:
-                transaction = parse_changes(payload)
-                for step in decompose(transaction, self.instance):
-                    apply_subtree_update(self.instance, step)
-            elif verdict == "abort" and applied:
-                for step in decompose(inverse, self.instance):
-                    apply_subtree_update(self.instance, step)
-        except Exception as exc:
-            self._poisoned = f"post-decide reconciliation failed: {exc}"
-            raise StoreError(
-                "post-decide reconciliation failed; the store is poisoned "
-                f"(disk holds the decided journal) — close and reopen: {exc}"
-            ) from exc
+        self._pending_staged = None
+        if verdict == "commit" and staged is None:
+            self._replay(
+                lambda: _recovery.replay_transaction(
+                    self.instance, parse_changes(payload)
+                ),
+                "post-decide reconciliation",
+            )
+        elif verdict == "abort" and staged is not None:
+            staged._rollback()
 
     @property
     def pending_txid(self) -> Optional[str]:
@@ -879,15 +815,13 @@ class DirectoryStore:
         )
 
     def _extras_settle(
-        self,
-        outcome: UpdateOutcome,
-        before: Tuple[int, int, int],
-        revert: Callable[[], None],
+        self, staged: StagedWrite, before: Tuple[int, int, int]
     ) -> None:
         """After a guard-approved in-memory apply: run the delta check;
-        on violation run ``revert`` and fold the violations into the
-        outcome's report (flipping ``applied`` off).  Also attributes
-        the index work to ``outcome.stats``."""
+        on violation abort the staged write and fold the violations
+        into its outcome's report (flipping ``applied`` off).  Also
+        attributes the index work to ``outcome.stats``."""
+        outcome = staged.outcome
         violations = self._extras_delta_violations()
         after = self.instance.indexes.counters()
         if outcome.stats is not None:
@@ -895,7 +829,7 @@ class DirectoryStore:
             outcome.stats.index_hits += after[1] - before[1]
             outcome.stats.index_candidates += after[2] - before[2]
         if violations:
-            revert()
+            staged.abort()
             outcome.report.extend(violations)
             outcome.checks.append(
                 "extras delta check (index probes): rejected, rolled "

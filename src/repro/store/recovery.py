@@ -55,7 +55,13 @@ from repro.schema.directory_schema import DirectorySchema
 from repro.store import wal
 from repro.store.wal import StoreIO
 
-__all__ = ["RecoveryReport", "scan_store", "recover", "replay_record"]
+__all__ = [
+    "RecoveryReport",
+    "scan_store",
+    "recover",
+    "replay_record",
+    "replay_transaction",
+]
 
 _LEGACY_COMMIT_MARKER = "# commit"
 
@@ -156,6 +162,15 @@ def _paths(directory: str) -> Tuple[str, str, str]:
 _MODIFY_PAYLOAD = re.compile(r"^changetype:\s*modify\s*$", re.MULTILINE)
 
 
+def replay_transaction(instance: DirectoryInstance, transaction) -> None:
+    """Blindly re-apply an insert/delete transaction onto ``instance``,
+    decomposed into subtree updates per Theorem 4.1."""
+    from repro.updates.transactions import apply_subtree_update, decompose
+
+    for step in decompose(transaction, instance):
+        apply_subtree_update(instance, step)
+
+
 def replay_record(instance: DirectoryInstance, record: wal.WalRecord) -> None:
     """Re-apply one committed journal record onto ``instance`` — blind
     replay, no legality guard (Theorem 4.1 modularity: the record was
@@ -165,20 +180,16 @@ def replay_record(instance: DirectoryInstance, record: wal.WalRecord) -> None:
     same damage.
 
     Two payload forms exist: insert/delete transactions (the paper's
-    update model, decomposed per Theorem 4.1) and in-place ``modify``
+    update model, :func:`replay_transaction`) and in-place ``modify``
     records (this library's journaled extension, re-applied through
     :func:`repro.ldif.modify.apply_modify_blind`)."""
-    from repro.updates.transactions import apply_subtree_update, decompose
-
     if _MODIFY_PAYLOAD.search(record.payload):
         from repro.ldif.modify import apply_modify_blind, parse_modifications
 
         for modify in parse_modifications(record.payload):
             apply_modify_blind(instance, modify)
         return
-    transaction = parse_changes(record.payload)
-    for step in decompose(transaction, instance):
-        apply_subtree_update(instance, step)
+    replay_transaction(instance, parse_changes(record.payload))
 
 
 def _scan_legacy(data: bytes) -> wal.ScanResult:

@@ -26,8 +26,8 @@ Enforcement split:
   per-shard store's own incremental guard, unchanged;
 * **required classes** and (under a nested cut) **cut-spanning edges**
   are enforced by :meth:`ShardedStore.apply` *before* anything becomes
-  durable: a routed (single-shard) transaction is staged in memory
-  (:meth:`~repro.store.journal.DirectoryStore.apply_tentative`),
+  durable: a routed (single-shard) change is staged in memory
+  (:meth:`~repro.store.journal.DirectoryStore.stage`),
   composite-checked, and only then journaled — a composite violation
   rolls the staging back with **zero durable footprint**, so there is
   no compensation commit and no crash window in which a
@@ -94,6 +94,7 @@ import shutil
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ModelError, StoreError, UpdateError
+from repro.ldif.modify import ModifyRecord
 from repro.legality.extras import ExtrasChecker
 from repro.legality.metrics import CheckStats
 from repro.legality.report import Kind, LegalityReport, Violation
@@ -113,7 +114,7 @@ from repro.query.search import search as _search
 from repro.schema.directory_schema import DirectorySchema
 from repro.schema.elements import RequiredClass
 from repro.store import index as _index
-from repro.store.journal import DirectoryStore, inverse_transaction
+from repro.store.journal import DirectoryStore
 from repro.store.reader import ReaderLag, RefreshResult, StoreReader
 from repro.store.txlog import TXLOG_FILE, TxLog, inspect_txlog
 from repro.store.wal import StoreIO
@@ -300,37 +301,23 @@ def _canonical_search(
     return results
 
 
-def _localized_transaction(
-    shard_map: ShardMap, transaction: UpdateTransaction, spec: ShardSpec
-) -> UpdateTransaction:
-    """The transaction with every DN rewritten into shard-local form."""
-    if spec.suffix.is_empty():
-        return transaction
-    local = UpdateTransaction()
+def _shard_slices(
+    shard_map: ShardMap, transaction: UpdateTransaction
+) -> Dict[str, UpdateTransaction]:
+    """The transaction cut along the routing map: each owning shard's
+    operations, localized, in transaction order — keyed by shard name in
+    first-touch order.  Raises :class:`ShardRoutingError` for a DN no
+    shard owns."""
+    slices: Dict[str, UpdateTransaction] = {}
     for op in transaction:
+        spec = shard_map.route(op.dn)
         dn = shard_map.localize(op.dn, spec)
+        local = slices.setdefault(spec.name, UpdateTransaction())
         if isinstance(op, InsertEntry):
             local.operations.append(InsertEntry(dn, op.classes, op.attributes))
         else:
             local.operations.append(DeleteEntry(dn))
-    return local
-
-
-def _shard_slice(
-    shard_map: ShardMap, transaction: UpdateTransaction, spec: ShardSpec
-) -> UpdateTransaction:
-    """One shard's slice of a *spanning* transaction: only the
-    operations routing to ``spec``, localized, in transaction order."""
-    local = UpdateTransaction()
-    for op in transaction:
-        if shard_map.route(op.dn).name != spec.name:
-            continue
-        dn = shard_map.localize(op.dn, spec)
-        if isinstance(op, InsertEntry):
-            local.operations.append(InsertEntry(dn, op.classes, op.attributes))
-        else:
-            local.operations.append(DeleteEntry(dn))
-    return local
+    return slices
 
 
 # ----------------------------------------------------------------------
@@ -659,7 +646,7 @@ class ShardedStore:
 
         A transaction whose operations all route to one shard takes the
         **fast path**: staged in that shard's memory
-        (:meth:`~repro.store.journal.DirectoryStore.apply_tentative`),
+        (:meth:`~repro.store.journal.DirectoryStore.stage`),
         composite-checked, then journaled — or rolled back in memory
         with zero durable footprint.  A transaction **spanning shards**
         is decomposed per shard and committed through two-phase commit:
@@ -676,18 +663,15 @@ class ShardedStore:
         transaction.validate()
         if not transaction.operations:
             return UpdateOutcome()
-        order: List[str] = []
-        for op in transaction:
-            name = self.shard_map.route(op.dn).name  # ShardRoutingError
-            if name not in order:
-                order.append(name)
+        slices = _shard_slices(self.shard_map, transaction)
         # The decompose preconditions whose scope crosses the routing
         # cut — a shard-local guard cannot see them, so they are
         # checked here, up front, with the union store's exact errors.
         self._cross_cut_preconditions(transaction)
-        if len(order) == 1:
-            return self._apply_single(order[0], transaction)
-        return self._apply_spanning(order, transaction)
+        if len(slices) == 1:
+            ((name, local),) = slices.items()
+            return self._commit_routed(name, local)
+        return self._apply_spanning(slices)
 
     def _cross_cut_preconditions(self, transaction: UpdateTransaction) -> None:
         """Raise the :class:`UpdateError` a union store's decompose
@@ -753,14 +737,9 @@ class ShardedStore:
         """Route and apply one ``changetype: modify`` record.
 
         A modify targets exactly one entry, so it always takes the
-        single-shard fast path: staged in the owning shard's memory
-        (:meth:`~repro.store.journal.DirectoryStore.modify_tentative`),
-        composite-checked, then journaled as one ordinary WAL frame —
-        or blind-reverted with zero durable footprint, the same
-        discipline as :meth:`_apply_single`.
+        single-shard fast path (:meth:`_commit_routed`): one ordinary
+        WAL frame, or nothing durable at all.
         """
-        from repro.ldif.modify import ModifyRecord
-
         self._ensure_open()
         if not isinstance(record, ModifyRecord):
             raise UpdateError(
@@ -771,54 +750,16 @@ class ShardedStore:
         local = ModifyRecord(
             self.shard_map.localize(record.dn, spec), record.ops
         )
-        store = self._shards[spec.name]
-        if self.schema.extras is not None:
-            self._extras_checkpoint()
-        outcome, inverse = store.modify_tentative(local)
-        if not outcome.applied:
-            return outcome
-        self._composite_cache = None
-        try:
-            composite = _composite_report(
-                self.scope,
-                self.shard_map,
-                {n: s.instance for n, s in self._shards.items()},
-                self.composite_instance,
-            )
-            if composite.is_legal and self.schema.extras is not None:
-                composite.extend(self._extras_delta_violations())
-        except BaseException:
-            try:
-                store.revert_modified(inverse)
-            finally:
-                self._composite_cache = None
-            raise
-        if composite.is_legal:
-            store.commit_modified(local)
-            return self._fold_extras_stats(outcome)
-        store.revert_modified(inverse)
-        self._composite_cache = None
-        return self._fold_extras_stats(UpdateOutcome(
-            report=composite,
-            cost=outcome.cost,
-            checks=outcome.checks
-            + [f"composite check: {self.scope.summary()}",
-               "rolled back in memory (no durable footprint)"],
-            stats=outcome.stats,
-        ))
+        return self._commit_routed(spec.name, local)
 
-    def _apply_single(
-        self, name: str, transaction: UpdateTransaction
-    ) -> UpdateOutcome:
-        """The routed fast path: one shard, one ordinary WAL frame —
-        and nothing durable at all unless the composite check passes."""
-        spec = self.shard_map.spec(name)
-        store = self._shards[name]
-        local_tx = _localized_transaction(self.shard_map, transaction, spec)
-        inverse = inverse_transaction(local_tx, store.instance)
+    def _commit_routed(self, name: str, change) -> UpdateOutcome:
+        """The routed fast path for either change kind: staged in the
+        owning shard's memory, composite-checked, then committed as one
+        ordinary WAL frame — or aborted with nothing durable at all."""
         if self.schema.extras is not None:
             self._extras_checkpoint()
-        outcome = store.apply_tentative(local_tx)
+        staged = self._shards[name].stage(change)
+        outcome = staged.outcome
         if not outcome.applied:
             # The guard's violation DNs are Δ-relative (an inserted
             # entry is a root of its own delta), exactly as a single
@@ -826,29 +767,21 @@ class ShardedStore:
             # DNs no client ever named.  `_globalized` is for the
             # check() paths, whose DNs are shard-rooted.
             return outcome
-        self._composite_cache = None
         try:
-            composite = _composite_report(
-                self.scope,
-                self.shard_map,
-                {n: s.instance for n, s in self._shards.items()},
-                self.composite_instance,
-            )
-            if composite.is_legal and self.schema.extras is not None:
-                composite.extend(self._extras_delta_violations())
+            composite = self._staged_composite_report()
         except BaseException:
             # The staged state must never outlive the check: roll the
             # memory back, then propagate.  Nothing was written, so a
             # crash here needs no recovery work at all.
             try:
-                store.revert_applied(inverse)
+                staged.abort()
             finally:
                 self._composite_cache = None
             raise
         if composite.is_legal:
-            store.commit_applied(local_tx)
+            staged.commit()
             return self._fold_extras_stats(outcome)
-        store.revert_applied(inverse)
+        staged.abort()
         self._composite_cache = None
         return self._fold_extras_stats(UpdateOutcome(
             report=composite,
@@ -859,17 +792,38 @@ class ShardedStore:
             stats=outcome.stats,
         ))
 
+    def _composite_report(self) -> LegalityReport:
+        """The composite structure elements over the shards' current
+        in-memory states."""
+        return _composite_report(
+            self.scope,
+            self.shard_map,
+            {name: s.instance for name, s in self._shards.items()},
+            self.composite_instance,
+        )
+
+    def _staged_composite_report(self) -> LegalityReport:
+        """What the routing cut hides from the shard guards, judged on
+        the staged state: composite structure elements, then — only if
+        those hold — the directory-wide Section 6.1 extras delta."""
+        self._composite_cache = None
+        composite = self._composite_report()
+        if composite.is_legal and self.schema.extras is not None:
+            composite.extend(self._extras_delta_violations())
+        return composite
+
     def _apply_spanning(
-        self, order: List[str], transaction: UpdateTransaction
+        self, slices: Dict[str, UpdateTransaction]
     ) -> UpdateOutcome:
-        """Two-phase commit across every owning shard.
+        """Two-phase commit across every owning shard (``slices`` maps
+        each to its localized share of the transaction).
 
         Protocol (named fault points in brackets — the crash harness
         kills the process at each one and asserts all-or-nothing):
 
         1. [``2pc:begin``] coordinator log records BEGIN + participants;
-        2. per shard: guard + ``#PREPARE`` frame, fsynced
-           [``2pc:prepared:<shard>``];
+        2. per shard: stage (guard, in memory) + ``#PREPARE`` frame,
+           fsynced [``2pc:prepared:<shard>``];
         3. composite check on the staged union [``2pc:decision``];
         4. coordinator log records COMMIT — **the commit point**
            [``2pc:committed``];
@@ -884,35 +838,24 @@ class ShardedStore:
         """
         if self.schema.extras is not None:
             self._extras_checkpoint()
+        order = list(slices)
         self._io.fault_point("2pc:begin")
         txid = self._txlog.begin(order)
         outcomes: List[UpdateOutcome] = []
         prepared: List[str] = []
         rejection: Optional[UpdateOutcome] = None
-        rejected_by: Optional[str] = None
         try:
-            for name in order:
-                spec = self.shard_map.spec(name)
-                store = self._shards[name]
-                local_tx = _shard_slice(self.shard_map, transaction, spec)
-                outcome = store.prepare(txid, local_tx)
+            for name, local in slices.items():
+                outcome = self._shards[name].stage(local).prepare(txid)
                 if not outcome.applied:
                     rejection = outcome
-                    rejected_by = name
+                    why = f"shard {name!r} rejected"
                     break
                 outcomes.append(outcome)
                 prepared.append(name)
                 self._io.fault_point(f"2pc:prepared:{name}")
             if rejection is None:
-                self._composite_cache = None
-                composite = _composite_report(
-                    self.scope,
-                    self.shard_map,
-                    {n: s.instance for n, s in self._shards.items()},
-                    self.composite_instance,
-                )
-                if composite.is_legal and self.schema.extras is not None:
-                    composite.extend(self._extras_delta_violations())
+                composite = self._staged_composite_report()
                 if composite.is_legal:
                     self._io.fault_point("2pc:decision")
                     self._txlog.commit(txid)
@@ -933,6 +876,7 @@ class ShardedStore:
                     report=composite,
                     checks=[f"composite check: {self.scope.summary()}"],
                 )
+                why = "composite check failed"
         except Exception:
             # A non-crash failure (e.g. a decompose precondition raised
             # by a shard's guard) aborts the prepared participants and
@@ -941,11 +885,6 @@ class ShardedStore:
             # and recovery resolves the in-doubt prepares instead.
             self._abort(txid, prepared)
             raise
-        why = (
-            f"shard {rejected_by!r} rejected"
-            if rejected_by is not None
-            else "composite check failed"
-        )
         self._abort(txid, prepared)
         return self._fold_extras_stats(self._merge_outcomes(
             outcomes + [rejection],
@@ -1120,14 +1059,7 @@ class ShardedStore:
             merged.extend(
                 _globalized(self._shards[spec.name].check(), spec).violations
             )
-        merged.extend(
-            _composite_report(
-                self.scope,
-                self.shard_map,
-                {name: s.instance for name, s in self._shards.items()},
-                self.composite_instance,
-            ).violations
-        )
+        merged.extend(self._composite_report().violations)
         if self.schema.extras is not None:
             merged.extend(
                 ExtrasChecker(self.schema.extras)

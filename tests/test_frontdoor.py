@@ -359,3 +359,38 @@ class TestFollowerFailure:
                 await topo.stop()
 
         asyncio.run(run())
+
+
+class TestSlowBackend:
+    def test_search_slower_than_probe_timeout_still_answers(self, tmp_path):
+        """The member answers one connection's requests in order, so a
+        health probe sharing the forwarding connection would queue
+        behind a slow search, time out, and tear the search down with
+        it.  Probes ride their own connection."""
+
+        async def run():
+            topo = await _topology(
+                tmp_path, n_replicas=0, probe_interval=0.05,
+                probe_timeout=0.2, fail_after=2,
+            )
+            try:
+                search = topo.primary._op_search
+
+                async def slow_search(connection, request):
+                    await asyncio.sleep(1.0)  # > fail_after probe rounds
+                    return await search(connection, request)
+
+                topo.primary._op_search = slow_search
+                client = await topo.client()
+                found = await asyncio.wait_for(
+                    client.search(filter="(objectClass=person)"), 10.0
+                )
+                assert len(found["entries"]) == 3
+                reply = await client.request("topology")
+                assert reply["primary"]["alive"] is True
+                assert reply["failovers"] == 0
+                await client.close()
+            finally:
+                await topo.stop()
+
+        asyncio.run(run())

@@ -252,64 +252,16 @@ mail: dan@x.com
 
 class TestJournaledModify:
     """The store-level modify path: committed modifies are one ordinary
-    WAL frame (recovery and lock-free readers blind-replay them),
-    rejected ones leave zero durable footprint — on the single store and
-    through the sharded coordinator's stage/check/commit-or-revert
-    discipline."""
+    WAL frame that lock-free readers blind-replay.  (Commit, reject and
+    composite-veto footprints on both store layouts are pinned by
+    ``TestWritePipeline`` in ``tests/test_store.py``.)"""
 
     GOOD = (
         f"dn: {LAKS}\nchangetype: modify\n"
         "replace: mail\nmail: laks@example.edu\n-\n"
     )
-    BAD = (
-        f"dn: {SUCIU}\nchangetype: modify\n"
-        "replace: mail\nmail: dan@x.com\n-\n"  # suciu is not online
-    )
-
     def _record(self, text):
         return parse_modifications(text)[0]
-
-    def test_committed_modify_is_journaled_and_recovered(
-        self, tmp_path, wp_schema, wp_registry
-    ):
-        from repro.store import DirectoryStore
-        from repro.workloads import figure1_instance
-
-        path = str(tmp_path / "store")
-        store = DirectoryStore.create(
-            path, wp_schema, figure1_instance(), wp_registry
-        )
-        try:
-            outcome = store.modify(self._record(self.GOOD))
-            assert outcome.applied
-            assert store.journal_length == 1
-            before = serialize_ldif(store.instance)
-        finally:
-            store.close()
-        with DirectoryStore.open(path, wp_schema, wp_registry) as reopened:
-            assert serialize_ldif(reopened.instance) == before
-            assert (
-                reopened.instance.entry(LAKS).values("mail")
-                == ("laks@example.edu",)
-            )
-
-    def test_rejected_modify_leaves_no_footprint(
-        self, tmp_path, wp_schema, wp_registry
-    ):
-        from repro.store import DirectoryStore
-        from repro.workloads import figure1_instance
-
-        store = DirectoryStore.create(
-            str(tmp_path / "store"), wp_schema, figure1_instance(), wp_registry
-        )
-        try:
-            before = serialize_ldif(store.instance)
-            outcome = store.modify(self._record(self.BAD))
-            assert not outcome.applied
-            assert store.journal_length == 0
-            assert serialize_ldif(store.instance) == before
-        finally:
-            store.close()
 
     def test_reader_follows_modify_frames(
         self, tmp_path, wp_schema, wp_registry
@@ -352,68 +304,6 @@ class TestJournaledModify:
             with pytest.raises(UpdateError, match="changetype: modify"):
                 store.modify(record)
             assert store.journal_length == 0
-        finally:
-            store.close()
-
-    def test_sharded_modify_routes_commits_and_recovers(
-        self, tmp_path, wp_schema, wp_registry
-    ):
-        from repro.store.sharded import ShardedStore
-        from repro.workloads import figure1_instance
-
-        path = str(tmp_path / "sharded")
-        bases = {"att": "o=att", "labs": "ou=attLabs,o=att"}
-        store = ShardedStore.create(
-            path, wp_schema, bases, figure1_instance(), wp_registry
-        )
-        try:
-            outcome = store.modify(self._record(self.GOOD))
-            assert outcome.applied
-            # one ordinary WAL frame in the owning shard, none elsewhere
-            assert store.shard("labs").journal_length == 1
-            assert store.shard("att").journal_length == 0
-            before = serialize_ldif(store.composite_instance())
-        finally:
-            store.close()
-        with ShardedStore.open(path, wp_schema, wp_registry) as reopened:
-            assert serialize_ldif(reopened.composite_instance()) == before
-
-    def test_sharded_modify_reverts_on_composite_veto(
-        self, tmp_path, wp_schema, wp_registry, monkeypatch
-    ):
-        """A modify the composite check vetoes is blind-reverted with
-        zero durable footprint.  (In the white-pages schema no
-        single-entry modify can break a cut-spanning element without
-        first breaking a shard-local rule, so the veto is injected —
-        same idiom as the checker-crash test in ``test_sharded``.)"""
-        import repro.store.sharded as sharded_module
-        from repro.legality.report import Kind, LegalityReport, Violation
-        from repro.store.sharded import ShardedStore
-        from repro.workloads import figure1_instance
-
-        bases = {"att": "o=att", "labs": "ou=attLabs,o=att"}
-        store = ShardedStore.create(
-            str(tmp_path / "sharded"), wp_schema, bases,
-            figure1_instance(), wp_registry,
-        )
-        try:
-            before = serialize_ldif(store.composite_instance())
-
-            def veto(*args, **kwargs):
-                report = LegalityReport()
-                report.add(Violation(
-                    Kind.DISALLOWED_ATTRIBUTE, "injected composite veto"
-                ))
-                return report
-
-            monkeypatch.setattr(sharded_module, "_composite_report", veto)
-            outcome = store.modify(self._record(self.GOOD))
-            assert not outcome.applied
-            assert any("rolled back" in c for c in outcome.checks)
-            monkeypatch.undo()
-            assert serialize_ldif(store.composite_instance()) == before
-            assert store.shard("labs").journal_length == 0
-            assert store.shard("att").journal_length == 0
         finally:
             store.close()
 

@@ -816,12 +816,22 @@ def test_differential_against_union_store(tmp_path, seed, bases, orgs):
     counter = [0]
     accepted = rejected = mixed = 0
     try:
-        for step in range(14):
-            tx = _random_step(rng, union, sharded.shard_map, counter)
+        for step in range(15):
+            # Step 5 is the empty change: both stores accept it and
+            # neither writes a frame for it.
+            tx = (
+                UpdateTransaction()
+                if step == 5
+                else _random_step(rng, union, sharded.shard_map, counter)
+            )
             if tx.insertions() and tx.deletions():
                 mixed += 1
+            written = (union.journal_length, sharded.frontier_key())
             union_outcome = union.apply(tx)
             sharded_outcome = sharded.apply(tx)
+            wrote = union_outcome.applied and bool(tx.operations)
+            assert union.journal_length == written[0] + wrote
+            assert (sharded.frontier_key() != written[1]) == wrote
             assert union_outcome.applied == sharded_outcome.applied, (
                 f"step {step}: union said {union_outcome.applied}, "
                 f"sharded said {sharded_outcome.applied}\n"

@@ -13,8 +13,14 @@ from repro.errors import (
     UpdateError,
 )
 from repro.ldif import serialize_ldif
+from repro.ldif.modify import parse_modifications
+from repro.legality.report import Kind, LegalityReport, Violation
 from repro.store import DirectoryStore
-from repro.store.wal import encode_record
+from repro.store import sharded as sharded_module
+from repro.store.faults import FaultPlan, FaultyIO
+from repro.store.sharded import ShardedStore
+from repro.store.wal import StoreIO, encode_record
+from repro.updates.incremental import IncrementalChecker
 from repro.updates.operations import UpdateTransaction
 from repro.workloads import (
     figure1_instance,
@@ -22,6 +28,7 @@ from repro.workloads import (
     whitepages_registry,
     whitepages_schema,
 )
+from tests.test_sharded import canonical_records
 
 
 @pytest.fixture()
@@ -141,14 +148,6 @@ class TestUpdatesAndRecovery:
         ) as reopened:
             assert serialize_ldif(reopened.instance) == before
             assert reopened.journal_length == 1
-
-    def test_rejected_updates_not_journaled(self, store):
-        bad = UpdateTransaction().insert(
-            "ou=empty,o=att", ["orgUnit", "orgGroup", "top"], {"ou": ["empty"]}
-        )
-        outcome = store.apply(bad)
-        assert not outcome.applied
-        assert store.journal_length == 0
 
     def test_torn_final_record_discarded(self, tmp_path, wp_schema):
         path = str(tmp_path / "store")
@@ -450,3 +449,204 @@ class TestWarmStartSidecar:
         ) as reopened:
             assert reopened.warm_start_verdicts == 0
             assert reopened.check().is_legal
+
+
+# ----------------------------------------------------------------------
+# the write pipeline: stage -> check -> commit | abort
+# ----------------------------------------------------------------------
+DATABASES = "ou=databases,ou=attLabs,o=att"
+SHARD_BASES = {"att": "o=att", "labs": "ou=attLabs,o=att"}
+
+
+def _person_tx(uid, **extra):
+    attributes = {"uid": [uid], "name": [f"n {uid}"], **extra}
+    return UpdateTransaction().insert(
+        f"uid=x{uid},{DATABASES}", ["person", "top"], attributes
+    )
+
+
+def _modify(dn_uid, clause):
+    return parse_modifications(
+        f"dn: uid={dn_uid},{DATABASES}\nchangetype: modify\n{clause}\n-\n"
+    )[0]
+
+
+#: One change per (kind, exit); every one targets the ``labs`` shard.
+#: ``armstrong`` is a uid held under ``o=att`` — the other shard — so
+#: the key check must look across the cut.  The composite exit stages
+#: the *legal* change and has the composite step refuse it.
+PIPELINE_CHANGES = {
+    ("txn", "commit"): _person_tx("new"),
+    ("txn", "guard"): _person_tx("m", mail=["m@example.org"]),  # not online
+    ("txn", "extras"): _person_tx("armstrong"),
+    ("txn", "composite"): _person_tx("new"),
+    ("modify", "commit"): _modify("laks", "replace: mail\nmail: l@example.edu"),
+    ("modify", "guard"): _modify("suciu", "replace: mail\nmail: d@x.com"),
+    ("modify", "extras"): _modify("suciu", "replace: uid\nuid: armstrong"),
+    ("modify", "composite"): _modify(
+        "laks", "replace: mail\nmail: l@example.edu"
+    ),
+}
+
+
+def _tree_bytes(root):
+    found = {}
+    for directory, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                found[os.path.relpath(path, root)] = handle.read()
+    return found
+
+
+def _create(path, layout, schema, registry, io=None):
+    if layout == "plain":
+        return DirectoryStore.create(
+            path, schema, figure1_instance(), registry, io=io
+        )
+    return ShardedStore.create(
+        path, schema, SHARD_BASES, figure1_instance(), registry, io=io
+    )
+
+
+def _reopen(path, layout, schema, registry):
+    opener = DirectoryStore if layout == "plain" else ShardedStore
+    return opener.open(path, schema, registry)
+
+
+def _digest(store):
+    """The store's content, entry by entry; attribute order within an
+    entry is not content (a blind inverse may re-order it)."""
+    if isinstance(store, DirectoryStore):
+        return canonical_records(store.instance)
+    return canonical_records(store.composite_instance())
+
+
+def _frames(store):
+    if isinstance(store, DirectoryStore):
+        return {"store": store.journal_length}
+    return {name: store.shard(name).journal_length for name in store.shard_names()}
+
+
+def _veto(*args, **kwargs):
+    report = LegalityReport()
+    report.add(Violation(Kind.DISALLOWED_ATTRIBUTE, "injected composite veto"))
+    return report
+
+
+class TestWritePipeline:
+    """Every write, on either store layout and of either change kind,
+    leaves the pipeline through one of four exits — and only a commit
+    leaves anything behind."""
+
+    @pytest.mark.parametrize("exit", ["commit", "guard", "extras", "composite"])
+    @pytest.mark.parametrize("kind", ["txn", "modify"])
+    @pytest.mark.parametrize("layout", ["plain", "sharded"])
+    def test_exit_contract(
+        self, tmp_path, wp_schema_extras, wp_registry, monkeypatch,
+        layout, kind, exit,
+    ):
+        path = str(tmp_path / "store")
+        change = PIPELINE_CHANGES[kind, exit]
+        store = _create(path, layout, wp_schema_extras, wp_registry)
+        try:
+            before = _digest(store), _tree_bytes(path), _frames(store)
+            write = store.apply if kind == "txn" else store.modify
+            if exit != "composite":
+                applied = write(change).applied
+            elif layout == "plain":
+                # a plain store has no composite step: do what the
+                # sharded coordinator does when its own check refuses
+                staged = store.stage(change)
+                assert staged.outcome.applied
+                staged.abort()
+                applied = False
+            else:
+                monkeypatch.setattr(sharded_module, "_composite_report", _veto)
+                outcome = write(change)
+                monkeypatch.undo()
+                assert any("rolled back" in c for c in outcome.checks)
+                applied = outcome.applied
+            assert applied == (exit == "commit")
+            if exit == "commit":
+                owner = "store" if layout == "plain" else "labs"
+                assert _frames(store) == {
+                    **before[2], owner: before[2][owner] + 1
+                }
+                grown = {
+                    name for name, data in _tree_bytes(path).items()
+                    if data != before[1][name]
+                }
+                assert len(grown) == 1 and grown.pop().endswith("journal.ldif")
+                assert _digest(store) != before[0]
+            else:
+                assert (_digest(store), _tree_bytes(path), _frames(store)) == before
+                assert store.check().is_legal
+            after = _digest(store)
+        finally:
+            store.close()
+        with _reopen(path, layout, wp_schema_extras, wp_registry) as reopened:
+            assert _digest(reopened) == after
+
+    @pytest.mark.parametrize("kind", ["txn", "modify"])
+    @pytest.mark.parametrize("layout", ["plain", "sharded"])
+    def test_append_failure_poisons_until_reopen(
+        self, tmp_path, wp_schema_extras, wp_registry, layout, kind
+    ):
+        path = str(tmp_path / "store")
+        io = FaultyIO(FaultPlan())
+        store = _create(path, layout, wp_schema_extras, wp_registry, io=io)
+        write = store.apply if kind == "txn" else store.modify
+        try:
+            assert store.apply(_person_tx("first")).applied
+            committed = _digest(store)
+            io.plan.disk_budget = io.plan.bytes_written + 10  # next append fails
+            with pytest.raises(StoreError, match="poisoned"):
+                write(PIPELINE_CHANGES[kind, "commit"])
+            for later in (
+                lambda: store.apply(_person_tx("second")),
+                lambda: store.modify(PIPELINE_CHANGES["modify", "commit"]),
+                store.compact,
+            ):
+                with pytest.raises(StoreError, match="poisoned"):
+                    later()
+        finally:
+            store.close()
+        with _reopen(path, layout, wp_schema_extras, wp_registry) as recovered:
+            assert _digest(recovered) == committed
+            assert recovered.apply(_person_tx("third")).applied
+
+    @pytest.mark.parametrize("layout", ["plain", "sharded"])
+    def test_seams_the_benchmark_patches_are_looked_up_per_call(
+        self, tmp_path, wp_schema_extras, wp_registry, monkeypatch, layout
+    ):
+        """``benchmarks/e2e/layers.py`` times the Δ-check by patching
+        ``IncrementalChecker`` at class level *after* the stores exist,
+        and the WAL append by subclassing ``StoreIO``: the pipeline
+        must reach both through a lookup at call time."""
+        spans = []
+
+        class SpanIO(StoreIO):
+            def append_bytes(self, path, data):
+                spans.append("wal.append_fsync")
+                super().append_bytes(path, data)
+
+        store = _create(
+            str(tmp_path / "store"), layout, wp_schema_extras, wp_registry,
+            io=SpanIO(),
+        )
+        try:
+            for name in ("apply_transaction", "try_modify"):
+                original = getattr(IncrementalChecker, name)
+
+                def traced(self, *args, _original=original, **kwargs):
+                    spans.append("incremental.check")
+                    return _original(self, *args, **kwargs)
+
+                monkeypatch.setattr(IncrementalChecker, name, traced)
+            for kind, write in (("txn", store.apply), ("modify", store.modify)):
+                del spans[:]
+                assert write(PIPELINE_CHANGES[kind, "commit"]).applied
+                assert spans == ["incremental.check", "wal.append_fsync"]
+        finally:
+            store.close()

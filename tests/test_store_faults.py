@@ -283,26 +283,6 @@ class TestSurvivableIOErrors:
                 assert recovered.apply(unit_tx(8)).applied
         assert exercised >= 3
 
-    def test_poisoned_store_refuses_everything_until_reopen(self, tmp_path):
-        path = str(tmp_path / "store")
-        io = FaultyIO(FaultPlan())
-        store = DirectoryStore.create(
-            path, whitepages_schema(), figure1_instance(), io=io
-        )
-        assert store.apply(unit_tx(1)).applied
-        committed = serialize_ldif(store.instance)
-        io.plan.disk_budget = io.plan.bytes_written + 10  # next append fails
-        with pytest.raises(StoreError, match="poisoned"):
-            store.apply(unit_tx(2))
-        with pytest.raises(StoreError, match="poisoned"):
-            store.apply(unit_tx(3))
-        with pytest.raises(StoreError, match="poisoned"):
-            store.compact()
-        store.close()
-        with reopen_clean(path) as recovered:
-            assert serialize_ldif(recovered.instance) == committed
-            assert recovered.apply(unit_tx(4)).applied
-
     def test_failed_fsync_at_every_point(self, tmp_path):
         states, plan = dry_run(tmp_path)
         all_states = {state for _, state in states}

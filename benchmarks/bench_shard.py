@@ -14,6 +14,12 @@ CPU-bound, so K processes on one core do the same work as one, plus
 fork overhead).  The beats-single-store gate is therefore asserted
 only at ``BENCH_SHARD_SCALE >= 1.0`` on a multi-core machine; the
 ratio is always recorded in ``extra_info``.
+
+The read side has its own work-unit gate, armed at every scale: one
+open :class:`~repro.store.sharded.CompositeReader` stitches its
+composite **once** and then *follows* commits — every change a shard
+view replays is replayed onto the composite too, nothing is stitched
+again — so the search after a commit costs O(|Δ|), not O(|D|).
 """
 
 import gc
@@ -23,7 +29,12 @@ import time
 
 from repro.store import DirectoryStore
 from repro.store.reader import StoreReader
-from repro.store.sharded import ShardedStore, check_shards_parallel
+from repro.store.sharded import (
+    CompositeReader,
+    ShardedStore,
+    check_shards_parallel,
+)
+from repro.updates.operations import UpdateTransaction
 from repro.workloads import (
     generate_whitepages,
     random_transaction,
@@ -122,6 +133,107 @@ def test_parallel_shard_check_vs_single_store(benchmark, tmp_path):
             f"at ~100k entries on {CPUS} cpus: {ratio:.2f}x"
         )
     benchmark(check_sharded)
+
+
+def test_open_reader_follows_commits_without_restitching(benchmark, tmp_path):
+    """N commit → refresh → search rounds on one open reader: the
+    composite is stitched once, and the changes replayed onto it are
+    exactly the changes replayed onto the shard views.  The wall-clock
+    cost of the search after a commit is printed beside what it costs
+    when the composite is stitched again for it (every commit, before
+    the reader followed), for the record."""
+    schema = whitepages_schema()
+    registry = whitepages_registry()
+    # ``wp_provision``'s 2,358-entry directory at SCALE=1.0
+    units = max(2, int(4 * SCALE ** 0.5))
+    instance = generate_whitepages(
+        orgs=SHARDS, units_per_level=units, depth=3, persons_per_unit=6, seed=8
+    )
+    bases = {f"org{i}": f"o=org{i}" for i in range(SHARDS)}
+    path = str(tmp_path / "followed")
+    store = ShardedStore.create(path, schema, bases, instance, registry)
+    followed = CompositeReader.open(path, schema, registry)
+    restitched = CompositeReader.open(path, schema, registry)
+    rounds = 60
+    shard_changes = [0]
+    for name in followed.shard_map.names():
+        shard = followed.shard_reader(name)
+
+        def counted(change, forward=shard.on_replay):
+            shard_changes[0] += 1
+            forward(change)
+
+        shard.on_replay = counted
+
+    def provision(index):
+        """Every fifth round spans two shards (2PC), the rest stay in
+        one — the mix ``wp_provision`` drives through the servers."""
+        tx = UpdateTransaction()
+        for org in ((index % SHARDS, (index + 1) % SHARDS)
+                    if index % 5 == 0 else (index % SHARDS,)):
+            unit = f"ou=n{index},o=org{org}"
+            tx.insert(unit, ["orgUnit", "orgGroup", "top"], {"ou": [f"n{index}"]})
+            tx.insert(
+                f"uid=n{index}o{org},{unit}", ["person", "top"],
+                {"uid": [f"n{index}o{org}"], "name": [f"n {index}"]},
+            )
+        return tx
+
+    def search_after_commit(reader, index):
+        """Read-your-writes: refresh, then find the person just added."""
+        began = time.perf_counter()
+        reader.refresh()
+        found = reader.search(
+            base=f"ou=n{index},o=org{index % SHARDS}",
+            filter="(objectClass=person)",
+        )
+        assert len(found) == 1
+        return time.perf_counter() - began
+
+    try:
+        assert len(followed.instance) == len(instance)
+        assert followed.stitches == 1
+        followed_s, restitched_s = [], []
+        for index in range(rounds):
+            assert store.apply(provision(index)).applied
+            followed_s.append(search_after_commit(followed, index))
+            restitched._composite = None  # what every commit used to cost
+            restitched_s.append(search_after_commit(restitched, index))
+        # The gate: one stitch for the whole run, and the composite
+        # replayed exactly what the shard views replayed.
+        assert followed.stitches == 1, followed.stitches
+        assert restitched.stitches == rounds
+        assert followed.followed == shard_changes[0] >= rounds
+        followed_ms = statistics.median(followed_s) * 1e3
+        restitched_ms = statistics.median(restitched_s) * 1e3
+        print_series(
+            f"SHARD: search after a commit, {len(instance)} entries, "
+            f"{SHARDS} shards, {rounds} commits on one open reader",
+            [
+                ("re-stitched per commit", f"{restitched_ms:.2f}ms"),
+                ("stitched once, followed", f"{followed_ms:.2f}ms"),
+                (f"stitches={followed.stitches} "
+                 f"changes followed={followed.followed} "
+                 f"(= changes the shard views replayed)",),
+            ],
+        )
+        benchmark.extra_info["entries"] = len(instance)
+        benchmark.extra_info["stitches"] = followed.stitches
+        benchmark.extra_info["restitched_ms"] = round(restitched_ms, 3)
+        benchmark.extra_info["followed_ms"] = round(followed_ms, 3)
+        counter = [rounds]
+
+        def one_round():
+            counter[0] += 1
+            assert store.apply(provision(counter[0])).applied
+            search_after_commit(followed, counter[0])
+
+        benchmark(one_round)
+        assert followed.stitches == 1
+    finally:
+        followed.close()
+        restitched.close()
+        store.close()
 
 
 def test_routed_commit_overhead(benchmark, tmp_path):

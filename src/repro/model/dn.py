@@ -19,6 +19,7 @@ meaningful inside RDNs (``, + " \\ < > ; =`` and leading/trailing spaces).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
 from repro.errors import ModelError
@@ -27,7 +28,18 @@ __all__ = ["RDN", "DN", "parse_dn", "parse_rdn"]
 
 _ESCAPED_CHARS = ',+"\\<>;='
 
+#: Bound of each memo below.  DN text is re-parsed, re-escaped and
+#: re-normalized on every hot path (two parses per entry at bootstrap,
+#: one escape per RDN per ``str(dn)`` on the write and replication
+#: paths, a ``normalized()`` per DN lookup and per Theorem 4.1 grouping
+#: key) and a directory draws its RDNs from a small vocabulary, so the
+#: memos hit almost always; :class:`RDN` and :class:`DN` are frozen, so
+#: handing the same value to every caller is safe.  A raising input is
+#: never cached (``lru_cache`` stores results only).
+_MEMO_SIZE = 1 << 15
 
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _escape_value(value: str) -> str:
     out = []
     for i, ch in enumerate(value):
@@ -47,6 +59,7 @@ class RDN:
     attribute: str
     value: str
 
+    @lru_cache(maxsize=_MEMO_SIZE)
     def normalized(self) -> "RDN":
         """The case-normalized form used for DN matching.
 
@@ -104,6 +117,7 @@ class DN:
         """Number of RDNs; roots have depth 1."""
         return len(self.rdns)
 
+    @lru_cache(maxsize=_MEMO_SIZE)
     def normalized(self) -> "DN":
         """The case-normalized form used for DN-index keys and
         ancestor tests (see :meth:`RDN.normalized`)."""
@@ -130,6 +144,7 @@ class DN:
         return len(self.rdns)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def parse_rdn(text: str) -> RDN:
     """Parse one ``attribute=value`` component, honouring escapes.
 
@@ -180,10 +195,13 @@ def _split_unescaped(text: str, sep: str) -> Sequence[str]:
     return parts
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def parse_dn(text: str) -> DN:
     """Parse a comma-separated DN string into a :class:`DN`.
 
-    An empty or all-whitespace string parses to the empty DN.
+    An empty or all-whitespace string parses to the empty DN.  Memoised
+    on the raw text, so ``" o=att "`` and ``"o=att"`` are two keys with
+    equal values.
     """
     text = text.strip()
     if not text:

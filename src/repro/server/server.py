@@ -121,6 +121,10 @@ class _Connection:
         self.server = server
         self.writer = writer
         self.view = None  # opened lazily by the first read operation
+        #: The replica applier the server followed when ``view`` was
+        #: opened (``None`` on a primary); ``_ensure_view`` reopens the
+        #: view once the server no longer follows that applier.
+        self.view_source = None
         self.bound_dn: Optional[str] = None
         self.busy = False  # a frame is being dispatched right now
         self.watch_task: Optional[asyncio.Task] = None
@@ -277,12 +281,20 @@ class DirectoryServer:
             upstream=self.replica_of,
         )
 
-    def _open_view(self):
+    def _open_view(self, applier):
+        """Open a serving view; ``applier`` is the replica applier the
+        server follows (``None`` on a primary).  Over a sharded replica
+        the cohort applier opens the view, so it follows the shipped
+        2PC decisions and refreshes only on a replicated cut; a
+        primary's composite view pins each refresh to the coordinator
+        log instead."""
         kwargs = {"structure": self.structure}
         if self.jobs > 0:
             kwargs["parallelism"] = self.jobs
         try:
             if self.shards:
+                if applier is not None:
+                    return applier.open_view(**kwargs)
                 from repro.store.sharded import CompositeReader
 
                 return CompositeReader.open(
@@ -299,25 +311,6 @@ class DirectoryServer:
             raise StoreError(
                 f"{self.store_path} holds no readable state yet ({exc})"
             ) from exc
-
-    def _refresh_view(self, view) -> None:
-        """Refresh a connection's view to the current committed state.
-
-        On a sharded replica the refresh must hold the applier's batch
-        lock and only land on a replicated cut — anything between cuts
-        could show half a spanning transaction."""
-        applier = self._applier
-        if applier is not None and self.shards:
-            with applier.lock:
-                if not applier.consistent():
-                    raise StoreError(
-                        f"replica {self.store_path} has not reached a "
-                        "consistent replicated cut yet; retry after the "
-                        "next sync batch"
-                    )
-                view.refresh()
-        else:
-            view.refresh()
 
     async def stop(self, *, drain: bool = True, timeout: float = 10.0) -> None:
         """Stop accepting, optionally drain in-flight connections, close
@@ -508,12 +501,28 @@ class DirectoryServer:
     async def _ensure_view(self, connection: _Connection) -> None:
         """Open the connection's serving view on first use.  Lazy so a
         replica accepts connections (ping, position, watch) before its
-        bootstrap snapshot has landed."""
+        bootstrap snapshot has landed.
+
+        A view opened while following an applier does not outlive it:
+        the applier closes under the write lock in ``_op_promote``,
+        from which moment the view refuses to refresh, and the
+        connection's next read lands here and reopens it for the
+        server's new role — a promoted server writes 2PC frames, whose
+        atomic visibility needs the coordinator cut a primary's view
+        pins to."""
+        loop = asyncio.get_running_loop()
+        applier = self._applier
+        if (
+            connection.view is not None
+            and connection.view_source is not applier
+        ):
+            stale, connection.view = connection.view, None
+            await loop.run_in_executor(None, stale.close)
         if connection.view is None:
-            loop = asyncio.get_running_loop()
             connection.view = await loop.run_in_executor(
-                None, self._open_view
+                None, self._open_view, applier
             )
+            connection.view_source = applier
 
     async def _dispatch(
         self, connection: _Connection, writer, request: dict
@@ -596,7 +605,7 @@ class DirectoryServer:
         def run():
             from repro.query.filter_parser import parse_filter
 
-            self._refresh_view(connection.view)
+            connection.view.refresh()
             parsed = parse_filter(filter_text) if filter_text else None
             # Over-fetch by one so the cut happens *after* canonical
             # ordering and the client learns whether results were
@@ -624,7 +633,7 @@ class DirectoryServer:
         await self._ensure_view(connection)
 
         def run():
-            self._refresh_view(connection.view)
+            connection.view.refresh()
             report = connection.view.check()
             return report, len(connection.view.instance)
 

@@ -153,6 +153,13 @@ class StoreReader:
         #: postdates the cut is withheld until the next refresh.
         #: ``None`` answers keep the prepare withheld.
         self.txn_resolver: Optional[Callable[[str], Optional[str]]] = None
+        #: Optional hook handed every change this view replays — the
+        #: parsed transaction or modify list, right after it was applied
+        #: to :attr:`instance`.  Injected by the sharded store's
+        #: composite reader, which replays the same change onto the
+        #: composite it holds, so a refresh costs O(|Δ|) there exactly
+        #: as it does here.  The hook must not raise.
+        self.on_replay: Optional[Callable[[object], None]] = None
         #: Verdicts imported (read-only) from the writer's warm-start
         #: sidecar at open time; 0 when absent, stale, or corrupt.
         self.warm_start_verdicts = 0
@@ -480,14 +487,9 @@ class StoreReader:
                         # cross-shard view — but leave seq/offset at the
                         # prepare so the pair is consumed normally once
                         # the decide lands.
-                        try:
-                            replay_record(self.instance, record)
-                        except Exception as exc:
-                            return applied, (
-                                f"frame seq {record.seq} failed to "
-                                f"replay ({exc}); stopped at the "
-                                "previous committed frame"
-                            )
+                        failure = self._replay(record)
+                        if failure is not None:
+                            return applied, failure
                         self._resolved_txid = record.txid
                         return applied, (
                             f"transaction {record.txid} resolved as "
@@ -531,31 +533,37 @@ class StoreReader:
                             "this refresh's coordinator cut; stopped "
                             "before its prepare frame"
                         )
-                    try:
-                        replay_record(self.instance, record)
-                    except Exception as exc:
-                        return applied, (
-                            f"frame seq {record.seq} failed to replay "
-                            f"({exc}); stopped at the previous committed "
-                            "frame"
-                        )
+                    failure = self._replay(record)
+                    if failure is not None:
+                        return applied, failure
                 self._seq = decide.seq
                 self._offset = base_offset + decide.end
                 applied += 2
                 index += 2
                 continue
-            try:
-                replay_record(self.instance, record)
-            except Exception as exc:
-                return applied, (
-                    f"frame seq {record.seq} failed to replay ({exc}); "
-                    "stopped at the previous committed frame"
-                )
+            failure = self._replay(record)
+            if failure is not None:
+                return applied, failure
             self._seq = record.seq
             self._offset = base_offset + record.end
             applied += 1
             index += 1
         return applied, None
+
+    def _replay(self, record: wal.WalRecord) -> Optional[str]:
+        """Blind-replay one committed record onto the view and hand the
+        parsed change to :attr:`on_replay`.  Returns ``None``, or — when
+        the record does not replay — the note the scan stops with."""
+        try:
+            change = replay_record(self.instance, record)
+        except Exception as exc:
+            return (
+                f"frame seq {record.seq} failed to replay ({exc}); "
+                "stopped at the previous committed frame"
+            )
+        if self.on_replay is not None:
+            self.on_replay(change)
+        return None
 
     def _bootstrap(self) -> bool:
         """(Re)build the view from snapshot + committed journal prefix.

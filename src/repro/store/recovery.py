@@ -54,11 +54,13 @@ from repro.model.instance import DirectoryInstance
 from repro.schema.directory_schema import DirectorySchema
 from repro.store import wal
 from repro.store.wal import StoreIO
+from repro.updates.operations import UpdateTransaction
 
 __all__ = [
     "RecoveryReport",
     "scan_store",
     "recover",
+    "replay_change",
     "replay_record",
     "replay_transaction",
 ]
@@ -171,7 +173,21 @@ def replay_transaction(instance: DirectoryInstance, transaction) -> None:
         apply_subtree_update(instance, step)
 
 
-def replay_record(instance: DirectoryInstance, record: wal.WalRecord) -> None:
+def replay_change(instance: DirectoryInstance, change) -> None:
+    """Blindly re-apply a parsed change — an
+    :class:`~repro.updates.operations.UpdateTransaction` or a list of
+    :class:`~repro.ldif.modify.ModifyRecord`, the two forms
+    :func:`replay_record` returns — onto ``instance``."""
+    if isinstance(change, UpdateTransaction):
+        replay_transaction(instance, change)
+        return
+    from repro.ldif.modify import apply_modify_blind
+
+    for modify in change:
+        apply_modify_blind(instance, modify)
+
+
+def replay_record(instance: DirectoryInstance, record: wal.WalRecord):
     """Re-apply one committed journal record onto ``instance`` — blind
     replay, no legality guard (Theorem 4.1 modularity: the record was
     checked against exactly this state when it committed).  Shared by
@@ -182,14 +198,19 @@ def replay_record(instance: DirectoryInstance, record: wal.WalRecord) -> None:
     Two payload forms exist: insert/delete transactions (the paper's
     update model, :func:`replay_transaction`) and in-place ``modify``
     records (this library's journaled extension, re-applied through
-    :func:`repro.ldif.modify.apply_modify_blind`)."""
-    if _MODIFY_PAYLOAD.search(record.payload):
-        from repro.ldif.modify import apply_modify_blind, parse_modifications
+    :func:`repro.ldif.modify.apply_modify_blind`).
 
-        for modify in parse_modifications(record.payload):
-            apply_modify_blind(instance, modify)
-        return
-    replay_transaction(instance, parse_changes(record.payload))
+    Returns the parsed change, so a view layered over this one (the
+    sharded composite) can :func:`replay_change` it onto its own
+    instance without parsing the payload a second time."""
+    if _MODIFY_PAYLOAD.search(record.payload):
+        from repro.ldif.modify import parse_modifications
+
+        change = parse_modifications(record.payload)
+    else:
+        change = parse_changes(record.payload)
+    replay_change(instance, change)
+    return change
 
 
 def _scan_legacy(data: bytes) -> wal.ScanResult:

@@ -59,6 +59,7 @@ replicated cut first and promotes all of them or none.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -1126,6 +1127,37 @@ class ShardedReplicaApplier:
             finally:
                 reader.close()
 
+    def open_view(self, **reader_options):
+        """A long-lived lock-free composite view of the cohort, for a
+        replica server's connections.  Its 2PC visibility follows the
+        shipped ``#DECIDE`` frames and every ``refresh()`` runs inside
+        :meth:`at_cut` (see ``CompositeReader._serve_cohort``); once
+        this applier is closed — promotion — the view refuses to
+        refresh and must be reopened on the promoted store."""
+        from repro.store.sharded import CompositeReader
+
+        self._ensure_open()
+        view = CompositeReader.open(
+            self.directory, self._schema, self._registry, **reader_options
+        )
+        view._serve_cohort(self)
+        return view
+
+    @contextlib.contextmanager
+    def at_cut(self):
+        """Hold the batch lock on a replicated cut: the only window in
+        which reading the shard journals cannot show half a spanning
+        transaction.  Raises :class:`StoreError` between cuts."""
+        with self.lock:
+            self._ensure_open()
+            if not self.consistent():
+                raise StoreError(
+                    f"replica {self.directory} has not reached a "
+                    "consistent replicated cut yet; retry after the "
+                    "next sync batch"
+                )
+            yield
+
     def position(self) -> Dict[str, Tuple[int, int]]:
         """``{shard: (generation, seq)}`` durably applied — ``{}``
         before the shard map lands."""
@@ -1183,10 +1215,13 @@ class ShardedReplicaApplier:
         return decoded
 
     def close(self) -> None:
-        """Close every shard applier (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
+        """Close every shard applier (idempotent).  Taken under the
+        batch lock, so a view refreshing :meth:`at_cut` finishes first
+        and every later refresh is refused."""
+        with self.lock:
+            if self._closed:
+                return
+            self._closed = True
         for applier in self._appliers.values():
             applier.close()
 

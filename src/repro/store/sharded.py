@@ -89,6 +89,8 @@ transactions in the stream.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import os
 import shutil
 from typing import Dict, List, Optional, Tuple, Union
@@ -116,6 +118,7 @@ from repro.schema.elements import RequiredClass
 from repro.store import index as _index
 from repro.store.journal import DirectoryStore
 from repro.store.reader import ReaderLag, RefreshResult, StoreReader
+from repro.store.recovery import replay_change
 from repro.store.txlog import TXLOG_FILE, TxLog, inspect_txlog
 from repro.store.wal import StoreIO
 from repro.store.shardmap import (
@@ -160,6 +163,29 @@ def _globalized(report: LegalityReport, spec: ShardSpec) -> LegalityReport:
                       element=violation.element)
         )
     return out
+
+
+def _globalized_change(change, spec: ShardSpec, shard_map: ShardMap):
+    """The twin of :func:`_globalized` for changes: re-suffix the DNs
+    of a shard-local change (the transaction or modify list a shard
+    view replayed) so it names entries in the composite namespace —
+    the inverse of :func:`_shard_slices`."""
+    if spec.suffix.is_empty():
+        return change
+    if isinstance(change, UpdateTransaction):
+        out = UpdateTransaction()
+        for op in change:
+            dn = shard_map.globalize(op.dn, spec)
+            out.operations.append(
+                InsertEntry(dn, op.classes, op.attributes)
+                if isinstance(op, InsertEntry)
+                else DeleteEntry(dn)
+            )
+        return out
+    return [
+        ModifyRecord(shard_map.globalize(record.dn, spec), record.ops)
+        for record in change
+    ]
 
 
 def _orphan_report(
@@ -1306,6 +1332,16 @@ class CompositeReader:
     different instants — per-shard writers commit independently, so no
     global total order exists to be consistent with.  ``frontier()``
     names the exact per-shard positions backing the current view.
+
+    The composite is **stitched once and then follows**: every change
+    a shard view replays during :meth:`refresh` is replayed, suffix
+    re-attached, onto the composite already held, so a refresh costs
+    O(|Δ|) on the composite exactly as it does on the shards.
+    :func:`_stitch` stays the definition of the composite and the
+    fallback — the held composite is dropped, and stitched again on
+    next use, whenever a shard view was rebuilt (compaction,
+    re-bootstrap), a change names an entry above a nested shard's base
+    (it can re-parent a whole shard slice), or a follow raised.
     """
 
     def __init__(
@@ -1324,13 +1360,31 @@ class CompositeReader:
         self.scope = scope
         self._registry = registry
         self._closed = False
-        self._composite_cache: Optional[
-            Tuple[Tuple, DirectoryInstance]
-        ] = None
+        self._composite: Optional[DirectoryInstance] = None
+        #: The shard instances :attr:`_composite` was stitched from; a
+        #: shard view that re-bootstraps swaps its instance object.
+        self._stitched_from: Dict[str, DirectoryInstance] = {}
+        #: Normalized DNs of every proper ancestor of a nested shard
+        #: base — the entries whose insertion or deletion moves another
+        #: shard's slice between "grafted" and "orphaned".
+        self._above_cut = frozenset(
+            str(DN(spec.base.rdns[i:]).normalized())
+            for spec in shard_map
+            for i in range(1, spec.base.depth())
+        )
+        #: Times this view built its composite with :func:`_stitch`, and
+        #: shard changes it replayed onto a held composite instead —
+        #: the pair ``benchmarks/bench_shard.py`` gates on.
+        self.stitches = 0
+        self.followed = 0
+        self._cohort = None
         self._txn_cut: Dict[str, str] = {}
         self._txn_cut_stamp: Optional[Tuple[int, int, int]] = None
-        for reader in readers.values():
-            reader.txn_resolver = self._txn_verdict
+        for spec in shard_map:
+            readers[spec.name].txn_resolver = self._txn_verdict
+            readers[spec.name].on_replay = functools.partial(
+                self._follow, spec
+            )
 
     @classmethod
     def open(
@@ -1424,27 +1478,46 @@ class CompositeReader:
 
     @property
     def instance(self) -> DirectoryInstance:
-        """The stitched composite instance (cached per frontier).  The
-        cache key includes each shard's early-resolved transaction —
-        a resolved prepare changes the shard's *content* without moving
-        its position, and must not be masked by a stale stitch."""
+        """The composite instance: stitched on first use, then kept
+        current by :meth:`_follow`; stitched again only after a shard
+        view swapped its instance object or a follow gave up."""
         self._ensure_open()
-        key = tuple(
-            (name, *self._readers[name].position(),
-             self._readers[name].resolved_txid)
-            for name in self.shard_map.names()
-        )
-        if self._composite_cache is not None:
-            cached_key, cached = self._composite_cache
-            if cached_key == key:
-                return cached
-        stitched = _stitch(
-            self.shard_map,
-            {name: r.instance for name, r in self._readers.items()},
-            self._registry,
-        )
-        self._composite_cache = (key, stitched)
-        return stitched
+        views = {name: r.instance for name, r in self._readers.items()}
+        if self._composite is None or any(
+            views[name] is not self._stitched_from[name] for name in views
+        ):
+            self._composite = _stitch(self.shard_map, views, self._registry)
+            self._stitched_from = views
+            self.stitches += 1
+        return self._composite
+
+    def _follow(self, spec: ShardSpec, change) -> None:
+        """Replay onto the held composite a change the shard ``spec``
+        view just replayed (its :attr:`StoreReader.on_replay` hook).
+        The composite is dropped unless the replay reproduces what a
+        fresh stitch would show; the next :attr:`instance` stitches."""
+        composite, self._composite = self._composite, None
+        if composite is None or (
+            self._readers[spec.name].instance
+            is not self._stitched_from[spec.name]
+        ):
+            return
+        try:
+            change = _globalized_change(change, spec, self.shard_map)
+            if (
+                self._above_cut
+                and isinstance(change, UpdateTransaction)
+                and any(
+                    str(op.dn.normalized()) in self._above_cut
+                    for op in change
+                )
+            ):
+                return
+            replay_change(composite, change)
+        except Exception:
+            return
+        self._composite = composite
+        self.followed += 1
 
     def dn_string_of(self, entry: Entry) -> str:
         """The composite (global) DN of an entry returned by
@@ -1475,14 +1548,40 @@ class CompositeReader:
         cut commits is visible to every shard's (later) scan.  A
         transaction with no durable decision at the cut is withheld on
         every shard — no decide frame can exist yet — matching the
-        presumed-abort rule for writer crashes."""
+        presumed-abort rule for writer crashes.
+
+        A view of a replica cohort (:meth:`_serve_cohort`) has no
+        coordinator log to pin to; it refreshes inside the cohort's
+        replicated cut instead, and raises :class:`StoreError` when the
+        cohort is between cuts or closed."""
         self._ensure_open()
-        self._capture_txn_cut()
-        results = {
-            name: reader.refresh(strict=strict)
-            for name, reader in self._readers.items()
-        }
-        return CompositeRefreshResult(results)
+        if self._cohort is None:
+            self._capture_txn_cut()
+            gate = contextlib.nullcontext()
+        else:
+            gate = self._cohort.at_cut()
+        with gate:
+            return CompositeRefreshResult({
+                name: reader.refresh(strict=strict)
+                for name, reader in self._readers.items()
+            })
+
+    def _serve_cohort(self, cohort) -> None:
+        """Make this a view of a replica cohort's directory (called by
+        :meth:`~repro.store.replicate.ShardedReplicaApplier.open_view`,
+        the only place such a view comes from).
+
+        A replica has no coordinator log: the primary ships a decided
+        2PC pair only once its transaction is complete on every shard,
+        and the cohort applies each shipped batch under its lock and
+        records the cut it lands on.  So instead of pinning a refresh
+        to a coordinator cut, the view trusts the shipped ``#DECIDE``
+        frames and refreshes only inside ``cohort.at_cut()`` — under
+        the batch lock, on a recorded cut — where every shard journal
+        holds a spanning transaction whole or not at all."""
+        self._cohort = cohort
+        for reader in self._readers.values():
+            reader.txn_resolver = None
 
     def _capture_txn_cut(self) -> None:
         """Pin this refresh to the coordinator log's current decision

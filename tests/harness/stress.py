@@ -53,6 +53,24 @@ def state_digest(instance) -> str:
     return hashlib.blake2b(serialize_ldif(instance).encode("utf-8")).hexdigest()
 
 
+def canonical_records(instance):
+    """Order-independent canonical form of an instance: one record per
+    entry — display DN plus sorted attribute lines (case-folded DN key
+    for ordering only; the display spelling itself is compared)."""
+    records = []
+    for entry in instance:
+        dn = instance.dn_string_of(entry)
+        lines = tuple(
+            sorted(
+                f"{name}: {value}"
+                for name in entry.attribute_names()
+                for value in entry.values(name)
+            )
+        )
+        records.append((dn.casefold(), dn, lines))
+    return sorted(records)
+
+
 def _append_oracle(path: str, generation: int, seq: int, digest: str) -> None:
     line = f"{generation} {seq} {digest}\n".encode("ascii")
     assert len(line) < 512  # single O_APPEND write: never interleaves

@@ -112,3 +112,31 @@ class TestDnProperties:
     def test_rdn_roundtrip(self, attribute, value):
         rdn = RDN(attribute, value)
         assert parse_rdn(str(rdn)) == rdn
+
+
+class TestDnMemo:
+    """``parse_dn``/``parse_rdn``/``_escape_value`` are memoised on
+    their raw text; the memo must be invisible."""
+
+    @given(st.lists(st.tuples(_name, _value), min_size=1, max_size=5))
+    def test_cached_parse_equals_uncached(self, parts):
+        text = str(DN(tuple(RDN(a, v) for a, v in parts)))
+        parse_dn(text)  # make the second call below a memo hit
+        before = parse_dn.cache_info().hits
+        assert parse_dn(text) == parse_dn.__wrapped__(text)
+        assert parse_dn.cache_info().hits == before + 1
+        # strip() semantics survive caching on the raw text
+        assert parse_dn(f"  {text}  ") == parse_dn.__wrapped__(f"  {text}  ")
+
+    def test_escaped_dn_cached_and_uncached_agree(self):
+        text = "cn=Lakshmanan\\, Laks+x\\=y,ou=\\ padded\\ ,o=att"
+        assert parse_dn(text) == parse_dn.__wrapped__(text)
+        assert str(parse_dn(text)) == str(parse_dn.__wrapped__(text))
+        assert parse_dn(str(parse_dn(text))) == parse_dn(text)
+
+    def test_error_is_not_cached_as_a_success(self):
+        for _ in range(2):  # a memoised failure would return on pass two
+            with pytest.raises(ModelError):
+                parse_dn("uid=ok,no-separator")
+            with pytest.raises(ModelError):
+                parse_rdn("=value")

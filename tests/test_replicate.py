@@ -15,13 +15,14 @@ import os
 
 import pytest
 
-from harness.stress import state_digest
+from harness.stress import canonical_records, state_digest
 from repro.errors import (
     ReplicaDivergedError,
     ReplicationError,
     StoreError,
     StoreLockedError,
 )
+from repro.query.filter_parser import parse_filter
 from repro.store import DirectoryStore
 from repro.store.manifest import read_manifest
 from repro.store.recovery import REPLICA_STATE_FILE
@@ -367,6 +368,84 @@ class TestShardedReplication:
             assert state_digest(applier.instance) == state_digest(
                 store.composite_instance()
             )
+
+    def test_open_view_follows_spanning_transactions(self, sharded_primary):
+        """A long-lived view of the cohort — opened the way a replica
+        server opens one per connection, *before* the spanning
+        transaction commits — advances with every shipped cut.  It
+        used to pin each refresh to a coordinator log a replica does
+        not have, and froze for ever in front of the first shipped
+        ``#PREPARE``/``#DECIDE`` pair."""
+        from repro.store.replicate import (
+            ShardedFrameSource,
+            ShardedReplicaApplier,
+        )
+
+        store, primary_dir, schema, registry, cohort_dir = sharded_primary
+        source = ShardedFrameSource(primary_dir, schema)
+        with ShardedReplicaApplier(cohort_dir, schema, registry) as applier:
+            _pump_sharded(source, applier)
+            with applier.open_view() as view:
+                assert len(view.instance) == len(store.composite_instance())
+                for index in (1, 2):  # the second pair is followed too
+                    _spanning_commit(store, index)
+                    _pump_sharded(source, applier)
+                    result = view.refresh()
+                    assert result.advanced and not result.stale
+                    assert view.frontier() == applier.position()
+                    assert view.frontier() == {
+                        name: (generation, seq)
+                        for name, generation, seq in store.frontier_key()
+                    }
+                    found = {
+                        view.dn_string_of(entry)
+                        for entry in view.search(
+                            filter=parse_filter(f"(|(uid=r{index})(uid=l{index}))")
+                        )
+                    }
+                    assert found == {
+                        f"uid=r{index},o=att",
+                        f"uid=l{index},ou=attLabs,o=att",
+                    }
+                # same content as the primary (sibling order is the
+                # view's own history, so compare order-free)
+                assert canonical_records(view.instance) == canonical_records(
+                    store.composite_instance()
+                )
+                assert view.stitches == 1  # followed, not re-stitched
+
+    def test_view_refuses_to_refresh_off_cut_or_after_close(
+        self, sharded_primary
+    ):
+        """The view may trust shipped decides only inside the cohort's
+        replicated cut: between cuts, and once the applier is closed
+        (promotion), ``refresh`` raises instead of reading journals a
+        batch — or a promoted writer — may be half way through."""
+        from repro.store.replicate import (
+            ShardedFrameSource,
+            ShardedReplicaApplier,
+        )
+
+        store, primary_dir, schema, registry, cohort_dir = sharded_primary
+        source = ShardedFrameSource(primary_dir, schema)
+        applier = ShardedReplicaApplier(cohort_dir, schema, registry)
+        try:
+            _pump_sharded(source, applier)
+            view = applier.open_view()
+            try:
+                view.refresh()
+                recorded, applier._cut = applier._cut, None  # between cuts
+                with pytest.raises(StoreError, match="consistent replicated cut"):
+                    view.refresh()
+                applier._cut = recorded
+                view.refresh()
+                applier.close()
+                with pytest.raises(StoreError, match="closed"):
+                    view.refresh()
+            finally:
+                view.close()
+        finally:
+            applier.close()
 
     def test_resume_from_durable_cut(self, sharded_primary):
         from repro.store.replicate import (

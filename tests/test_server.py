@@ -19,6 +19,7 @@ import struct
 
 import pytest
 
+from repro.errors import StoreError
 from repro.server import DirectoryClient, DirectoryServer
 from repro.server.client import ServerError
 from repro.server.protocol import (
@@ -79,6 +80,21 @@ def _person(index: int) -> dict:
         "classes": ["person", "top"],
         "attributes": {"uid": [f"w{index}"], "name": [f"w {index}"]},
     }
+
+
+def _spanning_changes(index: int) -> str:
+    """A ``txn`` document spanning both shards of ``NESTED_BASES``: one
+    person at the root shard, one below the nested cut — the 2PC path."""
+    return (
+        f"dn: uid=a{index},o=att\n"
+        "changetype: add\n"
+        "objectClass: person\nobjectClass: top\n"
+        f"uid: a{index}\nname: a {index}\n\n"
+        f"dn: uid=b{index},{PARENT}\n"
+        "changetype: add\n"
+        "objectClass: person\nobjectClass: top\n"
+        f"uid: b{index}\nname: b {index}\n"
+    )
 
 
 class TestFraming:
@@ -758,17 +774,7 @@ class TestConcurrentClients:
                     # the root shard, one below the nested cut — the
                     # 2PC path, every time.
                     for index in range(self.WRITES):
-                        changes = (
-                            f"dn: uid=a{index},o=att\n"
-                            "changetype: add\n"
-                            "objectClass: person\nobjectClass: top\n"
-                            f"uid: a{index}\nname: a {index}\n\n"
-                            f"dn: uid=b{index},{PARENT}\n"
-                            "changetype: add\n"
-                            "objectClass: person\nobjectClass: top\n"
-                            f"uid: b{index}\nname: b {index}\n"
-                        )
-                        response = await writer.txn(changes)
+                        response = await writer.txn(_spanning_changes(index))
                         assert response["applied"] is True
                     done.set()
 
@@ -804,5 +810,128 @@ class TestConcurrentClients:
             # A spanning transaction is atomic: no reader may ever see
             # one half of a prepared-but-undecided pair.
             assert torn == []
+
+        asyncio.run(run())
+
+
+class TestShardedReplicaServing:
+    """A ``--replica-of`` server over a sharded store: its connection
+    views must follow the shipped 2PC decisions (a replica has no
+    coordinator log to pin a refresh to) and must not outlive a
+    promotion (a promoted server writes 2PC frames itself)."""
+
+    @staticmethod
+    async def _replica_of(primary, tmp_path, schema, registry):
+        replica = DirectoryServer(
+            str(tmp_path / "replica"), schema, registry, shards=True,
+            port=0, replica_of=f"127.0.0.1:{primary.port}",
+        )
+        await replica.start()
+        return replica
+
+    @staticmethod
+    async def _search_at(client, position, timeout=15.0):
+        """Search until the connection's view reports ``position`` —
+        the replica applies a shipped cut shortly after the primary's
+        commit, and answers ``store_error`` before its first one."""
+        deadline = asyncio.get_event_loop().time() + timeout
+        while True:
+            try:
+                response = await client.search(filter="(objectClass=person)")
+                if response["position"] == position:
+                    return response
+            except ServerError as exc:
+                assert exc.code == "store_error"
+                response = exc
+            if asyncio.get_event_loop().time() > deadline:
+                raise AssertionError(
+                    f"view never reached {position}: last answer {response}"
+                )
+            await asyncio.sleep(0.05)
+
+    def test_open_connection_follows_spanning_txns(
+        self, sharded_store, tmp_path
+    ):
+        """A connection opened *before* a spanning transaction sees it
+        afterwards and reports the primary's position.  Its view used
+        to freeze in front of the first shipped prepare/decide pair."""
+        _, schema, registry = sharded_store
+
+        async def run():
+            primary = await _serve(sharded_store, shards=True)
+            replica = await self._replica_of(
+                primary, tmp_path, schema, registry
+            )
+            try:
+                writer = await _client(primary, dn="cn=writer")
+                reader = await _client(replica, dn="cn=reader")
+                base = (await writer.search(filter="(objectClass=person)"))
+                before = await self._search_at(reader, base["position"])
+                assert len(before["entries"]) == 3
+                for index in (1, 2):  # the second pair is followed too
+                    applied = await writer.txn(_spanning_changes(index))
+                    assert applied["applied"] is True
+                    after = await self._search_at(reader, applied["position"])
+                    uids = {e["attributes"]["uid"][0] for e in after["entries"]}
+                    assert {f"a{index}", f"b{index}"} <= uids
+                    assert len(after["entries"]) == 3 + 2 * index
+                await reader.close()
+                await writer.close()
+            finally:
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
+
+    def test_connection_open_across_promotion_sees_spanning_commits_whole(
+        self, sharded_store, tmp_path
+    ):
+        """A view opened while following is replaced by the promotion:
+        the same connection then reads the promoted server's own
+        spanning commits — both halves, at the write's position —
+        through a view pinned to the coordinator log."""
+        _, schema, registry = sharded_store
+
+        async def run():
+            primary = await _serve(sharded_store, shards=True)
+            replica = await self._replica_of(
+                primary, tmp_path, schema, registry
+            )
+            try:
+                writer = await _client(primary, dn="cn=writer")
+                client = await _client(replica, dn="cn=survivor")
+                base = (await writer.search(filter="(objectClass=person)"))
+                await self._search_at(client, base["position"])
+                applied = await writer.txn(_spanning_changes(1))
+                await self._search_at(client, applied["position"])
+                follower_view = next(
+                    c.view for c in replica._connections.values()
+                    if c.bound_dn == "cn=survivor"
+                )
+                await writer.close()
+                await primary.stop(drain=False)
+
+                promoted = await client.promote()
+                assert promoted["role"] == "primary"
+                for index in (2, 3):
+                    applied = await client.txn(_spanning_changes(index))
+                    assert applied["applied"] is True
+                    found = await client.search(filter="(objectClass=person)")
+                    assert found["position"] == applied["position"]
+                    uids = {e["attributes"]["uid"][0] for e in found["entries"]}
+                    assert {f"a{index}", f"b{index}"} <= uids
+                    assert len(found["entries"]) == 3 + 2 * index
+                primary_view = next(
+                    c.view for c in replica._connections.values()
+                    if c.bound_dn == "cn=survivor"
+                )
+                # the follower-mode view did not outlive the promotion
+                assert primary_view is not follower_view
+                with pytest.raises(StoreError, match="closed"):
+                    follower_view.refresh()
+                await client.close()
+            finally:
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
 
         asyncio.run(run())

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from harness.stress import canonical_records
 from repro.errors import (
     ShardMapError,
     ShardRoutingError,
@@ -59,24 +60,6 @@ def make_store(tmp_path, schema, registry, bases=None, instance=None, name="shar
         instance if instance is not None else figure1_instance(),
         registry,
     )
-
-
-def canonical_records(instance):
-    """Order-independent canonical form of an instance: one record per
-    entry — display DN plus sorted attribute lines (case-folded DN key
-    for ordering only; the display spelling itself is compared)."""
-    records = []
-    for entry in instance:
-        dn = instance.dn_string_of(entry)
-        lines = tuple(
-            sorted(
-                f"{name}: {value}"
-                for name in entry.attribute_names()
-                for value in entry.values(name)
-            )
-        )
-        records.append((dn.casefold(), dn, lines))
-    return sorted(records)
 
 
 # ----------------------------------------------------------------------
@@ -541,6 +524,103 @@ class TestCompositeReader:
             assert reader.instance.find("uid=w1,o=att") is not None
             assert reader.instance.find("uid=w2,ou=attLabs,o=att") is not None
 
+    def test_follow_fallbacks_cost_exactly_one_restitch(
+        self, tmp_path, schema, registry, monkeypatch
+    ):
+        """The composite is stitched once and then follows commits;
+        the three things it cannot follow — a shard view rebuilt by a
+        compaction, a follow that raises, a change to an entry above a
+        nested cut — each cost exactly one re-stitch, leave the view
+        equal to a fresh stitch, and following resumes afterwards."""
+        import repro.store.sharded as sharded_module
+
+        def person(index, parent):
+            return UpdateTransaction().insert(
+                f"uid=f{index},{parent}", ["person", "top"],
+                {"uid": [f"f{index}"], "name": [f"f {index}"]},
+            )
+
+        def commit_and_read(store, reader, index, parent, stitches):
+            assert store.apply(person(index, parent)).applied
+            result = reader.refresh()
+            assert result.advanced and not result.stale
+            _assert_followed_equals_stitched(
+                reader, store.composite_instance()
+            )
+            assert reader.instance.find(f"uid=f{index},{parent}") is not None
+            assert reader.stitches == stitches
+            return result
+
+        with make_store(tmp_path, schema, registry) as store:
+            path = str(tmp_path / "sharded")
+            with CompositeReader.open(path, schema, registry) as reader:
+                assert len(reader.instance) and reader.stitches == 1
+                commit_and_read(store, reader, 1, "o=att", stitches=1)
+                assert reader.followed == 1
+
+                # A compaction rebuilds that shard's view: one stitch.
+                store.shard("labs").compact()
+                result = commit_and_read(
+                    store, reader, 2, "ou=attLabs,o=att", stitches=2
+                )
+                assert result.per_shard["labs"].rebootstrapped
+                commit_and_read(store, reader, 3, "ou=attLabs,o=att", stitches=2)
+
+                # A follow that raises: one stitch, then following again.
+                def boom(instance, change):
+                    raise RuntimeError("follow bug")
+
+                monkeypatch.setattr(sharded_module, "replay_change", boom)
+                followed = reader.followed
+                assert store.apply(person(4, "o=att")).applied
+                reader.refresh()
+                monkeypatch.undo()
+                assert reader.followed == followed
+                assert reader.instance.find("uid=f4,o=att") is not None
+                assert reader.stitches == 3
+                commit_and_read(store, reader, 5, "o=att", stitches=3)
+                assert reader.followed == followed + 1
+
+        # A change to an entry above the nested cut moves the labs
+        # slice as a whole (here a per-shard writer orphans it, so a
+        # stitch grafts it as detached roots): never followed.
+        with CompositeReader.open(path, schema, registry) as reader:
+            assert len(reader.instance) and reader.stitches == 1
+            att = ShardedStore.open_shard(path, "att", schema, registry)
+            try:
+                everything = UpdateTransaction()
+                for entry in att.instance:
+                    everything.delete(att.instance.dn_string_of(entry))
+                assert att.apply(everything).applied
+            finally:
+                att.close()
+            assert reader.refresh().advanced
+            orphan = reader.instance.find("uid=laks,ou=databases,ou=attLabs")
+            assert orphan is not None
+            assert reader.stitches == 2 and reader.followed == 0
+            assert reader.check().of_kind(Kind.ORPHANED_SHARD)
+            # ... and re-inserting the attachment entry re-grafts the
+            # orphan under it, which replaying the insert would not.
+            att = ShardedStore.open_shard(path, "att", schema, registry)
+            try:
+                regrow = UpdateTransaction()
+                regrow.insert(
+                    "o=att", ["organization", "orgGroup", "top"], {"o": ["att"]}
+                )
+                regrow.insert(
+                    "uid=armstrong,o=att", ["person", "top"],
+                    {"uid": ["armstrong"], "name": ["m armstrong"]},
+                )
+                assert att.apply(regrow).applied
+            finally:
+                att.close()
+            assert reader.refresh().advanced
+            assert reader.instance.find(
+                "uid=laks,ou=databases,ou=attLabs,o=att"
+            ) is not None
+            assert reader.stitches == 3 and reader.followed == 0
+            assert reader.is_legal()
+
     def test_open_shard_unknown_name(self, tmp_path, schema, registry):
         make_store(tmp_path, schema, registry).close()
         with pytest.raises(ShardMapError, match="no shard named"):
@@ -684,6 +764,60 @@ def _canonical_key(dn_string):
     return tuple(str(r) for r in reversed(parse_dn(dn_string).normalized().rdns))
 
 
+def _fresh_stitch(reader):
+    """A composite stitched from the reader's shard views as they stand
+    now — what the composite it holds (and followed here) must equal."""
+    from repro.store.sharded import _stitch
+
+    return _stitch(
+        reader.shard_map,
+        {
+            name: reader.shard_reader(name).instance
+            for name in reader.shard_map.names()
+        },
+        reader._registry,
+    )
+
+
+def _assert_followed_equals_stitched(reader, union_instance):
+    """The composite an open reader *followed* to its current frontier
+    is, entry for entry, what stitching its shard views afresh gives —
+    and both are the union store's state.  Searches through the reader
+    answer exactly what the union instance answers."""
+    from repro.query.search import search
+
+    assert (
+        canonical_records(reader.instance)
+        == canonical_records(_fresh_stitch(reader))
+        == canonical_records(union_instance)
+    )
+    for filter_string in FILTERS:
+        assert [
+            reader.dn_string_of(e) for e in reader.search(filter=filter_string)
+        ] == sorted(
+            (
+                union_instance.dn_string_of(e)
+                for e in search(union_instance, filter=filter_string)
+            ),
+            key=_canonical_key,
+        )
+
+
+def _modify_step(rng, instance, counter):
+    """One ``changetype: modify`` record renaming a random person."""
+    from repro.ldif.modify import parse_modifications
+
+    persons = sorted(
+        instance.dn_string_of(e) for e in instance if "person" in e.classes
+    )
+    counter[0] += 1
+    (record,) = parse_modifications(
+        f"dn: {rng.choice(persons)}\nchangetype: modify\n"
+        f"replace: name\nname: renamed {counter[0]}\n"
+    )
+    return record
+
+
 class TestDeterministicSearchOrder:
     """``CompositeReader.search``/``ShardedStore.search`` order must not
     depend on shard iteration or stitch order: every layout of the same
@@ -787,6 +921,10 @@ class TestDeterministicSearchOrder:
                      id="flat-3-shards"),
         pytest.param({"root": "o=org0", "cut": "ou=u0.0,o=org0"}, 1,
                      id="nested-cut"),
+        # the nested shard listed (hence refreshed) before the shard
+        # that encloses it
+        pytest.param({"cut": "ou=u0.0,o=org0", "root": "o=org0"}, 1,
+                     id="reversed-nested-cut"),
     ],
 )
 @pytest.mark.parametrize("seed", [11, 42])
@@ -799,7 +937,12 @@ def test_differential_against_union_store(tmp_path, seed, bases, orgs):
     Mixed transactions pin the semantics note in
     ``repro.store.sharded``: stepwise per-shard checking plus a
     final-state composite check equals the union store's stepwise
-    verdict for everything ``decompose`` accepts."""
+    verdict for everything ``decompose`` accepts.
+
+    One :class:`CompositeReader` stays open across every step —
+    transactions and interleaved ``modify`` records — and must *follow*
+    them: stitched once, and after every refresh identical to a fresh
+    stitch of its shard views."""
     schema = whitepages_schema()
     registry = whitepages_registry()
     initial = generate_whitepages(
@@ -812,6 +955,7 @@ def test_differential_against_union_store(tmp_path, seed, bases, orgs):
         str(tmp_path / "sharded"), schema, bases, initial, registry
     )
     reader = CompositeReader.open(str(tmp_path / "sharded"), schema, registry)
+    assert len(reader.instance) == len(initial)  # stitched here, once
     rng = random.Random(seed)
     counter = [0]
     accepted = rejected = mixed = 0
@@ -826,6 +970,13 @@ def test_differential_against_union_store(tmp_path, seed, bases, orgs):
             )
             if tx.insertions() and tx.deletions():
                 mixed += 1
+            if step % 4 == 2:
+                # its own generator: the transaction stream stays as is
+                record = _modify_step(
+                    random.Random(seed + step), union.instance, counter
+                )
+                assert union.modify(record).applied
+                assert sharded.modify(record).applied
             written = (union.journal_length, sharded.frontier_key())
             union_outcome = union.apply(tx)
             sharded_outcome = sharded.apply(tx)
@@ -868,9 +1019,7 @@ def test_differential_against_union_store(tmp_path, seed, bases, orgs):
             ) == _search_view(union.instance)[0]
             refreshed = reader.refresh()
             assert not refreshed.stale
-            assert canonical_records(reader.instance) == canonical_records(
-                union.instance
-            )
+            _assert_followed_equals_stitched(reader, union.instance)
             union_report = union.check()
             composite_report = sharded.check()
             reader_report = reader.check()
@@ -887,6 +1036,11 @@ def test_differential_against_union_store(tmp_path, seed, bases, orgs):
         # claim went untested.
         assert accepted >= 3 and rejected >= 1, (accepted, rejected)
         assert mixed >= 1, "no mixed transaction generated"
+        # every accepted transaction (but the empty one, which wrote
+        # nothing) and the four modify records were replayed onto the
+        # composite stitched before the first step
+        assert reader.stitches == 1
+        assert reader.followed == accepted - 1 + 4
     finally:
         reader.close()
         sharded.close()
@@ -966,6 +1120,8 @@ def _spanning_step(rng, union, shard_map, counter, illegal=False):
         # ``None`` marks a nested cut at the first generated unit (unit
         # names depend on the seed, so the base is derived below).
         pytest.param({"root": "o=org0", "cut": None}, 1, id="nested-cut"),
+        pytest.param({"cut": None, "root": "o=org0"}, 1,
+                     id="reversed-nested-cut"),
     ],
 )
 @pytest.mark.parametrize("seed", [7, 23])
@@ -999,6 +1155,7 @@ def test_spanning_differential_against_union_store(tmp_path, seed, bases, orgs):
         str(tmp_path / "sharded"), schema, bases, initial, registry
     )
     reader = CompositeReader.open(str(tmp_path / "sharded"), schema, registry)
+    assert len(reader.instance) == len(initial)  # stitched here, once
     rng = random.Random(seed)
     counter = [0]
     accepted = rejected = spanning = 0
@@ -1048,13 +1205,13 @@ def test_spanning_differential_against_union_store(tmp_path, seed, bases, orgs):
             ) == _search_view(union.instance)
             refreshed = reader.refresh()
             assert not refreshed.stale
-            assert canonical_records(reader.instance) == canonical_records(
-                union.instance
-            )
+            _assert_followed_equals_stitched(reader, union.instance)
             assert union.check().is_legal == sharded.check().is_legal
         assert spanning >= 4 and accepted >= 3 and rejected >= 2, (
             spanning, accepted, rejected,
         )
+        # every committed 2PC slice was followed onto the one composite
+        assert reader.stitches == 1 and reader.followed >= 2 * 4
     finally:
         reader.close()
         sharded.close()
@@ -1143,6 +1300,15 @@ class TestCoordinatorCutReads:
             run_2pc_scenario(path, io, transactions=[commit_tx(1)])
         return path
 
+    @staticmethod
+    def _assert_followed_is_fresh_stitch(reader):
+        """The held composite was stitched once and followed here; it
+        must equal a stitch of the shard views as they stand now."""
+        assert canonical_records(reader.instance) == canonical_records(
+            _fresh_stitch(reader)
+        )
+        assert reader.stitches == 1
+
     @pytest.mark.parametrize("point", ["2pc:committed", "2pc:decided:att"])
     def test_cut_committed_transaction_visible_on_every_shard(
         self, tmp_path, schema, registry, point
@@ -1152,8 +1318,12 @@ class TestCoordinatorCutReads:
         apply the prepared payload early instead of withholding it."""
         path = self._crash_at(tmp_path, point)
         with CompositeReader.open(path, schema, registry) as reader:
+            # Stitched before the refresh, so the early-resolved
+            # payloads reach the composite by being followed.
+            assert reader.instance.find(self.LABS_DN) is None
             reader.refresh()
             instance = reader.instance
+            self._assert_followed_is_fresh_stitch(reader)
             assert instance.find(self.ATT_DN) is not None
             assert instance.find(self.LABS_DN) is not None
             labs = reader._readers["labs"]
@@ -1178,6 +1348,8 @@ class TestCoordinatorCutReads:
             assert reader._readers["labs"].resolved_txid is None
             assert reader._readers["att"].resolved_txid is None
             assert canonical_records(reader.instance) == before
+            # ... nor re-following it onto the composite
+            self._assert_followed_is_fresh_stitch(reader)
 
     @pytest.mark.parametrize("point", ["2pc:prepared:labs", "2pc:decision"])
     def test_in_doubt_transaction_withheld_on_every_shard(
@@ -1188,8 +1360,10 @@ class TestCoordinatorCutReads:
         never applied by one shard and withheld by another."""
         path = self._crash_at(tmp_path, point)
         with CompositeReader.open(path, schema, registry) as reader:
+            assert len(reader.instance)  # stitched before the refresh
             reader.refresh()
             instance = reader.instance
+            self._assert_followed_is_fresh_stitch(reader)
             assert instance.find(self.ATT_DN) is None
             assert instance.find(self.LABS_DN) is None
             assert reader._readers["att"].pending_txid is not None
@@ -1208,3 +1382,4 @@ class TestCoordinatorCutReads:
                 assert shard_reader.resolved_txid is None
             assert reader.instance.find(self.ATT_DN) is None
             assert reader.instance.find(self.LABS_DN) is None
+            self._assert_followed_is_fresh_stitch(reader)

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from harness.stress import canonical_records
 from repro.errors import UpdateError
 from repro.ldif.modify import parse_modifications
 from repro.store import DirectoryStore
@@ -42,23 +43,6 @@ def schema():
 @pytest.fixture()
 def registry():
     return whitepages_registry()
-
-
-def canonical_records(instance):
-    """Order-independent canonical form of an instance (same shape as
-    the PR 5 differential uses)."""
-    records = []
-    for entry in instance:
-        dn = instance.dn_string_of(entry)
-        lines = tuple(
-            sorted(
-                f"{name}: {value}"
-                for name in entry.attribute_names()
-                for value in entry.values(name)
-            )
-        )
-        records.append((dn.casefold(), dn, lines))
-    return sorted(records)
 
 
 def verdict_tuples(report):

@@ -135,8 +135,7 @@ async def _write_storm(port: int, stop: asyncio.Event) -> int:
 
 async def _serve(path: str):
     server = DirectoryServer(
-        path, whitepages_schema(), whitepages_registry(),
-        shards=True, port=0,
+        path, whitepages_schema(), whitepages_registry(), port=0
     )
     await server.start()
     return server

@@ -4,7 +4,7 @@ Usage::
 
     bounding-schemas validate    --schema S.dsl --data D.ldif [--structure query|naive|batched]
     bounding-schemas check       --schema S.dsl (--data D.ldif | --store DIR)
-                                 [--shards] [--jobs N] [--profile] [--follow]
+                                 [--jobs N] [--profile] [--follow]
                                  [--interval SEC] [--iterations N]
                                  [--structure batched|query|naive]
     bounding-schemas create      STORE_DIR --schema S.dsl [--data D.ldif]
@@ -20,14 +20,20 @@ Usage::
     bounding-schemas discover    --data D.ldif [--out S.dsl]
                                  [--min-forbidden-support N]
     bounding-schemas fsck        STORE_DIR [--schema S.dsl] [--read-only]
-                                 [--shards]
     bounding-schemas recover     STORE_DIR [--schema S.dsl] [--force]
-                                 [--shards] [--wait-lock SEC]
+                                 [--wait-lock SEC]
 
-``fsck --shards`` distinguishes its exit codes: 0 the composite view is
-healthy, 1 it is degraded (journal damage, orphaned shards, composite
-violations), 3 a 2PC participant is in doubt (a prepared transaction
-awaits the coordinator log's decision — run ``recover --shards``).
+Every command that takes a store directory (``check --store``, ``fsck``,
+``recover``, ``serve``, ``replicate``, ``promote``) reads off the
+directory whether it is plain or sharded (``create --shard``); on those
+six ``--shards`` only states an expectation — against a plain store it
+is exit 2 and one line — and selects nothing.
+
+``fsck`` of a sharded store distinguishes its exit codes: 0 the
+composite view is healthy, 1 it is degraded (journal damage, orphaned
+shards, composite violations), 3 a 2PC participant is in doubt (a
+prepared transaction awaits the coordinator log's decision — run
+``recover``).
 Commands that open a store for writing (``create``, ``recover``) accept
 ``--wait-lock SECONDS``: instead of failing immediately on another
 process's advisory lock, retry with bounded exponential backoff and
@@ -108,23 +114,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _check_store(args: argparse.Namespace) -> int:
-    """``check --store DIR [--follow]``: legality of a live store through
-    a lock-free reader view.  With ``--follow``, refresh and re-check in
-    a loop (memoized, so each round costs only the delta); ``--iterations``
-    bounds the loop (0 = until interrupted).  Interrupting a follow
-    (Ctrl-C) is a normal shutdown: message, exit 0, no traceback; a
-    store that vanishes mid-follow ends the loop with a clear message
-    and exit 1."""
-    import os
+    """``check --store DIR [--follow]``: legality of a live store —
+    plain or sharded, whichever DIR holds — through a lock-free reader
+    view.  With ``--follow``, refresh and re-check in a loop (memoized,
+    so each round costs only the delta) and print the view's position
+    per round; ``--iterations`` bounds the loop (0 = until
+    interrupted).  One-shot with ``--jobs N > 1`` over a sharded store
+    runs one worker *process per shard*
+    (:func:`repro.store.sharded.check_shards_parallel`).  Interrupting
+    a follow (Ctrl-C) is a normal shutdown: message, exit 0, no
+    traceback; a store that vanishes mid-follow ends the loop with a
+    clear message and exit 1."""
     import time
 
+    from repro.errors import ShardMapError
     from repro.legality.engine import default_parallelism
-    from repro.store.reader import StoreReader
-    from repro.store.recovery import SNAPSHOT_FILE
+    from repro.store import is_sharded, open_view
 
     if args.follow and args.interval <= 0:
         # A zero or negative interval would busy-spin the CPU between
-        # refreshes; refuse it up front (covers --shards follow too).
+        # refreshes; refuse it up front.
         print(
             f"check: --interval must be positive with --follow "
             f"(got {args.interval:g})",
@@ -133,28 +142,38 @@ def _check_store(args: argparse.Namespace) -> int:
         return 2
     schema = load_dsl(args.schema)
     jobs = args.jobs if args.jobs > 0 else default_parallelism()
-    if getattr(args, "shards", False):
-        return _check_sharded_store(args, schema, jobs)
-    reader = StoreReader.open(
-        args.store, schema, parallelism=jobs, structure=args.structure
-    )
+    sharded = is_sharded(args.store)
+    try:
+        if sharded and not args.follow and jobs > 1:
+            from repro.store.sharded import check_shards_parallel
+
+            report, entries = check_shards_parallel(
+                args.store, schema, jobs=jobs, structure=args.structure
+            )
+            if report.is_legal:
+                print(f"LEGAL: {entries} entries across shards ({jobs} jobs)")
+                return 0
+            print(f"ILLEGAL: {len(report)} violation(s)")
+            for violation in report:
+                print(f"  {violation}")
+            return 1
+        reader = open_view(
+            args.store, schema, parallelism=jobs, structure=args.structure
+        )
+    except (ShardMapError, OSError) as exc:
+        print(f"check: {exc}", file=sys.stderr)
+        return 1
     status = 0
     rounds = 0
     try:
         while True:
             report = reader.check()
-            generation, seq = reader.position()
+            tag = reader.position().tag()
             if report.is_legal:
-                print(
-                    f"[gen {generation} seq {seq}] LEGAL: "
-                    f"{len(reader.instance)} entries"
-                )
+                print(f"[{tag}] LEGAL: {len(reader.instance)} entries")
             else:
                 status = 1
-                print(
-                    f"[gen {generation} seq {seq}] ILLEGAL: "
-                    f"{len(report)} violation(s)"
-                )
+                print(f"[{tag}] ILLEGAL: {len(report)} violation(s)")
                 for violation in report:
                     print(f"  {violation}")
             if args.profile and report.stats is not None:
@@ -167,91 +186,14 @@ def _check_store(args: argparse.Namespace) -> int:
             time.sleep(args.interval)
             refreshed = reader.refresh()
             if refreshed.stale:
-                if not os.path.exists(os.path.join(args.store, SNAPSHOT_FILE)):
-                    print(
-                        f"store {args.store!r} is gone (removed or compacted "
-                        "away); stopping follow",
-                        file=sys.stderr,
+                if is_sharded(args.store) is None:
+                    what, why = (
+                        ("sharded store", "removed mid-follow") if sharded
+                        else ("store", "removed or compacted away")
                     )
-                    status = 1
-                    break
-                print(f"stale view: {refreshed.note}", file=sys.stderr)
-    except KeyboardInterrupt:
-        print("follow interrupted; exiting", file=sys.stderr)
-        status = 0
-    finally:
-        reader.close()
-    return status
-
-
-def _frontier_tag(frontier) -> str:
-    """``shard@gGEN.SEQ`` pairs, the composite position shown per round."""
-    return " ".join(
-        f"{name}@g{generation}.{seq}"
-        for name, (generation, seq) in sorted(frontier.items())
-    )
-
-
-def _check_sharded_store(args: argparse.Namespace, schema, jobs: int) -> int:
-    """``check --store DIR --shards``: legality of a sharded store
-    through a composite of per-shard lock-free readers.
-
-    One-shot with ``--jobs N > 1`` runs one worker *process per shard*
-    (:func:`repro.store.sharded.check_shards_parallel`); ``--follow``
-    refreshes every shard view each round and prints the composite
-    frontier.  Ctrl-C is a normal shutdown (exit 0); a shard map that
-    vanishes mid-follow ends the loop with a message and exit 1.
-    """
-    import os
-    import time
-
-    from repro.errors import ShardMapError
-    from repro.store.shardmap import shard_map_path
-    from repro.store.sharded import CompositeReader, check_shards_parallel
-
-    try:
-        if not args.follow and jobs > 1:
-            report, entries = check_shards_parallel(
-                args.store, schema, jobs=jobs, structure=args.structure
-            )
-            if report.is_legal:
-                print(f"LEGAL: {entries} entries across shards ({jobs} jobs)")
-                return 0
-            print(f"ILLEGAL: {len(report)} violation(s)")
-            for violation in report:
-                print(f"  {violation}")
-            return 1
-        reader = CompositeReader.open(
-            args.store, schema, parallelism=jobs, structure=args.structure
-        )
-    except ShardMapError as exc:
-        print(f"check: {exc}", file=sys.stderr)
-        return 1
-    status = 0
-    rounds = 0
-    try:
-        while True:
-            report = reader.check()
-            tag = _frontier_tag(reader.frontier())
-            if report.is_legal:
-                print(f"[{tag}] LEGAL: {len(reader.instance)} entries")
-            else:
-                status = 1
-                print(f"[{tag}] ILLEGAL: {len(report)} violation(s)")
-                for violation in report:
-                    print(f"  {violation}")
-            rounds += 1
-            if not args.follow:
-                break
-            if args.iterations and rounds >= args.iterations:
-                break
-            time.sleep(args.interval)
-            refreshed = reader.refresh()
-            if refreshed.stale:
-                if not os.path.exists(shard_map_path(args.store)):
                     print(
-                        f"sharded store {args.store!r} is gone (removed "
-                        "mid-follow); stopping follow",
+                        f"{what} {args.store!r} is gone ({why}); "
+                        "stopping follow",
                         file=sys.stderr,
                     )
                     status = 1
@@ -367,7 +309,7 @@ def _cmd_create(args: argparse.Namespace) -> int:
 
 
 def _fsck_shards(directory: str, schema) -> int:
-    """``fsck --shards``: inspect a sharded store — print the shard
+    """``fsck`` of a sharded store: print the shard
     map, each shard's committed position and lag through lock-free
     readers, any in-doubt 2PC participants, and the composite legality
     verdict.  Touches nothing.
@@ -375,13 +317,13 @@ def _fsck_shards(directory: str, schema) -> int:
     Exit codes: 0 healthy, 1 degraded (damage, orphans, composite
     violations), 3 in-doubt 2PC state awaiting resolution."""
     from repro.errors import ShardMapError, StoreError
+    from repro.store import open_view
     from repro.store.recovery import recover
-    from repro.store.shardmap import read_shard_map
-    from repro.store.sharded import CompositeReader, shard_dir
+    from repro.store.shardmap import read_shard_map, shard_dir
     from repro.store.txlog import inspect_txlog
 
     if schema is None:
-        print("fsck: --shards requires --schema", file=sys.stderr)
+        print("fsck: a sharded store requires --schema", file=sys.stderr)
         return 2
     try:
         shard_map = read_shard_map(directory)
@@ -415,7 +357,7 @@ def _fsck_shards(directory: str, schema) -> int:
         if shard_report.in_doubt_txid is not None:
             in_doubt.append((spec.name, shard_report.in_doubt_txid))
     try:
-        reader = CompositeReader.open(directory, schema)
+        reader = open_view(directory, schema)
     except (StoreError, OSError) as exc:
         print(f"fsck: {exc}")
         return 1
@@ -424,7 +366,7 @@ def _fsck_shards(directory: str, schema) -> int:
         from repro.store.index import index_sidecar_status
 
         local_schema = shard_local_schema(schema, reader.scope)
-        for name, (generation, seq) in sorted(reader.frontier().items()):
+        for name, (generation, seq) in sorted(reader.position().items()):
             shard = reader.shard_reader(name)
             lag = shard.lag()
             lag_note = (
@@ -459,7 +401,7 @@ def _fsck_shards(directory: str, schema) -> int:
                             f"  unfinished coordinator record: {txid} "
                             f"(state: {entry.state})"
                         )
-            print("IN-DOUBT 2PC STATE (run `recover --shards` to resolve)")
+            print("IN-DOUBT 2PC STATE (run `recover` to resolve)")
             return 3
         if report.is_legal:
             print("COMPOSITE VIEW CONSISTENT")
@@ -495,8 +437,21 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     return 1
 
 
+def _no_store(command: str, directory: str) -> int:
+    """Report (on stdout, where ``fsck``/``recover`` findings go) that
+    ``directory`` holds neither kind of store; the exit status."""
+    from repro.store.shardmap import shard_map_path
+
+    print(
+        f"{command}: {directory!r} is not a store directory (no snapshot, "
+        f"and cannot read shard map {shard_map_path(directory)!r})"
+    )
+    return 1
+
+
 def _cmd_fsck(args: argparse.Namespace) -> int:
     from repro.errors import StoreError
+    from repro.store import is_sharded
     from repro.store.recovery import recover
 
     if getattr(args, "frontdoor", None):
@@ -506,7 +461,10 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     schema = load_dsl(args.schema) if args.schema else None
-    if getattr(args, "shards", False):
+    sharded = is_sharded(args.directory)
+    if sharded is None:
+        return _no_store("fsck", args.directory)
+    if sharded:
         return _fsck_shards(args.directory, schema)
     if args.read_only:
         return _fsck_read_only(args.directory, schema)
@@ -537,14 +495,18 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
 
 def _print_replica_state(directory: str) -> None:
     """Report the replication-follower sidecars, when present."""
+    from repro.store import Position
     from repro.store.replicate import read_cut_state, read_replica_state
 
     state = read_replica_state(directory)
     if state is not None:
+        try:
+            synced = f"synced to {Position.from_fields(state)}"
+        except ValueError:
+            synced = "at an unreadable position"
         print(
             "replica state: following "
-            f"{state.get('upstream') or '<unknown upstream>'} — synced to "
-            f"generation {state.get('generation')}, seq {state.get('seq')} "
+            f"{state.get('upstream') or '<unknown upstream>'} — {synced} "
             "(promote before writing locally)"
         )
     cut = read_cut_state(directory)
@@ -565,6 +527,7 @@ def _fsck_frontdoor(address: str) -> int:
     import asyncio
 
     from repro.server.client import DirectoryClient, ServerError
+    from repro.store import Position
 
     host, _, port_text = address.rpartition(":")
     if not host or not port_text.isdigit():
@@ -588,15 +551,14 @@ def _fsck_frontdoor(address: str) -> int:
 
         def line(member: dict, role: str) -> None:
             position = member.get("position")
-            frontier = "unknown frontier" if position is None else (
-                _position_text(
-                    (position["generation"], position["seq"])
-                    if "generation" in position
-                    else {n: tuple(p) for n, p in position.items()}
-                )
+            frontier = (
+                str(Position.from_wire(position)) if position
+                else "unknown frontier"
             )
             liveness = "alive" if member.get("alive") else "DOWN"
             print(f"  {role} {member['address']}: {liveness}, {frontier}")
+            if member.get("sync_error"):
+                print(f"    not following: {member['sync_error']}")
 
         print(f"front door: {address} "
               f"({topology.get('failovers', 0)} failover(s))")
@@ -620,13 +582,13 @@ def _fsck_read_only(directory: str, schema) -> int:
     lock-free reader — safe to point at a store a live writer holds
     locked, guaranteed to modify nothing (not even quarantine files)."""
     from repro.errors import StoreError
-    from repro.store.reader import StoreReader
+    from repro.store import open_view
 
     if schema is None:
         print("fsck: --read-only requires --schema", file=sys.stderr)
         return 2
     try:
-        reader = StoreReader.open(directory, schema)
+        reader = open_view(directory, schema)
     except (StoreError, OSError) as exc:
         print(f"fsck: {exc}")
         return 1
@@ -655,10 +617,14 @@ def _fsck_read_only(directory: str, schema) -> int:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     from repro.errors import StoreError
+    from repro.store import is_sharded
     from repro.store.recovery import recover
 
     schema = load_dsl(args.schema) if args.schema else None
-    if getattr(args, "shards", False):
+    sharded = is_sharded(args.directory)
+    if sharded is None:
+        return _no_store("recover", args.directory)
+    if sharded:
         return _recover_shards(args, schema)
     try:
         _, report = recover(
@@ -677,23 +643,23 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _recover_shards(args: argparse.Namespace, schema) -> int:
-    """``recover --shards``: recover every shard and resolve in-doubt
-    2PC participants from the coordinator log (presumed abort) by
+    """``recover`` of a sharded store: recover every shard and resolve
+    in-doubt 2PC participants from the coordinator log (presumed abort) by
     opening — and immediately closing — the sharded store, whose open
     path IS the recovery protocol.  ``--wait-lock`` retries when a live
     writer still holds a shard's lock."""
     from repro.errors import ShardMapError, StoreError
-    from repro.store.sharded import ShardedStore
+    from repro.store import open_store
     from repro.store.txlog import inspect_txlog
 
     if schema is None:
-        print("recover: --shards requires --schema", file=sys.stderr)
+        print("recover: a sharded store requires --schema", file=sys.stderr)
         return 2
     try:
         txlog = inspect_txlog(args.directory)
         pending = sorted(txlog.unfinished()) if txlog is not None else []
         store = _retry_locked(
-            lambda: ShardedStore.open(args.directory, schema),
+            lambda: open_store(args.directory, schema),
             getattr(args, "wait_lock", 0.0),
             "recover",
         )
@@ -885,16 +851,33 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """``serve STORE --schema S.dsl [--shards] [--port N]``: run the
-    asyncio network front-end (:mod:`repro.server`) over the store.
-    SIGTERM/SIGINT drain gracefully: the listener closes, in-flight
-    requests finish, then the store's writer lock is released."""
+def _stop_signal():
+    """An event the running loop sets on SIGTERM/SIGINT — what every
+    long-running command waits on before it drains and exits."""
     import asyncio
     import signal
 
+    stop = asyncio.Event()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            asyncio.get_running_loop().add_signal_handler(signum, stop.set)
+        except NotImplementedError:  # pragma: no cover - non-POSIX
+            pass
+    return stop
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """``serve STORE --schema S.dsl [--port N]``: run the asyncio
+    network front-end (:mod:`repro.server`) over the store, plain or
+    sharded — STORE says which (a fresh ``--replica-of`` directory
+    takes its upstream's kind).
+    SIGTERM/SIGINT drain gracefully: the listener closes, in-flight
+    requests finish, then the store's writer lock is released."""
+    import asyncio
+
     from repro.errors import ShardMapError, StoreError
     from repro.server import DirectoryServer
+    from repro.store import is_sharded
 
     schema = load_dsl(args.schema)
 
@@ -902,7 +885,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = DirectoryServer(
             args.store,
             schema,
-            shards=args.shards,
             jobs=args.jobs,
             host=args.host,
             port=args.port,
@@ -916,37 +898,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 1
         print(
             f"serving {args.store} on {args.host}:{server.port}"
-            + (" (sharded)" if args.shards else "")
+            + (" (sharded)" if is_sharded(args.store) else "")
             + (f" (replica of {args.replica_of})" if args.replica_of else ""),
             flush=True,
         )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        await stop.wait()
+        await _stop_signal().wait()
         print("draining connections and shutting down", file=sys.stderr)
         await server.stop(drain=True)
         return 0
 
     return asyncio.run(run())
-
-
-def _position_text(position) -> str:
-    """Human form of a replication position — a ``(generation, seq)``
-    pair for a plain store, a per-shard map for a sharded cohort."""
-    if isinstance(position, dict):
-        if not position:
-            return "no shard map yet"
-        return ", ".join(
-            f"{name}: generation {pos[0]}, seq {pos[1]}"
-            for name, pos in sorted(position.items())
-        )
-    generation, seq = position
-    return f"generation {generation}, seq {seq}"
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
@@ -956,11 +917,10 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     committed frontier, then — unless ``--oneshot`` — keeps applying
     pushed frames until SIGTERM/SIGINT."""
     import asyncio
-    import signal
 
     from repro.errors import StoreError
     from repro.server.client import DirectoryClient, ServerError, sync_replica
-    from repro.store.replicate import ReplicaApplier, ShardedReplicaApplier
+    from repro.store import open_replica
 
     schema = load_dsl(args.schema)
     host, _, port_text = args.upstream.rpartition(":")
@@ -980,28 +940,18 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         applier = None
         try:
             await client.bind("cn=replica")
-            if getattr(args, "shards", False):
-                applier = ShardedReplicaApplier(
-                    args.directory, schema, upstream=args.upstream
-                )
-            else:
-                applier = ReplicaApplier(
-                    args.directory, schema, upstream=args.upstream
-                )
-            position = await sync_replica(client, applier)
+            applier = open_replica(
+                args.directory, schema, upstream=args.upstream
+            )
+            applier = await sync_replica(client, applier)
             print(
                 f"replica {args.directory}: synced to "
-                f"{_position_text(position)} from {args.upstream}",
+                f"{applier.position()} from {args.upstream}",
                 flush=True,
             )
             if args.oneshot:
                 return 0
-            stop = asyncio.Event()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(signum, stop.set)
-                except NotImplementedError:  # pragma: no cover - non-POSIX
-                    pass
+            stop = _stop_signal()
             stopping = asyncio.ensure_future(stop.wait())
             while not stop.is_set():
                 incoming = asyncio.ensure_future(
@@ -1019,7 +969,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
                 )
             stopping.cancel()
             print(
-                f"replica stopped at {_position_text(applier.position())} "
+                f"replica stopped at {applier.position()} "
                 "(run `promote` to make it writable, or `replicate` again "
                 "to keep following)",
                 file=sys.stderr,
@@ -1037,38 +987,25 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def _cmd_promote(args: argparse.Namespace) -> int:
-    """``promote DIR --schema S.dsl [--shards]``: promote a replica
-    store to writer.  Refuses when in-doubt 2PC state is visible at the
+    """``promote DIR --schema S.dsl``: promote a replica store to
+    writer.  Refuses when in-doubt 2PC state is visible at the
     replication frontier (only the old primary's coordinator log can
-    decide it); ``--shards`` promotes a replicated sharded cohort as a
-    unit — every member on the last replicated cut, or nothing."""
+    decide it); a replicated sharded cohort promotes as a unit — every
+    member on the last replicated cut, or nothing."""
     from repro.errors import StoreError
-    from repro.store.replicate import promote, promote_shards
+    from repro.store import promote
 
     schema = load_dsl(args.schema)
     try:
-        if getattr(args, "shards", False):
-            store = promote_shards(args.directory, schema)
-        else:
-            store = promote(args.directory, schema)
+        store = promote(args.directory, schema)
     except (StoreError, OSError) as exc:
         print(f"promote: {exc}", file=sys.stderr)
         return 1
     try:
-        if getattr(args, "shards", False):
-            frontier = ", ".join(
-                f"{name}: generation {generation}"
-                for name, generation, _ in store.frontier_key()
-            )
-            print(
-                f"promoted {args.directory}: sharded cohort writable "
-                f"({frontier}; {len(store.composite_instance())} entries)"
-            )
-        else:
-            print(
-                f"promoted {args.directory}: writable at generation "
-                f"{store.generation} ({len(store.instance)} entries)"
-            )
+        print(
+            f"promoted {args.directory}: "
+            + store.position().promoted(len(store.instance))
+        )
     finally:
         store.close()
     return 0
@@ -1082,7 +1019,6 @@ def _cmd_frontdoor(args: argparse.Namespace) -> int:
     contract, and the health loop auto-promotes the most advanced
     replica when the primary dies.  SIGTERM/SIGINT drain gracefully."""
     import asyncio
-    import signal
 
     from repro.server.frontdoor import FrontDoor
 
@@ -1114,14 +1050,7 @@ def _cmd_frontdoor(args: argparse.Namespace) -> int:
             f"{args.primary}, {len(args.replica or [])} replica(s)",
             flush=True,
         )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        await stop.wait()
+        await _stop_signal().wait()
         print("draining connections and shutting down", file=sys.stderr)
         await door.stop(drain=True)
         return 0
@@ -1136,6 +1065,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bounding-schemas for LDAP directories (EDBT 2000).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every store command finds out from the directory whether it is
+    # sharded; --shards survives as an expectation ``main`` checks.
+    expects = argparse.ArgumentParser(add_help=False)
+    expects.add_argument(
+        "--shards",
+        action="store_true",
+        help="expect the store directory to be sharded: exit 2 when it "
+        "holds a plain store (selects nothing — the directory says "
+        "which kind it is)",
+    )
 
     validate = sub.add_parser("validate", help="test an LDIF instance for legality")
     validate.add_argument("--schema", required=True, help="bounding-schema DSL file")
@@ -1150,6 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
+        parents=[expects],
         help="legality test on the parallel, memoized engine",
     )
     check.add_argument("--schema", required=True, help="bounding-schema DSL file")
@@ -1158,15 +1098,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--store",
         metavar="DIR",
-        help="check a store directory through a lock-free read-only view "
-        "(works against a live writer)",
-    )
-    check.add_argument(
-        "--shards",
-        action="store_true",
-        help="with --store: DIR is a sharded store root; check the "
-        "composite view (per-shard readers stitched across the shard "
-        "map); --jobs N > 1 checks shards in parallel worker processes",
+        help="check a store directory, plain or sharded, through a "
+        "lock-free read-only view (works against a live writer); over "
+        "a sharded store --jobs N > 1 checks shards in parallel worker "
+        "processes",
     )
     check.add_argument(
         "--follow",
@@ -1289,7 +1224,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     fsck = sub.add_parser(
         "fsck",
-        help="scan a store directory for journal damage (dry run)",
+        parents=[expects],
+        help="scan a store directory for journal damage (dry run); a "
+        "sharded store (requires --schema) reports its shard map, "
+        "per-shard positions/lag and the composite legality verdict",
     )
     fsck.add_argument(
         "directory", nargs="?", default=None,
@@ -1305,13 +1243,6 @@ def build_parser() -> argparse.ArgumentParser:
         "safe against a live writer, touches nothing)",
     )
     fsck.add_argument(
-        "--shards",
-        action="store_true",
-        help="DIR is a sharded store root: print the shard map, "
-        "per-shard positions/lag, and the composite legality verdict "
-        "(requires --schema; lock-free, touches nothing)",
-    )
-    fsck.add_argument(
         "--frontdoor", metavar="HOST:PORT",
         help="report a running front door's topology (member liveness, "
         "frontiers, lost floors) instead of scanning a directory",
@@ -1320,7 +1251,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     recover = sub.add_parser(
         "recover",
-        help="repair a store: quarantine damaged journal bytes, reset stale journals",
+        parents=[expects],
+        help="repair a store: quarantine damaged journal bytes, reset "
+        "stale journals; a sharded store (requires --schema) recovers "
+        "every shard and resolves in-doubt 2PC participants from the "
+        "coordinator log (presumed abort)",
     )
     recover.add_argument("directory", help="store directory (snapshot + journal)")
     recover.add_argument(
@@ -1330,13 +1265,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--force",
         action="store_true",
         help="quarantine corrupt (not merely torn) journal tails too",
-    )
-    recover.add_argument(
-        "--shards",
-        action="store_true",
-        help="DIR is a sharded store root: recover every shard and "
-        "resolve in-doubt 2PC participants from the coordinator log "
-        "(presumed abort; requires --schema)",
     )
     recover.add_argument(
         "--wait-lock",
@@ -1351,16 +1279,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="serve a store over the network (asyncio, LDAP-ish wire "
-        "protocol; see repro.server)",
+        parents=[expects],
+        help="serve a store, plain or sharded, over the network "
+        "(asyncio, LDAP-ish wire protocol; see repro.server)",
     )
     serve.add_argument("store", help="store directory to serve")
     serve.add_argument("--schema", required=True)
-    serve.add_argument(
-        "--shards",
-        action="store_true",
-        help="STORE is a sharded store root: serve the composite view",
-    )
     serve.add_argument(
         "--jobs",
         type=int,
@@ -1394,6 +1318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     replicate = sub.add_parser(
         "replicate",
+        parents=[expects],
         help="follow a primary server as a WAL-shipping replica "
         "(bootstrap or resume, then apply pushed frames)",
     )
@@ -1406,8 +1331,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="upstream",
         required=True,
         metavar="HOST:PORT",
-        help="primary server address (a `serve` process; pass --shards "
-        "when it serves a sharded store)",
+        help="primary server address (a `serve` process; a fresh "
+        "directory takes the kind of store it serves)",
     )
     replicate.add_argument(
         "--oneshot",
@@ -1415,27 +1340,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="catch up to the primary's committed frontier and exit "
         "instead of following live",
     )
-    replicate.add_argument(
-        "--shards",
-        action="store_true",
-        help="the upstream serves a sharded store: replicate the whole "
-        "cohort under coordinator-consistent cuts",
-    )
     replicate.set_defaults(func=_cmd_replicate)
 
     promote = sub.add_parser(
         "promote",
+        parents=[expects],
         help="promote a replica store to writer (epoch bump; refuses "
-        "visible in-doubt 2PC state)",
+        "visible in-doubt 2PC state; a sharded cohort promotes every "
+        "shard on the recorded cut, or refuses atomically)",
     )
     promote.add_argument("directory", help="replica store directory")
     promote.add_argument("--schema", required=True)
-    promote.add_argument(
-        "--shards",
-        action="store_true",
-        help="DIR is a replicated sharded cohort: promote every shard "
-        "on the recorded cut, or refuse atomically",
-    )
     promote.set_defaults(func=_cmd_promote)
 
     frontdoor = sub.add_parser(
@@ -1507,6 +1422,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "shards", False):
+        from repro.store import is_sharded
+
+        directory = getattr(args, "store", None) or getattr(
+            args, "directory", None
+        )
+        if directory is not None and is_sharded(directory) is False:
+            print(
+                f"{args.command}: --shards given, but {directory} holds "
+                "a plain store",
+                file=sys.stderr,
+            )
+            return 2
     return args.func(args)
 
 

@@ -4,12 +4,11 @@ The paper's algorithms run in-process; this package puts them behind a
 socket.  :mod:`repro.server.protocol` defines a small LDAP-ish wire
 subset (bind, search, add/delete/modify as transactions, unbind, plus a
 ``check`` extended operation) over length-prefixed JSON framing;
-:mod:`repro.server.server` serves it with one lock-free
-:class:`~repro.store.reader.StoreReader` /
-:class:`~repro.store.sharded.CompositeReader` per connection (refreshed
-O(|Δ|) before each read, so reads never block the writer) and a single
-write path through the owning :class:`~repro.store.journal.DirectoryStore`
-or :class:`~repro.store.sharded.ShardedStore`;
+:mod:`repro.server.server` serves it with one lock-free view per
+connection (:func:`repro.store.open_view`, refreshed O(|Δ|) before each
+read, so reads never block the writer) and a single write path through
+the owning store (:func:`repro.store.open_store`) — plain or sharded,
+whichever the directory holds;
 :mod:`repro.server.client` is the asyncio client used by the tests and
 ``benchmarks/bench_server.py``; :mod:`repro.server.frontdoor` is the
 read-balancing proxy that routes writes to a primary and spreads

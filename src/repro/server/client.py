@@ -9,8 +9,8 @@ commit instead of polling.  Replication stream messages (``op:
 "repl"``, pushed after a :meth:`DirectoryClient.replicate` subscribe)
 land in their own queue consumed by
 :meth:`DirectoryClient.next_stream_message`;
-:func:`sync_replica` drives a
-:class:`~repro.store.replicate.ReplicaApplier` from it.
+:func:`sync_replica` drives a follower applier
+(:func:`repro.store.open_replica`) from it.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import itertools
 from typing import Dict, Optional
 
 from repro.server.protocol import read_frame, write_frame
+from repro.store import Position, follow
 
 __all__ = ["DirectoryClient", "ServerError", "sync_replica"]
 
@@ -204,24 +205,14 @@ class DirectoryClient:
             return await self._notifies.get()
         return await asyncio.wait_for(self._notifies.get(), timeout)
 
-    async def replicate(
-        self,
-        generation: int = 0,
-        seq: int = 0,
-        shards: Optional[dict] = None,
-    ) -> dict:
+    async def replicate(self, position: Position) -> Position:
         """Subscribe this connection as a replication follower at the
         given durable position (``(0, 0)`` = fresh: the primary ships a
-        snapshot first).  A sharded primary takes ``shards`` — a map of
-        per-shard ``(generation, seq)`` pairs — instead.  The response
-        acknowledges with the primary's committed frontier; stream
-        messages then arrive via :meth:`next_stream_message`."""
-        if shards is not None:
-            return await self.request(
-                "replicate",
-                shards={name: list(pos) for name, pos in shards.items()},
-            )
-        return await self.request("replicate", generation=generation, seq=seq)
+        snapshot first).  Returns the primary's committed frontier as
+        it acknowledged the subscription; stream messages then arrive
+        via :meth:`next_stream_message`."""
+        ack = await self.request("replicate", **position.to_fields())
+        return Position.from_fields(ack)
 
     async def next_stream_message(
         self, timeout: Optional[float] = None
@@ -266,51 +257,28 @@ async def sync_replica(
     client: DirectoryClient,
     applier,
     *,
-    until: Optional[tuple] = None,
+    until=None,
     timeout: Optional[float] = 30.0,
-) -> tuple:
-    """Drive a :class:`~repro.store.replicate.ReplicaApplier` from a
-    server's replication stream until it reaches ``until`` (default:
-    the committed frontier the server acknowledged at subscribe time).
+):
+    """Drive a follower applier (:func:`repro.store.open_replica`) from
+    a server's replication stream until it reaches the position
+    ``until`` (default: the committed frontier the server acknowledged
+    at subscribe time).
 
     Subscribes at the applier's durable position, then applies each
     pushed stream message on the shared executor (the applier fsyncs).
-    Positions compare lexicographically, so a compaction fold that
-    bumps the generation past the target still terminates.  Returns
-    the applier's final position; keep calling
+    Members compare lexicographically, so a compaction fold that bumps
+    a generation past the target still terminates.  Returns the applier
+    — over a fresh directory :func:`repro.store.follow` may have
+    reopened it as the upstream's kind; keep calling
     :meth:`DirectoryClient.next_stream_message` /
     ``applier.apply_message`` afterwards to follow live.
-
-    A :class:`~repro.store.replicate.ShardedReplicaApplier` (its
-    ``position()`` is a per-shard map) syncs the same way against a
-    sharded primary's ``shards`` acknowledgement, per-shard positions
-    each compared lexicographically.
     """
-    position = applier.position()
+    head = await client.replicate(applier.position())
+    applier = follow(applier, head)
+    target = head if until is None else Position.of(until)
     loop = asyncio.get_running_loop()
-    if isinstance(position, dict):
-        ack = await client.replicate(shards=position)
-        target = dict(until) if until is not None else {
-            name: tuple(pos) for name, pos in ack["shards"].items()
-        }
-
-        def behind() -> bool:
-            current = applier.position()
-            return any(
-                tuple(current.get(name, (0, 0))) < tuple(pos)
-                for name, pos in target.items()
-            )
-    else:
-        ack = await client.replicate(*position)
-        target = tuple(until) if until is not None else (
-            ack["generation"], ack["seq"],
-        )
-        applier.frontier = target
-
-        def behind() -> bool:
-            return applier.position() < target
-
-    while behind():
+    while not applier.position() >= target:
         message = await client.next_stream_message(timeout)
         await loop.run_in_executor(None, applier.apply_message, message)
-    return applier.position()
+    return applier

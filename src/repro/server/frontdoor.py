@@ -46,7 +46,7 @@ satisfies the caller.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.server.client import DirectoryClient, ServerError
 from repro.server.protocol import (
@@ -56,6 +56,7 @@ from repro.server.protocol import (
     read_frame,
     write_frame,
 )
+from repro.store import Position
 
 __all__ = ["FrontDoor", "position_geq", "position_max"]
 
@@ -63,75 +64,33 @@ _READ_OPS = ("search", "check")
 _WRITE_OPS = ("add", "delete", "txn", "modify")
 
 
-def _is_plain(position: dict) -> bool:
-    """Plain positions are ``{"generation": g, "seq": s}``; sharded
-    ones map shard names to ``[g, s]`` pairs."""
-    return "generation" in position and not isinstance(
-        position.get("generation"), dict
-    )
+def _parse(payload: Optional[dict]) -> Optional[Position]:
+    """A member's ``position`` payload; nothing yet (absent, or the
+    ``{}`` of a cohort before its shard map) is ``None``."""
+    return Position.from_wire(payload) if payload else None
 
 
-def _plain_tuple(position: dict) -> tuple:
-    return (position.get("generation", 0), position.get("seq", 0))
+def _merge(a: Optional[Position], b: Optional[Position]) -> Optional[Position]:
+    if a is None or b is None:
+        return a if b is None else b
+    return a.max(b)
 
 
 def position_geq(position: Optional[dict], require: Optional[dict]) -> bool:
     """Whether ``position`` satisfies ``require`` (both ``position``
-    payloads).  Positions compare lexicographically per WAL — a
-    generation bump dominates any sequence — and a sharded requirement
-    must be met on every shard it mentions."""
+    payloads): at least as far on every member ``require`` mentions,
+    see :class:`~repro.store.position.Position`."""
     if require is None:
         return True
-    if position is None:
-        return False
-    if _is_plain(require):
-        if not _is_plain(position):
-            return False
-        return _plain_tuple(position) >= _plain_tuple(require)
-    if _is_plain(position):
-        return False
-    return all(
-        tuple(position.get(name, (0, 0))) >= tuple(pos)
-        for name, pos in require.items()
-    )
+    held = _parse(position)
+    return held is not None and held >= _parse(require)
 
 
 def position_max(a: Optional[dict], b: Optional[dict]) -> Optional[dict]:
     """The pointwise-larger of two ``position`` payloads (the monotonic
     floor a connection accumulates)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if _is_plain(a) and _is_plain(b):
-        return a if _plain_tuple(a) >= _plain_tuple(b) else b
-    if _is_plain(a) or _is_plain(b):
-        return b  # shape change (topology swap): trust the newer payload
-    merged = dict(a)
-    for name, pos in b.items():
-        if tuple(pos) > tuple(merged.get(name, (0, 0))):
-            merged[name] = pos
-    return merged
-
-
-def _valid_position_payload(payload) -> bool:
-    def ok_int(value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool) \
-            and value >= 0
-
-    if not isinstance(payload, dict) or not payload:
-        return False
-    if _is_plain(payload):
-        return set(payload) <= {"generation", "seq"} and all(
-            ok_int(payload.get(key, 0)) for key in ("generation", "seq")
-        )
-    return all(
-        isinstance(name, str)
-        and isinstance(pos, (list, tuple))
-        and len(pos) == 2
-        and all(ok_int(p) for p in pos)
-        for name, pos in payload.items()
-    )
+    merged = _merge(_parse(a), _parse(b))
+    return None if merged is None else merged.to_wire()
 
 
 class _Backend:
@@ -147,14 +106,22 @@ class _Backend:
         self.prober: Optional[DirectoryClient] = None
         self.alive = True
         self.fails = 0
-        self.position: Optional[dict] = None
+        self.position: Optional[Position] = None
+        #: Why a replica member's sync loop is failing, as its last
+        #: probe reported it (``None``: following, or the primary).
+        self.sync_error: Optional[str] = None
 
     def payload(self) -> dict:
-        return {
+        payload = {
             "address": self.address,
             "alive": self.alive,
-            "position": self.position,
+            "position": (
+                None if self.position is None else self.position.to_wire()
+            ),
         }
+        if self.sync_error is not None:
+            payload["sync_error"] = self.sync_error
+        return payload
 
 
 class _FrontConnection:
@@ -164,7 +131,7 @@ class _FrontConnection:
         self.writer = writer
         self.bound_dn: Optional[str] = None
         self.busy = False
-        self.floor: Optional[dict] = None
+        self.floor: Optional[Position] = None
 
 
 class FrontDoor:
@@ -200,7 +167,7 @@ class FrontDoor:
         self.fail_after = fail_after
         self._primary = _Backend(primary)
         self._replicas = [_Backend(address) for address in replicas]
-        self._lost_floors: List[dict] = []
+        self._lost_floors: List[Position] = []
         self.failovers = 0
         self._rotation = 0
         self._server: Optional[asyncio.base_events.Server] = None
@@ -376,7 +343,7 @@ class FrontDoor:
             request_id,
             primary=self._primary.payload(),
             replicas=[backend.payload() for backend in self._replicas],
-            lost_floors=list(self._lost_floors),
+            lost_floors=[floor.to_wire() for floor in self._lost_floors],
             failovers=self.failovers,
         )
 
@@ -415,9 +382,9 @@ class FrontDoor:
                 "lost the primary mid-write; the write may or may not "
                 "have committed — verify and retry after failover",
             )
-        position = response.get("position")
-        backend.position = position_max(backend.position, position)
-        connection.floor = position_max(connection.floor, position)
+        position = _parse(response.get("position"))
+        backend.position = _merge(backend.position, position)
+        connection.floor = _merge(connection.floor, position)
         response["id"] = request_id
         return response
 
@@ -430,11 +397,12 @@ class FrontDoor:
         request_id = request.get("id")
         require = request.get("require_seq")
         max_lag = request.get("max_lag")
-        if require is not None and not _valid_position_payload(require):
+        try:
+            require = None if require is None else Position.from_wire(require)
+        except ValueError as exc:
             return error_response(
                 request_id, "bad_request",
-                "require_seq must be a position payload (non-negative "
-                "integers, booleans excluded)",
+                f"require_seq must be a position payload: {exc}",
             )
         if max_lag is not None and (
             not isinstance(max_lag, int)
@@ -449,16 +417,18 @@ class FrontDoor:
         # requirement: a connection floor raised by post-failover
         # responses would otherwise dominate the (older-generation)
         # lost position in the merge and silently mask the loss.
-        if self._require_lost(require):
+        if require is not None and any(
+            require.lost_beyond(floor) for floor in self._lost_floors
+        ):
             return error_response(
                 request_id, "position_lost",
-                f"required position {require} exceeds what survived "
+                f"required position {require.to_wire()} exceeds what survived "
                 "failover; the acknowledging primary died before any "
                 "follower replicated it",
             )
         # The connection's floor rides along: reads are monotonic even
         # when the caller never asks for read-your-writes explicitly.
-        require = position_max(connection.floor, require)
+        require = _merge(connection.floor, require)
         fields = {
             key: value
             for key, value in request.items()
@@ -482,11 +452,13 @@ class FrontDoor:
                 await self._mark_dead(backend)
                 self._probe_now.set()
                 break
-            position = response.get("position")
-            backend.position = position_max(backend.position, position)
-            if not position_geq(position, require):
+            position = _parse(response.get("position"))
+            backend.position = _merge(backend.position, position)
+            if require is not None and (
+                position is None or not position >= require
+            ):
                 continue  # served, but staler than the contract allows
-            connection.floor = position_max(connection.floor, position)
+            connection.floor = _merge(connection.floor, position)
             response["id"] = request_id
             return response
         return error_response(
@@ -496,7 +468,7 @@ class FrontDoor:
         )
 
     def _read_candidates(
-        self, require: Optional[dict], max_lag: Optional[int]
+        self, require: Optional[Position], max_lag: Optional[int]
     ) -> List[_Backend]:
         """Follower rotation, staleness-filtered, primary always last.
 
@@ -513,43 +485,25 @@ class FrontDoor:
         self._rotation += 1
         offset = self._rotation % len(followers)
         followers = followers[offset:] + followers[:offset]
-        if max_lag is not None and self._primary.position is not None \
-                and _is_plain(self._primary.position):
-            head = _plain_tuple(self._primary.position)
-            followers = [
-                b for b in followers
-                if b.position is not None
-                and _is_plain(b.position)
-                and _plain_tuple(b.position)[0] == head[0]
-                and head[1] - _plain_tuple(b.position)[1] <= max_lag
-            ]
+        head = self._primary.position
+        if max_lag is not None and head is not None:
+            def within_lag(backend: _Backend) -> bool:
+                # No comparable lag (nothing cached, or a member in
+                # another generation than the head's) is out too.
+                if backend.position is None:
+                    return False
+                lag = backend.position.lag_frames(head)
+                return lag is not None and lag <= max_lag
+
+            followers = [b for b in followers if within_lag(b)]
         if require is not None:
             satisfied = [
-                b for b in followers if position_geq(b.position, require)
+                b for b in followers
+                if b.position is not None and b.position >= require
             ]
             lagging = [b for b in followers if b not in satisfied]
             followers = satisfied + lagging
         return followers + [self._primary]
-
-    def _require_lost(self, require: Optional[dict]) -> bool:
-        """Whether ``require`` points past a recorded lost floor — a
-        position only the dead primary ever held.  Same-generation
-        comparison only: positions in the new generation are the new
-        primary's own history and always servable."""
-        if require is None:
-            return False
-        for floor in self._lost_floors:
-            if _is_plain(floor) and _is_plain(require):
-                if require.get("generation") == floor.get("generation") \
-                        and require.get("seq", 0) > floor.get("seq", 0):
-                    return True
-            elif not _is_plain(floor) and not _is_plain(require):
-                for name, pos in require.items():
-                    held = floor.get(name)
-                    if held is not None and pos[0] == held[0] \
-                            and pos[1] > held[1]:
-                        return True
-        return False
 
     # ------------------------------------------------------------------
     # health and failover
@@ -593,9 +547,10 @@ class FrontDoor:
             return
         backend.fails = 0
         backend.alive = True
-        backend.position = position_max(
-            backend.position, response.get("position") or None
+        backend.position = _merge(
+            backend.position, _parse(response.get("position"))
         )
+        backend.sync_error = response.get("sync_error")
 
     async def _failover(self) -> None:
         """Elect the most advanced live follower and promote it.
@@ -607,18 +562,10 @@ class FrontDoor:
         recorded as a lost floor, and every surviving follower is
         re-attached to the new primary's stream."""
 
-        def key(backend: _Backend):
-            position = backend.position
-            if position is None:
-                return ()
-            if _is_plain(position):
-                return _plain_tuple(position)
-            return tuple(sorted(
-                (name, pos[0], pos[1]) for name, pos in position.items()
-            ))
-
         candidates = sorted(
-            (b for b in self._replicas if b.alive), key=key, reverse=True
+            (b for b in self._replicas if b.alive),
+            key=lambda b: b.position.sort_key() if b.position else (),
+            reverse=True,
         )
         for backend in candidates:
             try:
@@ -626,7 +573,7 @@ class FrontDoor:
                 probe = await asyncio.wait_for(
                     client.position(), self.probe_timeout
                 )
-                elected_floor = probe.get("position")
+                elected_floor = _parse(probe.get("position"))
                 promoted = await client.promote()
             except ServerError:
                 continue  # refused (in doubt / off-cut): next candidate
@@ -634,10 +581,11 @@ class FrontDoor:
                     asyncio.IncompleteReadError):
                 await self._mark_dead(backend)
                 continue
-            if elected_floor:
+            if elected_floor is not None:
                 self._lost_floors.append(elected_floor)
             self._replicas = [b for b in self._replicas if b is not backend]
-            backend.position = promoted.get("position")
+            backend.position = _parse(promoted.get("position"))
+            backend.sync_error = None
             backend.alive = True
             backend.fails = 0
             self._primary = backend

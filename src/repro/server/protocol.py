@@ -70,12 +70,15 @@ Operations
     as a ``position`` payload — ``{"generation": g, "seq": s}`` for a
     plain store, ``{shard: [g, s], ...}`` for a sharded one.  Allowed
     before bind: it is the front door's health-probe surface.  Replica
-    servers add ``upstream`` and (sharded) ``consistent`` — whether
-    the cohort sits exactly on its last replicated cut.
+    servers add ``upstream``, (sharded) ``consistent`` — whether the
+    cohort sits exactly on its last replicated cut —
+    ``lag_frames`` once the upstream's frontier is known,
+    and ``sync_error`` while the sync loop cannot follow its upstream
+    for a reason other than a broken connection.
 ``promote``
     Ask a replica server to promote its local replica tree to a
-    primary in place (PR 9's ``promote``/``promote_shards`` paths,
-    including their refusals: an in-doubt 2PC prepare, or a sharded
+    primary in place (:func:`repro.store.promote`,
+    including its refusals: an in-doubt 2PC prepare, or a sharded
     cohort off its cut).  On success the server starts serving writes
     and returns ``role: "primary"`` plus its new ``position``.
 ``reattach``

@@ -4,19 +4,18 @@ Concurrency model
 -----------------
 *Reads never block the writer, and the writer never blocks reads.*
 
-Each connection owns its own lock-free view — a
-:class:`~repro.store.reader.StoreReader` (or
-:class:`~repro.store.sharded.CompositeReader` over a sharded store) —
-bootstrapped once at connect time and refreshed O(|Δ|) before every
-read operation, so every response reflects a *committed* frontier
-(readers withhold in-doubt 2PC prepares by construction).  Read
+Each connection owns its own lock-free view
+(:func:`repro.store.open_view` — the store directory says whether it
+is plain or sharded), bootstrapped on the connection's first read and
+refreshed O(|Δ|) before every read operation, so every response
+reflects a *committed* frontier (readers withhold in-doubt 2PC
+prepares by construction).  Read
 operations (refresh + search/check) run on the shared default executor:
 each connection handles its frames sequentially, so its reader is only
 ever touched by one thread at a time.
 
-All mutations funnel through the single owning
-:class:`~repro.store.journal.DirectoryStore` /
-:class:`~repro.store.sharded.ShardedStore` writer, serialized by an
+All mutations funnel through the single owning writer
+(:func:`repro.store.open_store`), serialized by an
 :class:`asyncio.Lock` and executed on a dedicated one-thread executor —
 the fsync of a commit happens off the event loop, so in-flight searches
 on other connections keep being served while the writer is on disk.
@@ -41,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import sys
 from typing import Optional
 
 from repro.errors import (
@@ -57,6 +57,15 @@ from repro.server.protocol import (
     ok_response,
     read_frame,
     write_frame,
+)
+from repro.store import (
+    Position,
+    follow,
+    open_replica,
+    open_source,
+    open_store,
+    open_view,
+    promote,
 )
 
 __all__ = ["DirectoryServer"]
@@ -135,12 +144,7 @@ class _Connection:
         return self.bound_dn is not None
 
     def position_payload(self) -> dict:
-        if self.server.shards:
-            return {
-                name: list(pos) for name, pos in self.view.frontier().items()
-            }
-        generation, seq = self.view.position()
-        return {"generation": generation, "seq": seq}
+        return self.view.position().to_wire()
 
     def nudge(self) -> None:
         """Close the transport under an idle reader so its blocked
@@ -159,11 +163,9 @@ class DirectoryServer:
     Parameters
     ----------
     store_path:
-        The store directory; the server takes the writer lock for its
-        whole lifetime.
-    shards:
-        ``True`` to open a sharded store (``create --shard``) and serve
-        its composite view.
+        The store directory, plain or sharded (``create --shard``) —
+        the directory says which; the server takes the writer lock for
+        its whole lifetime.
     jobs:
         Parallelism handed to each connection's legality engine (the
         ``check`` extended op); ``0`` means the engine default.
@@ -173,9 +175,10 @@ class DirectoryServer:
     replica_of:
         ``"host:port"`` of an upstream primary.  The server then runs
         as a **replica**: instead of opening the store as a writer it
-        attaches a :class:`~repro.store.replicate.ReplicaApplier` (or
-        the sharded cohort applier) fed by a background sync loop, and
-        serves reads from the replicated copy.  Writes answer
+        attaches a follower applier (:func:`repro.store.open_replica`;
+        a fresh directory takes the upstream's kind) fed by a
+        background sync loop, and serves reads from the replicated
+        copy.  Writes answer
         ``not_writable``; the ``promote`` operation turns the replica
         into a full primary in place, and ``reattach`` repoints the
         sync loop at a new upstream (the failover choreography the
@@ -188,7 +191,6 @@ class DirectoryServer:
         schema,
         registry=None,
         *,
-        shards: bool = False,
         jobs: int = 0,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -198,7 +200,6 @@ class DirectoryServer:
         self.store_path = store_path
         self.schema = schema
         self.registry = registry
-        self.shards = shards
         self.jobs = jobs
         self.host = host
         self._requested_port = port
@@ -209,6 +210,10 @@ class DirectoryServer:
         self._sync_task: Optional[asyncio.Task] = None
         self._sync_client = None
         self._sync_stopped = False
+        #: Why the sync loop's last attempt failed, other than a broken
+        #: connection (``None`` while healthy); the ``position`` reply
+        #: carries it so a member that never catches up says why.
+        self._sync_error: Optional[str] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._write_lock = asyncio.Lock()
         self._writer_pool = concurrent.futures.ThreadPoolExecutor(
@@ -248,61 +253,32 @@ class DirectoryServer:
             )
             self._sync_task = asyncio.ensure_future(self._sync_loop())
         else:
-            self.store = await loop.run_in_executor(None, self._open_store)
+            self.store = await loop.run_in_executor(
+                None, open_store, self.store_path, self.schema, self.registry
+            )
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self._requested_port
         )
 
-    def _open_store(self):
-        if self.shards:
-            from repro.store.sharded import ShardedStore
-
-            return ShardedStore.open(
-                self.store_path, self.schema, self.registry
-            )
-        from repro.store import DirectoryStore
-
-        return DirectoryStore.open(
-            self.store_path, self.schema, self.registry
-        )
-
     def _open_applier(self):
-        if self.shards:
-            from repro.store.replicate import ShardedReplicaApplier
-
-            return ShardedReplicaApplier(
-                self.store_path, self.schema, self.registry,
-                upstream=self.replica_of,
-            )
-        from repro.store.replicate import ReplicaApplier
-
-        return ReplicaApplier(
+        return open_replica(
             self.store_path, self.schema, self.registry,
             upstream=self.replica_of,
         )
 
     def _open_view(self, applier):
         """Open a serving view; ``applier`` is the replica applier the
-        server follows (``None`` on a primary).  Over a sharded replica
-        the cohort applier opens the view, so it follows the shipped
-        2PC decisions and refreshes only on a replicated cut; a
-        primary's composite view pins each refresh to the coordinator
-        log instead."""
+        server follows (``None`` on a primary).  A replica's applier
+        opens its views: over a sharded cohort they follow the shipped
+        2PC decisions and refresh only on a replicated cut, where a
+        primary's view pins each refresh to the coordinator log."""
         kwargs = {"structure": self.structure}
         if self.jobs > 0:
             kwargs["parallelism"] = self.jobs
         try:
-            if self.shards:
-                if applier is not None:
-                    return applier.open_view(**kwargs)
-                from repro.store.sharded import CompositeReader
-
-                return CompositeReader.open(
-                    self.store_path, self.schema, self.registry, **kwargs
-                )
-            from repro.store.reader import StoreReader
-
-            return StoreReader.open(
+            if applier is not None:
+                return applier.open_view(**kwargs)
+            return open_view(
                 self.store_path, self.schema, self.registry, **kwargs
             )
         except OSError as exc:
@@ -338,15 +314,7 @@ class DirectoryServer:
             task.cancel()
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
-        await self._stop_sync()
-        loop = asyncio.get_running_loop()
-        if self._applier is not None:
-            applier, self._applier = self._applier, None
-            await loop.run_in_executor(None, applier.close)
-        if self.store is not None:
-            await loop.run_in_executor(None, self.store.close)
-            self.store = None
-        self._writer_pool.shutdown(wait=True)
+        await self._release()
 
     async def kill(self) -> None:
         """Die abruptly — the crash-harness stand-in for ``kill -9``.
@@ -374,14 +342,17 @@ class DirectoryServer:
             await asyncio.gather(
                 *self._connections, return_exceptions=True
             )
+        await self._release()
+
+    async def _release(self) -> None:
+        """Stop following and close whichever of applier and store this
+        server holds (releasing the directory's advisory lock)."""
         await self._stop_sync()
         loop = asyncio.get_running_loop()
-        if self._applier is not None:
-            applier, self._applier = self._applier, None
-            await loop.run_in_executor(None, applier.close)
-        if self.store is not None:
-            await loop.run_in_executor(None, self.store.close)
-            self.store = None
+        held = self._applier if self._applier is not None else self.store
+        self._applier = self.store = None
+        if held is not None:
+            await loop.run_in_executor(None, held.close)
         self._writer_pool.shutdown(wait=True)
 
     async def serve_forever(self) -> None:
@@ -408,39 +379,53 @@ class DirectoryServer:
     async def _sync_loop(self) -> None:
         """Follow the upstream primary, applying every stream message
         durably on the writer thread; reconnects with backoff on any
-        break (including a ``reattach`` repointing the upstream)."""
+        break (including a ``reattach`` repointing the upstream).  A
+        failure that is not a broken connection — a schema fingerprint
+        or shard layout mismatch, a diverged position — is retried the
+        same way, but recorded for the ``position`` reply and printed
+        once, so the member does not idle at its old frontier in
+        silence."""
         from repro.server.client import DirectoryClient
 
         loop = asyncio.get_running_loop()
         while not self._draining and not self._sync_stopped:
-            upstream = self.replica_of
             client = None
             try:
-                host, _, port = str(upstream).rpartition(":")
+                host, _, port = str(self.replica_of).rpartition(":")
                 client = await DirectoryClient.connect(host, int(port))
                 self._sync_client = client
                 await client.bind("cn=replica")
-                applier = self._applier
-                if applier is None:
+                if self._applier is None:
                     return
-                if self.shards:
-                    ack = await client.replicate(shards=applier.position())
-                else:
-                    generation, seq = applier.position()
-                    ack = await client.replicate(generation, seq)
-                if not self.shards and "generation" in ack:
-                    applier.frontier = (ack["generation"], ack["seq"])
+                head = await client.replicate(self._applier.position())
+                # No await between reading and replacing the applier: a
+                # fresh directory is reopened as the upstream's kind.
+                self._applier = follow(self._applier, head)
                 while not self._draining and not self._sync_stopped:
                     message = await client.next_stream_message()
                     await loop.run_in_executor(
                         self._writer_pool,
                         lambda m=message: self._applier.apply_message(m),
                     )
+                    # Not on the acknowledgement: a stream that fails on
+                    # its first message (every subscription opens with
+                    # one) would flicker between healthy and failing.
+                    self._sync_error = None
                     await self._commit_happened()
             except asyncio.CancelledError:
                 raise
-            except Exception:
+            except (ConnectionError, OSError, asyncio.TimeoutError,
+                    asyncio.IncompleteReadError):
                 pass  # connection break or upstream death: retry below
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                if error != self._sync_error:
+                    print(
+                        f"replica {self.store_path}: cannot follow "
+                        f"{self.replica_of}: {error}",
+                        file=sys.stderr, flush=True,
+                    )
+                self._sync_error = error
             finally:
                 if client is not None:
                     self._sync_client = None
@@ -660,15 +645,7 @@ class DirectoryServer:
     def _store_position(self) -> dict:
         """The committed frontier, read on the writer thread so a write
         response's position is atomic with its commit."""
-        if self.shards:
-            return {
-                name: [generation, seq]
-                for name, generation, seq in self.store.frontier_key()
-            }
-        return {
-            "generation": self.store.generation,
-            "seq": self.store.journal_length,
-        }
+        return self.store.position().to_wire()
 
     async def _op_write(self, connection: _Connection, request: dict) -> dict:
         from repro.ldif.changes import parse_changes
@@ -822,10 +799,11 @@ class DirectoryServer:
     ) -> dict:
         """Subscribe this connection as a replication follower.
 
-        The request carries the follower's durable position — plain
-        stores a ``(generation, seq)`` pair, sharded stores a
-        ``shards`` map of per-shard pairs; the reply acknowledges with
-        the primary's committed frontier, then stream messages (``op:
+        The request carries the follower's durable position
+        (:meth:`Position.from_fields`: a plain ``generation``/``seq``
+        pair or a ``shards`` map of per-shard pairs); the reply
+        acknowledges with the primary's committed frontier in the
+        same form, then stream messages (``op:
         "repl"``) are pushed: schema frames strictly before the data
         frames of their generation, a snapshot first when the position
         cannot be served incrementally.  A sharded primary multiplexes
@@ -844,62 +822,19 @@ class DirectoryServer:
                 request_id, "bad_request",
                 "this connection is already replicating",
             )
-        if self.shards:
-            from repro.store.replicate import ShardedFrameSource
-
-            shards = request.get("shards", {})
-            if not isinstance(shards, dict) or not all(
-                isinstance(name, str)
-                and isinstance(pos, (list, tuple))
-                and len(pos) == 2
-                and all(
-                    isinstance(p, int)
-                    and not isinstance(p, bool)
-                    and p >= 0
-                    for p in pos
-                )
-                for name, pos in shards.items()
-            ):
-                return error_response(
-                    request_id, "bad_request",
-                    "sharded replicate position must map shard names to "
-                    "non-negative integer pairs",
-                )
-            source = ShardedFrameSource(self.store_path, self.schema)
-            source.attach(
-                {name: (pos[0], pos[1]) for name, pos in shards.items()}
+        try:
+            position = Position.from_fields(request)
+        except ValueError as exc:
+            return error_response(
+                request_id, "bad_request", f"replicate position: {exc}"
             )
-            ack = {
-                "shards": {
-                    name: [generation, seq]
-                    for name, generation, seq in self.store.frontier_key()
-                }
-            }
-        else:
-            from repro.store.replicate import FrameSource
-
-            generation = request.get("generation", 0)
-            seq = request.get("seq", 0)
-            if any(
-                not isinstance(value, int)
-                or isinstance(value, bool)
-                or value < 0
-                for value in (generation, seq)
-            ):
-                return error_response(
-                    request_id, "bad_request",
-                    "replicate position must be non-negative integers",
-                )
-            source = FrameSource(self.store_path, self.schema)
-            source.attach(generation, seq)
-            ack = {
-                "generation": self.store.generation,
-                "seq": self.store.journal_length,
-            }
+        source = open_source(self.store_path, self.schema, position)
         connection.replicate_task = asyncio.ensure_future(
             self._replicate_loop(writer, source)
         )
-        return ok_response(request_id, mode="stream", **ack)
+        return ok_response(
+            request_id, mode="stream", **self.store.position().to_fields()
+        )
 
     async def _replicate_loop(self, writer, source) -> None:
         """Ship stream messages until the follower disconnects.
@@ -931,42 +866,33 @@ class DirectoryServer:
     # ------------------------------------------------------------------
     # topology: role introspection, in-place promotion, re-attachment
     # ------------------------------------------------------------------
-    def _topology_position(self) -> dict:
-        if self._applier is not None:
-            if self.shards:
-                return {
-                    name: list(pos)
-                    for name, pos in self._applier.position().items()
-                }
-            generation, seq = self._applier.position()
-            return {"generation": generation, "seq": seq}
-        if self.store is None:
-            return {}
-        return self._store_position()
-
     def _op_position(self, request: dict) -> dict:
         """Role and committed frontier — the health-probe surface the
         front door polls; answered without a bind or a serving view so
         a bootstrapping replica is still observable."""
+        holder = self._applier if self._applier is not None else self.store
+        position = None if holder is None else holder.position()
         payload = {
             "role": self.role,
-            "position": self._topology_position(),
+            "position": {} if position is None else position.to_wire(),
         }
         if self._applier is not None:
             payload["upstream"] = self.replica_of
-            if self.shards:
+            if not position.is_plain:  # a one-member frontier is its own cut
                 payload["consistent"] = self._applier.consistent()
-            lag = self._applier.lag_frames() if not self.shards else None
+            lag = self._applier.lag_frames()
             if lag is not None:
                 payload["lag_frames"] = lag
+            if self._sync_error is not None:
+                payload["sync_error"] = self._sync_error
         return ok_response(request.get("id"), **payload)
 
     async def _op_promote(self, request: dict) -> dict:
         """Promote this replica to a writable primary, in place.
 
         Runs under the write lock on the writer thread: the sync loop
-        is stopped, the applier closed, and PR 9's ``promote`` path
-        (or the sharded cohort promotion) drives the generation bump —
+        is stopped, the applier closed, and
+        :func:`repro.store.promote` drives the generation bump —
         refusing while any 2PC prepare is in doubt or, sharded, while
         the cohort is off its replicated cut.  On refusal the applier
         and sync loop are restarted, so a failed candidate keeps
@@ -985,21 +911,15 @@ class DirectoryServer:
 
             def run():
                 applier.close()
-                from repro.store.replicate import promote, promote_shards
-
-                if self.shards:
-                    return promote_shards(
-                        self.store_path, self.schema, self.registry
-                    )
                 return promote(self.store_path, self.schema, self.registry)
 
             try:
                 self.store = await loop.run_in_executor(
                     self._writer_pool, run
                 )
-            except StoreError as exc:
-                # Refused: go back to being a follower of the same
-                # upstream so the elector can try another candidate.
+            except (StoreError, OSError) as exc:
+                # Refused or failed: go back to being a follower of the
+                # same upstream so the elector can try another candidate.
                 self._applier = await loop.run_in_executor(
                     None, self._open_applier
                 )
@@ -1029,6 +949,7 @@ class DirectoryServer:
         await self._stop_sync()
         self.replica_of = upstream
         self._applier.upstream = upstream
+        self._sync_error = None  # the old upstream's refusal, if any
         self._sync_stopped = False
         self._sync_task = asyncio.ensure_future(self._sync_loop())
         return ok_response(request_id, upstream=upstream)

@@ -8,12 +8,42 @@
 * :mod:`repro.store.recovery` — WAL scan, quarantine, verification;
 * :mod:`repro.store.manifest` — the writer's advisory publication file;
 * :mod:`repro.store.faults` — deterministic fault injection for tests.
+
+One position, one opener
+------------------------
+A store directory is plain or sharded, and says so itself
+(:func:`~repro.store.shardmap.is_sharded`: a ``shardmap`` file, else a
+snapshot).  The openers below pick the class from that, and the two
+classes of each pair answer the same names — above all ``position()``,
+a :class:`Position` whose plain case is the one-member frontier — so
+code above this package never asks, or is told, which kind it holds:
+
+======================  ==================  ======================
+opener                  plain               sharded
+======================  ==================  ======================
+:func:`open_store`      ``DirectoryStore``  ``ShardedStore``
+:func:`open_view`       ``StoreReader``     ``CompositeReader``
+:func:`open_source`     ``FrameSource``     ``ShardedFrameSource``
+:func:`open_replica`    ``ReplicaApplier``  ``ShardedReplicaApplier``
+:func:`promote`         ``DirectoryStore``  ``ShardedStore``
+======================  ==================  ======================
 """
 
 from repro.store.journal import DirectoryStore
 from repro.store.manifest import Manifest, read_manifest
+from repro.store.position import Position
 from repro.store.reader import ReaderLag, RefreshResult, StoreReader
 from repro.store.recovery import RecoveryReport, recover
+from repro.store.replicate import (
+    FrameSource,
+    ReplicaApplier,
+    ShardedFrameSource,
+    ShardedReplicaApplier,
+    follow,
+    promote,
+)
+from repro.store.sharded import CompositeReader, ShardedStore
+from repro.store.shardmap import is_sharded
 from repro.store.wal import StoreIO
 
 __all__ = [
@@ -26,4 +56,55 @@ __all__ = [
     "RecoveryReport",
     "recover",
     "StoreIO",
+    "Position",
+    "is_sharded",
+    "open_store",
+    "open_view",
+    "open_source",
+    "open_replica",
+    "follow",
+    "promote",
 ]
+
+
+def open_store(directory, schema, registry=None, **options):
+    """Open the writable store ``directory`` holds (writer lock taken,
+    recovery run): ``store.apply`` / ``modify`` / ``check`` /
+    ``position()`` / ``instance`` / ``close()``."""
+    kind = ShardedStore if is_sharded(directory) else DirectoryStore
+    return kind.open(directory, schema, registry, **options)
+
+
+def open_view(directory, schema, registry=None, **options):
+    """Open a lock-free read-only view of the store ``directory``
+    holds: ``view.refresh()`` / ``search`` / ``check`` / ``position()``
+    / ``instance`` / ``close()``.  A sharded primary's view pins each
+    refresh to the coordinator log; a replica's views come from its
+    applier's ``open_view`` instead."""
+    kind = CompositeReader if is_sharded(directory) else StoreReader
+    return kind.open(directory, schema, registry, **options)
+
+
+def open_source(directory, schema, position):
+    """A replication frame source over the store ``directory`` holds,
+    attached at a follower's durable ``position`` (``source.poll()``).
+    A position of the other kind attaches nowhere — the follower gets
+    the full state and settles the mismatch against the acknowledgement
+    (:func:`~repro.store.replicate.follow`)."""
+    if is_sharded(directory):
+        source = ShardedFrameSource(directory, schema)
+        source.attach(position)
+    else:
+        source = FrameSource(directory, schema)
+        source.attach(*position.get(None))
+    return source
+
+
+def open_replica(directory, schema, registry=None, **options):
+    """Open the follower applier for ``directory``:
+    ``applier.apply_message`` / ``position()`` / ``lag_frames()`` /
+    ``consistent()`` / ``open_view()`` / ``close()``.  A fresh
+    directory opens plain until :func:`~repro.store.replicate.follow`
+    has the upstream's acknowledgement to go by."""
+    kind = ShardedReplicaApplier if is_sharded(directory) else ReplicaApplier
+    return kind(directory, schema, registry, **options)

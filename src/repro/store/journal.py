@@ -91,6 +91,7 @@ from repro.store.manifest import (
     read_manifest,
     write_manifest,
 )
+from repro.store.position import Position
 from repro.store.reader import StoreReader
 from repro.store.recovery import (
     JOURNAL_FILE,
@@ -891,6 +892,11 @@ class DirectoryStore:
         """The store generation id (bumped by every compaction)."""
         return self._generation
 
+    def position(self) -> Position:
+        """The committed frontier ``(generation, journal_length)`` —
+        what a reader caught up with this store reports."""
+        return Position.plain(self._generation, self._journal_count)
+
     @property
     def read_only(self) -> bool:
         """Whether recovery degraded the store to read-only mode."""
@@ -986,7 +992,7 @@ class DirectoryStore:
             raise StoreError(
                 f"store holds an in-doubt 2PC transaction "
                 f"{self._pending_txid}; the coordinator log decides it — "
-                "open the sharded store (or run `recover --shards` on its "
+                "open the sharded store (or run `recover` on its "
                 "root) to resolve it"
             )
 

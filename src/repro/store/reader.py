@@ -59,6 +59,7 @@ from repro.store import index as _index
 from repro.store import sidecar as _sidecar
 from repro.store import wal
 from repro.store.manifest import read_manifest
+from repro.store.position import Position
 from repro.store.recovery import (
     JOURNAL_FILE,
     SNAPSHOT_FILE,
@@ -267,9 +268,9 @@ class StoreReader:
         snapshot only)."""
         return self._seq
 
-    def position(self) -> "tuple[int, int]":
+    def position(self) -> Position:
         """``(generation, seq)`` — a total order over committed states."""
-        return (self._generation, self._seq)
+        return Position.plain(self._generation, self._seq)
 
     def offset(self) -> int:
         """Byte offset just past the last journal frame applied to the

@@ -448,7 +448,7 @@ def recover(
         report.notes.append(
             f"in-doubt 2PC transaction {pending.txid}: prepared but "
             "undecided; the coordinator log decides it (open the sharded "
-            "store, or run `recover --shards` on its root)"
+            "store, or run `recover` on its root)"
         )
     corrupt = report.tail_state == "corrupt"
 

@@ -53,8 +53,8 @@ so a follower set never holds half a spanning transaction.  Two extra
 message kinds carry the topology: ``shardmap`` ships the shard layout
 once, and ``cut`` closes every batch with the frontier the follower
 must reach before its composite view may be served.  Promotion of a
-cohort (:func:`promote_shards`) inspects every shard against the last
-replicated cut first and promotes all of them or none.
+cohort (:func:`promote` over a sharded directory) inspects every shard
+against the last replicated cut first and promotes all of them or none.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ from repro.schema.dsl import serialize_dsl
 from repro.store import wal
 from repro.store.journal import DirectoryStore
 from repro.store.manifest import Manifest, read_manifest, write_manifest
+from repro.store.position import Position
 from repro.store.reader import StoreReader
 from repro.store.recovery import (
     JOURNAL_FILE,
@@ -83,7 +84,12 @@ from repro.store.recovery import (
     SNAPSHOT_FILE,
     recover,
 )
-from repro.store.shardmap import read_shard_map, shard_dir, shard_map_path
+from repro.store.shardmap import (
+    is_sharded,
+    read_shard_map,
+    shard_dir,
+    shard_map_path,
+)
 from repro.store.txlog import inspect_txlog
 from repro.store.wal import StoreIO
 
@@ -100,8 +106,8 @@ __all__ = [
     "encode_schema_message",
     "encode_shard_map_message",
     "encode_snapshot_message",
+    "follow",
     "promote",
-    "promote_shards",
     "pump",
     "read_cut_state",
     "read_replica_state",
@@ -152,7 +158,33 @@ class StreamMessage:
     records: Optional[List[wal.WalRecord]] = None  # frames: verified
     shard: Optional[str] = None  # sharded stream: the member shard
     shard_map: Optional[str] = None  # shardmap: the layout file, verbatim
-    frontier: Optional[Dict[str, Tuple[int, int]]] = None  # cut
+    frontier: Optional[Position] = None  # cut
+
+
+def _cohort_layout(directory: str, schema: DirectorySchema):
+    """A sharded directory's shard map and the schema every member
+    shard is checked under."""
+    from repro.legality.scope import analyze_shard_scope, shard_local_schema
+
+    shard_map = read_shard_map(directory)
+    return shard_map, shard_local_schema(
+        schema, analyze_shard_scope(schema, shard_map)
+    )
+
+
+def _write_state(io: StoreIO, directory: str, name: str, payload: dict) -> None:
+    """Atomically (re)write one of a follower's JSON state files."""
+    io.write_file_atomic(
+        os.path.join(directory, name),
+        (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"),
+    )
+
+
+def _drop_state(directory: str, name: str) -> None:
+    """Remove a follower state file a promotion leaves behind."""
+    path = os.path.join(directory, name)
+    if os.path.exists(path):
+        os.unlink(path)
 
 
 def _batch_crc(generation: int, start_seq: int, data: bytes) -> int:
@@ -216,13 +248,13 @@ def encode_shard_map_message(shard_map_text: str) -> dict:
     }
 
 
-def encode_cut_message(frontier: Dict[str, Tuple[int, int]]) -> dict:
+def encode_cut_message(frontier) -> dict:
     """A ``cut`` message closing one sharded batch: the coordinator-cut
     frontier every shard of the batch lands on."""
     return {
         "op": "repl",
         "kind": "cut",
-        "frontier": {name: list(pos) for name, pos in frontier.items()},
+        "frontier": Position.of(frontier).to_wire(),
     }
 
 
@@ -247,22 +279,11 @@ def decode_stream_message(message: dict) -> StreamMessage:
             raise ReplicationError("malformed shardmap message")
         return StreamMessage(kind="shardmap", generation=0, shard_map=text)
     if kind == "cut":
-        frontier = message.get("frontier")
-        if not isinstance(frontier, dict) or not all(
-            isinstance(name, str)
-            and isinstance(pos, (list, tuple))
-            and len(pos) == 2
-            and all(
-                isinstance(p, int) and not isinstance(p, bool) and p >= 0
-                for p in pos
-            )
-            for name, pos in frontier.items()
-        ):
-            raise ReplicationError("malformed cut message")
-        return StreamMessage(
-            kind="cut", generation=0,
-            frontier={name: (pos[0], pos[1]) for name, pos in frontier.items()},
-        )
+        try:
+            frontier = Position.from_fields({"shards": message.get("frontier")})
+        except ValueError as exc:
+            raise ReplicationError(f"malformed cut message: {exc}") from exc
+        return StreamMessage(kind="cut", generation=0, frontier=frontier)
     generation = message.get("generation")
     if not isinstance(generation, int) or generation < 1:
         raise ReplicationError(
@@ -355,10 +376,10 @@ class FrameSource:
 
     # -- public surface ------------------------------------------------
     @property
-    def position(self) -> Tuple[int, int]:
+    def position(self) -> Position:
         """``(generation, seq)`` of the last shipped frame (0, 0) while
         unattached."""
-        return (self._generation or 0, self._seq)
+        return Position.plain(self._generation or 0, self._seq)
 
     def attach(self, generation: int, seq: int) -> bool:
         """Position the stream at a follower's durable position.
@@ -643,14 +664,9 @@ class ShardedFrameSource:
         io: Optional[StoreIO] = None,
         batch_bytes: int = STREAM_BATCH_BYTES,
     ) -> None:
-        from repro.legality.scope import analyze_shard_scope, shard_local_schema
-
         self._dir = directory
         self._io = io if io is not None else StoreIO()
-        shard_map = read_shard_map(directory)
-        local_schema = shard_local_schema(
-            schema, analyze_shard_scope(schema, shard_map)
-        )
+        shard_map, local_schema = _cohort_layout(directory, schema)
         self._sources: Dict[str, FrameSource] = {
             spec.name: FrameSource(
                 shard_dir(directory, spec.name),
@@ -666,19 +682,23 @@ class ShardedFrameSource:
         self._txn_states: Dict[str, object] = {}
 
     @property
-    def position(self) -> Dict[str, Tuple[int, int]]:
+    def position(self) -> Position:
         """``{shard: (generation, seq)}`` of the last shipped frames."""
-        return {name: source.position for name, source in self._sources.items()}
+        return Position(
+            {name: source.position.raw
+             for name, source in self._sources.items()}
+        )
 
-    def attach(self, positions: Optional[Dict[str, Tuple[int, int]]]) -> bool:
-        """Position every shard stream at the follower's durable cut;
-        a shard that cannot resume incrementally snapshots on the next
-        poll.  Returns ``True`` iff every shard resumes incrementally."""
+    def attach(self, positions) -> bool:
+        """Position every shard stream at the follower's durable cut (a
+        :class:`Position` or a ``{shard: (generation, seq)}`` map); a
+        shard the follower does not name, or that cannot resume
+        incrementally, snapshots on the next poll.  Returns ``True``
+        iff every shard resumes incrementally."""
         positions = positions or {}
         resumed = True
         for name, source in self._sources.items():
-            pos = positions.get(name, (0, 0))
-            resumed = source.attach(pos[0], pos[1]) and resumed
+            resumed = source.attach(*positions.get(name, (0, 0))) and resumed
         return resumed
 
     def poll(self) -> List[dict]:
@@ -702,12 +722,7 @@ class ShardedFrameSource:
             messages.append(encode_shard_map_message(self._shard_map_text))
             self._sent_shard_map = True
         messages.extend(body)
-        messages.append(
-            encode_cut_message(
-                {name: source.position
-                 for name, source in self._sources.items()}
-            )
-        )
+        messages.append(encode_cut_message(self.position))
         return messages
 
     def _gate(self, txid: Optional[str]) -> bool:
@@ -724,21 +739,13 @@ class ShardedFrameSource:
 # ----------------------------------------------------------------------
 # replica side: the applier
 # ----------------------------------------------------------------------
-class ReplicaApplier:
-    """A follower's local copy: its own WAL, fed by the stream.
+class _Follower:
+    """What a plain applier and a sharded cohort set up, persist and
+    answer identically; each opens its own journals in ``_open()``."""
 
-    Owns the store directory (advisory lock held while open — two
-    appliers scribbling one journal would corrupt it), appends shipped
-    frames to the local journal with fsync, and replays them through an
-    embedded :class:`StoreReader` — the identical bootstrap/replay path
-    every reader uses, so the replica's view *is* a reader's view.  A
-    restarted applier recovers its durable position (torn tail
-    truncated exactly like any crashed store) and resumes from there.
-
-    The full read surface is the embedded reader: ``instance`` for
-    search/check, ``position()``/``lag()``/``status()`` for
-    introspection.
-    """
+    #: Last known primary frontier — set by whoever drives the stream
+    #: (:func:`follow`); lag introspection only.
+    frontier: Optional[Position] = None
 
     def __init__(
         self,
@@ -754,30 +761,95 @@ class ReplicaApplier:
         self._registry = registry
         self._io = io if io is not None else StoreIO()
         self.schema_crc = schema_fingerprint(schema)
+        self._closed = False
+        os.makedirs(directory, exist_ok=True)
+        state = read_replica_state(directory)
+        if upstream is None and state is not None:
+            upstream = state.get("upstream")
         self.upstream = upstream
+        self._open()
+
+    def lag_frames(self) -> Optional[int]:
+        """Frames behind the last known primary frontier, summed over
+        the members (``None`` until a frontier was observed, or while a
+        member stands in another generation than the frontier's)."""
+        if self.frontier is None:
+            return None
+        return self.position().lag_frames(self.frontier)
+
+    def status(self) -> dict:
+        """Introspection snapshot for CLI/fsck reporting: the durable
+        position in its ``replica.state`` fields, plus the counters."""
+        return {
+            "directory": self.directory,
+            "upstream": self.upstream,
+            **self.position().to_fields(),
+            "frontier": self.frontier,
+            "lag_frames": self.lag_frames(),
+            "consistent": self.consistent(),
+            "frames_applied": self.frames_applied,
+            "bytes_applied": self.bytes_applied,
+            "snapshots_installed": self.snapshots_installed,
+        }
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    @staticmethod
+    def _decoded(message) -> StreamMessage:
+        if isinstance(message, StreamMessage):
+            return message
+        return decode_stream_message(message)
+
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise StoreError(f"replica applier for {self.directory} is closed")
+
+    def _save_state(self) -> None:
+        """Record the advisory ``replica.state``: who is followed, under
+        which schema, up to where."""
+        payload = {
+            "upstream": self.upstream,
+            "schema_crc": self.schema_crc,
+            **self.position().to_fields(),
+        }
+        _write_state(self._io, self.directory, REPLICA_STATE_FILE, payload)
+
+
+class ReplicaApplier(_Follower):
+    """A follower's local copy: its own WAL, fed by the stream.
+
+    Owns the store directory (advisory lock held while open — two
+    appliers scribbling one journal would corrupt it), appends shipped
+    frames to the local journal with fsync, and replays them through an
+    embedded :class:`StoreReader` — the identical bootstrap/replay path
+    every reader uses, so the replica's view *is* a reader's view.  A
+    restarted applier recovers its durable position (torn tail
+    truncated exactly like any crashed store) and resumes from there.
+
+    The full read surface is the embedded reader: ``instance`` for
+    search/check, ``position()``/``lag_frames()`` for introspection.
+    """
+
+    def _open(self) -> None:
         self.reader: Optional[StoreReader] = None
         self._announced: Optional[int] = None
-        self._closed = False
-        #: Last known primary frontier ``(generation, seq)`` — updated
-        #: by whoever drives the stream; lag introspection only.
-        self.frontier: Optional[Tuple[int, int]] = None
         self.frames_applied = 0
         self.bytes_applied = 0
         self.snapshots_installed = 0
-        os.makedirs(directory, exist_ok=True)
-        self._lock = DirectoryStore._acquire_lock(directory)
+        self._lock = DirectoryStore._acquire_lock(self.directory)
         try:
-            if os.path.exists(os.path.join(directory, SNAPSHOT_FILE)):
+            if os.path.exists(os.path.join(self.directory, SNAPSHOT_FILE)):
                 # Truncate a torn tail from a crashed append before
                 # tailing again: appending past torn bytes would turn a
                 # benign crash into a corrupt journal.
-                recover(directory, io=self._io, repair=True)
+                recover(self.directory, io=self._io, repair=True)
                 self.reader = StoreReader.open(
-                    directory, schema, registry, io=self._io
+                    self.directory, self._schema, self._registry, io=self._io
                 )
-            state = read_replica_state(directory)
-            if state is not None and self.upstream is None:
-                self.upstream = state.get("upstream")
         except BaseException:
             DirectoryStore._release_lock(self._lock)
             raise
@@ -794,37 +866,24 @@ class ReplicaApplier:
             )
         return self.reader.instance
 
-    def position(self) -> Tuple[int, int]:
+    def open_view(self, **reader_options) -> StoreReader:
+        """A long-lived lock-free view of the replicated copy, for a
+        replica server's connections."""
+        return StoreReader.open(
+            self.directory, self._schema, self._registry, **reader_options
+        )
+
+    def position(self) -> Position:
         """``(generation, seq)`` durably applied — ``(0, 0)`` before
         the first snapshot lands."""
         if self.reader is None:
-            return (0, 0)
+            return Position.plain(0, 0)
         return self.reader.position()
 
-    def lag_frames(self) -> Optional[int]:
-        """Frames behind the last known primary frontier (``None``
-        until a frontier was observed or across a generation switch)."""
-        if self.frontier is None:
-            return None
-        generation, seq = self.position()
-        if generation != self.frontier[0]:
-            return None
-        return max(0, self.frontier[1] - seq)
-
-    def status(self) -> dict:
-        """Introspection snapshot for CLI/fsck reporting."""
-        generation, seq = self.position()
-        return {
-            "directory": self.directory,
-            "upstream": self.upstream,
-            "generation": generation,
-            "seq": seq,
-            "frontier": self.frontier,
-            "lag_frames": self.lag_frames(),
-            "frames_applied": self.frames_applied,
-            "bytes_applied": self.bytes_applied,
-            "snapshots_installed": self.snapshots_installed,
-        }
+    def consistent(self) -> bool:
+        """Always: a plain replica's journal is a committed prefix
+        after every applied message (a cohort's is only on a cut)."""
+        return True
 
     # -- stream application --------------------------------------------
     def apply_message(self, message) -> StreamMessage:
@@ -837,17 +896,18 @@ class ReplicaApplier:
         cannot align with the stream (resync from a snapshot).
         """
         self._ensure_open()
-        decoded = (
-            message
-            if isinstance(message, StreamMessage)
-            else decode_stream_message(message)
-        )
+        decoded = self._decoded(message)
         if decoded.kind == "snapshot":
             self._install_snapshot(decoded)
         elif decoded.kind == "schema":
             self._handle_schema(decoded)
-        else:
+        elif decoded.kind == "frames":
             self._apply_frames(decoded)
+        else:
+            raise ReplicationError(
+                f"{self.directory} replicates a plain store, but the "
+                f"upstream ships a sharded one ({decoded.kind!r} message)"
+            )
         self._save_state()
         return decoded
 
@@ -861,17 +921,7 @@ class ReplicaApplier:
             self.reader = None
         DirectoryStore._release_lock(self._lock)
 
-    def __enter__(self) -> "ReplicaApplier":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- internals -----------------------------------------------------
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise StoreError(f"replica applier for {self.directory} is closed")
-
     def _check_schema(self, decoded: StreamMessage) -> None:
         if decoded.schema_crc != self.schema_crc:
             raise ReplicationError(
@@ -1010,18 +1060,8 @@ class ReplicaApplier:
         write_manifest(self.directory, manifest, self._io)
 
     def _save_state(self) -> None:
-        generation, seq = self.position()
-        payload = {
-            "upstream": self.upstream,
-            "generation": generation,
-            "seq": seq,
-            "schema_crc": self.schema_crc,
-        }
         self._io.fault_point("repl:state")
-        self._io.write_file_atomic(
-            os.path.join(self.directory, REPLICA_STATE_FILE),
-            (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"),
-        )
+        super()._save_state()
 
 
 def read_replica_state(directory: str) -> Optional[dict]:
@@ -1039,7 +1079,7 @@ def read_replica_state(directory: str) -> Optional[dict]:
 # ----------------------------------------------------------------------
 # replica side, sharded: the cohort applier
 # ----------------------------------------------------------------------
-class ShardedReplicaApplier:
+class ShardedReplicaApplier(_Follower):
     """A follower *set*: one :class:`ReplicaApplier` per shard, batches
     applied atomically at ``cut`` boundaries.
 
@@ -1054,36 +1094,16 @@ class ShardedReplicaApplier:
     promoted) until a new cut lands otherwise.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        schema: DirectorySchema,
-        registry: Optional[AttributeRegistry] = None,
-        *,
-        io: Optional[StoreIO] = None,
-        upstream: Optional[str] = None,
-    ) -> None:
-        self.directory = directory
-        self._schema = schema
-        self._registry = registry
-        self._io = io if io is not None else StoreIO()
-        self.upstream = upstream
+    def _open(self) -> None:
         self.lock = threading.Lock()
         self._appliers: Dict[str, ReplicaApplier] = {}
         self._pending: List[StreamMessage] = []
-        self._cut: Optional[Dict[str, Tuple[int, int]]] = None
-        self._closed = False
-        os.makedirs(directory, exist_ok=True)
+        self._cut: Optional[Position] = None
         try:
-            if os.path.exists(shard_map_path(directory)):
+            if os.path.exists(shard_map_path(self.directory)):
                 self._open_shards()
             if self._appliers:
-                state = read_cut_state(directory)
-                if state is not None:
-                    self._cut = state
-            persisted = read_replica_state(directory)
-            if persisted is not None and self.upstream is None:
-                self.upstream = persisted.get("upstream")
+                self._cut = read_cut_state(self.directory)
         except BaseException:
             self.close()
             raise
@@ -1118,14 +1138,10 @@ class ShardedReplicaApplier:
                 f"sharded replica {self.directory} holds no state yet; "
                 "it needs a shard map and snapshots from its primary"
             )
-        with self.lock:
-            reader = CompositeReader.open(
-                self.directory, self._schema, self._registry
-            )
-            try:
-                return reader.instance
-            finally:
-                reader.close()
+        with self.lock, CompositeReader.open(
+            self.directory, self._schema, self._registry
+        ) as reader:
+            return reader.instance
 
     def open_view(self, **reader_options):
         """A long-lived lock-free composite view of the cohort, for a
@@ -1158,43 +1174,24 @@ class ShardedReplicaApplier:
                 )
             yield
 
-    def position(self) -> Dict[str, Tuple[int, int]]:
+    def position(self) -> Position:
         """``{shard: (generation, seq)}`` durably applied — ``{}``
         before the shard map lands."""
-        return {name: a.position() for name, a in self._appliers.items()}
+        return Position(
+            {name: a.position().raw for name, a in self._appliers.items()}
+        )
 
     def consistent(self) -> bool:
         """Whether every shard stands exactly at the last replicated
         cut — the only states in which the composite view is whole."""
         return self._cut is not None and self.position() == self._cut
 
-    def status(self) -> dict:
-        """Per-shard applier status plus the last replicated cut."""
-        return {
-            "directory": self.directory,
-            "upstream": self.upstream,
-            "shards": {
-                name: a.status() for name, a in self._appliers.items()
-            },
-            "cut": None if self._cut is None else {
-                name: list(pos) for name, pos in self._cut.items()
-            },
-            "consistent": self.consistent(),
-            "frames_applied": self.frames_applied,
-            "bytes_applied": self.bytes_applied,
-            "snapshots_installed": self.snapshots_installed,
-        }
-
     # -- stream application --------------------------------------------
     def apply_message(self, message) -> StreamMessage:
         """Buffer shard-tagged messages; a ``cut`` applies the whole
         batch atomically under :attr:`lock` and records the frontier."""
         self._ensure_open()
-        decoded = (
-            message
-            if isinstance(message, StreamMessage)
-            else decode_stream_message(message)
-        )
+        decoded = self._decoded(message)
         if decoded.kind == "shardmap":
             self._install_shard_map(decoded)
             return decoded
@@ -1225,26 +1222,9 @@ class ShardedReplicaApplier:
         for applier in self._appliers.values():
             applier.close()
 
-    def __enter__(self) -> "ShardedReplicaApplier":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- internals -----------------------------------------------------
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise StoreError(
-                f"sharded replica applier for {self.directory} is closed"
-            )
-
     def _open_shards(self) -> None:
-        from repro.legality.scope import analyze_shard_scope, shard_local_schema
-
-        shard_map = read_shard_map(self.directory)
-        local_schema = shard_local_schema(
-            self._schema, analyze_shard_scope(self._schema, shard_map)
-        )
+        shard_map, local_schema = _cohort_layout(self.directory, self._schema)
         for spec in shard_map:
             self._appliers[spec.name] = ReplicaApplier(
                 shard_dir(self.directory, spec.name),
@@ -1286,56 +1266,57 @@ class ShardedReplicaApplier:
                     f"says {decoded.frontier}; the stream and the "
                     "follower set diverge"
                 )
-            self._cut = dict(decoded.frontier)
+            self._cut = decoded.frontier
             self._save_cut_state()
             self._save_state()
 
     def _save_cut_state(self) -> None:
         assert self._cut is not None
-        payload = {name: list(pos) for name, pos in self._cut.items()}
         self._io.fault_point("repl:cut-state")
-        self._io.write_file_atomic(
-            os.path.join(self.directory, CUT_STATE_FILE),
-            (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"),
-        )
-
-    def _save_state(self) -> None:
-        payload = {
-            "upstream": self.upstream,
-            "shards": {
-                name: list(pos) for name, pos in self.position().items()
-            },
-            "schema_crc": schema_fingerprint(self._schema),
-        }
-        self._io.write_file_atomic(
-            os.path.join(self.directory, REPLICA_STATE_FILE),
-            (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"),
+        _write_state(
+            self._io, self.directory, CUT_STATE_FILE, self._cut.to_wire()
         )
 
 
-def read_cut_state(directory: str) -> Optional[Dict[str, Tuple[int, int]]]:
+def read_cut_state(directory: str) -> Optional[Position]:
     """The follower set's last recorded cut, or ``None`` when absent or
     damaged (the per-shard WALs are the truth; the cut only gates
     serving and promotion)."""
     path = os.path.join(directory, CUT_STATE_FILE)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+            return Position.from_fields({"shards": json.load(handle)})
     except (OSError, ValueError):
         return None
-    if not isinstance(payload, dict):
-        return None
-    cut: Dict[str, Tuple[int, int]] = {}
-    for name, pos in payload.items():
-        if not (
-            isinstance(name, str)
-            and isinstance(pos, list)
-            and len(pos) == 2
-            and all(isinstance(p, int) and not isinstance(p, bool) for p in pos)
-        ):
-            return None
-        cut[name] = (pos[0], pos[1])
-    return cut
+
+
+def follow(applier, head: Position):
+    """Point ``applier`` at the frontier ``head`` its upstream just
+    acknowledged; returns the applier to feed the stream to.
+
+    This is where a fresh replica directory learns its kind: opened
+    before any contact it is provisionally plain, and when the
+    acknowledgement says the upstream is sharded (or the reverse) it is
+    reopened as the upstream's kind — the first applied message then
+    puts that on disk for every later start.  A directory that already
+    holds the other kind is a layout mismatch, not a guess to correct.
+    """
+    if applier.position().is_plain != head.is_plain:
+        if is_sharded(applier.directory) is not None:
+            held = "sharded" if head.is_plain else "plain"
+            raise ReplicationError(
+                f"shard layout mismatch: {applier.directory} holds a "
+                f"{held} store, but the upstream acknowledged "
+                f"{head.to_wire()}; replicate into a fresh directory"
+            )
+        applier.close()
+        kind = ReplicaApplier if head.is_plain else ShardedReplicaApplier
+        applier = kind(
+            applier.directory, applier._schema, applier._registry,
+            io=applier._io, upstream=applier.upstream,
+        )
+    applier.frontier = head
+    return applier
 
 
 def pump(source: FrameSource, applier: ReplicaApplier, limit: int = 1000) -> int:
@@ -1368,8 +1349,12 @@ def promote(
     registry: Optional[AttributeRegistry] = None,
     *,
     io: Optional[StoreIO] = None,
-) -> DirectoryStore:
-    """Promote a follower's local copy to a writable primary.
+):
+    """Promote a follower's local copy to a writable primary — a plain
+    replica, or a replicated sharded cohort as a unit
+    (:func:`_promote_cohort`), whichever ``directory`` holds; a
+    directory nothing was replicated into yet is refused
+    (:class:`StoreError`, like every other refusal).
 
     Steps, each behind a named fault point so the failover crash
     matrix can kill between any two:
@@ -1390,44 +1375,52 @@ def promote(
     committed prefix and can be promoted again.
     """
     io = io if io is not None else StoreIO()
+    sharded = is_sharded(directory)
+    if sharded is None:
+        raise StoreError(
+            f"refusing to promote {directory}: nothing has been replicated "
+            "into it yet — it holds neither a snapshot nor a replicated cut"
+        )
+    if sharded:
+        return _promote_cohort(directory, schema, registry, io)
     io.fault_point("promote:inspect")
-    _, report = recover(directory, schema, registry, io=io, repair=False)
-    if report.in_doubt_txid is not None:
-        raise StoreError(
-            f"refusing to promote {directory}: in-doubt 2PC transaction "
-            f"{report.in_doubt_txid} is visible at the replication "
-            "frontier; only the old primary's coordinator log can decide "
-            "it — resolve it there (recover --shards) or discard the "
-            "prepare explicitly before promoting"
-        )
-    if report.read_only:
-        raise StoreError(
-            f"refusing to promote {directory}: recovery found damage "
-            "beyond the committed prefix (corrupt tail); run `recover "
-            "--force` and inspect the quarantine first"
-        )
+    _promotable(directory, schema, registry, io, directory)
     io.fault_point("promote:open")
     store = DirectoryStore.open(directory, schema, registry, io=io)
     try:
         io.fault_point("promote:compact")
         store.compact()
         io.fault_point("promote:state")
-        state_path = os.path.join(directory, REPLICA_STATE_FILE)
-        if os.path.exists(state_path):
-            os.unlink(state_path)
+        _drop_state(directory, REPLICA_STATE_FILE)
     except BaseException:
         store.close()
         raise
     return store
 
 
-def promote_shards(
-    directory: str,
-    schema: DirectorySchema,
-    registry: Optional[AttributeRegistry] = None,
-    *,
-    io: Optional[StoreIO] = None,
-):
+def _promotable(journal_dir: str, schema, registry, io: StoreIO, subject: str):
+    """Promotion's read-only recovery pass over one journal; returns
+    the report, or refuses (having touched nothing) on an in-doubt 2PC
+    prepare or on damage beyond the committed prefix."""
+    _, report = recover(journal_dir, schema, registry, io=io, repair=False)
+    if report.in_doubt_txid is not None:
+        raise StoreError(
+            f"refusing to promote {subject}: in-doubt 2PC transaction "
+            f"{report.in_doubt_txid} is visible at the replication "
+            "frontier; only the old primary's coordinator log can decide "
+            "it — resolve it there (`recover`) or discard the "
+            "prepare explicitly before promoting"
+        )
+    if report.read_only:
+        raise StoreError(
+            f"refusing to promote {subject}: recovery found damage "
+            f"beyond the committed prefix ({report.summary()}); run "
+            "`recover --force` and inspect the quarantine first"
+        )
+    return report
+
+
+def _promote_cohort(directory: str, schema, registry, io: StoreIO):
     """Promote a sharded follower set to a writable sharded primary —
     the whole cohort, or none of it.
 
@@ -1441,10 +1434,8 @@ def promote_shards(
     dropped, and the cohort reopened as a
     :class:`~repro.store.sharded.ShardedStore`.
     """
-    from repro.legality.scope import analyze_shard_scope, shard_local_schema
     from repro.store.sharded import ShardedStore
 
-    io = io if io is not None else StoreIO()
     cut = read_cut_state(directory)
     if cut is None:
         raise StoreError(
@@ -1452,38 +1443,27 @@ def promote_shards(
             "recorded — the follower set never reached a coordinator-cut "
             "boundary it could be served (or promoted) at"
         )
-    shard_map = read_shard_map(directory)
-    local_schema = shard_local_schema(
-        schema, analyze_shard_scope(schema, shard_map)
-    )
+    shard_map, local_schema = _cohort_layout(directory, schema)
     io.fault_point("promote-shards:inspect")
     already_promoted = set()
     for spec in shard_map:
         member = shard_dir(directory, spec.name)
-        _, report = recover(member, local_schema, registry, io=io, repair=False)
-        if report.in_doubt_txid is not None:
-            raise StoreError(
-                f"refusing to promote {directory}: shard {spec.name!r} "
-                f"holds in-doubt 2PC transaction {report.in_doubt_txid}; "
-                "only the old primary's coordinator log can decide it"
-            )
-        if report.read_only:
-            raise StoreError(
-                f"refusing to promote {directory}: shard {spec.name!r} "
-                "has damage beyond its committed prefix "
-                f"({report.summary()})"
-            )
+        report = _promotable(
+            member, local_schema, registry, io,
+            f"{directory} (shard {spec.name!r})",
+        )
         position = (report.generation, report.last_seq)
-        if spec.name in cut and position == cut[spec.name]:
+        held = cut.get(spec.name, None)
+        if position == held:
             continue
-        # A member a crashed promote_shards already bumped sits one
+        # A member a crashed cohort promotion already bumped sits one
         # generation past its cut entry with an empty journal and a
         # non-replica manifest; re-running must finish the cohort, not
         # refuse it.
         manifest = read_manifest(member, io)
         if (
-            spec.name in cut
-            and position == (cut[spec.name][0] + 1, 0)
+            held is not None
+            and position == (held[0] + 1, 0)
             and manifest is not None
             and manifest.role != "replica"
         ):
@@ -1492,7 +1472,7 @@ def promote_shards(
         raise StoreError(
             f"refusing to promote {directory}: shard {spec.name!r} "
             f"stands at {position} but the last replicated cut "
-            f"records {cut.get(spec.name)}; the cohort promotes "
+            f"records {held}; the cohort promotes "
             "atomically or not at all"
         )
     for spec in shard_map:
@@ -1503,10 +1483,6 @@ def promote_shards(
             shard_dir(directory, spec.name), local_schema, registry, io=io
         ).close()
     io.fault_point("promote-shards:cut-state")
-    cut_path = os.path.join(directory, CUT_STATE_FILE)
-    if os.path.exists(cut_path):
-        os.unlink(cut_path)
-    state_path = os.path.join(directory, REPLICA_STATE_FILE)
-    if os.path.exists(state_path):
-        os.unlink(state_path)
+    _drop_state(directory, CUT_STATE_FILE)
+    _drop_state(directory, REPLICA_STATE_FILE)
     return ShardedStore.open(directory, schema, registry)

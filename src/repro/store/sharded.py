@@ -117,6 +117,7 @@ from repro.schema.directory_schema import DirectorySchema
 from repro.schema.elements import RequiredClass
 from repro.store import index as _index
 from repro.store.journal import DirectoryStore
+from repro.store.position import Position
 from repro.store.reader import ReaderLag, RefreshResult, StoreReader
 from repro.store.recovery import replay_change
 from repro.store.txlog import TXLOG_FILE, TxLog, inspect_txlog
@@ -186,6 +187,17 @@ def _globalized_change(change, spec: ShardSpec, shard_map: ShardMap):
         ModifyRecord(shard_map.globalize(record.dn, spec), record.ops)
         for record in change
     ]
+
+
+def _summed(total: Optional[CheckStats], stats: Optional[CheckStats]):
+    """``total`` with one more shard's engine ``stats`` folded in (the
+    first is copied: per-shard records stay their sessions' own)."""
+    if stats is None:
+        return total
+    if total is None:
+        return stats.copy()
+    total.merge(stats)
+    return total
 
 
 def _orphan_report(
@@ -620,7 +632,7 @@ class ShardedStore:
             txid = shard.pending_txid
             if txid is None or shard.read_only:
                 # A degraded (read-only) shard keeps its in-doubt state
-                # for `recover --shards` to deal with after repair.
+                # for `recover` to deal with after repair.
                 continue
             verdict = self._txlog.verdict(txid)
             shard.resolve_pending(verdict)
@@ -945,11 +957,7 @@ class ShardedStore:
         for outcome in outcomes:
             merged.cost += outcome.cost
             merged.checks.extend(outcome.checks)
-            if outcome.stats is not None:
-                if merged.stats is None:
-                    merged.stats = outcome.stats.copy()
-                else:
-                    merged.stats.merge(outcome.stats)
+            merged.stats = _summed(merged.stats, outcome.stats)
         merged.checks.extend(extra_checks)
         return merged
 
@@ -1124,6 +1132,19 @@ class ShardedStore:
         )
         self._composite_cache = (frontier, stitched)
         return stitched
+
+    @property
+    def instance(self) -> DirectoryInstance:
+        """The directory instance this store holds — the stitched
+        composite, under the name a plain store uses."""
+        return self.composite_instance()
+
+    def position(self) -> Position:
+        """The committed frontier, one member per shard."""
+        return Position(
+            {name: (generation, seq)
+             for name, generation, seq in self.frontier_key()}
+        )
 
     def frontier_key(self) -> Tuple[Tuple[str, int, int], ...]:
         """``((name, generation, journal_length), ...)`` per shard —
@@ -1449,13 +1470,14 @@ class CompositeReader:
 
     def check(self) -> LegalityReport:
         """Full legality of the composite view: per-shard reports
-        (memoized sessions, DNs globalized) plus composite elements."""
+        (memoized sessions, DNs globalized, engine stats summed) plus
+        composite elements."""
         self._ensure_open()
         merged = LegalityReport()
         for spec in self.shard_map:
-            merged.extend(
-                _globalized(self._readers[spec.name].check(), spec).violations
-            )
+            report = _globalized(self._readers[spec.name].check(), spec)
+            merged.extend(report.violations)
+            merged.stats = _summed(merged.stats, report.stats)
         merged.extend(
             _composite_report(
                 self.scope,
@@ -1631,7 +1653,11 @@ class CompositeReader:
     def frontier(self) -> Dict[str, Tuple[int, int]]:
         """``{shard: (generation, seq)}`` of the current view."""
         self._ensure_open()
-        return {name: r.position() for name, r in self._readers.items()}
+        return {name: r.position().raw for name, r in self._readers.items()}
+
+    def position(self) -> Position:
+        """The current view's position, one member per shard."""
+        return Position(self.frontier())
 
     def shard_reader(self, name: str) -> StoreReader:
         """The per-shard reader (shard-local DNs!) for introspection."""

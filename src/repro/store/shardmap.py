@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ShardMapError, ShardRoutingError
 from repro.model.dn import DN, parse_dn
+from repro.store.recovery import SNAPSHOT_FILE
 
 __all__ = [
     "SHARD_MAP_FILE",
@@ -47,6 +48,7 @@ __all__ = [
     "read_shard_map",
     "write_shard_map",
     "shard_dir",
+    "is_sharded",
 ]
 
 SHARD_MAP_FILE = "shardmap"
@@ -226,6 +228,16 @@ def shard_dir(root: str, name: str) -> str:
 
 def shard_map_path(root: str) -> str:
     return os.path.join(root, SHARD_MAP_FILE)
+
+
+def is_sharded(root: str) -> Optional[bool]:
+    """What the directory ``root`` holds: ``True`` a sharded store (a
+    ``shardmap``), ``False`` a plain one (a snapshot), ``None`` neither
+    — a fresh directory.  Every opener in :mod:`repro.store` picks its
+    class from this, so no caller says which kind it expects."""
+    if os.path.exists(shard_map_path(root)):
+        return True
+    return False if os.path.exists(os.path.join(root, SNAPSHOT_FILE)) else None
 
 
 def _body(shard_map: ShardMap) -> dict:

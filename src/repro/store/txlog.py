@@ -327,8 +327,8 @@ def _txid_sort_key(txid: str):
 
 
 def inspect_txlog(root: str, io: Optional[StoreIO] = None) -> Optional[TxLog]:
-    """Load the coordinator log read-only for tools (``fsck --shards``);
-    ``None`` when the root has none.  Unlike :meth:`TxLog.open` this
+    """Load the coordinator log read-only for tools (``fsck`` of a
+    sharded store); ``None`` when the root has none.  Unlike :meth:`TxLog.open` this
     never rewrites anything: a torn tail is tolerated (its frames past
     the committed prefix are simply not loaded) and corruption still
     raises."""

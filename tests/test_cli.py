@@ -394,6 +394,21 @@ class TestCheckStore:
                      "--profile"]) == 0
         assert "entries content-checked" in capsys.readouterr().out
 
+    def test_check_sharded_store_profile(self, tmp_path, paths, capsys):
+        """The sharded follow loop used to drop the ``--profile`` table
+        its plain twin printed; there is one loop now."""
+        schema, data, _ = paths
+        path = str(tmp_path / "sharded")
+        assert main(["create", path, "--schema", schema, "--data", data,
+                     "--shard", "att=o=att",
+                     "--shard", "labs=ou=attLabs,o=att"]) == 0
+        capsys.readouterr()
+        assert main(["check", "--schema", schema, "--store", path,
+                     "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "[att@g1.0 labs@g1.0] LEGAL: 6 entries" in out
+        assert "entries content-checked" in out
+
     @pytest.mark.parametrize("interval", ["0", "-1", "-0.5"])
     def test_follow_rejects_non_positive_interval(
         self, live_store, capsys, interval

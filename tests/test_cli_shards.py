@@ -1,15 +1,22 @@
-"""CLI surface of sharded stores (``create --shard``, ``check
---shards``, ``fsck --shards`` with its healthy/degraded/in-doubt exit
-codes, ``recover --shards`` resolving in-doubt 2PC participants,
-``--wait-lock`` backoff on held advisory locks) plus the follow-mode
-shutdown behavior: Ctrl-C is a normal exit (0, message, no traceback)
-and a store that vanishes mid-follow ends the loop with a clear
-message and exit 1 — for both the single-store and the sharded follow
-paths."""
+"""CLI surface of sharded stores (``create --shard``, ``check``,
+``fsck`` with its healthy/degraded/in-doubt exit codes, ``recover``
+resolving in-doubt 2PC participants, ``--wait-lock`` backoff on held
+advisory locks) plus the follow-mode shutdown behavior: Ctrl-C is a
+normal exit (0, message, no traceback) and a store that vanishes
+mid-follow ends the loop with a clear message and exit 1 — for both
+the single-store and the sharded follow paths.
+
+Every store command reads plain-vs-sharded off the directory
+(:class:`TestKindMatrix`); ``--shards`` survives as an expectation that
+selects nothing and exits 2 against a plain store."""
 
 from __future__ import annotations
 
+import os
 import shutil
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -167,8 +174,8 @@ class TestCheckShards:
         assert main(["create", path, "--schema", schema, "--data", data]) == 0
         capsys.readouterr()
         assert main(["check", "--schema", schema, "--store", path,
-                     "--shards"]) == 1
-        assert "cannot read shard map" in capsys.readouterr().err
+                     "--shards"]) == 2
+        assert "holds a plain store" in capsys.readouterr().err
 
 
 class TestFsckShards:
@@ -230,8 +237,8 @@ def _strand_in_doubt(path, schema_path, point):
 
 
 class TestInDoubt2PC:
-    """``fsck --shards`` exit 3 on in-doubt 2PC state and
-    ``recover --shards`` resolving it with the coordinator's verdict."""
+    """``fsck`` exit 3 on in-doubt 2PC state and ``recover`` resolving
+    it with the coordinator's verdict."""
 
     def test_fsck_reports_undecided_prepares(self, sharded_store, capsys):
         schema, path = sharded_store
@@ -241,7 +248,7 @@ class TestInDoubt2PC:
         assert ("IN DOUBT: shard att holds prepared transaction tx-1 "
                 "(coordinator verdict: abort)") in out
         assert "IN DOUBT: shard labs" in out
-        assert "IN-DOUBT 2PC STATE (run `recover --shards` to resolve)" in out
+        assert "IN-DOUBT 2PC STATE (run `recover` to resolve)" in out
         assert "COMPOSITE VIEW CONSISTENT" not in out
 
     def test_recover_shards_aborts_undecided(self, sharded_store, capsys):
@@ -289,8 +296,8 @@ class TestInDoubt2PC:
 
     def test_recover_shards_not_a_sharded_store(self, plain_store, capsys):
         schema, path = plain_store
-        assert main(["recover", path, "--schema", schema, "--shards"]) == 1
-        assert "recover:" in capsys.readouterr().out
+        assert main(["recover", path, "--schema", schema, "--shards"]) == 2
+        assert "recover:" in capsys.readouterr().err
 
 
 class TestWaitLock:
@@ -459,3 +466,101 @@ class TestShardedReplicationCli:
         assert main(["promote", bare, "--schema", schema_path,
                      "--shards"]) == 1
         assert "cut" in capsys.readouterr().err
+
+
+class TestKindMatrix:
+    """No command is told whether a store is sharded: each finds out
+    from the directory and prints what the flagged invocation always
+    printed.  ``--shards`` only states an expectation."""
+
+    BANNERS = {
+        "plain": {
+            "check": "[gen 1 seq 0] LEGAL: 6 entries",
+            "fsck": "HEALTHY",
+            "recover": "mode: read-write",
+            "position": "generation 1, seq 0",
+            "promoted": "writable at generation 2 (6 entries)",
+        },
+        "sharded": {
+            "check": "[att@g1.0 labs@g1.0] LEGAL: 6 entries",
+            "fsck": "COMPOSITE VIEW CONSISTENT",
+            "recover": "SHARDS RECOVERED",
+            "position": "att: generation 1, seq 0, labs: generation 1, seq 0",
+            "promoted": "sharded cohort writable "
+                        "(att: generation 2, labs: generation 2; 6 entries)",
+        },
+    }
+
+    @pytest.fixture(params=["plain", "sharded"])
+    def store(self, request, paths, capsys):
+        schema, data, tmp = paths
+        path = str(tmp / request.param)
+        shard_args = SHARD_ARGS if request.param == "sharded" else []
+        assert main(["create", path, "--schema", schema, "--data", data,
+                     *shard_args]) == 0
+        capsys.readouterr()
+        return request.param, schema, path
+
+    def test_every_command_detects_the_kind(self, store, tmp_path, capsys):
+        from repro.store import is_sharded
+
+        kind, schema, path = store
+        banners = self.BANNERS[kind]
+        for command, argv in (
+            ("check", ["check", "--schema", schema, "--store", path]),
+            ("fsck", ["fsck", path, "--schema", schema]),
+            ("recover", ["recover", path, "--schema", schema]),
+        ):
+            assert main(argv) == 0, command
+            assert banners[command] in capsys.readouterr().out, command
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", path,
+             "--schema", schema, "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            banner = server.stdout.readline().strip()
+            assert banner.startswith(f"serving {path} on 127.0.0.1:"), (
+                banner + server.stderr.read()
+            )
+            assert banner.endswith(" (sharded)") == (kind == "sharded")
+            address = banner.split(" on ")[1].split(" ")[0]
+
+            # a fresh directory takes the kind the upstream acknowledges
+            replica = str(tmp_path / "fresh-replica")
+            assert main(["replicate", replica, "--schema", schema,
+                         "--from", address, "--oneshot"]) == 0
+            assert f"synced to {banners['position']} from {address}" in \
+                capsys.readouterr().out
+            assert is_sharded(replica) == (kind == "sharded")
+        finally:
+            server.send_signal(signal.SIGTERM)
+            _, err = server.communicate(timeout=30)
+        assert server.returncode == 0, err
+        assert "draining connections and shutting down" in err
+
+        assert main(["promote", replica, "--schema", schema]) == 0
+        assert f"promoted {replica}: {banners['promoted']}\n" == \
+            capsys.readouterr().out
+
+    def test_wrong_expectation_exits_two(self, plain_store, capsys):
+        """``--shards`` against a plain store: exit 2, one line, before
+        anything is opened, served or contacted."""
+        schema, path = plain_store
+        for argv in (
+            ["check", "--schema", schema, "--store", path],
+            ["fsck", path, "--schema", schema],
+            ["recover", path, "--schema", schema],
+            ["serve", path, "--schema", schema, "--port", "0"],
+            ["replicate", path, "--schema", schema, "--from", "127.0.0.1:1",
+             "--oneshot"],
+            ["promote", path, "--schema", schema],
+        ):
+            assert main([*argv, "--shards"]) == 2, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"{argv[0]}: --shards given, but {path} holds a plain store\n"
+            )

@@ -22,6 +22,7 @@ from repro.server import DirectoryClient, DirectoryServer, FrontDoor
 from repro.server.client import ServerError
 from repro.server.frontdoor import position_geq, position_max
 from repro.store import DirectoryStore
+from repro.store.sharded import ShardedStore
 from repro.workloads import (
     figure1_instance,
     whitepages_registry,
@@ -29,6 +30,7 @@ from repro.workloads import (
 )
 
 PARENT = "ou=databases,ou=attLabs,o=att"
+NESTED_BASES = {"att": "o=att", "labs": "ou=attLabs,o=att"}
 
 
 class _Topology:
@@ -76,12 +78,19 @@ class _Topology:
             await replica.stop(drain=False)
 
 
-async def _topology(tmp_path, n_replicas=2, **door_kwargs) -> _Topology:
+async def _topology(
+    tmp_path, n_replicas=2, shard_bases=None, **door_kwargs
+) -> _Topology:
     schema, registry = whitepages_schema(), whitepages_registry()
     primary_path = str(tmp_path / "primary")
-    DirectoryStore.create(
-        primary_path, schema, figure1_instance(), registry
-    ).close()
+    if shard_bases:
+        ShardedStore.create(
+            primary_path, schema, shard_bases, figure1_instance(), registry
+        ).close()
+    else:
+        DirectoryStore.create(
+            primary_path, schema, figure1_instance(), registry
+        ).close()
     primary = DirectoryServer(primary_path, schema, registry, port=0)
     await primary.start()
     upstream = f"127.0.0.1:{primary.port}"
@@ -101,7 +110,10 @@ async def _topology(tmp_path, n_replicas=2, **door_kwargs) -> _Topology:
     await door.start()
     topo = _Topology(primary, replicas, door)
     # followers are serving once the bootstrap snapshot has landed
-    await topo.wait_replicas_at({"generation": 1, "seq": 0})
+    await topo.wait_replicas_at(
+        {name: [1, 0] for name in shard_bases} if shard_bases
+        else {"generation": 1, "seq": 0}
+    )
     return topo
 
 
@@ -254,6 +266,48 @@ class TestStalenessContract:
 
         asyncio.run(run())
 
+    def test_max_lag_bounds_sharded_followers_too(self, tmp_path):
+        """``max_lag`` used to filter followers only when positions
+        were plain, so a sharded cohort routed to arbitrarily stale
+        replicas; lag is now the sum of per-shard sequence gaps."""
+
+        async def read(topo, **staleness):
+            reader = await topo.client(dn="cn=reader")  # fresh: no floor
+            try:
+                return await reader.search(filter="(uid=w2)", **staleness)
+            finally:
+                await reader.close()
+
+        async def run():
+            topo = await _topology(
+                tmp_path, n_replicas=1, shard_bases=NESTED_BASES
+            )
+            try:
+                await topo.stall_replica_sync()
+                held_back = {"att": [1, 0], "labs": [1, 0]}
+                writer = await topo.client(dn="cn=writer")
+                for index in (1, 2):  # two frames on the labs shard
+                    written = await writer.add(*_person(index))
+                assert written["position"] == {"att": [1, 0], "labs": [1, 2]}
+                # the door has probed the held-back replica's frontier
+                while (await writer.request("topology"))["replicas"][0][
+                    "position"
+                ] != held_back:
+                    await asyncio.sleep(0.05)
+                await writer.close()
+
+                bounded = await read(topo, max_lag=1)  # 2 frames behind
+                assert bounded["position"] == written["position"]
+                assert len(bounded["entries"]) == 1
+                for staleness in ({"max_lag": 2}, {}):
+                    stale = await read(topo, **staleness)
+                    assert stale["position"] == held_back
+                    assert stale["entries"] == []
+            finally:
+                await topo.stop()
+
+        asyncio.run(run())
+
     def test_connection_floor_makes_reads_monotonic(self, tmp_path):
         async def run():
             topo = await _topology(tmp_path)
@@ -303,6 +357,8 @@ class TestStalenessContract:
                     {"generation": True, "seq": 0},
                     {"generation": 1, "seq": -2},
                     {"att": [1]},
+                    {"att": [1, 2, 3]},
+                    {"generation": 1, "seq": 2, "att": [1, 2]},
                     "soon",
                     {},
                 ):

@@ -7,6 +7,7 @@ a reviewer would check to believe the reproduction as a whole.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.consistency.checker import check_consistency
@@ -17,6 +18,7 @@ from repro.query.evaluator import QueryEvaluator
 from repro.query.optimizer import SchemaAwareOptimizer
 from repro.query.translate import translate_element
 from repro.schema.discovery import discover_schema
+from repro.store import Position
 from repro.updates.incremental import IncrementalChecker
 from repro.workloads import (
     corrupt,
@@ -154,3 +156,101 @@ class TestFigure1Anchors:
         # Section 5: the schema is consistent with a witness
         result = check_consistency(schema, synthesize=True)
         assert result.consistent and result.witness is not None
+
+
+_counts = st.integers(0, 5)
+_pairs = st.tuples(_counts, _counts)
+_shard_names = st.sampled_from(["att", "labs", "research", "generation-2"])
+
+
+_plain_positions = _pairs.map(lambda pair: Position.plain(*pair))
+
+
+def _sharded_positions(min_shards=1):
+    return st.dictionaries(_shard_names, _pairs, min_size=min_shards).map(
+        Position
+    )
+
+
+def _positions(min_shards=1):
+    """Plain and sharded positions over a small shared name space, so
+    pointwise comparisons actually meet."""
+    return st.one_of(_plain_positions, _sharded_positions(min_shards))
+
+
+_junk_fields = st.sampled_from([True, False, -1, "7", 1.5, None, [1]])
+
+
+@st.composite
+def _malformed_payloads(draw):
+    """A valid ``position`` payload broken in one of the ways the
+    server's and the front door's hand-rolled validators used to
+    reject."""
+    position = draw(_positions())
+    payload = position.to_wire()
+    breakage = draw(st.sampled_from(
+        ["field", "arity", "mixed", "empty", "not-an-object"]
+    ))
+    if breakage == "empty":
+        return {}
+    if breakage == "not-an-object":
+        return draw(st.sampled_from(["soon", 7, None, [1, 2], True]))
+    if breakage == "mixed":
+        extra = {"att": [1, 2]} if position.is_plain else {"generation": 1}
+        return {**payload, **extra}
+    key = draw(st.sampled_from(sorted(payload)))
+    if position.is_plain:  # a plain member has no arity to break
+        payload[key] = draw(_junk_fields)
+    elif breakage == "arity":
+        payload[key] = draw(st.sampled_from([[1], [1, 2, 3], [], 4]))
+    else:
+        payload[key][draw(st.integers(0, 1))] = draw(_junk_fields)
+    return payload
+
+
+class TestPosition:
+    """:class:`repro.store.position.Position` — the one place the two
+    position shapes are parsed, validated and compared."""
+
+    @given(_positions())
+    def test_wire_round_trip(self, position):
+        assert Position.from_wire(position.to_wire()) == position
+
+    @given(_positions(min_shards=0))
+    def test_replicate_fields_round_trip(self, position):
+        """The replicate envelope also carries a fresh cohort's empty
+        map, which is no valid ``position`` payload."""
+        assert Position.from_fields(position.to_fields()) == position
+
+    @given(st.data())
+    def test_max_is_the_least_upper_bound(self, data):
+        shape = data.draw(
+            st.sampled_from([_plain_positions, _sharded_positions()])
+        )
+        a, b, c = data.draw(shape), data.draw(shape), data.draw(shape)
+        bound = a.max(b)
+        assert bound >= a and bound >= b
+        assert b.max(a) == bound
+        if c >= a and c >= b:
+            assert c >= bound
+
+    @given(_positions(), _positions())
+    def test_lag_is_zero_exactly_when_caught_up_in_generation(self, held, head):
+        lag = held.lag_frames(head)
+        if lag == 0:
+            assert held >= head
+        if held >= head and lag is not None:
+            assert lag == 0
+
+    @given(_malformed_payloads())
+    def test_malformed_payloads_are_refused(self, payload):
+        """``True`` as a seq, negatives, the empty map, 3-element
+        pairs, mixed shapes: each still raises — the server and the
+        front door turn exactly this into ``bad_request``
+        (``test_server.py::TestReplicatePositionValidation``,
+        ``test_frontdoor.py::test_staleness_fields_validated``)."""
+        with pytest.raises(ValueError):
+            Position.from_wire(payload)
+        if isinstance(payload, dict) and payload and "generation" not in payload:
+            with pytest.raises(ValueError):
+                Position.from_fields({"shards": payload})

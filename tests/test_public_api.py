@@ -84,3 +84,66 @@ class TestDocumentation:
                     if not doc:
                         undocumented.append(f"{obj.__module__}.{obj.__name__}.{attr_name}")
         assert not undocumented, f"undocumented methods: {undocumented}"
+
+
+class TestOneOpener:
+    """The seam PR 14 shut: nothing above ``repro/store`` names either
+    class of a plain/sharded pair or carries a "sharded?" bit — the
+    directory says which kind it is (``repro.store.is_sharded``) and
+    the openers pick the class."""
+
+    KIND_CLASSES = {
+        "DirectoryStore", "ShardedStore", "StoreReader", "CompositeReader",
+        "FrameSource", "ShardedFrameSource", "ReplicaApplier",
+        "ShardedReplicaApplier", "promote_shards",
+    }
+    #: function -> what it may still name: ``create --shard NAME=BASE``
+    #: is where the operator *chooses* the kind, and ``main`` checks the
+    #: vestigial ``--shards`` expectation against the directory.
+    EXCEPTIONS = {
+        ("cli.py", "_cmd_create"): {"DirectoryStore", "ShardedStore"},
+        ("cli.py", "main"): {"shards"},
+    }
+
+    def _offences(self, path):
+        import ast
+
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = []
+
+        def visit(node, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and function is None:
+                function = node.name
+            named = set()
+            if isinstance(node, ast.ImportFrom):
+                named = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                named = {node.id}
+            elif isinstance(node, ast.Attribute):
+                named = {node.attr}
+            elif isinstance(node, ast.Constant) and node.value == "shards":
+                named = {"shards"}  # getattr(x, "shards")
+            allowed = self.EXCEPTIONS.get((path.name, function), set())
+            for name in named & (self.KIND_CLASSES | {"shards"}) - allowed:
+                found.append(f"{path.name}:{node.lineno} {function}: {name}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(tree, None)
+        return found
+
+    def test_nothing_above_the_store_names_a_kind(self):
+        import pathlib
+
+        package = pathlib.Path(repro.__file__).parent
+        offences = []
+        for path in [*sorted((package / "server").glob("*.py")),
+                     package / "cli.py"]:
+            offences.extend(self._offences(path))
+        assert not offences, offences
+
+    def test_the_server_takes_no_kind_selector(self):
+        from repro.server import DirectoryServer
+
+        assert "shards" not in inspect.signature(DirectoryServer).parameters

@@ -483,7 +483,6 @@ class TestShardedReplication:
             CUT_STATE_FILE,
             ShardedFrameSource,
             ShardedReplicaApplier,
-            promote_shards,
             read_cut_state,
         )
 
@@ -493,7 +492,7 @@ class TestShardedReplication:
         with ShardedReplicaApplier(cohort_dir, schema, registry) as applier:
             _pump_sharded(source, applier)
             digest = state_digest(applier.instance)
-        promoted = promote_shards(cohort_dir, schema, registry)
+        promoted = promote(cohort_dir, schema, registry)
         try:
             assert state_digest(promoted.composite_instance()) == digest
             # every member bumped its generation; cohort is writable
@@ -509,13 +508,26 @@ class TestShardedReplication:
         )
 
     def test_promote_shards_refuses_without_a_cut(self, tmp_path, sharded_primary):
-        from repro.store.replicate import promote_shards
-
         _, _, schema, registry, _ = sharded_primary
         bare = str(tmp_path / "bare")
         os.makedirs(bare)
         with pytest.raises(StoreError, match="cut"):
-            promote_shards(bare, schema, registry)
+            promote(bare, schema, registry)
+
+    def test_promote_refuses_a_cohort_without_a_cut(self, sharded_primary):
+        """A cohort that got its shard map but never completed a batch
+        has no replicated cut to be promoted on."""
+        from repro.store.replicate import (
+            ShardedFrameSource,
+            ShardedReplicaApplier,
+        )
+
+        _, primary_dir, schema, registry, cohort_dir = sharded_primary
+        shard_map_message = ShardedFrameSource(primary_dir, schema).poll()[0]
+        with ShardedReplicaApplier(cohort_dir, schema, registry) as applier:
+            assert applier.apply_message(shard_map_message).kind == "shardmap"
+        with pytest.raises(StoreError, match="cut"):
+            promote(cohort_dir, schema, registry)
 
     def test_promote_shards_refuses_off_cut_member(self, sharded_primary):
         """Atomicity of cohort promotion: if any member sits off the
@@ -529,7 +541,6 @@ class TestShardedReplication:
             CUT_STATE_FILE,
             ShardedFrameSource,
             ShardedReplicaApplier,
-            promote_shards,
             read_cut_state,
         )
         from repro.store.shardmap import shard_dir
@@ -539,12 +550,12 @@ class TestShardedReplication:
         source = ShardedFrameSource(primary_dir, schema)
         with ShardedReplicaApplier(cohort_dir, schema, registry) as applier:
             _pump_sharded(source, applier)
-        cut = read_cut_state(cohort_dir)
+        cut = read_cut_state(cohort_dir).raw
         cut["att"] = (cut["att"][0], cut["att"][1] + 1)
         with open(os.path.join(cohort_dir, CUT_STATE_FILE), "w") as handle:
             json.dump({name: list(pos) for name, pos in cut.items()}, handle)
         with pytest.raises(StoreError, match="replicated cut"):
-            promote_shards(cohort_dir, schema, registry)
+            promote(cohort_dir, schema, registry)
         for name in ("att", "labs"):
             manifest = read_manifest(shard_dir(cohort_dir, name))
             assert manifest.role == "replica"  # nobody was bumped

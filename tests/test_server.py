@@ -58,11 +58,9 @@ def sharded_store(tmp_path):
     return path, schema, registry
 
 
-async def _serve(store, *, shards=False, jobs=0):
+async def _serve(store, *, jobs=0):
     path, schema, registry = store
-    server = DirectoryServer(
-        path, schema, registry, shards=shards, jobs=jobs, port=0
-    )
+    server = DirectoryServer(path, schema, registry, jobs=jobs, port=0)
     await server.start()
     return server
 
@@ -479,7 +477,7 @@ class TestNotifyChannel:
 class TestShardedServing:
     def test_search_and_spanning_txn(self, sharded_store):
         async def run():
-            server = await _serve(sharded_store, shards=True)
+            server = await _serve(sharded_store)
             try:
                 client = await _client(server)
                 response = await client.search(filter="(objectClass=person)")
@@ -510,7 +508,7 @@ class TestShardedServing:
 
     def test_sharded_search_is_canonically_ordered(self, sharded_store):
         async def run():
-            server = await _serve(sharded_store, shards=True)
+            server = await _serve(sharded_store)
             try:
                 client = await _client(server)
                 response = await client.search()
@@ -651,7 +649,7 @@ class TestReplicatePositionValidation:
 
     def test_sharded_subscribe_validates_shard_positions(self, sharded_store):
         async def run():
-            server = await _serve(sharded_store, shards=True)
+            server = await _serve(sharded_store)
             try:
                 client = await _client(server, dn="cn=replica")
                 for shards in (
@@ -764,7 +762,7 @@ class TestConcurrentClients:
 
     def test_no_client_observes_in_doubt_2pc_state(self, sharded_store):
         async def run():
-            server = await _serve(sharded_store, shards=True)
+            server = await _serve(sharded_store)
             try:
                 writer = await _client(server, dn="cn=writer")
                 done = asyncio.Event()
@@ -814,6 +812,99 @@ class TestConcurrentClients:
         asyncio.run(run())
 
 
+class TestReplicaSyncErrors:
+    def test_schema_mismatch_is_reported_not_swallowed(
+        self, plain_store, tmp_path, capsys
+    ):
+        """A replica started under a different schema used to bind,
+        answer ``position`` with ``(0, 0)`` for ever and say nothing:
+        the sync loop swallowed every exception.  Now the first failed
+        attempt is printed once and carried in the ``position`` reply,
+        which the front door's ``topology`` passes on."""
+        from repro.server import FrontDoor
+
+        _, _, registry = plain_store
+
+        async def run():
+            primary = await _serve(plain_store)
+            upstream = f"127.0.0.1:{primary.port}"
+            replica = DirectoryServer(
+                str(tmp_path / "replica"), whitepages_schema(extras=True),
+                registry, port=0, replica_of=upstream,
+            )
+            await replica.start()
+            door = FrontDoor(
+                upstream, [f"127.0.0.1:{replica.port}"], probe_interval=0.05
+            )
+            await door.start()
+            try:
+                probe = await _client(replica, dn=None)
+                deadline = asyncio.get_event_loop().time() + 5.0
+                while "sync_error" not in (reply := await probe.position()):
+                    assert asyncio.get_event_loop().time() < deadline, reply
+                    await asyncio.sleep(0.02)
+                assert "schema fingerprint mismatch" in reply["sync_error"]
+                assert reply["position"] == {"generation": 0, "seq": 0}
+                await probe.close()
+                await asyncio.sleep(0.5)  # two more retries, same error
+                via_door = await DirectoryClient.connect("127.0.0.1", door.port)
+                topology = await via_door.request("topology")
+                assert "schema fingerprint mismatch" in \
+                    topology["replicas"][0]["sync_error"]
+                assert "sync_error" not in topology["primary"]
+                await via_door.close()
+            finally:
+                await door.stop(drain=False)
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
+        assert capsys.readouterr().err.count("cannot follow") == 1
+
+    @pytest.mark.parametrize("kind", ["plain", "sharded"])
+    def test_promoting_an_unbootstrapped_replica_is_refused(
+        self, kind, request, tmp_path
+    ):
+        """A replica nothing was replicated into yet — it cannot know
+        its kind, let alone promote — refuses ``promote`` with
+        ``store_error`` like every other unfit candidate, and keeps
+        following: reattached to a live upstream it catches up."""
+        store = request.getfixturevalue(f"{kind}_store")
+        _, schema, registry = store
+
+        async def run():
+            replica = DirectoryServer(
+                str(tmp_path / "replica"), schema, registry,
+                port=0, replica_of="127.0.0.1:1",  # nobody listens there
+            )
+            await replica.start()
+            primary = await _serve(store)
+            try:
+                client = await _client(replica)
+                with pytest.raises(ServerError) as refused:
+                    await client.promote()
+                assert refused.value.code == "store_error"
+                assert "nothing has been replicated" in str(refused.value)
+                reply = await client.position()
+                assert reply["role"] == "replica"
+                assert reply["position"] == {"generation": 0, "seq": 0}
+                upstream = await _client(primary)
+                head = (await upstream.position())["position"]
+                await upstream.close()
+                await client.reattach(f"127.0.0.1:{primary.port}")
+                deadline = asyncio.get_event_loop().time() + 10.0
+                while (reply := await client.position())["position"] != head:
+                    assert asyncio.get_event_loop().time() < deadline, reply
+                    await asyncio.sleep(0.02)
+                assert reply["role"] == "replica"
+                await client.close()
+            finally:
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
+
+
 class TestShardedReplicaServing:
     """A ``--replica-of`` server over a sharded store: its connection
     views must follow the shipped 2PC decisions (a replica has no
@@ -823,7 +914,7 @@ class TestShardedReplicaServing:
     @staticmethod
     async def _replica_of(primary, tmp_path, schema, registry):
         replica = DirectoryServer(
-            str(tmp_path / "replica"), schema, registry, shards=True,
+            str(tmp_path / "replica"), schema, registry,
             port=0, replica_of=f"127.0.0.1:{primary.port}",
         )
         await replica.start()
@@ -858,7 +949,7 @@ class TestShardedReplicaServing:
         _, schema, registry = sharded_store
 
         async def run():
-            primary = await _serve(sharded_store, shards=True)
+            primary = await _serve(sharded_store)
             replica = await self._replica_of(
                 primary, tmp_path, schema, registry
             )
@@ -893,7 +984,7 @@ class TestShardedReplicaServing:
         _, schema, registry = sharded_store
 
         async def run():
-            primary = await _serve(sharded_store, shards=True)
+            primary = await _serve(sharded_store)
             replica = await self._replica_of(
                 primary, tmp_path, schema, registry
             )

@@ -4,14 +4,16 @@ Claims under test: guarded-commit throughput is dominated by the
 incremental check plus one fsync (flat in |D|), recovery replay is
 linear in journal length, the checksummed WAL frame format costs
 less than 2x the seed's bare ``# commit`` marker format per append,
-and a lock-free reader's ``refresh()`` costs O(|Δ|) in the WAL tail —
-independent of snapshot size.
+a lock-free reader's ``refresh()`` costs O(|Δ|) in the WAL tail —
+independent of snapshot size — and so does the legality verdict of a
+reader that has checked once: it follows the frames (Theorem 4.2).
 
 ``BENCH_STORE_SCALE`` scales the reader-refresh store (1.0 -> ~100k
 entries; CI smoke uses a small fraction).
 """
 
 import os
+import random
 import statistics
 import time
 from functools import lru_cache
@@ -20,12 +22,14 @@ from repro.store import DirectoryStore
 from repro.store.reader import StoreReader
 from repro.store.recovery import SNAPSHOT_FILE
 from repro.store.wal import encode_record
+from repro.updates.operations import UpdateTransaction
 from repro.workloads import (
     generate_whitepages,
     random_transaction,
     whitepages_registry,
     whitepages_schema,
 )
+from repro.workloads.update_streams import insertion_points
 
 from _helpers import fit_growth, print_series
 
@@ -306,3 +310,54 @@ def test_reader_refresh_scales_with_tail(benchmark, tmp_path):
         small.close()
         reader.close()
         big.close()
+
+
+def test_reader_verdict_follows_commits_in_delta_work(tmp_path):
+    """Work-unit gate: a reader's answer to a commit is O(|Δ|).
+
+    60 one-entry commits against a reader that has checked once cost it
+    one full check in total, one content check per committed entry
+    (inside ``refresh()``, where the frame's Δ-check now runs), no
+    session work at all in the ``check()`` after each refresh, and no
+    renumbering of the document order beyond the first.  The same
+    commits against a reader nobody asked for a verdict cost no
+    Δ-checks: it replays blind, as ever."""
+    schema = whitepages_schema()
+    registry = whitepages_registry()
+    path = str(tmp_path / "followed")
+    store = DirectoryStore.create(path, schema, _big_instance(), registry)
+    checked = StoreReader.open(path, schema, registry)
+    unasked = StoreReader.open(path, schema, registry)
+    try:
+        assert checked.check().is_legal
+        armed = checked.session.stats.copy()
+        rng = random.Random(5)
+        points = insertion_points(store.instance)
+        commits = 60
+        for i in range(commits):
+            uid = f"gate{i}"
+            assert store.apply(UpdateTransaction().insert(
+                f"uid={uid},{rng.choice(points)}", ["person", "top"],
+                {"uid": [uid], "name": [f"gate {i}"]},
+            )).applied
+            for reader in (checked, unasked):
+                assert reader.refresh(strict=True).frames_replayed == 1
+                # index-planned, so it sorts by document order
+                assert len(reader.search(filter=f"(uid={uid})")) == 1
+            before = checked.session.stats.copy()
+            assert checked.check().is_legal
+            idle = checked.session.stats.since(before)
+            assert idle.queries_evaluated == 0 and idle.structure_checks == 0
+            assert idle.cache_hits + idle.cache_misses + idle.entries_checked == 0
+        followed = checked.session.stats.since(armed)
+        assert followed.entries_checked == commits  # Σ|Δ|
+        assert followed.queries_evaluated > 0  # the Figure 5 Δ-queries did run
+        assert (checked.full_checks, checked.followed_checks) == (1, commits)
+        assert (unasked.full_checks, unasked.followed_checks) == (0, 0)
+        assert unasked.session.stats.entries_checked == 0
+        assert unasked.session.stats.queries_evaluated == 0
+        assert checked.instance.renumbers == unasked.instance.renumbers == 1
+    finally:
+        unasked.close()
+        checked.close()
+        store.close()

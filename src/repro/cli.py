@@ -116,11 +116,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _check_store(args: argparse.Namespace) -> int:
     """``check --store DIR [--follow]``: legality of a live store —
     plain or sharded, whichever DIR holds — through a lock-free reader
-    view.  With ``--follow``, refresh and re-check in a loop (memoized,
-    so each round costs only the delta) and print the view's position
-    per round; ``--iterations`` bounds the loop (0 = until
-    interrupted).  One-shot with ``--jobs N > 1`` over a sharded store
-    runs one worker *process per shard*
+    view.  With ``--follow``, refresh and re-check in a loop (the
+    verdict follows the frames, so each round costs only the delta) and
+    print the view's position per round; ``--iterations`` bounds the
+    loop (0 = until interrupted).  One-shot with ``--jobs N > 1`` over
+    a sharded store runs one worker *process per shard*
     (:func:`repro.store.sharded.check_shards_parallel`).  Interrupting
     a follow (Ctrl-C) is a normal shutdown: message, exit 0, no
     traceback; a store that vanishes mid-follow ends the loop with a

@@ -8,8 +8,10 @@ model uses relations (Section 2.1).  It owns a set of
 * a DN index (entries addressable by distinguished name),
 * a per-class index ``c -> {entries with c in class(r)}``, updated
   incrementally as classes change, and
-* a lazy *preorder/postorder interval numbering*, rebuilt after structural
-  mutations, which makes ancestor/descendant tests O(1) and lets the
+* a *preorder/postorder interval numbering*, built lazily and then
+  **maintained**: once a reader has asked for it, every later insertion
+  and deletion patches it in O(|Δ|) (see :meth:`_ensure_order` for the
+  label scheme).  It makes ancestor/descendant tests O(1) and lets the
   hierarchical query evaluator (:mod:`repro.query.evaluator`) meet the
   ``O(|Q| * |D|)`` bound of Jagadish et al. [9] that Theorem 3.1 relies on.
 
@@ -22,7 +24,18 @@ of these primitives by :meth:`insert_subtree` and :meth:`delete_subtree`.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from bisect import bisect_left
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    KeysView,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.errors import (
     DuplicateEntryError,
@@ -40,6 +53,16 @@ __all__ = ["DirectoryInstance"]
 #: carry the owning instance's token to stay sound across instances
 #: (two fresh instances both start their class versions at zero).
 _INSTANCE_TOKENS = itertools.count(1)
+
+#: Distance between consecutive interval labels after a full renumber:
+#: the room every entry keeps, before its ``post``, for children it does
+#: not have yet.
+_LABEL_GAP = 1 << 32
+#: A new last child takes ``1/_LABEL_SHARE`` of the room left before its
+#: parent's ``post`` as its own interval (room for its descendants), so
+#: a parent takes several hundred appends, and new entries nest six
+#: deep under one another, before a gap is exhausted.
+_LABEL_SHARE = 32
 
 
 class DirectoryInstance:
@@ -91,7 +114,12 @@ class DirectoryInstance:
         self.indexes: Optional[Any] = None
         # Structural-mutation counter (any shape change bumps it).
         self._shape_generation = 0
-        # Lazy interval numbering; None means stale.
+        #: Full renumberings of the forest so far (:meth:`_ensure_order`).
+        #: An instance whose numbering is maintained across updates keeps
+        #: this at 1 however many entries come and go.
+        self.renumbers = 0
+        # Interval numbering; None means stale (never asked for, or a
+        # label gap ran out), and the next reader renumbers.
         self._pre: Optional[Dict[int, int]] = None
         self._post: Optional[Dict[int, int]] = None
         self._depth: Optional[Dict[int, int]] = None
@@ -164,7 +192,9 @@ class DirectoryInstance:
                 for value in values:
                     entry.add_value(name, value)
         self._notify_entry_changed(eid)
-        self._invalidate_order()
+        self._shape_generation += 1
+        if self._order is not None:
+            self._number_last_child(eid, parent_eid)
         return entry
 
     def delete_entry(self, entry: Entry | int | DN | str) -> None:
@@ -184,6 +214,9 @@ class DirectoryInstance:
         # Notify before the DN index entry disappears: the observer
         # captures the normalized DN for reverse-reference probes.
         self._notify_entry_removed(eid)
+        if self._order is not None:
+            del self._order[self._order_index(eid)]
+            self._forget_labels(eid)
         parent_eid = self._parent[eid]
         if parent_eid is None:
             self._roots.remove(eid)
@@ -202,7 +235,7 @@ class DirectoryInstance:
         del self._parent[eid]
         del self._children[eid]
         node._owner = None
-        self._invalidate_order()
+        self._shape_generation += 1
 
     # ------------------------------------------------------------------
     # subtree operations (update granularity of Theorem 4.1)
@@ -250,11 +283,16 @@ class DirectoryInstance:
 
         Pruning a subtree of size ``k`` costs O(k): the root is unlinked
         from its parent once, DN index keys are derived top-down from
-        the parent's key (no per-node root walk), and the document-order
-        numbering is invalidated once rather than per deleted entry.
+        the parent's key (no per-node root walk), and a valid
+        document-order numbering loses the subtree's labels and its one
+        contiguous slice of the order.
         """
         eid = self._resolve(entry)
         removed = self.extract_subtree(eid)
+        numbered = self._order is not None
+        if numbered:
+            start = self._order_index(eid)
+            del self._order[start : start + len(removed)]
 
         # Unlink the subtree root — the only sibling-list surgery needed.
         parent_eid = self._parent[eid]
@@ -269,6 +307,8 @@ class DirectoryInstance:
         while stack:
             node_eid = stack.pop()
             self._notify_entry_removed(node_eid)
+            if numbered:
+                self._forget_labels(node_eid)
             node = self._entries.pop(node_eid)
             del self._by_dn[self._norm_key.pop(node_eid)]
             del self._dn_key[node_eid]
@@ -283,7 +323,7 @@ class DirectoryInstance:
             del self._parent[node_eid]
             del self._children[node_eid]
             node._owner = None
-        self._invalidate_order()
+        self._shape_generation += 1
         return removed
 
     def extract_subtree(self, entry: Entry | int | DN | str) -> "DirectoryInstance":
@@ -498,6 +538,24 @@ class DirectoryInstance:
         """All entry ids as a set (evaluation scope ``D``)."""
         return set(self._entries.keys())
 
+    def entry_id_view(self) -> KeysView[int]:
+        """All entry ids as a live, set-like view — the O(1) form of
+        :meth:`all_entry_id_set` for callers that only test membership,
+        take the size or intersect (it follows later mutations)."""
+        return self._entries.keys()
+
+    def subtree_size(self, entry: Entry | int) -> int:
+        """Entries in the subtree rooted at ``entry``, itself included:
+        two bisects in the document order, no walk."""
+        self._ensure_order()
+        assert self._pre is not None and self._post is not None
+        assert self._order is not None
+        eid = self._resolve(entry)
+        end = bisect_left(
+            self._order, self._post[eid], key=self._pre.__getitem__
+        )
+        return end - self._order_index(eid)
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -552,14 +610,18 @@ class DirectoryInstance:
             self._class_version.get(object_class, 0) + 1
         )
 
-    def _invalidate_order(self) -> None:
-        self._shape_generation += 1
-        self._pre = None
-        self._post = None
-        self._depth = None
-        self._order = None
-
     def _ensure_order(self) -> None:
+        """Number the forest if its numbering is stale.
+
+        Labels are *gapped*: ``pre`` and ``post`` come off one clock
+        that advances :data:`_LABEL_GAP` per tick, so every entry keeps
+        room before its ``post``.  From then on :meth:`add_entry` labels
+        a new last child inside that room (:meth:`_number_last_child`)
+        and deletions forget labels, so the numbering survives updates;
+        only a gap running out makes it stale again.  An instance nobody
+        has read yet (bulk load, ``parse_ldif``, a stitched composite)
+        is stale from the start and its insertions patch nothing.
+        """
         if self._order is not None:
             return
         pre: Dict[int, int] = {}
@@ -572,12 +634,11 @@ class DirectoryInstance:
             stack: List[Tuple[int, int, bool]] = [(root, 1, False)]
             while stack:
                 node, d, exiting = stack.pop()
+                clock += _LABEL_GAP
                 if exiting:
                     post[node] = clock
-                    clock += 1
                     continue
                 pre[node] = clock
-                clock += 1
                 depth[node] = d
                 order.append(node)
                 stack.append((node, d, True))
@@ -587,6 +648,51 @@ class DirectoryInstance:
         self._post = post
         self._depth = depth
         self._order = order
+        self.renumbers += 1
+
+    def _number_last_child(self, eid: int, parent_eid: Optional[int]) -> None:
+        """Patch a valid numbering for ``eid``, just linked in as the
+        last child of ``parent_eid`` (last root for ``None``): its
+        interval goes between the previous sibling's ``post`` (the
+        parent's ``pre`` for a first child) and the parent's ``post``.
+        When fewer than two labels are free there the numbering goes
+        stale, and the next reader renumbers the forest."""
+        pre, post, depth, order = self._pre, self._post, self._depth, self._order
+        assert pre is not None and post is not None
+        assert depth is not None and order is not None
+        if parent_eid is None:
+            # Labels are unbounded ints: the room after the last root
+            # never runs out.
+            low = post[self._roots[-2]] if len(self._roots) > 1 else 0
+            width = _LABEL_GAP
+            depth[eid] = 1
+        else:
+            siblings = self._children[parent_eid]
+            low = post[siblings[-2]] if len(siblings) > 1 else pre[parent_eid]
+            room = post[parent_eid] - low
+            if room < 3:
+                self._pre = self._post = self._depth = self._order = None
+                return
+            width = max(1, room // _LABEL_SHARE)
+            depth[eid] = depth[parent_eid] + 1
+        # Nothing is ever inserted *before* a last child, so its
+        # interval starts right after ``low``.
+        pre[eid] = low + 1
+        post[eid] = low + 1 + width
+        order.insert(self._order_index(eid), eid)
+
+    def _order_index(self, eid: int) -> int:
+        """Where ``eid`` sits (or, not yet inserted, belongs) in a valid
+        ``_order``: one bisect over the ``pre`` labels."""
+        assert self._pre is not None and self._order is not None
+        return bisect_left(
+            self._order, self._pre[eid], key=self._pre.__getitem__
+        )
+
+    def _forget_labels(self, eid: int) -> None:
+        assert self._pre is not None and self._post is not None
+        assert self._depth is not None
+        del self._pre[eid], self._post[eid], self._depth[eid]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DirectoryInstance(|D|={len(self._entries)}, roots={len(self._roots)})"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, Mapping, Optional, Set
+from typing import AbstractSet, Dict, Mapping, Optional, Set
 
 from repro.axes import Axis
 from repro.errors import QueryError
@@ -88,7 +88,9 @@ class QueryEvaluator:
         checking this is the *updated* instance).
     scopes:
         Mapping from scope label to the set of entry ids that label
-        denotes.  Nodes with an unknown label raise :class:`QueryError`.
+        denotes — any read-only set (the incremental checker binds
+        ``D + Δ`` to a live view of the instance, not a copy).  Nodes
+        with an unknown label raise :class:`QueryError`.
 
     Attributes
     ----------
@@ -108,7 +110,7 @@ class QueryEvaluator:
     def __init__(
         self,
         instance: DirectoryInstance,
-        scopes: Optional[Mapping[str, Set[int]]] = None,
+        scopes: Optional[Mapping[str, AbstractSet[int]]] = None,
         adaptive: bool = True,
     ) -> None:
         self.instance = instance
@@ -155,7 +157,7 @@ class QueryEvaluator:
             result &= self._scope_set(query.scope)
         return result
 
-    def _scope_set(self, label: str) -> Set[int]:
+    def _scope_set(self, label: str) -> AbstractSet[int]:
         try:
             return self.scopes[label]
         except KeyError:
@@ -412,7 +414,7 @@ class QueryEvaluator:
 def evaluate(
     query: Query,
     instance: DirectoryInstance,
-    scopes: Optional[Mapping[str, Set[int]]] = None,
+    scopes: Optional[Mapping[str, AbstractSet[int]]] = None,
 ) -> Set[int]:
     """Convenience wrapper: evaluate ``query`` on ``instance``."""
     return QueryEvaluator(instance, scopes).evaluate(query)

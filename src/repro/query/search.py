@@ -65,6 +65,24 @@ def _in_scope(
     return instance.is_ancestor(base, entry)
 
 
+def _scope_size(
+    instance: DirectoryInstance,
+    base: Optional[Entry],
+    scope: SearchScope,
+) -> int:
+    """How many entries :func:`_candidates` would yield, without
+    yielding them: O(1) for ``base``/``one``, two bisects in the
+    document order for the subtree scopes."""
+    if scope is SearchScope.BASE:
+        return 0 if base is None else 1
+    if scope is SearchScope.ONE:
+        children = instance.root_ids() if base is None else instance.children_ids(base)
+        return len(children)
+    if base is None:
+        return len(instance)
+    return instance.subtree_size(base) - (scope is SearchScope.CHILDREN)
+
+
 def _candidates(
     instance: DirectoryInstance,
     base: Optional[Entry],
@@ -142,11 +160,18 @@ def search(
     indexes = getattr(instance, "indexes", None)
     if indexes is not None and predicate is not TRUE_FILTER:
         planned = FilterPlanner(indexes).plan(predicate)
+        # The probe bounds the result from one side and the scope from
+        # the other: walk whichever is smaller (a unit's dozen children,
+        # not the directory's thousands of persons).
+        if planned is not None and (
+            _scope_size(instance, base_entry, scope) < len(planned)
+        ):
+            planned = None
 
     results: List[Entry] = []
     if planned is not None:
         # Visit only the candidates, in document order — O(|C| log |C|)
-        # plus one O(1) scope test each, not a pass over |D|.
+        # plus one O(1) scope test each, not a pass over the scope.
         for eid in sorted(
             planned, key=lambda eid: instance.interval_of(eid)[0]
         ):

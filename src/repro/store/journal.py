@@ -58,7 +58,7 @@ import glob
 import os
 import shutil
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Tuple
 
 from repro.errors import (
     StoreError,
@@ -92,7 +92,6 @@ from repro.store.manifest import (
     write_manifest,
 )
 from repro.store.position import Position
-from repro.store.reader import StoreReader
 from repro.store.recovery import (
     JOURNAL_FILE,
     LOCK_FILE,
@@ -102,6 +101,11 @@ from repro.store.recovery import (
 from repro.store.wal import StoreIO
 from repro.updates.incremental import IncrementalChecker, UpdateOutcome
 from repro.updates.operations import InsertEntry, UpdateTransaction
+
+if TYPE_CHECKING:
+    # The reader borrows this module's change-kind table to re-run the
+    # guard on the frames it follows, so the import points that way.
+    from repro.store.reader import StoreReader
 
 __all__ = ["DirectoryStore", "StagedWrite", "inverse_transaction"]
 
@@ -164,8 +168,9 @@ def inverse_transaction(
 
 @dataclass(frozen=True)
 class _ChangeKind:
-    """What the write pipeline needs from one kind of change; each
-    function takes its target first and the change second."""
+    """What the write pipeline — and a reader re-checking the frames it
+    follows — needs from one kind of change; each function takes its
+    target first and the change second."""
 
     #: The journal frame payload (what recovery and readers replay).
     payload: Callable
@@ -514,7 +519,7 @@ class DirectoryStore:
         io: Optional[StoreIO] = None,
         parallelism: Optional[int] = None,
         structure: str = "batched",
-    ) -> StoreReader:
+    ) -> "StoreReader":
         """Open a lock-free read-only view of the store.
 
         Unlike :meth:`open`, this neither takes the advisory lock nor
@@ -526,6 +531,8 @@ class DirectoryStore:
         :class:`~repro.store.reader.StoreReader` for the staleness and
         crash-consistency contract.
         """
+        from repro.store.reader import StoreReader
+
         return StoreReader.open(
             directory,
             schema,

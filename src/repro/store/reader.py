@@ -30,13 +30,14 @@ advances the view; ``lag()`` reports how far behind it is;
 :class:`~repro.errors.StaleReadError`.
 
 Readers expose the read-only half of the store surface: :meth:`search`
-(Section 3 hierarchical selection) and :meth:`check` / :meth:`is_legal`
-(a :class:`~repro.legality.engine.CheckSession` with the fingerprint
-memos — content verdicts are keyed by content fingerprint and the
-structure memo by instance token, so both survive ``refresh`` and
-re-bootstrap and only dirty entries are re-verified).  Readers never
-write anything: not the journal, not the snapshot, not the
-``verdicts.cache`` sidecar (which they load once, read-only, at open).
+(Section 3 hierarchical selection) and :meth:`check` / :meth:`is_legal`.
+The first ``check`` is a full :class:`~repro.legality.engine.CheckSession`
+pass; once it has found the view legal **the verdict follows the
+frames** (Theorem 4.2): every frame replayed from then on goes through
+the same incremental guard the writer ran at ``stage``, so the next
+``check`` has nothing left to compute.  Readers never write anything:
+not the journal, not the snapshot, not the ``verdicts.cache`` sidecar
+(which they load once, read-only, at open).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from typing import Callable, List, Optional, Union
 from repro.errors import StaleReadError, StoreError
 from repro.ldif.reader import parse_ldif
 from repro.legality.engine import CheckSession
+from repro.legality.metrics import CheckStats
 from repro.legality.report import LegalityReport
 from repro.model.attributes import AttributeRegistry
 from repro.model.entry import Entry
@@ -58,15 +60,18 @@ from repro.schema.directory_schema import DirectorySchema
 from repro.store import index as _index
 from repro.store import sidecar as _sidecar
 from repro.store import wal
+from repro.store.journal import _kind_of
 from repro.store.manifest import read_manifest
 from repro.store.position import Position
 from repro.store.recovery import (
     JOURNAL_FILE,
     SNAPSHOT_FILE,
     _scan_legacy,
-    replay_record,
+    parse_record,
 )
 from repro.store.wal import StoreIO
+from repro.updates.incremental import IncrementalChecker
+from repro.updates.operations import UpdateTransaction
 
 __all__ = ["StoreReader", "RefreshResult", "ReaderLag"]
 
@@ -137,6 +142,19 @@ class StoreReader:
         #: beyond that is a full snapshot re-read (generation change,
         #: journal shrink) — the counter the replication lag bench pins.
         self.bootstraps = 0
+        #: ``check()`` calls answered by a full session pass, and by the
+        #: verdict that followed the frames.  A view checked after every
+        #: commit of a legal history shows ``full_checks == 1``.
+        self.full_checks = 0
+        self.followed_checks = 0
+        #: The incremental guard over :attr:`instance`, held from a
+        #: legal full check until a replayed change fails it or the
+        #: instance object is swapped.  While set, the view is legal
+        #: (content and structure) at every position it reaches.
+        self._guard: Optional[IncrementalChecker] = None
+        #: Session stats as of the last report, so a followed report
+        #: carries exactly the Δ-check work done since.
+        self._reported = CheckStats()
         self._snapshot_name = SNAPSHOT_FILE
         self._journal_name = JOURNAL_FILE
         self._closed = False
@@ -243,9 +261,37 @@ class StoreReader:
         )
 
     def check(self) -> LegalityReport:
-        """Full legality report of the current view (memoized session)."""
+        """Legality report of the current view.
+
+        A full session pass, until one finds the view legal.  From then
+        on :meth:`_replay` runs every change through the incremental
+        guard, so the verdict at this position is the one at the
+        previous position plus the Figure 5 Δ-checks already done: the
+        report is empty, and its ``stats`` are the Δ-check work since
+        the previous report.  A change the guard rejected, or a rebuilt
+        instance, brings the full pass (and its exact violations) back.
+        The Section 6.1 extras are not incremental and run in full
+        either way.
+        """
         self._ensure_open()
-        return self._session.check(self.instance)
+        session = self._session
+        if self._guard is None:
+            self.full_checks += 1
+            report = session.check(self.instance)
+            if report.is_legal:
+                self._guard = IncrementalChecker(
+                    self.schema, self.instance, assume_legal=True, session=session
+                )
+        else:
+            self.followed_checks += 1
+            stats = session.stats.since(self._reported)
+            report = LegalityReport(stats=stats)
+            if session.extras is not None:
+                with stats.timer("extras"):
+                    report.extend(session.extras.check(self.instance).violations)
+            stats.violations = len(report)
+        self._reported = session.stats.copy()
+        return report
 
     def is_legal(self) -> bool:
         """Yes/no legality verdict of the current view."""
@@ -552,12 +598,27 @@ class StoreReader:
         return applied, None
 
     def _replay(self, record: wal.WalRecord) -> Optional[str]:
-        """Blind-replay one committed record onto the view and hand the
-        parsed change to :attr:`on_replay`.  Returns ``None``, or — when
-        the record does not replay — the note the scan stops with."""
+        """Replay one committed record onto the view and hand the parsed
+        change to :attr:`on_replay`.  Returns ``None``, or — when the
+        record does not replay — the note the scan stops with.
+
+        A view nobody asked for a verdict replays blind.  One that holds
+        a guard re-runs the writer's Δ-check on its own instance; a
+        change the guard rejects is still committed history, so it is
+        applied blind and the guard dropped — the next :meth:`check` is
+        a full one."""
         try:
-            change = replay_record(self.instance, record)
+            change = parse_record(record)
+            parts = [change] if isinstance(change, UpdateTransaction) else change
+            for part in parts:
+                kind = _kind_of(part)
+                if self._guard is not None:
+                    if kind.guarded(self._guard, part).applied:
+                        continue
+                    self._guard = None
+                kind.replay(self.instance, part)
         except Exception as exc:
+            self._guard = None  # the view may hold part of the change
             return (
                 f"frame seq {record.seq} failed to replay ({exc}); "
                 "stopped at the previous committed frame"
@@ -613,6 +674,7 @@ class StoreReader:
             self._snapshot_name = snapshot_name
             self._journal_name = journal_name
             self.instance = instance
+            self._guard = None  # it vouches for the instance just replaced
             self._resolved_txid = None
             self._generation = generation
             self._seq = 0

@@ -60,8 +60,8 @@ __all__ = [
     "RecoveryReport",
     "scan_store",
     "recover",
+    "parse_record",
     "replay_change",
-    "replay_record",
     "replay_transaction",
 ]
 
@@ -177,7 +177,7 @@ def replay_change(instance: DirectoryInstance, change) -> None:
     """Blindly re-apply a parsed change — an
     :class:`~repro.updates.operations.UpdateTransaction` or a list of
     :class:`~repro.ldif.modify.ModifyRecord`, the two forms
-    :func:`replay_record` returns — onto ``instance``."""
+    :func:`parse_record` returns — onto ``instance``."""
     if isinstance(change, UpdateTransaction):
         replay_transaction(instance, change)
         return
@@ -187,30 +187,18 @@ def replay_change(instance: DirectoryInstance, change) -> None:
         apply_modify_blind(instance, modify)
 
 
-def replay_record(instance: DirectoryInstance, record: wal.WalRecord):
-    """Re-apply one committed journal record onto ``instance`` — blind
-    replay, no legality guard (Theorem 4.1 modularity: the record was
-    checked against exactly this state when it committed).  Shared by
-    crash recovery and the incremental WAL-following reader
-    (:mod:`repro.store.reader`), so both stop at the same frame on the
-    same damage.
-
-    Two payload forms exist: insert/delete transactions (the paper's
-    update model, :func:`replay_transaction`) and in-place ``modify``
-    records (this library's journaled extension, re-applied through
-    :func:`repro.ldif.modify.apply_modify_blind`).
-
-    Returns the parsed change, so a view layered over this one (the
-    sharded composite) can :func:`replay_change` it onto its own
-    instance without parsing the payload a second time."""
+def parse_record(record: wal.WalRecord):
+    """The change one committed journal record carries, in the form
+    :func:`replay_change` takes.  Two payload forms exist: insert/delete
+    transactions (the paper's update model) and in-place ``modify``
+    records (this library's journaled extension).  Shared by crash
+    recovery and the WAL-following reader (:mod:`repro.store.reader`),
+    so both stop at the same frame on the same damage."""
     if _MODIFY_PAYLOAD.search(record.payload):
         from repro.ldif.modify import parse_modifications
 
-        change = parse_modifications(record.payload)
-    else:
-        change = parse_changes(record.payload)
-    replay_change(instance, change)
-    return change
+        return parse_modifications(record.payload)
+    return parse_changes(record.payload)
 
 
 def _scan_legacy(data: bytes) -> wal.ScanResult:
@@ -404,7 +392,7 @@ def recover(
     replay_failed_at: Optional[int] = None
     for index, record in enumerate(visible):
         try:
-            replay_record(instance, record)
+            replay_change(instance, parse_record(record))
         except Exception as exc:
             if strict:
                 raise CorruptJournalError(

@@ -1469,9 +1469,10 @@ class CompositeReader:
         )
 
     def check(self) -> LegalityReport:
-        """Full legality of the composite view: per-shard reports
-        (memoized sessions, DNs globalized, engine stats summed) plus
-        composite elements."""
+        """Full legality of the composite view: per-shard reports (each
+        shard view's verdict follows its own frames once it was found
+        legal; DNs globalized, engine stats summed) plus composite
+        elements."""
         self._ensure_open()
         merged = LegalityReport()
         for spec in self.shard_map:

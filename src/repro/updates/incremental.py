@@ -25,8 +25,9 @@ incremental cost against full re-checking without timing noise.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Union
+from typing import Iterator, List, Optional, Sequence, Set, Union
 
 from repro.errors import UpdateError
 from repro.model.dn import DN
@@ -45,6 +46,29 @@ from repro.updates.table import build_delta_query, rule_for
 from repro.updates.transactions import SubtreeUpdate, decompose
 
 __all__ = ["UpdateOutcome", "IncrementalChecker"]
+
+
+class _Without(AbstractSet):
+    """``universe − excluded`` (``excluded ⊆ universe``) as a read-only
+    set that holds no copy of either operand."""
+
+    def __init__(self, universe: AbstractSet, excluded: AbstractSet) -> None:
+        self._universe = universe
+        self._excluded = excluded
+
+    def __contains__(self, item: object) -> bool:
+        return item in self._universe and item not in self._excluded
+
+    def __iter__(self) -> Iterator[int]:
+        excluded = self._excluded
+        return (item for item in self._universe if item not in excluded)
+
+    def __len__(self) -> int:
+        return len(self._universe) - len(self._excluded)
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> Set[int]:
+        return set(iterable)  # what ``&``, ``|`` and ``-`` produce
 
 
 @dataclass
@@ -155,13 +179,7 @@ class IncrementalChecker:
         parent_key = None if parent is None else str(parent)
         created = self.instance.insert_subtree(parent_key, delta)
         delta_ids: Set[int] = {entry.eid for entry in created}
-        scopes = {
-            SCOPE_DELTA: delta_ids,
-            SCOPE_NEW: self.instance.all_entry_id_set(),
-            SCOPE_OLD: self.instance.all_entry_id_set() - delta_ids,
-            SCOPE_EMPTY: set(),
-        }
-        evaluator = QueryEvaluator(self.instance, scopes)
+        evaluator = self._delta_evaluator(delta_ids)
 
         for element in self.relationships:
             query = build_delta_query(element, "insert")
@@ -307,13 +325,7 @@ class IncrementalChecker:
         # Insertion-side checks (content is unchanged by construction,
         # but the rename may matter to nothing; structure does).
         delta_ids = {e.eid for e in created}
-        scopes = {
-            SCOPE_DELTA: delta_ids,
-            SCOPE_NEW: self.instance.all_entry_id_set(),
-            SCOPE_OLD: self.instance.all_entry_id_set() - delta_ids,
-            SCOPE_EMPTY: set(),
-        }
-        evaluator = QueryEvaluator(self.instance, scopes)
+        evaluator = self._delta_evaluator(delta_ids)
         for element in self.relationships:
             query = build_delta_query(element, "insert")
             assert query is not None
@@ -336,10 +348,7 @@ class IncrementalChecker:
             query = build_delta_query(element, "delete")
             assert query is not None
             offenders = evaluator.evaluate(query) - delta_ids
-            offenders = {
-                eid for eid in offenders
-                if eid in self.instance.all_entry_id_set()
-            }
+            offenders &= self.instance.entry_id_view()
             if offenders:
                 self._report_structural(outcome.report, element, offenders)
         outcome.cost += evaluator.cost
@@ -425,13 +434,7 @@ class IncrementalChecker:
         added = set(add_classes) - old_classes
         removed = set(remove_classes) & old_classes
         delta_ids = {entry.eid}
-        scopes = {
-            SCOPE_DELTA: delta_ids,
-            SCOPE_NEW: self.instance.all_entry_id_set(),
-            SCOPE_OLD: self.instance.all_entry_id_set() - delta_ids,
-            SCOPE_EMPTY: set(),
-        }
-        evaluator = QueryEvaluator(self.instance, scopes)
+        evaluator = self._delta_evaluator(delta_ids)
 
         if outcome.report.is_legal and (added or removed):
             from repro.query.translate import class_selection
@@ -576,6 +579,21 @@ class IncrementalChecker:
                 assert step.subtree is not None
                 parent = None if step.parent_dn is None else str(step.parent_dn)
                 self.instance.insert_subtree(parent, step.subtree)
+
+    def _delta_evaluator(self, delta_ids: Set[int]) -> QueryEvaluator:
+        """An evaluator over the updated instance with Figure 5's four
+        scopes bound.  ``D + Δ`` and ``D`` are views, never copies:
+        binding them costs O(1), not O(|D|)."""
+        everything = self.instance.entry_id_view()
+        return QueryEvaluator(
+            self.instance,
+            {
+                SCOPE_DELTA: delta_ids,
+                SCOPE_NEW: everything,
+                SCOPE_OLD: _Without(everything, delta_ids),
+                SCOPE_EMPTY: set(),
+            },
+        )
 
     def _delta_roots(self, created, delta_ids: Set[int]):
         roots = []

@@ -47,6 +47,10 @@ def shard_names(shards: int):
     return [f"org{i}" for i in range(shards)]
 
 
+def _ready_path(workdir: str, reader_id: int) -> str:
+    return os.path.join(workdir, f"reader-{reader_id}.ready")
+
+
 def _oracle_path(workdir: str, name: str) -> str:
     return os.path.join(workdir, f"oracle-{name}.log")
 
@@ -148,6 +152,7 @@ def composite_reader_main(
                 if time.monotonic() > deadline:
                     raise
                 time.sleep(0.01)
+        open(_ready_path(workdir, reader_id), "w").close()
         checked = {name: None for name in names}
         while True:
             refreshed = reader.refresh()
@@ -261,7 +266,17 @@ def run_shard_stress(
         )
         for i in range(readers)
     ]
-    for proc in writers + reader_procs:
+    # Readers first, writers once every view is open: a writer's whole
+    # stream is ~0.1 s, less than a late fork, and a reader that missed
+    # it would verify one position and prove nothing.
+    for proc in reader_procs:
+        proc.start()
+    ready_by = time.monotonic() + deadline_seconds
+    while time.monotonic() < ready_by and not all(
+        os.path.exists(_ready_path(workdir, i)) for i in range(readers)
+    ):
+        time.sleep(0.005)
+    for proc in writers:
         proc.start()
     for proc in writers + reader_procs:
         proc.join(deadline_seconds)

@@ -1,0 +1,393 @@
+"""Theorem 4.2 on the serving path, stated once: a reader's *followed*
+verdict ≡ the full check of a freshly opened reader.
+
+Once ``StoreReader.check()`` has found its view legal, the reader runs
+every frame it replays through the incremental guard, and ``check()``
+answers from that.  Everything here compares that answer with
+``CheckSession.check`` over a reader opened from scratch at the same
+position — same ``is_legal``, same violations — and pins the *work*:
+a followed ``check()`` touches the session not at all, which is what
+fails at a commit where the verdict does not follow the frames.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from harness.stress import canonical_records, state_digest
+from repro.ldif.modify import ModifyOp, ModifyRecord, serialize_modification
+from repro.model.dn import parse_dn
+from repro.store import DirectoryStore, StoreReader, wal
+from repro.store.recovery import JOURNAL_FILE
+from repro.store.sharded import CompositeReader, ShardedStore
+from repro.updates.operations import UpdateTransaction
+from repro.workloads import (
+    figure1_instance,
+    random_transaction,
+    whitepages_registry,
+    whitepages_schema,
+)
+from repro.workloads.update_streams import deletable_units, insertion_points
+
+
+def strict_schema():
+    """The white-pages schema plus one element the primary does not
+    enforce: no staff member directly under an orgUnit.  Figure 1
+    satisfies it; :func:`staff_tx` does not."""
+    schema = whitepages_schema()
+    schema.structure_schema.forbid_child("orgUnit", "staffMember")
+    return schema.validate()
+
+
+STAFF_DN = "uid=staff,ou=attLabs,o=att"
+
+
+def staff_tx():
+    return UpdateTransaction().insert(
+        STAFF_DN,
+        ["staffMember", "person", "top"],
+        {"uid": ["staff"], "name": ["s taff"]},
+    )
+
+
+def person_tx(uid, parent="ou=attLabs,o=att"):
+    return UpdateTransaction().insert(
+        f"uid={uid},{parent}", ["person", "top"],
+        {"uid": [uid], "name": [f"p {uid}"]},
+    )
+
+
+def make_store(tmp_path, name="store"):
+    return DirectoryStore.create(
+        str(tmp_path / name), whitepages_schema(), figure1_instance(),
+        whitepages_registry(),
+    )
+
+
+def open_reader(directory, schema=None):
+    return StoreReader.open(
+        directory, schema or whitepages_schema(), whitepages_registry()
+    )
+
+
+def violations(report):
+    return sorted(str(violation) for violation in report)
+
+
+def assert_check_matches_fresh(reader, directory, schema=None, was_legal=True):
+    """``reader.check()`` ≡ the full check of a reader opened now.  The
+    verdict follows the frames exactly from one legal report to the
+    next (``was_legal``: what this reader's previous report said), and
+    a followed answer costs the session nothing."""
+    before = reader.session.stats.copy()
+    report = reader.check()
+    work = reader.session.stats.since(before)
+    session_work = (
+        work.cache_hits + work.cache_misses + work.entries_checked
+        + work.queries_evaluated + work.structure_checks
+    )
+    assert (session_work == 0) == (was_legal and report.is_legal)
+    with open_reader(directory, schema) as fresh:
+        assert fresh.position() == reader.position()
+        full = fresh.check()
+    assert report.is_legal == full.is_legal
+    assert violations(report) == violations(full)
+    return report
+
+
+# ----------------------------------------------------------------------
+# every position of the stress harness's writer stream
+# ----------------------------------------------------------------------
+def follow_writer_stream(tmp_path, transactions, compact_every, seed):
+    """The stream of ``harness.stress.writer_main`` — same generator,
+    same compaction cadence — stepped in-process so the reader can be
+    stopped at every oracle position."""
+    store = make_store(tmp_path)
+    reader = open_reader(store._dir)
+    try:
+        assert reader.check().is_legal
+        compactions = 0
+        for i in range(transactions):
+            tx = random_transaction(store.instance, inserts=2, seed=seed + i)
+            assert store.apply(tx).applied
+            reader.refresh()
+            assert state_digest(reader.instance) == state_digest(store.instance)
+            assert assert_check_matches_fresh(reader, store._dir).is_legal
+            if (i + 1) % compact_every == 0:
+                store.compact()
+                compactions += 1
+                # a rebuilt instance: nothing vouches for it yet
+                assert reader.refresh().rebootstrapped
+                assert assert_check_matches_fresh(
+                    reader, store._dir, was_legal=False
+                ).is_legal
+        # one full check at open, one per re-bootstrap; the rest followed
+        assert reader.full_checks == 1 + compactions
+        assert reader.followed_checks == transactions
+        assert reader.bootstraps == 1 + compactions
+    finally:
+        reader.close()
+        store.close()
+
+
+def test_followed_equals_fresh_at_every_oracle_position(tmp_path):
+    follow_writer_stream(tmp_path, transactions=45, compact_every=20, seed=20260806)
+
+
+@pytest.mark.slow
+def test_followed_equals_fresh_at_every_oracle_position_slow(tmp_path):
+    follow_writer_stream(tmp_path, transactions=1000, compact_every=125, seed=9)
+
+
+# ----------------------------------------------------------------------
+# a Hypothesis stream of every frame kind
+# ----------------------------------------------------------------------
+def _frame(kind, pick, instance, serial):
+    """One primary-side change of ``kind`` against the current state;
+    ``pick`` chooses among the candidates.  ``None`` when the state
+    offers no candidate."""
+    def choose(candidates):
+        return candidates[pick % len(candidates)] if candidates else None
+
+    persons = sorted(
+        instance.dn_string_of(eid) for eid in instance.entries_with_class("person")
+    )
+    if kind == "insert":
+        parent = choose(insertion_points(instance))
+        return person_tx(f"h{serial}", parent)
+    if kind == "staff":  # legal for the primary, not under strict_schema()
+        unit = choose(sorted(
+            instance.dn_string_of(eid) for eid in instance.entries_with_class("orgUnit")
+        ))
+        return unit and UpdateTransaction().insert(
+            f"uid=st{serial},{unit}", ["staffMember", "person", "top"],
+            {"uid": [f"st{serial}"], "name": ["s t"]},
+        )
+    if kind == "subtree":
+        parent = choose(insertion_points(instance))
+        unit = f"ou=hu{serial},{parent}"
+        return (
+            UpdateTransaction()
+            .insert(unit, ["orgUnit", "orgGroup", "top"], {"ou": [f"hu{serial}"]})
+            .insert(f"uid=hm{serial},{unit}", ["person", "top"],
+                    {"uid": [f"hm{serial}"], "name": ["h m"]})
+        )
+    if kind == "delete":
+        target = choose(persons)
+        return target and UpdateTransaction().delete(target)
+    if kind == "prune":
+        target = choose(deletable_units(instance))
+        if target is None:
+            return None
+        root = instance.find(target)
+        doomed = [root, *instance.descendants_of(root)]
+        tx = UpdateTransaction()
+        for entry in reversed(doomed):
+            tx.delete(instance.dn_string_of(entry))
+        return tx
+    if kind == "modify":
+        target = choose(persons)
+        return target and ModifyRecord(
+            parse_dn(target), (ModifyOp("replace", "name", (f"renamed {serial}",)),)
+        )
+    assert kind == "modrdn"
+    # modrdn has no journal form; by Theorem 4.1 it is the delete of the
+    # entry and its insertion under the new name, in one transaction.
+    target = choose(persons)
+    if target is None:
+        return None
+    entry = instance.find(target)
+    parent = instance.dn_string_of(instance.parent_of(entry))
+    attributes = {
+        name: list(entry.values(name))
+        for name in entry.attribute_names() if name != "objectClass"
+    }
+    attributes["uid"] = [f"r{serial}"]
+    return (
+        UpdateTransaction()
+        .delete(target)
+        .insert(f"uid=r{serial},{parent}", sorted(entry.classes), attributes)
+    )
+
+
+FRAME_KINDS = ["insert", "staff", "subtree", "delete", "prune", "modify", "modrdn"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(FRAME_KINDS), st.integers(0, 1000)),
+    min_size=1, max_size=12,
+))
+def test_followed_equals_fresh_under_a_frame_stream(tmp_path_factory, frames):
+    """Same-schema follower: every committed frame passes its guard, so
+    one full check serves the whole stream.  Strict follower: the same
+    frames, some of which its schema rejects — applied anyway, verdict
+    dropped, full check reports them."""
+    tmp_path = tmp_path_factory.mktemp("frames")
+    store = make_store(tmp_path)
+    strict = strict_schema()
+    same = open_reader(store._dir)
+    stricter = open_reader(store._dir, strict)
+    try:
+        assert same.check().is_legal and stricter.check().is_legal
+        legal = {same: True, stricter: True}
+        committed = 0
+        for serial, (kind, pick) in enumerate(frames):
+            change = _frame(kind, pick, store.instance, serial)
+            if change is None:
+                continue
+            outcome = store.stage(change).commit()
+            if not outcome.applied:
+                continue  # the primary's own guard refused: no frame
+            committed += 1
+            # (canonical: a delete the primary refused left its siblings
+            # re-ordered in the primary's memory, never in any journal)
+            expected = canonical_records(store.instance)
+            for reader, schema in ((same, None), (stricter, strict)):
+                reader.refresh()
+                assert canonical_records(reader.instance) == expected
+                legal[reader] = assert_check_matches_fresh(
+                    reader, store._dir, schema, legal[reader]
+                ).is_legal
+        assert same.full_checks == 1
+        assert same.followed_checks == committed
+    finally:
+        same.close()
+        stricter.close()
+        store.close()
+
+
+# ----------------------------------------------------------------------
+# the reject path
+# ----------------------------------------------------------------------
+def test_rejected_frame_is_applied_and_costs_full_checks_until_legal(tmp_path):
+    store = make_store(tmp_path)
+    strict = strict_schema()
+    with open_reader(store._dir, strict) as reader:
+        assert reader.check().is_legal
+        assert store.apply(person_tx("fine")).applied
+        reader.refresh()
+        assert assert_check_matches_fresh(reader, store._dir, strict).is_legal
+        assert (reader.full_checks, reader.followed_checks) == (1, 1)
+
+        # Committed history this view's schema rejects: applied blind,
+        # verdict dropped, the full check names the offender.
+        assert store.apply(staff_tx()).applied
+        assert reader.refresh().frames_replayed == 1
+        assert reader.instance.find(STAFF_DN) is not None
+        report = assert_check_matches_fresh(reader, store._dir, strict)
+        assert not report.is_legal
+        assert any("staffMember" in line for line in violations(report))
+        assert (reader.full_checks, reader.followed_checks) == (2, 1)
+
+        # Illegal views never arm: later frames replay blind.
+        assert store.apply(person_tx("later")).applied
+        reader.refresh()
+        assert not assert_check_matches_fresh(
+            reader, store._dir, strict, was_legal=False
+        ).is_legal
+        assert (reader.full_checks, reader.followed_checks) == (3, 1)
+
+        # Legal again: that takes a full check to find out, which re-arms.
+        assert store.apply(UpdateTransaction().delete(STAFF_DN)).applied
+        reader.refresh()
+        assert assert_check_matches_fresh(
+            reader, store._dir, strict, was_legal=False
+        ).is_legal
+        assert (reader.full_checks, reader.followed_checks) == (4, 1)
+        assert store.apply(person_tx("after")).applied
+        reader.refresh()
+        assert assert_check_matches_fresh(reader, store._dir, strict).is_legal
+        assert (reader.full_checks, reader.followed_checks) == (4, 2)
+    store.close()
+
+
+def test_a_view_never_asked_for_a_verdict_replays_blind(tmp_path):
+    store = make_store(tmp_path)
+    with open_reader(store._dir) as reader:
+        for i in range(5):
+            assert store.apply(person_tx(f"q{i}")).applied
+            reader.refresh()
+        idle = reader.session.stats
+        assert (idle.entries_checked, idle.queries_evaluated) == (0, 0)
+        assert (reader.full_checks, reader.followed_checks) == (0, 0)
+    store.close()
+
+
+def test_multi_record_modify_frame_with_one_rejected_record(tmp_path):
+    """A frame of three modify records whose second the strict schema
+    rejects: all three land, the verdict drops at the second."""
+    store = make_store(tmp_path)
+    assert store.apply(person_tx("mod")).applied
+    target = parse_dn("uid=mod,ou=attLabs,o=att")
+    records = [
+        ModifyRecord(target, (ModifyOp("replace", "name", ("m od",)),)),
+        ModifyRecord(target, (ModifyOp("add", "objectClass", ("staffMember",)),)),
+        ModifyRecord(
+            parse_dn("uid=suciu,ou=databases,ou=attLabs,o=att"),
+            (ModifyOp("replace", "name", ("after the reject",)),),
+        ),
+    ]
+    strict = strict_schema()
+    same = open_reader(store._dir)
+    stricter = open_reader(store._dir, strict)
+    try:
+        assert same.check().is_legal and stricter.check().is_legal
+        frame = wal.encode_record(
+            store.journal_length + 1, store.generation,
+            "\n".join(serialize_modification(record) for record in records),
+        )
+        store.close()  # the store journals one record per frame; append by hand
+        with open(f"{store._dir}/{JOURNAL_FILE}", "ab") as journal:
+            journal.write(frame)
+        for reader in (same, stricter):
+            assert reader.refresh().frames_replayed == 1
+            modified = reader.instance.find(str(target))
+            assert modified.values("name") == ("m od",)
+            assert modified.belongs_to("staffMember")
+            suciu = reader.instance.find("uid=suciu,ou=databases,ou=attLabs,o=att")
+            assert suciu.values("name") == ("after the reject",)
+        assert assert_check_matches_fresh(same, store._dir).is_legal
+        assert (same.full_checks, same.followed_checks) == (1, 1)
+        assert not assert_check_matches_fresh(stricter, store._dir, strict).is_legal
+        assert (stricter.full_checks, stricter.followed_checks) == (2, 0)
+    finally:
+        same.close()
+        stricter.close()
+
+
+# ----------------------------------------------------------------------
+# sharded: a spanning #PREPARE/#DECIDE pair through the composite
+# ----------------------------------------------------------------------
+def test_spanning_pair_is_followed_by_every_shard_view(tmp_path):
+    schema, registry = whitepages_schema(), whitepages_registry()
+    path = str(tmp_path / "sharded")
+    store = ShardedStore.create(
+        path, schema, {"att": "o=att", "labs": "ou=attLabs,o=att"},
+        figure1_instance(), registry,
+    )
+    try:
+        with CompositeReader.open(path, schema, registry) as reader:
+            assert reader.check().is_legal
+            tx = person_tx("a", "o=att")
+            tx.insert("uid=b,ou=attLabs,o=att", ["person", "top"],
+                      {"uid": ["b"], "name": ["b b"]})
+            outcome = store.apply(tx)
+            assert outcome.applied and any("2pc" in c for c in outcome.checks)
+            reader.refresh()
+            assert reader.frontier() == {"att": (1, 2), "labs": (1, 2)}
+            shards = [reader.shard_reader(name) for name in ("att", "labs")]
+            before = [shard.session.stats.copy() for shard in shards]
+            report = reader.check()
+            for shard, baseline in zip(shards, before):
+                work = shard.session.stats.since(baseline)
+                assert (work.cache_hits, work.cache_misses) == (0, 0)
+                assert (work.queries_evaluated, work.structure_checks) == (0, 0)
+                assert (shard.full_checks, shard.followed_checks) == (1, 1)
+            # each shard Δ-checked its own half of the pair: one entry
+            assert report.stats.entries_checked == 2
+            with CompositeReader.open(path, schema, registry) as fresh:
+                full = fresh.check()
+            assert report.is_legal and full.is_legal
+            assert violations(report) == violations(full)
+    finally:
+        store.close()

@@ -46,6 +46,34 @@ class TestGuards:
         IncrementalChecker(wp_schema, d, assume_legal=True)  # no raise
 
 
+class TestDeltaScopes:
+    def test_scopes_are_views_that_select_like_sets(self, fig1, wp_schema):
+        """Figure 5's ``D`` and ``D + Δ`` are bound without copying the
+        instance, and still select exactly what the copied sets did."""
+        from repro.query.ast import SCOPE_DELTA, SCOPE_NEW, SCOPE_OLD
+        from repro.query.translate import class_selection
+
+        checker = fresh_checker(fig1, wp_schema)
+        everything = fig1.all_entry_id_set()
+        delta = {fig1.find("uid=suciu,ou=databases,ou=attLabs,o=att").eid}
+        evaluator = checker._delta_evaluator(delta)
+        persons = fig1.entries_with_class("person")
+        for label, expected in (
+            (SCOPE_DELTA, delta), (SCOPE_NEW, everything), (SCOPE_OLD, everything - delta),
+        ):
+            scope = evaluator.scopes[label]
+            assert not isinstance(scope, set) or label == SCOPE_DELTA
+            assert set(scope) == expected and len(scope) == len(expected)
+            assert evaluator.evaluate(
+                class_selection("person").scoped(label)
+            ) == persons & expected
+            assert evaluator.evaluate(
+                class_selection("top").scoped(label)
+            ) == expected
+            hits = {next(iter(delta)), -1} & scope
+            assert hits == {next(iter(delta))} & expected
+
+
 class TestSection42Examples:
     """The worked examples of Section 4.2."""
 

@@ -55,19 +55,19 @@ from repro.workloads import (
 )
 
 
-def naive(instance, filt):
+def naive(instance, filt, **scoped):
     """The scan oracle: the same search with indexes detached."""
     indexes = instance.indexes
     instance.indexes = None
     try:
-        return [str(e.dn) for e in search(instance, filter=filt)]
+        return [str(e.dn) for e in search(instance, filter=filt, **scoped)]
     finally:
         instance.indexes = indexes
 
 
-def indexed(instance, filt):
+def indexed(instance, filt, **scoped):
     """The planned search, as DN strings for comparison."""
-    return [str(e.dn) for e in search(instance, filter=filt)]
+    return [str(e.dn) for e in search(instance, filter=filt, **scoped)]
 
 
 @pytest.fixture()
@@ -185,6 +185,59 @@ class TestPlannerDifferential:
             assert indexed(instance, filt) == naive(instance, filt), (
                 f"planner diverged from scan for {filt} (seed {seed})"
             )
+
+
+    def test_scoped_searches_match_the_naive_scan(self, instance):
+        """Every scope and size limit over a directory that keeps
+        changing: the planner walks the smaller of scope and candidate
+        set, in the maintained document order, and neither choice may
+        show in the results."""
+        vocabulary = ["u1", "u2", "scored1", "200", "or", 5]
+        rng = random.Random(7)
+        added = []
+        for step in range(200):
+            if step % 4 == 0:
+                groups = sorted(instance.entries_with_class("orgGroup"))
+                parent = instance.entry(rng.choice(groups))
+                added.append(instance.add_entry(
+                    parent, f"uid=s{step}", ["person", "top"],
+                    {"uid": [f"s{step}"], "name": [f"scoped {step}"]},
+                ))
+            elif step % 4 == 2 and rng.random() < 0.5:
+                instance.delete_entry(added.pop(rng.randrange(len(added))))
+            base = rng.choice([None, *(str(e.dn) for e in instance)])
+            scoped = dict(
+                base=base,
+                scope=rng.choice(["base", "one", "sub", "children"]),
+                size_limit=rng.choice([None, None, 1, 3]),
+            )
+            filt = _random_filter(rng, vocabulary, depth=2)
+            assert indexed(instance, filt, **scoped) == naive(
+                instance, filt, **scoped
+            ), f"planner diverged from scan for {filt} under {scoped}"
+
+    def test_small_scope_is_walked_instead_of_the_candidates(self, instance):
+        """``(objectClass=person)`` one level under a unit: probed as
+        ever (the probe count is a benchmark metric), then judged on the
+        unit's three children, not on every person of the directory."""
+        judged = []
+
+        class Judged(Equals):
+            def matches(self, entry):
+                judged.append(entry.eid)
+                return super().matches(entry)
+
+        unit = next(
+            e for e in instance if e.belongs_to("orgUnit")
+        )
+        filt = Judged("objectClass", "person")
+        persons = len(instance.entries_with_class("person"))
+        probes = instance.indexes.counters()[0]
+        found = search(instance, base=str(unit.dn), scope="one", filter=filt)
+        assert instance.indexes.counters()[0] == probes + 1
+        assert len(found) == len(judged) == 3 < persons
+        del judged[:]
+        assert len(search(instance, filter=filt)) == persons == len(judged)
 
 
 SIDECAR_FILTERS = (

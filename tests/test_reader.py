@@ -269,18 +269,29 @@ class TestReadSurface:
             assert len(scoped) == 2
 
     def test_check_is_memoized_across_refresh(self, store):
+        """Once a check found the view legal the verdict follows the
+        frames: the refresh Δ-checks what it replays (|Δ| = 2 entries
+        content-checked), and the check after it does no session work."""
         with open_reader(store._dir) as reader:
             report = reader.check()
             assert report.is_legal
             assert reader.is_legal()
             assert store.apply(unit_tx(1)).applied
+            baseline = reader.session.stats.copy()
             reader.refresh()
+            replayed = reader.session.stats.since(baseline)
+            assert replayed.entries_checked == 2
+            assert replayed.queries_evaluated > 0
             baseline = reader.session.stats.copy()
             report = reader.check()
             assert report.is_legal
-            delta = reader.session.stats.since(baseline)
-            # only the delta's entries were content-checked cold
-            assert delta.cache_hits > 0
+            # the report carries the Δ-check's work; making it cost none
+            assert report.stats.entries_checked == 2
+            assert report.stats.queries_evaluated == replayed.queries_evaluated
+            idle = reader.session.stats.since(baseline)
+            assert (idle.entries_checked, idle.cache_hits, idle.cache_misses) == (0, 0, 0)
+            assert (idle.queries_evaluated, idle.structure_checks) == (0, 0)
+            assert (reader.full_checks, reader.followed_checks) == (1, 2)
 
 
 class TestSidecarDiscipline:

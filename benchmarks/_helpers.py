@@ -13,6 +13,8 @@ generation.
 
 from __future__ import annotations
 
+import os
+import sys
 from functools import lru_cache
 from typing import List, Tuple
 
@@ -23,6 +25,13 @@ from repro.workloads import (
     whitepages_schema,
 )
 
+# The sequential reference verdict the differentials compare against
+# lives with the tests; there is one copy.
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
+)
+from oracle import oracle_check  # noqa: E402,F401
+
 #: (orgs, units_per_level, depth, persons_per_unit) per size tier.
 WHITEPAGES_TIERS = {
     "small": (1, 3, 1, 3),
@@ -30,6 +39,13 @@ WHITEPAGES_TIERS = {
     "large": (3, 4, 2, 4),
     "xlarge": (4, 4, 3, 4),
 }
+
+
+def cold_check(session, instance):
+    """A full check that reuses nothing memoized: what the paper's
+    Theorem 3.1 series and every cold timing measure."""
+    session.clear_cache()
+    return session.check(instance)
 
 
 @lru_cache(maxsize=None)

@@ -76,7 +76,7 @@ def test_insertion_cost_independent_of_instance_size(benchmark):
 
         evaluator = QueryEvaluator(guard.instance)
         full_cost = 0
-        for check in guard.structure.checks:
+        for check in guard.session.structure.checks:
             evaluator.evaluate(check.query)
             full_cost += evaluator.last_cost
         assert full_cost == evaluator.cost  # attribution covers all work

@@ -12,9 +12,15 @@ Gates for :class:`repro.legality.engine.CheckSession`:
   re-check must re-run content checks on exactly the ``k``-entry dirty
   set (machine-independent work-counter gate, per the benchmark
   conventions in ``_helpers``).
-* **Differential** — engine (process pool, thread pool, warm cache),
-  sequential checker, and the naive quadratic baseline agree
-  verdict-for-verdict on legal and corrupted instances.
+* **Differential** — the session (process pool, thread fallback, warm
+  cache) agrees verdict-for-verdict with the sequential reference
+  (``tests/oracle.py``: one Figure 4 query at a time, and the naive
+  quadratic baseline) on legal and corrupted instances.
+
+There is one checking path and no engine knobs: cold timings call
+``clear_cache()`` first, the pool is reached by input size (the smoke
+scale patches ``engine.MIN_PARALLEL`` down), and the thread fallback by
+making process pools unavailable.
 
 ``BENCH_LEGALITY_SCALE`` scales the instance (1.0 -> ~100k entries;
 CI smoke uses a small fraction).
@@ -27,10 +33,16 @@ from functools import lru_cache
 
 import pytest
 
-from repro.legality.checker import LegalityChecker
+from repro.legality import engine
 from repro.legality.engine import CheckSession
 
-from _helpers import print_series, whitepages_instance, wp_schema
+from _helpers import (
+    cold_check,
+    oracle_check,
+    print_series,
+    whitepages_instance,
+    wp_schema,
+)
 
 SCALE = float(os.environ.get("BENCH_LEGALITY_SCALE", "1.0"))
 
@@ -65,25 +77,24 @@ def _corrupt(instance, rng, count):
 # ----------------------------------------------------------------------
 # gate 1: parallel speedup
 # ----------------------------------------------------------------------
-def test_parallel_speedup(benchmark):
+def test_parallel_speedup(benchmark, monkeypatch):
     """4 workers >= 1.5x over the sequential content pass at ~100k
     entries; verdicts must agree regardless."""
     schema = wp_schema()
     instance = _big_instance()
-    sequential = CheckSession(schema, parallelism=1, memoize=False)
-    parallel = CheckSession(schema, parallelism=4, memoize=False, min_parallel=1)
+    if len(instance) < engine.MIN_PARALLEL:  # smoke scale: still use the pool
+        monkeypatch.setattr(engine, "MIN_PARALLEL", 1)
+    sequential = CheckSession(schema, parallelism=1)
+    parallel = CheckSession(schema, parallelism=4)
     try:
         seq_report = sequential.check(instance)
         par_report = parallel.check(instance)
         assert _verdicts(seq_report) == _verdicts(par_report)
         assert seq_report.is_legal, "generator output must be legal"
+        assert par_report.stats.workers == 4
 
-        seq_time = min(
-            _timed(sequential.check, instance) for _ in range(3)
-        )
-        par_time = min(
-            _timed(parallel.check, instance) for _ in range(3)
-        )
+        seq_time = min(_timed_cold(sequential, instance) for _ in range(3))
+        par_time = min(_timed_cold(parallel, instance) for _ in range(3))
     finally:
         sequential.close()
         parallel.close()
@@ -108,9 +119,9 @@ def test_parallel_speedup(benchmark):
     assert speedup >= 1.5, f"expected >= 1.5x on 4 workers, got {speedup:.2f}x"
 
 
-def _timed(fn, *args):
+def _timed_cold(session, instance):
     start = time.perf_counter()
-    fn(*args)
+    cold_check(session, instance)
     return time.perf_counter() - start
 
 
@@ -151,11 +162,16 @@ def test_warm_recheck_cost_tracks_dirty_set(benchmark):
 
 
 # ----------------------------------------------------------------------
-# gate 3: differential — engine vs sequential vs naive
+# gate 3: differential — session vs the sequential reference
 # ----------------------------------------------------------------------
+def _no_process_pools(*args, **kwargs):
+    raise OSError("no process pools on this platform")
+
+
 @pytest.mark.parametrize("bad", [0, 7])
-def test_engine_sequential_naive_agree(benchmark, bad):
-    """All checking strategies agree verdict-for-verdict, on a legal
+def test_engine_sequential_naive_agree(benchmark, bad, monkeypatch):
+    """The session — process pool, thread fallback, warm cache — agrees
+    verdict-for-verdict with both sequential oracles, on a legal
     instance and on one with injected content violations."""
     schema = wp_schema()
     rng = random.Random(bad)
@@ -163,14 +179,16 @@ def test_engine_sequential_naive_agree(benchmark, bad):
     if bad:
         instance = _corrupt(instance, rng, bad)
 
-    sequential = _verdicts(LegalityChecker(schema).check(instance))
-    naive = _verdicts(LegalityChecker(schema, structure="naive").check(instance))
-    with CheckSession(schema, parallelism=2, min_parallel=1) as session:
+    sequential = _verdicts(oracle_check(schema, instance, structure="query"))
+    naive = _verdicts(oracle_check(schema, instance, structure="naive"))
+    monkeypatch.setattr(engine, "MIN_PARALLEL", 1)
+    with CheckSession(schema, parallelism=2) as session:
         engine_cold = _verdicts(session.check(instance))
         engine_warm = _verdicts(session.check(instance))
-    with CheckSession(schema, parallelism=2, executor="thread",
-                      min_parallel=1) as session:
-        engine_thread = _verdicts(session.check(instance))
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "ProcessPoolExecutor", _no_process_pools)
+        with CheckSession(schema, parallelism=2) as session:
+            engine_thread = _verdicts(session.check(instance))
 
     assert engine_cold == sequential
     assert engine_warm == sequential
@@ -180,5 +198,5 @@ def test_engine_sequential_naive_agree(benchmark, bad):
 
     benchmark.extra_info["entries"] = len(instance)
     benchmark.extra_info["violations"] = len(sequential)
-    checker = LegalityChecker(schema)
-    benchmark(lambda: checker.check(instance))
+    with CheckSession(schema) as session:
+        benchmark(lambda: cold_check(session, instance))

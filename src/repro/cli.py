@@ -2,11 +2,10 @@
 
 Usage::
 
-    bounding-schemas validate    --schema S.dsl --data D.ldif [--structure query|naive|batched]
+    bounding-schemas validate    --schema S.dsl --data D.ldif
     bounding-schemas check       --schema S.dsl (--data D.ldif | --store DIR)
                                  [--jobs N] [--profile] [--follow]
                                  [--interval SEC] [--iterations N]
-                                 [--structure batched|query|naive]
     bounding-schemas create      STORE_DIR --schema S.dsl [--data D.ldif]
                                  [--shard NAME=BASE_DN ...]
     bounding-schemas consistency --schema S.dsl [--witness OUT.ldif] [--proof]
@@ -46,11 +45,16 @@ runs LDIF change records (``changetype: add``/``delete``) through the
 Section 4 incremental checker: the whole transaction is applied or,
 on any violation, rolled back with an explanation.
 
-``check`` is ``validate`` running on the parallel, memoized legality
-engine (:mod:`repro.legality.engine`): ``--jobs N`` shards the per-entry
-content check across N workers, ``--profile`` prints the engine's
-counter/timer table (entries checked, cache hits, query work, per-phase
-wall time).
+There is one checking path: ``validate``, ``check``, the server's
+``check`` op, ``create``, ``recover`` and ``fsck`` all reach
+:meth:`repro.legality.engine.CheckSession.check` (memoized content →
+batched structure engine → Section 6.1 extras).  ``validate`` is
+``check --data`` under its old name.  ``--jobs N`` (``check`` and
+``serve`` alike) is the worker count: default 1 is sequential, 0 is one
+worker per CPU; ``--profile`` prints the engine's counter/timer table
+(entries checked, cache hits, query work, per-phase wall time).
+``--follow``, ``--interval`` and ``--iterations`` apply to ``--store``
+only; with ``--data`` they are exit 2 and one line.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ import sys
 from typing import List, Optional
 
 from repro.consistency.checker import ConsistencyChecker
-from repro.legality.checker import LegalityChecker
 from repro.ldif.reader import load_ldif
 from repro.ldif.writer import dump_ldif, serialize_ldif
 from repro.query.evaluator import QueryEvaluator
@@ -72,36 +75,32 @@ from repro.schema.dsl import dump_dsl, load_dsl
 __all__ = ["main"]
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    schema = load_dsl(args.schema)
-    instance = load_ldif(args.data)
-    checker = LegalityChecker(schema, structure=args.structure)
-    report = checker.check(instance)
-    if report.is_legal:
-        print(f"LEGAL: {len(instance)} entries satisfy {args.schema}")
-        return 0
-    print(f"ILLEGAL: {len(report)} violation(s)")
-    for violation in report:
-        print(f"  {violation}")
-    return 1
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.legality.engine import default_parallelism
+    """``check`` (and ``validate``, the same command under its old
+    name with ``--data`` only): one :class:`CheckSession` pass."""
+    from repro.legality.engine import CheckSession, default_parallelism
 
     if args.store:
         return _check_store(args)
-    if not args.data:
-        print("check: one of --data or --store is required", file=sys.stderr)
+    given = {
+        "--follow": args.follow,
+        "--interval": args.interval is not None,
+        "--iterations": args.iterations is not None,
+    }
+    stray = [flag for flag, on in given.items() if on]
+    if stray:
+        print(
+            f"check: {', '.join(stray)} only applies to --store "
+            "(a file does not change under the check)",
+            file=sys.stderr,
+        )
         return 2
     schema = load_dsl(args.schema)
     instance = load_ldif(args.data)
-    jobs = args.jobs if args.jobs > 0 else default_parallelism()
-    checker = LegalityChecker(schema, structure=args.structure, parallelism=jobs)
-    try:
-        report = checker.check(instance)
-    finally:
-        checker.close()
+    with CheckSession(
+        schema, parallelism=args.jobs or default_parallelism()
+    ) as session:
+        report = session.check(instance)
     if report.is_legal:
         print(f"LEGAL: {len(instance)} entries satisfy {args.schema}")
     else:
@@ -131,25 +130,24 @@ def _check_store(args: argparse.Namespace) -> int:
     from repro.legality.engine import default_parallelism
     from repro.store import is_sharded, open_view
 
-    if args.follow and args.interval <= 0:
+    interval = 1.0 if args.interval is None else args.interval
+    if args.follow and interval <= 0:
         # A zero or negative interval would busy-spin the CPU between
         # refreshes; refuse it up front.
         print(
             f"check: --interval must be positive with --follow "
-            f"(got {args.interval:g})",
+            f"(got {interval:g})",
             file=sys.stderr,
         )
         return 2
     schema = load_dsl(args.schema)
-    jobs = args.jobs if args.jobs > 0 else default_parallelism()
+    jobs = args.jobs or default_parallelism()
     sharded = is_sharded(args.store)
     try:
         if sharded and not args.follow and jobs > 1:
             from repro.store.sharded import check_shards_parallel
 
-            report, entries = check_shards_parallel(
-                args.store, schema, jobs=jobs, structure=args.structure
-            )
+            report, entries = check_shards_parallel(args.store, schema, jobs=jobs)
             if report.is_legal:
                 print(f"LEGAL: {entries} entries across shards ({jobs} jobs)")
                 return 0
@@ -157,9 +155,7 @@ def _check_store(args: argparse.Namespace) -> int:
             for violation in report:
                 print(f"  {violation}")
             return 1
-        reader = open_view(
-            args.store, schema, parallelism=jobs, structure=args.structure
-        )
+        reader = open_view(args.store, schema, parallelism=jobs)
     except (ShardMapError, OSError) as exc:
         print(f"check: {exc}", file=sys.stderr)
         return 1
@@ -183,7 +179,7 @@ def _check_store(args: argparse.Namespace) -> int:
                 break
             if args.iterations and rounds >= args.iterations:
                 break
-            time.sleep(args.interval)
+            time.sleep(interval)
             refreshed = reader.refresh()
             if refreshed.stale:
                 if is_sharded(args.store) is None:
@@ -888,7 +884,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             host=args.host,
             port=args.port,
-            structure=args.structure,
             replica_of=args.replica_of,
         )
         try:
@@ -1076,16 +1071,17 @@ def build_parser() -> argparse.ArgumentParser:
         "which kind it is)",
     )
 
-    validate = sub.add_parser("validate", help="test an LDIF instance for legality")
+    validate = sub.add_parser(
+        "validate",
+        help="test an LDIF instance for legality (check --data under "
+        "its old name)",
+    )
     validate.add_argument("--schema", required=True, help="bounding-schema DSL file")
     validate.add_argument("--data", required=True, help="LDIF instance file")
-    validate.add_argument(
-        "--structure",
-        choices=("query", "naive", "batched"),
-        default="query",
-        help="structure-checking strategy (default: the Figure 4 reduction)",
+    validate.set_defaults(
+        func=_cmd_check, store=None, jobs=1, profile=False,
+        follow=False, interval=None, iterations=None,
     )
-    validate.set_defaults(func=_cmd_validate)
 
     check = sub.add_parser(
         "check",
@@ -1112,16 +1108,14 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--interval",
         type=float,
-        default=1.0,
         metavar="SEC",
         help="polling interval for --follow (default 1s)",
     )
     check.add_argument(
         "--iterations",
         type=int,
-        default=0,
         metavar="N",
-        help="stop --follow after N check rounds (default 0: until interrupted)",
+        help="stop --follow after N check rounds (default: until interrupted)",
     )
     check.add_argument(
         "--jobs",
@@ -1134,14 +1128,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print the engine's counter/timer table after the verdict",
-    )
-    check.add_argument(
-        "--structure",
-        choices=("batched", "query", "naive"),
-        default="batched",
-        help="structure-checking strategy (default: the batched "
-        "structure engine; 'query' evaluates the Figure 4 reduction "
-        "one query at a time)",
     )
     check.set_defaults(func=_cmd_check)
 
@@ -1288,9 +1274,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--jobs",
         type=int,
-        default=0,
-        help="per-connection legality-check parallelism (default 0: "
-        "engine default)",
+        default=1,
+        help="per-connection legality-check worker count (default 1: "
+        "sequential engine; 0: one worker per CPU)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -1299,12 +1285,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=3890,
         help="bind port (0: ephemeral; the bound port is printed either "
         "way)",
-    )
-    serve.add_argument(
-        "--structure",
-        choices=["batched", "query", "naive"],
-        default="batched",
-        help="structure-checking strategy for the check extended op",
     )
     serve.add_argument(
         "--replica-of",

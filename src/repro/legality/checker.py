@@ -1,111 +1,51 @@
 """The full legality test (Definition 2.7, Theorem 3.1).
 
-:class:`LegalityChecker` combines the per-entry content check
-(Section 3.1), the query-reduction structure check (Section 3.2), and —
-when the schema declares extras — the Section 6.1 checks, into one
+:class:`LegalityChecker` is the paper's name for the one checking path:
+a :class:`~repro.legality.engine.CheckSession`, whose ``check`` combines
+the per-entry content check (Section 3.1), the Figure 4 structure
+queries (Section 3.2, batched by the
+:class:`~repro.legality.structure_engine.StructureEngine`) and — when
+the schema declares extras — the Section 6.1 checks, into one
 ``O(|D| * (...))`` pass matching the Theorem 3.1 bound.
-
-The ``structure`` argument selects the structure-checking strategy:
-``"query"`` (the paper's linear reduction, default), ``"naive"`` (the
-quadratic pairwise baseline), or ``"batched"`` (the
-:class:`~repro.legality.structure_engine.StructureEngine`, which
-evaluates the whole check set as one batch) — all produce identical
-verdicts, which the test suite asserts by differential testing.
-
-The ``parallelism`` knob routes checking through the
-:class:`~repro.legality.engine.CheckSession` engine: the per-entry
-content check is sharded across a worker pool and memoized under content
-fingerprints, and the returned reports carry ``report.stats``.  With the
-default ``parallelism=None`` the checker runs the plain sequential pass
-(verdict-identical, no pool, no cache).
 """
 
 from __future__ import annotations
 
-from typing import Literal, Optional
+from typing import Optional
 
-from repro.model.instance import DirectoryInstance
-from repro.legality.content import ContentChecker
 from repro.legality.engine import CheckSession
-from repro.legality.extras import ExtrasChecker
-from repro.legality.report import LegalityReport
-from repro.legality.structure import NaiveStructureChecker, QueryStructureChecker
-from repro.legality.structure_engine import StructureEngine
 from repro.schema.directory_schema import DirectorySchema
 
 __all__ = ["LegalityChecker"]
 
 
-class LegalityChecker:
+class LegalityChecker(CheckSession):
     """Tests whether directory instances are legal w.r.t. one schema.
 
     The checker is schema-bound and reusable across instances: the
-    Figure 4 queries are compiled once at construction time.
+    Figure 4 queries are compiled once at construction time, and
+    verdicts are memoized under content and class fingerprints.
 
     Parameters
     ----------
     schema:
         The bounding-schema to check against.
     structure:
-        Structure-checking strategy (``"batched"``, ``"query"``, or
-        ``"naive"``).
+        An expectation, not a selector: there is one structure-checking
+        path, ``"batched"``; any other value is a ``ValueError``.
     parallelism:
-        When not ``None``, delegate to a
-        :class:`~repro.legality.engine.CheckSession` with this many
-        content-check workers (``1`` = sequential but memoized and
-        instrumented).  The session is exposed as :attr:`session`.
+        Worker count, as for :class:`~repro.legality.engine.CheckSession`.
     """
 
     def __init__(
         self,
         schema: DirectorySchema,
-        structure: Literal["batched", "query", "naive"] = "query",
+        structure: str = "batched",
         parallelism: Optional[int] = None,
     ) -> None:
-        self.schema = schema
-        self.content = ContentChecker(schema)
-        if structure == "query":
-            self.structure: (
-                QueryStructureChecker | NaiveStructureChecker | StructureEngine
-            ) = QueryStructureChecker(schema.structure_schema)
-        elif structure == "naive":
-            self.structure = NaiveStructureChecker(schema.structure_schema)
-        elif structure == "batched":
-            self.structure = StructureEngine(schema.structure_schema)
-        else:
-            raise ValueError(f"unknown structure strategy {structure!r}")
-        self.extras = None if schema.extras is None else ExtrasChecker(schema.extras)
-        self.session: Optional[CheckSession] = None
-        if parallelism is not None:
-            self.session = CheckSession(
-                schema, parallelism=parallelism, structure=structure
+        if structure != "batched":
+            raise ValueError(
+                f"unknown structure strategy {structure!r}: the batched "
+                "structure engine is the one checking path"
             )
-
-    def check(self, instance: DirectoryInstance) -> LegalityReport:
-        """The full legality report for ``instance``."""
-        if self.session is not None:
-            return self.session.check(instance)
-        report = self.content.check(instance)
-        report.extend(self.structure.check(instance).violations)
-        if self.extras is not None:
-            report.extend(self.extras.check(instance).violations)
-        return report
-
-    def is_legal(self, instance: DirectoryInstance) -> bool:
-        """Yes/no legality verdict (short-circuits on first failure)."""
-        if self.session is not None:
-            return self.session.is_legal(instance)
-        if not self.content.is_legal(instance):
-            return False
-        if not self.structure.is_legal(instance):
-            return False
-        if self.extras is not None and not self.extras.check(instance).is_legal:
-            return False
-        return True
-
-    def close(self) -> None:
-        """Release the worker pools, if any were created."""
-        if self.session is not None:
-            self.session.close()
-        if isinstance(self.structure, StructureEngine):
-            self.structure.close()
+        super().__init__(schema, parallelism=parallelism)

@@ -66,8 +66,12 @@ class ContentChecker:
         violations: List[Violation] = []
         classes = entry.classes
 
-        core: Set[str] = set()
-        for name in classes:
+        # Sorted, like every loop below: the verdict — text and order —
+        # must be a function of the class *set*, because the session
+        # memoizes it under a content fingerprint and hands it to every
+        # entry with that content.
+        core: List[str] = []
+        for name in sorted(classes):
             if name not in schema:
                 violations.append(
                     Violation(
@@ -77,7 +81,7 @@ class ContentChecker:
                     )
                 )
             elif schema.is_core(name):
-                core.add(name)
+                core.append(name)
 
         if not core:
             violations.append(
@@ -93,8 +97,9 @@ class ContentChecker:
         # must cover every core class of the entry (chain test, giving
         # the O(|class(e)| + depth(H)) bound of Section 3.1).
         deepest = max(core, key=lambda c: len(schema.superclasses(c)))
-        chain = set(schema.superclasses(deepest))
-        for name in chain:
+        lineage = schema.superclasses(deepest)
+        chain = set(lineage)
+        for name in lineage:
             if name not in classes:
                 violations.append(
                     Violation(
@@ -105,7 +110,7 @@ class ContentChecker:
                         element=f"{deepest} ⊑ {name}",
                     )
                 )
-        for name in sorted(core):
+        for name in core:
             if name not in chain:
                 violations.append(
                     Violation(
@@ -153,7 +158,7 @@ class ContentChecker:
         if self.extras is not None and self.extras.is_extensible(classes):
             return violations
 
-        for attribute in entry.attribute_names():
+        for attribute in sorted(entry.attribute_names()):
             if attribute == OBJECT_CLASS:
                 continue
             if not schema.allowed_by_any(classes, attribute):

@@ -8,9 +8,9 @@ validation engines for sibling formalisms (ShEx, SHACL) exploit — so a
 
 1. **shards** the per-entry content check over document-order chunks
    across a ``concurrent.futures`` worker pool — a process pool with a
-   pickled schema where possible, a thread pool as fallback — selected
-   by the ``parallelism=`` knob (also surfaced as ``--jobs`` on the
-   CLI);
+   pickled schema where possible, a thread pool as fallback — sized by
+   ``parallelism=`` (``--jobs`` on the CLI) and entered only when at
+   least :data:`MIN_PARALLEL` entries miss the cache;
 2. **memoizes** content verdicts keyed by each entry's *content
    fingerprint* (:meth:`repro.model.entry.Entry.content_fingerprint` — a
    stable digest of classes plus the attribute multiset, invalidated at
@@ -22,14 +22,20 @@ validation engines for sibling formalisms (ShEx, SHACL) exploit — so a
    report and accumulated on the session.
 
 The structure phase runs on the
-:class:`~repro.legality.structure_engine.StructureEngine` by default:
-the whole Figure 4 check set is evaluated as one batch (combined flag
-passes, concurrent non-batched checks on the session's ``parallelism``,
+:class:`~repro.legality.structure_engine.StructureEngine`: the whole
+Figure 4 check set is evaluated as one batch (combined flag passes,
+concurrent non-batched checks on the session's ``parallelism``,
 per-element verdict memoization keyed on class fingerprints).  Extras
 checking remains the global single-pass algorithm of Section 6.1.
 
-Verdict equivalence with the sequential :class:`ContentChecker` (and the
-naive structure baseline) is asserted by differential tests: same
+:meth:`CheckSession.check` is the one place a full verdict (content →
+structure → extras) is composed: ``validate``/``check``, the server's
+``check`` op, store creation, recovery, ``DirectoryStore.check`` and
+every reader view call it.  The paper's literal algorithms
+(:class:`~repro.legality.structure.QueryStructureChecker`, the
+quadratic :class:`~repro.legality.structure.NaiveStructureChecker`)
+stay as classes nothing here selects; the differential tests compose
+them with the sequential :class:`ContentChecker` as the oracle: same
 violations, same order.
 """
 
@@ -40,13 +46,12 @@ import pickle
 from collections import OrderedDict
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from functools import partial
-from typing import Callable, Dict, List, Literal, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.legality.content import ContentChecker
 from repro.legality.extras import ExtrasChecker
 from repro.legality.metrics import CheckStats
 from repro.legality.report import LegalityReport, Violation
-from repro.legality.structure import NaiveStructureChecker, QueryStructureChecker
 from repro.legality.structure_engine import StructureEngine
 from repro.model.dn import RDN
 from repro.model.entry import Entry
@@ -65,6 +70,15 @@ _Payload = Tuple[str, str, Tuple[str, ...], Dict[str, List[object]]]
 #: Entries are detached in workers; the RDN never participates in the
 #: content check, so a placeholder suffices.
 _PAYLOAD_RDN = RDN("cn", "payload")
+
+#: A pass with fewer cache misses than this runs inline even when
+#: ``parallelism > 1`` — pool latency would dominate.
+MIN_PARALLEL = 2_048
+
+#: Maximum number of cached content verdicts; eviction is LRU (one
+#: coldest verdict per insertion beyond the limit), so hot verdicts
+#: survive adversarial streams of ever-fresh content.
+CACHE_LIMIT = 1_000_000
 
 # ----------------------------------------------------------------------
 # process-pool worker side
@@ -108,68 +122,29 @@ class CheckSession:
         The bounding-schema; compiled once (Figure 4 queries, pickled
         schema bytes for pool workers).
     parallelism:
-        Worker count for the content phase.  ``None`` or ``<= 1`` runs
-        sequentially (still memoized).
-    structure:
-        ``"batched"`` (default — the
-        :class:`~repro.legality.structure_engine.StructureEngine`:
-        batched flag propagation, concurrent evaluation on this
-        session's ``parallelism``, per-element memoized verdicts),
-        ``"query"`` (the paper's one-query-at-a-time linear reduction),
-        or ``"naive"`` (the quadratic differential-testing oracle).
-    executor:
-        ``"process"``, ``"thread"``, or ``"auto"`` (default): prefer
-        processes, fall back to threads when the schema does not pickle
-        or process pools are unavailable.
-    memoize:
-        When false, the fingerprint cache is bypassed entirely (every
-        entry is checked every time) — used by benchmarks that need
-        cold-path timings.
-    cache_limit:
-        Maximum number of cached verdicts; eviction is LRU (one coldest
-        verdict per insertion beyond the limit), so hot verdicts
-        survive adversarial streams of ever-fresh content.
-    min_parallel:
-        Instances smaller than this run the sequential path even when
-        ``parallelism > 1`` — pool latency would dominate.
+        Worker count for the content phase and the structure engine.
+        ``None`` or ``<= 1`` runs sequentially (still memoized).  The
+        content pool prefers processes and falls back to threads when
+        the schema does not pickle or process pools are unavailable.
     """
 
     def __init__(
         self,
         schema: DirectorySchema,
         parallelism: Optional[int] = None,
-        structure: Literal["batched", "query", "naive"] = "batched",
-        executor: Literal["auto", "process", "thread"] = "auto",
-        memoize: bool = True,
-        cache_limit: int = 1_000_000,
-        min_parallel: int = 2_048,
     ) -> None:
         self.schema = schema
         self.parallelism = max(1, parallelism or 1)
-        self.memoize = memoize
-        self.cache_limit = cache_limit
-        self.min_parallel = min_parallel
         self.content = ContentChecker(schema)
-        if structure == "batched":
-            self.structure: (
-                StructureEngine | QueryStructureChecker | NaiveStructureChecker
-            ) = StructureEngine(
-                schema.structure_schema,
-                parallelism=self.parallelism,
-                memoize=memoize,
-            )
-        elif structure == "query":
-            self.structure = QueryStructureChecker(schema.structure_schema)
-        elif structure == "naive":
-            self.structure = NaiveStructureChecker(schema.structure_schema)
-        else:
-            raise ValueError(f"unknown structure strategy {structure!r}")
+        self.structure = StructureEngine(
+            schema.structure_schema, parallelism=self.parallelism
+        )
         self.extras = None if schema.extras is None else ExtrasChecker(schema.extras)
         #: Cumulative stats across every check this session ran.
         self.stats = CheckStats()
         self._cache: "OrderedDict[str, Verdict]" = OrderedDict()
         self._executor: Optional[Executor] = None
-        self._executor_kind: str = executor
+        self._pool_broken = False
         self._schema_bytes: Optional[bytes] = None
         self._chunk_runner: Callable[
             [Sequence[_Payload]], List[Tuple[str, Verdict]]
@@ -183,8 +158,7 @@ class CheckSession:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if isinstance(self.structure, StructureEngine):
-            self.structure.close()
+        self.structure.close()
 
     def __enter__(self) -> "CheckSession":
         return self
@@ -195,8 +169,7 @@ class CheckSession:
     def clear_cache(self) -> None:
         """Drop every memoized verdict (content and structure)."""
         self._cache.clear()
-        if isinstance(self.structure, StructureEngine):
-            self.structure.clear_memo()
+        self.structure.clear_memo()
 
     @property
     def cache_size(self) -> int:
@@ -207,11 +180,10 @@ class CheckSession:
     # checking
     # ------------------------------------------------------------------
     def check(self, instance: DirectoryInstance) -> LegalityReport:
-        """The full legality report for ``instance``.
-
-        Verdict-identical to :class:`~repro.legality.checker.LegalityChecker`
-        with the same ``structure`` strategy; the returned report carries
-        this check's :class:`~repro.legality.metrics.CheckStats` under
+        """The full legality report for ``instance`` (Definition 2.7):
+        content, then structure, then the Section 6.1 extras.  The
+        returned report carries this check's
+        :class:`~repro.legality.metrics.CheckStats` under
         ``report.stats``.
         """
         stats = CheckStats()
@@ -220,13 +192,11 @@ class CheckSession:
             report.extend(self._check_content(instance, stats))
         with stats.timer("structure"):
             report.extend(self.structure.check(instance).violations)
-        stats.queries_evaluated += getattr(self.structure, "last_cost", 0)
-        stats.structure_checks += getattr(
-            self.structure, "last_checks_evaluated", 0
-        )
-        stats.structure_cache_hits += getattr(self.structure, "last_cache_hits", 0)
-        stats.structure_batched += getattr(self.structure, "last_batched", 0)
-        stats.flag_passes += getattr(self.structure, "last_flag_passes", 0)
+        stats.queries_evaluated += self.structure.last_cost
+        stats.structure_checks += self.structure.last_checks_evaluated
+        stats.structure_cache_hits += self.structure.last_cache_hits
+        stats.structure_batched += self.structure.last_batched
+        stats.flag_passes += self.structure.last_flag_passes
         if self.extras is not None:
             with stats.timer("extras"):
                 report.extend(self.extras.check(instance).violations)
@@ -248,9 +218,6 @@ class CheckSession:
         re-check of the updated instance pays nothing for Δ.
         """
         where = dn if dn is not None else str(entry.dn)
-        if not self.memoize:
-            self.stats.entries_checked += 1
-            return self.content.check_entry(entry, dn=where)
         fingerprint = entry.content_fingerprint()
         verdict = self._cache.get(fingerprint)
         if verdict is not None:
@@ -280,18 +247,15 @@ class CheckSession:
         # Pass 1: resolve memoized verdicts, collect the miss set.
         verdicts: List[Optional[Verdict]] = [None] * len(entries)
         misses: List[int] = []
-        if self.memoize:
-            for index, entry in enumerate(entries):
-                cached = self._cache.get(entry.content_fingerprint())
-                if cached is None:
-                    misses.append(index)
-                else:
-                    self._cache.move_to_end(entry.content_fingerprint())
-                    verdicts[index] = cached
-            stats.cache_hits += len(entries) - len(misses)
-            stats.cache_misses += len(misses)
-        else:
-            misses = list(range(len(entries)))
+        for index, entry in enumerate(entries):
+            cached = self._cache.get(entry.content_fingerprint())
+            if cached is None:
+                misses.append(index)
+            else:
+                self._cache.move_to_end(entry.content_fingerprint())
+                verdicts[index] = cached
+        stats.cache_hits += len(entries) - len(misses)
+        stats.cache_misses += len(misses)
 
         # Pass 2: check the misses — sharded across the pool when the
         # workload justifies it, inline otherwise.  Within a pass,
@@ -299,7 +263,7 @@ class CheckSession:
         # pure function of the fingerprinted content), so
         # ``entries_checked`` counts checks actually executed.
         if misses:
-            if self.parallelism > 1 and len(misses) >= self.min_parallel:
+            if self.parallelism > 1 and len(misses) >= MIN_PARALLEL:
                 results = self._check_parallel(instance, entries, misses, stats)
             else:
                 results = {}
@@ -319,8 +283,7 @@ class CheckSession:
                 fingerprint = entries[index].content_fingerprint()
                 verdict = results[fingerprint]
                 verdicts[index] = verdict
-                if self.memoize:
-                    self._store(fingerprint, verdict)
+                self._store(fingerprint, verdict)
 
         # Pass 3: assemble in document order, binding DNs lazily (legal
         # entries — the common case — never pay the DN lookup).
@@ -378,7 +341,7 @@ class CheckSession:
                 # time) must degrade, not fail: drop to the sequential
                 # path and stop trying to parallelize this session.
                 self.close()
-                self._executor_kind = "none"
+                self._pool_broken = True
                 results.clear()
         for chunk in chunks:
             results.update(_run_chunk(self.content, chunk))
@@ -390,29 +353,23 @@ class CheckSession:
     def _get_executor(self) -> Optional[Executor]:
         if self._executor is not None:
             return self._executor
-        kind = self._executor_kind
-        if kind == "none" or self.parallelism <= 1:
+        if self._pool_broken or self.parallelism <= 1:
             return None
-        if kind in ("process", "auto"):
-            try:
-                schema_bytes = self._pickled_schema()
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.parallelism,
-                    initializer=_init_worker,
-                    initargs=(schema_bytes,),
-                )
-                self._chunk_runner = _check_chunk
-                return self._executor
-            except Exception:
-                if kind == "process":
-                    raise
-                # auto: schema unpicklable or no process support here —
-                # threads still help when checks release the GIL and
-                # keep the code path uniform when they do not.
-        self._executor = ThreadPoolExecutor(max_workers=self.parallelism)
-        # Thread workers share this process; bind this session's checker
-        # directly (no module-level global — sessions must not clash).
-        self._chunk_runner = partial(_run_chunk, self.content)
+        try:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.parallelism,
+                initializer=_init_worker,
+                initargs=(self._pickled_schema(),),
+            )
+            self._chunk_runner = _check_chunk
+        except Exception:
+            # Schema unpicklable or no process support here — threads
+            # still help when checks release the GIL and keep the code
+            # path uniform when they do not.  Thread workers share this
+            # process; bind this session's checker directly (no
+            # module-level global — sessions must not clash).
+            self._executor = ThreadPoolExecutor(max_workers=self.parallelism)
+            self._chunk_runner = partial(_run_chunk, self.content)
         return self._executor
 
     def _pickled_schema(self) -> bytes:
@@ -431,7 +388,7 @@ class CheckSession:
         # LRU eviction: drop exactly the coldest verdict per insertion
         # beyond the limit — hot entries survive adversarial streams of
         # ever-fresh content (a wholesale clear() would not).
-        while len(self._cache) >= self.cache_limit:
+        while len(self._cache) >= CACHE_LIMIT:
             self._cache.popitem(last=False)
         self._cache[fingerprint] = verdict
 

@@ -158,8 +158,10 @@ class NaiveStructureChecker:
         """Scan every hierarchical pair against every element; report
         the same violations as the query checker, quadratically."""
         report = LegalityReport()
-        required = list(self.structure_schema.required_edges)
-        forbidden = list(self.structure_schema.forbidden_edges)
+        # Element order as in ``StructureSchema.elements()``, so reports
+        # compare equal to the query checker's, order included.
+        required = sorted(self.structure_schema.required_edges, key=str)
+        forbidden = sorted(self.structure_schema.forbidden_edges, key=str)
 
         # satisfied[i] = source entries of required[i] with a qualifying
         # relative found during the pair scan.

@@ -93,23 +93,18 @@ class StructureEngine:
     parallelism:
         Worker-thread count for the non-batched checks.  ``None`` or
         ``<= 1`` evaluates them inline (still batched and memoized).
-    memoize:
-        When false, the per-element verdict memo is bypassed — every
-        check is (re-)evaluated on every call.
     """
 
     def __init__(
         self,
         structure_schema: StructureSchema,
         parallelism: Optional[int] = None,
-        memoize: bool = True,
     ) -> None:
         self.structure_schema = structure_schema
         self.checks: List[TranslatedCheck] = [
             translate_element(element) for element in structure_schema.elements()
         ]
         self.parallelism = max(1, parallelism or 1)
-        self.memoize = memoize
         #: Evaluator work (entries touched) of the most recent call.
         self.last_cost = 0
         #: Elements actually evaluated by the most recent call (memo
@@ -190,22 +185,20 @@ class StructureEngine:
         pending: List[Tuple[int, _MemoKey]] = []
         for index, check in enumerate(self.checks):
             key = self._memo_key(token, instance, check)
-            if self.memoize:
-                cached = self._memo.get(index)
-                if cached is not None and cached[0] == key:
-                    verdicts[index] = cached[1]
-                    self.last_cache_hits += 1
-                    continue
+            cached = self._memo.get(index)
+            if cached is not None and cached[0] == key:
+                verdicts[index] = cached[1]
+                self.last_cache_hits += 1
+                continue
             pending.append((index, key))
 
         if pending:
             self._evaluate_pending(instance, pending, verdicts)
             self.last_checks_evaluated += len(pending)
-            if self.memoize:
-                for index, key in pending:
-                    verdict = verdicts[index]
-                    assert verdict is not None
-                    self._memo[index] = (key, verdict)
+            for index, key in pending:
+                verdict = verdicts[index]
+                assert verdict is not None
+                self._memo[index] = (key, verdict)
         final: List[_Verdict] = []
         for verdict in verdicts:  # all checks answered; keep alignment
             assert verdict is not None

@@ -51,6 +51,7 @@ from repro.errors import (
     StoreError,
     UpdateError,
 )
+from repro.legality.engine import default_parallelism
 from repro.server.protocol import (
     ProtocolError,
     error_response,
@@ -168,7 +169,8 @@ class DirectoryServer:
         its whole lifetime.
     jobs:
         Parallelism handed to each connection's legality engine (the
-        ``check`` extended op); ``0`` means the engine default.
+        ``check`` extended op): ``1`` (the default) is sequential,
+        ``0`` one worker per CPU — the same meaning as ``check --jobs``.
     host / port:
         Bind address.  Port ``0`` binds an ephemeral port; read the
         bound one from :attr:`port` after :meth:`start`.
@@ -191,10 +193,9 @@ class DirectoryServer:
         schema,
         registry=None,
         *,
-        jobs: int = 0,
+        jobs: int = 1,
         host: str = "127.0.0.1",
         port: int = 0,
-        structure: str = "batched",
         replica_of: Optional[str] = None,
     ) -> None:
         self.store_path = store_path
@@ -203,7 +204,6 @@ class DirectoryServer:
         self.jobs = jobs
         self.host = host
         self._requested_port = port
-        self.structure = structure
         self.replica_of = replica_of
         self.store = None
         self._applier = None
@@ -272,14 +272,13 @@ class DirectoryServer:
         opens its views: over a sharded cohort they follow the shipped
         2PC decisions and refresh only on a replicated cut, where a
         primary's view pins each refresh to the coordinator log."""
-        kwargs = {"structure": self.structure}
-        if self.jobs > 0:
-            kwargs["parallelism"] = self.jobs
+        parallelism = self.jobs or default_parallelism()
         try:
             if applier is not None:
-                return applier.open_view(**kwargs)
+                return applier.open_view(parallelism=parallelism)
             return open_view(
-                self.store_path, self.schema, self.registry, **kwargs
+                self.store_path, self.schema, self.registry,
+                parallelism=parallelism,
             )
         except OSError as exc:
             # A replica before its bootstrap snapshot has nothing to

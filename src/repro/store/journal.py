@@ -75,7 +75,6 @@ from repro.ldif.modify import (
     serialize_modification,
 )
 from repro.ldif.writer import serialize_ldif
-from repro.legality.extras import ExtrasChecker
 from repro.legality.report import LegalityReport, Violation
 from repro.model.attributes import AttributeRegistry
 from repro.model.instance import DirectoryInstance
@@ -401,17 +400,9 @@ class DirectoryStore:
             if initial is not None
             else DirectoryInstance(attributes=registry)
         )
-        guard = IncrementalChecker(schema, instance)  # validates baseline
-        if schema.extras is not None:
-            # The incremental guard's baseline covers content and
-            # structure; the Section 6.1 delta checks assume a clean
-            # pre-state, so the extras pass must hold at creation too.
-            extras_report = ExtrasChecker(schema.extras).check(instance)
-            if not extras_report.is_legal:
-                raise UpdateError(
-                    "instance is not legal to begin with:\n"
-                    + str(extras_report)
-                )
+        # The guard's baseline is the full session pass — extras
+        # included: the Section 6.1 delta checks assume a clean pre-state.
+        guard = IncrementalChecker(schema, instance)
 
         temp = f"{target}.tmp-{os.getpid()}"
         os.makedirs(temp)
@@ -518,7 +509,6 @@ class DirectoryStore:
         *,
         io: Optional[StoreIO] = None,
         parallelism: Optional[int] = None,
-        structure: str = "batched",
     ) -> "StoreReader":
         """Open a lock-free read-only view of the store.
 
@@ -534,12 +524,7 @@ class DirectoryStore:
         from repro.store.reader import StoreReader
 
         return StoreReader.open(
-            directory,
-            schema,
-            registry,
-            io=io,
-            parallelism=parallelism,
-            structure=structure,
+            directory, schema, registry, io=io, parallelism=parallelism
         )
 
     def close(self) -> None:
@@ -750,13 +735,9 @@ class DirectoryStore:
 
     def check(self) -> LegalityReport:
         """A full legality report of the current contents (including
-        the Section 6.1 extras pass when the schema declares one)."""
-        report = self._guard.full_recheck()
-        if self.schema.extras is not None:
-            report.extend(
-                ExtrasChecker(self.schema.extras).check(self.instance).violations
-            )
-        return report
+        the Section 6.1 extras pass when the schema declares one) —
+        cold, independent of everything the guard has memoized."""
+        return self._guard.full_recheck()
 
     # ------------------------------------------------------------------
     # Section 6.1 extras enforcement (index-probe delta checks)

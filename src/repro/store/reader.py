@@ -195,7 +195,6 @@ class StoreReader:
         *,
         io: Optional[StoreIO] = None,
         parallelism: Optional[int] = None,
-        structure: str = "batched",
     ) -> "StoreReader":
         """Open a read-only view of ``directory`` without locking it.
 
@@ -208,9 +207,7 @@ class StoreReader:
             raise FileNotFoundError(f"{directory!r} is not a store directory")
         if not os.path.exists(os.path.join(directory, SNAPSHOT_FILE)):
             raise FileNotFoundError(f"{directory!r} has no {SNAPSHOT_FILE}")
-        session = CheckSession(
-            schema, parallelism=parallelism, structure=structure
-        )
+        session = CheckSession(schema, parallelism=parallelism)
         reader = cls(directory, schema, registry, io, session)
         try:
             if not reader._bootstrap():

@@ -48,7 +48,7 @@ from repro.errors import (
 )
 from repro.ldif.changes import parse_changes
 from repro.ldif.reader import parse_ldif
-from repro.legality.checker import LegalityChecker
+from repro.legality.engine import CheckSession
 from repro.model.attributes import AttributeRegistry
 from repro.model.instance import DirectoryInstance
 from repro.schema.directory_schema import DirectorySchema
@@ -466,7 +466,7 @@ def recover(
 
     # Verify the recovered instance when a schema is available.
     if schema is not None:
-        verdict = LegalityChecker(schema).check(instance)
+        verdict = CheckSession(schema).check(instance)
         report.legal = verdict.is_legal
         if not verdict.is_legal:
             report.read_only = True

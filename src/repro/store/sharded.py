@@ -1176,7 +1176,6 @@ def _check_one_shard(
     path: str,
     local_schema: DirectorySchema,
     registry: Optional[AttributeRegistry],
-    structure: str,
     required: Tuple[str, ...],
     probes: Tuple[Tuple[str, str], ...],
 ):
@@ -1188,7 +1187,7 @@ def _check_one_shard(
     to whether its attachment entry (a shard-local DN of *this* shard)
     exists, so the parent can flag orphaned shards without stitching.
     """
-    reader = StoreReader.open(path, local_schema, registry, structure=structure)
+    reader = StoreReader.open(path, local_schema, registry)
     try:
         report = reader.check()
         counts = {name: reader.instance.class_count(name) for name in required}
@@ -1206,7 +1205,6 @@ def check_shards_parallel(
     schema: DirectorySchema,
     registry: Optional[AttributeRegistry] = None,
     jobs: Optional[int] = None,
-    structure: str = "batched",
 ) -> Tuple[LegalityReport, int]:
     """Check a sharded store with one worker *process per shard*.
 
@@ -1259,7 +1257,6 @@ def check_shards_parallel(
                 shard_dir(directory, name),
                 local_schema,
                 registry,
-                structure,
                 required,
                 tuple(probes[name]),
             )
@@ -1415,7 +1412,6 @@ class CompositeReader:
         registry: Optional[AttributeRegistry] = None,
         *,
         parallelism: Optional[int] = None,
-        structure: str = "batched",
     ) -> "CompositeReader":
         """Open read-only views of every shard (no locks taken)."""
         shard_map = read_shard_map(directory)
@@ -1429,7 +1425,6 @@ class CompositeReader:
                     local_schema,
                     registry,
                     parallelism=parallelism,
-                    structure=structure,
                 )
         except BaseException:
             for reader in readers.values():

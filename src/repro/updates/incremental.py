@@ -35,7 +35,6 @@ from repro.model.instance import DirectoryInstance
 from repro.legality.engine import CheckSession
 from repro.legality.metrics import CheckStats
 from repro.legality.report import Kind, LegalityReport, Violation
-from repro.legality.structure import QueryStructureChecker
 from repro.query.ast import SCOPE_DELTA, SCOPE_EMPTY, SCOPE_NEW, SCOPE_OLD
 from repro.query.evaluator import QueryEvaluator
 from repro.query.translate import translate_element  # noqa: F401 (used in try_modify)
@@ -132,19 +131,12 @@ class IncrementalChecker:
         self.schema = schema
         self.instance = instance
         self.session = session if session is not None else CheckSession(schema)
-        # The sequential content checker backing the session — kept as an
-        # attribute for cold (unmemoized) baselines like full_recheck().
-        self.content = self.session.content
-        self.structure = QueryStructureChecker(schema.structure_schema)
         self.relationships = schema.structure_schema.relationship_elements()
         if not assume_legal:
-            # Route the baseline through the session: it both vets the
+            # The baseline is the session's full pass: it both vets the
             # starting instance and warms the fingerprint cache, so the
             # first incremental step already re-checks only its Δ.
-            baseline = LegalityReport()
-            for entry in instance:
-                baseline.extend(self.session.check_entry(entry))
-            baseline.extend(self.structure.check(instance).violations)
+            baseline = self.session.check(instance)
             if not baseline.is_legal:
                 raise UpdateError(
                     "instance is not legal to begin with:\n" + str(baseline)
@@ -635,11 +627,10 @@ class IncrementalChecker:
     # ------------------------------------------------------------------
     def full_recheck(self) -> LegalityReport:
         """Non-incremental full legality check of the current instance —
-        the *cold* baseline the FIG5 benchmark compares against (the
-        session's fingerprint cache is deliberately bypassed)."""
-        report = self.content.check(self.instance)
-        report.extend(self.structure.check(self.instance).violations)
-        return report
+        the *cold* baseline the FIG5 benchmark compares against: a
+        fresh session, so nothing this checker's session has memoized
+        is reused."""
+        return CheckSession(self.schema).check(self.instance)
 
     def recheck(self) -> LegalityReport:
         """Warm full re-check through the session.

@@ -39,10 +39,28 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "ILLEGAL" in out and "packetRouter" in out
 
-    def test_naive_strategy(self, paths):
+    def test_structure_flag_is_gone(self, paths):
         schema, data, _ = paths
-        assert main(["validate", "--schema", schema, "--data", data,
-                     "--structure", "naive"]) == 0
+        with pytest.raises(SystemExit) as refused:
+            main(["validate", "--schema", schema, "--data", data,
+                  "--structure", "naive"])
+        assert refused.value.code == 2
+
+    def test_output_is_check_data_output(self, paths, capsys):
+        # validate is `check --data` under its old name: byte-identical
+        # LEGAL and ILLEGAL output, same exit status.
+        schema, data, tmp = paths
+        instance = figure1_instance()
+        instance.entry("uid=suciu,ou=databases,ou=attLabs,o=att").add_class(
+            "packetRouter"
+        )
+        bad = tmp / "bad.ldif"
+        dump_ldif(instance, str(bad))
+        for source in (data, str(bad)):
+            tail = ["--schema", schema, "--data", source]
+            validated = main(["validate"] + tail), capsys.readouterr().out
+            checked = main(["check"] + tail), capsys.readouterr().out
+            assert validated == checked
 
 
 class TestConsistency:
@@ -334,10 +352,29 @@ class TestCheck:
                      "--jobs", "0", "--profile"]) == 0
         assert "LEGAL" in capsys.readouterr().out
 
-    def test_naive_structure_strategy(self, paths):
+    def test_structure_flag_is_gone(self, paths, tmp_path):
         schema, data, _ = paths
-        assert main(["check", "--schema", schema, "--data", data,
-                     "--structure", "naive"]) == 0
+        for argv in (
+            ["check", "--schema", schema, "--data", data],
+            ["serve", str(tmp_path / "store"), "--schema", schema],
+        ):
+            with pytest.raises(SystemExit) as refused:
+                main(argv + ["--structure", "batched"])
+            assert refused.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--follow"], ["--interval", "0.5"], ["--iterations", "3"],
+         ["--interval", "0"], ["--iterations", "0"],
+         ["--follow", "--iterations", "1"]],
+    )
+    def test_follow_flags_without_store_exit_two(self, paths, capsys, flags):
+        schema, data, _ = paths
+        assert main(["check", "--schema", schema, "--data", data] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert all(flag in captured.err for flag in flags if flag.startswith("--"))
 
 
 class TestCheckStore:

@@ -3,8 +3,8 @@ against from-scratch legality checking, step for step.
 
 A random stream of subtree insertions and deletions is played through
 an :class:`IncrementalChecker`; at every step the incremental verdict
-must match a from-scratch :class:`LegalityChecker` run on a copy with
-the update applied unconditionally — and the guarded instance itself
+must match the from-scratch sequential reference (``tests/oracle.py``)
+run on a copy with the update applied unconditionally — and the guarded instance itself
 must remain legal throughout (Theorem 4.2: the incremental test accepts
 exactly the legality-preserving updates).
 """
@@ -12,8 +12,8 @@ exactly the legality-preserving updates).
 import random
 
 import pytest
+from oracle import oracle_check
 
-from repro.legality.checker import LegalityChecker
 from repro.updates.incremental import IncrementalChecker
 from repro.workloads import generate_whitepages
 from repro.workloads.update_streams import (
@@ -26,17 +26,17 @@ from repro.workloads.update_streams import (
 STEPS = 12
 
 
-def raw_insert_is_legal(checker, instance, parent, delta):
+def raw_insert_is_legal(schema, instance, parent, delta):
     """Apply the graft unconditionally on a copy; check from scratch."""
     trial = instance.copy()
     trial.insert_subtree(parent, delta)
-    return checker.check(trial).is_legal
+    return oracle_check(schema, trial).is_legal
 
 
-def raw_delete_is_legal(checker, instance, dn):
+def raw_delete_is_legal(schema, instance, dn):
     trial = instance.copy()
     trial.delete_subtree(dn)
-    return checker.check(trial).is_legal
+    return oracle_check(schema, trial).is_legal
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 23])
@@ -45,14 +45,13 @@ def test_incremental_matches_from_scratch_on_random_streams(wp_schema, seed):
     instance = generate_whitepages(orgs=2, units_per_level=2, depth=2,
                                    persons_per_unit=2, seed=seed)
     guard = IncrementalChecker(wp_schema, instance)
-    oracle = LegalityChecker(wp_schema)
 
     inserts = deletes = rejected = 0
     for _ in range(STEPS):
         do_delete = rng.random() < 0.4 and deletable_units(instance)
         if do_delete:
             target = rng.choice(deletable_units(instance))
-            expected = raw_delete_is_legal(oracle, instance, target)
+            expected = raw_delete_is_legal(wp_schema, instance, target)
             outcome = guard.try_delete(target)
             deletes += 1
         else:
@@ -62,7 +61,7 @@ def test_incremental_matches_from_scratch_on_random_streams(wp_schema, seed):
                                           attributes=instance.attributes)
             else:
                 delta = make_person_subtree(rng, attributes=instance.attributes)
-            expected = raw_insert_is_legal(oracle, instance, parent, delta)
+            expected = raw_insert_is_legal(wp_schema, instance, parent, delta)
             outcome = guard.try_insert(parent, delta)
             inserts += 1
 
@@ -74,7 +73,7 @@ def test_incremental_matches_from_scratch_on_random_streams(wp_schema, seed):
         rejected += not outcome.applied
         # rollback (on reject) and commit (on apply) both leave a legal
         # instance — checked from scratch, not through the guard
-        assert oracle.check(instance).is_legal
+        assert oracle_check(wp_schema, instance).is_legal
 
     assert inserts + deletes == STEPS
 
@@ -96,4 +95,4 @@ def test_rejected_stream_steps_roll_back_cleanly(wp_schema):
     assert not outcome.applied
     after = sorted(instance.dn_string_of(e) for e in instance)
     assert before == after
-    assert LegalityChecker(wp_schema).is_legal(instance)
+    assert oracle_check(wp_schema, instance).is_legal

@@ -4,6 +4,7 @@ detected with the right violation kind."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle import oracle_check, verdicts
 
 from repro.legality.checker import LegalityChecker
 from repro.legality.report import Kind, LegalityReport, Violation
@@ -24,11 +25,21 @@ class TestFullCheck:
             assert LegalityChecker(wp_schema).is_legal(instance)
 
     def test_naive_strategy_equivalent(self, wp_schema, fig1):
-        assert LegalityChecker(wp_schema, structure="naive").check(fig1).is_legal
+        fig1.add_entry("ou=attLabs,o=att", "ou=empty",
+                       ["orgUnit", "orgGroup", "top"], {"ou": ["empty"]})
+        naive = oracle_check(wp_schema, fig1, structure="naive")
+        assert not naive.is_legal
+        assert verdicts(LegalityChecker(wp_schema).check(fig1)) == verdicts(naive)
 
     def test_unknown_strategy_rejected(self, wp_schema):
-        with pytest.raises(ValueError):
-            LegalityChecker(wp_schema, structure="quantum")
+        # ``structure`` is an expectation, not a selector: the strategies
+        # it used to select are refused like any unknown name.
+        for strategy in ("quantum", "query", "naive"):
+            with pytest.raises(ValueError):
+                LegalityChecker(wp_schema, structure=strategy)
+        assert LegalityChecker(wp_schema, structure="batched").is_legal(
+            figure1_instance()
+        )
 
     def test_structure_violation_reported(self, wp_schema, fig1):
         # An empty orgUnit violates orgGroup →→ person.

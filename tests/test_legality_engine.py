@@ -1,13 +1,15 @@
 """Tests for the parallel, memoized legality engine (``CheckSession``).
 
-The engine must be verdict-identical to the sequential checkers under
-every configuration — memoized or not, sharded over processes, threads,
-or run inline — and its observability counters must account for exactly
-the work done.
+The engine must be verdict-identical to the sequential reference
+(``tests/oracle.py``) on every route the input can take it — cold or
+warm, sharded over processes, threads, or run inline — and its
+observability counters must account for exactly the work done.
 """
 
 import pytest
+from oracle import oracle_check, verdicts
 
+from repro.legality import engine
 from repro.legality.checker import LegalityChecker
 from repro.legality.engine import CheckSession, default_parallelism
 from repro.legality.metrics import CheckStats
@@ -15,9 +17,10 @@ from repro.updates.incremental import IncrementalChecker
 from repro.workloads import generate_whitepages, make_unit_subtree
 
 
-def verdicts(report):
-    """Ordered verdict list — the strongest equality we can assert."""
-    return [(v.kind, v.message, v.dn, v.element) for v in report.violations]
+@pytest.fixture()
+def pool_for_any_size(monkeypatch):
+    """Send every miss set to the worker pool, however small."""
+    monkeypatch.setattr(engine, "MIN_PARALLEL", 1)
 
 
 def corrupt_some(instance, count=4):
@@ -36,12 +39,12 @@ class TestVerdictEquivalence:
     def test_sequential_engine_matches_checker(self, wp_schema, fig1):
         with CheckSession(wp_schema) as session:
             assert verdicts(session.check(fig1)) == verdicts(
-                LegalityChecker(wp_schema).check(fig1)
+                oracle_check(wp_schema, fig1)
             )
 
     def test_engine_matches_on_violations(self, wp_schema, wp_medium):
         corrupt_some(wp_medium)
-        expected = verdicts(LegalityChecker(wp_schema).check(wp_medium))
+        expected = verdicts(oracle_check(wp_schema, wp_medium))
         assert expected
         with CheckSession(wp_schema) as session:
             assert verdicts(session.check(wp_medium)) == expected
@@ -49,47 +52,69 @@ class TestVerdictEquivalence:
             assert verdicts(session.check(wp_medium)) == expected
 
     @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_pool_paths_match(self, wp_schema, wp_medium, executor):
+    def test_pool_paths_match(
+        self, wp_schema, wp_medium, executor, pool_for_any_size, monkeypatch
+    ):
+        if executor == "thread":
+            # No process support here: the session falls back to threads.
+            def unavailable(*args, **kwargs):
+                raise OSError("no process pools on this platform")
+
+            monkeypatch.setattr(engine, "ProcessPoolExecutor", unavailable)
         corrupt_some(wp_medium)
-        expected = verdicts(LegalityChecker(wp_schema).check(wp_medium))
-        with CheckSession(
-            wp_schema, parallelism=2, executor=executor, min_parallel=1
-        ) as session:
-            assert verdicts(session.check(wp_medium)) == expected
+        expected = verdicts(oracle_check(wp_schema, wp_medium))
+        with CheckSession(wp_schema, parallelism=2) as session:
+            report = session.check(wp_medium)
+            pool = type(session._executor).__name__
+        assert verdicts(report) == expected
+        assert report.stats.workers == 2
+        assert pool == {
+            "process": "ProcessPoolExecutor", "thread": "ThreadPoolExecutor"
+        }[executor]
 
     def test_naive_structure_strategy(self, wp_schema, fig1):
-        # An empty orgUnit violates orgGroup →→ person.
+        # An empty orgUnit violates orgGroup →→ person; the session
+        # reports exactly what the quadratic pairwise oracle reports.
         fig1.add_entry("ou=attLabs,o=att", "ou=empty",
                        ["orgUnit", "orgGroup", "top"], {"ou": ["empty"]})
-        with CheckSession(wp_schema, structure="naive") as session:
+        with CheckSession(wp_schema) as session:
             report = session.check(fig1)
-        assert not report.is_legal
         assert report.structure_violations()
+        assert verdicts(report) == verdicts(
+            oracle_check(wp_schema, fig1, structure="naive")
+        )
 
     def test_unknown_structure_rejected(self, wp_schema):
-        with pytest.raises(ValueError):
-            CheckSession(wp_schema, structure="quantum")
+        # The selector is gone from the session; LegalityChecker, which
+        # keeps it as an expectation, is that same session.
+        with pytest.raises(TypeError):
+            CheckSession(wp_schema, structure="batched")
+        assert isinstance(
+            LegalityChecker(wp_schema, structure="batched"), CheckSession
+        )
 
-    def test_unmemoized_engine_matches(self, wp_schema, fig1):
-        with CheckSession(wp_schema, memoize=False) as session:
-            first = session.check(fig1)
-            second = session.check(fig1)
-        assert verdicts(first) == verdicts(second)
-        assert session.cache_size == 0
-
-    def test_checker_parallelism_knob_delegates(self, wp_schema, wp_medium):
+    def test_checker_parallelism_knob_delegates(
+        self, wp_schema, wp_medium, pool_for_any_size
+    ):
         corrupt_some(wp_medium)
-        expected = verdicts(LegalityChecker(wp_schema).check(wp_medium))
+        expected = verdicts(oracle_check(wp_schema, wp_medium))
         checker = LegalityChecker(wp_schema, parallelism=2)
         try:
-            assert verdicts(checker.check(wp_medium)) == expected
+            report = checker.check(wp_medium)
+            assert verdicts(report) == expected
+            assert report.stats.workers == 2
             assert checker.is_legal(wp_medium) is False
         finally:
             checker.close()
 
     def test_extras_checked(self, wp_schema_extras, fig1):
         # Section 6.1 extras (uid keys) still run on the engine path.
-        expected = verdicts(LegalityChecker(wp_schema_extras).check(fig1))
+        clone = fig1.entry("uid=laks,ou=databases,ou=attLabs,o=att")
+        fig1.add_entry("ou=databases,ou=attLabs,o=att", "uid=laks2",
+                       sorted(clone.classes),
+                       {"uid": ["laks"], "name": ["laks again"]})
+        expected = verdicts(oracle_check(wp_schema_extras, fig1))
+        assert any("key" in message for _, message, _, _ in expected)
         with CheckSession(wp_schema_extras) as session:
             assert verdicts(session.check(fig1)) == expected
 
@@ -159,14 +184,15 @@ class TestMemoization:
             assert session.cache_size == 0
             assert session.check(fig1).stats.cache_hits == 0
 
-    def test_cache_limit_bounds_memory(self, wp_schema, fig1):
-        with CheckSession(wp_schema, cache_limit=3) as session:
+    def test_cache_limit_bounds_memory(self, wp_schema, fig1, monkeypatch):
+        monkeypatch.setattr(engine, "CACHE_LIMIT", 3)
+        with CheckSession(wp_schema) as session:
             session.check(fig1)
             assert session.cache_size <= 3
             assert session.check(fig1).is_legal
 
     def test_lru_keeps_hot_verdicts_under_adversarial_stream(
-        self, wp_schema, wp_registry
+        self, wp_schema, wp_registry, monkeypatch
     ):
         # A hot entry re-checked between every one-shot stranger must
         # keep hitting the cache: eviction is LRU, not wholesale.
@@ -177,9 +203,10 @@ class TestMemoization:
                                   {"o": ["org"]})
         hot = instance.add_entry(root, "uid=hot", ["person", "top"],
                                  {"uid": ["hot"], "name": ["hot one"]})
-        with CheckSession(wp_schema, cache_limit=4) as session:
+        monkeypatch.setattr(engine, "CACHE_LIMIT", 4)
+        with CheckSession(wp_schema) as session:
             session.check_entry(hot)
-            for i in range(3 * session.cache_limit):
+            for i in range(3 * engine.CACHE_LIMIT):
                 stranger = instance.add_entry(
                     root, f"uid=s{i}", ["person", "top"],
                     {"uid": [f"s{i}"], "name": [f"stranger {i}"]},
@@ -190,7 +217,7 @@ class TestMemoization:
                 assert session.stats.cache_hits == before + 1, (
                     f"hot verdict evicted by one-shot stream at step {i}"
                 )
-                assert session.cache_size <= session.cache_limit
+                assert session.cache_size <= engine.CACHE_LIMIT
 
 
 class TestStats:
@@ -233,10 +260,10 @@ class TestStats:
         assert a.hit_rate == pytest.approx(0.5)
         assert a.workers == 4
 
-    def test_parallel_stats_record_pool_shape(self, wp_schema, wp_medium):
-        with CheckSession(
-            wp_schema, parallelism=2, executor="thread", min_parallel=1
-        ) as session:
+    def test_parallel_stats_record_pool_shape(
+        self, wp_schema, wp_medium, pool_for_any_size
+    ):
+        with CheckSession(wp_schema, parallelism=2) as session:
             report = session.check(wp_medium)
         assert report.stats.workers == 2
         assert report.stats.chunks >= 1
@@ -244,13 +271,14 @@ class TestStats:
 
 class TestPoolBehaviour:
     def test_min_parallel_keeps_small_checks_inline(self, wp_schema, fig1):
-        with CheckSession(wp_schema, parallelism=4, min_parallel=10_000) as session:
+        assert len(fig1) < engine.MIN_PARALLEL
+        with CheckSession(wp_schema, parallelism=4) as session:
             report = session.check(fig1)
             assert session._executor is None  # pool never spun up
         assert report.stats.workers == 0
 
-    def test_close_is_idempotent(self, wp_schema, fig1):
-        session = CheckSession(wp_schema, parallelism=2, min_parallel=1)
+    def test_close_is_idempotent(self, wp_schema, fig1, pool_for_any_size):
+        session = CheckSession(wp_schema, parallelism=2)
         session.check(fig1)
         session.close()
         session.close()

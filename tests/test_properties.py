@@ -9,11 +9,13 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle import oracle_check, verdicts
 
 from repro.consistency.checker import check_consistency
 from repro.consistency.engine import close
 from repro.ldif import parse_ldif, serialize_ldif
 from repro.legality.checker import LegalityChecker
+from repro.legality.engine import CheckSession
 from repro.query.evaluator import QueryEvaluator
 from repro.query.optimizer import SchemaAwareOptimizer
 from repro.query.translate import translate_element
@@ -75,6 +77,46 @@ class TestLegalityPipeline:
             e.is_satisfied(instance) for e in structure.elements()
         )
         assert by_query == by_naive == by_semantics
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_one_checking_path_matches_both_oracles(self, seed, extras):
+        """The production verdict — a fresh ``CheckSession.check``, and
+        the warm re-check after it — is the sequential reference
+        composed from the paper's literal algorithms (content, one
+        Figure 4 query at a time or the quadratic pair scan, §6.1
+        extras): same violations, same order, on arbitrary (mostly
+        illegal) forests under arbitrary schemas."""
+        from repro.schema.extras import SchemaExtras
+
+        schema = random_schema(n_classes=4, n_required=3, n_forbidden=2,
+                               seed=seed, mode="any")
+        instance = random_forest(
+            n_entries=30,
+            labels=sorted(schema.class_schema.core_classes() - {"top"}),
+            seed=seed,
+        )
+        if extras:
+            schema.extras = (
+                SchemaExtras()
+                .declare_key("tag")
+                .declare_single_valued("note")
+                .declare_referential("ref")
+            )
+            rng = random.Random(seed)
+            entries = list(instance)
+            for entry in rng.sample(entries, 10):
+                entry.add_value("tag", f"t{rng.randrange(6)}")  # collides
+                for value in rng.sample(["a", "b"], rng.randrange(3)):
+                    entry.add_value("note", value)
+                entry.add_value(
+                    "ref", rng.choice([str(rng.choice(entries).dn), "id=nowhere"])
+                )
+        expected = verdicts(oracle_check(schema, instance, structure="query"))
+        assert verdicts(oracle_check(schema, instance, structure="naive")) == expected
+        with CheckSession(schema) as session:
+            assert verdicts(session.check(instance)) == expected
+            assert verdicts(session.check(instance)) == expected
 
 
 class TestUpdateConsistencyInterplay:

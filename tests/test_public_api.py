@@ -147,3 +147,79 @@ class TestOneOpener:
         from repro.server import DirectoryServer
 
         assert "shards" not in inspect.signature(DirectoryServer).parameters
+
+
+class TestOneCheckingPath:
+    """The seam PR 17 shut: ``CheckSession.check`` is the only function
+    in ``src/repro`` that composes content → structure → extras into a
+    full verdict, and nothing selects a route to it."""
+
+    @staticmethod
+    def _modules():
+        import ast
+        import pathlib
+
+        package = pathlib.Path(repro.__file__).parent
+        for path in sorted(package.rglob("*.py")):
+            yield (
+                path.relative_to(package).as_posix(),
+                ast.parse(path.read_text(encoding="utf-8")),
+            )
+
+    def test_no_function_takes_a_structure_selector(self):
+        import ast
+
+        takers = []
+        for module, tree in self._modules():
+            for owner in ast.walk(tree):
+                for node in ast.iter_child_nodes(owner):
+                    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    args = node.args
+                    names = {
+                        a.arg
+                        for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg]
+                        if a is not None
+                    }
+                    if "structure" in names:
+                        takers.append(
+                            (module, getattr(owner, "name", None), node.name)
+                        )
+        # the one survivor is an expectation ("batched" or ValueError),
+        # pinned by benchmarks/e2e/layers.py
+        assert takers == [("legality/checker.py", "LegalityChecker", "__init__")]
+
+    def test_the_naive_oracle_is_named_only_where_it_lives(self):
+        import ast
+
+        named_in = set()
+        for module, tree in self._modules():
+            for node in ast.walk(tree):
+                names = set()
+                if isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                elif isinstance(node, (ast.Name, ast.ClassDef)):
+                    names = {getattr(node, "id", None) or getattr(node, "name", None)}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                if "NaiveStructureChecker" in names:
+                    named_in.add(module)
+        assert named_in == {
+            "legality/structure.py", "legality/__init__.py", "__init__.py"
+        }
+
+    def test_only_the_session_and_the_composite_pass_build_checkers(self):
+        import ast
+
+        builders = set()
+        for module, tree in self._modules():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", None) or getattr(
+                        node.func, "attr", None
+                    )
+                    if callee in ("ExtrasChecker", "QueryStructureChecker"):
+                        builders.add(module)
+        assert builders <= {"legality/engine.py", "store/sharded.py"}
+        assert "legality/engine.py" in builders

@@ -58,9 +58,9 @@ def sharded_store(tmp_path):
     return path, schema, registry
 
 
-async def _serve(store, *, jobs=0):
+async def _serve(store):
     path, schema, registry = store
-    server = DirectoryServer(path, schema, registry, jobs=jobs, port=0)
+    server = DirectoryServer(path, schema, registry, port=0)
     await server.start()
     return server
 
@@ -265,6 +265,18 @@ class TestReads:
                 await server.stop()
 
         asyncio.run(run())
+
+    def test_jobs_means_what_check_jobs_means(self, plain_store):
+        # 1 (the default) is the sequential engine, 0 one worker per CPU:
+        # one meaning for `serve --jobs`, `check --jobs` and `jobs=`.
+        from repro.legality.engine import default_parallelism
+
+        path, schema, registry = plain_store
+        for jobs, workers in ((None, 1), (1, 1), (3, 3), (0, default_parallelism())):
+            options = {} if jobs is None else {"jobs": jobs}
+            server = DirectoryServer(path, schema, registry, **options)
+            with server._open_view(None) as view:
+                assert view.session.parallelism == workers
 
 
 class TestWrites:

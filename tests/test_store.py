@@ -92,6 +92,32 @@ class TestLifecycle:
         with pytest.raises(UpdateError):
             DirectoryStore.create(str(tmp_path / "store"), wp_schema, bad)
 
+    def test_one_verdict_guards_create_check_and_recover(
+        self, tmp_path, wp_schema, wp_schema_extras
+    ):
+        # Legal in content and structure, illegal only in the §6.1
+        # extras (a duplicate uid key): the one session pass every
+        # entry point calls must see it.
+        from repro.store.recovery import recover
+
+        tainted = figure1_instance()
+        tainted.add_entry(
+            "ou=databases,ou=attLabs,o=att", "uid=twin", ["person", "top"],
+            {"uid": ["laks"], "name": ["not laks"]},
+        )
+        path = str(tmp_path / "store")
+        with pytest.raises(UpdateError, match="instance is not legal to begin with"):
+            DirectoryStore.create(path, wp_schema_extras, tainted)
+        DirectoryStore.create(path, wp_schema, tainted).close()
+        _, report = recover(path, wp_schema_extras, repair=False)
+        assert report.legal is False and report.read_only
+        assert any("violates the schema" in note for note in report.notes)
+        _, clean = recover(path, wp_schema, repair=False)
+        assert clean.legal and not clean.read_only
+        with DirectoryStore.open(path, wp_schema_extras) as store:
+            assert store.read_only
+            assert [v.kind for v in store.check()] == ["duplicate-key"]
+
     def test_open_empty_journal_roundtrips(self, tmp_path, wp_schema):
         path = str(tmp_path / "store")
         DirectoryStore.create(path, wp_schema, figure1_instance()).close()

@@ -128,7 +128,7 @@ class TestBatching:
         for source, target in elements:
             schema.require_descendant(source, target)
         instance = tower_instance(n=400)
-        with StructureEngine(schema, memoize=False) as engine:
+        with StructureEngine(schema) as engine:
             engine.check(instance)
             batched_cost = engine.last_cost
             assert engine.last_batched > 0
@@ -198,15 +198,6 @@ class TestMemoization:
             for seed in range(6):
                 engine.check(random_forest(n_entries=20, labels=LABELS, seed=seed))
             assert engine.memo_size <= len(engine.checks)
-
-    def test_memoize_false_always_reevaluates(self):
-        schema = big_random_schema(9)
-        instance = random_forest(n_entries=30, labels=LABELS, seed=9)
-        with StructureEngine(schema, memoize=False) as engine:
-            engine.check(instance)
-            engine.check(instance)
-            assert engine.last_cache_hits == 0
-            assert engine.last_checks_evaluated == len(engine.checks)
 
     def test_clear_memo(self):
         schema = big_random_schema(13)

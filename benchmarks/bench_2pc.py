@@ -22,7 +22,8 @@ import os
 import statistics
 import time
 
-from repro.store.sharded import ShardedStore, _composite_report
+from repro.legality.report import LegalityReport
+from repro.store.sharded import ShardedStore, _composite_report, _members
 from repro.store.txlog import TXLOG_FILE
 from repro.updates.operations import UpdateTransaction
 from repro.workloads import (
@@ -107,8 +108,10 @@ def test_single_shard_fast_path_vs_pr5_sequence(benchmark, tmp_path):
         old._composite_cache = None
         report = _composite_report(
             old.scope,
-            old.shard_map,
-            {n: s.instance for n, s in old._shards.items()},
+            _members(
+                old.shard_map, old.scope,
+                lambda name: (old.shard(name).instance, LegalityReport()),
+            ),
             old.composite_instance,
         )
         assert report.is_legal

@@ -111,6 +111,10 @@ def test_parallel_shard_check_vs_single_store(benchmark, tmp_path):
             sharded_dir, schema, registry, jobs=SHARDS
         )
         assert report.is_legal and checked == entries
+        # Work units, armed at every scale: the merged report's summed
+        # engine stats account for every entry of every shard.
+        stats = report.stats
+        assert stats.cache_hits + stats.cache_misses == entries
 
     single_time = _median(check_union)
     parallel_time = _median(check_sharded)

@@ -101,10 +101,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
         schema, parallelism=args.jobs or default_parallelism()
     ) as session:
         report = session.check(instance)
+    return _print_verdict(
+        args, report, "", f"{len(instance)} entries satisfy {args.schema}"
+    )
+
+
+def _print_verdict(args, report, prefix: str, legal: str) -> int:
+    """One verdict as every ``check`` prints it — the LEGAL line or the
+    violations, then the ``--profile`` table; returns the exit code."""
     if report.is_legal:
-        print(f"LEGAL: {len(instance)} entries satisfy {args.schema}")
+        print(f"{prefix}LEGAL: {legal}")
     else:
-        print(f"ILLEGAL: {len(report)} violation(s)")
+        print(f"{prefix}ILLEGAL: {len(report)} violation(s)")
         for violation in report:
             print(f"  {violation}")
     if args.profile and report.stats is not None:
@@ -148,13 +156,10 @@ def _check_store(args: argparse.Namespace) -> int:
             from repro.store.sharded import check_shards_parallel
 
             report, entries = check_shards_parallel(args.store, schema, jobs=jobs)
-            if report.is_legal:
-                print(f"LEGAL: {entries} entries across shards ({jobs} jobs)")
-                return 0
-            print(f"ILLEGAL: {len(report)} violation(s)")
-            for violation in report:
-                print(f"  {violation}")
-            return 1
+            return _print_verdict(
+                args, report, "",
+                f"{entries} entries across shards ({jobs} jobs)",
+            )
         reader = open_view(args.store, schema, parallelism=jobs)
     except (ShardMapError, OSError) as exc:
         print(f"check: {exc}", file=sys.stderr)
@@ -163,17 +168,12 @@ def _check_store(args: argparse.Namespace) -> int:
     rounds = 0
     try:
         while True:
-            report = reader.check()
-            tag = reader.position().tag()
-            if report.is_legal:
-                print(f"[{tag}] LEGAL: {len(reader.instance)} entries")
-            else:
-                status = 1
-                print(f"[{tag}] ILLEGAL: {len(report)} violation(s)")
-                for violation in report:
-                    print(f"  {violation}")
-            if args.profile and report.stats is not None:
-                print(report.stats.format_table())
+            status |= _print_verdict(
+                args,
+                reader.check(),
+                f"[{reader.position().tag()}] ",
+                f"{len(reader.instance)} entries",
+            )
             rounds += 1
             if not args.follow:
                 break

@@ -41,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import sys
+import traceback
 from typing import Optional
 
 from repro.errors import (
@@ -86,6 +87,31 @@ def _entry_payload(instance, entry) -> dict:
 
 def _violations_payload(report) -> list:
     return [str(v) for v in report]
+
+
+def _malformed_write(request: dict) -> Optional[str]:
+    """What is wrong with the shape of a write request's fields, or
+    ``None``: the wire is JSON from outside the process, and a field of
+    the wrong type must be refused, not raised on."""
+    op = request["op"]
+    if op in ("txn", "modify"):
+        if not isinstance(request.get("changes", ""), str):
+            return f"{op} changes must be an LDIF string"
+        return None
+    if not isinstance(request.get("dn"), str):
+        return f"{op} requires a dn string"
+    if op == "add":
+        classes = request.get("classes", [])
+        if not isinstance(classes, list) or not all(
+            isinstance(name, str) for name in classes
+        ):
+            return "add classes must be a list of strings"
+        attributes = request.get("attributes", {})
+        if not isinstance(attributes, dict) or not all(
+            isinstance(values, list) for values in attributes.values()
+        ):
+            return "add attributes must map names to lists of values"
+    return None
 
 
 class _CommitFeed:
@@ -561,6 +587,16 @@ class DirectoryServer:
             return error_response(request_id, "invalid", str(exc))
         except StoreError as exc:
             return error_response(request_id, "store_error", str(exc))
+        except (ConnectionError, ProtocolError, asyncio.IncompleteReadError):
+            raise  # the connection itself broke: its handler drops it
+        except Exception as exc:
+            # A bug or a request shape nothing above refused.  The
+            # connection survives and the failure is typed, so a front
+            # door never mistakes a bad request for a dead member.
+            traceback.print_exc()
+            return error_response(
+                request_id, "internal_error", f"{type(exc).__name__}: {exc}"
+            )
 
     # ------------------------------------------------------------------
     # reads: refresh the connection's view, serve from it
@@ -573,6 +609,13 @@ class DirectoryServer:
                 f"scope must be one of {_SCOPES}, got {scope!r}",
             )
         filter_text = request.get("filter")
+        base = request.get("base")
+        for name, value in (("filter", filter_text), ("base", base)):
+            if value is not None and not isinstance(value, str):
+                return error_response(
+                    request.get("id"), "bad_request",
+                    f"{name} must be a string, got {value!r}",
+                )
         size_limit = request.get("size_limit")
         if size_limit is not None and (
             not isinstance(size_limit, int)
@@ -583,7 +626,6 @@ class DirectoryServer:
                 request.get("id"), "bad_request",
                 f"size_limit must be a positive integer, got {size_limit!r}",
             )
-        base = request.get("base")
         await self._ensure_view(connection)
 
         def run():
@@ -653,6 +695,9 @@ class DirectoryServer:
         if self.store is None:
             return self._not_writable(request.get("id"))
         op = request["op"]
+        problem = _malformed_write(request)
+        if problem is not None:
+            return error_response(request.get("id"), "bad_request", problem)
         if op == "add":
             transaction = UpdateTransaction().insert(
                 request["dn"],
@@ -689,6 +734,9 @@ class DirectoryServer:
 
         if self.store is None:
             return self._not_writable(request.get("id"))
+        problem = _malformed_write(request)
+        if problem is not None:
+            return error_response(request.get("id"), "bad_request", problem)
         records = parse_modifications(request.get("changes", ""))
         if not records:
             # all() over zero records would report a vacuous success.

@@ -61,6 +61,7 @@ from typing import (
     Tuple,
 )
 
+from repro.legality.metrics import CheckStats
 from repro.legality.report import Kind, Violation
 from repro.model.dn import parse_dn
 from repro.model.entry import Entry
@@ -72,6 +73,7 @@ from repro.store.sidecar import schema_digest, verdict_crc
 
 __all__ = [
     "AttributeIndexes",
+    "ExtrasDeltaProbe",
     "delta_extras_violations",
     "extras_index_attributes",
     "index_sidecar_path",
@@ -557,6 +559,99 @@ def delta_extras_violations(
                     check_referential(entry, dn)
     violations.sort(key=lambda violation: (str(violation.dn), violation.message))
     return violations
+
+
+class ExtrasDeltaProbe:
+    """The Section 6.1 check of one update, by index probes, over the
+    indexed instances that together hold the directory.
+
+    ``members`` is ``[(instance, globalise)]``: ``globalise`` turns a DN
+    string of that instance into the directory-wide one.  A plain store
+    is the one-member case with the identity; a sharded store has one
+    member per shard and re-attaches the shard's suffix.
+    ``resolve(target)`` says whether a directory-wide DN string names
+    an entry (raising counts as "no").  :meth:`checkpoint` runs before
+    the update is applied in memory, :meth:`settle` after.
+    """
+
+    def __init__(
+        self,
+        extras: SchemaExtras,
+        members: Sequence[Tuple[DirectoryInstance, Callable[[str], str]]],
+        resolve: Callable[[str], bool],
+    ) -> None:
+        self._extras = extras
+        self._members = list(members)
+        self._resolve = resolve
+
+    def _counters(self) -> List[int]:
+        """``[probes, hits, candidates]`` summed over the members."""
+        return [
+            sum(column)
+            for column in zip(
+                *(instance.indexes.counters() for instance, _ in self._members)
+            )
+        ]
+
+    def checkpoint(self) -> None:
+        """Flush every member's pending index maintenance, so the dirty
+        sets afterwards track exactly the next update's footprint, and
+        snapshot the probe counters."""
+        for instance, _ in self._members:
+            instance.indexes.delta_checkpoint()
+        self._before = self._counters()
+
+    def settle(self) -> Tuple[List[Violation], CheckStats]:
+        """The violations the update applied since :meth:`checkpoint`
+        introduced, and the index work it took to find them — O(|Δ|)
+        probes, not a pass over the directory."""
+
+        def named(instance, globalise, eids):
+            return [
+                (instance._entries[eid], globalise(instance.dn_string_of(eid)))
+                for eid in eids
+            ]
+
+        touched: List[Tuple[Entry, str]] = []
+        removed: List[str] = []
+        for instance, globalise in self._members:
+            eids, norms = instance.indexes.delta_collect()
+            touched.extend(named(instance, globalise, eids))
+            removed.extend(_normalize_dn(globalise(norm)) for norm in norms)
+
+        def key_holders(attribute: str, value: Any) -> List[str]:
+            return [
+                globalise(instance.dn_string_of(eid))
+                for instance, globalise in self._members
+                for eid in instance.indexes.key_holders(attribute, value)
+            ]
+
+        def referrers(attribute: str, norm_target: str):
+            return [
+                pair
+                for instance, globalise in self._members
+                for pair in named(
+                    instance, globalise,
+                    instance.indexes.referrers(attribute, norm_target),
+                )
+            ]
+
+        def resolve(target: str) -> bool:
+            try:
+                return self._resolve(target)
+            except Exception:
+                return False  # unparseable or unrouted: names no entry
+
+        violations = delta_extras_violations(
+            self._extras, touched, removed, key_holders, resolve, referrers
+        )
+        probes, hits, candidates = (
+            after - before
+            for after, before in zip(self._counters(), self._before)
+        )
+        return violations, CheckStats(
+            index_probes=probes, index_hits=hits, index_candidates=candidates
+        )
 
 
 # ----------------------------------------------------------------------

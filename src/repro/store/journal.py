@@ -58,7 +58,7 @@ import glob
 import os
 import shutil
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.errors import (
     StoreError,
@@ -75,7 +75,7 @@ from repro.ldif.modify import (
     serialize_modification,
 )
 from repro.ldif.writer import serialize_ldif
-from repro.legality.report import LegalityReport, Violation
+from repro.legality.report import LegalityReport
 from repro.model.attributes import AttributeRegistry
 from repro.model.instance import DirectoryInstance
 from repro.schema.directory_schema import DirectorySchema
@@ -352,6 +352,16 @@ class DirectoryStore:
             directory, schema, generation, journal_count
         )
         _index.AttributeIndexes.attach(instance, keys, refs, postings)
+        #: The Section 6.1 delta check — the one-member case of the
+        #: probe a sharded coordinator runs over all its shards (whose
+        #: local schemas carry no extras, so they hold none).
+        self._extras_probe: Optional[_index.ExtrasDeltaProbe] = None
+        if schema.extras is not None:
+            self._extras_probe = _index.ExtrasDeltaProbe(
+                schema.extras,
+                [(instance, lambda dn: dn)],
+                lambda target: instance.find(target) is not None,
+            )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -620,18 +630,30 @@ class DirectoryStore:
             # Nothing to check, journal or ship: an empty frame would
             # advance the journal (and every replica) for no change.
             return StagedWrite(self, kind, change, UpdateOutcome(), live=False)
-        extras_guarded = self._extras_enforced()
+        probe = self._extras_probe
         inverse = None
-        if abortable or extras_guarded:
+        if abortable or probe is not None:
             inverse = kind.inverse(self.instance, change)
-        if extras_guarded:
-            extras_before = self._extras_checkpoint()
+        if probe is not None:
+            probe.checkpoint()
         baseline = self._guard.session.stats.copy()
         outcome = kind.guarded(self._guard, change)
         outcome.stats = self._guard.session.stats.since(baseline)
         staged = StagedWrite(self, kind, change, outcome, inverse)
-        if outcome.applied and extras_guarded:
-            self._extras_settle(staged, extras_before)
+        if outcome.applied and probe is not None:
+            violations, work = probe.settle()
+            outcome.stats.merge(work)
+            if violations:
+                staged.abort()
+                outcome.report.extend(violations)
+                outcome.checks.append(
+                    "extras delta check (index probes): rejected, rolled "
+                    "back in memory"
+                )
+            else:
+                outcome.checks.append(
+                    "extras delta check (index probes): clean"
+                )
         return staged
 
     def _append_frame(self, frame: bytes, what: str) -> None:
@@ -738,94 +760,6 @@ class DirectoryStore:
         the Section 6.1 extras pass when the schema declares one) —
         cold, independent of everything the guard has memoized."""
         return self._guard.full_recheck()
-
-    # ------------------------------------------------------------------
-    # Section 6.1 extras enforcement (index-probe delta checks)
-    # ------------------------------------------------------------------
-    @property
-    def indexes(self) -> Optional[_index.AttributeIndexes]:
-        """The secondary indexes riding on this store's instance."""
-        return self.instance.indexes
-
-    def _extras_enforced(self) -> bool:
-        """Whether updates must pass the extras delta check: the schema
-        declares Section 6.1 extras and the instance carries indexes to
-        probe them with."""
-        return (
-            self.schema.extras is not None
-            and self.instance.indexes is not None
-        )
-
-    def _extras_checkpoint(self) -> Tuple[int, int, int]:
-        """Before applying: flush pending index maintenance so the dirty
-        set afterwards tracks exactly this update's footprint, and
-        snapshot the probe counters."""
-        indexes = self.instance.indexes
-        indexes.delta_checkpoint()
-        return indexes.counters()
-
-    def _extras_delta_violations(self) -> "list[Violation]":
-        """The Section 6.1 violations the just-applied update introduced,
-        found by probing the key/referential postings instead of
-        re-running :class:`ExtrasChecker` over the whole instance."""
-        instance = self.instance
-        indexes = instance.indexes
-        touched, removed_dns = indexes.delta_collect()
-        entries = [
-            (instance._entries[eid], instance.dn_string_of(eid))
-            for eid in touched
-        ]
-
-        def key_holders(attribute: str, value) -> "list[str]":
-            return [
-                instance.dn_string_of(eid)
-                for eid in indexes.key_holders(attribute, value)
-            ]
-
-        def resolve(target: str) -> bool:
-            try:
-                return instance.find(target) is not None
-            except Exception:
-                return False
-
-        def referrers(attribute: str, norm_target: str):
-            return [
-                (instance._entries[eid], instance.dn_string_of(eid))
-                for eid in indexes.referrers(attribute, norm_target)
-            ]
-
-        return _index.delta_extras_violations(
-            self.schema.extras,
-            entries,
-            removed_dns,
-            key_holders,
-            resolve,
-            referrers,
-        )
-
-    def _extras_settle(
-        self, staged: StagedWrite, before: Tuple[int, int, int]
-    ) -> None:
-        """After a guard-approved in-memory apply: run the delta check;
-        on violation abort the staged write and fold the violations
-        into its outcome's report (flipping ``applied`` off).  Also
-        attributes the index work to ``outcome.stats``."""
-        outcome = staged.outcome
-        violations = self._extras_delta_violations()
-        after = self.instance.indexes.counters()
-        if outcome.stats is not None:
-            outcome.stats.index_probes += after[0] - before[0]
-            outcome.stats.index_hits += after[1] - before[1]
-            outcome.stats.index_candidates += after[2] - before[2]
-        if violations:
-            staged.abort()
-            outcome.report.extend(violations)
-            outcome.checks.append(
-                "extras delta check (index probes): rejected, rolled "
-                "back in memory"
-            )
-        else:
-            outcome.checks.append("extras delta check (index probes): clean")
 
     def compact(self) -> None:
         """Fold the journal into a fresh snapshot.

@@ -22,6 +22,21 @@ Layout::
 
 Enforcement split:
 
+* the **full verdict** of the cohort is composed in exactly one place,
+  :func:`_cohort_report`, over a *member list* (one :class:`_Member`
+  per shard: its own report, its required-class counts, its entry
+  count, whether the attachment entries it should hold exist).  It
+  emits shard reports (DNs globalized, engine stats summed) →
+  orphaned attachments → cut-spanning edges *or* required-class
+  populations (:func:`_composite_report`) → the full Section 6.1
+  extras, and stitches the composite only when an edge or the extras
+  need it.  :meth:`ShardedStore.create`, :meth:`ShardedStore.check`,
+  :meth:`CompositeReader.check` and :func:`check_shards_parallel`
+  differ only in where their members come from (partitions, live
+  stores, reader views, worker processes); the write path reuses the
+  :func:`_composite_report` half on the staged state and settles the
+  extras by Δ-probe (:class:`repro.store.index.ExtrasDeltaProbe`, one
+  member per shard — a plain store runs the same probe with one);
 * **content** checks and **shard-local** structure checks ride the
   per-shard store's own incremental guard, unchanged;
 * **required classes** and (under a nested cut) **cut-spanning edges**
@@ -57,9 +72,9 @@ Enforcement split:
 * an **orphaned shard** (a nested shard whose attachment entry a
   per-shard writer or crash nevertheless removed) is a *reported*
   state, not a raising one: stitching grafts the orphan's entries as
-  detached roots and every ``check()`` surface adds an
-  ``orphaned-shard`` violation, so search/fsck keep working against
-  the damaged store.
+  detached roots and the one verdict adds an ``orphaned-shard``
+  violation on every ``check()`` surface, so search/fsck keep working
+  against the damaged store.
 
 Semantics note: the per-shard guard checks each Theorem 4.1 subtree
 step of a transaction *stepwise*, while composite elements are checked
@@ -93,7 +108,7 @@ import contextlib
 import functools
 import os
 import shutil
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import ModelError, StoreError, UpdateError
 from repro.ldif.modify import ModifyRecord
@@ -147,23 +162,21 @@ __all__ = [
 # ----------------------------------------------------------------------
 # shared helpers (writer and reader sides enforce identical semantics)
 # ----------------------------------------------------------------------
-def _globalized(report: LegalityReport, spec: ShardSpec) -> LegalityReport:
-    """Re-suffix the violation DNs of a shard-local report so they name
-    entries in the composite namespace."""
+def _globalized(report: LegalityReport, spec: ShardSpec) -> List[Violation]:
+    """The violations of a shard-local report, DNs re-suffixed so they
+    name entries in the composite namespace."""
     if spec.suffix.is_empty():
-        out = LegalityReport(list(report.violations))
-        out.stats = report.stats
-        return out
+        return report.violations
     suffix = str(spec.suffix)
-    out = LegalityReport()
-    out.stats = report.stats
-    for violation in report:
-        dn = violation.dn if violation.dn is None else f"{violation.dn},{suffix}"
-        out.add(
-            Violation(violation.kind, violation.message, dn=dn,
-                      element=violation.element)
+    return [
+        Violation(
+            violation.kind, violation.message,
+            dn=violation.dn if violation.dn is None
+            else f"{violation.dn},{suffix}",
+            element=violation.element,
         )
-    return out
+        for violation in report
+    ]
 
 
 def _globalized_change(change, spec: ShardSpec, shard_map: ShardMap):
@@ -200,74 +213,113 @@ def _summed(total: Optional[CheckStats], stats: Optional[CheckStats]):
     return total
 
 
-def _orphan_report(
-    shard_map: Optional[ShardMap],
-    instances: Dict[str, DirectoryInstance],
-) -> LegalityReport:
-    """Violations for nested shards whose attachment entry is gone.
+class _Member(NamedTuple):
+    """What the cohort's verdict needs from one shard.  Computable
+    (:func:`_member`) from the instance and report of a live
+    :class:`DirectoryStore` or a :class:`StoreReader`, or — it pickles
+    — in a worker process."""
 
-    A nested shard hangs off an entry of its enclosing shard (the
-    shard's ``suffix``).  Per-shard writers (:meth:`ShardedStore.
-    open_shard`, crash windows) can delete that entry out of the
-    enclosing shard — the shard-local guard cannot see the nested
-    shard's content — leaving a durable orphaned state.  That state is
-    *reported* here as an :data:`~repro.legality.report.Kind.
-    ORPHANED_SHARD` violation; stitching (:func:`_stitch`) tolerates
-    it, so every read/check surface keeps working instead of raising.
-    """
-    report = LegalityReport()
-    if shard_map is None:
-        return report
-    for spec in shard_map:
-        if spec.suffix.is_empty() or len(instances[spec.name]) == 0:
-            continue
-        owner = shard_map.route(spec.suffix)
-        local = shard_map.localize(spec.suffix, owner)
-        if instances[owner.name].find(local) is None:
-            report.add(
-                _orphan_violation(
-                    spec.name, len(instances[spec.name]),
-                    str(spec.suffix), owner.name,
-                )
-            )
-    return report
+    spec: ShardSpec
+    #: The shard's own verdict against the shard-local schema
+    #: (shard-local DNs).
+    report: LegalityReport
+    #: ``{required class: members in this shard}``.
+    counts: Dict[str, int]
+    entries: int
+    #: ``{nested shard: whether its attachment entry exists}`` for the
+    #: nested shards hanging off an entry of this one.
+    attached: Dict[str, bool]
 
 
-def _orphan_violation(
-    shard_name: str, entry_count: int, suffix: str, owner_name: str
-) -> Violation:
-    return Violation(
-        Kind.ORPHANED_SHARD,
-        f"shard {shard_name!r} ({entry_count} entries) is orphaned: "
-        f"its attachment entry {suffix!r} is missing from shard "
-        f"{owner_name!r}",
-        dn=suffix,
+def _member(
+    spec: ShardSpec,
+    required: Tuple[str, ...],
+    probes: Tuple[Tuple[str, DN], ...],
+    instance: DirectoryInstance,
+    report: LegalityReport,
+) -> _Member:
+    """One shard's member; ``(spec, required, probes)`` is its entry in
+    :func:`_member_plans`."""
+    return _Member(
+        spec,
+        report,
+        {name: instance.class_count(name) for name in required},
+        len(instance),
+        {nested: instance.find(dn) is not None for nested, dn in probes},
     )
 
 
+def _member_plans(shard_map: ShardMap, scope: ShardScope):
+    """What to ask of each shard, in shard-map order: ``[(spec,
+    required classes, ((nested shard, shard-local DN of the entry its
+    base hangs under), ...))]`` — a nested shard's attachment entry
+    lives in its enclosing shard, which is therefore the one to look
+    for it."""
+    required = tuple(sorted(scope.required_classes))
+    probes: Dict[str, list] = {name: [] for name in shard_map.names()}
+    for spec in shard_map:
+        if not spec.suffix.is_empty():
+            owner = shard_map.route(spec.suffix)
+            probes[owner.name].append(
+                (spec.name, shard_map.localize(spec.suffix, owner))
+            )
+    return [(spec, required, tuple(probes[spec.name])) for spec in shard_map]
+
+
+def _members(shard_map: ShardMap, scope: ShardScope, view) -> List[_Member]:
+    """The member list of a cohort held in this process; ``view(name)``
+    is ``(instance, shard-local report)``."""
+    return [
+        _member(*plan, *view(plan[0].name))
+        for plan in _member_plans(shard_map, scope)
+    ]
+
+
 def _composite_report(
-    scope: ShardScope,
-    shard_map: Optional[ShardMap],
-    instances: Dict[str, DirectoryInstance],
-    stitched,
+    scope: ShardScope, members: List[_Member], stitched
 ) -> LegalityReport:
-    """Evaluate the composite structure elements.
+    """The structure verdicts the routing cut hides from every shard:
+    orphaned attachments, then cut-spanning edges *or* required-class
+    populations.
+
+    A nested shard (with entries) whose attachment entry is gone is an
+    *orphaned shard*.  Per-shard writers (:meth:`ShardedStore.
+    open_shard`, crash windows) can delete that entry out of the
+    enclosing shard — the shard-local guard cannot see the nested
+    shard's content — leaving a durable state that is *reported*, as a
+    :data:`~repro.legality.report.Kind.ORPHANED_SHARD` violation, not
+    raised; stitching (:func:`_stitch`) tolerates it.
 
     ``stitched`` is a zero-argument callable producing the composite
     instance — only invoked when a cut-spanning edge actually needs
     it; a flat map's composite elements are just the required-class
-    existence tests, answered from the per-shard class counts.
-    ``shard_map`` is ``None`` when ``instances`` is not keyed by shard
-    name (the pre-partition union at :meth:`ShardedStore.create` time,
-    where an orphaned shard cannot exist).
+    existence tests, answered from the members' class counts.
     """
-    report = _orphan_report(shard_map, instances)
+    report = LegalityReport()
+    attached = {
+        nested: (present, member.spec.name)
+        for member in members
+        for nested, present in member.attached.items()
+    }
+    for member in members:
+        present, owner = attached.get(member.spec.name, (True, None))
+        if member.entries and not present:
+            suffix = str(member.spec.suffix)
+            report.add(
+                Violation(
+                    Kind.ORPHANED_SHARD,
+                    f"shard {member.spec.name!r} ({member.entries} entries) "
+                    f"is orphaned: its attachment entry {suffix!r} is "
+                    f"missing from shard {owner!r}",
+                    dn=suffix,
+                )
+            )
     if scope.composite_edges:
         checker = QueryStructureChecker(composite_structure_schema(scope))
         report.extend(checker.check(stitched()).violations)
         return report
     for name in sorted(scope.required_classes):
-        if sum(inst.class_count(name) for inst in instances.values()) == 0:
+        if not any(member.counts[name] for member in members):
             report.add(
                 Violation(
                     Kind.MISSING_REQUIRED_CLASS,
@@ -276,6 +328,39 @@ def _composite_report(
                 )
             )
     return report
+
+
+def _cohort_report(
+    schema: DirectorySchema,
+    scope: ShardScope,
+    members: List[_Member],
+    stitched,
+) -> LegalityReport:
+    """THE verdict of a sharded directory (Theorem 4.1): the shard-local
+    verdicts plus the residue whose scope spans the routing cut.
+
+    Emits, in this order: every member's own report (DNs globalized,
+    engine stats summed onto the result), orphaned attachments,
+    cut-spanning edges or required-class populations
+    (:func:`_composite_report`), and — when the schema declares them —
+    the Section 6.1 extras in full (keys and references are
+    directory-wide properties no shard-local check can settle).
+    ``stitched()`` is called only by an edge or by extras; every
+    full-verdict surface (:meth:`ShardedStore.create`,
+    :meth:`ShardedStore.check`, :meth:`CompositeReader.check`,
+    :func:`check_shards_parallel`) is a caller of this function and
+    differs only in where its members come from.
+    """
+    merged = LegalityReport()
+    for member in members:
+        merged.extend(_globalized(member.report, member.spec))
+        merged.stats = _summed(merged.stats, member.report.stats)
+    merged.extend(_composite_report(scope, members, stitched).violations)
+    if schema.extras is not None:
+        merged.extend(
+            ExtrasChecker(schema.extras).check(stitched()).violations
+        )
+    return merged
 
 
 def _stitch(
@@ -288,7 +373,7 @@ def _stitch(
     cut finds its parent entry already present.
 
     A nested shard whose attachment entry is *missing* (an orphaned
-    shard — see :func:`_orphan_report`) is grafted as detached roots
+    shard — see :func:`_composite_report`) is grafted as detached roots
     instead of raising, so search/check surfaces over a damaged store
     report the violation rather than exploding on every call."""
     composite = DirectoryInstance(attributes=attributes)
@@ -393,10 +478,24 @@ class ShardedStore:
         # it, and `open_shard` writers can never coexist with one.
         self._txlog = TxLog.open(directory, io=self._io)
         self._closed = False
-        self._composite_cache: Optional[
-            Tuple[Tuple[Tuple[str, int, int], ...], DirectoryInstance]
-        ] = None
-        self._extras_stats_delta: Optional[CheckStats] = None
+        self._composite_cache: Optional[Tuple[Position, DirectoryInstance]] = None
+        #: Global key/referential checks by per-shard index probes,
+        #: merged at the composite step: each shard maintains postings
+        #: for the *global* extras attributes (its local schema carries
+        #: none) and every DN is globalized, so the verdicts are a
+        #: single union store's.
+        self._extras_probe: Optional[_index.ExtrasDeltaProbe] = None
+        if schema.extras is not None:
+            self._extras_probe = _index.ExtrasDeltaProbe(
+                schema.extras,
+                [
+                    (shards[spec.name].instance,
+                     lambda local, spec=spec: str(
+                         shard_map.globalize(parse_dn(local), spec)))
+                    for spec in shard_map
+                ],
+                lambda target: self._holds(parse_dn(target)),
+            )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -447,30 +546,32 @@ class ShardedStore:
             if initial is not None
             else DirectoryInstance(attributes=registry)
         )
-        # Composite elements are validated on the union up front: the
-        # per-shard guards only ever see the shard-local slice.
-        composite = _composite_report(
+        partitions = cls._partition(shard_map, base_instance, registry)
+        # What the per-shard guards cannot see — composite elements and
+        # the directory-wide extras (the apply-time delta checks assume
+        # a clean pre-state) — is validated up front; each shard's
+        # `create` below judges its own slice.
+        report = _cohort_report(
+            schema,
             scope,
-            None,
-            {"__union__": base_instance},
+            _members(
+                shard_map, scope,
+                lambda name: (partitions[name], LegalityReport()),
+            ),
             lambda: base_instance,
+        )
+        composite = LegalityReport(
+            [v for v in report if v.kind not in Kind.EXTRAS_KINDS]
         )
         if not composite.is_legal:
             raise UpdateError(
                 "initial instance violates composite schema elements:\n"
                 + str(composite)
             )
-        if schema.extras is not None:
-            # Like composite elements, extras are directory-wide:
-            # validated on the union up front (the apply-time delta
-            # checks assume a clean pre-state).
-            extras_report = ExtrasChecker(schema.extras).check(base_instance)
-            if not extras_report.is_legal:
-                raise UpdateError(
-                    "instance is not legal to begin with:\n"
-                    + str(extras_report)
-                )
-        partitions = cls._partition(shard_map, base_instance, registry)
+        if not report.is_legal:
+            raise UpdateError(
+                "instance is not legal to begin with:\n" + str(report)
+            )
         index_keys, index_refs = _index.extras_index_attributes(schema.extras)
 
         os.makedirs(os.path.join(directory, "shards"))
@@ -739,9 +840,7 @@ class ShardedStore:
             parent = op.dn.parent()
             if str(parent.normalized()) in inserted:
                 continue  # the enclosing shard's slice validates it
-            owner = self.shard_map.route(parent)
-            local = self.shard_map.localize(parent, owner)
-            if self._shards[owner.name].instance.find(local) is None:
+            if not self._holds(parent):
                 raise UpdateError(
                     f"insertion {op.dn} has no parent: {parent} "
                     "is neither in the instance nor inserted"
@@ -794,8 +893,8 @@ class ShardedStore:
         """The routed fast path for either change kind: staged in the
         owning shard's memory, composite-checked, then committed as one
         ordinary WAL frame — or aborted with nothing durable at all."""
-        if self.schema.extras is not None:
-            self._extras_checkpoint()
+        if self._extras_probe is not None:
+            self._extras_probe.checkpoint()
         staged = self._shards[name].stage(change)
         outcome = staged.outcome
         if not outcome.applied:
@@ -806,7 +905,7 @@ class ShardedStore:
             # check() paths, whose DNs are shard-rooted.
             return outcome
         try:
-            composite = self._staged_composite_report()
+            composite, probed = self._staged_composite_report()
         except BaseException:
             # The staged state must never outlive the check: roll the
             # memory back, then propagate.  Nothing was written, so a
@@ -816,39 +915,43 @@ class ShardedStore:
             finally:
                 self._composite_cache = None
             raise
+        outcome.stats = _summed(outcome.stats, probed)
         if composite.is_legal:
             staged.commit()
-            return self._fold_extras_stats(outcome)
+            return outcome
         staged.abort()
         self._composite_cache = None
-        return self._fold_extras_stats(UpdateOutcome(
+        return UpdateOutcome(
             report=composite,
             cost=outcome.cost,
             checks=outcome.checks
             + [f"composite check: {self.scope.summary()}",
                "rolled back in memory (no durable footprint)"],
             stats=outcome.stats,
-        ))
-
-    def _composite_report(self) -> LegalityReport:
-        """The composite structure elements over the shards' current
-        in-memory states."""
-        return _composite_report(
-            self.scope,
-            self.shard_map,
-            {name: s.instance for name, s in self._shards.items()},
-            self.composite_instance,
         )
 
-    def _staged_composite_report(self) -> LegalityReport:
+    def _staged_composite_report(
+        self,
+    ) -> Tuple[LegalityReport, Optional[CheckStats]]:
         """What the routing cut hides from the shard guards, judged on
         the staged state: composite structure elements, then — only if
-        those hold — the directory-wide Section 6.1 extras delta."""
+        those hold — the directory-wide Section 6.1 extras delta, whose
+        index work is the second half of the result (so ``--profile``
+        shows the O(|Δ|) key-check work exactly as a union store does)."""
         self._composite_cache = None
-        composite = self._composite_report()
-        if composite.is_legal and self.schema.extras is not None:
-            composite.extend(self._extras_delta_violations())
-        return composite
+        composite = _composite_report(
+            self.scope,
+            _members(
+                self.shard_map, self.scope,
+                lambda name: (self._shards[name].instance, LegalityReport()),
+            ),
+            self.composite_instance,
+        )
+        probed = None
+        if composite.is_legal and self._extras_probe is not None:
+            violations, probed = self._extras_probe.settle()
+            composite.extend(violations)
+        return composite, probed
 
     def _apply_spanning(
         self, slices: Dict[str, UpdateTransaction]
@@ -874,14 +977,15 @@ class ShardedStore:
         resolves to abort at the next open (presumed abort); any crash
         after it resolves to commit.
         """
-        if self.schema.extras is not None:
-            self._extras_checkpoint()
+        if self._extras_probe is not None:
+            self._extras_probe.checkpoint()
         order = list(slices)
         self._io.fault_point("2pc:begin")
         txid = self._txlog.begin(order)
         outcomes: List[UpdateOutcome] = []
         prepared: List[str] = []
         rejection: Optional[UpdateOutcome] = None
+        probed: Optional[CheckStats] = None
         try:
             for name, local in slices.items():
                 outcome = self._shards[name].stage(local).prepare(txid)
@@ -893,7 +997,7 @@ class ShardedStore:
                 prepared.append(name)
                 self._io.fault_point(f"2pc:prepared:{name}")
             if rejection is None:
-                composite = self._staged_composite_report()
+                composite, probed = self._staged_composite_report()
                 if composite.is_legal:
                     self._io.fault_point("2pc:decision")
                     self._txlog.commit(txid)
@@ -904,12 +1008,13 @@ class ShardedStore:
                     self._io.fault_point("2pc:complete")
                     self._txlog.complete(txid)
                     self._composite_cache = None
-                    return self._fold_extras_stats(self._merge_outcomes(
+                    return self._merge_outcomes(
                         outcomes,
                         LegalityReport(),
                         [f"2pc: committed {txid} across shards "
                          f"{', '.join(order)}"],
-                    ))
+                        probed,
+                    )
                 rejection = UpdateOutcome(
                     report=composite,
                     checks=[f"composite check: {self.scope.summary()}"],
@@ -924,12 +1029,13 @@ class ShardedStore:
             self._abort(txid, prepared)
             raise
         self._abort(txid, prepared)
-        return self._fold_extras_stats(self._merge_outcomes(
+        return self._merge_outcomes(
             outcomes + [rejection],
             rejection.report,
             [f"2pc: aborted {txid} ({why}); rolled back in memory "
              "(prepares never became visible)"],
-        ))
+            probed,
+        )
 
     def _abort(self, txid: str, prepared: List[str]) -> None:
         """Decide ``txid`` as aborted everywhere: ABORT in the
@@ -949,134 +1055,26 @@ class ShardedStore:
         outcomes: List[UpdateOutcome],
         report: LegalityReport,
         extra_checks: List[str],
+        probed: Optional[CheckStats],
     ) -> UpdateOutcome:
         """One :class:`UpdateOutcome` for the whole global transaction:
-        costs sum, check descriptions concatenate, per-shard stats fold
-        together."""
+        costs sum, check descriptions concatenate, per-shard stats and
+        the composite step's extras probes (``probed``) fold together."""
         merged = UpdateOutcome(report=report)
         for outcome in outcomes:
             merged.cost += outcome.cost
             merged.checks.extend(outcome.checks)
             merged.stats = _summed(merged.stats, outcome.stats)
         merged.checks.extend(extra_checks)
+        merged.stats = _summed(merged.stats, probed)
         return merged
 
-    # ------------------------------------------------------------------
-    # Section 6.1 extras (global key/referential checks via per-shard
-    # index probes, merged at the composite step)
-    # ------------------------------------------------------------------
-    def _extras_checkpoint(self) -> None:
-        """Before staging: flush every shard's pending index maintenance
-        so the per-shard dirty sets afterwards track exactly this
-        transaction's footprint."""
-        self._extras_stats_delta = None
-        for name in self.shard_map.names():
-            indexes = self._shards[name].instance.indexes
-            if indexes is not None:
-                indexes.delta_checkpoint()
-
-    def _counters_total(self) -> Tuple[int, int, int]:
-        """Sum of the ``(probes, hits, candidates)`` counters across
-        every shard's indexes."""
-        probes = hits = candidates = 0
-        for name in self.shard_map.names():
-            indexes = self._shards[name].instance.indexes
-            if indexes is not None:
-                p, h, c = indexes.counters()
-                probes += p
-                hits += h
-                candidates += c
-        return probes, hits, candidates
-
-    def _fold_extras_stats(self, outcome: UpdateOutcome) -> UpdateOutcome:
-        """Fold the composite-step extras probe counters into the
-        outcome's stats, so ``--profile`` shows the O(|Δ|) key-check
-        work on the sharded path exactly as the union store does."""
-        delta = self._extras_stats_delta
-        self._extras_stats_delta = None
-        if delta is not None:
-            if outcome.stats is None:
-                outcome.stats = delta
-            else:
-                folded = outcome.stats.copy()
-                folded.merge(delta)
-                outcome.stats = folded
-        return outcome
-
-    def _extras_delta_violations(self) -> List[Violation]:
-        """The Section 6.1 violations the staged update introduced.
-
-        Runs at the composite check step, like the cut-spanning
-        structure elements: keys and references are directory-wide, so
-        each probe merges the per-shard key/referential postings
-        (maintained for the *global* extras attributes — the local
-        schemas carry none) and every DN is globalized, making the
-        verdicts identical to a single union store's.  Cost is a
-        handful of index probes per touched entry — O(|Δ|), not a pass
-        over the union."""
-        extras = self.schema.extras
-        shard_map = self.shard_map
-        counters_before = self._counters_total()
-        views: List[Tuple[ShardSpec, DirectoryInstance, object]] = []
-        touched: List[Tuple[Entry, str]] = []
-        removed: List[str] = []
-        for spec in shard_map:
-            instance = self._shards[spec.name].instance
-            indexes = instance.indexes
-            if indexes is None:
-                continue
-            views.append((spec, instance, indexes))
-            eids, local_removed = indexes.delta_collect()
-            for eid in eids:
-                local = parse_dn(instance.dn_string_of(eid))
-                touched.append(
-                    (instance._entries[eid],
-                     str(shard_map.globalize(local, spec)))
-                )
-            for norm in local_removed:
-                removed.append(
-                    str(shard_map.globalize(parse_dn(norm), spec).normalized())
-                )
-
-        def key_holders(attribute: str, value) -> List[str]:
-            holders: List[str] = []
-            for spec, instance, indexes in views:
-                for eid in indexes.key_holders(attribute, value):
-                    local = parse_dn(instance.dn_string_of(eid))
-                    holders.append(str(shard_map.globalize(local, spec)))
-            return holders
-
-        def resolve(target: str) -> bool:
-            try:
-                dn = parse_dn(target)
-                spec = shard_map.route(dn)
-                local = shard_map.localize(dn, spec)
-            except Exception:
-                return False  # unparseable or unrouted: names no entry
-            return self._shards[spec.name].instance.find(local) is not None
-
-        def referrers(attribute: str, norm_target: str):
-            found: List[Tuple[Entry, str]] = []
-            for spec, instance, indexes in views:
-                for eid in indexes.referrers(attribute, norm_target):
-                    local = parse_dn(instance.dn_string_of(eid))
-                    found.append(
-                        (instance._entries[eid],
-                         str(shard_map.globalize(local, spec)))
-                    )
-            return found
-
-        violations = _index.delta_extras_violations(
-            extras, touched, removed, key_holders, resolve, referrers
-        )
-        probes, hits, candidates = (
-            after - before
-            for after, before in zip(self._counters_total(), counters_before)
-        )
-        self._extras_stats_delta = CheckStats(
-            index_probes=probes, index_hits=hits, index_candidates=candidates
-        )
-        return violations
+    def _holds(self, dn: DN) -> bool:
+        """Whether the global ``dn`` names an entry of the shard that
+        owns it."""
+        spec = self.shard_map.route(dn)
+        local = self.shard_map.localize(dn, spec)
+        return self._shards[spec.name].instance.find(local) is not None
 
     # ------------------------------------------------------------------
     # the read/maintenance path
@@ -1088,19 +1086,17 @@ class ShardedStore:
         over the stitched union (keys and references are directory-wide
         properties no shard-local check can settle)."""
         self._ensure_open()
-        merged = LegalityReport()
-        for spec in self.shard_map:
-            merged.extend(
-                _globalized(self._shards[spec.name].check(), spec).violations
-            )
-        merged.extend(self._composite_report().violations)
-        if self.schema.extras is not None:
-            merged.extend(
-                ExtrasChecker(self.schema.extras)
-                .check(self.composite_instance())
-                .violations
-            )
-        return merged
+        return _cohort_report(
+            self.schema,
+            self.scope,
+            _members(
+                self.shard_map, self.scope,
+                lambda name: (
+                    self._shards[name].instance, self._shards[name].check()
+                ),
+            ),
+            self.composite_instance,
+        )
 
     def search(
         self,
@@ -1118,19 +1114,19 @@ class ShardedStore:
 
     def composite_instance(self) -> DirectoryInstance:
         """The stitched union of all shard states (cached per
-        frontier; rebuilt only after a commit or compaction)."""
+        position; rebuilt only after a commit or compaction)."""
         self._ensure_open()
-        frontier = self.frontier_key()
+        position = self.position()
         if self._composite_cache is not None:
-            cached_key, cached = self._composite_cache
-            if cached_key == frontier:
+            cached_at, cached = self._composite_cache
+            if cached_at == position:
                 return cached
         stitched = _stitch(
             self.shard_map,
             {name: s.instance for name, s in self._shards.items()},
             self._registry,
         )
-        self._composite_cache = (frontier, stitched)
+        self._composite_cache = (position, stitched)
         return stitched
 
     @property
@@ -1142,17 +1138,9 @@ class ShardedStore:
     def position(self) -> Position:
         """The committed frontier, one member per shard."""
         return Position(
-            {name: (generation, seq)
-             for name, generation, seq in self.frontier_key()}
-        )
-
-    def frontier_key(self) -> Tuple[Tuple[str, int, int], ...]:
-        """``((name, generation, journal_length), ...)`` per shard —
-        the composite position."""
-        return tuple(
-            (name, self._shards[name].generation,
-             self._shards[name].journal_length)
-            for name in self.shard_map.names()
+            {name: (self._shards[name].generation,
+                    self._shards[name].journal_length)
+             for name in self.shard_map.names()}
         )
 
     def compact(self) -> None:
@@ -1176,28 +1164,14 @@ def _check_one_shard(
     path: str,
     local_schema: DirectorySchema,
     registry: Optional[AttributeRegistry],
-    required: Tuple[str, ...],
-    probes: Tuple[Tuple[str, str], ...],
-):
-    """Worker body: check one shard through a lock-free reader.
-
-    Returns ``(report, {required class: count}, entries, attachments)``
-    — the counts let the parent answer required-class existence without
-    stitching, and ``attachments`` maps each probed nested-shard name
-    to whether its attachment entry (a shard-local DN of *this* shard)
-    exists, so the parent can flag orphaned shards without stitching.
-    """
-    reader = StoreReader.open(path, local_schema, registry)
-    try:
-        report = reader.check()
-        counts = {name: reader.instance.class_count(name) for name in required}
-        attachments = {
-            nested: reader.instance.find(dn) is not None
-            for nested, dn in probes
-        }
-        return report, counts, len(reader.instance), attachments
-    finally:
-        reader.close()
+    *plan,
+) -> _Member:
+    """Worker body: check one shard through a lock-free reader and
+    return its :class:`_Member` — the class counts and attachment
+    probes let the parent settle required classes and orphaned shards
+    without stitching."""
+    with StoreReader.open(path, local_schema, registry) as reader:
+        return _member(*plan, reader.instance, reader.check())
 
 
 def check_shards_parallel(
@@ -1211,10 +1185,10 @@ def check_shards_parallel(
     This is where the routing cut pays off: shards are independent
     store directories, so their (CPU-bound) legality checks run with
     no shared state at all — each worker opens its own lock-free
-    reader, sidestepping the GIL entirely.  Composite elements are
-    evaluated in the parent afterwards: required classes from the
-    per-shard class counts the workers return; cut-spanning edges (only
-    under a nested map) on a stitched composite view.
+    reader, sidestepping the GIL entirely — and the parent composes
+    the members they return (:func:`_cohort_report`), opening a
+    stitched composite view only when a cut-spanning edge or the
+    Section 6.1 extras need one.
 
     Returns ``(merged report, total entries)``.  ``jobs`` caps worker
     processes (default: one per shard).
@@ -1225,89 +1199,34 @@ def check_shards_parallel(
     shard_map = read_shard_map(directory)
     scope = analyze_shard_scope(schema, shard_map)
     local_schema = shard_local_schema(schema, scope)
-    names = shard_map.names()
-    workers = min(jobs or len(names), len(names))
-    required = tuple(sorted(scope.required_classes))
-    merged = LegalityReport()
-    counts_total = {name: 0 for name in required}
-    entries = 0
-    # Each nested shard's attachment entry lives in its enclosing
-    # shard; that shard's worker probes for it, so orphaned shards are
-    # flagged without stitching (and even when no composite edge
-    # forces a stitched pass).
-    probes: Dict[str, List[Tuple[str, str]]] = {name: [] for name in names}
-    for spec in shard_map:
-        if spec.suffix.is_empty():
-            continue
-        owner = shard_map.route(spec.suffix)
-        probes[owner.name].append(
-            (spec.name, str(shard_map.localize(spec.suffix, owner)))
-        )
-    shard_entries: Dict[str, int] = {}
-    attachment_present: Dict[str, bool] = {}
+    workers = min(jobs or len(shard_map.specs), len(shard_map.specs))
     ctx = multiprocessing.get_context(
         "fork" if hasattr(os, "fork") else None
     )
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=max(1, workers), mp_context=ctx
     ) as pool:
-        futures = {
-            name: pool.submit(
+        futures = [
+            pool.submit(
                 _check_one_shard,
-                shard_dir(directory, name),
+                shard_dir(directory, plan[0].name),
                 local_schema,
                 registry,
-                required,
-                tuple(probes[name]),
+                *plan,
             )
-            for name in names
-        }
-        for name in names:
-            report, counts, count, attachments = futures[name].result()
-            merged.extend(_globalized(report, shard_map.spec(name)).violations)
-            for cls, n in counts.items():
-                counts_total[cls] += n
-            entries += count
-            shard_entries[name] = count
-            attachment_present.update(attachments)
-    for spec in shard_map:
-        if spec.suffix.is_empty() or shard_entries[spec.name] == 0:
-            continue
-        if not attachment_present[spec.name]:
-            merged.add(
-                _orphan_violation(
-                    spec.name, shard_entries[spec.name],
-                    str(spec.suffix), shard_map.route(spec.suffix).name,
-                )
-            )
-    if scope.composite_edges or schema.extras is not None:
-        # Nested cut (or Section 6.1 extras): the stitched view is
-        # unavoidable for checks that can span it.  Orphans were
-        # already flagged from the worker probes above; the tolerant
-        # stitch keeps this pass from raising on a damaged store.
+            for plan in _member_plans(shard_map, scope)
+        ]
+        members = [future.result() for future in futures]
+
+    @functools.cache
+    def stitched() -> DirectoryInstance:
+        # The tolerant stitch keeps this from raising on a damaged
+        # store; orphans are flagged from the workers' probes.
         with CompositeReader.open(directory, schema, registry) as reader:
-            if scope.composite_edges:
-                checker = QueryStructureChecker(
-                    composite_structure_schema(scope)
-                )
-                merged.extend(checker.check(reader.instance).violations)
-            if schema.extras is not None:
-                merged.extend(
-                    ExtrasChecker(schema.extras)
-                    .check(reader.instance)
-                    .violations
-                )
-    if not scope.composite_edges:
-        for name in required:
-            if counts_total[name] == 0:
-                merged.add(
-                    Violation(
-                        Kind.MISSING_REQUIRED_CLASS,
-                        f"no entry belongs to required class {name!r}",
-                        element=str(RequiredClass(name)),
-                    )
-                )
-    return merged, entries
+            return reader.instance
+
+    report = _cohort_report(schema, scope, members, stitched)
+    return report, sum(member.entries for member in members)
 
 
 # ----------------------------------------------------------------------
@@ -1321,11 +1240,11 @@ class CompositeRefreshResult:
         self.per_shard = per_shard
         self.advanced = any(r.advanced for r in per_shard.values())
         self.stale = any(r.stale for r in per_shard.values())
-        #: A consistent frontier report: every shard's (generation,
-        #: seq) as of this refresh — the composite view's position.
-        self.frontier: Dict[str, Tuple[int, int]] = {
-            name: (r.generation, r.seq) for name, r in per_shard.items()
-        }
+        #: Every shard's (generation, seq) as of this refresh — the
+        #: composite view's position.
+        self.position = Position(
+            {name: (r.generation, r.seq) for name, r in per_shard.items()}
+        )
         notes = [
             f"{name}: {r.note}" for name, r in sorted(per_shard.items())
             if r.note
@@ -1335,7 +1254,7 @@ class CompositeRefreshResult:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CompositeRefreshResult(advanced={self.advanced}, "
-            f"stale={self.stale}, frontier={self.frontier})"
+            f"stale={self.stale}, position={self.position})"
         )
 
 
@@ -1348,7 +1267,7 @@ class CompositeReader:
     *cross-shard snapshot*: each shard's slice is an actual committed
     state of that shard, but different shards' slices may be from
     different instants — per-shard writers commit independently, so no
-    global total order exists to be consistent with.  ``frontier()``
+    global total order exists to be consistent with.  ``position()``
     names the exact per-shard positions backing the current view.
 
     The composite is **stitched once and then follows**: every change
@@ -1469,26 +1388,17 @@ class CompositeReader:
         legal; DNs globalized, engine stats summed) plus composite
         elements."""
         self._ensure_open()
-        merged = LegalityReport()
-        for spec in self.shard_map:
-            report = _globalized(self._readers[spec.name].check(), spec)
-            merged.extend(report.violations)
-            merged.stats = _summed(merged.stats, report.stats)
-        merged.extend(
-            _composite_report(
-                self.scope,
-                self.shard_map,
-                {name: r.instance for name, r in self._readers.items()},
-                lambda: self.instance,
-            ).violations
+        return _cohort_report(
+            self.schema,
+            self.scope,
+            _members(
+                self.shard_map, self.scope,
+                lambda name: (
+                    self._readers[name].instance, self._readers[name].check()
+                ),
+            ),
+            lambda: self.instance,
         )
-        if self.schema.extras is not None:
-            merged.extend(
-                ExtrasChecker(self.schema.extras)
-                .check(self.instance)
-                .violations
-            )
-        return merged
 
     def is_legal(self) -> bool:
         """Whether the composite view satisfies the whole schema."""
@@ -1646,14 +1556,12 @@ class CompositeReader:
         self._ensure_open()
         return {name: r.lag() for name, r in self._readers.items()}
 
-    def frontier(self) -> Dict[str, Tuple[int, int]]:
-        """``{shard: (generation, seq)}`` of the current view."""
-        self._ensure_open()
-        return {name: r.position().raw for name, r in self._readers.items()}
-
     def position(self) -> Position:
         """The current view's position, one member per shard."""
-        return Position(self.frontier())
+        self._ensure_open()
+        return Position(
+            {name: r.position().raw for name, r in self._readers.items()}
+        )
 
     def shard_reader(self, name: str) -> StoreReader:
         """The per-shard reader (shard-local DNs!) for introspection."""

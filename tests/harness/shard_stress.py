@@ -162,7 +162,7 @@ def composite_reader_main(
             )
             if not refreshed.advanced:
                 time.sleep(0.002)
-            frontier = reader.frontier()
+            frontier = reader.position().raw
             advanced_names = [
                 name for name in names if frontier[name] != checked[name]
             ]

@@ -445,6 +445,13 @@ class TestCheckStore:
         out = capsys.readouterr().out
         assert "[att@g1.0 labs@g1.0] LEGAL: 6 entries" in out
         assert "entries content-checked" in out
+        # ... and so did the one-process-per-shard branch: its report
+        # carried no stats to print until the one composition summed them
+        assert main(["check", "--schema", schema, "--store", path,
+                     "--jobs", "2", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("LEGAL: 6 entries across shards (2 jobs)\n")
+        assert "entries content-checked" in out
 
     @pytest.mark.parametrize("interval", ["0", "-1", "-0.5"])
     def test_follow_rejects_non_positive_interval(

@@ -374,7 +374,7 @@ def test_spanning_pair_is_followed_by_every_shard_view(tmp_path):
             outcome = store.apply(tx)
             assert outcome.applied and any("2pc" in c for c in outcome.checks)
             reader.refresh()
-            assert reader.frontier() == {"att": (1, 2), "labs": (1, 2)}
+            assert reader.position() == {"att": (1, 2), "labs": (1, 2)}
             shards = [reader.shard_reader(name) for name in ("att", "labs")]
             before = [shard.session.stats.copy() for shard in shards]
             report = reader.check()

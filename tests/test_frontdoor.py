@@ -194,6 +194,36 @@ class TestRouting:
 
         asyncio.run(run())
 
+    def test_malformed_request_is_not_a_dead_member(self, tmp_path):
+        """A request with a wrong-typed field used to raise in the
+        primary's dispatch, drop the door's connection to it, and come
+        back ``unavailable`` with the primary marked dead — failing
+        other clients' writes until the re-probe.  It is the client's
+        ``bad_request``; the topology does not move."""
+        from tests.test_server import MALFORMED_REQUESTS
+
+        async def run():
+            topo = await _topology(tmp_path, n_replicas=1)
+            try:
+                client, other = await topo.client(), await topo.client()
+                for index, (op, fields) in enumerate(MALFORMED_REQUESTS):
+                    with pytest.raises(ServerError) as excinfo:
+                        await client.request(op, **fields)
+                    assert excinfo.value.code == "bad_request", (op, fields)
+                    assert (await client.ping())["ok"]
+                    # another client's write, issued immediately after
+                    assert (await other.add(*_person(index)))["applied"]
+                reply = await client.request("topology")
+                assert reply["primary"]["alive"]
+                assert all(member["alive"] for member in reply["replicas"])
+                assert reply["failovers"] == 0
+                await client.close()
+                await other.close()
+            finally:
+                await topo.stop()
+
+        asyncio.run(run())
+
     def test_reads_require_bind_and_ops_gate(self, tmp_path):
         async def run():
             topo = await _topology(tmp_path, n_replicas=1)

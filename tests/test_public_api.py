@@ -209,17 +209,38 @@ class TestOneCheckingPath:
             "legality/structure.py", "legality/__init__.py", "__init__.py"
         }
 
-    def test_only_the_session_and_the_composite_pass_build_checkers(self):
+    def _call_sites(self, *callees):
+        """``[(module, callee), ...]`` for every call of one of
+        ``callees`` (by bare name or attribute) in ``src/repro``."""
         import ast
 
-        builders = set()
+        sites = []
         for module, tree in self._modules():
             for node in ast.walk(tree):
                 if isinstance(node, ast.Call):
                     callee = getattr(node.func, "id", None) or getattr(
                         node.func, "attr", None
                     )
-                    if callee in ("ExtrasChecker", "QueryStructureChecker"):
-                        builders.add(module)
-        assert builders <= {"legality/engine.py", "store/sharded.py"}
-        assert "legality/engine.py" in builders
+                    if callee in callees:
+                        sites.append((module, callee))
+        return sites
+
+    def test_only_the_session_and_the_composite_pass_build_checkers(self):
+        """A sharded store's verdict is composed once
+        (``sharded._cohort_report`` over a member list): the extras
+        pass and the cut-spanning-edge pass are each built at exactly
+        one site there, not once per check surface."""
+        sites = self._call_sites("ExtrasChecker", "QueryStructureChecker")
+        assert {module for module, _ in sites} == {
+            "legality/engine.py", "store/sharded.py"
+        }
+        in_sharded = sorted(c for module, c in sites if module == "store/sharded.py")
+        assert in_sharded == ["ExtrasChecker", "QueryStructureChecker"]
+
+    def test_the_extras_delta_check_has_one_caller(self):
+        """Plain and sharded stores share one Δ probe
+        (``index.ExtrasDeltaProbe``) — the plain store is its one-member
+        case — so the Section 6.1 delta check is called from one site."""
+        assert self._call_sites("delta_extras_violations") == [
+            ("store/index.py", "delta_extras_violations")
+        ]

@@ -392,11 +392,8 @@ class TestShardedReplication:
                     _pump_sharded(source, applier)
                     result = view.refresh()
                     assert result.advanced and not result.stale
-                    assert view.frontier() == applier.position()
-                    assert view.frontier() == {
-                        name: (generation, seq)
-                        for name, generation, seq in store.frontier_key()
-                    }
+                    assert view.position() == applier.position()
+                    assert view.position() == store.position()
                     found = {
                         view.dn_string_of(entry)
                         for entry in view.search(
@@ -496,7 +493,7 @@ class TestShardedReplication:
         try:
             assert state_digest(promoted.composite_instance()) == digest
             # every member bumped its generation; cohort is writable
-            for _, generation, _ in promoted.frontier_key():
+            for _, (generation, _) in promoted.position().items():
                 assert generation == 2
             _spanning_commit(promoted, 9)
         finally:

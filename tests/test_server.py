@@ -630,6 +630,70 @@ class TestModifyValidation:
         asyncio.run(run())
 
 
+#: Requests whose fields have the wrong JSON type (or are missing):
+#: each used to raise out of ``_dispatch`` and drop the connection.
+MALFORMED_REQUESTS = [
+    ("add", {}),
+    ("delete", {}),
+    ("add", {"dn": 5}),
+    ("add", {"dn": "cn=a", "classes": 5}),
+    ("add", {"dn": "cn=a", "classes": ["top"], "attributes": [1]}),
+    ("search", {"base": 7}),
+    ("search", {"filter": 7}),
+    ("txn", {"changes": 5}),
+    ("modify", {"changes": None}),
+]
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("op,fields", MALFORMED_REQUESTS)
+    def test_malformed_field_is_bad_request(self, plain_store, op, fields):
+        async def run():
+            server = await _serve(plain_store)
+            try:
+                client = await _client(server)
+                with pytest.raises(ServerError) as excinfo:
+                    await client.request(op, **fields)
+                assert excinfo.value.code == "bad_request"
+                # the connection survived and nothing was journaled
+                assert (await client.ping())["ok"]
+                position = await client.position()
+                assert position["position"] == {"generation": 1, "seq": 0}
+                await client.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(run())
+
+    def test_escaped_dispatch_failure_is_typed(
+        self, plain_store, monkeypatch, capsys
+    ):
+        """Whatever still raises out of an operation answers
+        ``internal_error`` (type in the message, traceback on stderr)
+        and the connection stays usable."""
+
+        async def boom(self, connection, request):
+            raise ZeroDivisionError("checker bug")
+
+        monkeypatch.setattr(DirectoryServer, "_op_check", boom)
+
+        async def run():
+            server = await _serve(plain_store)
+            try:
+                client = await _client(server)
+                with pytest.raises(ServerError) as excinfo:
+                    await client.check()
+                assert excinfo.value.code == "internal_error"
+                assert "ZeroDivisionError" in excinfo.value.message
+                assert (await client.ping())["ok"]
+                await client.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(run())
+        assert "ZeroDivisionError: checker bug" in capsys.readouterr().err
+
+
 class TestReplicatePositionValidation:
     @pytest.mark.parametrize(
         "fields",

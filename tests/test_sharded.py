@@ -27,9 +27,11 @@ from repro.errors import (
     UpdateError,
 )
 from repro.legality.report import Kind
+from repro.model.dn import parse_dn
 from repro.store import DirectoryStore
 from repro.store.sharded import CompositeReader, ShardedStore, check_shards_parallel
-from repro.store.shardmap import read_shard_map, shard_map_path
+from repro.store.recovery import SIDECAR_FILE
+from repro.store.shardmap import read_shard_map, shard_dir, shard_map_path
 from repro.updates.operations import UpdateTransaction
 from repro.workloads import (
     figure1_instance,
@@ -462,7 +464,7 @@ class TestCompositeReader:
                 assert result.advanced and not result.stale
                 assert result.per_shard["labs"].frames_replayed == 1
                 assert result.per_shard["att"].frames_replayed == 0
-                assert result.frontier["labs"] == (1, 1)
+                assert result.position.get("labs") == (1, 1)
                 assert reader.instance.find("uid=late,ou=attLabs,o=att") is not None
         finally:
             store.close()
@@ -481,7 +483,7 @@ class TestCompositeReader:
                 result = reader.refresh()
                 assert result.advanced
                 assert result.per_shard["labs"].rebootstrapped
-                assert reader.frontier()["labs"] == (2, 0)
+                assert reader.position().get("labs") == (2, 0)
                 assert reader.instance.find("uid=c,ou=attLabs,o=att") is not None
         finally:
             store.close()
@@ -977,12 +979,12 @@ def test_differential_against_union_store(tmp_path, seed, bases, orgs):
                 )
                 assert union.modify(record).applied
                 assert sharded.modify(record).applied
-            written = (union.journal_length, sharded.frontier_key())
+            written = (union.journal_length, sharded.position())
             union_outcome = union.apply(tx)
             sharded_outcome = sharded.apply(tx)
             wrote = union_outcome.applied and bool(tx.operations)
             assert union.journal_length == written[0] + wrote
-            assert (sharded.frontier_key() != written[1]) == wrote
+            assert (sharded.position() != written[1]) == wrote
             assert union_outcome.applied == sharded_outcome.applied, (
                 f"step {step}: union said {union_outcome.applied}, "
                 f"sharded said {sharded_outcome.applied}\n"
@@ -1227,6 +1229,192 @@ def test_spanning_differential_against_union_store(tmp_path, seed, bases, orgs):
                 canonical_records(u.instance)
             )
             assert s.check().is_legal == u.check().is_legal
+
+
+# ----------------------------------------------------------------------
+# one cohort verdict: the four full-check surfaces agree, in order
+# ----------------------------------------------------------------------
+def _flat_cohort(registry):
+    """Three flat shards: an organization, a root person, and a root
+    person's slot left empty for a per-shard writer to fill."""
+    from repro.model.instance import DirectoryInstance
+
+    union = DirectoryInstance(attributes=registry)
+    union.add_entry(
+        None, "o=org0", ["organization", "orgGroup", "top"], {"o": ["org0"]}
+    )
+    union.add_entry(
+        "o=org0", "ou=u0", ["orgUnit", "orgGroup", "top"], {"ou": ["u0"]}
+    )
+    union.add_entry(
+        "ou=u0,o=org0", "uid=p0", ["person", "top"],
+        {"uid": ["p0"], "name": ["p 0"]},
+    )
+    union.add_entry(
+        None, "uid=solo", ["person", "top"],
+        {"uid": ["solo"], "name": ["s olo"]},
+    )
+    return {"a": "o=org0", "b": "uid=solo", "c": "uid=twin"}, union
+
+
+def _person(uid):
+    return ["person", "top"], {"uid": [uid], "name": [f"n {uid}"]}
+
+
+#: ``name: (map, [(shard, [op, ...]), ...])`` — each op is
+#: ``("+", shard-local dn, classes, attributes)`` or ``("-", dn)``,
+#: applied by a per-shard writer (``open_shard``), which is exactly
+#: what the composite check is not there to stop.
+COHORT_DAMAGE = {
+    "flat-clean": ("flat", []),
+    "flat-required": ("flat", [
+        ("a", [("-", "uid=p0,ou=u0,o=org0"), ("-", "ou=u0,o=org0"),
+               ("-", "o=org0")]),
+    ]),
+    "flat-dupkey": ("flat", [("c", [("+", "uid=twin", *_person("solo"))])]),
+    "flat-required+dupkey": ("flat", [
+        ("a", [("-", "uid=p0,ou=u0,o=org0"), ("-", "ou=u0,o=org0"),
+               ("-", "o=org0")]),
+        ("c", [("+", "uid=twin", *_person("solo"))]),
+    ]),
+    "nested-clean": ("nested", []),
+    "nested-orphan": ("nested", [
+        ("att", [("-", "o=att"), ("-", "uid=armstrong,o=att")]),
+    ]),
+    "nested-required": ("nested", [
+        ("att", [("-", "uid=armstrong,o=att")]),
+        ("labs", [("-", "uid=laks,ou=databases,ou=attLabs"),
+                  ("-", "uid=suciu,ou=databases,ou=attLabs")]),
+    ]),
+    "nested-dupkey": ("nested", [
+        ("labs", [("+", "uid=clone,ou=databases,ou=attLabs",
+                   *_person("armstrong"))]),
+    ]),
+    "nested-edge": ("nested", [
+        ("labs", [("+", "ou=ghost,ou=attLabs",
+                   ["orgUnit", "orgGroup", "top"], {"ou": ["ghost"]})]),
+    ]),
+    "nested-edge+dupkey": ("nested", [
+        ("labs", [("+", "ou=ghost,ou=attLabs",
+                   ["orgUnit", "orgGroup", "top"], {"ou": ["ghost"]}),
+                  ("+", "uid=clone,ou=databases,ou=attLabs",
+                   *_person("armstrong"))]),
+    ]),
+    "nested-orphan+dupkey": ("nested", [
+        ("att", [("-", "o=att"), ("-", "uid=armstrong,o=att")]),
+        ("labs", [("+", "uid=clone,ou=databases,ou=attLabs",
+                   *_person("laks"))]),
+    ]),
+}
+
+
+def _counters(stats):
+    """The machine-independent half of a :class:`CheckStats`."""
+    import dataclasses
+
+    fields = dataclasses.asdict(stats)
+    del fields["phase_seconds"]
+    return fields
+
+
+@pytest.mark.parametrize("damage", sorted(COHORT_DAMAGE))
+def test_four_check_surfaces_agree_in_order(tmp_path, registry, damage):
+    """``ShardedStore.check``, ``CompositeReader.check`` and
+    ``check_shards_parallel`` are one composition over three sources of
+    members: same violations, same order, same summed engine counters
+    — and the same set a union store's check finds.  ``create`` refuses
+    the violating union with the message it always had."""
+    from repro.legality.engine import CheckSession
+
+    schema = whitepages_schema(extras=True)
+    layout, writes = COHORT_DAMAGE[damage]
+    if layout == "flat":
+        bases, union = _flat_cohort(registry)
+    else:
+        bases, union = NESTED_BASES, figure1_instance()
+    path = str(tmp_path / "cohort")
+    make_store(
+        tmp_path, schema, registry, bases=bases, instance=union, name="cohort"
+    ).close()
+    shard_map = read_shard_map(path)
+    orphaned = "orphan" in damage
+    for name, ops in writes:
+        tx = UpdateTransaction()
+        for op in ops:
+            if op[0] == "+":
+                tx.insert(*op[1:])
+            else:
+                tx.delete(op[1])
+        with ShardedStore.open_shard(path, name, schema, registry) as shard:
+            assert shard.apply(tx).applied
+        if orphaned:
+            continue  # no union has a subtree without its root
+        for op in ops:  # the same edits, blind, on the union
+            dn = shard_map.globalize(parse_dn(op[1]), shard_map.spec(name))
+            if op[0] == "-":
+                union.delete_entry(str(dn))
+            else:
+                parent = None if dn.parent().is_empty() else str(dn.parent())
+                union.add_entry(parent, str(dn.rdns[0]), *op[2:])
+
+    # Views warm-start from the verdict sidecar a closing writer leaves;
+    # without it all three surfaces do the same (cold) engine work.
+    for name in shard_map.names():
+        os.unlink(os.path.join(shard_dir(path, name), SIDECAR_FILE))
+    with CompositeReader.open(path, schema, registry) as reader:
+        view = reader.check()
+        entries = len(reader.instance)
+    workers, counted = check_shards_parallel(path, schema, registry, jobs=2)
+    with ShardedStore.open(path, schema, registry) as store:
+        writer = store.check()
+
+    assert counted == entries
+    assert writer.violations == view.violations == workers.violations
+    assert (
+        _counters(writer.stats) == _counters(view.stats)
+        == _counters(workers.stats)
+    )
+    assert writer.stats.cache_misses + writer.stats.cache_hits == entries
+    assert writer.is_legal == damage.endswith("clean")
+    assert bool(writer.of_kind(Kind.ORPHANED_SHARD)) == orphaned
+    if orphaned:
+        return
+
+    def verdicts(report):
+        # Which holder of a duplicated key is "the duplicate" follows
+        # document order, and a stitched composite orders siblings by
+        # shard: compare the pair, not who is blamed.
+        return sorted(
+            (v.kind, *sorted([str(v.dn), v.message.rsplit("entry ", 1)[1]]))
+            if v.kind == Kind.DUPLICATE_KEY
+            else (v.kind, str(v.dn), v.message)
+            for v in report
+        )
+
+    expected = CheckSession(schema).check(union)
+    assert verdicts(writer) == verdicts(expected)
+    if writer.is_legal:
+        return
+    composite = [v for v in expected if v.kind not in Kind.EXTRAS_KINDS]
+    with pytest.raises(UpdateError) as refusal:
+        make_store(
+            tmp_path, schema, registry, bases=bases, instance=union,
+            name="again",
+        )
+    message = str(refusal.value)
+    if composite:
+        assert message.startswith(
+            "initial instance violates composite schema elements:\n"
+            f"ILLEGAL: {len(composite)} violation(s)"
+        )
+        assert all(str(v) in message for v in composite)
+        assert "duplicate-key" not in message
+    else:
+        assert message.startswith(
+            "instance is not legal to begin with:\n"
+            f"ILLEGAL: {len(expected)} violation(s)"
+        )
+        assert all(str(v) in message for v in expected)
 
 
 def test_insert_under_deleted_entry_refused_identically(tmp_path):

@@ -67,6 +67,12 @@ def person_tx(dn, uid):
     )
 
 
+def probe_work(outcome):
+    """The Section 6.1 delta probe's share of a write's stats."""
+    stats = outcome.stats
+    return stats.index_probes, stats.index_hits, stats.index_candidates
+
+
 class TestLifecycle:
     def test_create_accepts_extras_and_enforces_baseline(
         self, tmp_path, schema, registry
@@ -145,6 +151,16 @@ def test_key_verdict_differential_against_union_store(
                 assert verdict_tuples(union_outcome.report) == verdict_tuples(
                     sharded_outcome.report
                 ), f"step {step}: verdicts differ"
+            # ... and the same work: one key probe, finding the new
+            # entry alone or beside the holder it collides with — asked
+            # of every shard's postings, naming the same candidates.
+            probes, hits, candidates = probe_work(union_outcome)
+            assert (probes, hits, candidates) == (
+                (1, 1, 1) if union_outcome.applied else (1, 1, 2)
+            ), f"step {step}"
+            sharded_work = probe_work(sharded_outcome)
+            assert sharded_work[0] == len(FLAT_BASES) * probes
+            assert sharded_work[2] == candidates
             assert canonical_records(
                 sharded.composite_instance()
             ) == canonical_records(union.instance), f"diverged at step {step}"
@@ -169,6 +185,41 @@ def test_key_verdict_differential_against_union_store(
             str(tmp_path / "sharded"), schema, registry
         ) as reader:
             assert reader.check().is_legal
+
+
+def test_one_shard_store_does_the_plain_stores_probe_work(
+    tmp_path, schema, registry
+):
+    """The plain store's delta probe is the sharded one with a single
+    member: write for write — accepted, rejected, delete, modify — the
+    three probe counters are equal, and are what they always were."""
+    initial = generate_whitepages(orgs=1, units_per_level=2, depth=1,
+                                  persons_per_unit=2, seed=3)
+    parent = insertion_points(initial)[0]
+    taken = all_uids(initial)[0][0]
+    stream = [
+        (person_tx(f"uid=n1,{parent}", "fresh1"), True, (1, 1, 1)),
+        (person_tx(f"uid=n2,{parent}", taken), False, (1, 1, 2)),
+        (UpdateTransaction().delete(f"uid=n1,{parent}"), True, (0, 0, 0)),
+    ]
+    with DirectoryStore.create(
+        str(tmp_path / "plain"), schema, initial, registry
+    ) as plain, ShardedStore.create(
+        str(tmp_path / "one"), schema, {"all": "o=org0"}, initial, registry
+    ) as one:
+        for tx, applied, work in stream:
+            plain_outcome, one_outcome = plain.apply(tx), one.apply(tx)
+            assert plain_outcome.applied == one_outcome.applied == applied
+            assert probe_work(plain_outcome) == probe_work(one_outcome) == work
+        (record,) = parse_modifications(
+            f"dn: uid=n3,{parent}\nchangetype: modify\n"
+            f"replace: uid\nuid: {taken}\n"
+        )
+        assert plain.apply(person_tx(f"uid=n3,{parent}", "fresh3")).applied
+        assert one.apply(person_tx(f"uid=n3,{parent}", "fresh3")).applied
+        plain_outcome, one_outcome = plain.modify(record), one.modify(record)
+        assert not plain_outcome.applied and not one_outcome.applied
+        assert probe_work(plain_outcome) == probe_work(one_outcome) == (1, 1, 2)
 
 
 class TestSpanningTransactions:

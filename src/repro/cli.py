@@ -523,17 +523,19 @@ def _fsck_frontdoor(address: str) -> int:
     import asyncio
 
     from repro.server.client import DirectoryClient, ServerError
+    from repro.server.protocol import parse_address
     from repro.store import Position
 
-    host, _, port_text = address.rpartition(":")
-    if not host or not port_text.isdigit():
+    try:
+        host, port = parse_address(address)
+    except ValueError:
         print(f"fsck: --frontdoor must be HOST:PORT, got {address!r}",
               file=sys.stderr)
         return 2
 
     async def run() -> int:
         try:
-            client = await DirectoryClient.connect(host, int(port_text))
+            client = await DirectoryClient.connect(host, port)
         except (ConnectionError, OSError) as exc:
             print(f"fsck: cannot reach front door {address}: {exc}")
             return 1
@@ -914,20 +916,21 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.errors import StoreError
-    from repro.server.client import DirectoryClient, ServerError, sync_replica
+    from repro.server.client import DirectoryClient, ServerError, follow_upstream
+    from repro.server.protocol import parse_address
     from repro.store import open_replica
 
     schema = load_dsl(args.schema)
-    host, _, port_text = args.upstream.rpartition(":")
-    if not host or not port_text.isdigit():
+    try:
+        host, port = parse_address(args.upstream)
+    except ValueError:
         print(f"replicate: --from must be HOST:PORT, got {args.upstream!r}",
               file=sys.stderr)
         return 2
 
     async def run() -> int:
-        loop = asyncio.get_running_loop()
         try:
-            client = await DirectoryClient.connect(host, int(port_text))
+            client = await DirectoryClient.connect(host, port)
         except (ConnectionError, OSError) as exc:
             print(f"replicate: cannot reach {args.upstream}: {exc}",
                   file=sys.stderr)
@@ -938,31 +941,24 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             applier = open_replica(
                 args.directory, schema, upstream=args.upstream
             )
-            applier = await sync_replica(client, applier)
-            print(
-                f"replica {args.directory}: synced to "
-                f"{applier.position()} from {args.upstream}",
-                flush=True,
+            # One subscription, two phases: catch up to the frontier the
+            # upstream acknowledged, then follow live until the signal
+            # (which, between messages, also ends a catch-up early).
+            stopping = (
+                None if args.oneshot
+                else asyncio.ensure_future(_stop_signal().wait())
             )
-            if args.oneshot:
-                return 0
-            stop = _stop_signal()
-            stopping = asyncio.ensure_future(stop.wait())
-            while not stop.is_set():
-                incoming = asyncio.ensure_future(
-                    client.next_stream_message()
-                )
-                await asyncio.wait(
-                    {stopping, incoming},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if not incoming.done():
-                    incoming.cancel()
-                    break
-                await loop.run_in_executor(
-                    None, applier.apply_message, incoming.result()
-                )
-            stopping.cancel()
+            synced = False
+            async for applier, _ in follow_upstream(client, applier, stop=stopping):
+                if not synced and applier.position() >= applier.frontier:
+                    synced = True
+                    print(
+                        f"replica {args.directory}: synced to "
+                        f"{applier.position()} from {args.upstream}",
+                        flush=True,
+                    )
+                    if args.oneshot:
+                        return 0
             print(
                 f"replica stopped at {applier.position()} "
                 "(run `promote` to make it writable, or `replicate` again "
@@ -1016,10 +1012,12 @@ def _cmd_frontdoor(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.server.frontdoor import FrontDoor
+    from repro.server.protocol import parse_address
 
     for address in [args.primary] + list(args.replica or []):
-        host, _, port_text = address.rpartition(":")
-        if not host or not port_text.isdigit():
+        try:
+            parse_address(address)
+        except ValueError:
             print(
                 f"frontdoor: member must be HOST:PORT, got {address!r}",
                 file=sys.stderr,

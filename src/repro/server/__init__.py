@@ -9,11 +9,14 @@ connection (:func:`repro.store.open_view`, refreshed O(|Δ|) before each
 read, so reads never block the writer) and a single write path through
 the owning store (:func:`repro.store.open_store`) — plain or sharded,
 whichever the directory holds;
-:mod:`repro.server.client` is the asyncio client used by the tests and
-``benchmarks/bench_server.py``; :mod:`repro.server.frontdoor` is the
-read-balancing proxy that routes writes to a primary and spreads
-``search``/``check`` across replica servers under a bounded-staleness
-contract, with automatic failover.
+:mod:`repro.server.client` is the asyncio client used by the tests,
+the end-to-end benchmark and the front door's backend pool;
+:mod:`repro.server.frontdoor` is the read-balancing proxy that routes
+writes to a primary and spreads ``search``/``check`` across replica
+servers under a bounded-staleness contract, with automatic failover.
+Server and front door are the same :mod:`repro.server.service` — one
+connection loop, one check of each request against the protocol's
+request table — with different op tables.
 """
 
 from repro.server.client import DirectoryClient

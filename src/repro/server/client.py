@@ -1,7 +1,8 @@
 """Asyncio client for the directory server.
 
-Used by the test suite and ``benchmarks/bench_server.py``; also the
-reference implementation of the wire protocol's client side.  Requests
+Used by the test suite, the end-to-end benchmark's load generator and
+the front door's backend pool; also the reference implementation of
+the wire protocol's client side.  Requests
 are matched to responses by ``id``; server-pushed ``notify`` frames
 (which carry no ``id``) land in a queue consumed by
 :meth:`DirectoryClient.next_notify` — so a follower ``await``\\ s a
@@ -9,8 +10,9 @@ commit instead of polling.  Replication stream messages (``op:
 "repl"``, pushed after a :meth:`DirectoryClient.replicate` subscribe)
 land in their own queue consumed by
 :meth:`DirectoryClient.next_stream_message`;
-:func:`sync_replica` drives a follower applier
-(:func:`repro.store.open_replica`) from it.
+:func:`follow_upstream` is the one loop that drives a follower applier
+(:func:`repro.store.open_replica`) from it — a replica server, the
+``replicate`` command and :func:`sync_replica` all run it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Dict, Optional
 from repro.server.protocol import read_frame, write_frame
 from repro.store import Position, follow
 
-__all__ = ["DirectoryClient", "ServerError", "sync_replica"]
+__all__ = ["DirectoryClient", "ServerError", "follow_upstream", "sync_replica"]
 
 
 class ServerError(Exception):
@@ -253,32 +255,60 @@ class DirectoryClient:
         await self.close()
 
 
-async def sync_replica(
+async def follow_upstream(
     client: DirectoryClient,
     applier,
     *,
-    until=None,
-    timeout: Optional[float] = 30.0,
+    executor=None,
+    timeout: Optional[float] = None,
+    stop: Optional[asyncio.Future] = None,
+):
+    """The upstream-follow loop, as an async iterator of ``(applier,
+    message)``.
+
+    Subscribes ``client`` at ``applier``'s durable position and points
+    the applier at the frontier the upstream acknowledged
+    (:func:`repro.store.follow` — over a fresh directory that may
+    reopen it as the upstream's kind; ``applier.frontier`` is that
+    frontier), yielding ``(applier, None)``.  Then, for ever: await the
+    next pushed stream message (``timeout`` seconds at most), apply it
+    on ``executor`` — off the event loop, the applier fsyncs — and
+    yield ``(applier, message)``.  The consumer decides when to stop;
+    ``stop``, a future, ends the iteration once it completes, and only
+    *between* messages, never with one half applied.
+    """
+    applier = follow(applier, await client.replicate(applier.position()))
+    yield applier, None
+    loop = asyncio.get_running_loop()
+    while True:
+        if stop is None:
+            message = await client.next_stream_message(timeout)
+        else:
+            incoming = asyncio.ensure_future(client.next_stream_message(timeout))
+            try:
+                await asyncio.wait({stop, incoming}, return_when=asyncio.FIRST_COMPLETED)
+                if not incoming.done():
+                    return
+                message = incoming.result()
+            finally:
+                incoming.cancel()  # a no-op unless stopped or cancelled while waiting
+        await loop.run_in_executor(executor, applier.apply_message, message)
+        yield applier, message
+
+
+async def sync_replica(
+    client: DirectoryClient, applier, *, timeout: Optional[float] = 30.0
 ):
     """Drive a follower applier (:func:`repro.store.open_replica`) from
-    a server's replication stream until it reaches the position
-    ``until`` (default: the committed frontier the server acknowledged
-    at subscribe time).
+    a server's replication stream (:func:`follow_upstream`) until it
+    reaches the committed frontier the server acknowledged at subscribe
+    time, waiting ``timeout`` seconds at most for each message.
 
-    Subscribes at the applier's durable position, then applies each
-    pushed stream message on the shared executor (the applier fsyncs).
     Members compare lexicographically, so a compaction fold that bumps
-    a generation past the target still terminates.  Returns the applier
-    — over a fresh directory :func:`repro.store.follow` may have
-    reopened it as the upstream's kind; keep calling
-    :meth:`DirectoryClient.next_stream_message` /
-    ``applier.apply_message`` afterwards to follow live.
+    a generation past that frontier still terminates.  Returns the
+    applier — over a fresh directory it may have been reopened as the
+    upstream's kind.
     """
-    head = await client.replicate(applier.position())
-    applier = follow(applier, head)
-    target = head if until is None else Position.of(until)
-    loop = asyncio.get_running_loop()
-    while not applier.position() >= target:
-        message = await client.next_stream_message(timeout)
-        await loop.run_in_executor(None, applier.apply_message, message)
-    return applier
+    async for applier, _ in follow_upstream(client, applier, timeout=timeout):
+        if applier.position() >= applier.frontier:
+            return applier

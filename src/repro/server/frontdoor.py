@@ -50,18 +50,15 @@ from typing import List, Optional
 
 from repro.server.client import DirectoryClient, ServerError
 from repro.server.protocol import (
-    ProtocolError,
+    BadRequest,
     error_response,
     ok_response,
-    read_frame,
-    write_frame,
+    parse_address,
 )
+from repro.server.service import Connection, WireService
 from repro.store import Position
 
 __all__ = ["FrontDoor", "position_geq", "position_max"]
-
-_READ_OPS = ("search", "check")
-_WRITE_OPS = ("add", "delete", "txn", "modify")
 
 
 def _parse(payload: Optional[dict]) -> Optional[Position]:
@@ -124,17 +121,27 @@ class _Backend:
         return payload
 
 
-class _FrontConnection:
-    """Per-client state: identity plus the monotonic read floor."""
+class _FrontConnection(Connection):
+    """A door connection adds the monotonic read floor."""
 
     def __init__(self, writer) -> None:
-        self.writer = writer
-        self.bound_dn: Optional[str] = None
-        self.busy = False
+        super().__init__(writer)
         self.floor: Optional[Position] = None
 
 
-class FrontDoor:
+def _forwarded(request: dict) -> dict:
+    """The fields of a checked request a member is sent: what the
+    request table declares for the op, minus what addresses the door
+    itself.  A key the client made up never gets this far, so it cannot
+    collide with a parameter of ``DirectoryClient.request``."""
+    return {
+        key: value
+        for key, value in request.items()
+        if key not in ("op", "id", "require_seq", "max_lag")
+    }
+
+
+class FrontDoor(WireService):
     """Proxy one primary and N follower endpoints behind one address.
 
     Parameters
@@ -149,6 +156,17 @@ class FrontDoor:
         probes of the primary trigger failover.
     """
 
+    OPS = {
+        **WireService.OPS,
+        "topology": ("_op_topology", True),
+        **dict.fromkeys(("add", "delete", "txn", "modify"), ("_forward_write", False)),
+        **dict.fromkeys(("search", "check"), ("_forward_read", False)),
+        **dict.fromkeys(
+            ("watch", "replicate", "promote", "reattach"), ("_op_member_only", False)
+        ),
+    }
+    connection_class = _FrontConnection
+
     def __init__(
         self,
         primary: str,
@@ -160,8 +178,7 @@ class FrontDoor:
         probe_timeout: float = 2.0,
         fail_after: int = 2,
     ) -> None:
-        self.host = host
-        self._requested_port = port
+        super().__init__(host, port)
         self.probe_interval = probe_interval
         self.probe_timeout = probe_timeout
         self.fail_after = fail_after
@@ -170,54 +187,25 @@ class FrontDoor:
         self._lost_floors: List[Position] = []
         self.failovers = 0
         self._rotation = 0
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: "dict[asyncio.Task, _FrontConnection]" = {}
         self._health_task: Optional[asyncio.Task] = None
         self._probe_now = asyncio.Event()
         self._failover_lock = asyncio.Lock()
-        self._draining = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def port(self) -> int:
-        """The bound listen port (after :meth:`start`)."""
-        if self._server is None:
-            raise RuntimeError("front door is not started")
-        return self._server.sockets[0].getsockname()[1]
-
     async def start(self) -> None:
         """Bind the listen socket and start the health-probe loop."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
-        )
+        await self._listen()
         self._health_task = asyncio.ensure_future(self._health_loop())
 
-    async def stop(self, *, drain: bool = True, timeout: float = 10.0) -> None:
-        """Graceful SIGTERM path: stop accepting, nudge idle clients,
-        let in-flight requests finish, drop the backend pool."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _quiesce(self) -> None:
         if self._health_task is not None:
             self._health_task.cancel()
             await asyncio.gather(self._health_task, return_exceptions=True)
             self._health_task = None
-        for connection in list(self._connections.values()):
-            if not connection.busy:
-                try:
-                    connection.writer.close()
-                except Exception:
-                    pass
-        pending = {t for t in self._connections if not t.done()}
-        if pending and drain:
-            _, pending = await asyncio.wait(pending, timeout=timeout)
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+
+    async def _release(self) -> None:
         for backend in self._backends():
             await self._drop_client(backend)
             await self._drop_prober(backend)
@@ -229,9 +217,9 @@ class FrontDoor:
     # backend pool
     # ------------------------------------------------------------------
     async def _connect(self, backend: _Backend) -> DirectoryClient:
-        host, _, port = backend.address.rpartition(":")
         client = await asyncio.wait_for(
-            DirectoryClient.connect(host, int(port)), self.probe_timeout
+            DirectoryClient.connect(*parse_address(backend.address)),
+            self.probe_timeout,
         )
         try:
             await client.bind("cn=frontdoor")
@@ -269,78 +257,18 @@ class FrontDoor:
     # ------------------------------------------------------------------
     # client-facing protocol
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        connection = _FrontConnection(writer)
-        self._connections[task] = connection
-        try:
-            while not self._draining:
-                request = await read_frame(reader)
-                if request is None:
-                    break
-                connection.busy = True
-                try:
-                    response = await self._dispatch(connection, request)
-                    if response is None:  # unbind
-                        break
-                    await write_frame(writer, response)
-                finally:
-                    connection.busy = False
-        except (ProtocolError, ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._connections.pop(task, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _dispatch(
-        self, connection: _FrontConnection, request: dict
-    ) -> Optional[dict]:
-        op = request.get("op")
-        request_id = request.get("id")
-        if op == "ping":
-            return ok_response(request_id)
-        if op == "topology":
-            return self._op_topology(request_id)
-        if op == "bind":
-            dn = request.get("dn", "")
-            if not isinstance(dn, str):
-                return error_response(
-                    request_id, "bad_request", "bind dn must be a string"
-                )
-            connection.bound_dn = dn
-            return ok_response(request_id, dn=dn)
-        if op == "unbind":
-            await write_frame(connection.writer, ok_response(request_id))
-            return None
-        if connection.bound_dn is None:
-            return error_response(
-                request_id, "not_bound",
-                f"operation {op!r} requires a prior bind",
-            )
-        if op in _WRITE_OPS:
-            return await self._forward_write(connection, request)
-        if op in _READ_OPS:
-            return await self._forward_read(connection, request)
-        if op in ("watch", "replicate", "promote", "reattach"):
-            return error_response(
-                request_id, "bad_request",
-                f"{op} is not served through the front door; connect to "
-                "a member server directly",
-            )
-        return error_response(
-            request_id, "unknown_op", f"unknown operation {op!r}"
+    async def _op_member_only(self, connection, request: dict) -> dict:
+        raise BadRequest(
+            f"{request['op']} is not served through the front door; connect "
+            "to a member server directly"
         )
 
-    def _op_topology(self, request_id) -> dict:
+    async def _op_topology(self, connection, request: dict) -> dict:
         """The routing table: who serves writes, who serves reads, at
         which frontiers — ``fsck --frontdoor`` and the harness's
         oracle both read it here."""
         return ok_response(
-            request_id,
+            request.get("id"),
             primary=self._primary.payload(),
             replicas=[backend.payload() for backend in self._replicas],
             lost_floors=[floor.to_wire() for floor in self._lost_floors],
@@ -354,11 +282,6 @@ class FrontDoor:
         self, connection: _FrontConnection, request: dict
     ) -> dict:
         request_id = request.get("id")
-        fields = {
-            key: value
-            for key, value in request.items()
-            if key not in ("op", "id")
-        }
         backend = self._primary
         if not backend.alive:
             return error_response(
@@ -367,7 +290,7 @@ class FrontDoor:
             )
         try:
             client = await self._ensure_client(backend)
-            response = await client.request(request["op"], **fields)
+            response = await client.request(request["op"], **_forwarded(request))
         except ServerError as exc:
             return error_response(request_id, exc.code, exc.message)
         except (ConnectionError, OSError, asyncio.TimeoutError,
@@ -395,24 +318,8 @@ class FrontDoor:
         self, connection: _FrontConnection, request: dict
     ) -> dict:
         request_id = request.get("id")
-        require = request.get("require_seq")
+        require = _parse(request.get("require_seq"))
         max_lag = request.get("max_lag")
-        try:
-            require = None if require is None else Position.from_wire(require)
-        except ValueError as exc:
-            return error_response(
-                request_id, "bad_request",
-                f"require_seq must be a position payload: {exc}",
-            )
-        if max_lag is not None and (
-            not isinstance(max_lag, int)
-            or isinstance(max_lag, bool)
-            or max_lag < 0
-        ):
-            return error_response(
-                request_id, "bad_request",
-                f"max_lag must be a non-negative integer, got {max_lag!r}",
-            )
         # The lost-floor check runs on the caller's *explicit*
         # requirement: a connection floor raised by post-failover
         # responses would otherwise dominate the (older-generation)
@@ -429,11 +336,7 @@ class FrontDoor:
         # The connection's floor rides along: reads are monotonic even
         # when the caller never asks for read-your-writes explicitly.
         require = _merge(connection.floor, require)
-        fields = {
-            key: value
-            for key, value in request.items()
-            if key not in ("op", "id", "require_seq", "max_lag")
-        }
+        fields = _forwarded(request)
         for backend in self._read_candidates(require, max_lag):
             try:
                 client = await self._ensure_client(backend)

@@ -17,6 +17,16 @@ operation-specific fields.  A response carries the echoed ``id``,
 Server-pushed commit notifications have ``op: "notify"`` and *no*
 ``id`` — they are not responses to anything.
 
+The shape of every request — per operation, each field's name, JSON
+type and whether it is required — is stated once, in :data:`REQUESTS`
+below, and enforced once (:func:`checked_request`) by the connection
+loop both members run (:mod:`repro.server.service`) before any handler
+sees the request: a field of the wrong type, or a required field
+missing, answers ``bad_request`` naming the field.  A field the table
+does not declare is **ignored** (and not forwarded by a front door), so
+an older member tolerates a newer client; a declared field that is
+``null`` counts as absent.
+
 Operations
 ----------
 ``bind``
@@ -38,13 +48,17 @@ Operations
     ``size_limit`` cut the result after canonical ordering, i.e. at
     least one further match exists), and the ``position`` the serving
     reader's view sat at (always a committed frontier).  Two optional
-    fields address a front door (a plain server ignores them):
+    fields address a front door (a member server checks their shape
+    and otherwise ignores them):
     ``require_seq`` — a ``position`` payload the serving replica's
     frontier must have reached (read-your-writes) — and ``max_lag``
     (``0`` forces primary reads).
 ``add`` / ``delete`` / ``txn``
     Mutations as update transactions.  ``add`` carries ``dn``,
-    ``classes``, ``attributes``; ``delete`` carries ``dn``; ``txn``
+    ``classes`` (a list of strings), ``attributes`` (an object mapping
+    each name to a list of values — JSON strings, numbers or booleans;
+    an object, array or ``null`` as a value is refused); ``delete``
+    carries ``dn``; ``txn``
     carries ``changes`` — an LDIF changes document (multiple
     add/delete records, one transaction, atomic; a document spanning
     shards rides the two-phase commit path unchanged).  The response
@@ -114,12 +128,15 @@ Operations
       observes half a spanning transaction).
 
     See :mod:`repro.store.replicate` for the exact stream contract.
-
-The front door (:mod:`repro.server.frontdoor`) additionally serves a
-``topology`` operation — the routing table with every member's
-address, liveness, cached frontier, and the recorded lost floors —
-and answers reads whose required position died with a failed primary
-with a typed ``position_lost`` error.
+``topology``
+    Served by the front door (:mod:`repro.server.frontdoor`) only, and
+    allowed before bind: the routing table with every member's
+    address, liveness, cached frontier, and the recorded lost floors.
+    The door serves ``ping``/``bind``/``unbind``, the reads and the
+    writes besides; ``watch``/``replicate``/``promote``/``reattach``
+    address one member and are refused there.  A read whose required
+    position died with a failed primary answers a typed
+    ``position_lost`` error.
 """
 
 from __future__ import annotations
@@ -127,11 +144,17 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Optional
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
+
+from repro.store.position import Position
 
 __all__ = [
     "MAX_FRAME_BYTES",
+    "REQUESTS",
+    "BadRequest",
     "ProtocolError",
+    "checked_request",
+    "parse_address",
     "encode_frame",
     "decode_frame",
     "read_frame",
@@ -152,6 +175,142 @@ class ProtocolError(Exception):
     """A malformed frame or message (framing layer, not business logic)."""
 
 
+class BadRequest(Exception):
+    """A decodable request the protocol refuses — a field off the shape
+    :data:`REQUESTS` declares, or an operation that makes no sense on
+    this member.  The connection loop answers it ``bad_request``."""
+
+
+def parse_address(address) -> Tuple[str, int]:
+    """``"host:port"`` → ``(host, port)``; :class:`ValueError` unless the
+    host is non-empty and the port a decimal in 1..65535.  The one
+    parser of member addresses: CLI flags, ``reattach`` and every
+    connect go through it."""
+    if isinstance(address, str):
+        host, _, port = address.rpartition(":")
+        if host and port.isascii() and port.isdigit() and 0 < int(port) < 65536:
+            return host, int(port)
+    raise ValueError(f"an address is host:port, got {address!r}")
+
+
+# ----------------------------------------------------------------------
+# the request table: the protocol's own bounding-schema
+# ----------------------------------------------------------------------
+_SCOPES = ("base", "one", "sub", "children")
+
+
+def _string(value) -> None:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+
+
+def _strings(value) -> None:
+    if not isinstance(value, list) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise ValueError(f"must be a list of strings, got {value!r}")
+
+
+def _attributes(value) -> None:
+    # bool is an int: strings, numbers and booleans pass, nothing else.
+    if not isinstance(value, dict) or not all(
+        isinstance(values, list)
+        and all(isinstance(item, (str, int, float)) for item in values)
+        for values in value.values()
+    ):
+        raise ValueError(
+            "must map names to lists of strings, numbers or booleans, "
+            f"got {value!r}"
+        )
+
+
+def _scope(value) -> None:
+    if value not in _SCOPES:
+        raise ValueError(f"must be one of {_SCOPES}, got {value!r}")
+
+
+def _integer(minimum: int) -> Callable:
+    def check(value) -> None:
+        # ``type(...) is int``, not isinstance: True and False are ints.
+        if type(value) is not int or value < minimum:
+            raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
+
+    return check
+
+
+class Field(NamedTuple):
+    """One declared request field: ``check(value)`` raises
+    :class:`ValueError` on a value of the wrong shape."""
+
+    check: Callable
+    required: bool = False
+
+
+_REQUIRED_STRING = Field(_string, required=True)
+_STALENESS = {
+    "require_seq": Field(Position.from_wire),
+    "max_lag": Field(_integer(0)),
+}
+
+#: ``{op: {field: Field}}`` — every operation either member serves, and
+#: every field a handler may read.  What a class *must* and *may* carry,
+#: said once and enforced by one checker (:func:`checked_request`), as
+#: the paper's class schema does for directory entries.
+REQUESTS: Dict[str, Dict[str, Field]] = {
+    "ping": {},
+    "bind": {"dn": Field(_string)},
+    "unbind": {},
+    "search": {
+        "base": Field(_string),
+        "scope": Field(_scope),
+        "filter": Field(_string),
+        "size_limit": Field(_integer(1)),
+        **_STALENESS,
+    },
+    "check": _STALENESS,
+    "add": {
+        "dn": _REQUIRED_STRING,
+        "classes": Field(_strings),
+        "attributes": Field(_attributes),
+    },
+    "delete": {"dn": _REQUIRED_STRING},
+    "txn": {"changes": _REQUIRED_STRING},
+    "modify": {"changes": _REQUIRED_STRING},
+    "watch": {},
+    "position": {},
+    "promote": {},
+    "reattach": {"upstream": Field(parse_address, required=True)},
+    # The follower's durable position, inline: each field is checked
+    # through the one parser of that shape.
+    "replicate": {
+        name: Field(lambda value, name=name: Position.from_fields({name: value}))
+        for name in Position.FIELDS
+    },
+    "topology": {},
+}
+
+
+def checked_request(request: dict) -> dict:
+    """``request`` (its ``op`` one of :data:`REQUESTS`) reduced to
+    ``op``, ``id`` and the fields the table declares for that op, each
+    checked; :class:`BadRequest` names the first field that is off.
+    Undeclared fields are dropped, ``null`` is absent."""
+    op = request["op"]
+    checked = {"op": op, "id": request.get("id")}
+    for name, field in REQUESTS[op].items():
+        value = request.get(name)
+        if value is None:
+            if field.required:
+                raise BadRequest(f"{op} requires {name}")
+            continue
+        try:
+            field.check(value)
+        except ValueError as exc:
+            raise BadRequest(f"{op} {name}: {exc}") from None
+        checked[name] = value
+    return checked
+
+
 def encode_frame(message: dict) -> bytes:
     """One wire frame: big-endian length prefix + UTF-8 JSON body."""
     body = json.dumps(message, separators=(",", ":")).encode("utf-8")
@@ -166,7 +325,8 @@ def decode_frame(body: bytes) -> dict:
     """Decode a frame *body* (the bytes after the length prefix)."""
     try:
         message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: a body nested deeper than the parser's stack.
         raise ProtocolError(f"undecodable frame: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError(

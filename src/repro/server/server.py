@@ -41,28 +41,20 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import sys
-import traceback
 from typing import Optional
 
-from repro.errors import (
-    FilterSyntaxError,
-    LdifError,
-    ModelError,
-    ShardRoutingError,
-    StoreError,
-    UpdateError,
-)
+from repro.errors import StoreError
 from repro.legality.engine import default_parallelism
 from repro.server.protocol import (
-    ProtocolError,
+    BadRequest,
     error_response,
     ok_response,
-    read_frame,
+    parse_address,
     write_frame,
 )
+from repro.server.service import Connection, WireService
 from repro.store import (
     Position,
-    follow,
     open_replica,
     open_source,
     open_store,
@@ -71,8 +63,6 @@ from repro.store import (
 )
 
 __all__ = ["DirectoryServer"]
-
-_SCOPES = ("base", "one", "sub", "children")
 
 
 def _entry_payload(instance, entry) -> dict:
@@ -87,31 +77,6 @@ def _entry_payload(instance, entry) -> dict:
 
 def _violations_payload(report) -> list:
     return [str(v) for v in report]
-
-
-def _malformed_write(request: dict) -> Optional[str]:
-    """What is wrong with the shape of a write request's fields, or
-    ``None``: the wire is JSON from outside the process, and a field of
-    the wrong type must be refused, not raised on."""
-    op = request["op"]
-    if op in ("txn", "modify"):
-        if not isinstance(request.get("changes", ""), str):
-            return f"{op} changes must be an LDIF string"
-        return None
-    if not isinstance(request.get("dn"), str):
-        return f"{op} requires a dn string"
-    if op == "add":
-        classes = request.get("classes", [])
-        if not isinstance(classes, list) or not all(
-            isinstance(name, str) for name in classes
-        ):
-            return "add classes must be a list of strings"
-        attributes = request.get("attributes", {})
-        if not isinstance(attributes, dict) or not all(
-            isinstance(values, list) for values in attributes.values()
-        ):
-            return "add attributes must map names to lists of values"
-    return None
 
 
 class _CommitFeed:
@@ -148,43 +113,38 @@ class _CommitFeed:
         return self.latest, dropped
 
 
-class _Connection:
-    """Per-connection state: the bound identity, the serving reader
-    (opened lazily on the first read), the socket writer (so a drain
-    can nudge an idle peer), and the watch/replicate fanout tasks."""
+class _Connection(Connection):
+    """A server connection adds the serving reader (opened lazily on
+    the first read) and the watch/replicate fanout tasks."""
 
-    def __init__(self, server: "DirectoryServer", writer) -> None:
-        self.server = server
-        self.writer = writer
+    def __init__(self, writer) -> None:
+        super().__init__(writer)
         self.view = None  # opened lazily by the first read operation
         #: The replica applier the server followed when ``view`` was
         #: opened (``None`` on a primary); ``_ensure_view`` reopens the
         #: view once the server no longer follows that applier.
         self.view_source = None
-        self.bound_dn: Optional[str] = None
-        self.busy = False  # a frame is being dispatched right now
         self.watch_task: Optional[asyncio.Task] = None
         self.replicate_task: Optional[asyncio.Task] = None
-
-    @property
-    def bound(self) -> bool:
-        return self.bound_dn is not None
 
     def position_payload(self) -> dict:
         return self.view.position().to_wire()
 
-    def nudge(self) -> None:
-        """Close the transport under an idle reader so its blocked
-        ``read_frame`` wakes with EOF instead of sitting out a drain
-        timeout.  A busy connection is left alone: it finishes its
-        in-flight frame and exits at the loop's drain check."""
-        try:
-            self.writer.close()
-        except Exception:
-            pass
+    async def release(self) -> None:
+        for fanout in (self.watch_task, self.replicate_task):
+            if fanout is not None:
+                fanout.cancel()
+                try:
+                    await fanout
+                except asyncio.CancelledError:
+                    pass
+        if self.view is not None:
+            await asyncio.get_running_loop().run_in_executor(
+                None, self.view.close
+            )
 
 
-class DirectoryServer:
+class DirectoryServer(WireService):
     """Serve a directory store (plain or sharded) over the wire protocol.
 
     Parameters
@@ -213,6 +173,22 @@ class DirectoryServer:
         front door drives).
     """
 
+    OPS = {
+        **WireService.OPS,
+        "position": ("_op_position", True),
+        "search": ("_op_search", False),
+        "check": ("_op_check", False),
+        "add": ("_op_write", False),
+        "delete": ("_op_write", False),
+        "txn": ("_op_write", False),
+        "modify": ("_op_modify", False),
+        "watch": ("_op_watch", False),
+        "replicate": ("_op_replicate", False),
+        "promote": ("_op_promote", False),
+        "reattach": ("_op_reattach", False),
+    }
+    connection_class = _Connection
+
     def __init__(
         self,
         store_path: str,
@@ -224,12 +200,11 @@ class DirectoryServer:
         port: int = 0,
         replica_of: Optional[str] = None,
     ) -> None:
+        super().__init__(host, port)
         self.store_path = store_path
         self.schema = schema
         self.registry = registry
         self.jobs = jobs
-        self.host = host
-        self._requested_port = port
         self.replica_of = replica_of
         self.store = None
         self._applier = None
@@ -240,26 +215,16 @@ class DirectoryServer:
         #: connection (``None`` while healthy); the ``position`` reply
         #: carries it so a member that never catches up says why.
         self._sync_error: Optional[str] = None
-        self._server: Optional[asyncio.base_events.Server] = None
         self._write_lock = asyncio.Lock()
         self._writer_pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="store-writer"
         )
         self._commit_seq = 0
         self._feeds: set = set()
-        self._connections: "dict[asyncio.Task, _Connection]" = {}
-        self._draining = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def port(self) -> int:
-        """The bound TCP port (ephemeral ports resolved at start)."""
-        if self._server is None:
-            raise RuntimeError("server is not started")
-        return self._server.sockets[0].getsockname()[1]
-
     @property
     def role(self) -> str:
         """``"replica"`` while following an upstream, else ``"primary"``."""
@@ -282,9 +247,7 @@ class DirectoryServer:
             self.store = await loop.run_in_executor(
                 None, open_store, self.store_path, self.schema, self.registry
             )
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
-        )
+        await self._listen()
 
     def _open_applier(self):
         return open_replica(
@@ -313,33 +276,10 @@ class DirectoryServer:
                 f"{self.store_path} holds no readable state yet ({exc})"
             ) from exc
 
-    async def stop(self, *, drain: bool = True, timeout: float = 10.0) -> None:
-        """Stop accepting, optionally drain in-flight connections, close
-        the store.  ``drain=True`` is the graceful SIGTERM path: every
-        connection finishes (or is cancelled after ``timeout``) before
-        the writer lock is released."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _quiesce(self) -> None:
         # Wake watch/replicate tasks so draining connections can exit.
         for feed in list(self._feeds):
             feed.wake()
-        # Nudge connections sitting idle in read_frame: _draining is
-        # only checked between frames, so without the EOF they would
-        # ride out the whole drain timeout.  Busy connections finish
-        # their in-flight frame and exit at the loop's drain check.
-        for connection in list(self._connections.values()):
-            if not connection.busy:
-                connection.nudge()
-        pending = {t for t in self._connections if not t.done()}
-        if pending and drain:
-            _, pending = await asyncio.wait(pending, timeout=timeout)
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        await self._release()
 
     async def kill(self) -> None:
         """Die abruptly — the crash-harness stand-in for ``kill -9``.
@@ -351,8 +291,7 @@ class DirectoryServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-        for feed in list(self._feeds):
-            feed.wake()
+        await self._quiesce()
         for task, connection in list(self._connections.items()):
             transport = getattr(connection.writer, "transport", None)
             try:
@@ -380,11 +319,6 @@ class DirectoryServer:
             await loop.run_in_executor(None, held.close)
         self._writer_pool.shutdown(wait=True)
 
-    async def serve_forever(self) -> None:
-        """Accept connections until cancelled or stopped."""
-        assert self._server is not None
-        await self._server.serve_forever()
-
     # ------------------------------------------------------------------
     # replica sync: pull the upstream's stream into the local applier
     # ------------------------------------------------------------------
@@ -410,33 +344,40 @@ class DirectoryServer:
         same way, but recorded for the ``position`` reply and printed
         once, so the member does not idle at its old frontier in
         silence."""
-        from repro.server.client import DirectoryClient
+        from repro.server.client import DirectoryClient, follow_upstream
 
-        loop = asyncio.get_running_loop()
         while not self._draining and not self._sync_stopped:
             client = None
             try:
-                host, _, port = str(self.replica_of).rpartition(":")
-                client = await DirectoryClient.connect(host, int(port))
+                client = await DirectoryClient.connect(
+                    *parse_address(self.replica_of)
+                )
                 self._sync_client = client
                 await client.bind("cn=replica")
                 if self._applier is None:
                     return
-                head = await client.replicate(self._applier.position())
-                # No await between reading and replacing the applier: a
-                # fresh directory is reopened as the upstream's kind.
-                self._applier = follow(self._applier, head)
-                while not self._draining and not self._sync_stopped:
-                    message = await client.next_stream_message()
-                    await loop.run_in_executor(
-                        self._writer_pool,
-                        lambda m=message: self._applier.apply_message(m),
-                    )
-                    # Not on the acknowledgement: a stream that fails on
-                    # its first message (every subscription opens with
-                    # one) would flicker between healthy and failing.
-                    self._sync_error = None
-                    await self._commit_happened()
+                # Invariant: this task is the only code that replaces a
+                # live applier, and whoever else takes it (promote,
+                # reattach, release) cancels the task first
+                # (_stop_sync).  So the applier handed over here is
+                # still the server's when the loop yields its successor
+                # — a fresh directory is reopened as the upstream's
+                # kind — and no await separates that yield from the
+                # assignment below.  Messages are applied on the writer
+                # thread, which also serialises them before a promote.
+                async for applier, message in follow_upstream(
+                    client, self._applier, executor=self._writer_pool
+                ):
+                    self._applier = applier
+                    if message is not None:
+                        # Not on the acknowledgement: a stream that
+                        # fails on its first message (every subscription
+                        # opens with one) would flicker between healthy
+                        # and failing.
+                        self._sync_error = None
+                        await self._commit_happened()
+                    if self._draining or self._sync_stopped:
+                        break
             except asyncio.CancelledError:
                 raise
             except (ConnectionError, OSError, asyncio.TimeoutError,
@@ -463,51 +404,8 @@ class DirectoryServer:
             await asyncio.sleep(0.2)
 
     # ------------------------------------------------------------------
-    # connection handling
+    # per-connection views
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        connection = _Connection(self, writer)
-        self._connections[task] = connection
-        loop = asyncio.get_running_loop()
-        try:
-            while not self._draining:
-                request = await read_frame(reader)
-                if request is None:
-                    break
-                connection.busy = True
-                try:
-                    response = await self._dispatch(
-                        connection, writer, request
-                    )
-                    if response is None:  # unbind: reply already sent
-                        break
-                    await write_frame(writer, response)
-                finally:
-                    connection.busy = False
-        except (ProtocolError, ConnectionError, asyncio.IncompleteReadError):
-            pass  # a broken client is its own problem; drop the connection
-        except asyncio.CancelledError:
-            # kill() cancels connection tasks; swallowing here keeps
-            # asyncio's stream callback from logging the retrieval.
-            pass
-        finally:
-            self._connections.pop(task, None)
-            for fanout in (connection.watch_task, connection.replicate_task):
-                if fanout is not None:
-                    fanout.cancel()
-                    try:
-                        await fanout
-                    except asyncio.CancelledError:
-                        pass
-            if connection.view is not None:
-                await loop.run_in_executor(None, connection.view.close)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
     async def _ensure_view(self, connection: _Connection) -> None:
         """Open the connection's serving view on first use.  Lazy so a
         replica accepts connections (ping, position, watch) before its
@@ -534,98 +432,14 @@ class DirectoryServer:
             )
             connection.view_source = applier
 
-    async def _dispatch(
-        self, connection: _Connection, writer, request: dict
-    ) -> Optional[dict]:
-        op = request.get("op")
-        request_id = request.get("id")
-        try:
-            if op == "ping":
-                return ok_response(request_id)
-            if op == "position":
-                return self._op_position(request)
-            if op == "bind":
-                dn = request.get("dn", "")
-                if not isinstance(dn, str):
-                    return error_response(
-                        request_id, "bad_request", "bind dn must be a string"
-                    )
-                connection.bound_dn = dn
-                return ok_response(request_id, dn=dn)
-            if op == "unbind":
-                await write_frame(writer, ok_response(request_id))
-                return None
-            if not connection.bound:
-                return error_response(
-                    request_id, "not_bound",
-                    f"operation {op!r} requires a prior bind",
-                )
-            if op == "search":
-                return await self._op_search(connection, request)
-            if op == "check":
-                return await self._op_check(connection, request)
-            if op in ("add", "delete", "txn"):
-                return await self._op_write(connection, request)
-            if op == "modify":
-                return await self._op_modify(connection, request)
-            if op == "watch":
-                return self._op_watch(connection, writer, request)
-            if op == "replicate":
-                return self._op_replicate(connection, writer, request)
-            if op == "promote":
-                return await self._op_promote(request)
-            if op == "reattach":
-                return await self._op_reattach(request)
-            return error_response(
-                request_id, "unknown_op", f"unknown operation {op!r}"
-            )
-        except FilterSyntaxError as exc:
-            return error_response(request_id, "filter_syntax", str(exc))
-        except ShardRoutingError as exc:
-            return error_response(request_id, "unroutable", str(exc))
-        except (LdifError, ModelError, UpdateError) as exc:
-            return error_response(request_id, "invalid", str(exc))
-        except StoreError as exc:
-            return error_response(request_id, "store_error", str(exc))
-        except (ConnectionError, ProtocolError, asyncio.IncompleteReadError):
-            raise  # the connection itself broke: its handler drops it
-        except Exception as exc:
-            # A bug or a request shape nothing above refused.  The
-            # connection survives and the failure is typed, so a front
-            # door never mistakes a bad request for a dead member.
-            traceback.print_exc()
-            return error_response(
-                request_id, "internal_error", f"{type(exc).__name__}: {exc}"
-            )
-
     # ------------------------------------------------------------------
     # reads: refresh the connection's view, serve from it
     # ------------------------------------------------------------------
     async def _op_search(self, connection: _Connection, request: dict) -> dict:
         scope = request.get("scope", "sub")
-        if scope not in _SCOPES:
-            return error_response(
-                request.get("id"), "bad_request",
-                f"scope must be one of {_SCOPES}, got {scope!r}",
-            )
         filter_text = request.get("filter")
         base = request.get("base")
-        for name, value in (("filter", filter_text), ("base", base)):
-            if value is not None and not isinstance(value, str):
-                return error_response(
-                    request.get("id"), "bad_request",
-                    f"{name} must be a string, got {value!r}",
-                )
         size_limit = request.get("size_limit")
-        if size_limit is not None and (
-            not isinstance(size_limit, int)
-            or isinstance(size_limit, bool)
-            or size_limit < 1
-        ):
-            return error_response(
-                request.get("id"), "bad_request",
-                f"size_limit must be a positive integer, got {size_limit!r}",
-            )
         await self._ensure_view(connection)
 
         def run():
@@ -695,9 +509,6 @@ class DirectoryServer:
         if self.store is None:
             return self._not_writable(request.get("id"))
         op = request["op"]
-        problem = _malformed_write(request)
-        if problem is not None:
-            return error_response(request.get("id"), "bad_request", problem)
         if op == "add":
             transaction = UpdateTransaction().insert(
                 request["dn"],
@@ -707,14 +518,11 @@ class DirectoryServer:
         elif op == "delete":
             transaction = UpdateTransaction().delete(request["dn"])
         else:  # txn
-            transaction = parse_changes(request.get("changes", ""))
+            transaction = parse_changes(request["changes"])
             if not transaction.operations:
                 # an empty changes document would "apply" vacuously —
                 # the same trap as a zero-record modify batch
-                return error_response(
-                    request.get("id"), "bad_request",
-                    "txn requires at least one change record",
-                )
+                raise BadRequest("txn requires at least one change record")
 
         outcome, position = await self._run_write(
             self.store.apply, transaction
@@ -734,16 +542,10 @@ class DirectoryServer:
 
         if self.store is None:
             return self._not_writable(request.get("id"))
-        problem = _malformed_write(request)
-        if problem is not None:
-            return error_response(request.get("id"), "bad_request", problem)
-        records = parse_modifications(request.get("changes", ""))
+        records = parse_modifications(request["changes"])
         if not records:
             # all() over zero records would report a vacuous success.
-            return error_response(
-                request.get("id"), "bad_request",
-                "modify requires at least one modification record",
-            )
+            raise BadRequest("modify requires at least one modification record")
         results = []
         committed = False
         position = None
@@ -799,12 +601,10 @@ class DirectoryServer:
     # ------------------------------------------------------------------
     # commit-notify fanout
     # ------------------------------------------------------------------
-    def _op_watch(
-        self, connection: _Connection, writer, request: dict
-    ) -> dict:
+    async def _op_watch(self, connection: _Connection, request: dict) -> dict:
         if connection.watch_task is None:
             connection.watch_task = asyncio.ensure_future(
-                self._watch_loop(writer)
+                self._watch_loop(connection.writer)
             )
         return ok_response(request.get("id"), seq=self._commit_seq)
 
@@ -841,9 +641,7 @@ class DirectoryServer:
     # ------------------------------------------------------------------
     # replication: frame shipping over the same bounded feeds
     # ------------------------------------------------------------------
-    def _op_replicate(
-        self, connection: _Connection, writer, request: dict
-    ) -> dict:
+    async def _op_replicate(self, connection: _Connection, request: dict) -> dict:
         """Subscribe this connection as a replication follower.
 
         The request carries the follower's durable position
@@ -857,30 +655,21 @@ class DirectoryServer:
         per-shard streams under one coordinator cut, so a follower set
         never observes half a spanning transaction.
         """
-        request_id = request.get("id")
         if self._applier is not None:
-            return error_response(
-                request_id, "bad_request",
+            raise BadRequest(
                 f"this server is a replica of {self.replica_of}; "
-                "replicate from the primary",
+                "replicate from the primary"
             )
         if connection.replicate_task is not None:
-            return error_response(
-                request_id, "bad_request",
-                "this connection is already replicating",
-            )
-        try:
-            position = Position.from_fields(request)
-        except ValueError as exc:
-            return error_response(
-                request_id, "bad_request", f"replicate position: {exc}"
-            )
-        source = open_source(self.store_path, self.schema, position)
+            raise BadRequest("this connection is already replicating")
+        source = open_source(
+            self.store_path, self.schema, Position.from_fields(request)
+        )
         connection.replicate_task = asyncio.ensure_future(
-            self._replicate_loop(writer, source)
+            self._replicate_loop(connection.writer, source)
         )
         return ok_response(
-            request_id, mode="stream", **self.store.position().to_fields()
+            request.get("id"), mode="stream", **self.store.position().to_fields()
         )
 
     async def _replicate_loop(self, writer, source) -> None:
@@ -913,7 +702,7 @@ class DirectoryServer:
     # ------------------------------------------------------------------
     # topology: role introspection, in-place promotion, re-attachment
     # ------------------------------------------------------------------
-    def _op_position(self, request: dict) -> dict:
+    async def _op_position(self, connection: _Connection, request: dict) -> dict:
         """Role and committed frontier — the health-probe surface the
         front door polls; answered without a bind or a serving view so
         a bootstrapping replica is still observable."""
@@ -934,7 +723,7 @@ class DirectoryServer:
                 payload["sync_error"] = self._sync_error
         return ok_response(request.get("id"), **payload)
 
-    async def _op_promote(self, request: dict) -> dict:
+    async def _op_promote(self, connection: _Connection, request: dict) -> dict:
         """Promote this replica to a writable primary, in place.
 
         Runs under the write lock on the writer thread: the sync loop
@@ -946,10 +735,9 @@ class DirectoryServer:
         following its upstream."""
         request_id = request.get("id")
         if self._applier is None:
-            return error_response(
-                request_id, "bad_request",
+            raise BadRequest(
                 "this server is already a primary; only a replica can "
-                "be promoted",
+                "be promoted"
             )
         loop = asyncio.get_running_loop()
         async with self._write_lock:
@@ -979,19 +767,14 @@ class DirectoryServer:
             request_id, role="primary", position=self._store_position()
         )
 
-    async def _op_reattach(self, request: dict) -> dict:
-        """Repoint the sync loop at a new upstream (post-failover)."""
-        request_id = request.get("id")
-        upstream = request.get("upstream")
-        if not isinstance(upstream, str) or ":" not in upstream:
-            return error_response(
-                request_id, "bad_request",
-                "reattach requires an upstream of the form host:port",
-            )
+    async def _op_reattach(self, connection: _Connection, request: dict) -> dict:
+        """Repoint the sync loop at a new upstream (post-failover); the
+        request table has already refused an unparseable one, so a
+        refusal never costs the replica its current upstream."""
+        upstream = request["upstream"]
         if self._applier is None:
-            return error_response(
-                request_id, "bad_request",
-                "this server is a primary; only a replica can reattach",
+            raise BadRequest(
+                "this server is a primary; only a replica can reattach"
             )
         await self._stop_sync()
         self.replica_of = upstream
@@ -999,4 +782,4 @@ class DirectoryServer:
         self._sync_error = None  # the old upstream's refusal, if any
         self._sync_stopped = False
         self._sync_task = asyncio.ensure_future(self._sync_loop())
-        return ok_response(request_id, upstream=upstream)
+        return ok_response(request.get("id"), upstream=upstream)

@@ -57,6 +57,9 @@ class Position:
 
     __slots__ = ("_members",)
 
+    #: The names :meth:`from_fields` reads (and :meth:`to_fields` writes).
+    FIELDS = ("generation", "seq", "shards")
+
     def __init__(self, members: Mapping[Optional[str], Pair]) -> None:
         self._members: Dict[Optional[str], Pair] = {}
         for name, pair in members.items():

@@ -378,6 +378,51 @@ class TestStalenessContract:
 
         asyncio.run(run())
 
+    def test_checks_are_computed_on_the_followers(self, tmp_path):
+        """Read scale-out in work units (the retired ``bench_frontdoor``
+        gated it as a >= 1.5x throughput ratio on >= 3 cores): with no
+        staleness contract every ``check`` verdict is computed by a
+        follower, spread over both; ``max_lag=0`` pins them all to the
+        primary."""
+
+        async def run():
+            topo = await _topology(tmp_path)
+            computed = {}
+
+            def count(member, name):
+                check = member._op_check
+                computed[name] = 0
+
+                async def counting(connection, request):
+                    computed[name] += 1
+                    return await check(connection, request)
+
+                member._op_check = counting
+
+            count(topo.primary, "primary")
+            for index, replica in enumerate(topo.replicas):
+                count(replica, f"replica{index}")
+            try:
+                client = await topo.client()
+                # a follower whose frontier the door has not probed yet
+                # is tried last; wait until it knows both
+                while not all(
+                    member["position"]
+                    for member in (await client.request("topology"))["replicas"]
+                ):
+                    await asyncio.sleep(0.02)
+                for _ in range(8):
+                    assert (await client.check())["legal"]
+                assert computed == {"primary": 0, "replica0": 4, "replica1": 4}
+                for _ in range(3):
+                    assert (await client.check(max_lag=0))["legal"]
+                assert computed["primary"] == 3
+                await client.close()
+            finally:
+                await topo.stop()
+
+        asyncio.run(run())
+
     def test_staleness_fields_validated(self, tmp_path):
         async def run():
             topo = await _topology(tmp_path, n_replicas=1)

@@ -244,3 +244,79 @@ class TestOneCheckingPath:
         assert self._call_sites("delta_extras_violations") == [
             ("store/index.py", "delta_extras_violations")
         ]
+
+
+class TestOneWireService:
+    """The seam PR 19 shut: server and front door run one connection
+    loop (``server/service.py``), requests are checked against one
+    table (``server/protocol.py``), and ``host:port`` has one parser."""
+
+    _modules = staticmethod(TestOneCheckingPath._modules)
+
+    def _functions_calling(self, callee, *, attribute=False):
+        """``module:function`` for every function in ``src/repro`` whose
+        body calls ``callee`` (a bare name, or any ``x.callee(...)``)."""
+        import ast
+
+        found = []
+        for module, tree in self._modules():
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and callee == (
+                        getattr(call.func, "attr", None) if attribute
+                        else getattr(call.func, "id", None)
+                    ):
+                        found.append(f"{module}:{node.name}")
+                        break
+        return found
+
+    def test_one_function_reads_request_frames(self):
+        readers = [
+            site for site in self._functions_calling("read_frame")
+            if site.startswith("server/") and not site.startswith("server/client.py")
+        ]
+        assert readers == ["server/service.py:_handle_connection"]
+
+    def test_one_address_parser(self):
+        """No second ``host:port`` split, and no second digits-only port
+        test, anywhere in ``src/repro``."""
+        for method in ("rpartition", "isdigit"):
+            assert self._functions_calling(method, attribute=True) \
+                == ["server/protocol.py:parse_address"], method
+
+    def test_session_error_codes_are_said_in_one_place(self):
+        """One preamble, one place that enforces the table: the issue
+        allowed nine ``"bad_request"`` literals (the table's site, seven
+        semantic refusals, a spare); the refusals raise ``BadRequest``
+        too, so each code is spelled once, in the shared loop."""
+        import ast
+
+        for code in ("bad_request", "not_bound", "unknown_op", "internal_error"):
+            sites = [
+                module
+                for module, tree in self._modules() if module.startswith("server/")
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value == code
+            ]
+            assert sites == ["server/service.py"], (code, sites)
+
+    def test_table_op_tables_and_docstring_agree(self):
+        import re
+
+        from repro.server import DirectoryServer, FrontDoor, protocol
+
+        operations = protocol.__doc__.split("Operations\n----------\n", 1)[1]
+        documented = {
+            op
+            for line in operations.splitlines()
+            if re.fullmatch(r"``\w+``( / ``\w+``)*", line)
+            for op in re.findall(r"\w+", line)
+        }
+        served = set(DirectoryServer.OPS) | set(FrontDoor.OPS)
+        assert set(protocol.REQUESTS) == served == documented
+        # and every handler an op table names exists
+        for member in (DirectoryServer, FrontDoor):
+            for handler, _ in member.OPS.values():
+                assert inspect.iscoroutinefunction(getattr(member, handler))

@@ -369,6 +369,34 @@ class TestShardedReplication:
                 store.composite_instance()
             )
 
+    def test_sharded_replication_differential(self, sharded_primary):
+        """Every pump lands the follower cohort exactly on the primary's
+        composite state at a coordinator cut: frontier and digest agree
+        after each spanning 2PC commit, not only at the end.  (Moved
+        here from ``benchmarks/bench_frontdoor.py`` at its smoke size —
+        it counts no time.)"""
+        from repro.store.replicate import (
+            ShardedFrameSource,
+            ShardedReplicaApplier,
+        )
+
+        store, primary_dir, schema, registry, cohort_dir = sharded_primary
+        source = ShardedFrameSource(primary_dir, schema)
+        with ShardedReplicaApplier(cohort_dir, schema, registry) as applier:
+            _pump_sharded(source, applier)  # cohort bootstrap
+            assert applier.consistent()
+            for index in range(4):
+                _spanning_commit(store, index)
+                _pump_sharded(source, applier)
+                assert applier.consistent(), (
+                    f"round {index}: the shipped cut tore a spanning "
+                    "commit across the cohort"
+                )
+                assert applier.position() == source.position
+                assert state_digest(applier.instance) == state_digest(
+                    store.composite_instance()
+                ), f"round {index}: follower diverged from the primary"
+
     def test_open_view_follows_spanning_transactions(self, sharded_primary):
         """A long-lived view of the cohort — opened the way a replica
         server opens one per connection, *before* the spanning

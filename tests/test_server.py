@@ -20,13 +20,15 @@ import struct
 import pytest
 
 from repro.errors import StoreError
-from repro.server import DirectoryClient, DirectoryServer
+from repro.server import DirectoryClient, DirectoryServer, FrontDoor
 from repro.server.client import ServerError
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
     decode_frame,
     encode_frame,
+    parse_address,
+    read_frame,
 )
 from repro.store import DirectoryStore
 from repro.store.sharded import ShardedStore
@@ -38,6 +40,8 @@ from repro.workloads import (
 
 PARENT = "ou=databases,ou=attLabs,o=att"
 NESTED_BASES = {"att": "o=att", "labs": "ou=attLabs,o=att"}
+#: A frame body nested deeper than the JSON parser's stack.
+DEEP_BODY = b'{"op":"ping","id":1,"x":' + b"[" * 200_000 + b"]" * 200_000 + b"}"
 
 
 @pytest.fixture()
@@ -114,6 +118,22 @@ class TestFraming:
     def test_garbage_refused(self):
         with pytest.raises(ProtocolError):
             decode_frame(b"\xff\xfe not json")
+
+    def test_body_nested_past_the_parser_stack_refused(self):
+        """A 200k-deep array used to leak ``RecursionError`` past both
+        connection loops; it is one more undecodable frame."""
+        with pytest.raises(ProtocolError):
+            decode_frame(DEEP_BODY)
+
+    @pytest.mark.parametrize(
+        "address", ["a:b", ":7", "h:", "h:-1", "h:70000", "h:0", "h", "", 7, None]
+    )
+    def test_unparseable_address_refused(self, address):
+        with pytest.raises(ValueError):
+            parse_address(address)
+
+    def test_address_parsed(self):
+        assert parse_address("127.0.0.1:389") == ("127.0.0.1", 389)
 
 
 class TestBindModel:
@@ -642,7 +662,78 @@ MALFORMED_REQUESTS = [
     ("search", {"filter": 7}),
     ("txn", {"changes": 5}),
     ("modify", {"changes": None}),
+    # attribute values are JSON strings, numbers or booleans: an object
+    # used to be committed as its Python repr
+    ("add", {"dn": "cn=a", "classes": ["top"], "attributes": {"name": [{"a": 1}]}}),
+    ("add", {"dn": "cn=a", "classes": ["top"], "attributes": {"name": [["a"]]}}),
+    ("add", {"dn": "cn=a", "classes": ["top"], "attributes": {"name": [None]}}),
 ]
+
+#: A value no declared field accepts, and valid values for the required
+#: ones (so the field under test is the first one that is off).
+WRONG = [{}]
+VALID = {"dn": "cn=a", "changes": "", "upstream": "127.0.0.1:9"}
+
+
+def _table_cases():
+    """``(op, fields, name)`` — for every op of the request table and
+    every field it declares, the field wrong-typed and, where required,
+    the field absent."""
+    from repro.server.protocol import REQUESTS
+
+    for op, declared in REQUESTS.items():
+        required = {n: VALID[n] for n, field in declared.items() if field.required}
+        for name, field in declared.items():
+            yield op, {**required, name: WRONG}, name
+            if field.required:
+                yield op, {n: v for n, v in required.items() if n != name}, name
+
+
+class _Raw:
+    """A connection that writes whatever frame it is told to — no
+    ``DirectoryClient``, so hostile keys and bodies can be sent."""
+
+    def __init__(self, reader, writer):
+        self.reader, self.writer = reader, writer
+
+    @classmethod
+    async def connect(cls, port, bind=True):
+        raw = cls(*await asyncio.open_connection("127.0.0.1", port))
+        if bind:
+            assert (await raw.ask({"op": "bind", "id": 0, "dn": "cn=raw"}))["ok"]
+        return raw
+
+    async def send_body(self, body: bytes):
+        self.writer.write(struct.pack(">I", len(body)) + body)
+        await self.writer.drain()
+
+    async def ask(self, message: dict):
+        self.writer.write(encode_frame(message))
+        await self.writer.drain()
+        return await asyncio.wait_for(read_frame(self.reader), 10.0)
+
+    async def close(self):
+        self.writer.close()
+        try:
+            await self.writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+
+
+async def _member(kind, store):
+    """A server, or a front door in front of it: ``(server, member,
+    stop)`` with ``member`` the one clients connect to."""
+    server = await _serve(store)
+    if kind == "server":
+        return server, server, server.stop
+    door = FrontDoor(f"127.0.0.1:{server.port}", [], probe_interval=0.05)
+    await door.start()
+
+    async def stop():
+        await door.stop()
+        await server.stop()
+
+    return server, door, stop
 
 
 class TestMalformedFields:
@@ -664,6 +755,96 @@ class TestMalformedFields:
                 await server.stop()
 
         asyncio.run(run())
+
+    @pytest.mark.parametrize("kind", ["server", "door"])
+    def test_every_declared_field_is_checked(self, plain_store, kind):
+        """Generated from the request table, so an op or field added to
+        it is covered here: the wrong type, or a required field's
+        absence, is ``bad_request`` naming the field — on a server and
+        through a front door — the connection stays usable and nothing
+        is journaled."""
+
+        async def run():
+            server, member, stop = await _member(kind, plain_store)
+            try:
+                client = await _client(member)
+                direct = await _client(server)
+                for op, fields, name in _table_cases():
+                    if op not in member.OPS:
+                        continue
+                    with pytest.raises(ServerError) as excinfo:
+                        await client.request(op, **fields)
+                    assert excinfo.value.code == "bad_request", (op, fields)
+                    assert name in excinfo.value.message, (op, fields)
+                    assert (await client.ping())["ok"]
+                    position = await direct.position()
+                    assert position["position"] == {"generation": 1, "seq": 0}
+                await client.close()
+                await direct.close()
+            finally:
+                await stop()
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize("kind", ["server", "door"])
+    def test_hostile_frames_get_typed_answers(
+        self, plain_store, kind, monkeypatch, caplog, capsys
+    ):
+        """Raw frames a ``DirectoryClient`` cannot send: a field named
+        after a Python parameter (``self`` — the door used to splat it
+        into ``client.request`` and die of the ``TypeError``), an
+        unhashable ``op``, a handler that raises, a body nested past
+        the parser's stack.  Each gets a typed answer or a quiet close,
+        and a door does not take any of them for a dead member."""
+
+        async def boom(self, connection, request):
+            raise ZeroDivisionError("router bug")
+
+        async def run():
+            server, member, stop = await _member(kind, plain_store)
+            try:
+                raw = await _Raw.connect(member.port)
+                added = await raw.ask(
+                    {"op": "add", "id": 1, "self": 1, "op_": [], **_person(0)}
+                )
+                assert added["ok"] and added["applied"], added
+                found = await raw.ask(
+                    {"op": "search", "id": 2, "self": {}, "filter": "(uid=w0)"}
+                )
+                assert [e["dn"] for e in found["entries"]] == [_person(0)["dn"]]
+                assert (await raw.ask({"op": "check", "id": 3, "self": 1}))["legal"]
+                assert (await raw.ask({"op": [], "id": 4}))["error"] == "unknown_op"
+                for bad in ("a:b", 7):
+                    refused = await raw.ask({"op": "reattach", "id": 4, "upstream": bad})
+                    assert refused["error"] == "bad_request", refused
+
+                owner = FrontDoor if kind == "door" else DirectoryServer
+                handler = owner.OPS["check"][0]
+                with monkeypatch.context() as patched:
+                    patched.setattr(owner, handler, boom)
+                    failed = await raw.ask({"op": "check", "id": 5})
+                assert failed["error"] == "internal_error", failed
+                assert "ZeroDivisionError" in failed["message"]
+                assert (await raw.ask({"op": "ping", "id": 6}))["ok"]
+
+                await raw.send_body(DEEP_BODY)
+                assert await asyncio.wait_for(raw.reader.read(), 10.0) == b""
+                await raw.close()
+
+                again = await _Raw.connect(member.port)
+                assert (await again.ask({"op": "ping", "id": 7}))["ok"]
+                if kind == "door":
+                    await asyncio.sleep(0.2)  # a few probe rounds
+                    topology = await again.ask({"op": "topology", "id": 8})
+                    assert topology["primary"]["alive"]
+                    assert topology["failovers"] == 0
+                await again.close()
+            finally:
+                await stop()
+
+        asyncio.run(run())
+        assert "ZeroDivisionError: router bug" in capsys.readouterr().err
+        assert not [r for r in caplog.records if r.name == "asyncio"], caplog.text
 
     def test_escaped_dispatch_failure_is_typed(
         self, plain_store, monkeypatch, capsys
@@ -836,6 +1017,49 @@ class TestConcurrentClients:
 
         asyncio.run(run())
 
+    def test_searches_answer_while_a_write_is_in_flight(self, plain_store):
+        """Reads never block on the writer — the claim the retired
+        ``bench_server`` gated as a p99 ratio, here without a clock: a
+        commit is held on the writer thread, and every other connection
+        keeps answering searches from the frontier before it."""
+        import threading
+
+        async def run():
+            server = await _serve(plain_store)
+            held, release = threading.Event(), threading.Event()
+            apply = server.store.apply
+
+            def slow_apply(transaction):
+                held.set()
+                assert release.wait(30.0)
+                return apply(transaction)
+
+            server.store.apply = slow_apply
+            try:
+                writer = await _client(server, dn="cn=writer")
+                readers = [await _client(server) for _ in range(4)]
+                write = asyncio.ensure_future(writer.add(**_person(0)))
+                await asyncio.get_running_loop().run_in_executor(
+                    None, held.wait, 30.0
+                )
+                for reader in readers:
+                    found = await asyncio.wait_for(
+                        reader.search(filter="(objectClass=person)"), 10.0
+                    )
+                    assert found["position"] == {"generation": 1, "seq": 0}
+                assert not write.done()
+                release.set()
+                assert (await write)["applied"]
+                found = await readers[0].search(filter="(uid=w0)")
+                assert len(found["entries"]) == 1
+                for client in (writer, *readers):
+                    await client.close()
+            finally:
+                release.set()
+                await server.stop()
+
+        asyncio.run(run())
+
     def test_no_client_observes_in_doubt_2pc_state(self, sharded_store):
         async def run():
             server = await _serve(sharded_store)
@@ -936,6 +1160,47 @@ class TestReplicaSyncErrors:
 
         asyncio.run(run())
         assert capsys.readouterr().err.count("cannot follow") == 1
+
+    def test_reattach_rejects_unparseable_upstream(self, plain_store, tmp_path):
+        """``":" in upstream`` used to be the whole check: ``"a:b"``
+        answered ``ok``, after which the replica had abandoned its
+        upstream and reported ``sync_error: ValueError`` for ever.  The
+        refusal now comes before the sync loop is touched."""
+        _, schema, registry = plain_store
+
+        async def run():
+            primary = await _serve(plain_store)
+            upstream = f"127.0.0.1:{primary.port}"
+            replica = DirectoryServer(
+                str(tmp_path / "replica"), schema, registry,
+                port=0, replica_of=upstream,
+            )
+            await replica.start()
+            try:
+                raw = await _Raw.connect(replica.port)
+                for index, bad in enumerate(
+                    ["a:b", ":7", "h:", "h:-1", "h:70000", 7, None, ["h:1"]]
+                ):
+                    reply = await raw.ask(
+                        {"op": "reattach", "id": index, "upstream": bad}
+                    )
+                    assert reply.get("error") == "bad_request", (bad, reply)
+                await raw.close()
+                writer, probe = await _client(primary), await _client(replica)
+                head = (await writer.add(**_person(0)))["position"]
+                deadline = asyncio.get_event_loop().time() + 10.0
+                while (reply := await probe.position())["position"] != head:
+                    assert asyncio.get_event_loop().time() < deadline, reply
+                    await asyncio.sleep(0.02)
+                assert reply["upstream"] == upstream
+                assert "sync_error" not in reply
+                await writer.close()
+                await probe.close()
+            finally:
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
 
     @pytest.mark.parametrize("kind", ["plain", "sharded"])
     def test_promoting_an_unbootstrapped_replica_is_refused(

@@ -18,18 +18,15 @@ import sys
 from functools import lru_cache
 from typing import List, Tuple
 
-from repro.workloads import (
-    den_schema,
-    generate_den,
-    generate_whitepages,
-    whitepages_schema,
-)
+from repro.workloads import generate_whitepages, whitepages_schema
 
 # The sequential reference verdict the differentials compare against
-# lives with the tests; there is one copy.
+# and the growth fit the complexity gates share live with the tests;
+# there is one copy of each.
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
 )
+from growth import fit_growth  # noqa: E402,F401
 from oracle import oracle_check  # noqa: E402,F401
 
 #: (orgs, units_per_level, depth, persons_per_unit) per size tier.
@@ -61,35 +58,6 @@ def whitepages_instance(tier: str):
 @lru_cache(maxsize=None)
 def wp_schema():
     return whitepages_schema()
-
-
-@lru_cache(maxsize=None)
-def den_instance(scale: int):
-    return generate_den(
-        sites=scale, devices_per_site=4, interfaces_per_device=3,
-        domains=scale, policies_per_domain=5, seed=42,
-    )
-
-
-@lru_cache(maxsize=None)
-def den_schema_cached():
-    return den_schema()
-
-
-def fit_growth(sizes: List[int], costs: List[int]) -> float:
-    """Estimated polynomial degree of cost growth: the slope of
-    log(cost) against log(size), via least squares.  ~1 means linear,
-    ~2 quadratic."""
-    import math
-
-    xs = [math.log(s) for s in sizes]
-    ys = [math.log(max(c, 1)) for c in costs]
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    num = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    den = sum((x - mean_x) ** 2 for x in xs)
-    return num / den if den else 0.0
 
 
 def print_series(title: str, rows: List[Tuple]) -> None:

@@ -27,6 +27,12 @@ from repro.store import Position, follow
 __all__ = ["DirectoryClient", "ServerError", "follow_upstream", "sync_replica"]
 
 
+#: Queued behind the last pushed frame when the receive loop ends, so a
+#: task waiting for a ``notify`` or a stream message learns the
+#: connection is gone instead of waiting on a queue nothing feeds.
+_LOST = object()
+
+
 class ServerError(Exception):
     """A response with ``ok: false``; carries the machine-readable code."""
 
@@ -84,6 +90,21 @@ class DirectoryClient:
                 if not future.done():
                     future.set_exception(ConnectionError("connection closed"))
             self._pending.clear()
+            self._notifies.put_nowait(_LOST)
+            self._stream.put_nowait(_LOST)
+
+    @staticmethod
+    async def _next_pushed(queue: asyncio.Queue, timeout: Optional[float]) -> dict:
+        """The next frame the receive loop queued; ``ConnectionError``
+        once it has ended and every frame before that was handed out."""
+        if timeout is None:
+            frame = await queue.get()
+        else:
+            frame = await asyncio.wait_for(queue.get(), timeout)
+        if frame is _LOST:
+            queue.put_nowait(_LOST)  # for every later waiter too
+            raise ConnectionError("connection lost")
+        return frame
 
     async def request(self, op: str, **fields) -> dict:
         """Send one request and await its response; raises
@@ -202,10 +223,9 @@ class DirectoryClient:
         return await self.request("watch")
 
     async def next_notify(self, timeout: Optional[float] = None) -> dict:
-        """Await the next server-pushed commit notification."""
-        if timeout is None:
-            return await self._notifies.get()
-        return await asyncio.wait_for(self._notifies.get(), timeout)
+        """Await the next server-pushed commit notification; raises
+        ``ConnectionError`` once the connection is gone."""
+        return await self._next_pushed(self._notifies, timeout)
 
     async def replicate(self, position: Position) -> Position:
         """Subscribe this connection as a replication follower at the
@@ -219,10 +239,9 @@ class DirectoryClient:
     async def next_stream_message(
         self, timeout: Optional[float] = None
     ) -> dict:
-        """Await the next server-pushed replication stream message."""
-        if timeout is None:
-            return await self._stream.get()
-        return await asyncio.wait_for(self._stream.get(), timeout)
+        """Await the next server-pushed replication stream message;
+        raises ``ConnectionError`` once the connection is gone."""
+        return await self._next_pushed(self._stream, timeout)
 
     async def unbind(self) -> None:
         """End the session and close the connection."""

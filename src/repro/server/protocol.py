@@ -65,7 +65,12 @@ Operations
     carries ``applied`` and, on rejection, ``violations``.
 ``modify``
     ``changes`` — an LDIF document of ``changetype: modify`` records,
-    each applied (and journaled) individually.
+    each applied (and journaled) individually.  The response carries
+    ``results`` — per record its ``dn``, ``applied`` and ``violations``
+    — ``applied`` (all of them) and the ``position`` after the batch.  A
+    record that cannot be staged at all (no such entry, a ``modrdn``)
+    is refused the same way, its error text as the violation: the
+    records around it still commit.
 ``check``
     The extended operation: run the full Figure 4 legality check on
     the connection's freshly refreshed view.  Returns ``legal``,

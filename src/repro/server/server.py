@@ -43,7 +43,13 @@ import concurrent.futures
 import sys
 from typing import Optional
 
-from repro.errors import StoreError
+from repro.errors import (
+    LdifError,
+    ModelError,
+    ShardRoutingError,
+    StoreError,
+    UpdateError,
+)
 from repro.legality.engine import default_parallelism
 from repro.server.protocol import (
     BadRequest,
@@ -546,23 +552,32 @@ class DirectoryServer(WireService):
         if not records:
             # all() over zero records would report a vacuous success.
             raise BadRequest("modify requires at least one modification record")
+
+        def modify(record):
+            """One record's verdict — or, when it cannot even be staged
+            (no such entry, a ``modrdn``, a DN no shard owns), its
+            refusal: like a guard rejection it is that record's answer,
+            and the batch goes on."""
+            try:
+                outcome = self.store.modify(record)
+            except (LdifError, ModelError, UpdateError, ShardRoutingError) as exc:
+                return False, [str(exc)]
+            return outcome.applied, _violations_payload(outcome.report)
+
         results = []
-        committed = False
-        position = None
-        for record in records:
-            outcome, position = await self._run_write(
-                self.store.modify, record
-            )
-            results.append(
-                {
-                    "dn": str(record.dn),
-                    "applied": outcome.applied,
-                    "violations": _violations_payload(outcome.report),
-                }
-            )
-            committed = committed or outcome.applied
-        if committed:
-            await self._commit_happened()
+        try:
+            for record in records:
+                (applied, violations), position = await self._run_write(
+                    modify, record
+                )
+                results.append(
+                    {"dn": str(record.dn), "applied": applied, "violations": violations}
+                )
+        finally:
+            # Whatever ended the batch, what it committed is in the
+            # journal: watchers and replication feeds hear of it.
+            if any(r["applied"] for r in results):
+                await self._commit_happened()
         return ok_response(
             request.get("id"),
             applied=all(r["applied"] for r in results),
@@ -574,9 +589,9 @@ class DirectoryServer(WireService):
         """Run one store write (``store.apply`` or ``store.modify`` —
         both are ``stage(change).commit()``) on the dedicated writer
         thread: the store object is single-writer, and the journal
-        fsync must not stall the event loop.  Returns ``(outcome,
-        position)``, the position read on the same thread so it is
-        atomic with the commit."""
+        fsync must not stall the event loop.  Returns ``(what the write
+        returned, position)``, the position read on the same thread so
+        it is atomic with the commit."""
 
         def run():
             return write(change), self._store_position()

@@ -28,6 +28,7 @@ from repro.errors import (
     FilterSyntaxError,
     LdifError,
     ModelError,
+    QueryError,
     ShardRoutingError,
     StoreError,
     UpdateError,
@@ -190,7 +191,9 @@ class WireService:
             return error_response(request_id, "filter_syntax", str(exc))
         except ShardRoutingError as exc:
             return error_response(request_id, "unroutable", str(exc))
-        except (LdifError, ModelError, UpdateError) as exc:
+        except (LdifError, ModelError, QueryError, UpdateError) as exc:
+            # QueryError past the filter parser: a search base that is
+            # not in the directory.
             return error_response(request_id, "invalid", str(exc))
         except StoreError as exc:
             return error_response(request_id, "store_error", str(exc))

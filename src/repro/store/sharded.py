@@ -1311,7 +1311,8 @@ class CompositeReader:
         )
         #: Times this view built its composite with :func:`_stitch`, and
         #: shard changes it replayed onto a held composite instead —
-        #: the pair ``benchmarks/bench_shard.py`` gates on.
+        #: the pair ``tests/test_sharded.py`` gates on (60 commits on one
+        #: open reader: one stitch, every shard change followed).
         self.stitches = 0
         self.followed = 0
         self._cohort = None

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Set, Union
+from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import UpdateError
 from repro.model.dn import DN
@@ -35,11 +35,11 @@ from repro.model.instance import DirectoryInstance
 from repro.legality.engine import CheckSession
 from repro.legality.metrics import CheckStats
 from repro.legality.report import Kind, LegalityReport, Violation
-from repro.query.ast import SCOPE_DELTA, SCOPE_EMPTY, SCOPE_NEW, SCOPE_OLD
+from repro.query.ast import SCOPE_DELTA, SCOPE_EMPTY, SCOPE_NEW, SCOPE_OLD, Query
 from repro.query.evaluator import QueryEvaluator
 from repro.query.translate import translate_element  # noqa: F401 (used in try_modify)
 from repro.schema.directory_schema import DirectorySchema
-from repro.schema.elements import ForbiddenEdge, RequiredEdge
+from repro.schema.elements import ForbiddenEdge, RequiredEdge, SchemaElement
 from repro.updates.operations import UpdateTransaction
 from repro.updates.table import build_delta_query, rule_for
 from repro.updates.transactions import SubtreeUpdate, decompose
@@ -132,6 +132,26 @@ class IncrementalChecker:
         self.instance = instance
         self.session = session if session is not None else CheckSession(schema)
         self.relationships = schema.structure_schema.relationship_elements()
+        # Figure 5, compiled once: one (element, Δ-query) row per
+        # relationship and update kind.  A delete row whose query is
+        # ``None`` is a ∅-scoped row (no check); ``countable`` marks the
+        # non-incremental rows the class-count index can short-circuit.
+        self._insert_rows: List[Tuple[SchemaElement, Query]] = []
+        self._delete_rows: List[Tuple[SchemaElement, Optional[Query], bool]] = []
+        for element in self.relationships:
+            query = build_delta_query(element, "insert")
+            assert query is not None  # every insert row is incremental
+            self._insert_rows.append((element, query))
+            self._delete_rows.append((
+                element,
+                build_delta_query(element, "delete"),
+                rule_for(element, "delete").needs_full_recheck
+                and isinstance(element, RequiredEdge),
+            ))
+        #: What ``try_insert`` records for the insert rows it ran.
+        self._insert_checks = [
+            f"Δ-query for {element}: {query}" for element, query in self._insert_rows
+        ]
         if not assume_legal:
             # The baseline is the session's full pass: it both vets the
             # starting instance and warms the fingerprint cache, so the
@@ -173,13 +193,8 @@ class IncrementalChecker:
         delta_ids: Set[int] = {entry.eid for entry in created}
         evaluator = self._delta_evaluator(delta_ids)
 
-        for element in self.relationships:
-            query = build_delta_query(element, "insert")
-            assert query is not None  # every insert row is incremental
-            offenders = evaluator.evaluate(query)
-            outcome.checks.append(f"Δ-query for {element}: {query}")
-            if offenders:
-                self._report_structural(outcome.report, element, offenders)
+        self._check_insert_rows(evaluator, outcome)
+        outcome.checks.extend(self._insert_checks)
         outcome.cost += evaluator.cost
         self.session.stats.queries_evaluated += evaluator.cost
         # Required classes: insertion can only help (no check, Section 4).
@@ -208,32 +223,7 @@ class IncrementalChecker:
         outcome.checks.append("content: deletion cannot violate the content schema")
 
         evaluator = QueryEvaluator(self.instance)
-        for element in self.relationships:
-            rule = rule_for(element, "delete")
-            if rule.needs_no_check:
-                outcome.checks.append(f"skip: {element} (∅-scoped row)")
-                continue
-            # ROADMAP short-circuit for the non-incremental rows: a
-            # required child/descendant element is vacuously satisfied
-            # when no source-class entry remains, and the class-count
-            # index answers that in O(1) — no full re-check needed.
-            if (
-                rule.needs_full_recheck
-                and isinstance(element, RequiredEdge)
-                and self.instance.class_count(element.source) == 0
-            ):
-                outcome.cost += 1
-                outcome.checks.append(
-                    f"skip: {element} (class-count short-circuit: no "
-                    f"{element.source!r} entries remain)"
-                )
-                continue
-            query = build_delta_query(element, "delete")
-            assert query is not None
-            offenders = evaluator.evaluate(query)
-            outcome.checks.append(f"full re-check for {element} on D−Δ")
-            if offenders:
-                self._report_structural(outcome.report, element, offenders)
+        outcome.checks.extend(self._check_delete_rows(evaluator, outcome))
         outcome.cost += evaluator.cost
         self.session.stats.queries_evaluated += evaluator.cost
 
@@ -318,31 +308,10 @@ class IncrementalChecker:
         # but the rename may matter to nothing; structure does).
         delta_ids = {e.eid for e in created}
         evaluator = self._delta_evaluator(delta_ids)
-        for element in self.relationships:
-            query = build_delta_query(element, "insert")
-            assert query is not None
-            offenders = evaluator.evaluate(query)
-            if offenders:
-                self._report_structural(outcome.report, element, offenders)
+        self._check_insert_rows(evaluator, outcome)
         # Deletion-side checks for the vacated position: required
         # child/descendant elements may have lost their witness.
-        for element in self.relationships:
-            rule = rule_for(element, "delete")
-            if rule.needs_no_check:
-                continue
-            if (
-                rule.needs_full_recheck
-                and isinstance(element, RequiredEdge)
-                and self.instance.class_count(element.source) == 0
-            ):
-                outcome.cost += 1
-                continue
-            query = build_delta_query(element, "delete")
-            assert query is not None
-            offenders = evaluator.evaluate(query) - delta_ids
-            offenders &= self.instance.entry_id_view()
-            if offenders:
-                self._report_structural(outcome.report, element, offenders)
+        self._check_delete_rows(evaluator, outcome, moved=delta_ids)
         outcome.cost += evaluator.cost
         self.session.stats.queries_evaluated += evaluator.cost
         outcome.checks.append(
@@ -571,6 +540,51 @@ class IncrementalChecker:
                 assert step.subtree is not None
                 parent = None if step.parent_dn is None else str(step.parent_dn)
                 self.instance.insert_subtree(parent, step.subtree)
+
+    def _check_insert_rows(
+        self, evaluator: QueryEvaluator, outcome: UpdateOutcome
+    ) -> None:
+        """Evaluate every Figure 5 insertion row, reporting offenders
+        into ``outcome``."""
+        for element, query in self._insert_rows:
+            offenders = evaluator.evaluate(query)
+            if offenders:
+                self._report_structural(outcome.report, element, offenders)
+
+    def _check_delete_rows(
+        self,
+        evaluator: QueryEvaluator,
+        outcome: UpdateOutcome,
+        moved: AbstractSet = frozenset(),
+    ) -> List[str]:
+        """Evaluate every Figure 5 deletion row on the updated instance,
+        reporting offenders into ``outcome``; returns the descriptions
+        of the checks run.  ``moved`` are entries that left the vacated
+        position but are still in the instance (a move's Δ): they cannot
+        have lost a witness there."""
+        checks = []
+        for element, query, countable in self._delete_rows:
+            if query is None:
+                checks.append(f"skip: {element} (∅-scoped row)")
+                continue
+            # ROADMAP short-circuit for the non-incremental rows: a
+            # required child/descendant element is vacuously satisfied
+            # when no source-class entry remains, and the class-count
+            # index answers that in O(1) — no full re-check needed.
+            if countable and self.instance.class_count(element.source) == 0:
+                outcome.cost += 1
+                checks.append(
+                    f"skip: {element} (class-count short-circuit: no "
+                    f"{element.source!r} entries remain)"
+                )
+                continue
+            offenders = evaluator.evaluate(query)
+            if moved:
+                offenders = (offenders - moved) & self.instance.entry_id_view()
+            checks.append(f"full re-check for {element} on D−Δ")
+            if offenders:
+                self._report_structural(outcome.report, element, offenders)
+        return checks
 
     def _delta_evaluator(self, delta_ids: Set[int]) -> QueryEvaluator:
         """An evaluator over the updated instance with Figure 5's four

@@ -10,6 +10,8 @@ a followed ``check()`` touches the session not at all, which is what
 fails at a commit where the verdict does not follow the frames.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from repro.store.sharded import CompositeReader, ShardedStore
 from repro.updates.operations import UpdateTransaction
 from repro.workloads import (
     figure1_instance,
+    generate_whitepages,
     random_transaction,
     whitepages_registry,
     whitepages_schema,
@@ -311,6 +314,49 @@ def test_a_view_never_asked_for_a_verdict_replays_blind(tmp_path):
         assert (idle.entries_checked, idle.queries_evaluated) == (0, 0)
         assert (reader.full_checks, reader.followed_checks) == (0, 0)
     store.close()
+
+
+def test_reader_verdict_follows_commits_in_delta_work(tmp_path):
+    """Work-unit gate: a reader's answer to a commit is O(|Δ|).
+
+    60 one-entry commits against a reader of a ~1.3k-entry store that
+    has checked once cost it one full check in total, one content check
+    per committed entry (inside ``refresh()``, where the frame's Δ-check
+    runs), no session work at all in the ``check()`` after each refresh,
+    and no renumbering of the document order beyond the first.  The
+    same commits against a reader nobody asked for a verdict cost no
+    Δ-checks: it replays blind, as ever."""
+    schema, registry = whitepages_schema(), whitepages_registry()
+    path = str(tmp_path / "followed")
+    instance = generate_whitepages(
+        orgs=4, units_per_level=5, depth=2, persons_per_unit=10, seed=42
+    )
+    commits = 60
+    with DirectoryStore.create(path, schema, instance, registry) as store, \
+            open_reader(path) as checked, open_reader(path) as unasked:
+        assert checked.check().is_legal
+        armed = checked.session.stats.copy()
+        rng = random.Random(5)
+        points = insertion_points(store.instance)
+        for i in range(commits):
+            assert store.apply(person_tx(f"gate{i}", rng.choice(points))).applied
+            for reader in (checked, unasked):
+                assert reader.refresh(strict=True).frames_replayed == 1
+                # index-planned, so it sorts by document order
+                assert len(reader.search(filter=f"(uid=gate{i})")) == 1
+            before = checked.session.stats.copy()
+            assert checked.check().is_legal
+            idle = checked.session.stats.since(before)
+            assert idle.queries_evaluated == 0 and idle.structure_checks == 0
+            assert idle.cache_hits + idle.cache_misses + idle.entries_checked == 0
+        followed = checked.session.stats.since(armed)
+        assert followed.entries_checked == commits  # Σ|Δ|
+        assert followed.queries_evaluated > 0  # the Figure 5 Δ-queries did run
+        assert (checked.full_checks, checked.followed_checks) == (1, commits)
+        assert (unasked.full_checks, unasked.followed_checks) == (0, 0)
+        assert unasked.session.stats.entries_checked == 0
+        assert unasked.session.stats.queries_evaluated == 0
+        assert checked.instance.renumbers == unasked.instance.renumbers == 1
 
 
 def test_multi_record_modify_frame_with_one_rejected_record(tmp_path):

@@ -46,6 +46,48 @@ class TestGuards:
         IncrementalChecker(wp_schema, d, assume_legal=True)  # no raise
 
 
+class TestFigure5CompiledOnce:
+    def test_no_query_is_built_after_construction(self, wp_schema, fig1, monkeypatch):
+        """The Figure 5 rows are compiled to Δ-queries in ``__init__``;
+        20 updates — accepted and rejected inserts, deletes and moves —
+        build none."""
+        import repro.updates.incremental as incremental
+
+        built = []
+        real = incremental.build_delta_query
+        monkeypatch.setattr(
+            incremental, "build_delta_query",
+            lambda *args: built.append(args) or real(*args),
+        )
+        checker = fresh_checker(fig1, wp_schema)
+        compiled = len(built)
+        assert compiled == 2 * len(checker.relationships) > 0
+        labs, databases = "ou=attLabs,o=att", "ou=databases,ou=attLabs,o=att"
+
+        def laks():  # wherever the moves and renames have left laks
+            return next(str(e.dn) for e in fig1 if str(e.dn).startswith("uid=laks"))
+
+        verdicts = []
+        for i in range(5):
+            delta = make_unit_subtree(
+                random.Random(i), persons=1, attributes=fig1.attributes
+            )
+            # odd rounds are rejected: a unit under a person, then a
+            # delete that would leave attLabs without a person
+            inserted = checker.try_insert(laks() if i % 2 else labs, delta).applied
+            verdicts += [
+                inserted,
+                checker.try_move(laks(), new_parent=(labs, databases)[i % 2]).applied,
+                checker.try_move(laks(), new_rdn=f"uid=laks{i}").applied,
+                checker.try_delete(
+                    f"{delta.dn_of(delta.root_ids()[0])},{labs}" if inserted
+                    else databases
+                ).applied,
+            ]
+        assert verdicts == [True, True, True, True, False, True, True, False] * 2 + [True] * 4
+        assert len(built) == compiled
+
+
 class TestDeltaScopes:
     def test_scopes_are_views_that_select_like_sets(self, fig1, wp_schema):
         """Figure 5's ``D`` and ``D + Δ`` are bound without copying the

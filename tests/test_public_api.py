@@ -3,6 +3,7 @@ public item is documented (the documentation deliverable, enforced)."""
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 
@@ -320,3 +321,44 @@ class TestOneWireService:
         for member in (DirectoryServer, FrontDoor):
             for handler, _ in member.OPS.values():
                 assert inspect.iscoroutinefunction(getattr(member, handler))
+
+
+class TestOneBenchmark:
+    """The seam PR 20 shut: wall-clock claims about the serving stack
+    live in ``BENCHMARK.json`` (``benchmarks/e2e``), work-unit claims in
+    tier-1 tests.  What is left under ``benchmarks/`` is the paper's
+    FIG/THM/SEC reproduction, and only its two engine benches still
+    read a scale knob."""
+
+    REPO = pathlib.Path(__file__).resolve().parent.parent
+    KNOBS = {
+        "bench_legality.py": "BENCH_LEGALITY_SCALE",
+        "bench_structure.py": "BENCH_STRUCTURE_SCALE",
+    }
+
+    def test_the_bench_lane_reads_only_the_two_engine_knobs(self):
+        import ast
+
+        read = {}
+        for path in sorted((self.REPO / "benchmarks").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            accesses = [
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+            ]
+            if accesses:
+                knobs = sorted(
+                    node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str) and node.value.startswith("BENCH_")
+                )
+                read[path.name] = (len(accesses), knobs)
+        assert read == {name: (1, [knob]) for name, knob in self.KNOBS.items()}
+
+    def test_ci_names_no_deleted_file(self):
+        import re
+
+        workflow = (self.REPO / ".github/workflows/ci.yml").read_text(encoding="utf-8")
+        named = set(re.findall(r"\b(?:tests|benchmarks)/[\w/]+\.py\b", workflow))
+        assert named and not [name for name in named if not (self.REPO / name).exists()]
+        assert set(re.findall(r"\bBENCH_\w+_SCALE\b", workflow)) == set(self.KNOBS.values())

@@ -26,7 +26,15 @@ from repro.store.manifest import (
 )
 from repro.store.recovery import JOURNAL_FILE, SIDECAR_FILE, SNAPSHOT_FILE
 from repro.updates.operations import UpdateTransaction
-from repro.workloads import figure1_instance, whitepages_registry, whitepages_schema
+from repro.workloads import (
+    figure1_instance,
+    generate_whitepages,
+    random_transaction,
+    whitepages_registry,
+    whitepages_schema,
+)
+
+from growth import fit_growth
 
 
 def unit_tx(i):
@@ -106,6 +114,31 @@ class TestBootstrapAndRefresh:
             second = reader.refresh()
             assert second.frames_replayed == 1
             assert 0 < second.bytes_scanned < first.bytes_scanned
+
+    def test_refresh_work_tracks_the_tail_not_the_snapshot(self, tmp_path):
+        """Against a ~2k-entry store a refresh replays exactly the ``t``
+        frames appended since the last one and scans only that journal
+        suffix — a sliver of the snapshot, growing ~linearly in ``t``."""
+        path = str(tmp_path / "big")
+        instance = generate_whitepages(
+            orgs=6, units_per_level=5, depth=2, persons_per_unit=10, seed=42
+        )
+        with DirectoryStore.create(
+            path, whitepages_schema(), instance, whitepages_registry()
+        ) as big, open_reader(path) as reader:
+            snapshot_bytes = os.path.getsize(os.path.join(path, SNAPSHOT_FILE))
+            tails, scanned = [1, 2, 4, 8, 16], []
+            for t in tails:
+                for _ in range(t):
+                    assert big.apply(random_transaction(
+                        big.instance, inserts=1, seed=big.journal_length
+                    )).applied
+                result = reader.refresh(strict=True)
+                assert result.advanced and not result.rebootstrapped
+                assert result.frames_replayed == t
+                assert result.bytes_scanned * 20 < snapshot_bytes
+                scanned.append(result.bytes_scanned)
+            assert 0.5 < fit_growth(tails, scanned) < 1.5, scanned
 
     def test_refresh_follows_compaction(self, store):
         with open_reader(store._dir) as reader:

@@ -25,7 +25,7 @@ from repro.errors import (
 from repro.query.filter_parser import parse_filter
 from repro.store import DirectoryStore
 from repro.store.manifest import read_manifest
-from repro.store.recovery import REPLICA_STATE_FILE
+from repro.store.recovery import REPLICA_STATE_FILE, SNAPSHOT_FILE
 from repro.store.replicate import (
     FrameSource,
     ReplicaApplier,
@@ -38,10 +38,13 @@ from repro.store.replicate import (
 )
 from repro.workloads import (
     figure1_instance,
+    generate_whitepages,
     random_transaction,
     whitepages_registry,
     whitepages_schema,
 )
+
+from growth import fit_growth
 
 
 @pytest.fixture
@@ -169,6 +172,34 @@ class TestReplicaApplier:
             applier.apply_message(frames_msg)  # reconnect overlap
             assert applier.frames_applied == applied
             assert applier.position() == (store.generation, store.journal_length)
+
+    def test_catch_up_ships_the_delta_not_the_snapshot(self, tmp_path):
+        """A follower's catch-up costs O(|Δ|): after Δ commits on a
+        ~2k-entry primary exactly Δ frames ship, a sliver of the
+        snapshot and ~linear in Δ, while the snapshot is installed and
+        the replica's view bootstrapped exactly once."""
+        schema, registry = whitepages_schema(), whitepages_registry()
+        primary_dir = str(tmp_path / "primary")
+        instance = generate_whitepages(
+            orgs=6, units_per_level=5, depth=2, persons_per_unit=10, seed=42
+        )
+        with DirectoryStore.create(primary_dir, schema, instance, registry) as store, \
+                ReplicaApplier(str(tmp_path / "replica"), schema, registry) as applier:
+            source = FrameSource(primary_dir, schema)
+            pump(source, applier)  # snapshot bootstrap
+            snapshot_bytes = os.path.getsize(os.path.join(primary_dir, SNAPSHOT_FILE))
+            deltas, shipped = [1, 2, 4, 8, 16], []
+            for delta in deltas:
+                _commit(store, delta)
+                frames, sent = applier.frames_applied, applier.bytes_applied
+                pump(source, applier)
+                assert applier.frames_applied - frames == delta
+                shipped.append(applier.bytes_applied - sent)
+                assert shipped[-1] * 20 < snapshot_bytes
+                assert applier.snapshots_installed == 1
+                assert applier.reader.bootstraps == 1
+            assert applier.position() == (store.generation, store.journal_length)
+            assert 0.5 < fit_growth(deltas, shipped) < 1.5, shipped
 
     def test_gap_in_stream_is_refused(self, primary):
         store, primary_dir, schema, registry, replica_dir = primary
@@ -503,7 +534,7 @@ class TestShardedReplication:
             )
 
     def test_promote_shards_promotes_the_cohort(self, sharded_primary):
-        from repro.store.recovery import REPLICA_STATE_FILE
+        from repro.store.recovery import REPLICA_STATE_FILE, SNAPSHOT_FILE
         from repro.store.replicate import (
             CUT_STATE_FILE,
             ShardedFrameSource,

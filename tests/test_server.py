@@ -18,6 +18,7 @@ import asyncio
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StoreError
 from repro.server import DirectoryClient, DirectoryServer, FrontDoor
@@ -265,6 +266,10 @@ class TestReads:
                 with pytest.raises(ServerError) as excinfo:
                     await client.search(filter="(((")
                 assert excinfo.value.code == "filter_syntax"
+                # found by the table fuzz: this was ``internal_error``
+                with pytest.raises(ServerError) as excinfo:
+                    await client.search(base="ou=nowhere,o=att")
+                assert excinfo.value.code == "invalid"
                 await client.close()
             finally:
                 await server.stop()
@@ -395,6 +400,62 @@ class TestWrites:
                 await client.close()
             finally:
                 await server.stop()
+
+        asyncio.run(run())
+
+
+    @pytest.mark.parametrize("kind", ["server", "door"])
+    @pytest.mark.parametrize(
+        "second",
+        [
+            "dn: uid=nobody,o=att\nchangetype: modify\nreplace: name\nname: x\n-\n",
+            "dn: uid=laks,ou=databases,ou=attLabs,o=att\nchangetype: modrdn\n"
+            "newrdn: uid=zz\ndeleteoldrdn: 1\n",
+        ],
+        ids=["no-such-entry", "modrdn"],
+    )
+    def test_modify_batch_keeps_what_it_committed(
+        self, plain_store, tmp_path, kind, second
+    ):
+        """A record that cannot be staged used to raise out of the
+        batch: the records before it were journaled, but the reply was a
+        bare ``invalid`` with no ``results`` or ``position``, watchers
+        got no ``notify`` and replicas were not woken until some later
+        commit.  It is that record's ``applied: false`` now, and the
+        commit is published."""
+        _, schema, registry = plain_store
+        first = (
+            "dn: uid=laks,ou=databases,ou=attLabs,o=att\nchangetype: modify\n"
+            "replace: mail\nmail: laks@example.edu\n-\n\n"
+        )
+
+        async def run():
+            server, member, stop = await _member(kind, plain_store)
+            replica = await _replica_of(server, tmp_path, schema, registry)
+            try:
+                watcher = await _client(server, dn="cn=watcher")
+                await watcher.watch()
+                client, probe = await _client(member), await _client(replica)
+                response = await client.modify(first + second)
+                assert response["applied"] is False
+                committed, refused = response["results"]
+                assert committed["applied"] and not committed["violations"]
+                assert committed["dn"] == "uid=laks,ou=databases,ou=attLabs,o=att"
+                assert not refused["applied"] and refused["violations"]
+                assert response["position"] == {"generation": 1, "seq": 1}
+                assert (await watcher.next_notify(timeout=5))["seq"] == 1
+                # no further write: the replica hears of this one
+                await _caught_up(probe, response["position"])
+                found = await client.search(
+                    filter="(mail=laks@example.edu)",
+                    require_seq=response["position"],
+                )
+                assert len(found["entries"]) == 1
+                for connection in (watcher, client, probe):
+                    await connection.close()
+            finally:
+                await replica.stop(drain=False)
+                await stop()
 
         asyncio.run(run())
 
@@ -736,6 +797,26 @@ async def _member(kind, store):
     return server, door, stop
 
 
+async def _replica_of(primary, tmp_path, schema, registry):
+    """A started replica server following ``primary``."""
+    replica = DirectoryServer(
+        str(tmp_path / "replica"), schema, registry,
+        port=0, replica_of=f"127.0.0.1:{primary.port}",
+    )
+    await replica.start()
+    return replica
+
+
+async def _caught_up(probe, head, seconds=10.0):
+    """Poll a member's ``position`` until it reads ``head``; returns the
+    reply that did."""
+    deadline = asyncio.get_event_loop().time() + seconds
+    while (reply := await probe.position())["position"] != head:
+        assert asyncio.get_event_loop().time() < deadline, reply
+        await asyncio.sleep(0.02)
+    return reply
+
+
 class TestMalformedFields:
     @pytest.mark.parametrize("op,fields", MALFORMED_REQUESTS)
     def test_malformed_field_is_bad_request(self, plain_store, op, fields):
@@ -873,6 +954,90 @@ class TestMalformedFields:
 
         asyncio.run(run())
         assert "ZeroDivisionError: checker bug" in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=12)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+#: Well-formed fragments, so the fuzz also gets past the table into the
+#: DN, filter, LDIF and position parsers behind it.
+_PLAUSIBLE = st.sampled_from([
+    "o=att", f"uid=fuzz,{PARENT}", "(uid=*)", "(&(objectClass=person)(uid=l*))",
+    "sub", "base", 1, 0, ["person", "top"], {"uid": ["fuzz"], "name": ["f"]},
+    {"generation": 1, "seq": 0}, "127.0.0.1:1",
+    f"dn: {PARENT}\nchangetype: modify\nreplace: ou\nou: x\n-\n",
+    f"dn: uid=fuzz,{PARENT}\nchangetype: add\nobjectClass: person\n",
+])
+
+
+def _fuzz_request_table(store, kind, examples):
+    """Arbitrary JSON in every declared field of every op, against a
+    server or a door: each request gets ``ok`` or a typed error, and the
+    same connection answers a ``ping`` afterwards."""
+    from repro.server.protocol import REQUESTS
+
+    loop = asyncio.new_event_loop()
+    server, member, stop = loop.run_until_complete(_member(kind, store))
+    ids = iter(range(1, 1 << 30))
+
+    async def ask(raw, message):
+        """The reply to ``message``: a subscribed connection also
+        carries pushed ``notify``/``repl`` frames, which have no id."""
+        reply = await raw.ask(message)
+        while reply is not None and reply.get("id") != message["id"]:
+            reply = await asyncio.wait_for(read_frame(raw.reader), 10.0)
+        return reply
+
+    async def one(raw, op, fields):
+        reply = await ask(raw, {**fields, "op": op, "id": next(ids)})
+        assert reply is not None, (op, fields, "connection closed")
+        # ``internal_error`` is what a request nobody anticipated gets;
+        # every other code is a typed answer.
+        assert reply["ok"] or reply["error"] != "internal_error", (op, fields, reply)
+        if op == "unbind":  # the one request that ends the session
+            await raw.close()
+            return await _Raw.connect(member.port)
+        assert (await ask(raw, {"op": "ping", "id": next(ids)}))["ok"]
+        return raw
+
+    def fuzz(op, declared):
+        """One connection takes every example of an op."""
+        held = [loop.run_until_complete(_Raw.connect(member.port))]
+
+        @settings(max_examples=examples, deadline=None, database=None)
+        @given(st.fixed_dictionaries(
+            {}, optional={name: _JSON | _PLAUSIBLE for name in declared}
+        ))
+        def example(fields):
+            held[0] = loop.run_until_complete(one(held[0], op, fields))
+
+        try:
+            example()
+        finally:
+            loop.run_until_complete(held[0].close())
+
+    try:
+        for op, declared in REQUESTS.items():
+            if op in member.OPS:
+                fuzz(op, declared)
+    finally:
+        loop.run_until_complete(stop())
+        loop.close()
+
+
+@pytest.mark.parametrize("kind", ["server", "door"])
+def test_request_table_fuzz(plain_store, kind):
+    _fuzz_request_table(plain_store, kind, examples=25)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["server", "door"])
+def test_request_table_fuzz_slow(plain_store, kind):
+    _fuzz_request_table(plain_store, kind, examples=200)
 
 
 class TestReplicatePositionValidation:
@@ -1171,11 +1336,7 @@ class TestReplicaSyncErrors:
         async def run():
             primary = await _serve(plain_store)
             upstream = f"127.0.0.1:{primary.port}"
-            replica = DirectoryServer(
-                str(tmp_path / "replica"), schema, registry,
-                port=0, replica_of=upstream,
-            )
-            await replica.start()
+            replica = await _replica_of(primary, tmp_path, schema, registry)
             try:
                 raw = await _Raw.connect(replica.port)
                 for index, bad in enumerate(
@@ -1188,11 +1349,39 @@ class TestReplicaSyncErrors:
                 await raw.close()
                 writer, probe = await _client(primary), await _client(replica)
                 head = (await writer.add(**_person(0)))["position"]
-                deadline = asyncio.get_event_loop().time() + 10.0
-                while (reply := await probe.position())["position"] != head:
-                    assert asyncio.get_event_loop().time() < deadline, reply
-                    await asyncio.sleep(0.02)
+                reply = await _caught_up(probe, head)
                 assert reply["upstream"] == upstream
+                assert "sync_error" not in reply
+                await writer.close()
+                await probe.close()
+            finally:
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
+
+    def test_replica_reconnects_to_an_upstream_back_at_the_same_address(
+        self, plain_store, tmp_path
+    ):
+        """The upstream dies and returns on its old port.  The replica's
+        sync loop used to wait for ever on a stream queue its client's
+        ended receive loop no longer fed, so the reconnect-with-backoff
+        never ran; the waiter is woken with ``ConnectionError`` now."""
+        path, schema, registry = plain_store
+
+        async def run():
+            primary = await _serve(plain_store)
+            port = primary.port
+            replica = await _replica_of(primary, tmp_path, schema, registry)
+            try:
+                probe = await _client(replica)
+                await _caught_up(probe, {"generation": 1, "seq": 0})
+                await primary.stop(drain=False)
+                primary = DirectoryServer(path, schema, registry, port=port)
+                await primary.start()
+                writer = await _client(primary)
+                head = (await writer.add(**_person(0)))["position"]
+                reply = await _caught_up(probe, head)
                 assert "sync_error" not in reply
                 await writer.close()
                 await probe.close()
@@ -1233,10 +1422,7 @@ class TestReplicaSyncErrors:
                 head = (await upstream.position())["position"]
                 await upstream.close()
                 await client.reattach(f"127.0.0.1:{primary.port}")
-                deadline = asyncio.get_event_loop().time() + 10.0
-                while (reply := await client.position())["position"] != head:
-                    assert asyncio.get_event_loop().time() < deadline, reply
-                    await asyncio.sleep(0.02)
+                reply = await _caught_up(client, head)
                 assert reply["role"] == "replica"
                 await client.close()
             finally:
@@ -1251,15 +1437,6 @@ class TestShardedReplicaServing:
     views must follow the shipped 2PC decisions (a replica has no
     coordinator log to pin a refresh to) and must not outlive a
     promotion (a promoted server writes 2PC frames itself)."""
-
-    @staticmethod
-    async def _replica_of(primary, tmp_path, schema, registry):
-        replica = DirectoryServer(
-            str(tmp_path / "replica"), schema, registry,
-            port=0, replica_of=f"127.0.0.1:{primary.port}",
-        )
-        await replica.start()
-        return replica
 
     @staticmethod
     async def _search_at(client, position, timeout=15.0):
@@ -1291,7 +1468,7 @@ class TestShardedReplicaServing:
 
         async def run():
             primary = await _serve(sharded_store)
-            replica = await self._replica_of(
+            replica = await _replica_of(
                 primary, tmp_path, schema, registry
             )
             try:
@@ -1326,7 +1503,7 @@ class TestShardedReplicaServing:
 
         async def run():
             primary = await _serve(sharded_store)
-            replica = await self._replica_of(
+            replica = await _replica_of(
                 primary, tmp_path, schema, registry
             )
             try:

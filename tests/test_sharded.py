@@ -32,6 +32,7 @@ from repro.store import DirectoryStore
 from repro.store.sharded import CompositeReader, ShardedStore, check_shards_parallel
 from repro.store.recovery import SIDECAR_FILE
 from repro.store.shardmap import read_shard_map, shard_dir, shard_map_path
+from repro.store.txlog import TXLOG_FILE
 from repro.updates.operations import UpdateTransaction
 from repro.workloads import (
     figure1_instance,
@@ -52,6 +53,12 @@ def schema():
 @pytest.fixture()
 def registry():
     return whitepages_registry()
+
+
+def txlog_bytes(tmp_path, name="sharded"):
+    """Size of the coordinator log (absent = nothing ever logged)."""
+    path = os.path.join(str(tmp_path / name), TXLOG_FILE)
+    return os.path.getsize(path) if os.path.exists(path) else 0
 
 
 def make_store(tmp_path, schema, registry, bases=None, instance=None, name="sharded"):
@@ -157,6 +164,7 @@ class TestApply:
                 ["person", "top"],
                 {"uid": ["new"], "name": ["n ew"]},
             )
+            logged = txlog_bytes(tmp_path)
             assert store.apply(tx).applied
             assert store.shard("labs").journal_length == 1
             assert store.shard("att").journal_length == 0
@@ -164,6 +172,14 @@ class TestApply:
                 "uid=new,ou=databases,ou=attLabs,o=att"
             )
             assert found is not None
+            # The single-shard fast path — committed or rejected — does
+            # no coordinator-log I/O at all.
+            ghost = UpdateTransaction().insert(  # an empty orgUnit
+                "ou=ghost,ou=attLabs,o=att",
+                ["orgUnit", "orgGroup", "top"], {"ou": ["ghost"]},
+            )
+            assert not store.apply(ghost).applied
+            assert txlog_bytes(tmp_path) == logged
 
     def test_spanning_transaction_commits_via_2pc(
         self, tmp_path, schema, registry
@@ -178,9 +194,11 @@ class TestApply:
                       {"uid": ["a"], "name": ["a a"]})
             tx.insert("uid=b,ou=attLabs,o=att", ["person", "top"],
                       {"uid": ["b"], "name": ["b b"]})
+            logged = txlog_bytes(tmp_path)
             outcome = store.apply(tx)
             assert outcome.applied
             assert any("2pc: committed" in c for c in outcome.checks)
+            assert txlog_bytes(tmp_path) > logged
             # One prepare + one decide frame per participant.
             assert store.shard("att").journal_length == 2
             assert store.shard("labs").journal_length == 2
@@ -525,6 +543,49 @@ class TestCompositeReader:
         with CompositeReader.open(path, schema, registry) as reader:
             assert reader.instance.find("uid=w1,o=att") is not None
             assert reader.instance.find("uid=w2,ou=attLabs,o=att") is not None
+
+    def test_open_reader_follows_60_commits_on_one_stitch(self, tmp_path, schema, registry):
+        """60 commit → refresh → search rounds on one open reader, every
+        fifth commit spanning two shards (2PC): the composite is stitched
+        once, and the changes replayed onto it are exactly the changes
+        replayed onto the shard views — the search after a commit costs
+        O(|Δ|), not a stitch of |D|."""
+        shards, rounds = 4, 60
+        instance = generate_whitepages(
+            orgs=shards, units_per_level=2, depth=3, persons_per_unit=6, seed=8
+        )
+        bases = {f"org{i}": f"o=org{i}" for i in range(shards)}
+        shard_changes = []
+        with make_store(tmp_path, schema, registry, bases, instance) as store, \
+                CompositeReader.open(str(tmp_path / "sharded"), schema, registry) as reader:
+            for name in reader.shard_map.names():
+                view = reader.shard_reader(name)
+
+                def counted(change, forward=view.on_replay):
+                    shard_changes.append(change)
+                    forward(change)
+
+                view.on_replay = counted
+            assert len(reader.instance) == len(instance) and reader.stitches == 1
+            for index in range(rounds):
+                tx = UpdateTransaction()
+                for org in ((index % shards, (index + 1) % shards)
+                            if index % 5 == 0 else (index % shards,)):
+                    unit = f"ou=n{index},o=org{org}"
+                    tx.insert(unit, ["orgUnit", "orgGroup", "top"], {"ou": [f"n{index}"]})
+                    tx.insert(
+                        f"uid=n{index}o{org},{unit}", ["person", "top"],
+                        {"uid": [f"n{index}o{org}"], "name": [f"n {index}"]},
+                    )
+                assert store.apply(tx).applied
+                reader.refresh()
+                # read-your-writes: the person just provisioned
+                assert len(reader.search(
+                    base=f"ou=n{index},o=org{index % shards}",
+                    filter="(objectClass=person)",
+                )) == 1
+            assert reader.stitches == 1
+            assert reader.followed == len(shard_changes) >= rounds
 
     def test_follow_fallbacks_cost_exactly_one_restitch(
         self, tmp_path, schema, registry, monkeypatch
@@ -1375,6 +1436,7 @@ def test_four_check_surfaces_agree_in_order(tmp_path, registry, damage):
         == _counters(workers.stats)
     )
     assert writer.stats.cache_misses + writer.stats.cache_hits == entries
+    assert workers.stats.cache_misses + workers.stats.cache_hits == counted
     assert writer.is_legal == damage.endswith("clean")
     assert bool(writer.of_kind(Kind.ORPHANED_SHARD)) == orphaned
     if orphaned:

@@ -164,8 +164,9 @@ class TestUpdatesAndRecovery:
     def test_committed_updates_survive_reopen(self, tmp_path, wp_schema):
         path = str(tmp_path / "store")
         store = DirectoryStore.create(path, wp_schema, figure1_instance())
-        tx = good_tx(n=2, seed=1, instance=store.instance)
-        assert store.apply(tx).applied
+        for seed in range(20):
+            tx = good_tx(n=2, seed=seed, instance=store.instance)
+            assert store.apply(tx).applied
         before = serialize_ldif(store.instance)
         store.close()
 
@@ -173,7 +174,7 @@ class TestUpdatesAndRecovery:
             path, wp_schema, registry=whitepages_registry()
         ) as reopened:
             assert serialize_ldif(reopened.instance) == before
-            assert reopened.journal_length == 1
+            assert reopened.journal_length == 20
 
     def test_torn_final_record_discarded(self, tmp_path, wp_schema):
         path = str(tmp_path / "store")

@@ -10,8 +10,11 @@ Run with::
     python examples/schema_workbench.py
 """
 
+import os
+import sys
+
 from repro.axes import Axis
-from repro.consistency import check_consistency, close, find_model
+from repro.consistency import check_consistency, close
 from repro.schema import (
     AttributeSchema,
     ClassSchema,
@@ -20,6 +23,13 @@ from repro.schema import (
     Subclass,
 )
 from repro.schema.elements import RequiredClass, RequiredEdge
+
+# The bounded model finder is the test suite's semantic oracle, not
+# library code; it lives with the tests.
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
+)
+from modelfinder import find_model  # noqa: E402
 
 
 def show(title: str) -> None:

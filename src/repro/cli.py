@@ -28,6 +28,11 @@ directory whether it is plain or sharded (``create --shard``); on those
 six ``--shards`` only states an expectation — against a plain store it
 is exit 2 and one line — and selects nothing.
 
+``consistency`` exits 0 CONSISTENT, 1 INCONSISTENT, and — with
+``--witness`` only — 3 undecided: the inference system derived no
+contradiction but no witness instance could be built (the line
+``witness synthesis failed: …`` goes to stderr as well).
+
 ``fsck`` of a sharded store distinguishes its exit codes: 0 the
 composite view is healthy, 1 it is degraded (journal damage, orphaned
 shards, composite violations), 3 a 2PC participant is in doubt (a
@@ -768,7 +773,12 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
                 print(f"witness instance ({len(result.witness)} entries) "
                       f"written to {args.witness}")
             else:
-                print(f"witness synthesis failed: {result.witness_error}")
+                # Undecided: the rules found no contradiction, yet the
+                # constructive backstop could not build an instance.
+                message = f"witness synthesis failed: {result.witness_error}"
+                print(message)
+                print(message, file=sys.stderr)
+                return 3
         return 0
     print("INCONSISTENT")
     if args.proof:

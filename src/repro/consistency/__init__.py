@@ -6,7 +6,6 @@ from repro.consistency.checker import (
     check_consistency,
 )
 from repro.consistency.engine import Closure, Derivation, close
-from repro.consistency.modelfinder import Model, find_model
 from repro.consistency.repair import RepairSuggestion, proof_axioms, suggest_repairs
 from repro.consistency.rules import RULES, Rule, rule
 from repro.consistency.witness import WitnessSynthesisError, synthesize_witness
@@ -18,8 +17,6 @@ __all__ = [
     "Closure",
     "Derivation",
     "close",
-    "Model",
-    "find_model",
     "Rule",
     "RULES",
     "rule",

@@ -1,15 +1,19 @@
 """The inference engine: fixpoint closure and consistency (Section 5).
 
 :func:`close` computes the deductive closure of a set of schema elements
-under the Figures 6-7 rules (as catalogued in
-:mod:`repro.consistency.rules`), recording for every derived fact the
-rule and premises of its first derivation so that proofs can be
-reconstructed (:meth:`Closure.explain`).
+under the Figures 6-7 rules, recording for every derived fact the rule
+and premises of its first derivation so that proofs can be reconstructed
+(:meth:`Closure.explain`).
 
-The closure runs as a semi-naive worklist fixpoint: every fact is joined
-against index structures exactly when it is first derived, so total work
-is polynomial in the number of classes — the complexity claim of
-Theorem 5.2, measured by the THM52 benchmark.
+The engine knows no rule.  :mod:`repro.consistency.rules` states each
+one as data — premises, side conditions, conclusion — and this module
+is the one generic fixpoint that fires them: a semi-naive worklist in
+which every fact, when its turn comes, is matched against every premise
+of every rule it could instantiate and the remaining premises are
+joined through an index.  Every rule thus fires from every premise, the
+result is the least fixpoint, and total work is polynomial in the number
+of classes — the complexity claim of Theorem 5.2, measured by the THM52
+benchmark.
 
 By Theorem 5.2 the schema is consistent iff the closure does not contain
 the falsum element ``∅ □`` (:data:`repro.schema.elements.BOTTOM`).
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.axes import Axis
+from repro.consistency.rules import RULES, Rule
 from repro.schema.class_schema import TOP
 from repro.schema.elements import (
     BOTTOM,
@@ -115,625 +120,176 @@ class Closure:
         return self.explain(BOTTOM)
 
 
-class _Engine:
-    """Worklist fixpoint over the rule catalog."""
+#: The class-name fields of each element kind, in pattern order.
+_FIELDS = {
+    RequiredClass: ("object_class",),
+    RequiredEdge: ("source", "target"),
+    ForbiddenEdge: ("source", "target"),
+    Subclass: ("sub", "sup"),
+    Disjoint: ("a", "b"),
+}
 
-    def __init__(self, universe: Set[str]) -> None:
-        self.universe = universe
+# The engine's uniform view of an element: a *shape* ``(kind, axis)``
+# and the tuple of class names (or, in a rule, class variables) it
+# relates.
+_Shape = Tuple[type, Optional[Axis]]
+_Names = Tuple[str, ...]
+
+
+def _atom(element: SchemaElement) -> Tuple[_Shape, _Names]:
+    kind = type(element)
+    names = tuple(getattr(element, f) for f in _FIELDS[kind])
+    return (kind, getattr(element, "axis", None)), names
+
+
+def _instance(atom: Tuple[_Shape, _Names], binding: Dict[str, str]) -> SchemaElement:
+    """The element a rule's ``atom`` denotes under ``binding``."""
+    (kind, axis), pattern = atom
+    names = [binding[variable] for variable in pattern]
+    if kind is Disjoint:
+        return Disjoint(*names).normalized()
+    return kind(*names) if axis is None else kind(axis, *names)
+
+
+#: The binding every match starts from: a rule's constants stand for
+#: themselves, every other name in a rule is a variable.
+_CONSTANTS = {TOP: TOP, EMPTY_CLASS: EMPTY_CLASS}
+
+
+def _unify(
+    pattern: _Names, names: _Names, binding: Dict[str, str]
+) -> Optional[Dict[str, str]]:
+    """``binding`` extended so that ``pattern`` reads ``names``, or
+    ``None``.  With constants pre-bound, a constant, a repeated variable
+    and a variable bound by an earlier premise are one case."""
+    binding = dict(binding)
+    for variable, name in zip(pattern, names):
+        if binding.setdefault(variable, name) != name:
+            return None
+    return binding
+
+
+class _Plan:
+    """One (rule, premise position): the premise a popped fact is
+    matched against, and the rule's other premises in join order — each
+    with the argument position its candidates are looked up by (``None``
+    when every argument is bound by then: a membership test)."""
+
+    def __init__(self, rule: Rule, position: int) -> None:
+        self.rule = rule
+        atoms = [_atom(premise) for premise in rule.premises]
+        self.premises = atoms
+        self.conclusion = _atom(rule.conclusion)
+        self.trigger = atoms[position][1]
+        bound = set(_CONSTANTS) | set(self.trigger)
+        rest = atoms[:position] + atoms[position + 1:]
+        self.joins: List[Tuple[_Shape, _Names, Optional[int]]] = []
+        while rest:
+            # Most-bound premise first; every rule of the figures is
+            # connected, so one argument at least is always bound.
+            shape, names = max(rest, key=lambda a: sum(n in bound for n in a[1]))
+            rest.remove((shape, names))
+            known = [i for i, n in enumerate(names) if n in bound]
+            assert known, f"rule {rule.name} is not connected"
+            self.joins.append(
+                (shape, names, None if len(known) == len(names) else known[0])
+            )
+            bound.update(names)
+
+
+# Plans by the shape of the fact that triggers them.  A shape no rule
+# concludes (disjointness) is only ever an axiom: :func:`close` queues
+# those first, so they are all indexed before anything can fire and need
+# no plans of their own — the classic extensional-relation saving, and
+# most of a class schema's elements.
+_DERIVED = {_atom(rule.conclusion)[0] for rule in RULES.values()}
+_PLANS: Dict[_Shape, List[_Plan]] = {}
+for _rule in RULES.values():
+    _shapes = [_atom(premise)[0] for premise in _rule.premises]
+    assert not _shapes or _DERIVED.intersection(_shapes), _rule.name
+    for _position, _shape in enumerate(_shapes):
+        if _shape in _DERIVED:
+            _PLANS.setdefault(_shape, []).append(_Plan(_rule, _position))
+
+
+# The premise-free rule (reflexivity) is seeded by :func:`close`, not
+# fired; the LDAP model's ``c ⊑ top`` rides under the same label.
+(_SEEDED,) = (rule.name for rule in RULES.values() if not rule.premises)
+
+
+def _queue_order(element: SchemaElement):
+    """The canonical starting order of the worklist: plan-less shapes
+    first (see ``_PLANS``), then by kind, axis and class names."""
+    (kind, axis), names = _atom(element)
+    return (kind, axis) in _PLANS, kind.__name__, axis or "", names
+
+
+class _Engine:
+    """Semi-naive worklist fixpoint over the rule table.
+
+    Facts are drained first-in first-out.  A popped fact is indexed and
+    then offered to every plan of its shape; a plan binds the rule's
+    variables from it and joins the remaining premises against the
+    facts popped so far.  A rule instance therefore fires when the last
+    of its premises is popped, whichever premise that is.
+    """
+
+    def __init__(self) -> None:
         self.facts: Dict[SchemaElement, Derivation] = {}
         self.work: List[SchemaElement] = []
-        # Indexes
-        self.ne: Set[str] = set()
-        self.req_src: Dict[Tuple[Axis, str], Set[str]] = {}
-        self.req_tgt: Dict[Tuple[Axis, str], Set[str]] = {}
-        self.forb_src: Dict[Tuple[Axis, str], Set[str]] = {}
-        self.forb_tgt: Dict[Tuple[Axis, str], Set[str]] = {}
-        self.sub_up: Dict[str, Set[str]] = {}
-        self.sub_down: Dict[str, Set[str]] = {}
-        self.disj_of: Dict[str, Set[str]] = {}
+        self.popped: Set[Tuple[_Shape, _Names]] = set()
+        # (shape, argument position, class) -> the popped atoms of that
+        # shape with that class there.  Lists, not sets: iteration order
+        # must not depend on the interpreter's hash seed.
+        self.index: Dict[Tuple[_Shape, int, str], List[_Names]] = {}
 
-    # ------------------------------------------------------------------
     def add(
-        self,
-        fact: SchemaElement,
-        rule: str = "axiom",
-        premises: Tuple[SchemaElement, ...] = (),
+        self, fact: SchemaElement, rule: str, premises: Tuple[SchemaElement, ...] = ()
     ) -> None:
-        if isinstance(fact, Disjoint):
-            fact = fact.normalized()
-        if fact in self.facts:
-            return
-        self.facts[fact] = Derivation(fact, rule, premises)
-        self.work.append(fact)
-        if isinstance(fact, RequiredClass):
-            self.ne.add(fact.object_class)
-        elif isinstance(fact, RequiredEdge):
-            self.req_src.setdefault((fact.axis, fact.source), set()).add(fact.target)
-            self.req_tgt.setdefault((fact.axis, fact.target), set()).add(fact.source)
-        elif isinstance(fact, ForbiddenEdge):
-            self.forb_src.setdefault((fact.axis, fact.source), set()).add(fact.target)
-            self.forb_tgt.setdefault((fact.axis, fact.target), set()).add(fact.source)
-        elif isinstance(fact, Subclass):
-            self.sub_up.setdefault(fact.sub, set()).add(fact.sup)
-            self.sub_down.setdefault(fact.sup, set()).add(fact.sub)
-        elif isinstance(fact, Disjoint):
-            self.disj_of.setdefault(fact.a, set()).add(fact.b)
-            self.disj_of.setdefault(fact.b, set()).add(fact.a)
+        if fact not in self.facts:
+            self.facts[fact] = Derivation(fact, rule, premises)
+            self.work.append(fact)
 
-    # Index lookups -----------------------------------------------------
-    def req(self, axis: Axis, source: str) -> Set[str]:
-        return self.req_src.get((axis, source), set())
-
-    def req_sources(self, axis: Axis, target: str) -> Set[str]:
-        return self.req_tgt.get((axis, target), set())
-
-    def has_req(self, axis: Axis, source: str, target: str) -> bool:
-        return target in self.req_src.get((axis, source), ())
-
-    def forb(self, axis: Axis, source: str) -> Set[str]:
-        return self.forb_src.get((axis, source), set())
-
-    def forb_sources(self, axis: Axis, target: str) -> Set[str]:
-        return self.forb_tgt.get((axis, target), set())
-
-    def has_forb(self, axis: Axis, source: str, target: str) -> bool:
-        return target in self.forb_src.get((axis, source), ())
-
-    def subs_of(self, sup: str) -> Set[str]:
-        return self.sub_down.get(sup, set())
-
-    def sups_of(self, sub: str) -> Set[str]:
-        return self.sub_up.get(sub, set())
-
-    def disjoint_with(self, name: str) -> Set[str]:
-        return self.disj_of.get(name, set())
-
-    def is_disjoint(self, a: str, b: str) -> bool:
-        return b in self.disj_of.get(a, ())
-
-    # ------------------------------------------------------------------
     def run(self) -> None:
-        while self.work:
-            fact = self.work.pop()
-            if isinstance(fact, RequiredClass):
-                self._on_nonempty(fact)
-            elif isinstance(fact, RequiredEdge):
-                self._on_required(fact)
-            elif isinstance(fact, ForbiddenEdge):
-                self._on_forbidden(fact)
-            elif isinstance(fact, Subclass):
-                self._on_subclass(fact)
-            elif isinstance(fact, Disjoint):
-                self._on_disjoint(fact)
+        for fact in self.work:  # grows while we iterate: the FIFO queue
+            shape, names = _atom(fact)
+            # Disjointness is symmetric: index and offer both readings.
+            readings = (names,)
+            if shape[0] is Disjoint and names[0] != names[1]:
+                readings = (names, names[::-1])
+            for reading in readings:
+                self.popped.add((shape, reading))
+                for position, name in enumerate(reading):
+                    self.index.setdefault((shape, position, name), []).append(reading)
+            for reading in readings:
+                for plan in _PLANS.get(shape, ()):
+                    binding = _unify(plan.trigger, reading, _CONSTANTS)
+                    if binding is not None:
+                        self._join(plan, 0, binding)
 
-    # ------------------------------------------------------------------
-    # triggers per fact kind
-    # ------------------------------------------------------------------
-    def _on_nonempty(self, fact: RequiredClass) -> None:
-        c = fact.object_class
-        # nodes-and-edges: ci□, ci →ax cj ⊢ cj□
-        for axis in Axis:
-            for target in list(self.req(axis, c)):
-                self.add(
-                    RequiredClass(target),
-                    f"ne-{_axis_word(axis)}",
-                    (fact, RequiredEdge(axis, c, target)),
-                )
-        # membership: ci□, ci ⊑ cj ⊢ cj□
-        for sup in list(self.sups_of(c)):
-            if sup != c:
-                self.add(RequiredClass(sup), "ne-sub", (fact, Subclass(c, sup)))
-
-    def _on_required(self, fact: RequiredEdge) -> None:
-        axis, ci, cj = fact.axis, fact.source, fact.target
-        # nodes-and-edges (triggered from the edge side)
-        if ci in self.ne:
-            self.add(
-                RequiredClass(cj),
-                f"ne-{_axis_word(axis)}",
-                (RequiredClass(ci), fact),
-            )
-        # paths: →ch ⊢ →de, →pa ⊢ →an
-        if axis in (Axis.CHILD, Axis.PARENT):
-            self.add(
-                RequiredEdge(axis.transitive, ci, cj),
-                "path-child-desc" if axis is Axis.CHILD else "path-parent-anc",
-                (fact,),
-            )
-        # transitivity on →de / →an
-        if axis in (Axis.DESCENDANT, Axis.ANCESTOR):
-            word = _axis_word(axis)
-            for ck in list(self.req(axis, cj)):
-                self.add(
-                    RequiredEdge(axis, ci, ck),
-                    f"trans-{word}",
-                    (fact, RequiredEdge(axis, cj, ck)),
-                )
-            for ch in list(self.req_sources(axis, ci)):
-                self.add(
-                    RequiredEdge(axis, ch, cj),
-                    f"trans-{word}",
-                    (RequiredEdge(axis, ch, ci), fact),
-                )
-            # loops: ci →de ci ⊢ ci →de ∅
-            if ci == cj and ci != EMPTY_CLASS:
-                self.add(
-                    RequiredEdge(axis, ci, EMPTY_CLASS), f"loop-{word}", (fact,)
-                )
-        # source specialization: ci' ⊑ ci
-        for sub in list(self.subs_of(ci)):
-            if sub != ci:
-                self.add(
-                    RequiredEdge(axis, sub, cj),
-                    f"source-{_axis_word(axis)}",
-                    (fact, Subclass(sub, ci)),
-                )
-        # target generalization: cj ⊑ cj'
-        for sup in list(self.sups_of(cj)):
-            if sup != cj:
-                self.add(
-                    RequiredEdge(axis, ci, sup),
-                    f"target-{_axis_word(axis)}",
-                    (fact, Subclass(cj, sup)),
-                )
-        # Figure 7 top-paths: →de top ⊢ →ch top; →an top ⊢ →pa top
-        if cj == TOP:
-            if axis is Axis.DESCENDANT:
-                self.add(RequiredEdge(Axis.CHILD, ci, TOP), "top-desc-child", (fact,))
-            elif axis is Axis.ANCESTOR:
-                self.add(RequiredEdge(Axis.PARENT, ci, TOP), "top-anc-parent", (fact,))
-        # direct conflicts
-        if axis is Axis.DESCENDANT and self.has_forb(Axis.DESCENDANT, ci, cj):
-            self.add(
-                RequiredEdge(Axis.DESCENDANT, ci, EMPTY_CLASS),
-                "conflict-desc",
-                (fact, ForbiddenEdge(Axis.DESCENDANT, ci, cj)),
-            )
-        if axis is Axis.CHILD and self.has_forb(Axis.CHILD, ci, cj):
-            self.add(
-                RequiredEdge(Axis.DESCENDANT, ci, EMPTY_CLASS),
-                "conflict-child",
-                (fact, ForbiddenEdge(Axis.CHILD, ci, cj)),
-            )
-        if axis is Axis.ANCESTOR and self.has_forb(Axis.DESCENDANT, cj, ci):
-            self.add(
-                RequiredEdge(Axis.ANCESTOR, ci, EMPTY_CLASS),
-                "conflict-anc",
-                (fact, ForbiddenEdge(Axis.DESCENDANT, cj, ci)),
-            )
-        if axis is Axis.PARENT and self.has_forb(Axis.CHILD, cj, ci):
-            self.add(
-                RequiredEdge(Axis.ANCESTOR, ci, EMPTY_CLASS),
-                "conflict-parent",
-                (fact, ForbiddenEdge(Axis.CHILD, cj, ci)),
-            )
-        # parenthood / ancestorhood (derive forbidden facts)
-        if axis is Axis.PARENT:
-            for ck in list(self.forb_sources(Axis.DESCENDANT, cj)):
-                if self.is_disjoint(cj, ck):
-                    self.add(
-                        ForbiddenEdge(Axis.DESCENDANT, ck, ci),
-                        "parenthood",
-                        (
-                            fact,
-                            ForbiddenEdge(Axis.DESCENDANT, ck, cj),
-                            Disjoint(cj, ck).normalized(),
-                        ),
-                    )
-            # unique-parent: two disjoint required parents
-            for ck in list(self.req(Axis.PARENT, ci)):
-                if ck != cj and self.is_disjoint(cj, ck):
-                    self.add(
-                        RequiredEdge(Axis.ANCESTOR, ci, EMPTY_CLASS),
-                        "unique-parent",
-                        (
-                            fact,
-                            RequiredEdge(Axis.PARENT, ci, ck),
-                            Disjoint(cj, ck).normalized(),
-                        ),
-                    )
-        if axis is Axis.ANCESTOR:
-            for ck in list(self.forb_sources(Axis.DESCENDANT, cj)):
-                if self.is_disjoint(cj, ck) and self.has_forb(Axis.DESCENDANT, cj, ck):
-                    self.add(
-                        ForbiddenEdge(Axis.DESCENDANT, ck, ci),
-                        "ancestorhood",
-                        (
-                            fact,
-                            ForbiddenEdge(Axis.DESCENDANT, ck, cj),
-                            ForbiddenEdge(Axis.DESCENDANT, cj, ck),
-                            Disjoint(cj, ck).normalized(),
-                        ),
-                    )
-            # anc-exclusion: two required ancestors that cannot share a path
-            for ck in list(self.req(Axis.ANCESTOR, ci)):
-                if (
-                    ck != cj
-                    and self.is_disjoint(cj, ck)
-                    and self.has_forb(Axis.DESCENDANT, cj, ck)
-                    and self.has_forb(Axis.DESCENDANT, ck, cj)
-                ):
-                    self.add(
-                        RequiredEdge(Axis.ANCESTOR, ci, EMPTY_CLASS),
-                        "anc-exclusion",
-                        (
-                            fact,
-                            RequiredEdge(Axis.ANCESTOR, ci, ck),
-                            Disjoint(cj, ck).normalized(),
-                            ForbiddenEdge(Axis.DESCENDANT, cj, ck),
-                            ForbiddenEdge(Axis.DESCENDANT, ck, cj),
-                        ),
-                    )
-        # sandwich: ci →an cp, ci →de cc, cp ↛de cc ⊢ ci →de ∅
-        # (a required descendant of ci is also a descendant of every
-        # required ancestor of ci — forbidden there means ci is empty)
-        if axis is Axis.ANCESTOR and cj != EMPTY_CLASS:
-            for cc in list(self.req(Axis.DESCENDANT, ci)):
-                if cc != EMPTY_CLASS and self.has_forb(Axis.DESCENDANT, cj, cc):
-                    self.add(
-                        RequiredEdge(Axis.DESCENDANT, ci, EMPTY_CLASS),
-                        "sandwich",
-                        (
-                            fact,
-                            RequiredEdge(Axis.DESCENDANT, ci, cc),
-                            ForbiddenEdge(Axis.DESCENDANT, cj, cc),
-                        ),
-                    )
-        if axis is Axis.DESCENDANT and cj != EMPTY_CLASS:
-            for cp in list(self.req(Axis.ANCESTOR, ci)):
-                if cp != EMPTY_CLASS and self.has_forb(Axis.DESCENDANT, cp, cj):
-                    self.add(
-                        RequiredEdge(Axis.DESCENDANT, ci, EMPTY_CLASS),
-                        "sandwich",
-                        (
-                            RequiredEdge(Axis.ANCESTOR, ci, cp),
-                            fact,
-                            ForbiddenEdge(Axis.DESCENDANT, cp, cj),
-                        ),
-                    )
-        # child-parent handshake and subsumption: the required cj-child of
-        # a ci-entry has that very entry as its parent, so every ci-entry
-        # must belong to every required-parent class of cj.
-        if axis is Axis.CHILD:
-            for ck in list(self.req(Axis.PARENT, cj)):
-                premises = (fact, RequiredEdge(Axis.PARENT, cj, ck))
-                if ck != EMPTY_CLASS and ci != ck:
-                    self.add(
-                        Subclass(ci, ck), "child-parent-subsumption", premises
-                    )
-                if self.is_disjoint(ci, ck):
-                    self.add(
-                        RequiredEdge(Axis.DESCENDANT, ci, EMPTY_CLASS),
-                        "child-parent-handshake",
-                        premises + (Disjoint(ci, ck).normalized(),),
-                    )
-        if axis is Axis.PARENT:
-            for ch in list(self.req_sources(Axis.CHILD, ci)):
-                premises = (RequiredEdge(Axis.CHILD, ch, ci), fact)
-                if cj != EMPTY_CLASS and ch != cj:
-                    self.add(
-                        Subclass(ch, cj), "child-parent-subsumption", premises
-                    )
-                if self.is_disjoint(ch, cj):
-                    self.add(
-                        RequiredEdge(Axis.DESCENDANT, ch, EMPTY_CLASS),
-                        "child-parent-handshake",
-                        premises + (Disjoint(ch, cj).normalized(),),
-                    )
-        # child-anc-lift: the required cj-child of a ci-entry has exactly
-        # ci-entry and its ancestors as ancestors; with ci ⊥ ck the
-        # child's required ck-ancestor must lie strictly above ci.
-        if axis is Axis.CHILD:
-            for ck in list(self.req(Axis.ANCESTOR, cj)):
-                if ck != EMPTY_CLASS and self.is_disjoint(ci, ck):
-                    self.add(
-                        RequiredEdge(Axis.ANCESTOR, ci, ck),
-                        "child-anc-lift",
-                        (
-                            fact,
-                            RequiredEdge(Axis.ANCESTOR, cj, ck),
-                            Disjoint(ci, ck).normalized(),
-                        ),
-                    )
-        if axis is Axis.ANCESTOR and cj != EMPTY_CLASS:
-            for ch in list(self.req_sources(Axis.CHILD, ci)):
-                if self.is_disjoint(ch, cj):
-                    self.add(
-                        RequiredEdge(Axis.ANCESTOR, ch, cj),
-                        "child-anc-lift",
-                        (
-                            RequiredEdge(Axis.CHILD, ch, ci),
-                            fact,
-                            Disjoint(ch, cj).normalized(),
-                        ),
-                    )
-        # desc-parent-lift (mirror of child-anc-lift): the required
-        # cj-descendant of a ci-entry has a ck parent on the path at or
-        # below ci; with ci ⊥ ck that parent is a strict descendant.
-        if axis is Axis.DESCENDANT and cj != EMPTY_CLASS:
-            for ck in list(self.req(Axis.PARENT, cj)):
-                if ck != EMPTY_CLASS and self.is_disjoint(ci, ck):
-                    self.add(
-                        RequiredEdge(Axis.DESCENDANT, ci, ck),
-                        "desc-parent-lift",
-                        (
-                            fact,
-                            RequiredEdge(Axis.PARENT, cj, ck),
-                            Disjoint(ci, ck).normalized(),
-                        ),
-                    )
-        if axis is Axis.PARENT and cj != EMPTY_CLASS:
-            for ch in list(self.req_sources(Axis.DESCENDANT, ci)):
-                if self.is_disjoint(ch, cj):
-                    self.add(
-                        RequiredEdge(Axis.DESCENDANT, ch, cj),
-                        "desc-parent-lift",
-                        (
-                            RequiredEdge(Axis.DESCENDANT, ch, ci),
-                            fact,
-                            Disjoint(ch, cj).normalized(),
-                        ),
-                    )
-
-    def _on_forbidden(self, fact: ForbiddenEdge) -> None:
-        axis, ci, cj = fact.axis, fact.source, fact.target
-        # forb-paths: ↛de ⊢ ↛ch
-        if axis is Axis.DESCENDANT:
-            self.add(ForbiddenEdge(Axis.CHILD, ci, cj), "forb-desc-child", (fact,))
-        # top-paths
-        if axis is Axis.CHILD and cj == TOP:
-            self.add(
-                ForbiddenEdge(Axis.DESCENDANT, ci, TOP), "top-forb-child-desc", (fact,)
-            )
-        if axis is Axis.CHILD and ci == TOP:
-            self.add(ForbiddenEdge(Axis.DESCENDANT, TOP, cj), "top-forb-root", (fact,))
-        # propagation to subclasses (both arguments)
-        for sub in list(self.subs_of(ci)):
-            if sub != ci:
-                self.add(
-                    ForbiddenEdge(axis, sub, cj),
-                    f"forb-source-{_axis_word(axis)}",
-                    (fact, Subclass(sub, ci)),
-                )
-        for sub in list(self.subs_of(cj)):
-            if sub != cj:
-                self.add(
-                    ForbiddenEdge(axis, ci, sub),
-                    f"forb-target-{_axis_word(axis)}",
-                    (fact, Subclass(sub, cj)),
-                )
-        # direct conflicts (triggered from the forbidden side)
-        if axis is Axis.DESCENDANT and self.has_req(Axis.DESCENDANT, ci, cj):
-            self.add(
-                RequiredEdge(Axis.DESCENDANT, ci, EMPTY_CLASS),
-                "conflict-desc",
-                (RequiredEdge(Axis.DESCENDANT, ci, cj), fact),
-            )
-        if axis is Axis.CHILD and self.has_req(Axis.CHILD, ci, cj):
-            self.add(
-                RequiredEdge(Axis.DESCENDANT, ci, EMPTY_CLASS),
-                "conflict-child",
-                (RequiredEdge(Axis.CHILD, ci, cj), fact),
-            )
-        if axis is Axis.DESCENDANT and self.has_req(Axis.ANCESTOR, cj, ci):
-            self.add(
-                RequiredEdge(Axis.ANCESTOR, cj, EMPTY_CLASS),
-                "conflict-anc",
-                (RequiredEdge(Axis.ANCESTOR, cj, ci), fact),
-            )
-        if axis is Axis.CHILD and self.has_req(Axis.PARENT, cj, ci):
-            self.add(
-                RequiredEdge(Axis.ANCESTOR, cj, EMPTY_CLASS),
-                "conflict-parent",
-                (RequiredEdge(Axis.PARENT, cj, ci), fact),
-            )
-        # sandwich (triggered from the forbidden side)
-        if axis is Axis.DESCENDANT and ci != EMPTY_CLASS and cj != EMPTY_CLASS:
-            for middle in list(self.req_sources(Axis.ANCESTOR, ci)):
-                if cj in self.req(Axis.DESCENDANT, middle):
-                    self.add(
-                        RequiredEdge(Axis.DESCENDANT, middle, EMPTY_CLASS),
-                        "sandwich",
-                        (
-                            RequiredEdge(Axis.ANCESTOR, middle, ci),
-                            RequiredEdge(Axis.DESCENDANT, middle, cj),
-                            fact,
-                        ),
-                    )
-        # parenthood / ancestorhood (triggered from the forbidden side)
-        if axis is Axis.DESCENDANT:
-            for target in list(self.req_sources(Axis.PARENT, cj)):
-                if self.is_disjoint(cj, ci):
-                    self.add(
-                        ForbiddenEdge(Axis.DESCENDANT, ci, target),
-                        "parenthood",
-                        (
-                            RequiredEdge(Axis.PARENT, target, cj),
-                            fact,
-                            Disjoint(cj, ci).normalized(),
-                        ),
-                    )
-            for target in list(self.req_sources(Axis.ANCESTOR, cj)):
-                if self.is_disjoint(cj, ci) and self.has_forb(
-                    Axis.DESCENDANT, cj, ci
-                ):
-                    self.add(
-                        ForbiddenEdge(Axis.DESCENDANT, ci, target),
-                        "ancestorhood",
-                        (
-                            RequiredEdge(Axis.ANCESTOR, target, cj),
-                            fact,
-                            ForbiddenEdge(Axis.DESCENDANT, cj, ci),
-                            Disjoint(cj, ci).normalized(),
-                        ),
-                    )
-
-    def _on_subclass(self, fact: Subclass) -> None:
-        sub, sup = fact.sub, fact.sup
-        if sub == sup:
+    def _join(self, plan: _Plan, step: int, binding: Dict[str, str]) -> None:
+        if step == len(plan.joins):
+            self._fire(plan, binding)
             return
-        # sub-transitivity (both directions of the join)
-        for higher in list(self.sups_of(sup)):
-            if higher != sup:
-                self.add(
-                    Subclass(sub, higher), "sub-trans", (fact, Subclass(sup, higher))
-                )
-        for lower in list(self.subs_of(sub)):
-            if lower != sub:
-                self.add(
-                    Subclass(lower, sup), "sub-trans", (Subclass(lower, sub), fact)
-                )
-        # membership
-        if sub in self.ne:
-            self.add(RequiredClass(sup), "ne-sub", (RequiredClass(sub), fact))
-        # re-fire source/target/forb propagation for edges touching sup/sub
-        for axis in Axis:
-            for target in list(self.req(axis, sup)):
-                self.add(
-                    RequiredEdge(axis, sub, target),
-                    f"source-{_axis_word(axis)}",
-                    (RequiredEdge(axis, sup, target), fact),
-                )
-            for source in list(self.req_sources(axis, sub)):
-                self.add(
-                    RequiredEdge(axis, source, sup),
-                    f"target-{_axis_word(axis)}",
-                    (RequiredEdge(axis, source, sub), fact),
-                )
-        for axis in (Axis.CHILD, Axis.DESCENDANT):
-            for target in list(self.forb(axis, sup)):
-                self.add(
-                    ForbiddenEdge(axis, sub, target),
-                    f"forb-source-{_axis_word(axis)}",
-                    (ForbiddenEdge(axis, sup, target), fact),
-                )
-            for source in list(self.forb_sources(axis, sup)):
-                self.add(
-                    ForbiddenEdge(axis, source, sub),
-                    f"forb-target-{_axis_word(axis)}",
-                    (ForbiddenEdge(axis, source, sup), fact),
-                )
-        # sub-conflict: c ⊑ a, c ⊑ b, a ⊥ b
-        for other in list(self.sups_of(sub)):
-            if other != sup and self.is_disjoint(sup, other):
-                self.add(
-                    RequiredEdge(Axis.DESCENDANT, sub, EMPTY_CLASS),
-                    "sub-conflict",
-                    (fact, Subclass(sub, other), Disjoint(sup, other).normalized()),
-                )
+        shape, pattern, lookup = plan.joins[step]
+        if lookup is None:
+            if (shape, tuple(binding[v] for v in pattern)) in self.popped:
+                self._join(plan, step + 1, binding)
+            return
+        key = (shape, lookup, binding[pattern[lookup]])
+        for names in self.index.get(key, ()):
+            extended = _unify(pattern, names, binding)
+            if extended is not None:
+                self._join(plan, step + 1, extended)
 
-    def _on_disjoint(self, fact: Disjoint) -> None:
-        for a, b in ((fact.a, fact.b), (fact.b, fact.a)):
-            # unique-parent
-            for ci in list(self.req_sources(Axis.PARENT, a)):
-                if b in self.req(Axis.PARENT, ci):
-                    self.add(
-                        RequiredEdge(Axis.ANCESTOR, ci, EMPTY_CLASS),
-                        "unique-parent",
-                        (
-                            RequiredEdge(Axis.PARENT, ci, a),
-                            RequiredEdge(Axis.PARENT, ci, b),
-                            fact,
-                        ),
-                    )
-            # anc-exclusion
-            for ci in list(self.req_sources(Axis.ANCESTOR, a)):
-                if (
-                    b in self.req(Axis.ANCESTOR, ci)
-                    and self.has_forb(Axis.DESCENDANT, a, b)
-                    and self.has_forb(Axis.DESCENDANT, b, a)
-                ):
-                    self.add(
-                        RequiredEdge(Axis.ANCESTOR, ci, EMPTY_CLASS),
-                        "anc-exclusion",
-                        (
-                            RequiredEdge(Axis.ANCESTOR, ci, a),
-                            RequiredEdge(Axis.ANCESTOR, ci, b),
-                            fact,
-                            ForbiddenEdge(Axis.DESCENDANT, a, b),
-                            ForbiddenEdge(Axis.DESCENDANT, b, a),
-                        ),
-                    )
-            # parenthood / ancestorhood
-            for ci in list(self.req_sources(Axis.PARENT, a)):
-                for ck in list(self.forb_sources(Axis.DESCENDANT, a)):
-                    if ck == b:
-                        self.add(
-                            ForbiddenEdge(Axis.DESCENDANT, b, ci),
-                            "parenthood",
-                            (
-                                RequiredEdge(Axis.PARENT, ci, a),
-                                ForbiddenEdge(Axis.DESCENDANT, b, a),
-                                fact,
-                            ),
-                        )
-            for ci in list(self.req_sources(Axis.ANCESTOR, a)):
-                if self.has_forb(Axis.DESCENDANT, b, a) and self.has_forb(
-                    Axis.DESCENDANT, a, b
-                ):
-                    self.add(
-                        ForbiddenEdge(Axis.DESCENDANT, b, ci),
-                        "ancestorhood",
-                        (
-                            RequiredEdge(Axis.ANCESTOR, ci, a),
-                            ForbiddenEdge(Axis.DESCENDANT, b, a),
-                            ForbiddenEdge(Axis.DESCENDANT, a, b),
-                            fact,
-                        ),
-                    )
-            # handshake
-            for cj in list(self.req(Axis.CHILD, a)):
-                # a →ch cj; need cj →pa b
-                if b in self.req(Axis.PARENT, cj):
-                    self.add(
-                        RequiredEdge(Axis.DESCENDANT, a, EMPTY_CLASS),
-                        "child-parent-handshake",
-                        (
-                            RequiredEdge(Axis.CHILD, a, cj),
-                            RequiredEdge(Axis.PARENT, cj, b),
-                            fact,
-                        ),
-                    )
-                # child-anc-lift: a →ch cj, cj →an b, a ⊥ b
-                if b in self.req(Axis.ANCESTOR, cj):
-                    self.add(
-                        RequiredEdge(Axis.ANCESTOR, a, b),
-                        "child-anc-lift",
-                        (
-                            RequiredEdge(Axis.CHILD, a, cj),
-                            RequiredEdge(Axis.ANCESTOR, cj, b),
-                            fact,
-                        ),
-                    )
-            # desc-parent-lift: a →de cj, cj →pa b, a ⊥ b
-            for cj in list(self.req(Axis.DESCENDANT, a)):
-                if cj != EMPTY_CLASS and b in self.req(Axis.PARENT, cj):
-                    self.add(
-                        RequiredEdge(Axis.DESCENDANT, a, b),
-                        "desc-parent-lift",
-                        (
-                            RequiredEdge(Axis.DESCENDANT, a, cj),
-                            RequiredEdge(Axis.PARENT, cj, b),
-                            fact,
-                        ),
-                    )
-            # sub-conflict
-            for c in list(self.subs_of(a)):
-                if c != a and b in self.sups_of(c):
-                    self.add(
-                        RequiredEdge(Axis.DESCENDANT, c, EMPTY_CLASS),
-                        "sub-conflict",
-                        (Subclass(c, a), Subclass(c, b), fact),
-                    )
-
-
-def _axis_word(axis: Axis) -> str:
-    return {
-        Axis.CHILD: "child",
-        Axis.PARENT: "parent",
-        Axis.DESCENDANT: "desc",
-        Axis.ANCESTOR: "anc",
-    }[axis]
+    def _fire(self, plan: _Plan, binding: Dict[str, str]) -> None:
+        rule = plan.rule
+        if any(binding[x] == binding[y] for x, y in rule.where):
+            return
+        fact = _instance(plan.conclusion, binding)
+        if fact not in self.facts:
+            premises = tuple(_instance(atom, binding) for atom in plan.premises)
+            self.add(fact, rule.name, premises)
 
 
 def close(
@@ -742,6 +298,12 @@ def close(
     assume_top: bool = True,
 ) -> Closure:
     """Compute the deductive closure of ``elements``.
+
+    The closure — its facts *and* the derivation recorded for each — is
+    a function of the axiom **set**: axioms are seeded in a canonical
+    order and the worklist is drained first-in first-out, so neither
+    the order ``elements`` arrive in nor the interpreter's hash seed
+    shows in a proof.
 
     Parameters
     ----------
@@ -758,31 +320,22 @@ def close(
         where every legal entry belongs to ``top``.  Disable only when
         experimenting with the bare rule system.
     """
-    element_list = list(elements)
+    start: Dict[SchemaElement, str] = {}
     names: Set[str] = {TOP, EMPTY_CLASS}
     if universe is not None:
         names.update(universe)
-    for element in element_list:
-        if isinstance(element, RequiredClass):
-            names.add(element.object_class)
-        elif isinstance(element, (RequiredEdge, ForbiddenEdge)):
-            names.add(element.source)
-            names.add(element.target)
-        elif isinstance(element, Subclass):
-            names.add(element.sub)
-            names.add(element.sup)
-        elif isinstance(element, Disjoint):
-            names.add(element.a)
-            names.add(element.b)
+    for axiom in elements:
+        if isinstance(axiom, Disjoint):
+            axiom = axiom.normalized()
+        names.update(_atom(axiom)[1])
+        start[axiom] = "axiom"
+    for name in names - {EMPTY_CLASS}:
+        start[Subclass(name, name)] = _SEEDED
+        if assume_top:
+            start[Subclass(name, TOP)] = _SEEDED
 
-    engine = _Engine(names)
-    for name in sorted(names):
-        if name == EMPTY_CLASS:
-            continue
-        engine.add(Subclass(name, name), "sub-reflexive")
-        if assume_top and name != TOP:
-            engine.add(Subclass(name, TOP), "sub-reflexive")
-    for element in element_list:
-        engine.add(element)
+    engine = _Engine()
+    for fact in sorted(start, key=_queue_order):
+        engine.add(fact, start[fact])
     engine.run()
     return Closure(facts=engine.facts, universe=names)

@@ -11,6 +11,8 @@ import pytest
 # ``harness`` regardless of how pytest was invoked.
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from repro.consistency import engine as consistency_engine
+from repro.consistency.rules import RULES
 from repro.workloads import (
     den_schema,
     figure1_instance,
@@ -19,6 +21,22 @@ from repro.workloads import (
     whitepages_registry,
     whitepages_schema,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def every_derivation_names_a_catalogued_rule():
+    """Whatever closure any test computes, each fact in it is an axiom
+    or carries the name of a rule in the table — nothing the engine
+    writes into a proof is a label of its own making."""
+    add = consistency_engine._Engine.add
+
+    def checked_add(self, fact, rule, premises=()):
+        assert rule == "axiom" or rule in RULES, f"uncatalogued rule {rule!r}"
+        add(self, fact, rule, premises)
+
+    consistency_engine._Engine.add = checked_add
+    yield
+    consistency_engine._Engine.add = add
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Bounded model finding — the semantic ground truth for small schemas.
 
-The inference system of Section 5 is validated differentially: for small
+A test oracle, like ``oracle.py`` beside it, not library code.  The
+inference system of Section 5 is validated differentially: for small
 class universes, :func:`find_model` *exhaustively* searches for a legal
 instance of bounded size, deciding consistency semantically (up to the
 bound).  The test suite runs it against :func:`repro.consistency.engine.close`

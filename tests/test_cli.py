@@ -76,6 +76,28 @@ class TestConsistency:
         out = capsys.readouterr().out
         assert "INCONSISTENT" in out and "∅ □" in out
 
+    def test_failed_witness_synthesis_is_exit_3(self, paths, capsys, monkeypatch):
+        """CONSISTENT per the rules but no witness could be built is
+        *undecided*: a script must be able to see it."""
+        from repro.consistency import checker
+        from repro.consistency.witness import WitnessSynthesisError
+
+        def fail(schema, closure):
+            raise WitnessSynthesisError("no placement for class 'x'")
+
+        monkeypatch.setattr(checker, "synthesize_witness", fail)
+        schema, _, tmp = paths
+        witness = tmp / "witness.ldif"
+        assert main(["consistency", "--schema", schema,
+                     "--witness", str(witness)]) == 3
+        captured = capsys.readouterr()
+        assert "CONSISTENT" in captured.out
+        line = "witness synthesis failed: no placement for class 'x'"
+        assert line in captured.out and line in captured.err
+        assert not witness.exists()
+        # Without --witness nothing is synthesized: still plain 0.
+        assert main(["consistency", "--schema", schema]) == 0
+
     def test_witness_written(self, paths, capsys):
         schema, _, tmp = paths
         witness = tmp / "witness.ldif"

@@ -1,11 +1,14 @@
 """Schema-level consistency checking, witness synthesis, and the
 bounded-model-finder differential (Theorem 5.2)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modelfinder import find_model
 from repro.consistency.checker import ConsistencyChecker, check_consistency
-from repro.consistency.modelfinder import find_model
+from repro.consistency.engine import close
 from repro.consistency.witness import WitnessSynthesisError, synthesize_witness
 from repro.errors import InconsistentSchemaError
 from repro.legality.checker import LegalityChecker
@@ -132,8 +135,6 @@ class TestWitnessSynthesis:
         assert entry.has_attribute("name") and entry.has_attribute("badge")
 
     def test_witness_refuses_inconsistent_schema(self):
-        from repro.consistency.engine import close
-
         schema = tiny_schema(
             StructureSchema()
             .require_class("a")
@@ -157,6 +158,10 @@ class TestModelFinderDifferential:
             seed=seed, mode="any", max_depth=2,
         )
         verdict = check_consistency(schema).consistent
+        # The verdict is the axiom set's, not one listing order's.
+        shuffled = list(schema.all_elements())
+        random.Random(seed).shuffle(shuffled)
+        assert close(shuffled).consistent == verdict
         model = find_model(schema, max_entries=4)
         if model is not None:
             # Soundness: a real model means the rules must NOT derive ⊥.

@@ -1,19 +1,22 @@
 """Engine-level tests: the paper's Section 5 examples, proofs, and the
 soundness property (Theorem 5.1) on random legal instances."""
 
-from hypothesis import given, settings, strategies as st
+import random
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.axes import Axis
 from repro.consistency.engine import close
 from repro.legality.checker import LegalityChecker
 from repro.schema.elements import (
+    BOTTOM,
     Disjoint,
     ForbiddenEdge,
     RequiredClass,
     RequiredEdge,
     Subclass,
 )
-from repro.workloads import figure1_instance, whitepages_schema
+from repro.workloads import figure1_instance, random_schema, whitepages_schema
 
 CH, PA, DE, AN = Axis.CHILD, Axis.PARENT, Axis.DESCENDANT, Axis.ANCESTOR
 
@@ -193,3 +196,95 @@ class TestTheorem51Soundness:
         closure = close(schema.all_elements())
         for fact in closure.facts:
             assert fact.is_satisfied(instance), f"derived fact {fact} violated"
+
+
+def assert_well_founded(closure):
+    """Every fact's proof bottoms out: following premises never revisits
+    a fact and ends in premise-free leaves (axioms, reflexivity seeds)."""
+    grounded = set()
+
+    def visit(fact, path):
+        assert fact not in path, f"{fact} is derived from itself"
+        if fact in grounded:
+            return
+        derivation = closure.derivation(fact)
+        assert derivation is not None, f"{fact} is a premise but not a fact"
+        if not derivation.premises:
+            assert derivation.rule in ("axiom", "sub-reflexive")
+        for premise in derivation.premises:
+            visit(premise, path | {fact})
+        grounded.add(fact)
+
+    for fact in closure.facts:
+        visit(fact, frozenset())
+        assert "(not derived)" not in closure.explain(fact)
+
+
+class TestClosureIsAFunctionOfTheAxiomSet:
+    """The closure is the least fixpoint of the rule table, so its facts
+    — and, because seeding is canonical and the worklist FIFO, the
+    derivation recorded for each — depend on *which* axioms were given,
+    not on their order.  (A hand-unrolled engine that missed the
+    forbidden-premise triggers of ``ancestorhood`` / ``anc-exclusion``
+    called the schema below consistent in 2,688 of its 40,320 orders.)"""
+
+    AXIOMS = [
+        RequiredClass("b"),
+        RequiredEdge(DE, "b", "c"),
+        RequiredEdge(AN, "c", "a"),
+        Disjoint("a", "b"),
+        Subclass("a", "A"),
+        Subclass("b", "B"),
+        ForbiddenEdge(DE, "A", "B"),
+        ForbiddenEdge(DE, "B", "A"),
+    ]
+
+    def test_eight_axiom_schema_is_inconsistent_in_every_order(self):
+        listed = close(self.AXIOMS)
+        assert not listed.consistent
+        assert listed.derivation(ForbiddenEdge(DE, "b", "c")).rule == "ancestorhood"
+        assert_well_founded(listed)
+
+        b, b_c, a_A, b_B, A_B, c_a, a_b, B_A = (
+            self.AXIOMS[i] for i in (0, 1, 4, 5, 6, 2, 3, 7)
+        )
+        # The order the old engine answered CONSISTENT on.
+        quoted = close([b, b_c, a_A, b_B, A_B, c_a, a_b, B_A])
+        assert not quoted.consistent
+        assert quoted.facts == listed.facts
+        for seed in range(200):
+            shuffled = list(self.AXIOMS)
+            random.Random(seed).shuffle(shuffled)
+            assert close(shuffled).facts == listed.facts, seed
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        n_classes=st.integers(4, 7),
+        n_required=st.integers(3, 7),
+        n_forbidden=st.integers(2, 5),
+        order=st.integers(0, 1000),
+    )
+    # The first seeds whose closure changed with the order at 606e8ec.
+    @example(seed=550, n_classes=7, n_required=6, n_forbidden=3, order=0)
+    @example(seed=556, n_classes=7, n_required=4, n_forbidden=5, order=2)
+    @example(seed=1278, n_classes=4, n_required=3, n_forbidden=3, order=0)
+    def test_permutation_invariant_idempotent_and_well_founded(
+        self, seed, n_classes, n_required, n_forbidden, order
+    ):
+        schema = random_schema(
+            n_classes=n_classes, n_required=n_required, n_forbidden=n_forbidden,
+            seed=seed, mode="any",
+        )
+        axioms = list(schema.all_elements())
+        closure = close(axioms)
+        assert_well_founded(closure)
+
+        shuffled = list(axioms)
+        random.Random(order).shuffle(shuffled)
+        # Dict equality: same facts, and the same Derivation for each.
+        assert close(shuffled).facts == closure.facts
+
+        again = close(list(closure.facts))
+        assert set(again.facts) == set(closure.facts)
+        assert again.consistent == closure.consistent == (BOTTOM not in closure)

@@ -10,6 +10,7 @@ import pytest
 from repro.axes import Axis
 from repro.consistency.engine import close
 from repro.consistency.rules import RULES
+from repro.schema.class_schema import TOP
 from repro.schema.elements import (
     EMPTY_CLASS,
     Disjoint,
@@ -18,6 +19,7 @@ from repro.schema.elements import (
     RequiredEdge,
     Subclass,
 )
+from repro.workloads import random_forest
 
 CH, PA, DE, AN = Axis.CHILD, Axis.PARENT, Axis.DESCENDANT, Axis.ANCESTOR
 
@@ -333,6 +335,59 @@ class TestRuleCatalog:
         assert "parenthood" in reconstructed
         assert "ancestorhood" in reconstructed
         assert "trans-desc" not in reconstructed
+
+
+def class_names(*elements):
+    """The classes a rule's elements mention.  In the table they are the
+    rule's variables, which serve as fresh class names as they stand."""
+    names = set()
+    for element in elements:
+        names.update(
+            value for value in vars(element).values() if not isinstance(value, Axis)
+        )
+    return names
+
+
+@pytest.mark.parametrize("rule", RULES.values(), ids=lambda rule: rule.name)
+class TestTheTableIsTheEngine:
+    """Generated from the table, one case per rule: whatever
+    ``rules.py`` states, the engine does and the semantics bear out."""
+
+    def test_premises_derive_the_conclusion_by_this_rule(self, rule):
+        closure = close(
+            rule.premises, universe=class_names(rule.conclusion), assume_top=False
+        )
+        derivation = closure.derivation(rule.conclusion)
+        assert derivation is not None, f"{rule.shape}: conclusion not derived"
+        assert derivation.rule == rule.name
+        # As a set: a rule symmetric in two variables (unique-parent,
+        # sub-conflict, …) may be found under the mirrored binding.
+        assert set(derivation.premises) == {
+            p.normalized() if isinstance(p, Disjoint) else p for p in rule.premises
+        }
+
+    def test_theorem_51_sound_on_random_forests(self, rule):
+        """Whenever an instance satisfies every premise it satisfies the
+        conclusion (Definition 2.6 semantics, ``is_satisfied``)."""
+        # Two spare labels, so that some entries belong to none of the
+        # rule's classes and premises hold other than vacuously (with
+        # these sizes every unsound variant tried — a dropped side
+        # premise, a reversed edge — is refuted within the run).
+        labels = sorted(
+            class_names(*rule.premises, rule.conclusion) - {TOP, EMPTY_CLASS}
+        ) + ["other", "another"]
+        applicable = 0
+        for seed in range(1000):
+            forest = random_forest(
+                n_entries=seed % 8, labels=labels, max_classes_per_entry=2,
+                root_probability=0.3, seed=seed,
+            )
+            if all(premise.is_satisfied(forest) for premise in rule.premises):
+                applicable += 1
+                assert rule.conclusion.is_satisfied(forest), (
+                    f"{rule.shape} is unsound on forest seed {seed}"
+                )
+        assert applicable >= 50, f"{rule.name}: premises held on {applicable} forests"
 
 
 class TestSoundnessOnInstances:

@@ -141,7 +141,7 @@ class TestRepairBounds:
 
 class TestModelFinderApi:
     def test_model_zero_entries(self):
-        from repro.consistency.modelfinder import find_model
+        from modelfinder import find_model
         from repro.schema import (
             AttributeSchema,
             ClassSchema,
@@ -156,7 +156,7 @@ class TestModelFinderApi:
         assert model is not None and len(model) == 0
 
     def test_model_satisfaction_api(self):
-        from repro.consistency.modelfinder import Model
+        from modelfinder import Model
         from repro.schema.elements import ForbiddenEdge, RequiredClass, RequiredEdge
 
         model = Model((None, 0), (("a", "top"), ("b", "top")))

@@ -403,6 +403,18 @@ class DirectoryInstance:
         """
         return self._dn_key[self._resolve(entry)]
 
+    def normalized_dn_string_of(self, entry: Entry | int) -> str:
+        """The case-folded DN string of ``entry`` in O(1) — the key
+        :meth:`find` resolves by.  A subtree grafted under an entry keeps
+        its own keys as a prefix: ``<key in the subtree>,<key of the
+        entry it hangs under>``."""
+        return self._norm_key[self._resolve(entry)]
+
+    def id_of_normalized_dn(self, normalized: str) -> Optional[int]:
+        """The id of the entry whose :meth:`normalized_dn_string_of` is
+        ``normalized``, or ``None`` — :meth:`find` without the parse."""
+        return self._by_dn.get(normalized)
+
     def entries_with_class(self, object_class: str) -> Set[int]:
         """Ids of entries ``r`` with ``object_class in class(r)`` — the
         per-class index used by query evaluation."""

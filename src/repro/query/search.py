@@ -15,8 +15,9 @@ machinery itself uses the algebra in :mod:`repro.query.ast` directly.
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
-from typing import Iterator, List, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Union
 
 from repro.errors import QueryError
 from repro.model.dn import DN
@@ -109,12 +110,28 @@ def _candidates(
         yield from instance.descendants_of(base)
 
 
+def _planned_walk(
+    instance: DirectoryInstance,
+    base: Optional[Entry],
+    scope: SearchScope,
+    planned: Iterable[int],
+) -> Iterator[Entry]:
+    """The candidates that lie in scope, in document order —
+    O(|C| log |C|) plus one O(1) scope test each, not a pass over the
+    scope."""
+    for eid in sorted(planned, key=lambda eid: instance.interval_of(eid)[0]):
+        entry = instance.entry(eid)
+        if _in_scope(instance, base, scope, entry):
+            yield entry
+
+
 def search(
     instance: DirectoryInstance,
     base: Union[DN, str, None] = None,
     scope: Union[SearchScope, str] = SearchScope.SUB,
     filter: Union[Filter, str, None] = None,
     size_limit: Optional[int] = None,
+    order: Optional[Callable[[Entry], Any]] = None,
 ) -> List[Entry]:
     """Scoped LDAP search.
 
@@ -129,16 +146,24 @@ def search(
         A :class:`~repro.query.filters.Filter`, an RFC 2254 string, or
         ``None`` for match-all.
     size_limit:
-        Stop after this many matches (LDAP ``sizeLimit``).
-
-    Returns entries in document order.
+        Keep only the first this many matches (LDAP ``sizeLimit``);
+        ``0`` keeps none.
+    order:
+        A sort key over entries.  Without one the matches come in
+        document order and the search stops at the limit; with one
+        they come sorted by it, and the limit keeps the first of
+        *that* order (how a stitched composite answers in canonical
+        order — its document order depends on the shard layout).
 
     Raises
     ------
     QueryError
-        If the base DN does not name an entry.
+        If the base DN does not name an entry, or the size limit is
+        negative.
     """
     scope = SearchScope(scope)
+    if size_limit is not None and size_limit < 0:
+        raise QueryError(f"size limit must not be negative, got {size_limit}")
     if filter is None:
         predicate: Filter = TRUE_FILTER
     elif isinstance(filter, str):
@@ -156,7 +181,7 @@ def search(
     # bound the scan by a candidate superset first.  The residual
     # ``matches`` pass below still judges every candidate, so planner
     # output is byte-identical to the naive scan — only cheaper.
-    planned: Optional[set] = None
+    planned = None
     indexes = getattr(instance, "indexes", None)
     if indexes is not None and predicate is not TRUE_FILTER:
         planned = FilterPlanner(indexes).plan(predicate)
@@ -168,24 +193,11 @@ def search(
         ):
             planned = None
 
-    results: List[Entry] = []
     if planned is not None:
-        # Visit only the candidates, in document order — O(|C| log |C|)
-        # plus one O(1) scope test each, not a pass over the scope.
-        for eid in sorted(
-            planned, key=lambda eid: instance.interval_of(eid)[0]
-        ):
-            entry = instance.entry(eid)
-            if not _in_scope(instance, base_entry, scope, entry):
-                continue
-            if predicate.matches(entry):
-                results.append(entry)
-                if size_limit is not None and len(results) >= size_limit:
-                    break
-        return results
-    for entry in _candidates(instance, base_entry, scope):
-        if predicate.matches(entry):
-            results.append(entry)
-            if size_limit is not None and len(results) >= size_limit:
-                break
-    return results
+        walk = _planned_walk(instance, base_entry, scope, planned)
+    else:
+        walk = _candidates(instance, base_entry, scope)
+    matching = (entry for entry in walk if predicate.matches(entry))
+    if order is None:
+        return list(itertools.islice(matching, size_limit))
+    return sorted(matching, key=order)[:size_limit]

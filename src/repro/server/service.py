@@ -164,13 +164,21 @@ class WireService:
             # keeps asyncio's stream callback from logging the retrieval.
             pass
         finally:
-            self._connections.pop(task, None)
-            await connection.release()
+            # The close has to end this task finished, not cancelled —
+            # asyncio's stream callback logs a cancelled connection task
+            # as an exception — and keep it registered until it has, so
+            # that stop() waits for a connection that is closing instead
+            # of leaving it for the loop's shutdown to cancel.
+            try:
+                await connection.release()
+            except asyncio.CancelledError:
+                pass
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
+            self._connections.pop(task, None)
 
     async def _dispatch(self, connection: Connection, request: dict) -> Optional[dict]:
         op, request_id = request.get("op"), request.get("id")

@@ -46,7 +46,9 @@ that frame.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import os
 from typing import (
     Any,
@@ -74,6 +76,7 @@ from repro.store.sidecar import schema_digest, verdict_crc
 __all__ = [
     "AttributeIndexes",
     "ExtrasDeltaProbe",
+    "MemberIndexes",
     "delta_extras_violations",
     "extras_index_attributes",
     "index_sidecar_path",
@@ -476,6 +479,137 @@ class AttributeIndexes:
 
 
 # ----------------------------------------------------------------------
+# the indexes of a stitched composite: a view over its members'
+# ----------------------------------------------------------------------
+def _summed_counters(instances: Iterable[DirectoryInstance]) -> Tuple[int, ...]:
+    """``(probes, hits, candidates)`` summed over the instances' indexes."""
+    return tuple(
+        sum(column)
+        for column in zip(*(instance.indexes.counters() for instance in instances))
+    )
+
+
+class MemberIndexes:
+    """What a stitched composite carries as ``indexes``: no postings of
+    its own, only a *view* over the :class:`AttributeIndexes` of the
+    member instances it was stitched from (Theorem 4.1 read for
+    retrieval — a filter is plannable shard by shard).
+
+    ``members`` is ``[(instance, graft)]``: ``graft`` is what a member's
+    normalized DN string needs appended to become the composite's
+    (``""`` for a member grafted at the root, else ``",<normalized DN of
+    the entry it hangs under>"``).  Every probe goes to every member
+    and answers with a :class:`_MemberCandidates` — member-local ids,
+    combinable and countable as they are, mapped onto composite ids
+    only when iterated.  The planner's contract is unchanged: a sound
+    superset, judged again by the caller.
+
+    The members' indexes observe their own instances, so the composite's
+    mutations (:meth:`entry_changed`, :meth:`entry_removed`) need no
+    upkeep here.
+    """
+
+    def __init__(
+        self,
+        composite: DirectoryInstance,
+        members: Sequence[Tuple[DirectoryInstance, str]],
+    ) -> None:
+        self.instance = composite
+        self._members = list(members)
+        #: Member-local candidates mapped onto composite ids so far — a
+        #: search that walks its scope instead maps none.
+        self.translated = 0
+
+    def entry_changed(self, eid: int) -> None:
+        """Observer hook of the composite: nothing to patch."""
+
+    def entry_removed(self, eid: int) -> None:
+        """Observer hook of the composite: nothing to patch."""
+
+    def equality_candidates(self, attribute: str, text: str):
+        """:meth:`AttributeIndexes.equality_candidates` of every member."""
+        return self._scatter("equality_candidates", attribute, text)
+
+    def presence_candidates(self, attribute: str):
+        """:meth:`AttributeIndexes.presence_candidates` of every member."""
+        return self._scatter("presence_candidates", attribute)
+
+    def substring_candidates(self, attribute: str, parts: Sequence[str]):
+        """:meth:`AttributeIndexes.substring_candidates` of every member."""
+        return self._scatter("substring_candidates", attribute, parts)
+
+    def counters(self) -> Tuple[int, ...]:
+        """``(probes, hits, candidates)`` summed over the members."""
+        return _summed_counters(instance for instance, _ in self._members)
+
+    def _scatter(self, probe: str, *args) -> "_MemberCandidates":
+        return _MemberCandidates(
+            self,
+            [getattr(instance.indexes, probe)(*args) for instance, _ in self._members],
+        )
+
+    def _translate(self, per_member: Sequence[Set[int]]) -> Iterable[int]:
+        """Composite ids of the members' candidates, through the
+        normalized DN both sides key their entries by.  A candidate the
+        composite does not hold means it is not the stitch of these
+        members right now; the answer degrades to *every* composite
+        entry — still a sound superset, and what a scan would judge."""
+        composite = self.instance
+        eids: List[int] = []
+        for (instance, graft), candidates in zip(self._members, per_member):
+            for candidate in candidates:
+                eid = composite.id_of_normalized_dn(
+                    instance.normalized_dn_string_of(candidate) + graft
+                )
+                if eid is None:
+                    return composite.entry_id_view()
+                eids.append(eid)
+        self.translated += len(eids)
+        return eids
+
+
+class _MemberCandidates:
+    """One candidate set of a :class:`MemberIndexes`: a set of
+    member-local entry ids per member.  ``&``, ``|`` and ``len`` work
+    member by member (the planner's gate reads the summed count before
+    anything is mapped); iterating yields composite entry ids.  A plain
+    ``set`` on the other side of an operator is the planner's own empty
+    one — its FALSE plan, or the accumulator an ``Or`` starts from —
+    and stands for "no candidate in any member"."""
+
+    __slots__ = ("_view", "_per_member")
+
+    def __init__(self, view: MemberIndexes, per_member: List[Set[int]]) -> None:
+        self._view = view
+        self._per_member = per_member
+
+    def _combined(self, combine, other) -> "_MemberCandidates":
+        theirs = (
+            other._per_member
+            if isinstance(other, _MemberCandidates)
+            else itertools.repeat(other)
+        )
+        return _MemberCandidates(
+            self._view, [combine(a, b) for a, b in zip(self._per_member, theirs)]
+        )
+
+    def __and__(self, other) -> "_MemberCandidates":
+        return self._combined(operator.and_, other)
+
+    def __or__(self, other) -> "_MemberCandidates":
+        return self._combined(operator.or_, other)
+
+    __rand__ = __and__
+    __ror__ = __or__
+
+    def __len__(self) -> int:
+        return sum(map(len, self._per_member))
+
+    def __iter__(self):
+        return iter(self._view._translate(self._per_member))
+
+
+# ----------------------------------------------------------------------
 # the Section 6.1 apply-time delta check
 # ----------------------------------------------------------------------
 def delta_extras_violations(
@@ -584,14 +718,8 @@ class ExtrasDeltaProbe:
         self._members = list(members)
         self._resolve = resolve
 
-    def _counters(self) -> List[int]:
-        """``[probes, hits, candidates]`` summed over the members."""
-        return [
-            sum(column)
-            for column in zip(
-                *(instance.indexes.counters() for instance, _ in self._members)
-            )
-        ]
+    def _counters(self) -> Tuple[int, ...]:
+        return _summed_counters(instance for instance, _ in self._members)
 
     def checkpoint(self) -> None:
         """Flush every member's pending index maintenance, so the dirty

@@ -74,7 +74,16 @@ Enforcement split:
   state, not a raising one: stitching grafts the orphan's entries as
   detached roots and the one verdict adds an ``orphaned-shard``
   violation on every ``check()`` surface, so search/fsck keep working
-  against the damaged store.
+  against the damaged store;
+* a **search** is the same split read the other way: the filter is
+  planned on each shard's own indexes (the stitched composite carries
+  :class:`repro.store.index.MemberIndexes`, a view over them — it
+  builds no postings), and the composite keeps what spans the cut:
+  the scope test, the residual ``matches`` pass and the canonical
+  order.  A composite holding an orphaned shard, or stitched from a
+  shard without indexes, carries no view, and a candidate the composite
+  does not hold turns the candidate set into every entry: in all three
+  cases the search scans.
 
 Semantics note: the per-shard guard checks each Theorem 4.1 subtree
 step of a transaction *stepwise*, while composite elements are checked
@@ -375,23 +384,41 @@ def _stitch(
     A nested shard whose attachment entry is *missing* (an orphaned
     shard — see :func:`_composite_report`) is grafted as detached roots
     instead of raising, so search/check surfaces over a damaged store
-    report the violation rather than exploding on every call."""
+    report the violation rather than exploding on every call.
+
+    The composite builds no postings of its own: when every shard went
+    where its base says and holds indexes, it carries a view over
+    theirs (:class:`repro.store.index.MemberIndexes`), so a search of
+    it is planned on the shard indexes; otherwise it carries none and
+    a search of it scans."""
     composite = DirectoryInstance(attributes=attributes)
     ordered = sorted(
         shard_map.specs, key=lambda s: (s.base.depth(), s.name)
     )
+    #: ``[(shard instance, what its normalized DNs lack in the
+    #: composite)]``, for the shards that went where their base says.
+    members = []
     for spec in ordered:
-        parent = None if spec.suffix.is_empty() else str(spec.suffix)
-        if parent is not None and composite.find(parent) is None:
-            try:
-                composite.insert_subtree(None, instances[spec.name])
-            except ModelError:  # pragma: no cover - colliding wreckage
-                # Detached roots can collide with existing entries in
-                # an already-broken state; keep what stitched — the
-                # orphan violation is reported either way.
-                pass
-            continue
-        composite.insert_subtree(parent, instances[spec.name])
+        shard = instances[spec.name]
+        parent, graft = None, ""
+        if not spec.suffix.is_empty():
+            parent = composite.find(spec.suffix)
+            if parent is None:
+                try:
+                    composite.insert_subtree(None, shard)
+                except ModelError:  # pragma: no cover - colliding wreckage
+                    # Detached roots can collide with existing entries in
+                    # an already-broken state; keep what stitched — the
+                    # orphan violation is reported either way.
+                    pass
+                continue
+            graft = "," + composite.normalized_dn_string_of(parent)
+        composite.insert_subtree(parent, shard)
+        members.append((shard, graft))
+    if len(members) == len(ordered) and all(
+        shard.indexes is not None for shard, _ in members
+    ):
+        composite.indexes = _index.MemberIndexes(composite, members)
     return composite
 
 
@@ -417,11 +444,10 @@ def _canonical_search(
     """Scoped search over a stitched composite, results in canonical
     global document order; ``size_limit`` truncates *after* ordering so
     the first N results are deterministic too."""
-    results = _search(instance, base=base, scope=scope, filter=filter)
-    results.sort(key=lambda entry: _global_document_key(instance, entry))
-    if size_limit is not None and size_limit >= 0:
-        del results[size_limit:]
-    return results
+    return _search(
+        instance, base=base, scope=scope, filter=filter, size_limit=size_limit,
+        order=functools.partial(_global_document_key, instance),
+    )
 
 
 def _shard_slices(
@@ -1106,7 +1132,11 @@ class ShardedStore:
         size_limit: Optional[int] = None,
     ) -> List[Entry]:
         """Scoped LDAP search over the stitched composite view, in
-        canonical global document order (layout-independent)."""
+        canonical global document order (layout-independent).  The
+        filter is planned on the shards' own indexes — the composite
+        carries a view of them (:func:`_stitch`), no postings — and the
+        composite still decides scope, the residual ``matches`` pass
+        and the order."""
         self._ensure_open()
         return _canonical_search(
             self.composite_instance(), base, scope, filter, size_limit
@@ -1377,7 +1407,11 @@ class CompositeReader:
         size_limit: Optional[int] = None,
     ) -> List[Entry]:
         """Scoped LDAP search over the stitched composite view, in
-        canonical global document order (layout-independent)."""
+        canonical global document order (layout-independent).  The
+        filter is planned on the shards' own indexes — the composite
+        carries a view of them (:func:`_stitch`), no postings — and the
+        composite still decides scope, the residual ``matches`` pass
+        and the order."""
         self._ensure_open()
         return _canonical_search(
             self.instance, base, scope, filter, size_limit

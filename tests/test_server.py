@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -925,6 +926,47 @@ class TestMalformedFields:
 
         asyncio.run(run())
         assert "ZeroDivisionError: router bug" in capsys.readouterr().err
+        assert not [r for r in caplog.records if r.name == "asyncio"], caplog.text
+
+    @pytest.mark.parametrize(
+        "kind,drain", [("server", True), ("server", False), ("door", True)]
+    )
+    def test_stop_while_connections_are_closing_logs_nothing(
+        self, plain_store, kind, drain, monkeypatch, caplog
+    ):
+        """A member stopped while connections are half-way through
+        closing (each is giving back a view, made slow here so that the
+        stop always lands inside it): their tasks must end finished —
+        not cancelled by the stop, nor left for the loop's shutdown to
+        cancel after it.  asyncio's stream callback logs a cancelled
+        connection task as an exception in a callback."""
+        from repro.store.reader import StoreReader
+
+        close = StoreReader.close
+
+        def slow_close(view):
+            time.sleep(0.15)
+            close(view)
+
+        monkeypatch.setattr(StoreReader, "close", slow_close)
+
+        async def run():
+            server, member, stop = await _member(kind, plain_store)
+            try:
+                raws = [await _Raw.connect(member.port) for _ in range(4)]
+                for index, raw in enumerate(raws):
+                    found = await raw.ask({"op": "search", "id": index})
+                    assert found["ok"], found
+                for raw in raws:
+                    raw.writer.close()
+            finally:
+                if member is not server:
+                    await member.stop()
+                await asyncio.sleep(0.02)  # the server saw its peers hang up
+                await server.stop(drain=drain)
+
+        for _ in range(2):
+            asyncio.run(run())
         assert not [r for r in caplog.records if r.name == "asyncio"], caplog.text
 
     def test_escaped_dispatch_failure_is_typed(

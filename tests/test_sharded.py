@@ -977,6 +977,368 @@ class TestDeterministicSearchOrder:
             store.close()
 
 
+# ----------------------------------------------------------------------
+# the composite's search is planned on the shard indexes:
+# planned ≡ scan ≡ union store
+# ----------------------------------------------------------------------
+#: A unit whose RDN value holds an escaped comma.  The composite maps a
+#: shard's candidates onto its own entries through normalized DN
+#: strings; this RDN, and the mixed-case spellings of it below, are
+#: where joining such strings goes wrong.
+COMMA_UNIT = r"ou=Research\, Dev"
+
+#: ``{layout: (organizations generated, shard bases, an entry of another
+#: shard than ``o=org0``'s)}`` — bases spelled in another case than the
+#: entries they name.
+PLANNED_LAYOUTS = {
+    "flat-4-shards": (4, {f"s{i}": f"O=Org{i}" for i in range(4)}, "o=org1"),
+    "nested-cut": (
+        1,
+        {"root": "O=ORG0", "cut": r"OU=research\, DEV,o=Org0"},
+        f"{COMMA_UNIT},o=org0",
+    ),
+}
+
+
+def _planned_initial(orgs, registry):
+    initial = generate_whitepages(
+        orgs=orgs, units_per_level=2, depth=1, persons_per_unit=2, seed=5,
+        registry=registry,
+    )
+    unit = initial.add_entry(
+        "o=org0", COMMA_UNIT, ["orgUnit", "orgGroup", "top"],
+        {"ou": ["Research, Dev"]},
+    )
+    initial.add_entry(
+        unit, "uid=Comma", ["person", "top"],
+        {"uid": ["Comma"], "name": ["Comma, Person"]},
+    )
+    return initial
+
+
+def _scanned(surface, **asked):
+    """``surface.search(**asked)`` with planning disabled: the composite
+    answers by scanning its scope, as it did before it carried a view
+    of the shard indexes."""
+    instance = surface.instance
+    indexes, instance.indexes = instance.indexes, None
+    try:
+        return surface.search(**asked)
+    finally:
+        instance.indexes = indexes
+
+
+def _assert_planned_scan_union_agree(rng, surfaces, union_instance, examples):
+    """Random filter trees × the four scopes × bases anywhere in the
+    directory (none, shard bases, above and below a cut; half of them
+    in swapped case) × size limits: each surface answers the same DNs
+    in the same order planned, scanned, and as the union instance does
+    once sorted canonically."""
+    from repro.query.search import search
+    from test_index import _random_filter
+
+    dns = sorted(union_instance.dn_string_of(e) for e in union_instance)
+    vocabulary = ["person", "orgUnit", "Research, Dev", "Comma", "", "or", 5]
+    vocabulary += [
+        str(value)
+        for entry in list(union_instance)[::3]
+        for value in entry.values("uid") + entry.values("name")
+    ]
+    for _ in range(examples):
+        filt = _random_filter(rng, vocabulary, depth=2)
+        base = rng.choice([None, *dns])
+        if base is not None and rng.random() < 0.5:
+            base = base.swapcase()
+        scope = rng.choice(["base", "one", "sub", "children"])
+        limit = rng.choice([None, None, 0, 1, 3])
+        expected = sorted(
+            (
+                union_instance.dn_string_of(e)
+                for e in search(union_instance, base=base, scope=scope, filter=filt)
+            ),
+            key=_canonical_key,
+        )[:limit]
+        asked = dict(base=base, scope=scope, filter=filt, size_limit=limit)
+        for surface in surfaces:
+            names = surface.instance.dn_string_of
+            planned = [names(e) for e in surface.search(**asked)]
+            scanned = [names(e) for e in _scanned(surface, **asked)]
+            assert planned == scanned == expected, (
+                f"{type(surface).__name__} diverged for {filt} under "
+                f"base={base!r} scope={scope} size_limit={limit}"
+            )
+
+
+def _planned_search_differential(tmp_path, layout, examples):
+    from repro.store.index import MemberIndexes
+
+    schema, registry = whitepages_schema(), whitepages_registry()
+    orgs, bases, spanning_parent = PLANNED_LAYOUTS[layout]
+    initial = _planned_initial(orgs, registry)
+    path = str(tmp_path / "sharded")
+    union = DirectoryStore.create(str(tmp_path / "union"), schema, initial, registry)
+    sharded = ShardedStore.create(path, schema, bases, initial, registry)
+    reader = CompositeReader.open(path, schema, registry)
+    rng = random.Random(examples)
+    counter, spanning = [0], 0
+
+    def agree(oracle=None):
+        _assert_planned_scan_union_agree(
+            rng, (reader, sharded), oracle or union.instance, examples
+        )
+
+    def assert_planned_on_the_members():
+        for surface in (reader, sharded):
+            view = surface.instance.indexes
+            assert isinstance(view, MemberIndexes)
+            mapped = view.translated
+            assert len(surface.search(filter="(uid=Comma)")) == 1
+            assert view.translated == mapped + 1
+
+    try:
+        # at open
+        agree()
+        assert_planned_on_the_members()
+        # after followed commits: local inserts and a local delete (two
+        # of them under the comma unit), a modify, and two spanning
+        # transactions through 2PC, one of them mixed
+        comma, there = f"{COMMA_UNIT},o=org0", spanning_parent
+        record = _modify_step(rng, union.instance, counter)
+        assert union.modify(record).applied
+        assert sharded.modify(record).applied
+        for grown, pruned in [
+            ({"l0": "o=org0"}, ()),
+            ({"a1": "o=org0", "b1": there}, ()),
+            ({"l2": comma}, ()),
+            ({"b3": there}, ("ou=l0,o=org0",)),
+            ({}, (f"ou=l2,{comma}",)),
+        ]:
+            tx = UpdateTransaction()
+            for unit in pruned:
+                tx.operations.extend(_unit_delete_tx(union.instance, unit))
+            for tag, parent in grown.items():
+                tx.insert(
+                    f"ou={tag},{parent}", ["orgUnit", "orgGroup", "top"],
+                    {"ou": [tag]},
+                )
+                tx.insert(
+                    f"uid=p{tag},ou={tag},{parent}", ["person", "top"],
+                    {"uid": [f"p{tag}"], "name": [f"p {tag}"]},
+                )
+            assert union.apply(tx).applied
+            outcome = sharded.apply(tx)
+            assert outcome.applied
+            spans = len({sharded.route(op.dn).name for op in tx}) > 1
+            assert spans == any(
+                "2pc: committed" in line for line in outcome.checks
+            )
+            spanning += spans
+        assert spanning == 2
+        assert not reader.refresh().stale
+        agree()
+        assert_planned_on_the_members()
+        assert reader.stitches == 1 and reader.followed > 0
+        # after a compaction: every shard view re-bootstraps, the
+        # composite is stitched again and carries a fresh view
+        sharded.compact()
+        assert not reader.refresh().stale
+        agree()
+        assert_planned_on_the_members()
+        assert reader.stitches == 2
+        if layout != "nested-cut":
+            return
+        # the orphaned-shard state: a per-shard writer empties the
+        # enclosing shard, the cut's slice is grafted as detached roots,
+        # no translation of its candidates is exact and both surfaces
+        # scan — answering what the slice alone, as a directory, answers
+        reader.close()
+        sharded.close()
+        with ShardedStore.open_shard(path, "root", schema, registry) as root:
+            tx = UpdateTransaction()
+            for entry in root.instance:
+                tx.delete(root.instance.dn_string_of(entry))
+            assert root.apply(tx).applied
+        sharded = ShardedStore.open(path, schema, registry)
+        reader = CompositeReader.open(path, schema, registry)
+        assert reader.check().of_kind(Kind.ORPHANED_SHARD)
+        assert reader.instance.indexes is None
+        assert sharded.instance.indexes is None
+        agree(union.instance.extract_subtree(f"{COMMA_UNIT},o=org0"))
+    finally:
+        reader.close()
+        sharded.close()
+        union.close()
+
+
+@pytest.mark.parametrize("layout", sorted(PLANNED_LAYOUTS))
+def test_planned_search_equals_scan_equals_union_store(tmp_path, layout):
+    """Both composite search surfaces, planned on the shard indexes,
+    against the same search scanned and against a plain union store —
+    at open, after followed local and spanning commits, after a
+    compaction, and with a shard orphaned."""
+    _planned_search_differential(tmp_path, layout, examples=40)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("layout", sorted(PLANNED_LAYOUTS))
+def test_planned_search_equals_scan_equals_union_store_slow(tmp_path, layout):
+    _planned_search_differential(tmp_path, layout, examples=200)
+
+
+class TestPlannedSearchFallsBackToTheScan:
+    """Whenever a shard's candidates cannot be mapped exactly onto the
+    composite, the search scans — never a wrong answer.  The orphaned
+    shard is the third case (the differential above)."""
+
+    def test_member_without_indexes(self, tmp_path, schema, registry):
+        make_store(tmp_path, schema, registry).close()
+        with CompositeReader.open(str(tmp_path / "sharded"), schema, registry) as reader:
+            reader.shard_reader("labs").instance.indexes = None
+            assert reader.instance.indexes is None  # stitched here
+            assert [reader.dn_string_of(e) for e in reader.search(filter="(uid=laks)")] == [
+                "uid=laks,ou=databases,ou=attLabs,o=att"
+            ]
+
+    def test_candidate_the_composite_lacks(self, tmp_path, schema, registry):
+        """A shard view holding an entry the composite was never told
+        about: the lookup that finds it among the candidates answers
+        what a scan of the composite answers, and maps nothing."""
+        make_store(tmp_path, schema, registry).close()
+        with CompositeReader.open(str(tmp_path / "sharded"), schema, registry) as reader:
+            view = reader.instance.indexes
+            reader.shard_reader("att").instance.add_entry(
+                "o=att", "uid=stray", ["person", "top"],
+                {"uid": ["stray"], "name": ["stray person"]},
+            )
+            for text in ("(uid=stray)", "(|(uid=stray)(uid=laks))", "(name=*a*)"):
+                asked = dict(filter=text)
+                assert reader.search(**asked) == _scanned(reader, **asked), text
+            assert reader.search(filter="(uid=stray)") == []
+            assert view.translated == 0 and reader.stitches == 1
+
+
+def test_size_limit_means_one_thing_plain_and_composite(tmp_path, schema, registry):
+    """``size_limit`` keeps the first N of the order the surface
+    answers in; 0 keeps none and a negative one is refused — on a plain
+    view exactly as on a composite one (they used to return one entry,
+    none, or everything)."""
+    from repro.errors import QueryError
+    from repro.store.reader import StoreReader
+
+    DirectoryStore.create(
+        str(tmp_path / "plain"), schema, figure1_instance(), registry
+    ).close()
+    with make_store(tmp_path, schema, registry) as sharded, CompositeReader.open(
+        str(tmp_path / "sharded"), schema, registry
+    ) as composite, StoreReader.open(
+        str(tmp_path / "plain"), schema, registry
+    ) as plain:
+        for surface in (plain, composite, sharded):
+            for text in (None, "(objectClass=person)", "(uid=laks)"):
+                full = surface.search(filter=text)
+                for limit in (0, 1, 2, len(full) + 1):
+                    assert surface.search(filter=text, size_limit=limit) == full[:limit]
+                with pytest.raises(QueryError, match="size limit"):
+                    surface.search(filter=text, size_limit=-1)
+
+
+class TestPlannedSearchWork:
+    """What the planned composite search costs, on exact counters: the
+    entries judged by the residual ``matches`` pass, the probes of the
+    shard indexes, the candidates mapped onto the composite."""
+
+    SHARDS = {f"s{i}": f"o=org{i}" for i in range(4)}
+
+    def _reader(self, tmp_path, schema, registry, rung):
+        from test_index import NEEDLE
+
+        instance = generate_whitepages(
+            orgs=4, units_per_level=2, depth=1, persons_per_unit=6 * rung,
+            seed=7, registry=registry,
+        )
+        instance.add_entry(
+            "o=org2", f"uid={NEEDLE}", ["person", "top"],
+            {"uid": [NEEDLE], "name": ["probe person"]},
+        )
+        path = str(tmp_path / f"rung{rung}")
+        ShardedStore.create(path, schema, self.SHARDS, instance, registry).close()
+        return CompositeReader.open(path, schema, registry)
+
+    @staticmethod
+    def _judging(filter_class, judged):
+        class Judged(filter_class):
+            def matches(self, entry):
+                judged.append(entry.eid)
+                return super().matches(entry)
+
+        return Judged
+
+    def test_needle_lookup_judges_the_needle_at_every_size(
+        self, tmp_path, schema, registry
+    ):
+        from growth import fit_growth
+        from repro.query.filters import Equals
+        from test_index import LADDER, NEEDLE
+
+        sizes, planned_work, scanned_work = [], [], []
+        for rung in LADDER:
+            with self._reader(tmp_path, schema, registry, rung) as reader:
+                judged = []
+                needle = self._judging(Equals, judged)("uid", NEEDLE)
+                indexes = reader.instance.indexes
+                before = indexes.counters()
+                found = reader.search(filter=needle)
+                probes, hits, candidates = (
+                    now - was for now, was in zip(indexes.counters(), before)
+                )
+                assert [reader.dn_string_of(e) for e in found] == [
+                    f"uid={NEEDLE},o=org2"
+                ]
+                # one probe per member consulted, one of them a hit
+                assert (probes, hits, candidates) == (len(self.SHARDS), 1, 1)
+                sizes.append(len(reader.instance))
+                planned_work.append(len(judged))
+                del judged[:]
+                assert _scanned(reader, filter=needle) == found
+                scanned_work.append(len(judged))
+                # searching stitched nothing and followed nothing
+                assert (reader.stitches, reader.followed) == (1, 0)
+        assert planned_work == [1] * len(LADDER)
+        assert scanned_work == sizes
+        assert fit_growth(sizes, planned_work) < 1.0
+        assert fit_growth(sizes, scanned_work) == pytest.approx(1.0)
+
+    def test_one_level_under_a_unit_walks_the_unit_and_maps_nothing(
+        self, tmp_path, schema, registry
+    ):
+        """``(objectClass=person)`` one level under a unit: every shard
+        is probed, the candidates (every person of the directory)
+        outnumber the unit's children, so the children are walked — and
+        the gate decided that on member-local counts, before mapping a
+        single candidate onto the composite."""
+        from repro.query.filters import Equals
+
+        with self._reader(tmp_path, schema, registry, 2) as reader:
+            composite = reader.instance
+            unit = next(e for e in composite if e.belongs_to("orgUnit"))
+            children = composite.children_ids(unit)
+            judged = []
+            persons = self._judging(Equals, judged)("objectClass", "person")
+            before = composite.indexes.counters()
+            found = reader.search(
+                base=reader.dn_string_of(unit), scope="one", filter=persons
+            )
+            probes, _, candidates = (
+                now - was for now, was in zip(composite.indexes.counters(), before)
+            )
+            assert probes == len(self.SHARDS)
+            assert candidates == len(composite.entries_with_class("person"))
+            assert sorted(judged) == sorted(children)
+            assert len(found) == len(children) < candidates
+            assert composite.indexes.translated == 0
+            assert (reader.stitches, reader.followed) == (1, 0)
+
+
 @pytest.mark.parametrize(
     "bases,orgs",
     [

@@ -42,7 +42,6 @@ __all__ = [
     "serialize_modification",
     "apply_modification",
     "apply_modify_blind",
-    "inverse_modification",
     "resolve_modification",
 ]
 
@@ -260,29 +259,3 @@ def apply_modify_blind(instance, record: ModifyRecord) -> None:
         entry.remove_class(cls)
     for name, values in replace_attributes.items():
         entry.replace_values(name, values)
-
-
-def inverse_modification(instance, record: ModifyRecord) -> ModifyRecord:
-    """The modify record that undoes ``record`` — computed against the
-    *pre*-state, so it must be built before the forward record is
-    applied.  Blind-applying the result restores every touched
-    attribute to its prior value set and reverts class changes.
-
-    The returned record may have zero clauses (a no-op forward modify);
-    it is for :func:`apply_modify_blind` only, not for re-parsing.
-    """
-    entry = instance.entry(str(record.dn))
-    add_classes, remove_classes, replace_attributes = resolve_modification(
-        instance, record
-    )
-    ops: List[ModifyOp] = []
-    added = [c for c in add_classes if c not in entry.classes]
-    removed = [c for c in remove_classes if c in entry.classes]
-    if added:
-        ops.append(ModifyOp("delete", OBJECT_CLASS, tuple(added)))
-    if removed:
-        ops.append(ModifyOp("add", OBJECT_CLASS, tuple(removed)))
-    for name in replace_attributes:
-        prior = tuple(entry.values(name))
-        ops.append(ModifyOp("replace", name, prior))
-    return ModifyRecord(record.dn, tuple(ops))

@@ -183,14 +183,23 @@ class Entry:
             self._owner._notify_entry_changed(self.eid)
 
     def replace_values(self, attribute: str, values: Iterable[Any]) -> None:
-        """Replace all values of ``attribute`` with ``values``."""
+        """Replace all values of ``attribute`` with ``values`` — or, when
+        one of them is ill-typed, raise with nothing changed."""
         if attribute == OBJECT_CLASS:
             raise ModelError("objectClass is managed through add_class/remove_class")
+        if self._owner is not None and self._owner.attributes is not None:
+            values = [self._owner.attributes.coerce(attribute, v) for v in values]
         current = list(self._attributes.get(attribute, ()))
         for value in current:
             self.remove_value(attribute, value)
         for value in values:
             self.add_value(attribute, value)
+
+    def reorder_attributes(self, names: Iterable[str]) -> None:
+        """Put the attributes back in the order of ``names`` (an earlier
+        :meth:`attribute_names`): an emptied attribute comes back last."""
+        held = self._attributes
+        self._attributes = {name: held[name] for name in names if name in held}
 
     def attribute_names(self) -> Tuple[str, ...]:
         """Names of attributes with at least one value, including

@@ -250,30 +250,27 @@ class DirectoryInstance:
 
         Roots of ``subtree`` become children of ``parent`` (or new roots
         when ``parent`` is ``None``).  Returns the created entries in
-        document order.  ``subtree`` itself is not modified.
-
-        Traversal uses an explicit stack, not recursion, so arbitrarily
-        deep subtrees (beyond the interpreter recursion limit) graft
-        fine.
+        document order.  ``subtree`` itself is not modified.  All or
+        nothing: when a root's DN is taken, the roots grafted before it
+        are gone again by the time the error propagates.
         """
-        created: List[Entry] = []
         parent_entry = None if parent is None else self.entry(self._resolve(parent))
-        stack: List[Tuple[int, Optional[Entry]]] = [
-            (root_eid, parent_entry) for root_eid in reversed(subtree.root_ids())
-        ]
-        while stack:
-            src_eid, dest_parent = stack.pop()
-            src = subtree.entry(src_eid)
-            attributes = {
-                name: list(src.values(name))
-                for name in src.attribute_names()
-                if name != "objectClass"
-            }
-            node = self.add_entry(dest_parent, src.rdn, src.classes, attributes)
-            created.append(node)
-            for child_eid in reversed(subtree.children_ids(src_eid)):
-                stack.append((child_eid, node))
-        return created
+        return subtree._copy_subtrees_into(self, list(subtree.root_ids()), parent_entry)
+
+    def restore_subtree(
+        self,
+        parent: Optional[Entry | int | DN | str],
+        subtree: "DirectoryInstance",
+        index: int,
+    ) -> None:
+        """Undo a :meth:`delete_subtree`: graft the one-rooted ``subtree``
+        it returned back under ``parent`` as sibling number ``index``.
+        Anywhere but last, the numbering goes stale (one renumber)."""
+        self.insert_subtree(parent, subtree)
+        siblings = self._roots if parent is None else self._children[self._resolve(parent)]
+        if index < len(siblings) - 1:
+            siblings.insert(index, siblings.pop())
+            self._pre = self._post = self._depth = self._order = None
 
     def delete_subtree(self, entry: Entry | int | DN | str) -> "DirectoryInstance":
         """Prune the subtree rooted at ``entry``.
@@ -341,24 +338,35 @@ class DirectoryInstance:
         return clone
 
     def _copy_subtrees_into(
-        self, target: "DirectoryInstance", root_eids: List[int]
-    ) -> None:
-        """Re-create the subtrees at ``root_eids`` inside ``target`` (as
-        new roots), using an explicit stack instead of recursion."""
-        stack: List[Tuple[int, Optional[Entry]]] = [
-            (root_eid, None) for root_eid in reversed(root_eids)
-        ]
-        while stack:
-            node_eid, dest_parent = stack.pop()
-            src = self._entries[node_eid]
-            attributes = {
-                name: list(src.values(name))
-                for name in src.attribute_names()
-                if name != "objectClass"
-            }
-            node = target.add_entry(dest_parent, src.rdn, src.classes, attributes)
-            for child_eid in reversed(self._children[node_eid]):
-                stack.append((child_eid, node))
+        self,
+        target: "DirectoryInstance",
+        root_eids: List[int],
+        parent: Optional[Entry] = None,
+    ) -> List[Entry]:
+        """Re-create the subtrees at ``root_eids`` inside ``target``
+        under ``parent`` (as new roots for ``None``); returns the
+        created entries in document order.  An explicit stack, not
+        recursion, so arbitrarily deep subtrees copy fine."""
+        created: List[Entry] = []
+        stack = [(root_eid, parent) for root_eid in reversed(root_eids)]
+        try:
+            while stack:
+                node_eid, dest_parent = stack.pop()
+                src = self._entries[node_eid]
+                attributes = {
+                    name: list(src.values(name))
+                    for name in src.attribute_names()
+                    if name != "objectClass"
+                }
+                node = target.add_entry(dest_parent, src.rdn, src.classes, attributes)
+                created.append(node)
+                for child_eid in reversed(self._children[node_eid]):
+                    stack.append((child_eid, node))
+        except DuplicateEntryError:
+            for node in reversed(created):  # leaves first
+                target.delete_entry(node)
+            raise
+        return created
 
     # ------------------------------------------------------------------
     # lookups

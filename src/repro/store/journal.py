@@ -47,8 +47,8 @@ by crashing at every I/O boundary):
 Every write takes one path (``DESIGN.md`` §6, "write pipeline"):
 :meth:`DirectoryStore.stage` guards a change and applies it in memory,
 and the returned :class:`StagedWrite` leaves through ``commit()`` (one
-ordinary frame), ``abort()`` (blind inverse, nothing durable) or
-``prepare(txid)``; :meth:`apply` and :meth:`modify` are
+ordinary frame), ``abort()`` (the guard's undo token, nothing durable)
+or ``prepare(txid)``; :meth:`apply` and :meth:`modify` are
 ``stage(change).commit()``.
 """
 
@@ -71,7 +71,6 @@ from repro.ldif.modify import (
     ModifyRecord,
     apply_modification,
     apply_modify_blind,
-    inverse_modification,
     serialize_modification,
 )
 from repro.ldif.writer import serialize_ldif
@@ -99,14 +98,14 @@ from repro.store.recovery import (
 )
 from repro.store.wal import StoreIO
 from repro.updates.incremental import IncrementalChecker, UpdateOutcome
-from repro.updates.operations import InsertEntry, UpdateTransaction
+from repro.updates.operations import UpdateTransaction
 
 if TYPE_CHECKING:
     # The reader borrows this module's change-kind table to re-run the
     # guard on the frames it follows, so the import points that way.
     from repro.store.reader import StoreReader
 
-__all__ = ["DirectoryStore", "StagedWrite", "inverse_transaction"]
+__all__ = ["DirectoryStore", "StagedWrite"]
 
 #: Bounded retries for reclaiming a stale advisory lock (a dead holder
 #: pid).  Each retry either acquires a fresh lock file or observes a
@@ -136,35 +135,6 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def inverse_transaction(
-    instance: DirectoryInstance, transaction: UpdateTransaction
-) -> UpdateTransaction:
-    """The exact inverse of ``transaction`` against the pre-state
-    ``instance``: built *before* applying, with operations in reverse
-    order so every delete finds a leaf and every re-insert finds its
-    parent.  :meth:`DirectoryStore.stage` captures it so a staged or
-    prepared transaction can be rolled back in memory without touching
-    disk (the abort ``#DECIDE`` frame already makes a prepare invisible
-    to replay)."""
-    inverse = UpdateTransaction()
-    for op in reversed(transaction.operations):
-        if isinstance(op, InsertEntry):
-            inverse.delete(op.dn)
-        else:
-            entry = instance.find(op.dn)
-            if entry is None:
-                # The forward delete will be rejected by the guard; the
-                # inverse is never replayed in that case.
-                continue
-            attributes = {
-                name: list(entry.values(name))
-                for name in entry.attribute_names()
-                if name != "objectClass"
-            }
-            inverse.insert(op.dn, tuple(entry.classes), attributes)
-    return inverse
-
-
 @dataclass(frozen=True)
 class _ChangeKind:
     """What the write pipeline — and a reader re-checking the frames it
@@ -174,26 +144,23 @@ class _ChangeKind:
     #: The journal frame payload (what recovery and readers replay).
     payload: Callable
     #: Apply through the incremental guard, returning the
-    #: :class:`UpdateOutcome`; a rejected change is left rolled back.
+    #: :class:`UpdateOutcome`; a rejected change is left rolled back,
+    #: an applied one carries the token that undoes it.
     #: The guard's methods are looked up per call, never cached.
     guarded: Callable
     #: Apply to an instance with no legality check.
     replay: Callable
-    #: The change that undoes this one, built against the pre-state.
-    inverse: Callable
 
 
 _TRANSACTION = _ChangeKind(
     payload=serialize_changes,
     guarded=lambda guard, transaction: guard.apply_transaction(transaction),
     replay=_recovery.replay_transaction,
-    inverse=inverse_transaction,
 )
 _MODIFY = _ChangeKind(
     payload=serialize_modification,
     guarded=apply_modification,
     replay=apply_modify_blind,
-    inverse=inverse_modification,
 )
 
 
@@ -221,7 +188,6 @@ class StagedWrite:
         kind: _ChangeKind,
         change,
         outcome: UpdateOutcome,
-        inverse=None,
         *,
         live: bool = True,
     ) -> None:
@@ -229,7 +195,6 @@ class StagedWrite:
         self._store = store
         self._kind = kind
         self._change = change
-        self._inverse = inverse
         self._live = live and outcome.applied
 
     def _leave(self) -> bool:
@@ -248,21 +213,18 @@ class StagedWrite:
                 self._kind.payload(self._change),
             )
             store._append_frame(frame, "journal")
+            self.outcome.token.clear()  # durable: nothing takes it back
         return self.outcome
 
     def abort(self) -> None:
-        """Undo the change in memory by blindly applying its pre-state
-        inverse.  Nothing was written, so nothing is left to recover; a
-        failing rollback poisons the store."""
+        """Undo the change in memory with the token the guard recorded
+        while applying it.  Nothing was written, so nothing is left to
+        recover; a failing rollback poisons the store."""
         if self._leave():
-            self._rollback()
+            self._undo()
 
-    def _rollback(self) -> None:
-        store = self._store
-        store._replay(
-            lambda: self._kind.replay(store.instance, self._inverse),
-            "staged-write rollback",
-        )
+    def _undo(self) -> None:
+        self._store._replay(self.outcome.undo, "staged-write rollback")
 
     def prepare(self, txid: str) -> UpdateOutcome:
         """2PC phase one: append a durable ``#PREPARE`` frame.
@@ -577,16 +539,11 @@ class DirectoryStore:
         The returned outcome carries ``outcome.stats``: the legality
         work this transaction cost (content checks, cache hits, query
         work — the ``check --profile`` counters), as the delta of the
-        guard session's cumulative :class:`CheckStats`.
-
-        When the schema declares Section 6.1 extras, a guard-approved
-        transaction additionally passes the index-backed extras delta
-        check (:func:`repro.store.index.delta_extras_violations`) — an
-        O(|Δ|) probe of the key/referential postings replacing the old
-        full-instance :class:`ExtrasChecker` pass.  A violating
-        transaction is rolled back in memory and never journaled.
+        guard session's cumulative :class:`CheckStats`.  What is checked
+        is :meth:`stage`'s to say; a rejected transaction is rolled back
+        in memory and never journaled.
         """
-        return self._stage(transaction, False).commit()
+        return self.stage(transaction).commit()
 
     def modify(self, record: ModifyRecord) -> UpdateOutcome:
         """Run one RFC 2849 ``changetype: modify`` record through the
@@ -599,7 +556,7 @@ class DirectoryStore:
         contract as :meth:`apply`.  ``modrdn`` records are rejected:
         renames remain a memory-only extension with no replay form.
         """
-        return self._stage(record, False).commit()
+        return self.stage(record).commit()
 
     def stage(self, change) -> "StagedWrite":
         """Guard ``change`` (an :class:`UpdateTransaction` or a
@@ -616,14 +573,6 @@ class DirectoryStore:
         still :meth:`StagedWrite.abort` with zero durable footprint.
         Settle the handle before the next call on this store.
         """
-        return self._stage(change, True)
-
-    def _stage(self, change, abortable: bool) -> "StagedWrite":
-        """:meth:`stage`, capturing the pre-state inverse only when a
-        rollback is reachable: the caller keeps the handle
-        (``abortable``) or the extras probe may reject.  ``apply`` and
-        ``modify`` on a schema without extras can only commit, so the
-        hot path never builds an inverse."""
         self._ensure_writable()
         kind = _kind_of(change)
         if isinstance(change, UpdateTransaction) and not change.operations:
@@ -631,15 +580,12 @@ class DirectoryStore:
             # advance the journal (and every replica) for no change.
             return StagedWrite(self, kind, change, UpdateOutcome(), live=False)
         probe = self._extras_probe
-        inverse = None
-        if abortable or probe is not None:
-            inverse = kind.inverse(self.instance, change)
         if probe is not None:
             probe.checkpoint()
         baseline = self._guard.session.stats.copy()
         outcome = kind.guarded(self._guard, change)
         outcome.stats = self._guard.session.stats.since(baseline)
-        staged = StagedWrite(self, kind, change, outcome, inverse)
+        staged = StagedWrite(self, kind, change, outcome)
         if outcome.applied and probe is not None:
             violations, work = probe.settle()
             outcome.stats.merge(work)
@@ -691,7 +637,7 @@ class DirectoryStore:
     def decide(self, txid: str, verdict: str) -> None:
         """Phase two: append the ``#DECIDE`` frame for the prepared
         transaction, then reconcile memory with the verdict (an abort
-        rolls back the in-memory apply via the retained inverse)."""
+        rolls back the in-memory apply via the staged undo token)."""
         self._ensure_writable(allow_pending=True)
         if verdict not in ("commit", "abort"):
             raise ValueError(f"invalid 2PC verdict {verdict!r}")
@@ -739,15 +685,18 @@ class DirectoryStore:
         self._pending_txid = None
         self._pending_payload = None
         self._pending_staged = None
-        if verdict == "commit" and staged is None:
+        if staged is not None:  # prepared by this writer: applied in memory
+            if verdict == "abort":
+                staged._undo()
+            else:
+                staged.outcome.token.clear()
+        elif verdict == "commit":
             self._replay(
                 lambda: _recovery.replay_transaction(
                     self.instance, parse_changes(payload)
                 ),
                 "post-decide reconciliation",
             )
-        elif verdict == "abort" and staged is not None:
-            staged._rollback()
 
     @property
     def pending_txid(self) -> Optional[str]:

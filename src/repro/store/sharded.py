@@ -999,7 +999,7 @@ class ShardedStore:
 
         A guard or composite rejection aborts instead: ABORT record,
         per-shard ``#DECIDE abort`` (rolling the staged memory back via
-        the retained inverse), COMPLETE.  Any crash before step 4
+        the staged undo token), COMPLETE.  Any crash before step 4
         resolves to abort at the next open (presumed abort); any crash
         after it resolves to commit.
         """

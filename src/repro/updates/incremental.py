@@ -1,50 +1,57 @@
 """Incremental legality testing under subtree updates (Section 4.2).
 
 :class:`IncrementalChecker` wraps a directory instance assumed legal
-w.r.t. a schema and offers transactional subtree updates:
+w.r.t. a schema.  Section 4 is one idea — apply Δ, evaluate the Figure 5
+Δ-queries, keep the update iff they come back empty (Theorems 4.1/4.2) —
+written once, in :meth:`IncrementalChecker._guarded`; a public method
+only *describes* its change to that step:
 
-* :meth:`try_insert` grafts a subtree Δ, re-establishes legality by the
-  Figure 5 insertion rules — content-check Δ in isolation plus one
-  Δ-scoped query per structural relationship — and **rolls the graft
-  back** if any check fails;
-* :meth:`try_delete` prunes a subtree, applies the Figure 5 deletion
-  rules — no work for required-parent/ancestor and forbidden forms, a
-  full re-check only for required-child/descendant — plus the *counted*
-  required-class test (the paper notes ``Cr`` becomes incrementally
-  testable for deletion "if we had the ability to associate each ci with
-  the number of entries that belong to ci"; our per-class index provides
-  exactly those counts), and rolls back on failure;
-* :meth:`apply_transaction` runs a whole Section 4.1 transaction through
-  the Theorem 4.1 decomposition, checking each subtree step and rolling
-  back *all* applied steps if any step fails.
+* :meth:`try_insert` grafts a subtree Δ: content-check Δ in isolation,
+  then the Figure 5 insertion rows, one Δ-scoped query each;
+* :meth:`try_delete` prunes a subtree: the Figure 5 deletion rows (a
+  full re-check only for required-child/descendant) plus the *counted*
+  required-class test — ``Cr`` is incrementally testable for deletion
+  "if we had the ability to associate each ci with the number of
+  entries that belong to ci", and the per-class index has those counts;
+* :meth:`try_move` and :meth:`try_modify` (extensions) are judged by
+  both row sets, resp. the extension table of :mod:`repro.updates.table`;
+* :meth:`apply_transaction` runs a Section 4.1 transaction through the
+  Theorem 4.1 decomposition, one guarded step per subtree.
 
-Every method reports the machine-independent work counter
-(:attr:`UpdateOutcome.cost`) so the FIG5 benchmark can compare
-incremental cost against full re-checking without timing noise.
+A change that is rejected, or *raises* part-way, is taken back out by
+the undo token its own application recorded.  Every method reports the
+machine-independent work counter (:attr:`UpdateOutcome.cost`) so the FIG5
+benchmark compares incremental cost to full re-checking without timing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
+from functools import partial
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.errors import UpdateError
-from repro.model.dn import DN
+from repro.errors import ModelError, UpdateError
+from repro.model.dn import DN, parse_rdn
+from repro.model.entry import Entry
 from repro.model.instance import DirectoryInstance
 from repro.legality.engine import CheckSession
 from repro.legality.metrics import CheckStats
 from repro.legality.report import Kind, LegalityReport, Violation
 from repro.query.ast import SCOPE_DELTA, SCOPE_EMPTY, SCOPE_NEW, SCOPE_OLD, Query
 from repro.query.evaluator import QueryEvaluator
-from repro.query.translate import translate_element  # noqa: F401 (used in try_modify)
 from repro.schema.directory_schema import DirectorySchema
 from repro.schema.elements import ForbiddenEdge, RequiredEdge, SchemaElement
 from repro.updates.operations import UpdateTransaction
-from repro.updates.table import build_delta_query, rule_for
-from repro.updates.transactions import SubtreeUpdate, decompose
+from repro.updates.table import build_delta_query, build_modify_queries
+from repro.updates.transactions import decompose
 
 __all__ = ["UpdateOutcome", "IncrementalChecker"]
+
+#: The inverse of each primitive mutation a change made, oldest first —
+#: recorded *while* it is applied, never computed from the pre-state, so
+#: it undoes exactly what happened, half of a change that raised included.
+UndoToken = List[Callable[[], None]]
 
 
 class _Without(AbstractSet):
@@ -88,17 +95,40 @@ class UpdateOutcome:
         Per-transaction :class:`~repro.legality.metrics.CheckStats`
         delta, attached by :meth:`repro.store.journal.DirectoryStore.apply`
         (``None`` for outcomes produced outside a store commit).
+    token:
+        The :data:`UndoToken` of an applied change (spent once rejected,
+        undone or made durable); no part of ``==`` or ``repr``.
     """
 
     report: LegalityReport = field(default_factory=LegalityReport)
     cost: int = 0
     checks: List[str] = field(default_factory=list)
     stats: Optional["CheckStats"] = None
+    token: UndoToken = field(default_factory=list, compare=False, repr=False)
 
     @property
     def applied(self) -> bool:
         """Whether the update was kept (no violations)."""
         return self.report.is_legal
+
+    def undo(self) -> None:
+        """Take the change back out: run the token, newest step first,
+        each at most once (a second call does nothing).  Only sound
+        while the instance is still as the change left it."""
+        while self.token:
+            self.token.pop()()
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One table row, compiled for one schema element."""
+
+    element: SchemaElement
+    query: Optional[Query]  #: ``None``: a ∅-scoped row, nothing to evaluate
+    check: str  #: what ``outcome.checks`` records for the row
+    #: A Figure 5 deletion row that re-checks in full what a vacated
+    #: position leaves behind (see the two uses in ``_guarded``).
+    vacated: bool = False
 
 
 class IncrementalChecker:
@@ -132,26 +162,25 @@ class IncrementalChecker:
         self.instance = instance
         self.session = session if session is not None else CheckSession(schema)
         self.relationships = schema.structure_schema.relationship_elements()
-        # Figure 5, compiled once: one (element, Δ-query) row per
-        # relationship and update kind.  A delete row whose query is
-        # ``None`` is a ∅-scoped row (no check); ``countable`` marks the
-        # non-incremental rows the class-count index can short-circuit.
-        self._insert_rows: List[Tuple[SchemaElement, Query]] = []
-        self._delete_rows: List[Tuple[SchemaElement, Optional[Query], bool]] = []
+        # Figure 5 and the modification extension table, compiled once.
+        # Every deletion row that evaluates at all is a full re-check;
+        # an extension row goes with the class whose gain or loss
+        # triggers it.
+        self._insert_rows: List[_Row] = []
+        self._delete_rows: List[_Row] = []
+        self._modify_rows: List[Tuple[str, str, _Row]] = []
         for element in self.relationships:
             query = build_delta_query(element, "insert")
             assert query is not None  # every insert row is incremental
-            self._insert_rows.append((element, query))
-            self._delete_rows.append((
-                element,
-                build_delta_query(element, "delete"),
-                rule_for(element, "delete").needs_full_recheck
-                and isinstance(element, RequiredEdge),
-            ))
-        #: What ``try_insert`` records for the insert rows it ran.
-        self._insert_checks = [
-            f"Δ-query for {element}: {query}" for element, query in self._insert_rows
-        ]
+            self._insert_rows.append(_Row(element, query, f"Δ-query for {element}: {query}"))
+            query = build_delta_query(element, "delete")
+            self._delete_rows.append(
+                _Row(element, None, f"skip: {element} (∅-scoped row)")
+                if query is None
+                else _Row(element, query, f"full re-check for {element} on D−Δ", vacated=True)
+            )
+            for change, trigger, check, query in build_modify_queries(element):
+                self._modify_rows.append((change, trigger, _Row(element, query, check)))
         if not assume_legal:
             # The baseline is the session's full pass: it both vets the
             # starting instance and warms the fingerprint cache, so the
@@ -163,7 +192,104 @@ class IncrementalChecker:
                 )
 
     # ------------------------------------------------------------------
-    # insertions
+    # the one guarded step
+    # ------------------------------------------------------------------
+    def _guarded(
+        self,
+        outcome: UpdateOutcome,
+        mutate: Callable[[UndoToken], AbstractSet],
+        rows: Sequence[_Row] = (),
+        lost: Optional[AbstractSet] = None,
+    ) -> UpdateOutcome:
+        """Apply a change, judge it, keep it iff it is legal.
+
+        ``mutate(token)`` changes the instance and returns Δ's entry
+        ids.  It appends to ``token`` the inverse of each primitive
+        mutation as it makes it (each is all-or-nothing by itself) and
+        may report content violations of what it changed.  If there
+        are none, ``rows`` — the table rows for this kind of change —
+        are evaluated on the one Δ-evaluator, then the counted
+        required-class test (end of Section 4) runs over ``lost``, the
+        classes that may have lost members (``None``: none did).
+
+        The only rollback in this module, the same for a violation and
+        an exception: the token runs, leaving the instance as found.
+        """
+        instance, checks = self.instance, outcome.checks
+        kept = False
+        try:
+            delta_ids = mutate(outcome.token)
+            if outcome.report.is_legal:
+                evaluator = self._delta_evaluator(delta_ids)
+                for row in rows:
+                    element = row.element
+                    if row.query is None:
+                        checks.append(row.check)
+                        continue
+                    # ROADMAP short-circuit for the non-incremental rows:
+                    # a required child/descendant element is vacuously
+                    # satisfied when no source-class entry remains, and
+                    # the class-count index answers that in O(1).
+                    if row.vacated and instance.class_count(element.source) == 0:
+                        outcome.cost += 1
+                        checks.append(
+                            f"skip: {element} (class-count short-circuit: no "
+                            f"{element.source!r} entries remain)"
+                        )
+                        continue
+                    offenders = evaluator.evaluate(row.query)
+                    if row.vacated and delta_ids:
+                        # A move's Δ left the vacated position but not the
+                        # instance: it cannot have lost a witness there.
+                        offenders = (offenders - delta_ids) & instance.entry_id_view()
+                    checks.append(row.check)
+                    if offenders:
+                        self._report_structural(outcome.report, element, offenders)
+                outcome.cost += evaluator.cost
+                self.session.stats.queries_evaluated += evaluator.cost
+                if lost is not None:
+                    required = self.schema.structure_schema.required_classes
+                    for name in sorted(required & lost):
+                        if instance.class_count(name) == 0:
+                            outcome.report.add(
+                                Violation(
+                                    Kind.MISSING_REQUIRED_CLASS,
+                                    f"update removes the last entry of "
+                                    f"required class {name!r}",
+                                    element=f"{name} □",
+                                )
+                            )
+                    checks.append("counted required-class test")
+            kept = outcome.report.is_legal
+        finally:
+            if not kept:
+                outcome.undo()
+        return outcome
+
+    def _graft(
+        self, parent: Optional[Union[Entry, str]], delta: DirectoryInstance,
+        token: UndoToken,
+    ) -> Set[int]:
+        """Graft ``delta`` under ``parent``; returns the created ids.
+        Undone entry by entry, leaves first — nothing is copied."""
+        instance = self.instance
+        created = instance.insert_subtree(parent, delta)
+        token.append(lambda: [instance.delete_entry(entry) for entry in reversed(created)])
+        return {entry.eid for entry in created}
+
+    def _prune(self, root: Entry, token: UndoToken) -> DirectoryInstance:
+        """Prune the subtree at ``root`` and return it; undone by putting
+        it back under its parent, at its place among the siblings."""
+        instance = self.instance
+        parent = instance.parent_of(root)
+        siblings = instance.root_ids() if parent is None else instance.children_ids(parent)
+        index = siblings.index(root.eid)
+        removed = instance.delete_subtree(root)
+        token.append(lambda: instance.restore_subtree(parent, removed, index))
+        return removed
+
+    # ------------------------------------------------------------------
+    # the changes, each a description for the step
     # ------------------------------------------------------------------
     def try_insert(
         self,
@@ -189,65 +315,30 @@ class IncrementalChecker:
             return outcome
 
         parent_key = None if parent is None else str(parent)
-        created = self.instance.insert_subtree(parent_key, delta)
-        delta_ids: Set[int] = {entry.eid for entry in created}
-        evaluator = self._delta_evaluator(delta_ids)
-
-        self._check_insert_rows(evaluator, outcome)
-        outcome.checks.extend(self._insert_checks)
-        outcome.cost += evaluator.cost
-        self.session.stats.queries_evaluated += evaluator.cost
+        self._guarded(outcome, partial(self._graft, parent_key, delta), self._insert_rows)
         # Required classes: insertion can only help (no check, Section 4).
         outcome.checks.append("skip: required classes cannot be violated by insertion")
-
-        if not outcome.report.is_legal:
-            # Roll back: prune each grafted root.
-            for root in self._delta_roots(created, delta_ids):
-                self.instance.delete_subtree(root)
         return outcome
 
-    # ------------------------------------------------------------------
-    # deletions
-    # ------------------------------------------------------------------
     def try_delete(self, root: Union[DN, str]) -> UpdateOutcome:
         """Prune the subtree at ``root`` if that preserves legality.
 
-        On violation the subtree is re-inserted where it was.
+        On violation the subtree is put back where it was.
         """
         outcome = UpdateOutcome()
         root_entry = self.instance.entry(str(root) if isinstance(root, DN) else root)
-        parent = self.instance.parent_of(root_entry)
-        parent_dn = None if parent is None else str(parent.dn)
-        removed = self.instance.delete_subtree(root_entry)
-        outcome.cost += len(removed)
-        outcome.checks.append("content: deletion cannot violate the content schema")
+        required = self.schema.structure_schema.required_classes
 
-        evaluator = QueryEvaluator(self.instance)
-        outcome.checks.extend(self._check_delete_rows(evaluator, outcome))
-        outcome.cost += evaluator.cost
-        self.session.stats.queries_evaluated += evaluator.cost
+        def prune(token: UndoToken) -> AbstractSet:
+            removed = self._prune(root_entry, token)
+            # the pruned entries, and one count lookup per required
+            # class: any of them may have lost its last member
+            outcome.cost += len(removed) + len(required)
+            outcome.checks.append("content: deletion cannot violate the content schema")
+            return frozenset()  # Δ has left the instance
 
-        # Counted required-class test (end of Section 4).
-        for name in sorted(self.schema.structure_schema.required_classes):
-            outcome.cost += 1
-            if self.instance.class_count(name) == 0:
-                outcome.report.add(
-                    Violation(
-                        Kind.MISSING_REQUIRED_CLASS,
-                        f"deleting the subtree removes the last entry of "
-                        f"required class {name!r}",
-                        element=f"{name} □",
-                    )
-                )
-        outcome.checks.append("counted required-class test")
+        return self._guarded(outcome, prune, self._delete_rows, required)
 
-        if not outcome.report.is_legal:
-            self.instance.insert_subtree(parent_dn, removed)
-        return outcome
-
-    # ------------------------------------------------------------------
-    # move / rename (LDAP modrdn, expressed through Theorem 4.1)
-    # ------------------------------------------------------------------
     def try_move(
         self,
         target: Union[DN, str],
@@ -261,75 +352,47 @@ class IncrementalChecker:
         content (Theorem 4.1 grants the decomposition) — except that the
         *intermediate* state need not be legal: the paper's modularity
         argument applies to the transaction as a whole, so this method
-        checks the final state.  Mechanically: prune, optionally rename
-        the root, graft at the destination, then run the Figure 5
-        insertion checks for the grafted subtree *plus* the deletion
-        checks for the vacated position — and roll the whole move back
-        on any violation.
+        checks the final state, by the Figure 5 insertion rows for the
+        grafted subtree *plus* the deletion rows for the vacated position.
 
         Raises
         ------
         UpdateError
-            If the destination lies inside the moved subtree.
+            If the destination does not exist, lies inside the moved
+            subtree, or already holds the DN; nothing has moved then.
         """
         outcome = UpdateOutcome()
         entry = self.instance.entry(str(target) if isinstance(target, DN) else target)
-        old_parent = self.instance.parent_of(entry)
-        old_parent_dn = None if old_parent is None else str(old_parent.dn)
-        destination = (
-            old_parent_dn
-            if new_parent is None
-            else (str(new_parent) if isinstance(new_parent, DN) else new_parent)
-        )
-        if destination is not None:
-            dest_entry = self.instance.find(destination)
-            if dest_entry is None:
-                raise UpdateError(f"destination {destination!r} does not exist")
-            if dest_entry.eid == entry.eid or self.instance.is_ancestor(
-                entry, dest_entry
-            ):
-                raise UpdateError(
-                    "destination lies inside the moved subtree"
-                )
+        rdn = None if new_rdn is None else parse_rdn(new_rdn)
+        if new_parent is None:
+            destination = self.instance.parent_of(entry)
+        else:
+            destination = self.instance.find(new_parent)
+            if destination is None:
+                raise UpdateError(f"destination {str(new_parent)!r} does not exist")
+            if destination.eid == entry.eid or self.instance.is_ancestor(entry, destination):
+                raise UpdateError("destination lies inside the moved subtree")
 
-        removed = self.instance.delete_subtree(entry)
-        if new_rdn is not None:
-            from repro.model.dn import parse_rdn
+        def relocate(token: UndoToken) -> AbstractSet:
+            removed = self._prune(entry, token)
+            if rdn is not None:
+                root = removed.roots()[0]
+                token.append(partial(setattr, root, "rdn", root.rdn))
+                root.rdn = rdn
+            # Content is unchanged by construction; structure is not.
+            return self._graft(destination, removed, token)
 
-            removed.roots()[0].rdn = parse_rdn(new_rdn)
         try:
-            created = self.instance.insert_subtree(destination, removed)
-        except Exception as exc:
-            # e.g. duplicate DN at the destination: restore and report
-            self.instance.insert_subtree(old_parent_dn, removed)
+            self._guarded(outcome, relocate, self._insert_rows + self._delete_rows)
+        except ModelError as exc:
+            # e.g. duplicate DN at the destination: already restored
             raise UpdateError(f"move failed: {exc}") from exc
-
-        # Insertion-side checks (content is unchanged by construction,
-        # but the rename may matter to nothing; structure does).
-        delta_ids = {e.eid for e in created}
-        evaluator = self._delta_evaluator(delta_ids)
-        self._check_insert_rows(evaluator, outcome)
-        # Deletion-side checks for the vacated position: required
-        # child/descendant elements may have lost their witness.
-        self._check_delete_rows(evaluator, outcome, moved=delta_ids)
-        outcome.cost += evaluator.cost
-        self.session.stats.queries_evaluated += evaluator.cost
         outcome.checks.append(
             "move: Figure 5 insertion checks at the destination plus "
             "deletion checks for the vacated position"
         )
-
-        if not outcome.report.is_legal:
-            # Roll back: prune from destination, restore at the origin.
-            restored = self.instance.delete_subtree(created[0])
-            if new_rdn is not None:
-                restored.roots()[0].rdn = entry.rdn
-            self.instance.insert_subtree(old_parent_dn, restored)
         return outcome
 
-    # ------------------------------------------------------------------
-    # modification (an extension beyond Figure 5 — see DESIGN.md §7)
-    # ------------------------------------------------------------------
     def try_modify(
         self,
         target: Union[DN, str],
@@ -341,252 +404,76 @@ class IncrementalChecker:
         rolls the modification back on violation.
 
         The paper's update model covers entry insertion/deletion only;
-        the incremental rules here are derived the same way Figure 5's
-        rows are:
-
-        * attribute changes → re-run the per-entry *content* check only
-          (content legality is per-entry, Section 3.1);
-        * **added** classes → the entry is the only possible new violator
-          of required edges sourced at those classes, and the only new
-          endpoint of forbidden pairs — all checkable with Δ = {entry};
-        * **removed** classes → other entries may have relied on this
-          entry as their required relative, so every required edge whose
-          *target* involves a removed class is re-checked in full (the
-          analogue of Figure 5's non-incremental deletion rows), plus
-          the counted required-class test.
+        this is an extension (DESIGN.md §7).  Attribute changes re-run
+        the per-entry *content* check, which is always sufficient
+        (Section 3.1); class changes are additionally judged, with
+        Δ = {the entry}, by the rows that
+        :data:`repro.updates.table.MODIFY_TABLE` derives the way Figure 5
+        derives its own, plus the counted required-class test.
         """
         outcome = UpdateOutcome()
         entry = self.instance.entry(str(target) if isinstance(target, DN) else target)
-
-        # Snapshot for rollback.
-        old_classes = set(entry.classes)
-        old_attributes = {
-            name: list(entry.values(name))
-            for name in entry.attribute_names()
-            if name != "objectClass"
+        changed = {
+            "added": set(add_classes) - entry.classes,
+            "removed": set(remove_classes) & entry.classes,
         }
 
-        def rollback() -> None:
-            for name in list(entry.attribute_names()):
-                if name != "objectClass":
-                    entry.replace_values(name, old_attributes.get(name, []))
-            for name, values in old_attributes.items():
-                if not entry.has_attribute(name):
-                    entry.replace_values(name, values)
-            for cls in list(entry.classes - old_classes):
+        def rewrite(token: UndoToken) -> AbstractSet:
+            for cls in add_classes:
+                if not entry.belongs_to(cls):
+                    entry.add_class(cls)
+                    token.append(partial(entry.remove_class, cls))
+            for cls in remove_classes:
                 entry.remove_class(cls)
-            for cls in old_classes - entry.classes:
-                entry.add_class(cls)
+                token.append(partial(entry.add_class, cls))
+            if replace_attributes:
+                # a replaced attribute comes back last: restore the order
+                token.append(partial(entry.reorder_attributes, entry.attribute_names()))
+                for name, values in replace_attributes.items():
+                    prior = entry.values(name)
+                    entry.replace_values(name, values)
+                    token.append(partial(entry.replace_values, name, prior))
+            # memoized through the session like every content verdict
+            outcome.report.extend(self.session.check_entry(entry))
+            outcome.cost += 1
+            outcome.checks.append("content check of the modified entry")
+            return {entry.eid}
 
-        # Apply.
-        for cls in add_classes:
-            entry.add_class(cls)
-        for cls in remove_classes:
-            entry.remove_class(cls)
-        for name, values in (replace_attributes or {}).items():
-            entry.replace_values(name, values)
+        rows = [row for change, trigger, row in self._modify_rows if trigger in changed[change]]
+        # No class gained or lost: content is all there is to judge.
+        lost = changed["removed"] if any(changed.values()) else None
+        return self._guarded(outcome, rewrite, rows, lost)
 
-        # Content: per-entry, always sufficient (Section 3.1); memoized
-        # through the session like every other content verdict.
-        outcome.report.extend(self.session.check_entry(entry))
-        outcome.cost += 1
-        outcome.checks.append("content check of the modified entry")
-
-        added = set(add_classes) - old_classes
-        removed = set(remove_classes) & old_classes
-        delta_ids = {entry.eid}
-        evaluator = self._delta_evaluator(delta_ids)
-
-        if outcome.report.is_legal and (added or removed):
-            from repro.query.translate import class_selection
-            from repro.query.ast import HSelect, Minus
-
-            for element in self.relationships:
-                if isinstance(element, RequiredEdge):
-                    if element.source in added:
-                        # only the modified entry can newly violate
-                        source = class_selection(element.source).scoped(SCOPE_DELTA)
-                        target_sel = class_selection(element.target).scoped(SCOPE_NEW)
-                        query = Minus(source, HSelect(element.axis, source, target_sel))
-                        offenders = evaluator.evaluate(query)
-                        outcome.checks.append(
-                            f"Δ-check for {element} (class added): {query}"
-                        )
-                        if offenders:
-                            self._report_structural(outcome.report, element, offenders)
-                    if element.target in removed:
-                        # others may have relied on this entry: full pass
-                        check = translate_element(element)
-                        offenders = evaluator.evaluate(check.query)
-                        outcome.checks.append(
-                            f"full re-check for {element} (target class removed)"
-                        )
-                        if offenders:
-                            self._report_structural(outcome.report, element, offenders)
-                else:
-                    assert isinstance(element, ForbiddenEdge)
-                    if element.source in added:
-                        query = HSelect(
-                            element.axis,
-                            class_selection(element.source).scoped(SCOPE_DELTA),
-                            class_selection(element.target).scoped(SCOPE_NEW),
-                        )
-                        offenders = evaluator.evaluate(query)
-                        outcome.checks.append(
-                            f"Δ-check for {element} (source class added)"
-                        )
-                        if offenders:
-                            self._report_structural(outcome.report, element, offenders)
-                    if element.target in added:
-                        query = HSelect(
-                            element.axis,
-                            class_selection(element.source).scoped(SCOPE_NEW),
-                            class_selection(element.target).scoped(SCOPE_DELTA),
-                        )
-                        offenders = evaluator.evaluate(query)
-                        outcome.checks.append(
-                            f"Δ-check for {element} (target class added)"
-                        )
-                        if offenders:
-                            self._report_structural(outcome.report, element, offenders)
-            outcome.cost += evaluator.cost
-            self.session.stats.queries_evaluated += evaluator.cost
-            # Counted required-class test for removals.
-            for name in sorted(self.schema.structure_schema.required_classes):
-                if name in removed and self.instance.class_count(name) == 0:
-                    outcome.report.add(
-                        Violation(
-                            Kind.MISSING_REQUIRED_CLASS,
-                            f"modification removes the last entry of "
-                            f"required class {name!r}",
-                            element=f"{name} □",
-                        )
-                    )
-            outcome.checks.append("counted required-class test")
-
-        if not outcome.report.is_legal:
-            rollback()
-        return outcome
-
-    # ------------------------------------------------------------------
-    # transactions (Theorem 4.1)
-    # ------------------------------------------------------------------
     def apply_transaction(self, transaction: UpdateTransaction) -> UpdateOutcome:
         """Run a whole transaction: decompose into subtree updates
         (insertions first, then deletions), check each step, and roll
-        back every applied step if any step fails."""
+        back every applied step if any step fails or raises."""
         outcome = UpdateOutcome()
-        steps = decompose(transaction, self.instance)
-        undo: List[SubtreeUpdate] = []
-        try:
-            return self._apply_steps(steps, undo, outcome)
-        except Exception:
-            # A step *raised* (rather than reporting a violation):
-            # without this rollback the earlier steps would stay
-            # applied, leaving the instance in a state no committed
-            # transaction ever produced.
-            self._undo(undo)
-            raise
 
-    def _apply_steps(
-        self,
-        steps: List[SubtreeUpdate],
-        undo: List[SubtreeUpdate],
-        outcome: UpdateOutcome,
-    ) -> UpdateOutcome:
-        for step in steps:
-            if step.kind == "insert":
-                assert step.subtree is not None
-                parent = None if step.parent_dn is None else str(step.parent_dn)
-                step_outcome = self.try_insert(parent, step.subtree)
-                if step_outcome.applied:
-                    root_dns = [
-                        step.subtree.dn_of(r) for r in step.subtree.root_ids()
-                    ]
-                    base = step.parent_dn
-                    for dn in root_dns:
-                        full = DN(dn.rdns + (base.rdns if base else ()))
-                        undo.append(SubtreeUpdate("delete", root_dn=full))
-            else:
-                assert step.root_dn is not None
-                entry = self.instance.entry(str(step.root_dn))
-                parent = self.instance.parent_of(entry)
-                parent_dn = None if parent is None else parent.dn
-                snapshot = self.instance.extract_subtree(entry)
-                step_outcome = self.try_delete(step.root_dn)
-                if step_outcome.applied:
-                    undo.append(
-                        SubtreeUpdate(
-                            "insert", parent_dn=parent_dn, subtree=snapshot
-                        )
-                    )
-            outcome.cost += step_outcome.cost
-            outcome.checks.extend(f"[{step}] {c}" for c in step_outcome.checks)
-            if not step_outcome.applied:
-                outcome.report.extend(step_outcome.report.violations)
-                self._undo(undo)
-                return outcome
-        return outcome
+        def run(token: UndoToken) -> AbstractSet:
+            # The transaction's token is its steps' tokens, in order.
+            for step in decompose(transaction, self.instance):
+                if step.kind == "insert":
+                    assert step.subtree is not None
+                    parent = None if step.parent_dn is None else str(step.parent_dn)
+                    step_outcome = self.try_insert(parent, step.subtree)
+                else:
+                    assert step.root_dn is not None
+                    step_outcome = self.try_delete(step.root_dn)
+                token.extend(step_outcome.token)
+                outcome.cost += step_outcome.cost
+                outcome.checks.extend(f"[{step}] {c}" for c in step_outcome.checks)
+                if not step_outcome.applied:
+                    outcome.report.extend(step_outcome.report.violations)
+                    break
+            return frozenset()  # each step judged its own Δ
+
+        return self._guarded(outcome, run)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _undo(self, undo: List[SubtreeUpdate]) -> None:
-        for step in reversed(undo):
-            if step.kind == "delete":
-                assert step.root_dn is not None
-                self.instance.delete_subtree(str(step.root_dn))
-            else:
-                assert step.subtree is not None
-                parent = None if step.parent_dn is None else str(step.parent_dn)
-                self.instance.insert_subtree(parent, step.subtree)
-
-    def _check_insert_rows(
-        self, evaluator: QueryEvaluator, outcome: UpdateOutcome
-    ) -> None:
-        """Evaluate every Figure 5 insertion row, reporting offenders
-        into ``outcome``."""
-        for element, query in self._insert_rows:
-            offenders = evaluator.evaluate(query)
-            if offenders:
-                self._report_structural(outcome.report, element, offenders)
-
-    def _check_delete_rows(
-        self,
-        evaluator: QueryEvaluator,
-        outcome: UpdateOutcome,
-        moved: AbstractSet = frozenset(),
-    ) -> List[str]:
-        """Evaluate every Figure 5 deletion row on the updated instance,
-        reporting offenders into ``outcome``; returns the descriptions
-        of the checks run.  ``moved`` are entries that left the vacated
-        position but are still in the instance (a move's Δ): they cannot
-        have lost a witness there."""
-        checks = []
-        for element, query, countable in self._delete_rows:
-            if query is None:
-                checks.append(f"skip: {element} (∅-scoped row)")
-                continue
-            # ROADMAP short-circuit for the non-incremental rows: a
-            # required child/descendant element is vacuously satisfied
-            # when no source-class entry remains, and the class-count
-            # index answers that in O(1) — no full re-check needed.
-            if countable and self.instance.class_count(element.source) == 0:
-                outcome.cost += 1
-                checks.append(
-                    f"skip: {element} (class-count short-circuit: no "
-                    f"{element.source!r} entries remain)"
-                )
-                continue
-            offenders = evaluator.evaluate(query)
-            if moved:
-                offenders = (offenders - moved) & self.instance.entry_id_view()
-            checks.append(f"full re-check for {element} on D−Δ")
-            if offenders:
-                self._report_structural(outcome.report, element, offenders)
-        return checks
-
-    def _delta_evaluator(self, delta_ids: Set[int]) -> QueryEvaluator:
+    def _delta_evaluator(self, delta_ids: AbstractSet) -> QueryEvaluator:
         """An evaluator over the updated instance with Figure 5's four
         scopes bound.  ``D + Δ`` and ``D`` are views, never copies:
         binding them costs O(1), not O(|D|)."""
@@ -600,14 +487,6 @@ class IncrementalChecker:
                 SCOPE_EMPTY: set(),
             },
         )
-
-    def _delta_roots(self, created, delta_ids: Set[int]):
-        roots = []
-        for entry in created:
-            parent = self.instance.parent_id(entry.eid)
-            if parent is None or parent not in delta_ids:
-                roots.append(entry.eid)
-        return roots
 
     def _report_structural(
         self, report: LegalityReport, element, offenders: Set[int]

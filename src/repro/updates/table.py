@@ -48,7 +48,7 @@ Deletions of a subtree ``Δ`` from a legal ``D``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Literal, Optional, Tuple
+from typing import Dict, List, Literal, Optional, Tuple
 
 from repro.axes import Axis
 from repro.query.ast import (
@@ -62,7 +62,14 @@ from repro.query.ast import (
 from repro.query.translate import class_selection
 from repro.schema.elements import ForbiddenEdge, RequiredEdge, SchemaElement
 
-__all__ = ["DeltaRule", "DELTA_TABLE", "rule_for", "build_delta_query"]
+__all__ = [
+    "DeltaRule",
+    "DELTA_TABLE",
+    "rule_for",
+    "build_delta_query",
+    "MODIFY_TABLE",
+    "build_modify_queries",
+]
 
 Operation = Literal["insert", "delete"]
 
@@ -148,6 +155,22 @@ def rule_for(element: SchemaElement, operation: Operation) -> DeltaRule:
     raise KeyError(f"{element} has no Figure 5 row")
 
 
+def _plan_query(element: SchemaElement, plan: object) -> Optional[Query]:
+    """The Figure 4 query of ``element`` under a row's ``plan``: ``None``
+    for ``skip``, unscoped for ``full``, otherwise with the plan's two
+    scopes on its atomic selections — (outer, inner) of a required
+    edge's ``σ⁻``, (source, target) of a forbidden pair."""
+    if plan == _SKIP:
+        return None
+    first, second = (None, None) if plan == _FULL else plan  # type: ignore[misc]
+    source = class_selection(element.source).scoped(first)
+    pair = HSelect(element.axis, source, class_selection(element.target).scoped(second))
+    if isinstance(element, RequiredEdge):
+        return Minus(source, pair)
+    assert isinstance(element, ForbiddenEdge)
+    return pair
+
+
 def build_delta_query(element: SchemaElement, operation: Operation) -> Optional[Query]:
     """Build the scoped Δ-query for ``element`` under ``operation``.
 
@@ -156,44 +179,69 @@ def build_delta_query(element: SchemaElement, operation: Operation) -> Optional[
     updated instance).  Otherwise returns the Figure 4 query shape with
     the row's scopes attached to its atomic selections.
     """
-    rule = rule_for(element, operation)
-    if rule.needs_no_check:
-        return None
-
-    if isinstance(element, RequiredEdge):
-        if rule.needs_full_recheck:
-            source = class_selection(element.source)
-            return Minus(source, HSelect(element.axis, source, class_selection(element.target)))
-        outer_scope, inner_scope = rule.plan  # type: ignore[misc]
-        source = class_selection(element.source).scoped(outer_scope)
-        target = class_selection(element.target).scoped(inner_scope)
-        return Minus(source, HSelect(element.axis, source, target))
-
-    assert isinstance(element, ForbiddenEdge)
-    if rule.needs_full_recheck:  # pragma: no cover - no such row exists
-        return HSelect(
-            element.axis,
-            class_selection(element.source),
-            class_selection(element.target),
-        )
-    source_scope, target_scope = rule.plan  # type: ignore[misc]
-    return HSelect(
-        element.axis,
-        class_selection(element.source).scoped(source_scope),
-        class_selection(element.target).scoped(target_scope),
-    )
+    return _plan_query(element, rule_for(element, operation).plan)
 
 
 def empty_scoped_query(element: SchemaElement) -> Query:
     """The ``∅``-scoped Δ-query of a ``skip`` row, for display/printing
     parity with Figure 5 (never worth evaluating)."""
-    if isinstance(element, RequiredEdge):
-        source = class_selection(element.source).scoped(SCOPE_EMPTY)
-        target = class_selection(element.target).scoped(SCOPE_EMPTY)
-        return Minus(source, HSelect(element.axis, source, target))
-    assert isinstance(element, ForbiddenEdge)
-    return HSelect(
-        element.axis,
-        class_selection(element.source).scoped(SCOPE_EMPTY),
-        class_selection(element.target).scoped(SCOPE_EMPTY),
-    )
+    query = _plan_query(element, (SCOPE_EMPTY, SCOPE_EMPTY))
+    assert query is not None
+    return query
+
+
+# ----------------------------------------------------------------------
+# Extension table — NOT in the paper.  Figure 5 covers subtree insertion
+# and deletion; a change to one entry's class set in place
+# (``IncrementalChecker.try_modify``, DESIGN.md §7) gets its rows here,
+# derived the same way with Δ = {the modified entry}.  A row is keyed by
+# the relationship form, whether the entry *gained* or *lost* the class,
+# and the role that class plays in the element — not by the axis: the
+# entry's relatives all lie in ``D``, whichever way the axis points.
+#
+# required, added as source    only the entry can newly violate: outer
+#                              on Δ, inner on the updated instance
+# required, removed as target  others may have relied on the entry as
+#                              their relative: full re-check (as for
+#                              Figure 5's non-incremental deletions)
+# forbidden, added             the entry is the one new endpoint of a
+#                              pair: its side on Δ
+# anything else                no check: a new target or a lost source
+#                              only helps a required edge, and removal
+#                              never creates a forbidden pair
+# ----------------------------------------------------------------------
+ClassChange = Literal["added", "removed"]
+Role = Literal["source", "target"]
+
+
+#: The extension table: (forbidden, change, role) → plan, in
+#: :class:`DeltaRule`'s ``plan`` vocabulary.
+MODIFY_TABLE: Dict[Tuple[bool, ClassChange, Role], object] = {
+    (False, "added", "source"): (SCOPE_DELTA, SCOPE_NEW),
+    (False, "added", "target"): _SKIP,
+    (False, "removed", "source"): _SKIP,
+    (False, "removed", "target"): _FULL,
+    (True, "added", "source"): (SCOPE_DELTA, SCOPE_NEW),
+    (True, "added", "target"): (SCOPE_NEW, SCOPE_DELTA),
+    (True, "removed", "source"): _SKIP,
+    (True, "removed", "target"): _SKIP,
+}
+
+
+def build_modify_queries(
+    element: SchemaElement,
+) -> List[Tuple[ClassChange, str, str, Query]]:
+    """The extension-table rows of ``element`` that need a check, each
+    as ``(change, the class whose change triggers it, what to record in
+    the outcome's checks, Δ-query)``."""
+    rows = []
+    for (forbidden, change, role), plan in MODIFY_TABLE.items():
+        query = _plan_query(element, plan)
+        if forbidden == isinstance(element, ForbiddenEdge) and query is not None:
+            what = f"{element} ({role} class {change})"
+            check = (
+                f"full re-check for {what}" if plan == _FULL
+                else f"Δ-check for {what}: {query}"
+            )
+            rows.append((change, getattr(element, role), check, query))
+    return rows

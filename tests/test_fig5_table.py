@@ -5,10 +5,13 @@ import pytest
 
 from repro.axes import Axis
 from repro.query.ast import SCOPE_DELTA, SCOPE_NEW, HSelect, Minus
+from repro.query.translate import translate_element
 from repro.schema.elements import ForbiddenEdge, RequiredClass, RequiredEdge
 from repro.updates.table import (
     DELTA_TABLE,
+    MODIFY_TABLE,
     build_delta_query,
+    build_modify_queries,
     empty_scoped_query,
     rule_for,
 )
@@ -106,3 +109,51 @@ class TestDeltaQueryShapes:
         assert "∅" in str(query)
         query = empty_scoped_query(ForbiddenEdge(Axis.CHILD, "a", "b"))
         assert "∅" in str(query)
+
+
+class TestModificationExtensionTable:
+    """The extension beside Figure 5: one entry's class set changes in
+    place, Δ = {the entry}.  Not the paper's — hence its own table."""
+
+    def test_table_covers_the_eight_combinations(self):
+        assert set(MODIFY_TABLE) == {
+            (forbidden, change, role)
+            for forbidden in (False, True)
+            for change in ("added", "removed")
+            for role in ("source", "target")
+        }
+        assert len(DELTA_TABLE) == 12  # Figure 5 stays the paper's
+
+    def test_plans_speak_figure_5s_vocabulary(self):
+        for plan in MODIFY_TABLE.values():
+            assert plan in ("skip", "full") or set(plan) <= {SCOPE_DELTA, SCOPE_NEW}
+        checked = {key for key, plan in MODIFY_TABLE.items() if plan != "skip"}
+        assert checked == {
+            (False, "added", "source"), (False, "removed", "target"),
+            (True, "added", "source"), (True, "added", "target"),
+        }
+
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_required_edge_rows(self, axis):
+        element = RequiredEdge(axis, "a", "b")
+        (gain, a, gained, on_delta), (loss, b, lost, full) = build_modify_queries(element)
+        assert (gain, a, loss, b) == ("added", "a", "removed", "b")
+        # only the entry can newly violate: outer on Δ, inner anywhere
+        assert isinstance(on_delta, Minus) and on_delta.inner.axis is axis
+        assert on_delta.outer.scope == SCOPE_DELTA
+        assert on_delta.inner.inner.scope == SCOPE_NEW
+        assert gained.startswith("Δ-check for") and str(on_delta) in gained
+        # others may have relied on the entry: Figure 4's query, unscoped
+        assert full == translate_element(element).query
+        assert lost.startswith("full re-check for")
+
+    @pytest.mark.parametrize("axis", [Axis.CHILD, Axis.DESCENDANT])
+    def test_forbidden_edge_rows(self, axis):
+        rows = build_modify_queries(ForbiddenEdge(axis, "a", "b"))
+        assert [(change, trigger) for change, trigger, _, _ in rows] == [
+            ("added", "a"), ("added", "b"),
+        ]
+        (_, _, _, as_source), (_, _, _, as_target) = rows
+        assert isinstance(as_source, HSelect) and as_source.axis is axis
+        assert (as_source.outer.scope, as_source.inner.scope) == (SCOPE_DELTA, SCOPE_NEW)
+        assert (as_target.outer.scope, as_target.inner.scope) == (SCOPE_NEW, SCOPE_DELTA)

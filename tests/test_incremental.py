@@ -88,6 +88,27 @@ class TestFigure5CompiledOnce:
         assert len(built) == compiled
 
 
+    def test_no_modification_query_is_built_after_construction(
+        self, wp_schema, fig1, monkeypatch
+    ):
+        """The extension-table rows are compiled in ``__init__`` too."""
+        import repro.updates.incremental as incremental
+
+        built = []
+        real = incremental.build_modify_queries
+        monkeypatch.setattr(
+            incremental, "build_modify_queries",
+            lambda element: built.append(element) or real(element),
+        )
+        checker = fresh_checker(fig1, wp_schema)
+        assert built == checker.relationships
+        suciu = "uid=suciu,ou=databases,ou=attLabs,o=att"
+        assert checker.try_modify(suciu, add_classes=["online"]).applied
+        assert checker.try_modify(suciu, remove_classes=["online"]).applied
+        assert not checker.try_modify(suciu, remove_classes=["person"]).applied
+        assert built == checker.relationships
+
+
 class TestDeltaScopes:
     def test_scopes_are_views_that_select_like_sets(self, fig1, wp_schema):
         """Figure 5's ``D`` and ``D + Δ`` are bound without copying the
@@ -284,6 +305,95 @@ class TestTransactions:
         assert fig1.find("uid=np,ou=new,o=att") is not None
         assert fig1.find("uid=laks,ou=databases,ou=attLabs,o=att") is None
         assert LegalityChecker(wp_schema).is_legal(fig1)
+
+
+class TestOneGuardedStep:
+    """Every change is applied, judged and — rejected or raised — undone
+    by :meth:`IncrementalChecker._guarded`, with the token its own
+    application recorded.  Work-unit asserts, always armed."""
+
+    def test_deleted_subtree_is_copied_once(self, wp_schema, fig1, monkeypatch):
+        """Pruning k entries through ``apply_transaction`` builds one
+        k-entry copy (what ``delete_subtree`` returns, kept as the undo
+        token) — not a second snapshot beside it."""
+        checker = fresh_checker(fig1, wp_schema)
+        fig1.add_entry("ou=attLabs,o=att", "uid=stay", ["person", "top"],
+                       {"uid": ["stay"], "name": ["stay er"]})
+        doomed = "ou=databases,ou=attLabs,o=att"
+        k = fig1.subtree_size(doomed)
+        copied = []
+        real = DirectoryInstance.add_entry
+
+        def counting(self, *args, **kwargs):
+            if self is not fig1:
+                copied.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(DirectoryInstance, "add_entry", counting)
+        tx = UpdateTransaction()
+        for entry in [fig1.entry(doomed), *fig1.descendants_of(doomed)]:
+            tx.delete(str(entry.dn))
+        assert checker.apply_transaction(tx).applied
+        assert k == 3 and len(copied) == k
+
+    def test_rejected_modify_restores_only_what_the_change_named(
+        self, wp_schema, fig1, monkeypatch
+    ):
+        from repro.model.entry import Entry
+
+        checker = fresh_checker(fig1, wp_schema)
+        suciu = "uid=suciu,ou=databases,ou=attLabs,o=att"
+        before = serialize_ldif(fig1)
+        touched = []
+        real = Entry.replace_values
+        monkeypatch.setattr(
+            Entry, "replace_values",
+            lambda self, name, values: touched.append(name) or real(self, name, values),
+        )
+        outcome = checker.try_modify(  # suciu is not online: mail is disallowed
+            suciu, add_classes=["facultyMember"],
+            replace_attributes={"mail": ["d@x.com"]},
+        )
+        assert not outcome.applied and not outcome.token
+        assert touched == ["mail", "mail"]  # applied once, restored once
+        assert serialize_ldif(fig1) == before
+
+    def test_a_step_that_raises_is_undone_like_one_that_is_rejected(
+        self, wp_schema, fig1
+    ):
+        """try_modify: the second class clause raises after the first was
+        applied; try_insert: the second root's DN is taken after the
+        first was grafted."""
+        from repro.errors import ModelError
+
+        checker = fresh_checker(fig1, wp_schema)
+        before = serialize_ldif(fig1)
+        with pytest.raises(ModelError, match="does not belong"):
+            checker.try_modify(
+                "uid=suciu,ou=databases,ou=attLabs,o=att",
+                add_classes=["online"], remove_classes=["staffMember"],
+            )
+        assert serialize_ldif(fig1) == before
+        delta = DirectoryInstance(attributes=fig1.attributes)
+        for uid in ("fresh", "laks"):  # laks exists under databases
+            delta.add_entry(None, f"uid={uid}", ["person", "top"],
+                            {"uid": [uid], "name": [f"{uid} x"]})
+        with pytest.raises(DuplicateEntryError):
+            checker.try_insert("ou=databases,ou=attLabs,o=att", delta)
+        assert serialize_ldif(fig1) == before
+
+    def test_applied_outcome_carries_a_token_that_is_no_part_of_its_value(
+        self, wp_schema, fig1
+    ):
+        checker = fresh_checker(fig1, wp_schema)
+        before = serialize_ldif(fig1)
+        outcome = checker.try_delete("uid=suciu,ou=databases,ou=attLabs,o=att")
+        assert outcome.applied and outcome.token
+        assert "token" not in repr(outcome)
+        twin = type(outcome)(outcome.report, outcome.cost, list(outcome.checks))
+        assert twin == outcome and not twin.token
+        outcome.undo()
+        assert not outcome.token and serialize_ldif(fig1) == before
 
 
 class TestIncrementalEqualsFull:

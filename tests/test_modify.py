@@ -124,6 +124,69 @@ class TestTryModify:
             assert full.is_legal(instance)
 
 
+    @pytest.mark.parametrize("seed", range(20, 32))
+    def test_class_change_verdict_matches_the_oracle(self, seed):
+        """The extension table against the sequential oracle, on schemas
+        with no content constraints in the way: auxiliary classes come
+        and go freely, so every verdict is the structure rows'."""
+        import random
+
+        from oracle import oracle_check
+        from repro.axes import Axis
+        from repro.model.instance import DirectoryInstance
+        from repro.schema.attribute_schema import AttributeSchema
+        from repro.schema.class_schema import TOP, ClassSchema
+        from repro.schema.directory_schema import DirectorySchema
+        from repro.schema.structure_schema import StructureSchema
+
+        rng = random.Random(seed)
+        marks = ["a", "b", "c", "d"]
+        classes = ClassSchema().add_core("n")
+        for mark in marks:
+            classes.add_auxiliary(mark)
+        classes.allow_auxiliary("n", *marks)
+        structure = StructureSchema()
+        for _ in range(rng.randrange(1, 4)):
+            structure.require(rng.choice(marks), rng.choice(list(Axis)), rng.choice(marks))
+        for _ in range(rng.randrange(0, 3)):
+            structure.forbid(
+                rng.choice(marks), rng.choice([Axis.CHILD, Axis.DESCENDANT]),
+                rng.choice(marks),
+            )
+        if rng.random() < 0.5:
+            structure.require_class(rng.choice(marks))
+        schema = DirectorySchema(AttributeSchema(), classes, structure)
+        for _ in range(300):  # sample a legal instance
+            instance, entries = DirectoryInstance(), []
+            for i in range(rng.randrange(2, 9)):
+                held = {TOP, "n", *rng.sample(marks, rng.randrange(0, 3))}
+                parent = rng.choice(entries) if entries and rng.random() < 0.8 else None
+                entries.append(instance.add_entry(parent, f"id=e{i}", held))
+            if oracle_check(schema, instance).is_legal:
+                break
+        else:
+            pytest.skip("no legal instance sampled for this schema")
+        guard = IncrementalChecker(schema, instance, assume_legal=True)
+        for _ in range(25):
+            entry = rng.choice(list(instance))
+            held = sorted(entry.classes & set(marks))
+            lacking = sorted(set(marks) - entry.classes)
+            add = rng.sample(lacking, rng.randrange(0, min(2, len(lacking)) + 1))
+            remove = rng.sample(held, rng.randrange(0, min(2, len(held)) + 1))
+            forced = instance.copy()
+            twin = forced.entry(str(entry.dn))
+            for mark in add:
+                twin.add_class(mark)
+            for mark in remove:
+                twin.remove_class(mark)
+            outcome = guard.try_modify(
+                str(entry.dn), add_classes=add, remove_classes=remove
+            )
+            assert outcome.applied == oracle_check(schema, forced).is_legal, (
+                str(entry.dn), add, remove, [str(e) for e in structure.elements()]
+            )
+
+
 class TestModifyRecords:
     RECORD = f"""\
 dn: {LAKS}

@@ -108,6 +108,28 @@ class TestMove:
             guard.try_move(DATABASES, new_parent="o=att")
         assert serialize_ldif(fig1) == before
 
+    @pytest.mark.parametrize("collide", ["new_rdn", "new_parent"])
+    def test_failed_move_loses_nothing(self, guard, fig1, collide):
+        """A move whose destination DN is taken raises — the documented
+        ``UpdateError`` — with the entry still at its old DN, under its
+        old RDN, at its old place among its siblings (laks is the
+        *first* child of databases); the next legal move still works."""
+        if collide == "new_rdn":
+            move = dict(new_rdn="uid=suciu")  # a sibling's RDN
+        else:
+            fig1.add_entry("ou=attLabs,o=att", "uid=laks", ["person", "top"],
+                           {"uid": ["laks2"], "name": ["other laks"]})
+            move = dict(new_parent="ou=attLabs,o=att")
+        before = serialize_ldif(fig1)
+        with pytest.raises(UpdateError, match="move failed"):
+            guard.try_move(LAKS, **move)
+        assert str(fig1.entry(LAKS).rdn) == "uid=laks"
+        assert len(fig1) == before.count("\ndn: ")
+        assert serialize_ldif(fig1) == before
+        assert guard.try_move(LAKS, new_rdn="uid=lakshmanan").applied
+        assert fig1.find(LAKS) is None
+        assert fig1.find(f"uid=lakshmanan,{DATABASES}") is not None
+
     def test_rename_rolls_back_rdn(self, guard, fig1):
         before = serialize_ldif(fig1)
         outcome = guard.try_move(

@@ -32,13 +32,14 @@ from repro.server.protocol import (
     parse_address,
     read_frame,
 )
-from repro.store import DirectoryStore
+from repro.store import DirectoryStore, open_view
 from repro.store.sharded import ShardedStore
 from repro.workloads import (
     figure1_instance,
     whitepages_registry,
     whitepages_schema,
 )
+from tests.test_undo_token import instance_state
 
 PARENT = "ou=databases,ou=attLabs,o=att"
 NESTED_BASES = {"att": "o=att", "labs": "ou=attLabs,o=att"}
@@ -457,6 +458,55 @@ class TestWrites:
             finally:
                 await replica.stop(drain=False)
                 await stop()
+
+        asyncio.run(run())
+
+
+    def test_modify_record_that_raises_leaves_the_primary_as_found(
+        self, plain_store, tmp_path
+    ):
+        """Record 1's second clause raises after its first was applied.
+        That is the record's refusal and the batch goes on — so the
+        writer's memory must be what it was: the first clause used to
+        stay applied there (journaled nowhere), and every later write
+        was Δ-checked against a state no replica and no reader held."""
+        path, schema, registry = plain_store
+        raising = (
+            "dn: uid=suciu,ou=databases,ou=attLabs,o=att\nchangetype: modify\n"
+            "add: objectClass\nobjectClass: orgUnit\n-\n"
+            "delete: objectClass\nobjectClass: staffMember\n-\n\n"
+        )
+        legal = (
+            "dn: uid=laks,ou=databases,ou=attLabs,o=att\nchangetype: modify\n"
+            "replace: mail\nmail: laks@example.edu\n-\n"
+        )
+
+        async def run():
+            server = await _serve(plain_store)
+            replica = await _replica_of(server, tmp_path, schema, registry)
+            try:
+                before = instance_state(server.store.instance)
+                client, probe = await _client(server), await _client(replica)
+                response = await client.modify(raising + legal)
+                refused, committed = response["results"]
+                assert not refused["applied"]
+                assert "does not belong" in refused["violations"][0]
+                assert committed["applied"] and not committed["violations"]
+                assert response["position"] == {"generation": 1, "seq": 1}
+                # the writer's memory, a fresh view and the replica agree
+                ours = instance_state(server.store.instance)
+                assert ours["counts"] == before["counts"]
+                assert server.store.check().is_legal
+                with open_view(path, schema, registry) as view:
+                    assert instance_state(view.instance) == ours
+                await _caught_up(probe, response["position"])
+                verdict = await probe.check(require_seq=response["position"])
+                assert verdict["legal"] is server.store.check().is_legal is True
+                for connection in (client, probe):
+                    await connection.close()
+            finally:
+                await replica.stop(drain=False)
+                await server.stop()
 
         asyncio.run(run())
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
+    ModelError,
     StoreError,
     StoreLockedError,
     StoreReadOnlyError,
@@ -15,7 +16,7 @@ from repro.errors import (
 from repro.ldif import serialize_ldif
 from repro.ldif.modify import parse_modifications
 from repro.legality.report import Kind, LegalityReport, Violation
-from repro.store import DirectoryStore
+from repro.store import DirectoryStore, open_view
 from repro.store import sharded as sharded_module
 from repro.store.faults import FaultPlan, FaultyIO
 from repro.store.sharded import ShardedStore
@@ -29,6 +30,7 @@ from repro.workloads import (
     whitepages_schema,
 )
 from tests.test_sharded import canonical_records
+from tests.test_undo_token import instance_state
 
 
 @pytest.fixture()
@@ -543,7 +545,7 @@ def _reopen(path, layout, schema, registry):
 
 def _digest(store):
     """The store's content, entry by entry; attribute order within an
-    entry is not content (a blind inverse may re-order it)."""
+    entry is not content (a ``replace`` moves its attribute last)."""
     if isinstance(store, DirectoryStore):
         return canonical_records(store.instance)
     return canonical_records(store.composite_instance())
@@ -642,6 +644,89 @@ class TestWritePipeline:
         with _reopen(path, layout, wp_schema_extras, wp_registry) as recovered:
             assert _digest(recovered) == committed
             assert recovered.apply(_person_tx("third")).applied
+
+    @pytest.mark.parametrize(
+        "clauses",
+        [
+            "add: objectClass\nobjectClass: orgUnit\n-\n"
+            "delete: objectClass\nobjectClass: staffMember",
+            "add: objectClass\nobjectClass: online\n-\n"
+            "replace: telephoneNumber\ntelephoneNumber: +1 555 0100\n"
+            "telephoneNumber: not a number",
+        ],
+        ids=["class-not-held", "ill-typed-replace"],
+    )
+    @pytest.mark.parametrize("layout", ["plain", "sharded"])
+    def test_change_that_raises_is_rolled_back_like_a_rejected_one(
+        self, tmp_path, wp_schema_extras, wp_registry, layout, clauses
+    ):
+        """A modify whose second clause raises used to escape between
+        "apply" and the rollback: the first clause stayed applied in the
+        writer's memory — nothing journaled, not poisoned, and every
+        later write Δ-checked against a state no reader holds."""
+        path = str(tmp_path / "store")
+        initial = figure1_instance(wp_registry)  # typed, like a reopened store
+        store = (
+            DirectoryStore.create(path, wp_schema_extras, initial, wp_registry)
+            if layout == "plain"
+            else ShardedStore.create(
+                path, wp_schema_extras, SHARD_BASES, initial, wp_registry
+            )
+        )
+
+        def states():
+            members = (
+                [store] if layout == "plain"
+                else [store.shard(name) for name in store.shard_names()]
+            )
+            return [instance_state(member.instance) for member in members]
+
+        try:
+            # telephoneNumber ahead of name: a restore must keep the order
+            assert store.modify(_modify(
+                "suciu", "add: telephoneNumber\ntelephoneNumber: +1 555 0199\n-\n"
+                "replace: name\nname: dan suciu",
+            )).applied
+            before = states(), _tree_bytes(path), _frames(store)
+            with pytest.raises(ModelError):
+                store.modify(_modify("suciu", clauses))
+            assert (states(), _tree_bytes(path), _frames(store)) == before
+            assert store.check().is_legal
+            with open_view(path, wp_schema_extras, wp_registry) as view:
+                fresh = instance_state(view.instance)
+            if layout == "plain":
+                assert fresh == before[0][0]
+            else:
+                assert fresh == instance_state(store.composite_instance())
+            # not poisoned: the next write is judged against that state
+            assert store.modify(PIPELINE_CHANGES["modify", "commit"]).applied
+            assert store.check().is_legal
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("layout", ["plain", "sharded"])
+    def test_modify_resolves_its_clauses_once(
+        self, tmp_path, wp_schema_extras, wp_registry, monkeypatch, layout
+    ):
+        """A staged modify used to resolve its record twice: once for a
+        pre-state inverse nobody would need, once to apply it."""
+        from repro.ldif import modify as modify_module
+
+        store = _create(str(tmp_path / "store"), layout, wp_schema_extras, wp_registry)
+        resolved = []
+        real = modify_module.resolve_modification
+        monkeypatch.setattr(
+            modify_module, "resolve_modification",
+            lambda *args: resolved.append(args) or real(*args),
+        )
+        try:
+            assert store.modify(PIPELINE_CHANGES["modify", "commit"]).applied
+            assert len(resolved) == 1
+            if layout == "plain":  # an abort runs the token: no resolution
+                store.stage(PIPELINE_CHANGES["modify", "composite"]).abort()
+                assert len(resolved) == 2
+        finally:
+            store.close()
 
     @pytest.mark.parametrize("layout", ["plain", "sharded"])
     def test_seams_the_benchmark_patches_are_looked_up_per_call(

@@ -521,6 +521,18 @@ class DirectoryInstance:
         assert self._depth is not None
         return max(self._depth.values(), default=0)
 
+    @property
+    def numbered(self) -> bool:
+        """Whether the interval numbering is current: reading an
+        interval, the document order or a subtree size costs no
+        renumber."""
+        return self._order is not None
+
+    def ensure_numbered(self) -> None:
+        """Number the forest now if its numbering is stale — one O(|D|)
+        pass, which the updates after it patch rather than repeat."""
+        self._ensure_order()
+
     def interval_of(self, entry: Entry | int) -> Tuple[int, int]:
         """The ``(pre, post)`` interval of ``entry``."""
         self._ensure_order()

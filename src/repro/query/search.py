@@ -27,7 +27,7 @@ from repro.query.evaluator import FilterPlanner
 from repro.query.filter_parser import parse_filter
 from repro.query.filters import TRUE_FILTER, Filter
 
-__all__ = ["SearchScope", "search"]
+__all__ = ["SearchScope", "PlannedSearch", "search"]
 
 
 class SearchScope(str, Enum):
@@ -115,14 +115,105 @@ def _planned_walk(
     base: Optional[Entry],
     scope: SearchScope,
     planned: Iterable[int],
+    document_order: bool,
 ) -> Iterator[Entry]:
-    """The candidates that lie in scope, in document order —
-    O(|C| log |C|) plus one O(1) scope test each, not a pass over the
-    scope."""
-    for eid in sorted(planned, key=lambda eid: instance.interval_of(eid)[0]):
+    """The candidates that lie in scope — one O(1) scope test each, not
+    a pass over the scope.  In document order (O(|C| log |C|), one
+    :meth:`~DirectoryInstance.interval_of` per candidate) only when the
+    caller asks for it: a search with its own ``order`` re-sorts the
+    matches anyway."""
+    if document_order:
+        planned = sorted(planned, key=lambda eid: instance.interval_of(eid)[0])
+    for eid in planned:
         entry = instance.entry(eid)
         if _in_scope(instance, base, scope, entry):
             yield entry
+
+
+class PlannedSearch:
+    """One scoped LDAP search, planned once: the scope and size limit
+    validated, the base resolved and — when the instance carries
+    secondary indexes — the filter's candidate set probed.  :meth:`run`
+    answers it; the parameters are those of :func:`search`, and the
+    plan is only good for the instance as it was planned on.
+
+    :attr:`bounded` is true when the planner returned a candidate set:
+    :meth:`run` then judges at most those candidates (or a smaller
+    scope), work bounded by the posting sizes of the filter's indexed
+    terms rather than by the directory.  An unbounded plan scans its
+    scope.
+
+    Raises
+    ------
+    QueryError
+        If the base DN does not name an entry, or the size limit is
+        negative.
+    """
+
+    def __init__(
+        self,
+        instance: DirectoryInstance,
+        base: Union[DN, str, None] = None,
+        scope: Union[SearchScope, str] = SearchScope.SUB,
+        filter: Union[Filter, str, None] = None,
+        size_limit: Optional[int] = None,
+        order: Optional[Callable[[Entry], Any]] = None,
+    ) -> None:
+        scope = SearchScope(scope)
+        if size_limit is not None and size_limit < 0:
+            raise QueryError(f"size limit must not be negative, got {size_limit}")
+        if filter is None:
+            predicate: Filter = TRUE_FILTER
+        elif isinstance(filter, str):
+            predicate = parse_filter(filter)
+        else:
+            predicate = filter
+
+        base_entry: Optional[Entry] = None
+        if base is not None and str(base):
+            base_entry = instance.find(base)
+            if base_entry is None:
+                raise QueryError(f"search base {base!s} does not exist")
+
+        # Index-aware planning: when the instance carries secondary
+        # indexes, bound the scan by a candidate superset first.  The
+        # residual ``matches`` pass of :meth:`run` still judges every
+        # candidate, so planner output is byte-identical to the naive
+        # scan — only cheaper.
+        planned = None
+        indexes = getattr(instance, "indexes", None)
+        if indexes is not None and predicate is not TRUE_FILTER:
+            planned = FilterPlanner(indexes).plan(predicate)
+        self.bounded = planned is not None
+        # The probe bounds the result from one side and the scope from
+        # the other: walk whichever is smaller (a unit's dozen children,
+        # not the directory's thousands of persons).
+        if planned is not None and (
+            _scope_size(instance, base_entry, scope) < len(planned)
+        ):
+            planned = None
+
+        self.instance = instance
+        self._base = base_entry
+        self._scope = scope
+        self._predicate = predicate
+        self._size_limit = size_limit
+        self._order = order
+        self._planned = planned
+
+    def run(self) -> List[Entry]:
+        """The matching entries, in order, cut to the size limit."""
+        instance, base, scope = self.instance, self._base, self._scope
+        if self._planned is not None:
+            walk = _planned_walk(
+                instance, base, scope, self._planned, self._order is None
+            )
+        else:
+            walk = _candidates(instance, base, scope)
+        matching = (entry for entry in walk if self._predicate.matches(entry))
+        if self._order is None:
+            return list(itertools.islice(matching, self._size_limit))
+        return sorted(matching, key=self._order)[: self._size_limit]
 
 
 def search(
@@ -133,7 +224,7 @@ def search(
     size_limit: Optional[int] = None,
     order: Optional[Callable[[Entry], Any]] = None,
 ) -> List[Entry]:
-    """Scoped LDAP search.
+    """Scoped LDAP search: :class:`PlannedSearch` planned and run.
 
     Parameters
     ----------
@@ -149,9 +240,10 @@ def search(
         Keep only the first this many matches (LDAP ``sizeLimit``);
         ``0`` keeps none.
     order:
-        A sort key over entries.  Without one the matches come in
-        document order and the search stops at the limit; with one
-        they come sorted by it, and the limit keeps the first of
+        A sort key over entries that no two entries share (tied
+        entries come in no specified order).  Without one the matches
+        come in document order and the search stops at the limit; with
+        one they come sorted by it, and the limit keeps the first of
         *that* order (how a stitched composite answers in canonical
         order — its document order depends on the shard layout).
 
@@ -161,43 +253,4 @@ def search(
         If the base DN does not name an entry, or the size limit is
         negative.
     """
-    scope = SearchScope(scope)
-    if size_limit is not None and size_limit < 0:
-        raise QueryError(f"size limit must not be negative, got {size_limit}")
-    if filter is None:
-        predicate: Filter = TRUE_FILTER
-    elif isinstance(filter, str):
-        predicate = parse_filter(filter)
-    else:
-        predicate = filter
-
-    base_entry: Optional[Entry] = None
-    if base is not None and str(base):
-        base_entry = instance.find(base)
-        if base_entry is None:
-            raise QueryError(f"search base {base!s} does not exist")
-
-    # Index-aware planning: when the instance carries secondary indexes,
-    # bound the scan by a candidate superset first.  The residual
-    # ``matches`` pass below still judges every candidate, so planner
-    # output is byte-identical to the naive scan — only cheaper.
-    planned = None
-    indexes = getattr(instance, "indexes", None)
-    if indexes is not None and predicate is not TRUE_FILTER:
-        planned = FilterPlanner(indexes).plan(predicate)
-        # The probe bounds the result from one side and the scope from
-        # the other: walk whichever is smaller (a unit's dozen children,
-        # not the directory's thousands of persons).
-        if planned is not None and (
-            _scope_size(instance, base_entry, scope) < len(planned)
-        ):
-            planned = None
-
-    if planned is not None:
-        walk = _planned_walk(instance, base_entry, scope, planned)
-    else:
-        walk = _candidates(instance, base_entry, scope)
-    matching = (entry for entry in walk if predicate.matches(entry))
-    if order is None:
-        return list(itertools.islice(matching, size_limit))
-    return sorted(matching, key=order)[:size_limit]
+    return PlannedSearch(instance, base, scope, filter, size_limit, order).run()

@@ -9,10 +9,17 @@ Each connection owns its own lock-free view
 is plain or sharded), bootstrapped on the connection's first read and
 refreshed O(|Δ|) before every read operation, so every response
 reflects a *committed* frontier (readers withhold in-doubt 2PC
-prepares by construction).  Read
-operations (refresh + search/check) run on the shared default executor:
-each connection handles its frames sequentially, so its reader is only
-ever touched by one thread at a time.
+prepares by construction).  Read operations (refresh + search/check)
+run on the shared default executor, with one exception: a search on a
+view that is *idle* — its O(1) disk probes find nothing a refresh
+would replay, and nothing is left to stitch or renumber — is planned
+on the event loop, and when the planner bounds it by the filter's
+index postings it is answered there too, with no executor hop and no
+refresh.  Its work is then bounded by those postings, never by the
+directory: bootstrap, stitching, renumbering, replay, unplanned scans
+and ``check`` never run on the loop.  Each connection handles its
+frames sequentially, so its reader is only ever touched by one thread
+at a time.
 
 All mutations funnel through the single owning writer
 (:func:`repro.store.open_store`), serialized by an
@@ -442,32 +449,47 @@ class DirectoryServer(WireService):
     # reads: refresh the connection's view, serve from it
     # ------------------------------------------------------------------
     async def _op_search(self, connection: _Connection, request: dict) -> dict:
-        scope = request.get("scope", "sub")
+        """Answer a search from the connection's view.  A view that is
+        idle (a refresh would replay nothing) and numbered is planned on
+        the event loop, and a bounded plan — the filter's candidates
+        came off the indexes — runs there too: no executor hop, no
+        refresh.  Every other search (frames to replay, a stitch or a
+        renumber ahead, an unplanned scan) runs on the executor."""
+        from repro.query.filter_parser import parse_filter
+
         filter_text = request.get("filter")
-        base = request.get("base")
         size_limit = request.get("size_limit")
         await self._ensure_view(connection)
+        view = connection.view
 
-        def run():
-            from repro.query.filter_parser import parse_filter
-
-            connection.view.refresh()
+        def plan():
             parsed = parse_filter(filter_text) if filter_text else None
             # Over-fetch by one so the cut happens *after* canonical
             # ordering and the client learns whether results were
             # dropped, without ever scanning past limit + 1 matches.
-            fetch = None if size_limit is None else size_limit + 1
-            entries = connection.view.search(
-                base=base, scope=scope, filter=parsed, size_limit=fetch
+            return view.plan_search(
+                base=request.get("base"), scope=request.get("scope", "sub"),
+                filter=parsed,
+                size_limit=None if size_limit is None else size_limit + 1,
             )
+
+        def answer(planned):
+            if planned is None:  # not current: replay first, then plan
+                view.refresh()
+                planned = plan()
+            entries = planned.run()
             truncated = size_limit is not None and len(entries) > size_limit
             if truncated:
                 entries = entries[:size_limit]
-            instance = connection.view.instance
+            instance = planned.instance
             return [_entry_payload(instance, e) for e in entries], truncated
 
-        loop = asyncio.get_running_loop()
-        entries, truncated = await loop.run_in_executor(None, run)
+        planned = plan() if view.idle() and view.instance.numbered else None
+        if planned is not None and planned.bounded:
+            entries, truncated = answer(planned)
+        else:
+            loop = asyncio.get_running_loop()
+            entries, truncated = await loop.run_in_executor(None, answer, planned)
         return ok_response(
             request.get("id"),
             entries=entries,

@@ -54,8 +54,7 @@ from repro.legality.report import LegalityReport
 from repro.model.attributes import AttributeRegistry
 from repro.model.entry import Entry
 from repro.model.instance import DirectoryInstance
-from repro.query.search import SearchScope
-from repro.query.search import search as _search
+from repro.query.search import PlannedSearch, SearchScope
 from repro.schema.directory_schema import DirectorySchema
 from repro.store import index as _index
 from repro.store import sidecar as _sidecar
@@ -251,11 +250,18 @@ class StoreReader:
         size_limit: Optional[int] = None,
     ) -> List[Entry]:
         """Scoped LDAP search over the current view (Section 3)."""
+        return self.plan_search(base, scope, filter, size_limit).run()
+
+    def plan_search(
+        self,
+        base=None,
+        scope: Union[SearchScope, str] = SearchScope.SUB,
+        filter=None,
+        size_limit: Optional[int] = None,
+    ) -> PlannedSearch:
+        """:meth:`search`, planned on the current view and not yet run."""
         self._ensure_open()
-        return _search(
-            self.instance, base=base, scope=scope,
-            filter=filter, size_limit=size_limit,
-        )
+        return PlannedSearch(self.instance, base, scope, filter, size_limit)
 
     def check(self) -> LegalityReport:
         """Legality report of the current view.
@@ -417,29 +423,55 @@ class StoreReader:
             return _scan_legacy(data)
         return wal.scan(data, expect_generation=generation)
 
-    def _refresh_once(self) -> RefreshResult:
-        try:
-            head = self._io.read_head(self._snapshot_path())
-        except OSError as exc:
-            return self._result(
-                stale=True, note=f"snapshot unreadable: {exc}"
-            )
-        disk_generation = wal.header_generation(head)
-        if disk_generation != self._generation:
-            return self._rebootstrap_result()
-
+    def _probe(self) -> str:
+        """Where the files on disk stand against the view, from the
+        snapshot header's generation and the journal's size alone —
+        O(1), no journal byte read: ``"current"`` (nothing past the
+        view's offset), ``"tail"`` (new journal bytes to scan) or
+        ``"rebuild"`` (re-bootstrap).  Raises :class:`OSError` when the
+        snapshot is unreadable."""
+        head = self._io.read_head(self._snapshot_path())
+        if wal.header_generation(head) != self._generation:
+            return "rebuild"
         try:
             journal_size = os.path.getsize(self._journal_path())
         except OSError:
             # Journal vanished under the same generation: mid-compaction
             # window or external interference — re-read everything.
-            return self._rebootstrap_result()
+            return "rebuild"
         if journal_size < self._offset:
             # Shrunk without a generation bump: a recover run truncated
             # a torn tail (which we never applied), or the journal was
             # rewritten.  Re-bootstrap rather than guess.
+            return "rebuild"
+        return "current" if journal_size == self._offset else "tail"
+
+    def idle(self) -> bool:
+        """Whether :meth:`refresh` would replay nothing right now: the
+        view is open, holds no withheld or early-applied 2PC
+        transaction, and the disk probe :meth:`refresh` starts with
+        finds no byte past the view's offset.  Never mutates the view."""
+        if (
+            self._closed
+            or self._pending_txid is not None
+            or self._resolved_txid is not None
+        ):
+            return False
+        try:
+            return self._probe() == "current"
+        except OSError:
+            return False
+
+    def _refresh_once(self) -> RefreshResult:
+        try:
+            probed = self._probe()
+        except OSError as exc:
+            return self._result(
+                stale=True, note=f"snapshot unreadable: {exc}"
+            )
+        if probed == "rebuild":
             return self._rebootstrap_result()
-        if journal_size == self._offset:
+        if probed == "current":
             return self._result(advanced=False)
 
         tail = self._scan_journal_for(self._generation, offset=self._offset)

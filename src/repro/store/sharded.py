@@ -135,8 +135,7 @@ from repro.model.attributes import AttributeRegistry
 from repro.model.dn import DN, parse_dn
 from repro.model.entry import Entry
 from repro.model.instance import DirectoryInstance
-from repro.query.search import SearchScope
-from repro.query.search import search as _search
+from repro.query.search import PlannedSearch, SearchScope
 from repro.schema.directory_schema import DirectorySchema
 from repro.schema.elements import RequiredClass
 from repro.store import index as _index
@@ -434,18 +433,18 @@ def _global_document_key(instance: DirectoryInstance, entry: Entry):
     return tuple(str(rdn) for rdn in reversed(dn.normalized().rdns))
 
 
-def _canonical_search(
+def _canonical_plan(
     instance: DirectoryInstance,
     base,
     scope,
     filter,
     size_limit: Optional[int],
-) -> List[Entry]:
-    """Scoped search over a stitched composite, results in canonical
-    global document order; ``size_limit`` truncates *after* ordering so
-    the first N results are deterministic too."""
-    return _search(
-        instance, base=base, scope=scope, filter=filter, size_limit=size_limit,
+) -> PlannedSearch:
+    """Scoped search over a stitched composite, planned: results in
+    canonical global document order; ``size_limit`` truncates *after*
+    ordering so the first N results are deterministic too."""
+    return PlannedSearch(
+        instance, base, scope, filter, size_limit,
         order=functools.partial(_global_document_key, instance),
     )
 
@@ -1138,9 +1137,9 @@ class ShardedStore:
         composite still decides scope, the residual ``matches`` pass
         and the order."""
         self._ensure_open()
-        return _canonical_search(
+        return _canonical_plan(
             self.composite_instance(), base, scope, filter, size_limit
-        )
+        ).run()
 
     def composite_instance(self) -> DirectoryInstance:
         """The stitched union of all shard states (cached per
@@ -1412,10 +1411,18 @@ class CompositeReader:
         carries a view of them (:func:`_stitch`), no postings — and the
         composite still decides scope, the residual ``matches`` pass
         and the order."""
+        return self.plan_search(base, scope, filter, size_limit).run()
+
+    def plan_search(
+        self,
+        base=None,
+        scope: Union[SearchScope, str] = SearchScope.SUB,
+        filter=None,
+        size_limit: Optional[int] = None,
+    ) -> PlannedSearch:
+        """:meth:`search`, planned on the current view and not yet run."""
         self._ensure_open()
-        return _canonical_search(
-            self.instance, base, scope, filter, size_limit
-        )
+        return _canonical_plan(self.instance, base, scope, filter, size_limit)
 
     def check(self) -> LegalityReport:
         """Full legality of the composite view: per-shard reports (each
@@ -1443,16 +1450,44 @@ class CompositeReader:
     def instance(self) -> DirectoryInstance:
         """The composite instance: stitched on first use, then kept
         current by :meth:`_follow`; stitched again only after a shard
-        view swapped its instance object or a follow gave up."""
+        view swapped its instance object or a follow gave up.
+
+        A fresh stitch is numbered at once, one pass beside the
+        stitch's own: a canonically ordered search reads no interval,
+        so a served view would otherwise wait for a subtree scope or a
+        check to number it, and the server answers a search on the
+        event loop only from a numbered instance."""
         self._ensure_open()
-        views = {name: r.instance for name, r in self._readers.items()}
-        if self._composite is None or any(
-            views[name] is not self._stitched_from[name] for name in views
-        ):
+        if not self._stitched():
+            views = {name: r.instance for name, r in self._readers.items()}
             self._composite = _stitch(self.shard_map, views, self._registry)
+            self._composite.ensure_numbered()
             self._stitched_from = views
             self.stitches += 1
         return self._composite
+
+    def _stitched(self) -> bool:
+        """Whether the held composite is the stitch of the shard views'
+        current instance objects (so :attr:`instance` would not stitch)."""
+        return self._composite is not None and all(
+            reader.instance is self._stitched_from[name]
+            for name, reader in self._readers.items()
+        )
+
+    def idle(self) -> bool:
+        """Whether :meth:`refresh` would replay nothing and
+        :attr:`instance` would not stitch: every shard view is
+        :meth:`StoreReader.idle`, the composite is held and stitched
+        from them, and — on a primary's view — the coordinator log is
+        the one the last refresh pinned its cut to.  A replica-cohort
+        view needs no cut lock for this: unchanged shard journals mean
+        it still sits on the cut it last refreshed to.  Never mutates
+        the view."""
+        if self._closed or not self._stitched():
+            return False
+        if self._cohort is None and self._txlog_stamp() != self._txn_cut_stamp:
+            return False
+        return all(reader.idle() for reader in self._readers.values())
 
     def _follow(self, spec: ShardSpec, change) -> None:
         """Replay onto the held composite a change the shard ``spec``
@@ -1551,11 +1586,8 @@ class CompositeReader:
         set.  Re-parsed only when the log file changed (cheap stat
         probe); an unreadable or absent log yields an empty cut, which
         keeps every in-flight spanning transaction withheld."""
-        path = os.path.join(self._dir, TXLOG_FILE)
-        try:
-            probe = os.stat(path)
-            stamp = (probe.st_size, probe.st_mtime_ns, probe.st_ino)
-        except OSError:
+        stamp = self._txlog_stamp()
+        if stamp is None:
             self._txn_cut = {}
             self._txn_cut_stamp = None
             return
@@ -1574,6 +1606,15 @@ class CompositeReader:
             if entry.decided
         }
         self._txn_cut_stamp = stamp
+
+    def _txlog_stamp(self) -> Optional[Tuple[int, int, int]]:
+        """The coordinator log's ``(size, mtime, inode)``, or ``None``
+        when it cannot be stat'ed."""
+        try:
+            probe = os.stat(os.path.join(self._dir, TXLOG_FILE))
+        except OSError:
+            return None
+        return (probe.st_size, probe.st_mtime_ns, probe.st_ino)
 
     def _txn_verdict(self, txid: str) -> Optional[str]:
         """Answer a shard reader's 2PC lookup from the captured cut.

@@ -15,15 +15,20 @@ No pytest-asyncio here: each test drives its own loop via
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import random
 import struct
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import StoreError
+from repro.errors import FilterSyntaxError, QueryError, StoreError
+from repro.query.filter_parser import parse_filter
 from repro.server import DirectoryClient, DirectoryServer, FrontDoor
 from repro.server.client import ServerError
+from repro.server.server import _entry_payload
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -36,9 +41,11 @@ from repro.store import DirectoryStore, open_view
 from repro.store.sharded import ShardedStore
 from repro.workloads import (
     figure1_instance,
+    generate_whitepages,
     whitepages_registry,
     whitepages_schema,
 )
+from tests.test_index import _random_filter
 from tests.test_undo_token import instance_state
 
 PARENT = "ou=databases,ou=attLabs,o=att"
@@ -1630,6 +1637,407 @@ class TestShardedReplicaServing:
                 assert primary_view is not follower_view
                 with pytest.raises(StoreError, match="closed"):
                     follower_view.refresh()
+                await client.close()
+            finally:
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
+
+
+# ----------------------------------------------------------------------
+# searches answered on the event loop
+# ----------------------------------------------------------------------
+FOUR_SHARDS = {f"s{i}": f"o=org{i}" for i in range(4)}
+#: ``u1`` … ``u{PERSONS}`` are persons of the generated directory.
+PERSONS = 40
+
+
+def _white_pages(kind, tmp_path):
+    """A generated white-pages store, plain or on four shards."""
+    schema, registry = whitepages_schema(), whitepages_registry()
+    instance = generate_whitepages(
+        orgs=4, units_per_level=2, depth=1, persons_per_unit=6, seed=3,
+        registry=registry,
+    )
+    path = str(tmp_path / kind)
+    if kind == "plain":
+        DirectoryStore.create(path, schema, instance, registry).close()
+    else:
+        ShardedStore.create(path, schema, FOUR_SHARDS, instance, registry).close()
+    return path, schema, registry
+
+
+class _CountingExecutor(concurrent.futures.ThreadPoolExecutor):
+    """A loop's default executor that counts the jobs handed to it."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=4)
+        self.jobs = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.jobs += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+def _count_jobs() -> _CountingExecutor:
+    executor = _CountingExecutor()
+    asyncio.get_running_loop().set_default_executor(executor)
+    return executor
+
+
+def _view_of(server, dn):
+    return next(c.view for c in server._connections.values() if c.bound_dn == dn)
+
+
+def _view_work(view):
+    """The counters of what a view rebuilt: renumbers of its instance,
+    composite stitches, shard-view bootstraps."""
+    readers = (
+        [view.shard_reader(name) for name in view.shard_map.names()]
+        if hasattr(view, "shard_map") else [view]
+    )
+    return (
+        view.instance.renumbers,
+        getattr(view, "stitches", None),
+        [reader.bootstraps for reader in readers],
+    )
+
+
+async def _lookups(client, count=50):
+    for n in range(count):
+        uid = f"u{1 + n % PERSONS}"
+        found = await client.search(filter=f"(uid={uid})")
+        assert [e["attributes"]["uid"] for e in found["entries"]] == [[uid]]
+
+
+async def _searched_to(client, position, timeout=15.0):
+    """Search until the connection's view reports ``position`` (a
+    replica answers ``store_error`` before its first cut)."""
+    deadline = asyncio.get_event_loop().time() + timeout
+    while True:
+        try:
+            if (await client.search(filter="(uid=u1)"))["position"] == position:
+                return
+        except ServerError as exc:
+            assert exc.code == "store_error"
+        assert asyncio.get_event_loop().time() < deadline
+        await asyncio.sleep(0.02)
+
+
+class TestSearchOnTheLoop:
+    """A search on an idle view that the planner bounds is answered on
+    the event loop — no executor job, no refresh, nothing rebuilt —
+    and everything else still takes the executor, counted by the jobs
+    a counting default executor sees."""
+
+    @pytest.mark.parametrize("kind", ["plain", "sharded"])
+    def test_idle_lookups_take_no_job_and_a_commit_takes_one(
+        self, kind, tmp_path
+    ):
+        store = _white_pages(kind, tmp_path)
+
+        async def run():
+            executor = _count_jobs()
+            server = await _serve(store)
+            try:
+                client = await _client(server, dn="cn=reader")
+                await _lookups(client, 1)  # opens the view: off the loop
+                view = _view_of(server, "cn=reader")
+                work, jobs = _view_work(view), executor.jobs
+                await _lookups(client)
+                assert executor.jobs == jobs
+                assert _view_work(view) == work
+                writer = await _client(server, dn="cn=writer")
+                applied = await writer.add(
+                    "uid=fresh,o=org1", ["person", "top"],
+                    {"uid": ["fresh"], "name": ["fresh person"]},
+                )
+                assert applied["applied"]
+                jobs = executor.jobs
+                found = await client.search(filter="(uid=fresh)")
+                assert executor.jobs == jobs + 1  # the refresh that sees it
+                assert len(found["entries"]) == 1
+                assert found["position"] == applied["position"]
+                jobs = executor.jobs
+                await _lookups(client)
+                assert executor.jobs == jobs
+                await writer.close()
+                await client.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(run())
+
+    def test_idle_lookups_on_a_replica_cohort_take_no_job(self, tmp_path):
+        store = _white_pages("sharded", tmp_path)
+        _, schema, registry = store
+
+        async def run():
+            executor = _count_jobs()
+            primary = await _serve(store)
+            replica = await _replica_of(primary, tmp_path, schema, registry)
+            try:
+                probe = await _client(primary)
+                head = (await probe.position())["position"]
+                client = await _client(replica, dn="cn=reader")
+                await _searched_to(client, head)
+                view = _view_of(replica, "cn=reader")
+                work, jobs = _view_work(view), executor.jobs
+                await _lookups(client)
+                assert executor.jobs == jobs
+                assert _view_work(view) == work
+                await probe.close()
+                await client.close()
+            finally:
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize("kind", ["plain", "sharded"])
+    def test_a_scan_and_a_check_take_one_job_each(self, kind, tmp_path):
+        store = _white_pages(kind, tmp_path)
+
+        async def run():
+            executor = _count_jobs()
+            server = await _serve(store)
+            try:
+                client = await _client(server)
+                await _lookups(client, 1)
+                jobs = executor.jobs
+                everything = await client.search()
+                assert executor.jobs == jobs + 1
+                assert len(everything["entries"]) == len(server.store.instance)
+                jobs = executor.jobs
+                assert (await client.check())["legal"]
+                assert executor.jobs == jobs + 1
+                await client.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(run())
+
+    def test_a_slow_scan_does_not_hold_up_the_loop(self, tmp_path, monkeypatch):
+        """An unplanned scan slowed to 0.3 s runs on one connection; a
+        ping and a planned lookup on another answer meanwhile."""
+        import importlib
+
+        # the module: ``repro.query.search`` is also the function's name
+        search_module = importlib.import_module("repro.query.search")
+        store = _white_pages("sharded", tmp_path)
+        started = threading.Event()
+        candidates = search_module._candidates
+
+        def slow_candidates(*args):
+            started.set()
+            time.sleep(0.3)
+            yield from candidates(*args)
+
+        async def run():
+            server = await _serve(store)
+            try:
+                scanner, looker = await _client(server), await _client(server)
+                await _lookups(scanner, 1)
+                await _lookups(looker, 1)
+                monkeypatch.setattr(search_module, "_candidates", slow_candidates)
+                scan = asyncio.ensure_future(scanner.search())
+                while not started.is_set():
+                    await asyncio.sleep(0.002)
+                began = time.perf_counter()
+                assert (await looker.ping())["ok"]
+                pinged = time.perf_counter() - began
+                began = time.perf_counter()
+                await _lookups(looker, 1)
+                looked = time.perf_counter() - began
+                assert not scan.done()
+                assert pinged < 0.1 and looked < 0.1, (pinged, looked)
+                assert len((await scan)["entries"]) == len(server.store.instance)
+                await scanner.close()
+                await looker.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(run())
+
+
+# ----------------------------------------------------------------------
+# differential: answered on the loop ≡ answered on the executor ≡ a
+# freshly opened view
+# ----------------------------------------------------------------------
+SCOPES = ["base", "one", "sub", "children"]
+VOCABULARY = ["u1", "u7", "u33", "maria", "ari", "kim", "person", "orgUnit",
+              "org2", "", 5]
+
+
+def _expected(view, base, scope, filter, size_limit):
+    """The reply a server owes, computed on an in-process view."""
+    try:
+        entries = view.search(
+            base=base, scope=scope,
+            filter=parse_filter(filter) if filter else None,
+            size_limit=None if size_limit is None else size_limit + 1,
+        )
+    except FilterSyntaxError:
+        return "filter_syntax"
+    except QueryError:
+        return "invalid"
+    return {
+        "entries": [_entry_payload(view.instance, e) for e in entries[:size_limit]],
+        "truncated": size_limit is not None and len(entries) > size_limit,
+        "position": view.position().to_wire(),
+    }
+
+
+def _requests(rng, instance, count=40):
+    """Random filters over the four scopes, bases across the directory
+    and size limits — plus root ``uid`` lookups, the planner's case."""
+    dns = [instance.dn_string_of(e) for e in instance]
+    bases = [None, *rng.sample(dns, 8)]
+    requests = [
+        dict(base=None, scope="sub", filter=f"(uid=u{n})", size_limit=None)
+        for n in rng.sample(range(1, PERSONS + 1), 6)
+    ]
+    for _ in range(count):
+        filt = _random_filter(rng, VOCABULARY, 2)
+        requests.append(dict(
+            base=rng.choice(bases), scope=rng.choice(SCOPES),
+            filter=rng.choice([str(filt)] * 5 + [None]),
+            size_limit=rng.choice([None, None, 1, 2, 5]),
+        ))
+    return requests
+
+
+async def _answers_agree(client, reference, rng, executor):
+    """Send every request over the wire and compare each reply with the
+    reference view's.  Returns ``(answered with no executor job, sent)``."""
+    inline = 0
+    requests = _requests(rng, reference.instance)
+    for request in requests:
+        expected = _expected(reference, **request)
+        jobs = executor.jobs
+        try:
+            reply = await client.search(**request)
+            got = {key: reply[key] for key in ("entries", "truncated", "position")}
+        except ServerError as exc:
+            got = exc.code
+        inline += executor.jobs == jobs
+        assert got == expected, request
+    return inline, len(requests)
+
+
+class TestLoopEqualsExecutor:
+    """Replies over the wire — answered on the loop or on the executor,
+    whichever the server picked — equal a freshly opened view's
+    in-process search, at open, idle, after a local commit, after a
+    spanning 2PC, after a compaction and on a replica cohort."""
+
+    @staticmethod
+    async def _states(server, writer, kind):
+        """Drive the store through its states; yields each one's name
+        once the writer stands still."""
+        yield "open"
+        yield "idle"
+        applied = await writer.add(
+            "uid=local,o=org0", ["person", "top"],
+            {"uid": ["local"], "name": ["local person"]},
+        )
+        assert applied["applied"]
+        yield "local commit"
+        if kind == "sharded":
+            applied = await writer.txn(
+                "dn: uid=span0,o=org1\nchangetype: add\n"
+                "objectClass: person\nobjectClass: top\n"
+                "uid: span0\nname: span zero\n\n"
+                "dn: uid=span1,o=org3\nchangetype: add\n"
+                "objectClass: person\nobjectClass: top\n"
+                "uid: span1\nname: span one\n"
+            )
+            assert applied["applied"]
+            yield "spanning 2PC"
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(server._writer_pool, server.store.compact)
+        yield "compaction"
+
+    @pytest.mark.parametrize("kind", ["plain", "sharded"])
+    def test_primary(self, kind, tmp_path):
+        store = _white_pages(kind, tmp_path)
+        path, schema, registry = store
+
+        async def run():
+            executor = _count_jobs()
+            server = await _serve(store)
+            rng = random.Random(kind)
+            try:
+                writer = await _client(server, dn="cn=writer")
+                client = await _client(server)
+                async for state in self._states(server, writer, kind):
+                    with open_view(path, schema, registry) as reference:
+                        inline, sent = await _answers_agree(
+                            client, reference, rng, executor
+                        )
+                    assert 0 < inline < sent, state  # both paths taken
+                # the compaction was read through a re-bootstrap
+                renumbers, stitches, bootstraps = _view_work(
+                    _view_of(server, "cn=test")
+                )
+                assert bootstraps == [2] * len(bootstraps)
+                assert stitches in (None, 2)
+                await writer.close()
+                await client.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(run())
+
+    def test_replica_cohort(self, tmp_path):
+        """The same on a cohort following a sharded primary; and a
+        cohort between cuts keeps answering from the cut its idle view
+        sits on, while a view that is not idle answers ``store_error``."""
+        store = _white_pages("sharded", tmp_path)
+        _, schema, registry = store
+
+        async def run():
+            executor = _count_jobs()
+            primary = await _serve(store)
+            replica = await _replica_of(primary, tmp_path, schema, registry)
+            rng = random.Random("cohort")
+            try:
+                writer = await _client(primary, dn="cn=writer")
+                client = await _client(replica)
+                async for state in self._states(primary, writer, "sharded"):
+                    if state == "compaction":
+                        # shipped with the next commit
+                        assert (await writer.delete("uid=local,o=org0"))["applied"]
+                    head = (await writer.position())["position"]
+                    await _searched_to(client, head)
+                    reference = replica._applier.open_view()
+                    try:
+                        reference.refresh()
+                        assert reference.position().to_wire() == head
+                        inline, sent = await _answers_agree(
+                            client, reference, rng, executor
+                        )
+                        assert 0 < inline < sent, state
+                    finally:
+                        reference.close()
+                _, stitches, bootstraps = _view_work(_view_of(replica, "cn=test"))
+                assert (stitches, bootstraps) == (2, [2] * len(FOUR_SHARDS))
+                applier = replica._applier
+                reference = applier.open_view()
+                reference.refresh()
+                cut, applier._cut = applier._cut, None  # between cuts
+                try:
+                    await _answers_agree(client, reference, rng, executor)
+                    late = await _client(replica)
+                    with pytest.raises(ServerError) as refused:
+                        await late.search(filter="(uid=u1)")
+                    assert refused.value.code == "store_error"
+                    await late.close()
+                finally:
+                    applier._cut = cut
+                    reference.close()
+                await writer.close()
                 await client.close()
             finally:
                 await replica.stop(drain=False)

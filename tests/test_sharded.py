@@ -1338,6 +1338,35 @@ class TestPlannedSearchWork:
             assert composite.indexes.translated == 0
             assert (reader.stitches, reader.followed) == (1, 0)
 
+    def test_canonical_search_reads_no_interval(
+        self, tmp_path, schema, registry, monkeypatch
+    ):
+        """A composite answers in canonical order, so its planned walk
+        does not sort the candidates into document order first: a
+        ``(name=*frag*)`` lookup reads no ``interval_of``, where the
+        same search in document order reads one per candidate."""
+        from repro.query.search import search
+
+        with self._reader(tmp_path, schema, registry, 2) as reader:
+            composite = reader.instance
+            reads = []
+            interval_of = composite.interval_of
+            monkeypatch.setattr(
+                composite, "interval_of",
+                lambda entry: reads.append(entry) or interval_of(entry),
+            )
+            text = "(name=*ari*)"
+            mapped = composite.indexes.translated
+            found = reader.search(filter=text)
+            candidates = composite.indexes.translated - mapped
+            assert found and candidates >= len(found)
+            assert reads == []
+            in_document_order = search(composite, filter=text)
+            assert sorted(e.eid for e in in_document_order) == sorted(
+                e.eid for e in found
+            )
+            assert len(reads) == candidates
+
 
 @pytest.mark.parametrize(
     "bases,orgs",

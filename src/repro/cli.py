@@ -26,32 +26,29 @@ Every command that takes a store directory (``check --store``, ``fsck``,
 ``recover``, ``serve``, ``replicate``, ``promote``) reads off the
 directory whether it is plain or sharded (``create --shard``); on those
 six ``--shards`` only states an expectation — against a plain store it
-is exit 2 and one line — and selects nothing.
+is exit 2 and one line — and selects nothing.  ``fsck`` and ``recover``
+walk the store's members (:func:`repro.store.members`): a plain store
+is the one-member case, a sharded one has a member per shard.
 
-``consistency`` exits 0 CONSISTENT, 1 INCONSISTENT, and — with
-``--witness`` only — 3 undecided: the inference system derived no
-contradiction but no witness instance could be built (the line
-``witness synthesis failed: …`` goes to stderr as well).
+Exit codes, the same for every store kind: 0 legal, consistent or
+healthy; 1 illegal (``validate``, ``check``, ``apply``), inconsistent
+(``consistency``), or damaged (``fsck``/``recover``: a torn or corrupt
+member journal, a live writer's lock, or — ``fsck --schema`` — any
+violation, orphaned shards included); 2 a usage error; 3 undecided —
+``consistency --witness`` derived no contradiction yet built no witness
+(``witness synthesis failed: …`` goes to stderr as well), or ``fsck``
+found a prepared 2PC transaction awaiting the coordinator log's
+decision (run ``recover``, which needs ``--schema`` for that step).
+``create`` and ``recover`` take the advisory locks; ``--wait-lock
+SECONDS`` retries a held one with bounded exponential backoff and
+jitter instead of failing at once.
 
-``fsck`` of a sharded store distinguishes its exit codes: 0 the
-composite view is healthy, 1 it is degraded (journal damage, orphaned
-shards, composite violations), 3 a 2PC participant is in doubt (a
-prepared transaction awaits the coordinator log's decision — run
-``recover``).
-Commands that open a store for writing (``create``, ``recover``) accept
-``--wait-lock SECONDS``: instead of failing immediately on another
-process's advisory lock, retry with bounded exponential backoff and
-jitter until the lock frees or the budget runs out.
-
-``validate``/``apply`` exit 0 when the (resulting) instance is legal and
-1 otherwise; ``consistency`` exits 0 when the schema is consistent —
-all suitable for CI pipelines guarding directory content.  ``apply``
-runs LDIF change records (``changetype: add``/``delete``) through the
-Section 4 incremental checker: the whole transaction is applied or,
-on any violation, rolled back with an explanation.
+``apply`` runs LDIF change records (``changetype: add``/``delete``)
+through the Section 4 incremental checker: the whole transaction is
+applied or, on any violation, rolled back with an explanation.
 
 There is one checking path: ``validate``, ``check``, the server's
-``check`` op, ``create``, ``recover`` and ``fsck`` all reach
+``check`` op, ``create`` and ``fsck --schema`` all reach
 :meth:`repro.legality.engine.CheckSession.check` (memoized content →
 batched structure engine → Section 6.1 extras).  ``validate`` is
 ``check --data`` under its old name.  ``--jobs N`` (``check`` and
@@ -128,20 +125,18 @@ def _print_verdict(args, report, prefix: str, legal: str) -> int:
 def _check_store(args: argparse.Namespace) -> int:
     """``check --store DIR [--follow]``: legality of a live store —
     plain or sharded, whichever DIR holds — through a lock-free reader
-    view.  With ``--follow``, refresh and re-check in a loop (the
-    verdict follows the frames, so each round costs only the delta) and
-    print the view's position per round; ``--iterations`` bounds the
-    loop (0 = until interrupted).  One-shot with ``--jobs N > 1`` over
-    a sharded store runs one worker *process per shard*
-    (:func:`repro.store.sharded.check_shards_parallel`).  Interrupting
-    a follow (Ctrl-C) is a normal shutdown: message, exit 0, no
-    traceback; a store that vanishes mid-follow ends the loop with a
-    clear message and exit 1."""
+    view with ``--jobs`` content workers.  With ``--follow``, refresh
+    and re-check in a loop (the verdict follows the frames, so each
+    round costs only the delta) and print the view's position per
+    round; ``--iterations`` bounds the loop (0 = until interrupted).
+    Interrupting a follow (Ctrl-C) is a normal shutdown: message, exit
+    0, no traceback; a store that vanishes mid-follow ends the loop with
+    a clear message and exit 1."""
     import time
 
-    from repro.errors import ShardMapError
+    from repro.errors import StoreError
     from repro.legality.engine import default_parallelism
-    from repro.store import is_sharded, open_view
+    from repro.store import members, open_view
 
     interval = 1.0 if args.interval is None else args.interval
     if args.follow and interval <= 0:
@@ -154,19 +149,11 @@ def _check_store(args: argparse.Namespace) -> int:
         )
         return 2
     schema = load_dsl(args.schema)
-    jobs = args.jobs or default_parallelism()
-    sharded = is_sharded(args.store)
     try:
-        if sharded and not args.follow and jobs > 1:
-            from repro.store.sharded import check_shards_parallel
-
-            report, entries = check_shards_parallel(args.store, schema, jobs=jobs)
-            return _print_verdict(
-                args, report, "",
-                f"{entries} entries across shards ({jobs} jobs)",
-            )
-        reader = open_view(args.store, schema, parallelism=jobs)
-    except (ShardMapError, OSError) as exc:
+        reader = open_view(
+            args.store, schema, parallelism=args.jobs or default_parallelism()
+        )
+    except (StoreError, OSError) as exc:
         print(f"check: {exc}", file=sys.stderr)
         return 1
     status = 0
@@ -187,10 +174,13 @@ def _check_store(args: argparse.Namespace) -> int:
             time.sleep(interval)
             refreshed = reader.refresh()
             if refreshed.stale:
-                if is_sharded(args.store) is None:
+                try:
+                    members(args.store)
+                except StoreError:
                     what, why = (
-                        ("sharded store", "removed mid-follow") if sharded
-                        else ("store", "removed or compacted away")
+                        ("store", "removed or compacted away")
+                        if reader.position().is_plain
+                        else ("sharded store", "removed mid-follow")
                     )
                     print(
                         f"{what} {args.store!r} is gone ({why}); "
@@ -309,111 +299,6 @@ def _cmd_create(args: argparse.Namespace) -> int:
         return 1
 
 
-def _fsck_shards(directory: str, schema) -> int:
-    """``fsck`` of a sharded store: print the shard
-    map, each shard's committed position and lag through lock-free
-    readers, any in-doubt 2PC participants, and the composite legality
-    verdict.  Touches nothing.
-
-    Exit codes: 0 healthy, 1 degraded (damage, orphans, composite
-    violations), 3 in-doubt 2PC state awaiting resolution."""
-    from repro.errors import ShardMapError, StoreError
-    from repro.store import open_view
-    from repro.store.recovery import recover
-    from repro.store.shardmap import read_shard_map, shard_dir
-    from repro.store.txlog import inspect_txlog
-
-    if schema is None:
-        print("fsck: a sharded store requires --schema", file=sys.stderr)
-        return 2
-    try:
-        shard_map = read_shard_map(directory)
-    except ShardMapError as exc:
-        print(f"fsck: {exc}")
-        return 1
-    print(f"sharded store: {directory}")
-    print(f"shard map: {len(shard_map)} shard(s)"
-          + (" [nested cut]" if shard_map.has_cut() else ""))
-    for spec in shard_map:
-        print(f"  {spec.name}: base {spec.base}")
-    _print_replica_state(directory)
-    # In-doubt 2PC state: a prepared-but-undecided participant (found
-    # by a per-shard recovery dry run) or an unfinished coordinator
-    # record.  A corrupt coordinator log means the decisions themselves
-    # cannot be trusted — that is in-doubt too.
-    try:
-        txlog = inspect_txlog(directory)
-    except StoreError as exc:
-        print(f"coordinator log: {exc}")
-        print("IN-DOUBT 2PC STATE (coordinator log is corrupt)")
-        return 3
-    in_doubt = []
-    for spec in shard_map:
-        try:
-            _, shard_report = recover(
-                shard_dir(directory, spec.name), repair=False
-            )
-        except (StoreError, OSError):
-            continue  # the reader/legality pass below reports damage
-        if shard_report.in_doubt_txid is not None:
-            in_doubt.append((spec.name, shard_report.in_doubt_txid))
-    try:
-        reader = open_view(directory, schema)
-    except (StoreError, OSError) as exc:
-        print(f"fsck: {exc}")
-        return 1
-    try:
-        from repro.legality.scope import shard_local_schema
-        from repro.store.index import index_sidecar_status
-
-        local_schema = shard_local_schema(schema, reader.scope)
-        for name, (generation, seq) in sorted(reader.position().items()):
-            shard = reader.shard_reader(name)
-            lag = shard.lag()
-            lag_note = (
-                "current" if lag.current
-                else f"{lag.generations} generation(s), {lag.frames} frame(s) behind"
-            )
-            # Index sidecar health is informational: any non-"present"
-            # state just means the next open rebuilds.
-            status = index_sidecar_status(
-                shard_dir(directory, name), local_schema, generation, seq
-            )
-            print(
-                f"  {name}: generation {generation}, seq {seq} "
-                f"({len(shard.instance)} entries; {lag_note}; "
-                f"index sidecar {status})"
-            )
-        print(f"scope: {reader.scope.summary()}")
-        report = reader.check()
-        print("legality: " + ("legal" if report.is_legal else "ILLEGAL"))
-        if in_doubt or (txlog is not None and txlog.unfinished()):
-            for name, txid in in_doubt:
-                verdict = "abort" if txlog is None else txlog.verdict(txid)
-                print(
-                    f"  IN DOUBT: shard {name} holds prepared transaction "
-                    f"{txid} (coordinator verdict: {verdict})"
-                )
-            resolved_txids = {txid for _, txid in in_doubt}
-            if txlog is not None:
-                for txid, entry in sorted(txlog.unfinished().items()):
-                    if txid not in resolved_txids:
-                        print(
-                            f"  unfinished coordinator record: {txid} "
-                            f"(state: {entry.state})"
-                        )
-            print("IN-DOUBT 2PC STATE (run `recover` to resolve)")
-            return 3
-        if report.is_legal:
-            print("COMPOSITE VIEW CONSISTENT")
-            return 0
-        for violation in report:
-            print(f"  {violation}")
-        return 1
-    finally:
-        reader.close()
-
-
 def _cmd_apply(args: argparse.Namespace) -> int:
     from repro.ldif.changes import load_changes
     from repro.updates.incremental import IncrementalChecker
@@ -438,22 +323,35 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     return 1
 
 
-def _no_store(command: str, directory: str) -> int:
-    """Report (on stdout, where ``fsck``/``recover`` findings go) that
-    ``directory`` holds neither kind of store; the exit status."""
-    from repro.store.shardmap import shard_map_path
+def _recover_members(paths: dict, **options) -> dict:
+    """Run :func:`~repro.store.recovery.recover` with ``options`` on
+    every member of :func:`repro.store.members`, printing each report:
+    ``{member: report}``."""
+    from repro.store.recovery import recover
 
-    print(
-        f"{command}: {directory!r} is not a store directory (no snapshot, "
-        f"and cannot read shard map {shard_map_path(directory)!r})"
-    )
-    return 1
+    reports = {name: recover(path, **options)[1] for name, path in paths.items()}
+    for report in reports.values():
+        print(report.summary())
+    return reports
+
+
+def _pending(reports: dict, txlog) -> List[str]:
+    """The in-doubt 2PC txids: prepared but undecided on a member, or
+    unfinished in the coordinator log (``None`` on a plain store)."""
+    held = {report.in_doubt_txid for report in reports.values()} - {None}
+    return sorted(held | set(txlog.unfinished() if txlog is not None else ()))
 
 
 def _cmd_fsck(args: argparse.Namespace) -> int:
+    """``fsck DIR``: the same steps for every store, touching nothing —
+    a recovery dry run per member (skipped with ``--read-only``, which
+    judges no journal and so is safe against a live writer), the
+    coordinator log, the replica state and, with ``--schema``, one view
+    (:func:`_fsck_view`).  Exit 3 in doubt, 1 damaged or illegal, 0
+    healthy."""
     from repro.errors import StoreError
-    from repro.store import is_sharded
-    from repro.store.recovery import recover
+    from repro.store import members, open_view
+    from repro.store.txlog import inspect_txlog
 
     if getattr(args, "frontdoor", None):
         return _fsck_frontdoor(args.frontdoor)
@@ -461,37 +359,87 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
         print("fsck: a store directory is required (or --frontdoor)",
               file=sys.stderr)
         return 2
-    schema = load_dsl(args.schema) if args.schema else None
-    sharded = is_sharded(args.directory)
-    if sharded is None:
-        return _no_store("fsck", args.directory)
-    if sharded:
-        return _fsck_shards(args.directory, schema)
-    if args.read_only:
-        return _fsck_read_only(args.directory, schema)
+    if args.read_only and not args.schema:
+        print("fsck: --read-only requires --schema", file=sys.stderr)
+        return 2
     try:
-        _, report = recover(args.directory, schema, repair=False)
+        paths = members(args.directory)
+        reports = {} if args.read_only else _recover_members(paths, repair=False)
     except (StoreError, OSError) as exc:
         print(f"fsck: {exc}")
         return 1
-    if schema is not None:
-        from repro.store.index import index_sidecar_status
-
-        # Informational only: a missing/stale/corrupt sidecar just
-        # means the next open rebuilds the indexes — never an error.
-        print(
-            "index sidecar: "
-            + index_sidecar_status(
-                args.directory, schema, report.generation, report.last_seq
-            )
-        )
-    print(report.summary())
+    # A corrupt coordinator log means the decisions themselves cannot
+    # be trusted: that is in doubt too.
+    try:
+        txlog = inspect_txlog(args.directory)
+    except StoreError as exc:
+        print(f"coordinator log: {exc}")
+        print("IN-DOUBT 2PC STATE (coordinator log is corrupt)")
+        return 3
     _print_replica_state(args.directory)
-    if report.healthy:
-        print("HEALTHY")
-        return 0
-    print("DAMAGED (run `recover` to repair)")
-    return 1
+    legal = True
+    if args.schema:
+        try:
+            view = open_view(args.directory, load_dsl(args.schema))
+        except (StoreError, OSError) as exc:
+            print(f"fsck: {exc}")
+            return 1
+        with view:
+            legal = _fsck_view(view, paths).is_legal
+    for name, report in reports.items():
+        if report.in_doubt_txid is not None:
+            txid = report.in_doubt_txid
+            verdict = "abort" if txlog is None else txlog.verdict(txid)
+            print(
+                f"  IN DOUBT: shard {name} holds prepared transaction "
+                f"{txid} (coordinator verdict: {verdict})"
+            )
+    pending = _pending(reports, txlog)
+    if pending:
+        print("IN-DOUBT 2PC STATE (run `recover` to resolve): "
+              + ", ".join(pending))
+        return 3
+    damaged = [report.directory for report in reports.values()
+               if not report.healthy]
+    if damaged:
+        print(f"DAMAGED: {', '.join(damaged)} (run `recover` to repair)")
+        return 1
+    print("HEALTHY" if legal else "ILLEGAL")
+    return 0 if legal else 1
+
+
+def _fsck_view(view, paths):
+    """The view half of ``fsck --schema``: the routing cut, a line per
+    member (position, entries, lag, index sidecar), the view's totals,
+    then the one verdict, which is returned.  A sidecar in any state
+    but ``present`` is informational: the next open rebuilds it."""
+    from repro.store import Position, ReaderLag
+    from repro.store.index import index_sidecar_status
+
+    for line in view.describe_cut():
+        print(line)
+    lags, sidecars = [], set()
+    for name, (generation, seq) in sorted(view.position().items()):
+        member = view.shard_reader(name)
+        lags.append(member.lag())
+        sidecar = index_sidecar_status(
+            paths[name], member.schema, generation, seq
+        )
+        sidecars.add(sidecar)
+        print(
+            f"  {Position({name: (generation, seq)})} "
+            f"({len(member.instance)} entries; {lags[-1]}; "
+            f"index sidecar {sidecar})"
+        )
+    lag = ReaderLag(sum(one.generations for one in lags),
+                    sum(one.frames for one in lags))
+    print(f"view: {view.position()}; lag: {lag}; "
+          f"index sidecar: {', '.join(sorted(sidecars))}")
+    report = view.check()
+    print("legality: " + ("legal" if report.is_legal else "ILLEGAL"))
+    for violation in report:
+        print(f"  {violation}")
+    return report
 
 
 def _print_replica_state(directory: str) -> None:
@@ -580,119 +528,55 @@ def _fsck_frontdoor(address: str) -> int:
     return asyncio.run(run())
 
 
-def _fsck_read_only(directory: str, schema) -> int:
-    """``fsck --read-only``: inspect the committed state through a
-    lock-free reader — safe to point at a store a live writer holds
-    locked, guaranteed to modify nothing (not even quarantine files)."""
-    from repro.errors import StoreError
-    from repro.store import open_view
-
-    if schema is None:
-        print("fsck: --read-only requires --schema", file=sys.stderr)
-        return 2
-    try:
-        reader = open_view(directory, schema)
-    except (StoreError, OSError) as exc:
-        print(f"fsck: {exc}")
-        return 1
-    try:
-        generation, seq = reader.position()
-        lag = reader.lag()
-        report = reader.check()
-        print(f"store: {directory}")
-        print(f"view: generation {generation}, seq {seq} "
-              f"({len(reader.instance)} entries)")
-        print(
-            "lag: current"
-            if lag.current
-            else f"lag: {lag.generations} generation(s), {lag.frames} frame(s)"
-        )
-        print("legality: " + ("legal" if report.is_legal else "ILLEGAL"))
-        if report.is_legal:
-            print("READ-ONLY VIEW CONSISTENT")
-            return 0
-        for violation in report:
-            print(f"  {violation}")
-        return 1
-    finally:
-        reader.close()
-
-
 def _cmd_recover(args: argparse.Namespace) -> int:
+    """``recover DIR``: the same steps for every store.  Every member's
+    advisory lock is taken first (``--wait-lock`` retries a held one),
+    so a live writer fails the command before any file is touched; then
+    each member's journal is repaired (``--force`` quarantines
+    corruption too).  Only in-doubt 2PC state opens the store — its
+    open path resolves it from the coordinator log (presumed abort) —
+    so only then is ``--schema`` needed."""
     from repro.errors import StoreError
-    from repro.store import is_sharded
-    from repro.store.recovery import recover
-
-    schema = load_dsl(args.schema) if args.schema else None
-    sharded = is_sharded(args.directory)
-    if sharded is None:
-        return _no_store("recover", args.directory)
-    if sharded:
-        return _recover_shards(args, schema)
-    try:
-        _, report = recover(
-            args.directory, schema, repair=True, force=args.force
-        )
-    except (StoreError, OSError) as exc:
-        print(f"recover: {exc}")
-        return 1
-    print(report.summary())
-    if report.repaired:
-        print("REPAIRED")
-    if report.read_only:
-        print("STILL DAMAGED (re-run with --force to quarantine corruption)")
-        return 1
-    return 0
-
-
-def _recover_shards(args: argparse.Namespace, schema) -> int:
-    """``recover`` of a sharded store: recover every shard and resolve
-    in-doubt 2PC participants from the coordinator log (presumed abort) by
-    opening — and immediately closing — the sharded store, whose open
-    path IS the recovery protocol.  ``--wait-lock`` retries when a live
-    writer still holds a shard's lock."""
-    from repro.errors import ShardMapError, StoreError
-    from repro.store import open_store
+    from repro.store import lock_members, members, open_store
     from repro.store.txlog import inspect_txlog
 
-    if schema is None:
-        print("recover: a sharded store requires --schema", file=sys.stderr)
-        return 2
     try:
+        paths = members(args.directory)
         txlog = inspect_txlog(args.directory)
-        pending = sorted(txlog.unfinished()) if txlog is not None else []
-        store = _retry_locked(
-            lambda: open_store(args.directory, schema),
-            getattr(args, "wait_lock", 0.0),
-            "recover",
-        )
-    except (ShardMapError, StoreError, OSError) as exc:
+        with _retry_locked(
+            lambda: lock_members(paths), args.wait_lock, "recover"
+        ):
+            reports = _recover_members(paths, repair=True, force=args.force)
+        pending = _pending(reports, txlog)
+        if pending and not args.schema:
+            print(f"recover: resolving in-doubt 2PC transaction(s) "
+                  f"{', '.join(pending)} requires --schema", file=sys.stderr)
+            return 2
+        if pending:
+            _retry_locked(
+                lambda: open_store(args.directory, load_dsl(args.schema)),
+                args.wait_lock,
+                "recover",
+            ).close()
+    except (StoreError, OSError) as exc:
         print(f"recover: {exc}")
         return 1
-    try:
-        for name in store.shard_names():
-            print(f"  {name}: {store.shard(name).recovery_report.summary()}")
-        if pending:
-            print(
-                f"resolved {len(pending)} in-doubt 2PC transaction(s): "
-                + ", ".join(pending)
-            )
-        else:
-            print("no in-doubt 2PC transactions")
-        degraded = [
-            name for name in store.shard_names() if store.shard(name).read_only
-        ]
-        if degraded:
-            print(
-                "STILL DAMAGED: shard(s) " + ", ".join(degraded)
-                + " recovered read-only (repair them with per-shard "
-                "`recover --force`)"
-            )
-            return 1
-        print("SHARDS RECOVERED")
-        return 0
-    finally:
-        store.close()
+    if pending:
+        print(f"resolved {len(pending)} in-doubt 2PC transaction(s): "
+              + ", ".join(pending))
+    else:
+        print("no in-doubt 2PC transactions")
+    if any(report.repaired for report in reports.values()):
+        print("REPAIRED")
+    degraded = [report.directory for report in reports.values()
+                if report.read_only]
+    if degraded:
+        print(
+            f"STILL DAMAGED: {', '.join(degraded)} (re-run with --force to "
+            "quarantine corruption)"
+        )
+        return 1
+    return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -1078,6 +962,17 @@ def build_parser() -> argparse.ArgumentParser:
         "holds a plain store (selects nothing — the directory says "
         "which kind it is)",
     )
+    # The two commands that take a store's advisory locks wait alike.
+    waits = argparse.ArgumentParser(add_help=False)
+    waits.add_argument(
+        "--wait-lock",
+        type=float,
+        default=0.0,
+        metavar="SECONDS",
+        help="retry for up to SECONDS (exponential backoff with jitter, "
+        "reporting the holder pid) when another process holds a member "
+        "store's advisory lock (default 0: fail immediately)",
+    )
 
     validate = sub.add_parser(
         "validate",
@@ -1103,9 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         metavar="DIR",
         help="check a store directory, plain or sharded, through a "
-        "lock-free read-only view (works against a live writer); over "
-        "a sharded store --jobs N > 1 checks shards in parallel worker "
-        "processes",
+        "lock-free read-only view (works against a live writer)",
     )
     check.add_argument(
         "--follow",
@@ -1141,6 +1034,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     create = sub.add_parser(
         "create",
+        parents=[waits],
         help="initialize a store directory (sharded with --shard)",
     )
     create.add_argument("directory", help="store directory to create")
@@ -1155,15 +1049,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=BASE_DN",
         help="route the subtree at BASE_DN to shard NAME (repeatable; "
         "at least one makes the store sharded; every entry must route)",
-    )
-    create.add_argument(
-        "--wait-lock",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="retry for up to SECONDS (exponential backoff with jitter, "
-        "reporting the holder pid) when another process holds the "
-        "store's advisory lock (default 0: fail immediately)",
     )
     create.set_defaults(func=_cmd_create)
 
@@ -1219,22 +1104,24 @@ def build_parser() -> argparse.ArgumentParser:
     fsck = sub.add_parser(
         "fsck",
         parents=[expects],
-        help="scan a store directory for journal damage (dry run); a "
-        "sharded store (requires --schema) reports its shard map, "
-        "per-shard positions/lag and the composite legality verdict",
+        help="scan every member of a store directory for journal damage "
+        "and in-doubt 2PC state (dry run); with --schema also report "
+        "each member's position, lag and index sidecar and the legality "
+        "verdict",
     )
     fsck.add_argument(
         "directory", nargs="?", default=None,
-        help="store directory (snapshot + journal); omit with --frontdoor",
+        help="store directory, plain or sharded; omit with --frontdoor",
     )
     fsck.add_argument(
-        "--schema", help="also verify the recovered instance against this DSL"
+        "--schema", help="also open a lock-free view and check it against "
+        "this DSL"
     )
     fsck.add_argument(
         "--read-only",
         action="store_true",
-        help="inspect through a lock-free reader view (requires --schema; "
-        "safe against a live writer, touches nothing)",
+        help="skip the journal scan: inspect through the view only "
+        "(requires --schema; safe against a live writer)",
     )
     fsck.add_argument(
         "--frontdoor", metavar="HOST:PORT",
@@ -1245,29 +1132,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     recover = sub.add_parser(
         "recover",
-        parents=[expects],
-        help="repair a store: quarantine damaged journal bytes, reset "
-        "stale journals; a sharded store (requires --schema) recovers "
-        "every shard and resolves in-doubt 2PC participants from the "
-        "coordinator log (presumed abort)",
+        parents=[expects, waits],
+        help="repair every member of a store under its advisory lock: "
+        "quarantine damaged journal bytes, reset stale journals, then "
+        "resolve in-doubt 2PC participants from the coordinator log "
+        "(presumed abort)",
     )
-    recover.add_argument("directory", help="store directory (snapshot + journal)")
+    recover.add_argument("directory", help="store directory, plain or sharded")
     recover.add_argument(
-        "--schema", help="also verify the recovered instance against this DSL"
+        "--schema", help="the store's DSL, needed only to resolve in-doubt "
+        "2PC transactions"
     )
     recover.add_argument(
         "--force",
         action="store_true",
         help="quarantine corrupt (not merely torn) journal tails too",
-    )
-    recover.add_argument(
-        "--wait-lock",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="retry for up to SECONDS (exponential backoff with jitter, "
-        "reporting the holder pid) when a live writer holds a shard's "
-        "advisory lock (default 0: fail immediately)",
     )
     recover.set_defaults(func=_cmd_recover)
 

@@ -27,7 +27,12 @@ opener                  plain               sharded
 :func:`open_replica`    ``ReplicaApplier``  ``ShardedReplicaApplier``
 :func:`promote`         ``DirectoryStore``  ``ShardedStore``
 ======================  ==================  ======================
+
+Maintenance (``fsck``, ``recover``) walks :func:`members` instead: the
+member directories, keyed like a :class:`Position`.
 """
+
+import contextlib
 
 from repro.store.journal import DirectoryStore
 from repro.store.manifest import Manifest, read_manifest
@@ -43,7 +48,7 @@ from repro.store.replicate import (
     promote,
 )
 from repro.store.sharded import CompositeReader, ShardedStore
-from repro.store.shardmap import is_sharded
+from repro.store.shardmap import is_sharded, members
 from repro.store.wal import StoreIO
 
 __all__ = [
@@ -58,6 +63,8 @@ __all__ = [
     "StoreIO",
     "Position",
     "is_sharded",
+    "members",
+    "lock_members",
     "open_store",
     "open_view",
     "open_source",
@@ -65,6 +72,21 @@ __all__ = [
     "follow",
     "promote",
 ]
+
+
+def lock_members(paths):
+    """Take the writer's advisory lock on every member store of a
+    :func:`members` map, or on none
+    (:class:`~repro.errors.StoreLockedError` names a live holder); the
+    returned stack releases them when closed."""
+    locks = contextlib.ExitStack()
+    try:
+        for path in paths.values():
+            locks.enter_context(DirectoryStore._acquire_lock(path))
+    except BaseException:
+        locks.close()
+        raise
+    return locks
 
 
 def open_store(directory, schema, registry=None, **options):

@@ -93,6 +93,11 @@ class ReaderLag:
         """True when the view equals the committed state on disk."""
         return self.generations == 0 and self.frames == 0
 
+    def __str__(self) -> str:
+        if self.current:
+            return "current"
+        return f"{self.generations} generation(s), {self.frames} frame(s) behind"
+
 
 @dataclass
 class RefreshResult:
@@ -320,6 +325,18 @@ class StoreReader:
     def position(self) -> Position:
         """``(generation, seq)`` — a total order over committed states."""
         return Position.plain(self._generation, self._seq)
+
+    def shard_reader(self, name: Optional[str] = None) -> "StoreReader":
+        """The view of member ``name``: a plain store is its own one
+        member, keyed ``None`` as in :class:`Position`."""
+        if name is not None:
+            raise KeyError(name)
+        return self
+
+    def describe_cut(self) -> List[str]:
+        """The routing cut as ``fsck`` prints it: a plain store is the
+        one-member cut, with nothing to route."""
+        return []
 
     def offset(self) -> int:
         """Byte offset just past the last journal frame applied to the

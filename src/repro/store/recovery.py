@@ -139,11 +139,12 @@ class RecoveryReport:
             f"tail: {self.tail_state}"
             + (f" ({self.tail_bytes} bytes)" if self.tail_bytes else ""),
             f"quarantined bytes: {self.quarantined_bytes}",
-            "legality: "
-            + ("unverified (no schema)" if self.legal is None
-               else "legal" if self.legal else "ILLEGAL"),
-            f"mode: {'read-only (degraded)' if self.read_only else 'read-write'}",
         ]
+        if self.legal is not None:
+            lines.append(f"legality: {'legal' if self.legal else 'ILLEGAL'}")
+        lines.append(
+            f"mode: {'read-only (degraded)' if self.read_only else 'read-write'}"
+        )
         if self.in_doubt_txid is not None:
             lines.append(f"in-doubt 2PC transaction: {self.in_doubt_txid}")
         lines.extend(f"note: {note}" for note in self.notes)

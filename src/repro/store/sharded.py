@@ -30,13 +30,13 @@ Enforcement split:
   orphaned attachments → cut-spanning edges *or* required-class
   populations (:func:`_composite_report`) → the full Section 6.1
   extras, and stitches the composite only when an edge or the extras
-  need it.  :meth:`ShardedStore.create`, :meth:`ShardedStore.check`,
-  :meth:`CompositeReader.check` and :func:`check_shards_parallel`
-  differ only in where their members come from (partitions, live
-  stores, reader views, worker processes); the write path reuses the
-  :func:`_composite_report` half on the staged state and settles the
-  extras by Δ-probe (:class:`repro.store.index.ExtrasDeltaProbe`, one
-  member per shard — a plain store runs the same probe with one);
+  need it.  :meth:`ShardedStore.create`, :meth:`ShardedStore.check`
+  and :meth:`CompositeReader.check` differ only in where their members
+  come from (partitions, live stores, reader views); the write path
+  reuses the :func:`_composite_report` half on the staged state and
+  settles the extras by Δ-probe
+  (:class:`repro.store.index.ExtrasDeltaProbe`, one member per shard —
+  a plain store runs the same probe with one);
 * **content** checks and **shard-local** structure checks ride the
   per-shard store's own incremental guard, unchanged;
 * **required classes** and (under a nested cut) **cut-spanning edges**
@@ -163,7 +163,6 @@ __all__ = [
     "ShardedStore",
     "CompositeReader",
     "CompositeRefreshResult",
-    "check_shards_parallel",
 ]
 
 
@@ -222,10 +221,9 @@ def _summed(total: Optional[CheckStats], stats: Optional[CheckStats]):
 
 
 class _Member(NamedTuple):
-    """What the cohort's verdict needs from one shard.  Computable
-    (:func:`_member`) from the instance and report of a live
-    :class:`DirectoryStore` or a :class:`StoreReader`, or — it pickles
-    — in a worker process."""
+    """What the cohort's verdict needs from one shard, computed
+    (:func:`_members`) from the instance and report of a partition, a
+    live :class:`DirectoryStore` or a :class:`StoreReader`."""
 
     spec: ShardSpec
     #: The shard's own verdict against the shard-local schema
@@ -239,48 +237,32 @@ class _Member(NamedTuple):
     attached: Dict[str, bool]
 
 
-def _member(
-    spec: ShardSpec,
-    required: Tuple[str, ...],
-    probes: Tuple[Tuple[str, DN], ...],
-    instance: DirectoryInstance,
-    report: LegalityReport,
-) -> _Member:
-    """One shard's member; ``(spec, required, probes)`` is its entry in
-    :func:`_member_plans`."""
-    return _Member(
-        spec,
-        report,
-        {name: instance.class_count(name) for name in required},
-        len(instance),
-        {nested: instance.find(dn) is not None for nested, dn in probes},
-    )
-
-
-def _member_plans(shard_map: ShardMap, scope: ShardScope):
-    """What to ask of each shard, in shard-map order: ``[(spec,
-    required classes, ((nested shard, shard-local DN of the entry its
-    base hangs under), ...))]`` — a nested shard's attachment entry
-    lives in its enclosing shard, which is therefore the one to look
-    for it."""
-    required = tuple(sorted(scope.required_classes))
-    probes: Dict[str, list] = {name: [] for name in shard_map.names()}
+def _members(shard_map: ShardMap, scope: ShardScope, view) -> List[_Member]:
+    """The member list of a cohort, in shard-map order; ``view(name)``
+    is ``(instance, shard-local report)``.  A nested shard's attachment
+    entry lives in its enclosing shard, which is therefore the one to
+    look for it in."""
+    required = sorted(scope.required_classes)
+    views = {spec.name: view(spec.name) for spec in shard_map}
+    attached: Dict[str, Dict[str, bool]] = {name: {} for name in views}
     for spec in shard_map:
         if not spec.suffix.is_empty():
             owner = shard_map.route(spec.suffix)
-            probes[owner.name].append(
-                (spec.name, shard_map.localize(spec.suffix, owner))
+            local = shard_map.localize(spec.suffix, owner)
+            attached[owner.name][spec.name] = (
+                views[owner.name][0].find(local) is not None
             )
-    return [(spec, required, tuple(probes[spec.name])) for spec in shard_map]
-
-
-def _members(shard_map: ShardMap, scope: ShardScope, view) -> List[_Member]:
-    """The member list of a cohort held in this process; ``view(name)``
-    is ``(instance, shard-local report)``."""
-    return [
-        _member(*plan, *view(plan[0].name))
-        for plan in _member_plans(shard_map, scope)
-    ]
+    members = []
+    for spec in shard_map:
+        instance, report = views[spec.name]
+        members.append(_Member(
+            spec,
+            report,
+            {name: instance.class_count(name) for name in required},
+            len(instance),
+            attached[spec.name],
+        ))
+    return members
 
 
 def _composite_report(
@@ -355,9 +337,9 @@ def _cohort_report(
     directory-wide properties no shard-local check can settle).
     ``stitched()`` is called only by an edge or by extras; every
     full-verdict surface (:meth:`ShardedStore.create`,
-    :meth:`ShardedStore.check`, :meth:`CompositeReader.check`,
-    :func:`check_shards_parallel`) is a caller of this function and
-    differs only in where its members come from.
+    :meth:`ShardedStore.check`, :meth:`CompositeReader.check`) is a
+    caller of this function and differs only in where its members come
+    from.
     """
     merged = LegalityReport()
     for member in members:
@@ -1187,78 +1169,6 @@ class ShardedStore:
 
 
 # ----------------------------------------------------------------------
-# parallel whole-store checking (one worker process per shard)
-# ----------------------------------------------------------------------
-def _check_one_shard(
-    path: str,
-    local_schema: DirectorySchema,
-    registry: Optional[AttributeRegistry],
-    *plan,
-) -> _Member:
-    """Worker body: check one shard through a lock-free reader and
-    return its :class:`_Member` — the class counts and attachment
-    probes let the parent settle required classes and orphaned shards
-    without stitching."""
-    with StoreReader.open(path, local_schema, registry) as reader:
-        return _member(*plan, reader.instance, reader.check())
-
-
-def check_shards_parallel(
-    directory: str,
-    schema: DirectorySchema,
-    registry: Optional[AttributeRegistry] = None,
-    jobs: Optional[int] = None,
-) -> Tuple[LegalityReport, int]:
-    """Check a sharded store with one worker *process per shard*.
-
-    This is where the routing cut pays off: shards are independent
-    store directories, so their (CPU-bound) legality checks run with
-    no shared state at all — each worker opens its own lock-free
-    reader, sidestepping the GIL entirely — and the parent composes
-    the members they return (:func:`_cohort_report`), opening a
-    stitched composite view only when a cut-spanning edge or the
-    Section 6.1 extras need one.
-
-    Returns ``(merged report, total entries)``.  ``jobs`` caps worker
-    processes (default: one per shard).
-    """
-    import concurrent.futures
-    import multiprocessing
-
-    shard_map = read_shard_map(directory)
-    scope = analyze_shard_scope(schema, shard_map)
-    local_schema = shard_local_schema(schema, scope)
-    workers = min(jobs or len(shard_map.specs), len(shard_map.specs))
-    ctx = multiprocessing.get_context(
-        "fork" if hasattr(os, "fork") else None
-    )
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=max(1, workers), mp_context=ctx
-    ) as pool:
-        futures = [
-            pool.submit(
-                _check_one_shard,
-                shard_dir(directory, plan[0].name),
-                local_schema,
-                registry,
-                *plan,
-            )
-            for plan in _member_plans(shard_map, scope)
-        ]
-        members = [future.result() for future in futures]
-
-    @functools.cache
-    def stitched() -> DirectoryInstance:
-        # The tolerant stitch keeps this from raising on a damaged
-        # store; orphans are flagged from the workers' probes.
-        with CompositeReader.open(directory, schema, registry) as reader:
-            return reader.instance
-
-    report = _cohort_report(schema, scope, members, stitched)
-    return report, sum(member.entries for member in members)
-
-
-# ----------------------------------------------------------------------
 # the reader
 # ----------------------------------------------------------------------
 class CompositeRefreshResult:
@@ -1642,6 +1552,16 @@ class CompositeReader:
     def shard_reader(self, name: str) -> StoreReader:
         """The per-shard reader (shard-local DNs!) for introspection."""
         return self._readers[name]
+
+    def describe_cut(self) -> List[str]:
+        """The routing cut as ``fsck`` prints it: the shard map, each
+        shard's base, and which schema elements span the cut."""
+        return [
+            f"shard map: {len(self.shard_map)} shard(s)"
+            + (" [nested cut]" if self.shard_map.has_cut() else ""),
+            *(f"  {spec.name}: base {spec.base}" for spec in self.shard_map),
+            f"scope: {self.scope.summary()}",
+        ]
 
     def _ensure_open(self) -> None:
         if self._closed:

@@ -36,7 +36,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ShardMapError, ShardRoutingError
+from repro.errors import ShardMapError, ShardRoutingError, StoreError
 from repro.model.dn import DN, parse_dn
 from repro.store.recovery import SNAPSHOT_FILE
 
@@ -49,6 +49,7 @@ __all__ = [
     "write_shard_map",
     "shard_dir",
     "is_sharded",
+    "members",
 ]
 
 SHARD_MAP_FILE = "shardmap"
@@ -238,6 +239,23 @@ def is_sharded(root: str) -> Optional[bool]:
     if os.path.exists(shard_map_path(root)):
         return True
     return False if os.path.exists(os.path.join(root, SNAPSHOT_FILE)) else None
+
+
+def members(root: str) -> Dict[Optional[str], str]:
+    """The member store directories of ``root``, keyed like a
+    :class:`~repro.store.position.Position`: ``{None: root}`` for a
+    plain store (Theorem 4.1's one-member cut), ``{shard: shard_dir}``
+    in map order for a sharded one.  :class:`~repro.errors.StoreError`
+    when ``root`` holds neither."""
+    sharded = is_sharded(root)
+    if sharded is None:
+        raise StoreError(
+            f"{root!r} is not a store directory (no snapshot, and cannot "
+            f"read shard map {shard_map_path(root)!r})"
+        )
+    if not sharded:
+        return {None: root}
+    return {name: shard_dir(root, name) for name in read_shard_map(root).names()}
 
 
 def _body(shard_map: ShardMap) -> dict:

@@ -467,12 +467,11 @@ class TestCheckStore:
         out = capsys.readouterr().out
         assert "[att@g1.0 labs@g1.0] LEGAL: 6 entries" in out
         assert "entries content-checked" in out
-        # ... and so did the one-process-per-shard branch: its report
-        # carried no stats to print until the one composition summed them
+        # ... and so does a view checked with content workers
         assert main(["check", "--schema", schema, "--store", path,
                      "--jobs", "2", "--profile"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("LEGAL: 6 entries across shards (2 jobs)\n")
+        assert out.startswith("[att@g1.0 labs@g1.0] LEGAL: 6 entries\n")
         assert "entries content-checked" in out
 
     @pytest.mark.parametrize("interval", ["0", "-1", "-0.5"])
@@ -521,7 +520,7 @@ class TestFsckReadOnly:
         schema, path, _store = live_store
         assert main(["fsck", path, "--schema", schema, "--read-only"]) == 0
         out = capsys.readouterr().out
-        assert "READ-ONLY VIEW CONSISTENT" in out
+        assert "HEALTHY" in out
         assert "view: generation 1, seq 0" in out
         assert "lag: current" in out
 

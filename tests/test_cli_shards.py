@@ -13,6 +13,7 @@ selects nothing and exits 2 against a plain store."""
 from __future__ import annotations
 
 import os
+import pathlib
 import shutil
 import signal
 import subprocess
@@ -23,10 +24,13 @@ import pytest
 from repro.cli import main
 from repro.ldif import dump_ldif
 from repro.schema.dsl import dump_dsl
+from repro.store.wal import encode_record
 from repro.updates.operations import UpdateTransaction
 from repro.workloads import figure1_instance, whitepages_schema
 
 SHARD_ARGS = ["--shard", "att=o=att", "--shard", "labs=ou=attLabs,o=att"]
+#: A whole journal frame; half of it is a torn tail.
+_TORN = encode_record(2, 1, "dn: ou=torn,o=att\nchangetype: add\n")
 
 
 @pytest.fixture()
@@ -120,7 +124,7 @@ class TestCheckShards:
         schema, path = sharded_store
         assert main(["check", "--schema", schema, "--store", path,
                      "--shards", "--jobs", "2"]) == 0
-        assert "LEGAL: 6 entries across shards (2 jobs)" in \
+        assert "[att@g1.0 labs@g1.0] LEGAL: 6 entries" in \
             capsys.readouterr().out
 
     def test_composite_violation_fails(self, sharded_store, capsys):
@@ -191,12 +195,14 @@ class TestFsckShards:
         assert ("labs: generation 1, seq 0 "
                 "(4 entries; current; index sidecar present)") in out
         assert "scope:" in out
-        assert "COMPOSITE VIEW CONSISTENT" in out
+        assert "HEALTHY" in out
 
     def test_requires_schema(self, sharded_store, capsys):
+        """Only the view needs the schema: without one, fsck still scans
+        every member's journal and the coordinator log."""
         _, path = sharded_store
-        assert main(["fsck", path, "--shards"]) == 2
-        assert "requires --schema" in capsys.readouterr().err
+        assert main(["fsck", path, "--shards"]) == 0
+        assert "HEALTHY" in capsys.readouterr().out
 
     def test_not_a_sharded_store(self, paths, capsys):
         schema, _, tmp = paths
@@ -210,7 +216,7 @@ class TestFsckShards:
         assert main(["fsck", path, "--schema", schema, "--shards"]) == 1
         out = capsys.readouterr().out
         assert "legality: ILLEGAL" in out
-        assert "COMPOSITE VIEW CONSISTENT" not in out
+        assert "HEALTHY" not in out
 
 
 def _strand_in_doubt(path, schema_path, point):
@@ -249,7 +255,7 @@ class TestInDoubt2PC:
                 "(coordinator verdict: abort)") in out
         assert "IN DOUBT: shard labs" in out
         assert "IN-DOUBT 2PC STATE (run `recover` to resolve)" in out
-        assert "COMPOSITE VIEW CONSISTENT" not in out
+        assert "HEALTHY" not in out
 
     def test_recover_shards_aborts_undecided(self, sharded_store, capsys):
         schema, path = sharded_store
@@ -257,11 +263,11 @@ class TestInDoubt2PC:
         assert main(["recover", path, "--schema", schema, "--shards"]) == 0
         out = capsys.readouterr().out
         assert "resolved 1 in-doubt 2PC transaction(s): tx-1" in out
-        assert "SHARDS RECOVERED" in out
+        assert "mode: read-write" in out
         # presumed abort: the store is healthy and the tx left no trace
         assert main(["fsck", path, "--schema", schema, "--shards"]) == 0
         out = capsys.readouterr().out
-        assert "COMPOSITE VIEW CONSISTENT" in out
+        assert "HEALTHY" in out
         assert main(["check", "--schema", schema, "--store", path,
                      "--shards"]) == 0
         assert "LEGAL: 6 entries" in capsys.readouterr().out
@@ -283,16 +289,18 @@ class TestInDoubt2PC:
         assert "LEGAL: 8 entries" in capsys.readouterr().out
 
     def test_recover_shards_requires_schema(self, sharded_store, capsys):
+        """Only resolving in-doubt 2PC state opens the store, so only
+        that needs the schema."""
         _, path = sharded_store
-        assert main(["recover", path, "--shards"]) == 2
-        assert "requires --schema" in capsys.readouterr().err
+        assert main(["recover", path, "--shards"]) == 0
+        assert "no in-doubt 2PC transactions" in capsys.readouterr().out
 
     def test_recover_shards_healthy_store(self, sharded_store, capsys):
         schema, path = sharded_store
         assert main(["recover", path, "--schema", schema, "--shards"]) == 0
         out = capsys.readouterr().out
         assert "no in-doubt 2PC transactions" in out
-        assert "SHARDS RECOVERED" in out
+        assert "mode: read-write" in out
 
     def test_recover_shards_not_a_sharded_store(self, plain_store, capsys):
         schema, path = plain_store
@@ -353,7 +361,7 @@ class TestWaitLock:
         captured = capsys.readouterr()
         assert "retrying in" in captured.err
         assert "gave up" not in captured.err
-        assert "SHARDS RECOVERED" in captured.out
+        assert "mode: read-write" in captured.out
 
     def test_create_accepts_wait_lock(self, paths, capsys):
         schema, data, tmp = paths
@@ -471,7 +479,10 @@ class TestShardedReplicationCli:
 class TestKindMatrix:
     """No command is told whether a store is sharded: each finds out
     from the directory and prints what the flagged invocation always
-    printed.  ``--shards`` only states an expectation."""
+    printed.  ``--shards`` only states an expectation.  ``fsck`` and
+    ``recover`` are one loop over the store's members, so every
+    maintenance row — a damaged member journal, a live writer — runs
+    on both kinds with the same exit codes."""
 
     BANNERS = {
         "plain": {
@@ -483,12 +494,30 @@ class TestKindMatrix:
         },
         "sharded": {
             "check": "[att@g1.0 labs@g1.0] LEGAL: 6 entries",
-            "fsck": "COMPOSITE VIEW CONSISTENT",
-            "recover": "SHARDS RECOVERED",
+            "fsck": "HEALTHY",
+            "recover": "mode: read-write",
             "position": "att: generation 1, seq 0, labs: generation 1, seq 0",
             "promoted": "sharded cohort writable "
                         "(att: generation 2, labs: generation 2; 6 entries)",
         },
+    }
+
+    #: The member that takes the damage (and ``uid=late``'s frame).
+    MEMBER = {"plain": None, "sharded": "labs"}
+
+    #: damage → (bytes appended to that member's journal, the
+    #: ``recover`` runs that repair it, each with its exit code).
+    DAMAGE = {
+        "torn": (_TORN[: len(_TORN) // 2], [([], 0)]),
+        "corrupt": (b"this is not a wal frame\n", [([], 1), (["--force"], 0)]),
+    }
+
+    #: how ``recover`` meets a live writer → (extra flags, seconds until
+    #: the writer lets go, exit code, what stderr must say).
+    WAITS = {
+        "fail-fast": ([], None, 1, ""),
+        "gives-up": (["--wait-lock", "0.2"], None, 1, "gave up waiting after 0.2s"),
+        "waits-out": (["--wait-lock", "10"], 0.25, 0, "retrying in"),
     }
 
     @pytest.fixture(params=["plain", "sharded"])
@@ -544,6 +573,82 @@ class TestKindMatrix:
         assert main(["promote", replica, "--schema", schema]) == 0
         assert f"promoted {replica}: {banners['promoted']}\n" == \
             capsys.readouterr().out
+
+    def _commit_to_member(self, kind, schema, path):
+        """Commit ``uid=late`` (it routes to :data:`MEMBER`) and return
+        that member's directory."""
+        from repro.schema.dsl import load_dsl
+        from repro.store import members, open_store
+
+        with open_store(path, load_dsl(schema)) as writer:
+            assert writer.apply(UpdateTransaction().insert(
+                "uid=late,ou=attLabs,o=att", ["person", "top"],
+                {"uid": ["late"], "name": ["l ate"]},
+            )).applied
+        return members(path)[self.MEMBER[kind]]
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_a_damaged_member_is_found_and_repaired(self, store, damage,
+                                                    capsys):
+        """``fsck`` judges every member's journal, ``recover`` repairs
+        every member (``--force`` included), and the view then shows the
+        committed prefix — whichever kind holds the member."""
+        kind, schema, path = store
+        member = self._commit_to_member(kind, schema, path)
+        tail, repairs = self.DAMAGE[damage]
+        with open(os.path.join(member, "journal.ldif"), "ab") as fh:
+            fh.write(tail)
+        assert main(["fsck", path, "--schema", schema]) == 1
+        assert f"DAMAGED: {member} (run `recover` to repair)" in \
+            capsys.readouterr().out
+        for flags, code in repairs:
+            assert main(["recover", path, *flags]) == code, flags
+        capsys.readouterr()
+        assert main(["fsck", path, "--schema", schema]) == 0
+        assert main(["check", "--schema", schema, "--store", path]) == 0
+        assert "LEGAL: 7 entries" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("wait", sorted(WAITS))
+    def test_recover_waits_for_a_live_writer(self, store, wait, capsys):
+        """``recover`` takes every member's advisory lock before it
+        touches a file: against a live writer (here mid-append, its
+        member's tail torn) it fails fast naming the holder, gives up
+        after ``--wait-lock``, or waits the holder out and repairs."""
+        import threading
+
+        from repro.schema.dsl import load_dsl
+        from repro.store import open_store
+
+        kind, schema, path = store
+        member = self._commit_to_member(kind, schema, path)
+        flags, release_after, code, err = self.WAITS[wait]
+        writer = open_store(path, load_dsl(schema))
+        with open(os.path.join(member, "journal.ldif"), "ab") as fh:
+            fh.write(_TORN[: len(_TORN) // 2])
+
+        def files():
+            return {
+                os.path.join(root, name):
+                    pathlib.Path(root, name).read_bytes()
+                for root, _, names in os.walk(path) for name in names
+            }
+
+        before = files()
+        release = threading.Timer(release_after or 0, writer.close)
+        if release_after:
+            release.start()
+        try:
+            assert main(["recover", path, "--schema", schema, *flags]) == code
+        finally:
+            release.cancel()
+            writer.close()
+        captured = capsys.readouterr()
+        assert err in captured.err
+        if code:
+            assert f"is locked by pid {os.getpid()}" in captured.out
+            assert files() == before
+        else:
+            assert "REPAIRED" in captured.out
 
     def test_wrong_expectation_exits_two(self, plain_store, capsys):
         """``--shards`` against a plain store: exit 2, one line, before

@@ -29,7 +29,7 @@ from repro.errors import (
 from repro.legality.report import Kind
 from repro.model.dn import parse_dn
 from repro.store import DirectoryStore
-from repro.store.sharded import CompositeReader, ShardedStore, check_shards_parallel
+from repro.store.sharded import CompositeReader, ShardedStore
 from repro.store.recovery import SIDECAR_FILE
 from repro.store.shardmap import read_shard_map, shard_dir, shard_map_path
 from repro.store.txlog import TXLOG_FILE
@@ -400,11 +400,12 @@ class TestCutIntegrity:
             assert not reader.is_legal()
             assert reader.check().of_kind(Kind.ORPHANED_SHARD)
             assert reader.search(filter="(objectClass=person)")
-        # The fsck path (worker probes, no stitching needed for the
-        # orphan itself) agrees.
-        merged, entries = check_shards_parallel(path, schema, registry, jobs=2)
-        assert merged.of_kind(Kind.ORPHANED_SHARD)
-        assert entries == 4
+        # A view checked with content workers (what `check --store
+        # --jobs 2` opens) agrees.
+        with CompositeReader.open(path, schema, registry,
+                                  parallelism=2) as reader:
+            assert reader.check().of_kind(Kind.ORPHANED_SHARD)
+            assert len(reader.instance) == 4
 
     def test_checker_crash_leaves_no_durable_footprint(
         self, tmp_path, schema, registry, monkeypatch
@@ -515,9 +516,11 @@ class TestCompositeReader:
             serial = store.check()
         finally:
             store.close()
-        report, entries = check_shards_parallel(path, schema, registry, jobs=2)
+        with CompositeReader.open(path, schema, registry,
+                                  parallelism=2) as reader:
+            report = reader.check()
+            assert len(reader.instance) == 6
         assert report.is_legal == serial.is_legal
-        assert entries == 6
 
     def test_shard_writers_do_not_lock_each_other(self, tmp_path, schema, registry):
         """One writer per shard is a supported topology: the advisory
@@ -1771,11 +1774,11 @@ def _counters(stats):
 
 @pytest.mark.parametrize("damage", sorted(COHORT_DAMAGE))
 def test_four_check_surfaces_agree_in_order(tmp_path, registry, damage):
-    """``ShardedStore.check``, ``CompositeReader.check`` and
-    ``check_shards_parallel`` are one composition over three sources of
-    members: same violations, same order, same summed engine counters
-    — and the same set a union store's check finds.  ``create`` refuses
-    the violating union with the message it always had."""
+    """``ShardedStore.check`` and ``CompositeReader.check`` are one
+    composition over two sources of members: same violations, same
+    order, same summed engine counters — and the same set a union
+    store's check finds.  ``create``, the third surface, refuses the
+    violating union with the message it always had."""
     from repro.legality.engine import CheckSession
 
     schema = whitepages_schema(extras=True)
@@ -1810,24 +1813,19 @@ def test_four_check_surfaces_agree_in_order(tmp_path, registry, damage):
                 union.add_entry(parent, str(dn.rdns[0]), *op[2:])
 
     # Views warm-start from the verdict sidecar a closing writer leaves;
-    # without it all three surfaces do the same (cold) engine work.
+    # without it both check surfaces do the same (cold) engine work.
     for name in shard_map.names():
         os.unlink(os.path.join(shard_dir(path, name), SIDECAR_FILE))
     with CompositeReader.open(path, schema, registry) as reader:
         view = reader.check()
         entries = len(reader.instance)
-    workers, counted = check_shards_parallel(path, schema, registry, jobs=2)
     with ShardedStore.open(path, schema, registry) as store:
         writer = store.check()
 
-    assert counted == entries
-    assert writer.violations == view.violations == workers.violations
-    assert (
-        _counters(writer.stats) == _counters(view.stats)
-        == _counters(workers.stats)
-    )
+    assert writer.violations == view.violations
+    assert _counters(writer.stats) == _counters(view.stats)
     assert writer.stats.cache_misses + writer.stats.cache_hits == entries
-    assert workers.stats.cache_misses + workers.stats.cache_hits == counted
+    assert view.stats.cache_misses + view.stats.cache_hits == entries
     assert writer.is_legal == damage.endswith("clean")
     assert bool(writer.of_kind(Kind.ORPHANED_SHARD)) == orphaned
     if orphaned:

@@ -1,40 +1,24 @@
-"""Crash-consistency harness for cross-shard two-phase commit.
+"""Crash-consistency scenario for cross-shard two-phase commit.
 
 The scenario opens a pre-created sharded store (Figure 1 split across a
 nested cut) under fault-injected I/O and drives spanning transactions
 through 2PC: one that commits, one whose composite check fails (so the
-coordinator aborts after the prepares), and a second commit.  The
-property checked is all-or-nothing atomicity:
-
-1. after the coordinator/participant process is killed at *any* I/O
-   boundary — or at any of the named protocol steps
-   (``2pc:begin`` … ``2pc:complete``) — reopening the sharded store
-   resolves every in-doubt participant from the coordinator log
-   (presumed abort) and materializes one of the states the dry run
-   recorded: every shard committed or every shard rolled back, never a
-   mix;
-2. the decision point is the coordinator log's durable ``commit``
-   record: a crash at any named point *before* it recovers to the
-   pre-transaction state, a crash at any point *after* it recovers to
-   the post-transaction state;
-3. nothing is left in doubt: after recovery no shard holds a pending
-   prepare and the coordinator log has no unfinished transaction;
-4. the recovered store stays fully usable — a fresh spanning
-   transaction still commits.
+coordinator aborts after the prepares), and a second commit.  Run on
+:func:`harness.crash.run_matrix`, it is killed at every I/O boundary
+and at every named protocol step (``2pc:begin`` … ``2pc:complete``);
+:func:`verify_atomic` then holds each wreckage to
+:func:`invariants.spanning_commit_atomic` — reopening resolves every
+in-doubt participant from the coordinator log (presumed abort), lands
+on a decided state, and leaves a legal store that still commits.
 """
 
 from __future__ import annotations
 
-from repro.ldif.writer import serialize_ldif
-from repro.store.faults import FaultPlan, FaultyIO
+from invariants import spanning_commit_atomic, state_digest
 from repro.store.sharded import ShardedStore
 from repro.store.txlog import inspect_txlog
 from repro.updates.operations import UpdateTransaction
-from repro.workloads import (
-    figure1_instance,
-    whitepages_registry,
-    whitepages_schema,
-)
+from repro.workloads import figure1_instance, whitepages_registry, whitepages_schema
 
 NESTED_BASES = {"att": "o=att", "labs": "ou=attLabs,o=att"}
 
@@ -42,127 +26,75 @@ NESTED_BASES = {"att": "o=att", "labs": "ou=attLabs,o=att"}
 def make_sharded(path: str) -> None:
     """Create the scenario's sharded store (clean I/O) and close it."""
     ShardedStore.create(
-        path,
-        whitepages_schema(),
-        NESTED_BASES,
-        figure1_instance(),
+        path, whitepages_schema(), NESTED_BASES, figure1_instance(),
         whitepages_registry(),
     ).close()
 
 
 def commit_tx(i: int) -> UpdateTransaction:
-    """A deterministic spanning transaction both shards accept and the
-    composite check passes: commits through 2PC."""
+    """A spanning transaction both shards and the composite accept."""
     return (
         UpdateTransaction()
-        .insert(
-            f"uid=c{i}att,o=att",
-            ["person", "top"],
-            {"uid": [f"c{i}att"], "name": [f"c{i} att"]},
-        )
-        .insert(
-            f"uid=c{i}labs,ou=databases,ou=attLabs,o=att",
-            ["person", "top"],
-            {"uid": [f"c{i}labs"], "name": [f"c{i} labs"]},
-        )
+        .insert(f"uid=c{i}att,o=att", ["person", "top"],
+                {"uid": [f"c{i}att"], "name": [f"c{i} att"]})
+        .insert(f"uid=c{i}labs,ou=databases,ou=attLabs,o=att", ["person", "top"],
+                {"uid": [f"c{i}labs"], "name": [f"c{i} labs"]})
     )
 
 
 def abort_tx() -> UpdateTransaction:
-    """A spanning transaction that 2PC must abort: the empty orgUnit in
-    the labs shard is illegal, so after the att prepare the coordinator
-    decides abort and rolls the staged memory back."""
+    """A spanning transaction 2PC must abort: the empty orgUnit in the
+    labs shard is illegal, so after the att prepare the coordinator
+    decides abort."""
     return (
         UpdateTransaction()
-        .insert(
-            "uid=never,o=att",
-            ["person", "top"],
-            {"uid": ["never"], "name": ["never lands"]},
-        )
-        .insert(
-            "ou=ghost,ou=attLabs,o=att",
-            ["orgUnit", "orgGroup", "top"],
-            {"ou": ["ghost"]},
-        )
+        .insert("uid=never,o=att", ["person", "top"],
+                {"uid": ["never"], "name": ["never lands"]})
+        .insert("ou=ghost,ou=attLabs,o=att", ["orgUnit", "orgGroup", "top"],
+                {"ou": ["ghost"]})
     )
 
 
-def composite_state(store: ShardedStore) -> str:
-    """The canonical byte-comparable serialization of the composite."""
-    return serialize_ldif(store.composite_instance())
+def spanning_scenario(*transactions):
+    """The scenario: open ``workdir/store`` under ``io`` and apply
+    ``transactions`` (default commit → abort → commit), recording
+    ``(ops_executed, composite digest)`` at every decided point."""
+    transactions = transactions or (commit_tx(1), abort_tx(), commit_tx(2))
 
-
-def run_2pc_scenario(path: str, io, transactions=None):
-    """open → spanning transactions under ``io``, recording
-    ``(ops_executed, composite state)`` at every decided point.  Raises
-    whatever fault ``io`` injects (``ShardedStore.open``'s own handler
-    releases the shard locks when the crash lands inside the open)."""
-    if transactions is None:
-        transactions = [commit_tx(1), abort_tx(), commit_tx(2)]
-    states = []
-    store = ShardedStore.open(
-        path, whitepages_schema(), whitepages_registry(), io=io
-    )
-    try:
-        states.append((io.plan.ops_executed, composite_state(store)))
-        for tx in transactions:
-            store.apply(tx)
-            states.append((io.plan.ops_executed, composite_state(store)))
-    finally:
-        store.close()
-    return states
-
-
-def dry_run_2pc(tmp_path, transactions=None):
-    """Undisturbed run: the reference states, the op count, and the
-    named fault points crossed (in order)."""
-    path = str(tmp_path / "dry")
-    make_sharded(path)
-    io = FaultyIO(FaultPlan())
-    states = run_2pc_scenario(path, io, transactions)
-    return states, io.plan
-
-
-def allowed_2pc_states(states, crash_op):
-    """The all-or-nothing rule: the last decided state whose I/O
-    completed before ``crash_op``, or its successor when the in-flight
-    decision became durable before the crash — never a per-shard mix."""
-    candidates = [i for i, (ops, _) in enumerate(states) if ops <= crash_op]
-    last = max(candidates) if candidates else 0
-    allowed = {states[last][1]}
-    if last + 1 < len(states):
-        allowed.add(states[last + 1][1])
-    return allowed
-
-
-def assert_atomic_recovery(path: str, states, crash_op: int) -> str:
-    """Properties 1, 3 and 4 above for one crashed store directory;
-    returns the recovered composite state (for point-wise assertions)."""
-    with ShardedStore.open(
-        path, whitepages_schema(), whitepages_registry()
-    ) as recovered:
-        got = composite_state(recovered)
-        assert got in allowed_2pc_states(states, crash_op), (
-            f"crash at op {crash_op}: recovered composite is neither "
-            "all-committed nor all-rolled-back"
+    def scenario(workdir, io):
+        path = str(workdir / "store")
+        make_sharded(path)
+        store = ShardedStore.open(
+            path, whitepages_schema(), whitepages_registry(), io=io
         )
-        assert recovered.check().is_legal, (
-            f"crash at op {crash_op}: recovered composite is illegal"
-        )
-        # nothing left in doubt, anywhere
-        for name in recovered.shard_names():
-            assert recovered.shard(name).pending_txid is None, (
-                f"crash at op {crash_op}: shard {name!r} still holds an "
-                "in-doubt prepare after recovery"
-            )
+        states = [(io.plan.ops_executed, state_digest(store.instance))]
+        try:
+            for tx in transactions:
+                store.apply(tx)
+                states.append((io.plan.ops_executed, state_digest(store.instance)))
+        finally:
+            store.close()
+        return states
+
+    return scenario
+
+
+def verify_atomic(workdir, states, crash_op, label="") -> str:
+    """Reopen the wreckage and hold it to the contract; returns the
+    recovered composite digest."""
+    path = str(workdir / "store")
+    schema, registry = whitepages_schema(), whitepages_registry()
+    with ShardedStore.open(path, schema, registry) as recovered:
+        got = state_digest(recovered.instance)
+        legal = recovered.check().is_legal
+        in_doubt = [
+            name for name in recovered.shard_names()
+            if recovered.shard(name).pending_txid is not None
+        ]
     log = inspect_txlog(path)
-    assert log is None or not log.unfinished(), (
-        f"crash at op {crash_op}: coordinator log still has unfinished "
-        "transactions after recovery"
-    )
-    # the store stays fully usable: a fresh spanning transaction commits
-    with ShardedStore.open(
-        path, whitepages_schema(), whitepages_registry()
-    ) as probe:
-        assert probe.apply(commit_tx(9)).applied
+    in_doubt += list(log.unfinished()) if log is not None else []
+    spanning_commit_atomic(states, crash_op, got, in_doubt, f" ({label})")
+    assert legal, f"{label}: recovered composite is illegal"
+    with ShardedStore.open(path, schema, registry) as probe:
+        assert probe.apply(commit_tx(9)).applied, f"{label}: store unusable"
     return got

@@ -9,13 +9,13 @@ chosen write index (``kill_at``) — the crash-harness equivalent of
 The invariants the scenario enforces, before, during, and after the
 automatic promotion:
 
-1. **No regressing frontier.**  Every position a single connection is
-   served is >= every position it was served before — across the
-   generation bump included.
-2. **Read-your-writes or a typed refusal.**  A read carrying
-   ``require_seq`` either serves a frontier >= that position or fails
-   with ``unavailable`` (retryable) / ``position_lost`` (the position
-   died with the old primary) — never silently older state.
+1. **No regressing frontier** and 2. **read-your-writes or a typed
+   refusal** — :func:`invariants.read_floor_monotonic` on every read: a
+   connection is never served behind a position it was served before
+   (across the generation bump included), and a read carrying
+   ``require_seq`` is served at or past it, or fails with
+   ``unavailable`` (retryable) / ``position_lost`` (the position died
+   with the old primary) — never silently older state.
 3. **``position_lost`` is honest.**  It may only be answered for
    positions strictly past the recorded lost floor of a dead
    generation.
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 
+from invariants import read_floor_monotonic
 from repro.server import DirectoryClient, DirectoryServer, FrontDoor
 from repro.server.client import ServerError
 from repro.server.frontdoor import position_geq
@@ -157,18 +158,8 @@ async def _reader_loop(door_port, shared, results):
                 # recorded concurrently with this very response)
                 await asyncio.sleep(0.02)
                 continue
-            served = reply["position"]
-            if require is not None:
-                assert position_geq(served, require), (
-                    f"staleness contract broken: served {served} "
-                    f"for require_seq {require}"
-                )
-            if last_served is not None:
-                assert position_geq(served, last_served), (
-                    f"frontier regressed on one connection: {served} "
-                    f"after {last_served}"
-                )
-            last_served = served
+            read_floor_monotonic(reply["position"], require, last_served)
+            last_served = reply["position"]
             results["reads_served"] += 1
             await asyncio.sleep(0)
     finally:

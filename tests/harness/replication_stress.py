@@ -7,13 +7,11 @@ processes each run a :class:`~repro.store.replicate.ReplicaApplier` fed
 by the ``replicate`` stream of that server, persisting frames to their
 own local store directories.
 
-The correctness oracle is the same differential one
-:mod:`harness.stress` uses: after every durable commit (and every
-compaction) the primary appends ``<generation> <seq> <digest>`` to an
-oracle log.  Whenever a replica's applied position moves, the replica
-digests its *own local store's* instance and compares against the
-oracle entry for that exact position — a mismatch means replication
-materialized a state the primary never committed at that position.
+The oracle and the per-position check are :mod:`harness.stress`'s: the
+primary appends ``<generation> <seq> <digest>`` to its oracle file
+after every durable commit (and every compaction), and whenever a
+replica's applied position moves, the replica holds its *own local
+store's* instance to :func:`invariants.committed_at` at that position.
 
 Termination: the primary drops a done-marker after its last commit;
 replicas follow the live stream until their applied position reaches
@@ -28,15 +26,18 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import os
 import time
 
 from harness.stress import (
-    DONE_FILE,
-    ORACLE_FILE,
-    _append_oracle,
+    check_member,
+    collect,
+    done_path,
+    join,
     load_oracle,
-    state_digest,
+    oracle_path,
+    record,
 )
 from repro.store import DirectoryStore
 from repro.workloads import (
@@ -101,8 +102,7 @@ async def _primary(
     from repro.server.client import DirectoryClient
 
     store_dir = os.path.join(workdir, "primary")
-    oracle = os.path.join(workdir, ORACLE_FILE)
-    done = os.path.join(workdir, DONE_FILE)
+    oracle = oracle_path(workdir)
     stop = os.path.join(workdir, STOP_FILE)
 
     store = DirectoryStore.create(
@@ -117,9 +117,7 @@ async def _primary(
     _write_atomic(os.path.join(workdir, PORT_FILE), f"{server.port}\n")
     loop = asyncio.get_running_loop()
     try:
-        _append_oracle(
-            oracle, server.store.generation, 0, state_digest(server.store.instance)
-        )
+        record(oracle, server.store)
         client = await DirectoryClient.connect("127.0.0.1", server.port)
         await client.bind("cn=stress-writer")
         from repro.ldif.changes import serialize_changes
@@ -132,12 +130,7 @@ async def _primary(
             assert response["applied"], (
                 f"stress transaction {i} rejected: {response}"
             )
-            _append_oracle(
-                oracle,
-                server.store.generation,
-                server.store.journal_length,
-                state_digest(server.store.instance),
-            )
+            record(oracle, server.store)
             if compact_every and (i + 1) % compact_every == 0:
                 # Same single writer thread the server's mutations use —
                 # the storm above is sequential, so nothing overlaps.
@@ -145,13 +138,9 @@ async def _primary(
                     server._writer_pool, server.store.compact
                 )
                 await server._commit_happened()  # wake replication feeds
-                _append_oracle(
-                    oracle, server.store.generation, 0,
-                    state_digest(server.store.instance),
-                )
+                record(oracle, server.store)
         await client.unbind()
-        with open(done, "w") as fh:
-            fh.write("done\n")
+        open(done_path(workdir), "w").close()
         # Keep serving until every replica reports in (driver drops the
         # stop marker) — followers still need the tail of the stream.
         deadline = time.monotonic() + deadline_seconds
@@ -180,7 +169,6 @@ def replica_main(
         "checked": 0,
         "restarts": 0,
         "snapshots": 0,
-        "mismatches": [],
         "error": None,
         "final": None,
     }
@@ -205,8 +193,7 @@ async def _replica(
     from repro.server.client import DirectoryClient, sync_replica
     from repro.store.replicate import ReplicaApplier
 
-    oracle = os.path.join(workdir, ORACLE_FILE)
-    done = os.path.join(workdir, DONE_FILE)
+    oracle = oracle_path(workdir)
     replica_dir = os.path.join(workdir, f"replica-{replica_id}")
     deadline = time.monotonic() + deadline_seconds
     port = _wait_for_port(workdir, deadline)
@@ -231,20 +218,11 @@ async def _replica(
         while True:
             position = applier.position()
             if position != checked_position:
-                digest = state_digest(applier.reader.instance)
-                entries, _ = load_oracle(oracle)
-                while position not in entries:
-                    if time.monotonic() > deadline:
-                        raise TimeoutError(
-                            f"oracle never recorded position {position}"
-                        )
-                    await asyncio.sleep(0.005)
-                    entries, _ = load_oracle(oracle)
-                if entries[position] != digest:
-                    result["mismatches"].append(
-                        {"position": list(position), "digest": digest,
-                         "expected": entries[position]}
-                    )
+                # off the loop: the check may wait for the primary's line
+                await loop.run_in_executor(
+                    None, check_member, oracle, position,
+                    applier.reader.instance, deadline,
+                )
                 result["checked"] += 1
                 checked_position = position
                 if not restarted and result["checked"] >= restart_after:
@@ -255,7 +233,7 @@ async def _replica(
                     result["restarts"] += 1
                     checked_position = None  # re-verify the resume point
                     continue
-            if os.path.exists(done):
+            if os.path.exists(done_path(workdir)):
                 _, frontier = load_oracle(oracle)
                 if frontier is not None and checked_position == frontier:
                     break
@@ -270,7 +248,7 @@ async def _replica(
                 continue
             await loop.run_in_executor(None, applier.apply_message, message)
         result["snapshots"] = applier.snapshots_installed
-        result["final"] = list(checked_position)
+        result["final"] = {"store": list(checked_position)}
     finally:
         applier.close()
         await client.close()
@@ -297,8 +275,6 @@ def run_replication_stress(
     ``restart_replica``/``restart_after``: make that replica restart
     itself after verifying that many positions (slow-lane probe).
     """
-    import multiprocessing
-
     ctx = multiprocessing.get_context("fork")
     primary = ctx.Process(
         target=primary_main,
@@ -321,37 +297,16 @@ def run_replication_stress(
     primary.start()
     for proc in replica_procs:
         proc.start()
-    for proc in replica_procs:
-        proc.join(deadline_seconds)
+    join(replica_procs, deadline_seconds)
     _write_atomic(os.path.join(workdir, STOP_FILE), "stop\n")
-    primary.join(deadline_seconds)
-    alive = [p.name for p in [primary, *replica_procs] if p.is_alive()]
-    for proc in [primary, *replica_procs]:
-        if proc.is_alive():  # pragma: no cover - deadline pathology
-            proc.terminate()
-            proc.join()
-    assert not alive, f"replication processes missed the deadline: {alive}"
+    join([primary], deadline_seconds)
     assert primary.exitcode == 0, f"primary exited {primary.exitcode}"
-
-    _, frontier = load_oracle(os.path.join(workdir, ORACLE_FILE))
-    results = []
-    for i in range(replicas):
-        path = os.path.join(workdir, f"replica-{i}.json")
-        assert os.path.exists(path), f"replica {i} left no result file"
-        with open(path, "r", encoding="utf-8") as fh:
-            result = json.load(fh)
-        assert result["error"] is None, f"replica {i}: {result['error']}"
-        assert not result["mismatches"], (
-            f"replica {i} diverged from the primary: {result['mismatches'][:3]}"
+    results = collect(
+        workdir, "replica", replicas,
+        {"store": list(load_oracle(oracle_path(workdir))[1])},
+    )
+    if restart_after > 0:
+        assert results[restart_replica]["restarts"] > 0, (
+            f"replica {restart_replica} never exercised the mid-stream restart"
         )
-        assert result["final"] == list(frontier), (
-            f"replica {i} finished at {result['final']}, "
-            f"primary's frontier is {frontier}"
-        )
-        assert result["checked"] > 0
-        if i == restart_replica and restart_after > 0:
-            assert result["restarts"] > 0, (
-                f"replica {i} never exercised the mid-stream restart"
-            )
-        results.append(result)
     return results

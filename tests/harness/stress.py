@@ -1,84 +1,77 @@
-"""Differential multi-process stress driver for the reader/writer split.
+"""Differential multi-process stress driver: one writer per member,
+lock-free followers over the whole store.
 
-Topology: one **writer** process runs a randomized transaction stream
-(``workloads.update_streams.random_transaction``) with periodic
-compactions against a real on-disk store; N **reader** processes open
-lock-free :class:`~repro.store.reader.StoreReader` views of the same
-directory and spin on ``refresh()``.
+Topology: the members of a real on-disk store
+(:func:`repro.store.members` — a plain store is its own one member,
+keyed ``None``; a sharded store has one per shard) each get a
+**writer process**: ``DirectoryStore.open`` for the plain store,
+``ShardedStore.open_shard`` per shard, each holding its own advisory
+lock and running a randomized ``random_transaction`` stream with
+periodic compactions.  N **follower** processes open lock-free views
+of the root (:func:`repro.store.open_view`) and spin on ``refresh()``.
 
-The correctness oracle is *differential*: after every durable commit
-(and every compaction) the writer appends one line
+The oracle is differential, one file per member: after every durable
+commit (and every compaction) the member's writer appends
 
     ``<generation> <seq> <blake2b(serialize_ldif(instance))>``
 
-to an oracle file via a single ``O_APPEND`` write (well under
-``PIPE_BUF``, so lines never interleave).  Whenever a reader's refresh
-moves its view to a new ``(generation, seq)`` position, the reader
-digests its own instance and compares against the oracle entry for
-that exact position — waiting for the entry if the writer has
-committed but not yet logged it.  A mismatch means the reader
-materialized a state the writer never passed through at that position:
-the one thing the split must never do.
+with a single ``O_APPEND`` write (well under ``PIPE_BUF``, so lines
+never interleave).  Whenever a follower's refresh moves a member to a
+new position, the follower digests ``view.shard_reader(member)`` and
+holds it to :func:`invariants.committed_at` against that member's
+oracle — waiting for the line if the writer has committed but not yet
+logged it — then holds the whole view to
+:func:`invariants.composite_never_torn`.
 
-Termination: the writer drops a done-marker after its last commit;
-readers run until their view reaches the writer's final position (so
-every reader provably catches up, not merely samples).
+Termination: every writer drops a done marker after its last commit;
+followers run until every member's checked position reaches its
+writer's frontier (catch-up on every member, not sampling).
+
+:mod:`harness.replication_stress` keeps the oracle files and the
+per-position check of this module (:func:`record`, :func:`check_member`).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import multiprocessing
 import os
 import time
 
-from repro.errors import StaleReadError
-from repro.ldif.writer import serialize_ldif
-from repro.store import DirectoryStore
-from repro.store.reader import StoreReader
+from invariants import committed_at, composite_never_torn, state_digest
+from repro.store import DirectoryStore, members, open_view
+from repro.store.sharded import ShardedStore
 from repro.workloads import (
     figure1_instance,
+    generate_whitepages,
     random_transaction,
     whitepages_registry,
     whitepages_schema,
 )
 
-ORACLE_FILE = "oracle.log"
-DONE_FILE = "writer.done"
+
+def _name(member) -> str:
+    return member or "store"
 
 
-def state_digest(instance) -> str:
-    """Canonical digest of an instance's full serialized content — the
-    byte-identity the stress oracle compares."""
-    return hashlib.blake2b(serialize_ldif(instance).encode("utf-8")).hexdigest()
+def oracle_path(workdir: str, member=None) -> str:
+    return os.path.join(workdir, f"oracle-{_name(member)}.log")
 
 
-def canonical_records(instance):
-    """Order-independent canonical form of an instance: one record per
-    entry — display DN plus sorted attribute lines (case-folded DN key
-    for ordering only; the display spelling itself is compared)."""
-    records = []
-    for entry in instance:
-        dn = instance.dn_string_of(entry)
-        lines = tuple(
-            sorted(
-                f"{name}: {value}"
-                for name in entry.attribute_names()
-                for value in entry.values(name)
-            )
-        )
-        records.append((dn.casefold(), dn, lines))
-    return sorted(records)
+def done_path(workdir: str, member=None) -> str:
+    return os.path.join(workdir, f"writer-{_name(member)}.done")
 
 
-def _append_oracle(path: str, generation: int, seq: int, digest: str) -> None:
-    line = f"{generation} {seq} {digest}\n".encode("ascii")
-    assert len(line) < 512  # single O_APPEND write: never interleaves
+def record(path: str, store) -> None:
+    """Append ``store``'s durable position and digest to the oracle
+    ``path`` in one ``O_APPEND`` write."""
+    line = (
+        f"{store.generation} {store.journal_length} "
+        f"{state_digest(store.instance)}\n"
+    ).encode("ascii")
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
     try:
-        written = os.write(fd, line)
-        while written < len(line):  # pragma: no cover - short-write safety
-            written += os.write(fd, line[written:])
+        assert os.write(fd, line) == len(line)
     finally:
         os.close(fd)
 
@@ -86,148 +79,133 @@ def _append_oracle(path: str, generation: int, seq: int, digest: str) -> None:
 def load_oracle(path: str):
     """``{(generation, seq): digest}`` plus the last-written position
     (the writer's frontier), or ``({}, None)`` before the file exists."""
-    entries = {}
-    last = None
-    digest_len = hashlib.blake2b().digest_size * 2
+    entries, last = {}, None
     try:
         with open(path, "r", encoding="ascii") as fh:
             for line in fh:
-                # A concurrent reader can observe the frontier line
-                # mid-write: only complete lines count.
-                if not line.endswith("\n"):
-                    continue
-                parts = line.split()
-                if len(parts) != 3 or len(parts[2]) != digest_len:
-                    continue
-                position = (int(parts[0]), int(parts[1]))
-                entries[position] = parts[2]
-                last = position
+                if line.endswith("\n"):  # a line mid-write does not count
+                    generation, seq, digest = line.split()
+                    last = (int(generation), int(seq))
+                    entries[last] = digest
     except FileNotFoundError:
         pass
     return entries, last
 
 
+def check_member(path: str, position, instance, deadline: float) -> None:
+    """Hold a follower's ``instance`` at ``position`` to the oracle
+    ``path``, waiting for the writer to log that position."""
+    entries, _ = load_oracle(path)
+    while position not in entries:
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"{path} never recorded position {position}")
+        time.sleep(0.005)
+        entries, _ = load_oracle(path)
+    committed_at(entries, position, state_digest(instance), f" ({path})")
+
+
+def join(processes, deadline_seconds: float) -> None:
+    """Join every process; terminate and name the ones still alive."""
+    for proc in processes:
+        proc.join(deadline_seconds)
+    alive = [proc.name for proc in processes if proc.is_alive()]
+    for proc in processes:
+        if proc.is_alive():  # pragma: no cover - deadline pathology
+            proc.terminate()
+            proc.join()
+    assert not alive, f"stress processes missed the deadline: {alive}"
+
+
+def collect(workdir: str, prefix: str, count: int, frontiers):
+    """The result files of ``count`` followers: each finished cleanly,
+    at ``frontiers``."""
+    results = []
+    for i in range(count):
+        path = os.path.join(workdir, f"{prefix}-{i}.json")
+        assert os.path.exists(path), f"{prefix} {i} left no result file"
+        with open(path, "r", encoding="utf-8") as fh:
+            result = json.load(fh)
+        assert result["error"] is None, f"{prefix} {i}: {result['error']}"
+        assert result["final"] == frontiers, (
+            f"{prefix} {i} finished at {result['final']}, the writers' "
+            f"frontiers are {frontiers}"
+        )
+        results.append(result)
+    return results
+
+
 # ----------------------------------------------------------------------
 # processes
 # ----------------------------------------------------------------------
-def writer_main(
-    workdir: str,
-    transactions: int,
-    compact_every: int,
-    seed: int,
-    inserts: int = 2,
-) -> None:
-    """The writer process body: create, commit, compact, mark done."""
-    store_dir = os.path.join(workdir, "store")
-    oracle = os.path.join(workdir, ORACLE_FILE)
-    done = os.path.join(workdir, DONE_FILE)
-    store = DirectoryStore.create(
-        store_dir, whitepages_schema(), figure1_instance(), whitepages_registry()
+def writer_main(workdir, root, member, transactions, compact_every, seed) -> None:
+    """One member's writer: commit a randomized stream, log every
+    durable state, mark done."""
+    schema, registry = whitepages_schema(), whitepages_registry()
+    oracle = oracle_path(workdir, member)
+    store = (
+        DirectoryStore.open(root, schema, registry) if member is None
+        else ShardedStore.open_shard(root, member, schema, registry)
     )
     try:
-        # The oracle line always lands *after* the state it describes is
-        # durable, so any position a reader can observe is (eventually)
-        # in the oracle.
-        _append_oracle(oracle, store.generation, 0, state_digest(store.instance))
+        record(oracle, store)
         for i in range(transactions):
-            tx = random_transaction(store.instance, inserts=inserts, seed=seed + i)
+            tx = random_transaction(store.instance, inserts=2, seed=seed + i)
             outcome = store.apply(tx)
-            assert outcome.applied, f"stress transaction {i} rejected: {outcome}"
-            _append_oracle(
-                oracle,
-                store.generation,
-                store.journal_length,
-                state_digest(store.instance),
-            )
+            assert outcome.applied, f"{_name(member)} transaction {i}: {outcome.report}"
+            record(oracle, store)
             if compact_every and (i + 1) % compact_every == 0:
                 store.compact()
-                _append_oracle(
-                    oracle, store.generation, 0, state_digest(store.instance)
-                )
+                record(oracle, store)
     finally:
         store.close()
-        with open(done, "w") as fh:
-            fh.write("done\n")
+        open(done_path(workdir, member), "w").close()
 
 
-def reader_main(
-    workdir: str, reader_id: int, deadline_seconds: float = 120.0
-) -> None:
-    """The reader process body: follow the WAL, check every new position
-    against the oracle, stop once caught up with a finished writer.
-    Writes a JSON result file; any exception lands in the result too so
-    the driver can report it instead of a bare nonzero exit."""
-    store_dir = os.path.join(workdir, "store")
-    oracle = os.path.join(workdir, ORACLE_FILE)
-    done = os.path.join(workdir, DONE_FILE)
-    result_path = os.path.join(workdir, f"reader-{reader_id}.json")
-    result = {
-        "reader": reader_id,
-        "checked": 0,
-        "refreshes": 0,
-        "rebootstraps": 0,
-        "mismatches": [],
-        "error": None,
-        "final": None,
-    }
+def follower_main(workdir, root, follower_id, deadline_seconds) -> None:
+    """One follower: refresh, check every member that moved, check the
+    view is whole, stop once caught up with every finished writer.
+    Writes a JSON result; an exception lands in it too."""
+    result = {"checked": {}, "refreshes": 0, "rebootstraps": 0,
+              "error": None, "final": None}
     deadline = time.monotonic() + deadline_seconds
-    reader = None
+    view = None
     try:
-        # The store directory appears atomically (create() renames a
-        # complete temp dir into place) but possibly after we start.
-        while reader is None:
-            try:
-                reader = StoreReader.open(
-                    store_dir, whitepages_schema(), whitepages_registry()
-                )
-            except (FileNotFoundError, StaleReadError):
-                if time.monotonic() > deadline:
-                    raise
-                time.sleep(0.01)
-        checked_position = None
+        names = list(members(root))
+        view = open_view(root, whitepages_schema(), whitepages_registry())
+        open(os.path.join(workdir, f"follower-{follower_id}.ready"), "w").close()
+        checked = {}
         while True:
-            refreshed = reader.refresh()
+            if not view.refresh().advanced:
+                time.sleep(0.002)  # polite polling: CI runners can be single-core
             result["refreshes"] += 1
-            if refreshed.rebootstrapped:
-                result["rebootstraps"] += 1
-            if not refreshed.advanced:
-                # Polite polling: a busy spin would starve the writer on
-                # small machines (CI runners can be single-core).
-                time.sleep(0.002)
-            position = reader.position()
-            if position != checked_position:
-                digest = state_digest(reader.instance)
-                entries, _ = load_oracle(oracle)
-                while position not in entries:
-                    if time.monotonic() > deadline:
-                        raise TimeoutError(
-                            f"oracle never recorded position {position}"
-                        )
-                    time.sleep(0.005)
-                    entries, _ = load_oracle(oracle)
-                if entries[position] != digest:
-                    result["mismatches"].append(
-                        {"position": list(position), "digest": digest,
-                         "expected": entries[position]}
-                    )
-                result["checked"] += 1
-                checked_position = position
-            if os.path.exists(done):
-                _, frontier = load_oracle(oracle)
-                if frontier is not None and checked_position == frontier:
-                    break
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"reader stuck at {checked_position} before the "
-                    "writer's frontier"
+            moved = [(m, p) for m, p in view.position().items() if checked.get(m) != p]
+            for member, position in moved:
+                check_member(
+                    oracle_path(workdir, member), position,
+                    view.shard_reader(member).instance, deadline,
                 )
-        result["final"] = list(checked_position)
+                checked[member] = position
+                result["checked"][_name(member)] = result["checked"].get(_name(member), 0) + 1
+            if moved:
+                composite_never_torn(
+                    view.instance, [view.shard_reader(m).instance for m in names]
+                )
+            if all(
+                os.path.exists(done_path(workdir, m))
+                and checked.get(m) == load_oracle(oracle_path(workdir, m))[1]
+                for m in names
+            ):
+                break
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"follower stuck at {checked}")
+        result["rebootstraps"] = sum(view.shard_reader(m).bootstraps - 1 for m in names)
+        result["final"] = {_name(m): list(p) for m, p in checked.items()}
     except BaseException as exc:  # report, don't just die
         result["error"] = f"{type(exc).__name__}: {exc}"
     finally:
-        if reader is not None:
-            reader.close()
-        with open(result_path, "w", encoding="utf-8") as fh:
+        if view is not None:
+            view.close()
+        with open(os.path.join(workdir, f"follower-{follower_id}.json"), "w") as fh:
             json.dump(result, fh)
 
 
@@ -236,63 +214,61 @@ def reader_main(
 # ----------------------------------------------------------------------
 def run_stress(
     workdir: str,
+    shards: int = 0,
     transactions: int = 200,
     readers: int = 4,
     compact_every: int = 50,
     seed: int = 20260806,
     deadline_seconds: float = 120.0,
 ):
-    """Run the full topology; returns the list of reader result dicts.
-
-    Raises ``AssertionError`` with full diagnostics when any process
-    failed, any reader saw a divergent state, or any reader failed to
-    catch up with the writer's final position.
-    """
-    import multiprocessing
-
+    """Run the topology over a plain store (``shards=0``: Figure 1) or
+    a flat ``shards``-shard one; returns the follower result dicts.
+    Raises ``AssertionError`` when a process failed, a follower saw a
+    state its writer never committed or a torn view, or a follower
+    missed a writer's frontier."""
+    root = os.path.join(workdir, "store")
+    schema, registry = whitepages_schema(), whitepages_registry()
+    if shards:
+        ShardedStore.create(
+            root, schema, {f"org{i}": f"o=org{i}" for i in range(shards)},
+            generate_whitepages(orgs=shards, units_per_level=2, depth=1,
+                                persons_per_unit=2, seed=seed),
+            registry,
+        ).close()
+    else:
+        DirectoryStore.create(root, schema, figure1_instance(), registry).close()
+    names = list(members(root))
     ctx = multiprocessing.get_context("fork")
-    writer = ctx.Process(
-        target=writer_main,
-        args=(workdir, transactions, compact_every, seed),
-        name="stress-writer",
-    )
-    reader_procs = [
-        ctx.Process(
-            target=reader_main,
-            args=(workdir, i, deadline_seconds),
-            name=f"stress-reader-{i}",
-        )
+    followers = [
+        ctx.Process(target=follower_main, args=(workdir, root, i, deadline_seconds),
+                    name=f"follower-{i}")
         for i in range(readers)
     ]
-    writer.start()
-    for proc in reader_procs:
+    writers = [
+        ctx.Process(
+            target=writer_main,
+            args=(workdir, root, member, transactions, compact_every, seed + 1000 * i),
+            name=f"writer-{_name(member)}",
+        )
+        for i, member in enumerate(names)
+    ]
+    # Followers first, writers once every view is open: a short stream
+    # can end before a late fork, and a follower that missed it would
+    # verify one position and prove nothing.
+    for proc in followers:
         proc.start()
-    writer.join(deadline_seconds)
-    for proc in reader_procs:
-        proc.join(deadline_seconds)
-    alive = [p.name for p in [writer, *reader_procs] if p.is_alive()]
-    for proc in [writer, *reader_procs]:
-        if proc.is_alive():  # pragma: no cover - deadline pathology
-            proc.terminate()
-            proc.join()
-    assert not alive, f"stress processes missed the deadline: {alive}"
-    assert writer.exitcode == 0, f"writer exited {writer.exitcode}"
-
-    _, frontier = load_oracle(os.path.join(workdir, ORACLE_FILE))
-    results = []
-    for i in range(readers):
-        path = os.path.join(workdir, f"reader-{i}.json")
-        assert os.path.exists(path), f"reader {i} left no result file"
-        with open(path, "r", encoding="utf-8") as fh:
-            result = json.load(fh)
-        assert result["error"] is None, f"reader {i}: {result['error']}"
-        assert not result["mismatches"], (
-            f"reader {i} diverged from the writer: {result['mismatches'][:3]}"
-        )
-        assert result["final"] == list(frontier), (
-            f"reader {i} finished at {result['final']}, "
-            f"writer's frontier is {frontier}"
-        )
-        assert result["checked"] > 0
-        results.append(result)
-    return results
+    ready_by = time.monotonic() + deadline_seconds
+    while time.monotonic() < ready_by and not all(
+        os.path.exists(os.path.join(workdir, f"follower-{i}.ready"))
+        for i in range(readers)
+    ):
+        time.sleep(0.005)
+    for proc in writers:
+        proc.start()
+    join(writers + followers, deadline_seconds)
+    for proc in writers:
+        assert proc.exitcode == 0, f"{proc.name} exited {proc.exitcode}"
+    frontiers = {
+        _name(m): list(load_oracle(oracle_path(workdir, m))[1]) for m in names
+    }
+    return collect(workdir, "follower", readers, frontiers)

@@ -15,7 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harness.stress import canonical_records, state_digest
+from invariants import canonical_records, followed_equals_full, state_digest
 from repro.ldif.modify import ModifyOp, ModifyRecord, serialize_modification
 from repro.model.dn import parse_dn
 from repro.store import DirectoryStore, StoreReader, wal
@@ -76,24 +76,25 @@ def violations(report):
     return sorted(str(violation) for violation in report)
 
 
-def assert_check_matches_fresh(reader, directory, schema=None, was_legal=True):
-    """``reader.check()`` ≡ the full check of a reader opened now.  The
-    verdict follows the frames exactly from one legal report to the
-    next (``was_legal``: what this reader's previous report said), and
-    a followed answer costs the session nothing."""
-    before = reader.session.stats.copy()
-    report = reader.check()
-    work = reader.session.stats.since(before)
-    session_work = (
+def session_work(work):
+    """Every unit of work a verdict can cost the checking session."""
+    return (
         work.cache_hits + work.cache_misses + work.entries_checked
         + work.queries_evaluated + work.structure_checks
     )
-    assert (session_work == 0) == (was_legal and report.is_legal)
+
+
+def assert_check_matches_fresh(reader, directory, schema=None, was_legal=True):
+    """``reader.check()`` held to :func:`invariants.followed_equals_full`
+    against a reader opened now (``was_legal``: what this reader's
+    previous report said)."""
+    before = reader.session.stats.copy()
+    report = reader.check()
+    work = session_work(reader.session.stats.since(before))
     with open_reader(directory, schema) as fresh:
         assert fresh.position() == reader.position()
         full = fresh.check()
-    assert report.is_legal == full.is_legal
-    assert violations(report) == violations(full)
+    followed_equals_full(report, full, work, was_legal)
     return report
 
 
@@ -424,16 +425,17 @@ def test_spanning_pair_is_followed_by_every_shard_view(tmp_path):
             shards = [reader.shard_reader(name) for name in ("att", "labs")]
             before = [shard.session.stats.copy() for shard in shards]
             report = reader.check()
-            for shard, baseline in zip(shards, before):
-                work = shard.session.stats.since(baseline)
-                assert (work.cache_hits, work.cache_misses) == (0, 0)
-                assert (work.queries_evaluated, work.structure_checks) == (0, 0)
+            work = sum(
+                session_work(shard.session.stats.since(baseline))
+                for shard, baseline in zip(shards, before)
+            )
+            for shard in shards:
                 assert (shard.full_checks, shard.followed_checks) == (1, 1)
             # each shard Δ-checked its own half of the pair: one entry
             assert report.stats.entries_checked == 2
             with CompositeReader.open(path, schema, registry) as fresh:
                 full = fresh.check()
-            assert report.is_legal and full.is_legal
-            assert violations(report) == violations(full)
+            assert report.is_legal
+            followed_equals_full(report, full, work)
     finally:
         store.close()

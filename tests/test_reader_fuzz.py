@@ -15,12 +15,10 @@ A bounded example count runs in the default CI lane; the heavier
 configuration runs under ``-m slow``.
 """
 
-import hashlib
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ldif import serialize_ldif
+from invariants import committed_at, state_digest
 from repro.store import DirectoryStore
 from repro.store.reader import StoreReader
 from repro.workloads import (
@@ -29,11 +27,6 @@ from repro.workloads import (
     whitepages_registry,
     whitepages_schema,
 )
-
-
-def digest(instance) -> str:
-    return hashlib.blake2b(serialize_ldif(instance).encode("utf-8")).hexdigest()
-
 
 OPS = st.lists(
     st.sampled_from(["apply", "apply", "apply", "compact", "refresh", "reopen"]),
@@ -49,17 +42,7 @@ def run_interleaving(tmp_path_factory, seed: int, ops) -> None:
     store = DirectoryStore.create(path, schema, figure1_instance(), registry)
     reader = StoreReader.open(path, schema, registry)
     # oracle of every committed state the writer passed through
-    oracle = {(store.generation, store.journal_length): digest(store.instance)}
-
-    def check_reader():
-        position = reader.position()
-        assert position in oracle, (
-            f"reader at {position}, a position the writer never committed"
-        )
-        assert digest(reader.instance) == oracle[position], (
-            f"reader state at {position} diverges from the writer's"
-        )
-
+    oracle = {store.position(): state_digest(store.instance)}
     try:
         for i, op in enumerate(ops):
             if op == "apply":
@@ -75,21 +58,16 @@ def run_interleaving(tmp_path_factory, seed: int, ops) -> None:
             elif op == "reopen":
                 reader.close()
                 reader = StoreReader.open(path, schema, registry)
-            oracle[(store.generation, store.journal_length)] = digest(
-                store.instance
-            )
+            oracle[store.position()] = state_digest(store.instance)
             # Invariants after *every* step, whoever moved:
-            check_reader()
+            committed_at(oracle, reader.position(), state_digest(reader.instance))
             if op in ("refresh", "reopen"):
                 # no concurrent writer: the reader must be fully caught up
-                assert reader.position() == (
-                    store.generation,
-                    store.journal_length,
-                )
+                assert reader.position() == store.position()
                 assert reader.lag().current
         # the final view always converges
         reader.refresh(strict=True)
-        assert serialize_ldif(reader.instance) == serialize_ldif(store.instance)
+        assert state_digest(reader.instance) == state_digest(store.instance)
     finally:
         reader.close()
         store.close()

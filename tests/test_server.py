@@ -46,7 +46,7 @@ from repro.workloads import (
     whitepages_schema,
 )
 from tests.test_index import _random_filter
-from tests.test_undo_token import instance_state
+from invariants import instance_state
 
 PARENT = "ou=databases,ou=attLabs,o=att"
 NESTED_BASES = {"att": "o=att", "labs": "ou=attLabs,o=att"}

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from harness.stress import canonical_records
+from invariants import canonical_records, cohort_equals_union
 from repro.errors import (
     ShardMapError,
     ShardRoutingError,
@@ -1440,29 +1440,17 @@ def test_differential_against_union_store(tmp_path, seed, bases, orgs):
             wrote = union_outcome.applied and bool(tx.operations)
             assert union.journal_length == written[0] + wrote
             assert (sharded.position() != written[1]) == wrote
-            assert union_outcome.applied == sharded_outcome.applied, (
-                f"step {step}: union said {union_outcome.applied}, "
-                f"sharded said {sharded_outcome.applied}\n"
-                f"union: {union_outcome.report}\n"
-                f"sharded: {sharded_outcome.report}"
+            accepted += union_outcome.applied
+            rejected += not union_outcome.applied
+            refreshed = reader.refresh()
+            assert not refreshed.stale
+            _assert_followed_equals_stitched(reader, union.instance)
+            # Same verdict, same committed entries, same full checks
+            # through the store and through the followed view.
+            cohort_equals_union(
+                union.instance, sharded.instance, union_outcome, sharded_outcome,
+                (union.check(), sharded.check(), reader.check()), where=f" at step {step}",
             )
-            if union_outcome.applied:
-                accepted += 1
-            else:
-                rejected += 1
-                union_elements = {
-                    v.element for v in union_outcome.report if v.element
-                }
-                sharded_elements = {
-                    v.element for v in sharded_outcome.report if v.element
-                }
-                assert union_elements == sharded_elements, (
-                    f"step {step}: rejection cites different elements"
-                )
-            # The committed states are identical, byte for byte.
-            assert canonical_records(
-                sharded.composite_instance()
-            ) == canonical_records(union.instance), f"diverged at step {step}"
             # ... and so is everything a client can observe: searches
             # through the sharded store's own surface and over the
             # union instance agree filter by filter.
@@ -1474,20 +1462,6 @@ def test_differential_against_union_store(tmp_path, seed, bases, orgs):
                 composite.dn_string_of(e)
                 for e in sharded.search(filter=FILTERS[0])
             ) == _search_view(union.instance)[0]
-            refreshed = reader.refresh()
-            assert not refreshed.stale
-            _assert_followed_equals_stitched(reader, union.instance)
-            union_report = union.check()
-            composite_report = sharded.check()
-            reader_report = reader.check()
-            assert (
-                union_report.is_legal
-                == composite_report.is_legal
-                == reader_report.is_legal
-            )
-            assert {v.element for v in union_report} == {
-                v.element for v in composite_report
-            }
         # The stream must have exercised both verdicts — and at least
         # one mixed transaction, or the stepwise/final-state agreement
         # claim went untested.
@@ -1627,43 +1601,23 @@ def test_spanning_differential_against_union_store(tmp_path, seed, bases, orgs):
                 spanning += 1
             union_outcome = union.apply(tx)
             sharded_outcome = sharded.apply(tx)
-            assert union_outcome.applied == sharded_outcome.applied, (
-                f"step {step}: union said {union_outcome.applied}, "
-                f"sharded said {sharded_outcome.applied}\n"
-                f"union: {union_outcome.report}\n"
-                f"sharded: {sharded_outcome.report}"
+            cohort_equals_union(
+                union.instance, sharded.instance, union_outcome, sharded_outcome,
+                (union.check(), sharded.check()), where=f" at step {step}",
             )
-            if union_outcome.applied:
-                accepted += 1
-                if len(owners) > 1:
-                    assert any(
-                        "2pc: committed" in c for c in sharded_outcome.checks
-                    ), sharded_outcome.checks
-            else:
-                rejected += 1
-                if len(owners) > 1:
-                    assert any(
-                        "2pc: aborted" in c for c in sharded_outcome.checks
-                    ), sharded_outcome.checks
-                union_elements = {
-                    v.element for v in union_outcome.report if v.element
-                }
-                sharded_elements = {
-                    v.element for v in sharded_outcome.report if v.element
-                }
-                assert union_elements == sharded_elements, (
-                    f"step {step}: rejection cites different elements"
-                )
-            assert canonical_records(
-                sharded.composite_instance()
-            ) == canonical_records(union.instance), f"diverged at step {step}"
+            accepted += union_outcome.applied
+            rejected += not union_outcome.applied
+            if len(owners) > 1:
+                verdict = "committed" if union_outcome.applied else "aborted"
+                assert any(
+                    f"2pc: {verdict}" in c for c in sharded_outcome.checks
+                ), sharded_outcome.checks
             assert _search_view(
                 sharded.composite_instance()
             ) == _search_view(union.instance)
             refreshed = reader.refresh()
             assert not refreshed.stale
             _assert_followed_equals_stitched(reader, union.instance)
-            assert union.check().is_legal == sharded.check().is_legal
         assert spanning >= 4 and accepted >= 3 and rejected >= 2, (
             spanning, accepted, rejected,
         )
@@ -1680,10 +1634,7 @@ def test_spanning_differential_against_union_store(tmp_path, seed, bases, orgs):
         with ShardedStore.open(
             str(tmp_path / "sharded"), schema, registry
         ) as s:
-            assert canonical_records(s.composite_instance()) == (
-                canonical_records(u.instance)
-            )
-            assert s.check().is_legal == u.check().is_legal
+            cohort_equals_union(u.instance, s.instance, reports=(u.check(), s.check()))
 
 
 # ----------------------------------------------------------------------
@@ -1929,15 +1880,14 @@ class TestCoordinatorCutReads:
     LABS_DN = "uid=c1labs,ou=databases,ou=attLabs,o=att"
 
     def _crash_at(self, tmp_path, point):
-        from harness.crash2pc import commit_tx, make_sharded, run_2pc_scenario
+        from harness.crash2pc import commit_tx, spanning_scenario
         from repro.store.faults import FaultPlan, FaultyIO, InjectedCrash
 
-        path = str(tmp_path / "crash")
-        make_sharded(path)
-        io = FaultyIO(FaultPlan(crash_at_point=point))
         with pytest.raises(InjectedCrash):
-            run_2pc_scenario(path, io, transactions=[commit_tx(1)])
-        return path
+            spanning_scenario(commit_tx(1))(
+                tmp_path, FaultyIO(FaultPlan(crash_at_point=point))
+            )
+        return str(tmp_path / "store")
 
     @staticmethod
     def _assert_followed_is_fresh_stitch(reader):

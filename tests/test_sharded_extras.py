@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from harness.stress import canonical_records
+from invariants import cohort_equals_union
 from repro.errors import UpdateError
 from repro.ldif.modify import parse_modifications
 from repro.store import DirectoryStore
@@ -138,19 +138,14 @@ def test_key_verdict_differential_against_union_store(
             tx = person_tx(f"uid=new{step},{parent}", uid)
             union_outcome = union.apply(tx)
             sharded_outcome = sharded.apply(tx)
-            assert union_outcome.applied == sharded_outcome.applied, (
-                f"step {step}: union said {union_outcome.applied}, "
-                f"sharded said {sharded_outcome.applied}\n"
-                f"union: {union_outcome.report}\n"
-                f"sharded: {sharded_outcome.report}"
+            union_report = union.check()
+            assert union_report.is_legal
+            cohort_equals_union(
+                union.instance, sharded.instance, union_outcome, sharded_outcome,
+                (union_report, sharded.check()), verdict_tuples, f" at step {step}",
             )
-            if union_outcome.applied:
-                accepted += 1
-            else:
-                rejected += 1
-                assert verdict_tuples(union_outcome.report) == verdict_tuples(
-                    sharded_outcome.report
-                ), f"step {step}: verdicts differ"
+            accepted += union_outcome.applied
+            rejected += not union_outcome.applied
             # ... and the same work: one key probe, finding the new
             # entry alone or beside the holder it collides with — asked
             # of every shard's postings, naming the same candidates.
@@ -161,10 +156,6 @@ def test_key_verdict_differential_against_union_store(
             sharded_work = probe_work(sharded_outcome)
             assert sharded_work[0] == len(FLAT_BASES) * probes
             assert sharded_work[2] == candidates
-            assert canonical_records(
-                sharded.composite_instance()
-            ) == canonical_records(union.instance), f"diverged at step {step}"
-            assert union.check().is_legal == sharded.check().is_legal is True
         assert accepted >= 3 and rejected >= 3, (accepted, rejected)
         assert cross_shard >= 1, "stream never reused a uid across shards"
     finally:
@@ -177,14 +168,13 @@ def test_key_verdict_differential_against_union_store(
     ) as union, ShardedStore.open(
         str(tmp_path / "sharded"), schema, registry
     ) as sharded:
-        assert canonical_records(
-            sharded.composite_instance()
-        ) == canonical_records(union.instance)
-        assert union.check().is_legal and sharded.check().is_legal
         with CompositeReader.open(
             str(tmp_path / "sharded"), schema, registry
         ) as reader:
-            assert reader.check().is_legal
+            reports = (union.check(), sharded.check(), reader.check())
+        assert reports[0].is_legal
+        cohort_equals_union(union.instance, sharded.instance, reports=reports,
+                            face=verdict_tuples)
 
 
 def test_one_shard_store_does_the_plain_stores_probe_work(
@@ -247,10 +237,9 @@ class TestSpanningTransactions:
             )
         union_outcome = union.apply(tx)
         sharded_outcome = sharded.apply(tx)
-        assert not union_outcome.applied and not sharded_outcome.applied
-        assert verdict_tuples(union_outcome.report) == verdict_tuples(
-            sharded_outcome.report
-        )
+        assert not union_outcome.applied
+        cohort_equals_union(union.instance, sharded.instance, union_outcome,
+                            sharded_outcome, face=verdict_tuples)
         assert any("2pc: aborted" in c for c in sharded_outcome.checks), (
             sharded_outcome.checks
         )
@@ -270,13 +259,9 @@ class TestSpanningTransactions:
         )
         union_outcome = union.apply(tx)
         sharded_outcome = sharded.apply(tx)
-        assert not union_outcome.applied and not sharded_outcome.applied
-        assert verdict_tuples(union_outcome.report) == verdict_tuples(
-            sharded_outcome.report
-        )
-        assert canonical_records(
-            sharded.composite_instance()
-        ) == canonical_records(union.instance)
+        assert not union_outcome.applied
+        cohort_equals_union(union.instance, sharded.instance, union_outcome,
+                            sharded_outcome, face=verdict_tuples)
 
     def test_legal_spanning_transaction_commits_via_2pc(self, pair):
         union, sharded = pair
@@ -288,14 +273,14 @@ class TestSpanningTransactions:
             )
         union_outcome = union.apply(tx)
         sharded_outcome = sharded.apply(tx)
-        assert union_outcome.applied and sharded_outcome.applied
+        assert union_outcome.applied
         assert any("2pc: committed" in c for c in sharded_outcome.checks), (
             sharded_outcome.checks
         )
-        assert canonical_records(
-            sharded.composite_instance()
-        ) == canonical_records(union.instance)
-        assert union.check().is_legal and sharded.check().is_legal
+        reports = (union.check(), sharded.check())
+        assert reports[0].is_legal
+        cohort_equals_union(union.instance, sharded.instance, union_outcome,
+                            sharded_outcome, reports, verdict_tuples)
 
 
 def test_modify_duplicating_a_key_is_rejected_identically(
@@ -323,25 +308,21 @@ def test_modify_duplicating_a_key_is_rejected_identically(
         )[0]
         union_outcome = union.modify(record)
         sharded_outcome = sharded.modify(record)
-        assert not union_outcome.applied and not sharded_outcome.applied
-        assert verdict_tuples(union_outcome.report) == verdict_tuples(
-            sharded_outcome.report
-        )
+        assert not union_outcome.applied
         # The blind revert left both stores untouched and still legal.
-        assert canonical_records(
-            sharded.composite_instance()
-        ) == canonical_records(union.instance)
-        assert union.check().is_legal and sharded.check().is_legal
+        reports = (union.check(), sharded.check())
+        assert reports[0].is_legal
+        cohort_equals_union(union.instance, sharded.instance, union_outcome,
+                            sharded_outcome, reports, verdict_tuples)
         # A rename to a fresh uid goes through on both.
         fresh = parse_modifications(
             f"dn: {victim_dn}\nchangetype: modify\n"
             "replace: uid\nuid: renamed0\n-\n"
         )[0]
-        assert union.modify(fresh).applied
-        assert sharded.modify(fresh).applied
-        assert canonical_records(
-            sharded.composite_instance()
-        ) == canonical_records(union.instance)
+        union_outcome, sharded_outcome = union.modify(fresh), sharded.modify(fresh)
+        assert union_outcome.applied
+        cohort_equals_union(union.instance, sharded.instance, union_outcome,
+                            sharded_outcome)
     finally:
         union.close()
         sharded.close()

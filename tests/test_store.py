@@ -29,8 +29,7 @@ from repro.workloads import (
     whitepages_registry,
     whitepages_schema,
 )
-from tests.test_sharded import canonical_records
-from tests.test_undo_token import instance_state
+from invariants import canonical_records, instance_state
 
 
 @pytest.fixture()
@@ -543,14 +542,6 @@ def _reopen(path, layout, schema, registry):
     return opener.open(path, schema, registry)
 
 
-def _digest(store):
-    """The store's content, entry by entry; attribute order within an
-    entry is not content (a ``replace`` moves its attribute last)."""
-    if isinstance(store, DirectoryStore):
-        return canonical_records(store.instance)
-    return canonical_records(store.composite_instance())
-
-
 def _frames(store):
     if isinstance(store, DirectoryStore):
         return {"store": store.journal_length}
@@ -579,7 +570,9 @@ class TestWritePipeline:
         change = PIPELINE_CHANGES[kind, exit]
         store = _create(path, layout, wp_schema_extras, wp_registry)
         try:
-            before = _digest(store), _tree_bytes(path), _frames(store)
+            before = (
+                canonical_records(store.instance), _tree_bytes(path), _frames(store)
+            )
             write = store.apply if kind == "txn" else store.modify
             if exit != "composite":
                 applied = write(change).applied
@@ -607,15 +600,17 @@ class TestWritePipeline:
                     if data != before[1][name]
                 }
                 assert len(grown) == 1 and grown.pop().endswith("journal.ldif")
-                assert _digest(store) != before[0]
+                assert canonical_records(store.instance) != before[0]
             else:
-                assert (_digest(store), _tree_bytes(path), _frames(store)) == before
+                assert (
+                    canonical_records(store.instance), _tree_bytes(path), _frames(store)
+                ) == before
                 assert store.check().is_legal
-            after = _digest(store)
+            after = canonical_records(store.instance)
         finally:
             store.close()
         with _reopen(path, layout, wp_schema_extras, wp_registry) as reopened:
-            assert _digest(reopened) == after
+            assert canonical_records(reopened.instance) == after
 
     @pytest.mark.parametrize("kind", ["txn", "modify"])
     @pytest.mark.parametrize("layout", ["plain", "sharded"])
@@ -628,7 +623,7 @@ class TestWritePipeline:
         write = store.apply if kind == "txn" else store.modify
         try:
             assert store.apply(_person_tx("first")).applied
-            committed = _digest(store)
+            committed = canonical_records(store.instance)
             io.plan.disk_budget = io.plan.bytes_written + 10  # next append fails
             with pytest.raises(StoreError, match="poisoned"):
                 write(PIPELINE_CHANGES[kind, "commit"])
@@ -642,7 +637,7 @@ class TestWritePipeline:
         finally:
             store.close()
         with _reopen(path, layout, wp_schema_extras, wp_registry) as recovered:
-            assert _digest(recovered) == committed
+            assert canonical_records(recovered.instance) == committed
             assert recovered.apply(_person_tx("third")).applied
 
     @pytest.mark.parametrize(

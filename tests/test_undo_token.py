@@ -18,12 +18,12 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from invariants import instance_state
 from oracle import oracle_check
 
 from repro.consistency.engine import close
 from repro.consistency.witness import WitnessSynthesisError, synthesize_witness
 from repro.errors import BoundingSchemaError
-from repro.ldif import serialize_ldif
 from repro.model.dn import parse_rdn
 from repro.model.instance import DirectoryInstance
 from repro.schema.class_schema import TOP
@@ -34,41 +34,6 @@ from repro.updates.operations import UpdateTransaction
 from repro.workloads import generate_whitepages, random_schema, whitepages_schema
 
 KINDS = ("insert", "delete", "move", "modify", "transaction")
-
-
-def instance_state(instance):
-    """Everything a rollback must restore, in comparable form.  Entry
-    ids are never reused, so the postings are keyed by DN."""
-    by_interval = sorted(instance, key=instance.interval_of)
-    classes = sorted({c for entry in instance for c in entry.classes})
-    state = {
-        "ldif": serialize_ldif(instance),
-        "counts": {c: instance.class_count(c) for c in classes},
-        "order": [str(entry.dn) for entry in by_interval],
-    }
-    export = getattr(instance.indexes, "export_postings", None)
-    if export is not None:  # postings of its own (a composite has none)
-        exported = export()
-        dns = exported["dns"]
-
-        def named(posting):
-            return sorted(dns[i] for i in posting)
-
-        def live(buckets):  # an emptied bucket is as good as none
-            return {key: named(p) for key, p in buckets.items() if p}
-
-        state["postings"] = {
-            "dns": sorted(dns),
-            "present": live(exported["present"]),
-            **{
-                kind: {
-                    a: live(buckets)
-                    for a, buckets in exported[kind].items() if live(buckets)
-                }
-                for kind in ("eq", "grams")
-            },
-        }
-    return state
 
 
 # ----------------------------------------------------------------------

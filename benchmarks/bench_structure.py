@@ -11,9 +11,9 @@ Gates for :class:`repro.legality.structure_engine.StructureEngine`:
   class, a warm ``check()`` re-evaluates exactly the elements whose
   source/target classes intersect the dirty set (machine-independent
   work-counter gate).
-* **Differential** — batched engine (sequential and parallel), the
-  per-query reduction, and the naive baseline agree verdict-for-verdict
-  on randomized forests and randomized mixed-axis schemas.
+* **Differential** — the batched engine, the per-query reduction, and
+  the naive baseline agree verdict-for-verdict on randomized forests and
+  randomized mixed-axis schemas.
 
 ``BENCH_STRUCTURE_SCALE`` scales the forest (1.0 -> ~100k entries; CI
 smoke uses a small fraction).
@@ -91,13 +91,13 @@ def test_batched_beats_per_query_cost(benchmark):
     query_report = per_query.check(instance)
     query_cost = per_query.last_cost
 
-    with StructureEngine(schema) as engine:
-        engine_report = engine.check(instance)
-        batched_cost = engine.last_cost
-        assert engine.last_batched == 32, (
-            f"only {engine.last_batched} elements took the batched path"
-        )
-        assert engine.last_flag_passes <= 2
+    engine = StructureEngine(schema)
+    engine_report = engine.check(instance)
+    batched_cost = engine.last_cost
+    assert engine.last_batched == 32, (
+        f"only {engine.last_batched} elements took the batched path"
+    )
+    assert engine.last_flag_passes <= 2
 
     assert _verdicts(engine_report) == _verdicts(query_report)
 
@@ -113,12 +113,12 @@ def test_batched_beats_per_query_cost(benchmark):
     )
     benchmark.extra_info["entries"] = len(instance)
     benchmark.extra_info["cost_ratio"] = round(ratio, 2)
-    with StructureEngine(schema) as engine:
-        def cold_check():
-            engine.clear_memo()
-            return engine.check(instance)
 
-        benchmark(cold_check)
+    def cold_check():
+        engine.clear_memo()
+        return engine.check(instance)
+
+    benchmark(cold_check)
     assert ratio >= 3.0, (
         f"batched sweep should be >= 3x cheaper, got {ratio:.2f}x "
         f"({query_cost} vs {batched_cost} work units)"
@@ -139,36 +139,36 @@ def test_warm_recheck_tracks_dirty_classes(benchmark):
     )
     assert 0 < intersecting < len(schema.relationship_elements())
 
-    with StructureEngine(schema) as engine:
-        engine.check(instance)
-        cold_cost = engine.last_cost
+    engine = StructureEngine(schema)
+    engine.check(instance)
+    cold_cost = engine.last_cost
 
-        engine.check(instance)
-        assert engine.last_checks_evaluated == 0, "clean re-check did work"
-        assert engine.last_cost == 0
+    engine.check(instance)
+    assert engine.last_checks_evaluated == 0, "clean re-check did work"
+    assert engine.last_cost == 0
 
-        instance.add_entry(None, "o=dirty", [dirty_class, "top"])
-        engine.check(instance)
-        warm_cost = engine.last_cost
-        rows = [
-            (f"|D|={len(instance)}", f"|S|={len(schema)}"),
-            (f"cold cost={cold_cost}",),
-            (f"dirty class={dirty_class!r}", f"intersecting={intersecting}"),
-            (f"warm re-evaluated={engine.last_checks_evaluated}",
-             f"memo hits={engine.last_cache_hits}"),
-            (f"warm cost={warm_cost}",),
-        ]
-        print_series("STRUCT: warm re-check vs dirty set", rows)
-        assert engine.last_checks_evaluated == intersecting, (
-            f"touching {dirty_class!r} re-evaluated "
-            f"{engine.last_checks_evaluated} elements, expected {intersecting}"
-        )
-        assert engine.last_cache_hits == len(engine.checks) - intersecting
-        assert warm_cost < cold_cost
+    instance.add_entry(None, "o=dirty", [dirty_class, "top"])
+    engine.check(instance)
+    warm_cost = engine.last_cost
+    rows = [
+        (f"|D|={len(instance)}", f"|S|={len(schema)}"),
+        (f"cold cost={cold_cost}",),
+        (f"dirty class={dirty_class!r}", f"intersecting={intersecting}"),
+        (f"warm re-evaluated={engine.last_checks_evaluated}",
+         f"memo hits={engine.last_cache_hits}"),
+        (f"warm cost={warm_cost}",),
+    ]
+    print_series("STRUCT: warm re-check vs dirty set", rows)
+    assert engine.last_checks_evaluated == intersecting, (
+        f"touching {dirty_class!r} re-evaluated "
+        f"{engine.last_checks_evaluated} elements, expected {intersecting}"
+    )
+    assert engine.last_cache_hits == len(engine.checks) - intersecting
+    assert warm_cost < cold_cost
 
-        benchmark.extra_info["entries"] = len(instance)
-        benchmark.extra_info["intersecting"] = intersecting
-        benchmark(lambda: engine.check(instance).is_legal)
+    benchmark.extra_info["entries"] = len(instance)
+    benchmark.extra_info["intersecting"] = intersecting
+    benchmark(lambda: engine.check(instance).is_legal)
 
 
 # ----------------------------------------------------------------------
@@ -204,13 +204,9 @@ def test_batched_per_query_naive_agree(benchmark):
 
         query_report = QueryStructureChecker(schema).check(instance)
         naive_report = NaiveStructureChecker(schema).check(instance)
-        with StructureEngine(schema) as engine:
-            batched = engine.check(instance)
-        with StructureEngine(schema, parallelism=4) as engine:
-            parallel_batched = engine.check(instance)
+        batched = StructureEngine(schema).check(instance)
 
         assert _verdicts(batched) == _verdicts(query_report)
-        assert _verdicts(parallel_batched) == _verdicts(query_report)
         assert sorted(_verdicts(batched)) == sorted(_verdicts(naive_report))
 
     benchmark.extra_info["trials"] = 12

@@ -4,8 +4,8 @@ Usage::
 
     bounding-schemas validate    --schema S.dsl --data D.ldif
     bounding-schemas check       --schema S.dsl (--data D.ldif | --store DIR)
-                                 [--jobs N] [--profile] [--follow]
-                                 [--interval SEC] [--iterations N]
+                                 [--profile] [--follow] [--interval SEC]
+                                 [--iterations N]
     bounding-schemas create      STORE_DIR --schema S.dsl [--data D.ldif]
                                  [--shard NAME=BASE_DN ...]
     bounding-schemas consistency --schema S.dsl [--witness OUT.ldif] [--proof]
@@ -50,11 +50,10 @@ applied or, on any violation, rolled back with an explanation.
 There is one checking path: ``validate``, ``check``, the server's
 ``check`` op, ``create`` and ``fsck --schema`` all reach
 :meth:`repro.legality.engine.CheckSession.check` (memoized content →
-batched structure engine → Section 6.1 extras).  ``validate`` is
-``check --data`` under its old name.  ``--jobs N`` (``check`` and
-``serve`` alike) is the worker count: default 1 is sequential, 0 is one
-worker per CPU; ``--profile`` prints the engine's counter/timer table
-(entries checked, cache hits, query work, per-phase wall time).
+batched structure engine → Section 6.1 extras), one sequential path
+with no setting.  ``validate`` is ``check --data`` under its old name.
+``--profile`` prints the engine's counter/timer table (entries checked,
+cache hits, query work, per-phase wall time).
 ``--follow``, ``--interval`` and ``--iterations`` apply to ``--store``
 only; with ``--data`` they are exit 2 and one line.
 """
@@ -80,7 +79,7 @@ __all__ = ["main"]
 def _cmd_check(args: argparse.Namespace) -> int:
     """``check`` (and ``validate``, the same command under its old
     name with ``--data`` only): one :class:`CheckSession` pass."""
-    from repro.legality.engine import CheckSession, default_parallelism
+    from repro.legality.engine import CheckSession
 
     if args.store:
         return _check_store(args)
@@ -99,10 +98,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 2
     schema = load_dsl(args.schema)
     instance = load_ldif(args.data)
-    with CheckSession(
-        schema, parallelism=args.jobs or default_parallelism()
-    ) as session:
-        report = session.check(instance)
+    report = CheckSession(schema).check(instance)
     return _print_verdict(
         args, report, "", f"{len(instance)} entries satisfy {args.schema}"
     )
@@ -125,7 +121,7 @@ def _print_verdict(args, report, prefix: str, legal: str) -> int:
 def _check_store(args: argparse.Namespace) -> int:
     """``check --store DIR [--follow]``: legality of a live store —
     plain or sharded, whichever DIR holds — through a lock-free reader
-    view with ``--jobs`` content workers.  With ``--follow``, refresh
+    view.  With ``--follow``, refresh
     and re-check in a loop (the verdict follows the frames, so each
     round costs only the delta) and print the view's position per
     round; ``--iterations`` bounds the loop (0 = until interrupted).
@@ -135,7 +131,6 @@ def _check_store(args: argparse.Namespace) -> int:
     import time
 
     from repro.errors import StoreError
-    from repro.legality.engine import default_parallelism
     from repro.store import members, open_view
 
     interval = 1.0 if args.interval is None else args.interval
@@ -150,9 +145,7 @@ def _check_store(args: argparse.Namespace) -> int:
         return 2
     schema = load_dsl(args.schema)
     try:
-        reader = open_view(
-            args.store, schema, parallelism=args.jobs or default_parallelism()
-        )
+        reader = open_view(args.store, schema)
     except (StoreError, OSError) as exc:
         print(f"check: {exc}", file=sys.stderr)
         return 1
@@ -777,7 +770,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = DirectoryServer(
             args.store,
             schema,
-            jobs=args.jobs,
             host=args.host,
             port=args.port,
             replica_of=args.replica_of,
@@ -982,14 +974,14 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--schema", required=True, help="bounding-schema DSL file")
     validate.add_argument("--data", required=True, help="LDIF instance file")
     validate.set_defaults(
-        func=_cmd_check, store=None, jobs=1, profile=False,
+        func=_cmd_check, store=None, profile=False,
         follow=False, interval=None, iterations=None,
     )
 
     check = sub.add_parser(
         "check",
         parents=[expects],
-        help="legality test on the parallel, memoized engine",
+        help="legality test on the memoized engine",
     )
     check.add_argument("--schema", required=True, help="bounding-schema DSL file")
     source = check.add_mutually_exclusive_group(required=True)
@@ -1017,13 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help="stop --follow after N check rounds (default: until interrupted)",
-    )
-    check.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="content-check worker count (default 1: sequential engine; "
-        "0: one worker per CPU)",
     )
     check.add_argument(
         "--profile",
@@ -1158,13 +1143,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("store", help="store directory to serve")
     serve.add_argument("--schema", required=True)
-    serve.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="per-connection legality-check worker count (default 1: "
-        "sequential engine; 0: one worker per CPU)",
-    )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port",

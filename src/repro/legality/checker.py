@@ -11,8 +11,6 @@ the schema declares extras — the Section 6.1 checks, into one
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.legality.engine import CheckSession
 from repro.schema.directory_schema import DirectorySchema
 
@@ -33,19 +31,12 @@ class LegalityChecker(CheckSession):
     structure:
         An expectation, not a selector: there is one structure-checking
         path, ``"batched"``; any other value is a ``ValueError``.
-    parallelism:
-        Worker count, as for :class:`~repro.legality.engine.CheckSession`.
     """
 
-    def __init__(
-        self,
-        schema: DirectorySchema,
-        structure: str = "batched",
-        parallelism: Optional[int] = None,
-    ) -> None:
+    def __init__(self, schema: DirectorySchema, structure: str = "batched") -> None:
         if structure != "batched":
             raise ValueError(
                 f"unknown structure strategy {structure!r}: the batched "
                 "structure engine is the one checking path"
             )
-        super().__init__(schema, parallelism=parallelism)
+        super().__init__(schema)

@@ -3,10 +3,10 @@
 :class:`CheckStats` is the machine-readable record one
 :class:`~repro.legality.engine.CheckSession` check leaves behind:
 counters (entries content-checked, fingerprint-cache hits/misses, query
-evaluator work, violations found), the worker/chunk layout of the
-parallel phase, and per-phase wall-clock timings.  The engine attaches a
-snapshot to every :class:`~repro.legality.report.LegalityReport` it
-produces (``report.stats``) and keeps a cumulative copy on the session;
+evaluator work, violations found) and per-phase wall-clock timings.  The
+engine attaches a snapshot to every
+:class:`~repro.legality.report.LegalityReport` it produces
+(``report.stats``) and keeps a cumulative copy on the session;
 the ``check --profile`` CLI renders :meth:`CheckStats.format_table`.
 
 Counters, not timings, are what the benchmark gates assert on — wall
@@ -62,9 +62,6 @@ class CheckStats:
         index-backed extras delta checks and by index-planned searches;
         ``candidates`` is the work-unit the bench gates compare against
         ``|D|`` to certify sublinearity.
-    workers / chunks:
-        Layout of the parallel content phase (``workers == 0`` means the
-        sequential path ran).
     phase_seconds:
         Wall-clock seconds per phase (``content``, ``structure``,
         ``extras``, ...).
@@ -82,8 +79,6 @@ class CheckStats:
     index_probes: int = 0
     index_hits: int = 0
     index_candidates: int = 0
-    workers: int = 0
-    chunks: int = 0
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -113,8 +108,6 @@ class CheckStats:
         self.index_probes += other.index_probes
         self.index_hits += other.index_hits
         self.index_candidates += other.index_candidates
-        self.workers = max(self.workers, other.workers)
-        self.chunks += other.chunks
         for phase, seconds in other.phase_seconds.items():
             self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
 
@@ -144,8 +137,6 @@ class CheckStats:
             index_probes=self.index_probes - baseline.index_probes,
             index_hits=self.index_hits - baseline.index_hits,
             index_candidates=self.index_candidates - baseline.index_candidates,
-            workers=self.workers,
-            chunks=self.chunks - baseline.chunks,
         )
         for phase, seconds in self.phase_seconds.items():
             before = baseline.phase_seconds.get(phase, 0.0)
@@ -183,8 +174,6 @@ class CheckStats:
             ("index probes", str(self.index_probes)),
             ("index probe hits", str(self.index_hits)),
             ("index candidates", str(self.index_candidates)),
-            ("workers", str(self.workers) if self.workers else "sequential"),
-            ("chunks", str(self.chunks)),
         ]
         for phase in sorted(self.phase_seconds):
             rows.append((f"{phase} wall time", f"{self.phase_seconds[phase] * 1e3:.1f} ms"))

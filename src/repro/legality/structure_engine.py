@@ -1,4 +1,4 @@
-"""The batched, parallel, memoized structure-check engine.
+"""The batched, memoized structure-check engine.
 
 Theorem 3.1 bounds the structure check by ``O(|S| * |D|)`` — per query.
 Evaluated one at a time, every Figure 4 check whose operands are large
@@ -23,11 +23,11 @@ translated check set, in three layers:
    agreement (:func:`repro.query.evaluator.descendant_prefers_flags`
    et al.).
 
-2. **Concurrent evaluation** — the Figure 4 queries are independent of
-   each other, so the non-batched checks are sharded across a thread
-   pool on a shared read-only interval numbering (pre-built before
-   dispatch).  Violations are merged deterministically in element
-   order, so reports are byte-identical to the sequential checkers'.
+2. **Per-query evaluation** — the non-batched checks are evaluated one
+   after another by one :class:`~repro.query.evaluator.QueryEvaluator`
+   over the instance's interval numbering.  Violations are collected in
+   element order, so reports are byte-identical to the sequential
+   checkers'.
 
 3. **Per-element memoization** — each verdict is keyed on the
    *fingerprints* of the classes the element mentions
@@ -47,7 +47,6 @@ and the ``benchmarks/bench_structure.py`` gates).
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ThreadPoolExecutor
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.axes import Axis
@@ -90,21 +89,13 @@ class StructureEngine:
     structure_schema:
         The ``(Cr, Er, Ef)`` component of the bounding-schema; compiled
         to Figure 4 checks once.
-    parallelism:
-        Worker-thread count for the non-batched checks.  ``None`` or
-        ``<= 1`` evaluates them inline (still batched and memoized).
     """
 
-    def __init__(
-        self,
-        structure_schema: StructureSchema,
-        parallelism: Optional[int] = None,
-    ) -> None:
+    def __init__(self, structure_schema: StructureSchema) -> None:
         self.structure_schema = structure_schema
         self.checks: List[TranslatedCheck] = [
             translate_element(element) for element in structure_schema.elements()
         ]
-        self.parallelism = max(1, parallelism or 1)
         #: Evaluator work (entries touched) of the most recent call.
         self.last_cost = 0
         #: Elements actually evaluated by the most recent call (memo
@@ -119,24 +110,10 @@ class StructureEngine:
         # check index -> (memo key, verdict); bounded by |S| since each
         # index keeps only its latest verdict.
         self._memo: Dict[int, Tuple[_MemoKey, _Verdict]] = {}
-        self._executor: Optional[Executor] = None
-        self._pool_broken = False
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # memo
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "StructureEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def clear_memo(self) -> None:
         """Drop every memoized structure verdict."""
         self._memo.clear()
@@ -176,9 +153,9 @@ class StructureEngine:
         self.last_batched = 0
         self.last_flag_passes = 0
 
-        # Force the shared interval numbering once, before any worker
-        # touches the instance (the lazy rebuild is not thread-safe).
-        instance.entry_ids()
+        # A check leaves its instance numbered, memo hits or not: the
+        # searches after it plan on the interval numbering.
+        instance.ensure_numbered()
 
         token = instance.instance_token
         verdicts: List[Optional[_Verdict]] = [None] * len(self.checks)
@@ -331,7 +308,7 @@ class StructureEngine:
             self.last_batched += 1
 
     # ------------------------------------------------------------------
-    # layer 2: concurrent per-query evaluation
+    # layer 2: per-query evaluation
     # ------------------------------------------------------------------
     def _evaluate_queries(
         self,
@@ -339,54 +316,13 @@ class StructureEngine:
         indexes: List[int],
         verdicts: List[Optional[_Verdict]],
     ) -> None:
-        """Evaluate the non-batched checks, sharded across the thread
-        pool when it pays; inline otherwise."""
-
-        def run(shard: List[int]) -> Tuple[int, List[Tuple[int, FrozenSet[int]]]]:
-            evaluator = QueryEvaluator(instance)
-            out: List[Tuple[int, FrozenSet[int]]] = []
-            for index in shard:
-                out.append(
-                    (index, frozenset(evaluator.evaluate(self.checks[index].query)))
-                )
-            return evaluator.cost, out
-
-        shards: List[List[int]] = []
-        if self.parallelism > 1 and len(indexes) > 1 and not self._pool_broken:
-            shards = [
-                indexes[offset :: self.parallelism]
-                for offset in range(self.parallelism)
-            ]
-            shards = [shard for shard in shards if shard]
-        if len(shards) > 1:
-            executor = self._get_executor()
-            if executor is not None:
-                try:
-                    for cost, out in executor.map(run, shards):
-                        self.last_cost += cost
-                        for index, witnesses in out:
-                            verdicts[index] = witnesses
-                    return
-                except Exception:
-                    # A broken pool degrades to inline evaluation — the
-                    # verdicts must never depend on the pool's health.
-                    self.close()
-                    self._pool_broken = True
-        cost, out = run(indexes)
-        self.last_cost += cost
-        for index, witnesses in out:
-            verdicts[index] = witnesses
-
-    def _get_executor(self) -> Optional[Executor]:
-        if self._executor is None and not self._pool_broken:
-            try:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.parallelism,
-                    thread_name_prefix="structure-engine",
-                )
-            except Exception:
-                self._pool_broken = True
-        return self._executor
+        """Evaluate the non-batched checks, one Figure 4 query each."""
+        evaluator = QueryEvaluator(instance)
+        for index in indexes:
+            verdicts[index] = frozenset(
+                evaluator.evaluate(self.checks[index].query)
+            )
+        self.last_cost += evaluator.cost
 
     # ------------------------------------------------------------------
     # report assembly (element order — deterministic merge)

@@ -230,8 +230,8 @@ class Entry:
         be reused across any entries (or re-checks) sharing a
         fingerprint.  The digest is position-independent (the DN does not
         participate) and process-independent (``blake2b``, not the
-        per-process-salted builtin ``hash``), so verdicts computed by
-        pool workers stay valid in the parent process.
+        per-process-salted builtin ``hash``), so verdicts persisted by
+        one process (the warm-start sidecar) stay valid in another.
 
         The digest is cached on the entry and invalidated by every
         class/value mutation, so recomputing it for an unchanged entry

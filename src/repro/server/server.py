@@ -57,7 +57,6 @@ from repro.errors import (
     StoreError,
     UpdateError,
 )
-from repro.legality.engine import default_parallelism
 from repro.server.protocol import (
     BadRequest,
     error_response,
@@ -152,9 +151,7 @@ class _Connection(Connection):
                 except asyncio.CancelledError:
                     pass
         if self.view is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.view.close
-            )
+            self.view.close()
 
 
 class DirectoryServer(WireService):
@@ -166,10 +163,6 @@ class DirectoryServer(WireService):
         The store directory, plain or sharded (``create --shard``) —
         the directory says which; the server takes the writer lock for
         its whole lifetime.
-    jobs:
-        Parallelism handed to each connection's legality engine (the
-        ``check`` extended op): ``1`` (the default) is sequential,
-        ``0`` one worker per CPU — the same meaning as ``check --jobs``.
     host / port:
         Bind address.  Port ``0`` binds an ephemeral port; read the
         bound one from :attr:`port` after :meth:`start`.
@@ -208,7 +201,6 @@ class DirectoryServer(WireService):
         schema,
         registry=None,
         *,
-        jobs: int = 1,
         host: str = "127.0.0.1",
         port: int = 0,
         replica_of: Optional[str] = None,
@@ -217,7 +209,6 @@ class DirectoryServer(WireService):
         self.store_path = store_path
         self.schema = schema
         self.registry = registry
-        self.jobs = jobs
         self.replica_of = replica_of
         self.store = None
         self._applier = None
@@ -274,14 +265,10 @@ class DirectoryServer(WireService):
         opens its views: over a sharded cohort they follow the shipped
         2PC decisions and refresh only on a replicated cut, where a
         primary's view pins each refresh to the coordinator log."""
-        parallelism = self.jobs or default_parallelism()
         try:
             if applier is not None:
-                return applier.open_view(parallelism=parallelism)
-            return open_view(
-                self.store_path, self.schema, self.registry,
-                parallelism=parallelism,
-            )
+                return applier.open_view()
+            return open_view(self.store_path, self.schema, self.registry)
         except OSError as exc:
             # A replica before its bootstrap snapshot has nothing to
             # read yet; surface that as a store error, not a dead socket.
@@ -437,8 +424,8 @@ class DirectoryServer(WireService):
             connection.view is not None
             and connection.view_source is not applier
         ):
-            stale, connection.view = connection.view, None
-            await loop.run_in_executor(None, stale.close)
+            connection.view.close()
+            connection.view = None
         if connection.view is None:
             connection.view = await loop.run_in_executor(
                 None, self._open_view, applier

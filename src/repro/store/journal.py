@@ -480,7 +480,6 @@ class DirectoryStore:
         registry: Optional[AttributeRegistry] = None,
         *,
         io: Optional[StoreIO] = None,
-        parallelism: Optional[int] = None,
     ) -> "StoreReader":
         """Open a lock-free read-only view of the store.
 
@@ -495,9 +494,7 @@ class DirectoryStore:
         """
         from repro.store.reader import StoreReader
 
-        return StoreReader.open(
-            directory, schema, registry, io=io, parallelism=parallelism
-        )
+        return StoreReader.open(directory, schema, registry, io=io)
 
     def close(self) -> None:
         """Persist the warm-start sidecar (best effort) and release the

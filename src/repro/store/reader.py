@@ -119,9 +119,9 @@ class StoreReader:
     Create via :meth:`open` (or
     :meth:`~repro.store.journal.DirectoryStore.open_reader`).  The view
     is pinned at the committed state found at open time; call
-    :meth:`refresh` to follow the writer.  Close (or use as a context
-    manager) to release the legality session's worker pool — readers
-    hold **no lock**, so closing has no effect on other processes.
+    :meth:`refresh` to follow the writer.  Close it (or use it as a
+    context manager) when done — readers hold **no lock**, so closing
+    has no effect on other processes.
     """
 
     def __init__(
@@ -198,7 +198,6 @@ class StoreReader:
         registry: Optional[AttributeRegistry] = None,
         *,
         io: Optional[StoreIO] = None,
-        parallelism: Optional[int] = None,
     ) -> "StoreReader":
         """Open a read-only view of ``directory`` without locking it.
 
@@ -211,32 +210,26 @@ class StoreReader:
             raise FileNotFoundError(f"{directory!r} is not a store directory")
         if not os.path.exists(os.path.join(directory, SNAPSHOT_FILE)):
             raise FileNotFoundError(f"{directory!r} has no {SNAPSHOT_FILE}")
-        session = CheckSession(schema, parallelism=parallelism)
+        session = CheckSession(schema)
         reader = cls(directory, schema, registry, io, session)
-        try:
-            if not reader._bootstrap():
-                raise StaleReadError(
-                    f"could not bootstrap a consistent view of {directory!r} "
-                    f"after {_BOOTSTRAP_RETRIES} attempts (a writer is "
-                    "compacting faster than the reader can read)"
-                )
-            verdicts = _sidecar.load_sidecar(directory, schema)
-            if verdicts is not None:
-                try:
-                    reader.warm_start_verdicts = session.import_verdicts(verdicts)
-                except ValueError:
-                    reader.warm_start_verdicts = 0
-        except BaseException:
-            session.close()
-            raise
+        if not reader._bootstrap():
+            raise StaleReadError(
+                f"could not bootstrap a consistent view of {directory!r} "
+                f"after {_BOOTSTRAP_RETRIES} attempts (a writer is "
+                "compacting faster than the reader can read)"
+            )
+        verdicts = _sidecar.load_sidecar(directory, schema)
+        if verdicts is not None:
+            try:
+                reader.warm_start_verdicts = session.import_verdicts(verdicts)
+            except ValueError:
+                reader.warm_start_verdicts = 0
         return reader
 
     def close(self) -> None:
-        """Release the legality session's workers (idempotent)."""
-        if self._closed:
-            return
+        """Retire the view (idempotent): a closed view refuses every
+        read and refresh."""
         self._closed = True
-        self._session.close()
 
     def __enter__(self) -> "StoreReader":
         return self

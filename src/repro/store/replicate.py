@@ -874,12 +874,10 @@ class ReplicaApplier(_Follower):
             )
         return self.reader.instance
 
-    def open_view(self, **reader_options) -> StoreReader:
+    def open_view(self) -> StoreReader:
         """A long-lived lock-free view of the replicated copy, for a
         replica server's connections."""
-        return StoreReader.open(
-            self.directory, self._schema, self._registry, **reader_options
-        )
+        return StoreReader.open(self.directory, self._schema, self._registry)
 
     def position(self) -> Position:
         """``(generation, seq)`` durably applied — ``(0, 0)`` before
@@ -1151,7 +1149,7 @@ class ShardedReplicaApplier(_Follower):
         ) as reader:
             return reader.instance
 
-    def open_view(self, **reader_options):
+    def open_view(self):
         """A long-lived lock-free composite view of the cohort, for a
         replica server's connections.  Its 2PC visibility follows the
         shipped ``#DECIDE`` frames and every ``refresh()`` runs inside
@@ -1161,9 +1159,7 @@ class ShardedReplicaApplier(_Follower):
         from repro.store.sharded import CompositeReader
 
         self._ensure_open()
-        view = CompositeReader.open(
-            self.directory, self._schema, self._registry, **reader_options
-        )
+        view = CompositeReader.open(self.directory, self._schema, self._registry)
         view._serve_cohort(self)
         return view
 

@@ -982,7 +982,10 @@ class ShardedStore:
         per-shard ``#DECIDE abort`` (rolling the staged memory back via
         the staged undo token), COMPLETE.  Any crash before step 4
         resolves to abort at the next open (presumed abort); any crash
-        after it resolves to commit.
+        after it resolves to commit.  A failed coordinator-log append is
+        treated like a crash: it raises, the participants stay prepared,
+        and every later spanning write is refused until the store is
+        reopened.
         """
         if self._extras_probe is not None:
             self._extras_probe.checkpoint()
@@ -1032,8 +1035,11 @@ class ShardedStore:
             # by a shard's guard) aborts the prepared participants and
             # propagates.  An InjectedCrash is a BaseException and is
             # deliberately NOT caught: the simulated process is dead,
-            # and recovery resolves the in-doubt prepares instead.
-            self._abort(txid, prepared)
+            # and recovery resolves the in-doubt prepares instead.  So
+            # does a failed coordinator-log append: the record (a commit,
+            # say) may have landed, and only a reopen reads which.
+            if not self._txlog.poisoned:
+                self._abort(txid, prepared)
             raise
         self._abort(txid, prepared)
         return self._merge_outcomes(
@@ -1269,8 +1275,6 @@ class CompositeReader:
         directory: str,
         schema: DirectorySchema,
         registry: Optional[AttributeRegistry] = None,
-        *,
-        parallelism: Optional[int] = None,
     ) -> "CompositeReader":
         """Open read-only views of every shard (no locks taken)."""
         shard_map = read_shard_map(directory)
@@ -1280,10 +1284,7 @@ class CompositeReader:
         try:
             for spec in shard_map:
                 readers[spec.name] = StoreReader.open(
-                    shard_dir(directory, spec.name),
-                    local_schema,
-                    registry,
-                    parallelism=parallelism,
+                    shard_dir(directory, spec.name), local_schema, registry
                 )
         except BaseException:
             for reader in readers.values():

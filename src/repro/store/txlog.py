@@ -39,6 +39,12 @@ participant saw a decide).  A *corrupt* log is different — a decision
 may have existed and been damaged — so :meth:`TxLog.open` refuses with
 :class:`~repro.errors.StoreError` rather than guessing; resolution of
 in-doubt participants must not run until the operator intervenes.
+
+A failed append is a third case: the frame may or may not have landed,
+so the handle's memory no longer knows what the disk says.  Like a
+store whose journal append failed, the handle then fails stop — every
+later append raises until the sharded store is reopened, and the reopen
+resolves the transaction from whatever is on disk.
 """
 
 from __future__ import annotations
@@ -91,10 +97,10 @@ class TxLog:
 
     Opened (and exclusively owned) by the :class:`ShardedStore` writer —
     the per-shard advisory locks already serialize writers on the root,
-    so the log itself needs no extra lock.  Readers never touch it:
-    prepare invisibility (:func:`repro.store.wal.resolve_decided`) keeps
-    in-doubt state out of every read surface without consulting the
-    coordinator.
+    so the log itself needs no extra lock.  Readers only load it, never
+    write it: :func:`inspect_txlog` gives a composite view its
+    coordinator cut and a sharded frame source its decided
+    transactions.
     """
 
     def __init__(
@@ -112,16 +118,19 @@ class TxLog:
         self._seq = seq
         self._states = states
         self._next_txid = next_txid
+        #: Why an append failed (``None`` while healthy): from then on
+        #: the log refuses every write until the store is reopened.
+        self._poisoned: Optional[str] = None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     @classmethod
     def open(cls, root: str, io: Optional[StoreIO] = None) -> "TxLog":
-        """Load (or initialise) the coordinator log at ``root``.
-
-        A torn tail is quarantined into ``txlog.quarantine`` and
-        truncated — presumed abort makes that safe.  Corruption raises
+        """Load (or initialise) the coordinator log at ``root`` for
+        writing: :func:`inspect_txlog`'s fold, after a torn tail is
+        quarantined into ``txlog.quarantine`` and truncated — presumed
+        abort makes that safe.  Corruption raises
         :class:`~repro.errors.StoreError`: decisions may be damaged, so
         nothing that depends on them may proceed.
         """
@@ -131,13 +140,6 @@ class TxLog:
             return cls(root, io, generation=1, seq=0, states={}, next_txid=1)
         data = io.read_bytes(path)
         scanned = wal.scan(data)
-        if scanned.tail_state == "corrupt":
-            raise StoreError(
-                f"coordinator log {path!r} is corrupt at byte "
-                f"{scanned.tail_offset} ({scanned.tail_reason}); 2PC "
-                "decisions may be damaged — quarantine it manually before "
-                "reopening the sharded store"
-            )
         if scanned.tail_state == "torn":
             tail = data[scanned.tail_offset:]
             header = (
@@ -148,30 +150,7 @@ class TxLog:
                 os.path.join(root, TXLOG_QUARANTINE_FILE), header + tail + b"\n"
             )
             io.write_file_atomic(path, data[:scanned.tail_offset])
-        states: Dict[str, TxState] = {}
-        max_txid = 0
-        generation = 1
-        for record in scanned.records:
-            generation = record.generation
-            txid, state, participants = cls._decode_payload(
-                record.payload, record.offset, path
-            )
-            entry = states.get(txid)
-            if entry is None:
-                entry = TxState(txid, state, tuple(participants))
-                states[txid] = entry
-            else:
-                entry.state = state
-                if participants:
-                    entry.participants = tuple(participants)
-            entry.history.append(state)
-            if txid.startswith("tx-"):
-                try:
-                    max_txid = max(max_txid, int(txid[3:]))
-                except ValueError:
-                    pass
-        seq = scanned.records[-1].seq if scanned.records else 0
-        return cls(root, io, generation, seq, states, max_txid + 1)
+        return _fold(root, io, path, scanned)
 
     # ------------------------------------------------------------------
     # the protocol surface
@@ -239,6 +218,7 @@ class TxLog:
         """Rewrite the log keeping only unfinished transactions, under a
         bumped generation (the same write-new-then-replace idiom as the
         snapshot; a crash mid-compaction leaves the old log intact)."""
+        self._ensure_healthy()
         survivors = self.unfinished()
         generation = self._generation + 1
         frames = []
@@ -302,19 +282,38 @@ class TxLog:
             )
         return txid, state, [str(p) for p in participants]
 
+    @property
+    def poisoned(self) -> bool:
+        """Whether an append failed, so the disk may hold a record this
+        handle does not know about."""
+        return self._poisoned is not None
+
+    def _ensure_healthy(self) -> None:
+        if self._poisoned is not None:
+            raise StoreError(
+                f"coordinator log is poisoned ({self._poisoned}); close "
+                "and reopen the sharded store"
+            )
+
     def _append(self, txid: str, state: str, participants: Sequence[str]) -> None:
-        self._seq += 1
+        """Append one decision record — the only append site, so the
+        poisoning contract lives here: a failed append may still have
+        landed, and reusing its seq would make the log corrupt."""
+        self._ensure_healthy()
         frame = wal.encode_record(
-            self._seq, self._generation,
+            self._seq + 1, self._generation,
             self._encode_payload(txid, state, participants),
         )
         try:
             self._io.append_bytes(self._path(self._root), frame)
         except Exception as exc:
-            self._seq -= 1
+            self._poisoned = f"{state} append for {txid} failed: {exc}"
             raise StoreError(
-                f"coordinator log append failed ({state} for {txid}): {exc}"
+                f"coordinator log append failed ({state} for {txid}); the "
+                "record may have landed, so the log is poisoned — close and "
+                f"reopen the sharded store to resolve it from disk: {exc}"
             ) from exc
+        self._seq += 1
 
 
 def _txid_sort_key(txid: str):
@@ -327,21 +326,27 @@ def _txid_sort_key(txid: str):
 
 
 def inspect_txlog(root: str, io: Optional[StoreIO] = None) -> Optional[TxLog]:
-    """Load the coordinator log read-only for tools (``fsck`` of a
-    sharded store); ``None`` when the root has none.  Unlike :meth:`TxLog.open` this
-    never rewrites anything: a torn tail is tolerated (its frames past
-    the committed prefix are simply not loaded) and corruption still
-    raises."""
+    """Load the coordinator log at ``root`` read-only; ``None`` when the
+    root has none.  Never rewrites anything: a torn tail is tolerated
+    (its frames past the committed prefix are simply not loaded) and
+    corruption raises."""
     io = io if io is not None else StoreIO()
     path = os.path.join(root, TXLOG_FILE)
     if not os.path.exists(path):
         return None
-    data = io.read_bytes(path)
-    scanned = wal.scan(data)
+    return _fold(root, io, path, wal.scan(io.read_bytes(path)))
+
+
+def _fold(root: str, io: StoreIO, path: str, scanned: wal.ScanResult) -> TxLog:
+    """Fold the scanned records into a :class:`TxLog`: each
+    transaction's latest state, its participants and history, the next
+    free txid.  A corrupt tail raises."""
     if scanned.tail_state == "corrupt":
         raise StoreError(
             f"coordinator log {path!r} is corrupt at byte "
-            f"{scanned.tail_offset} ({scanned.tail_reason})"
+            f"{scanned.tail_offset} ({scanned.tail_reason}); 2PC decisions "
+            "may be damaged — quarantine it manually before reopening the "
+            "sharded store"
         )
     states: Dict[str, TxState] = {}
     max_txid = 0

@@ -362,18 +362,6 @@ class TestCheck:
         assert "entries content-checked" in out
         assert "wall time" in out
 
-    def test_jobs_flag_parallel_verdict(self, paths, capsys):
-        schema, data, _ = paths
-        assert main(["check", "--schema", schema, "--data", data,
-                     "--jobs", "2"]) == 0
-        assert "LEGAL" in capsys.readouterr().out
-
-    def test_jobs_zero_means_cpu_count(self, paths, capsys):
-        schema, data, _ = paths
-        assert main(["check", "--schema", schema, "--data", data,
-                     "--jobs", "0", "--profile"]) == 0
-        assert "LEGAL" in capsys.readouterr().out
-
     def test_structure_flag_is_gone(self, paths, tmp_path):
         schema, data, _ = paths
         for argv in (
@@ -382,6 +370,17 @@ class TestCheck:
         ):
             with pytest.raises(SystemExit) as refused:
                 main(argv + ["--structure", "batched"])
+            assert refused.value.code == 2
+
+    def test_jobs_flag_is_gone(self, paths, tmp_path):
+        # one sequential engine: nothing sizes a worker pool
+        schema, data, _ = paths
+        for argv in (
+            ["check", "--schema", schema, "--data", data],
+            ["serve", str(tmp_path / "store"), "--schema", schema],
+        ):
+            with pytest.raises(SystemExit) as refused:
+                main(argv + ["--jobs", "2"])
             assert refused.value.code == 2
 
     @pytest.mark.parametrize(
@@ -464,12 +463,6 @@ class TestCheckStore:
         capsys.readouterr()
         assert main(["check", "--schema", schema, "--store", path,
                      "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "[att@g1.0 labs@g1.0] LEGAL: 6 entries" in out
-        assert "entries content-checked" in out
-        # ... and so does a view checked with content workers
-        assert main(["check", "--schema", schema, "--store", path,
-                     "--jobs", "2", "--profile"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("[att@g1.0 labs@g1.0] LEGAL: 6 entries\n")
         assert "entries content-checked" in out

@@ -120,13 +120,6 @@ class TestCheckShards:
         out = capsys.readouterr().out
         assert "[att@g1.0 labs@g1.0] LEGAL: 6 entries" in out
 
-    def test_parallel_jobs_one_shot(self, sharded_store, capsys):
-        schema, path = sharded_store
-        assert main(["check", "--schema", schema, "--store", path,
-                     "--shards", "--jobs", "2"]) == 0
-        assert "[att@g1.0 labs@g1.0] LEGAL: 6 entries" in \
-            capsys.readouterr().out
-
     def test_composite_violation_fails(self, sharded_store, capsys):
         schema, path = sharded_store
         _corrupt_composite(path, schema)
@@ -134,14 +127,6 @@ class TestCheckShards:
                      "--shards"]) == 1
         out = capsys.readouterr().out
         assert "ILLEGAL" in out and "person" in out
-
-    def test_parallel_jobs_see_composite_violation(self, sharded_store,
-                                                   capsys):
-        schema, path = sharded_store
-        _corrupt_composite(path, schema)
-        assert main(["check", "--schema", schema, "--store", path,
-                     "--shards", "--jobs", "2"]) == 1
-        assert "ILLEGAL" in capsys.readouterr().out
 
     def test_follow_sees_new_commits(self, sharded_store, capsys):
         from repro.schema.dsl import load_dsl

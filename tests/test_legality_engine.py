@@ -1,9 +1,8 @@
-"""Tests for the parallel, memoized legality engine (``CheckSession``).
+"""Tests for the memoized legality engine (``CheckSession``).
 
 The engine must be verdict-identical to the sequential reference
-(``tests/oracle.py``) on every route the input can take it — cold or
-warm, sharded over processes, threads, or run inline — and its
-observability counters must account for exactly the work done.
+(``tests/oracle.py``) cold and warm, and its observability counters
+must account for exactly the work done.
 """
 
 import pytest
@@ -11,16 +10,10 @@ from oracle import oracle_check, verdicts
 
 from repro.legality import engine
 from repro.legality.checker import LegalityChecker
-from repro.legality.engine import CheckSession, default_parallelism
+from repro.legality.engine import CheckSession
 from repro.legality.metrics import CheckStats
 from repro.updates.incremental import IncrementalChecker
 from repro.workloads import generate_whitepages, make_unit_subtree
-
-
-@pytest.fixture()
-def pool_for_any_size(monkeypatch):
-    """Send every miss set to the worker pool, however small."""
-    monkeypatch.setattr(engine, "MIN_PARALLEL", 1)
 
 
 def corrupt_some(instance, count=4):
@@ -51,27 +44,6 @@ class TestVerdictEquivalence:
             # warm pass: same verdicts straight from the cache
             assert verdicts(session.check(wp_medium)) == expected
 
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_pool_paths_match(
-        self, wp_schema, wp_medium, executor, pool_for_any_size, monkeypatch
-    ):
-        if executor == "thread":
-            # No process support here: the session falls back to threads.
-            def unavailable(*args, **kwargs):
-                raise OSError("no process pools on this platform")
-
-            monkeypatch.setattr(engine, "ProcessPoolExecutor", unavailable)
-        corrupt_some(wp_medium)
-        expected = verdicts(oracle_check(wp_schema, wp_medium))
-        with CheckSession(wp_schema, parallelism=2) as session:
-            report = session.check(wp_medium)
-            pool = type(session._executor).__name__
-        assert verdicts(report) == expected
-        assert report.stats.workers == 2
-        assert pool == {
-            "process": "ProcessPoolExecutor", "thread": "ThreadPoolExecutor"
-        }[executor]
-
     def test_naive_structure_strategy(self, wp_schema, fig1):
         # An empty orgUnit violates orgGroup →→ person; the session
         # reports exactly what the quadratic pairwise oracle reports.
@@ -92,20 +64,6 @@ class TestVerdictEquivalence:
         assert isinstance(
             LegalityChecker(wp_schema, structure="batched"), CheckSession
         )
-
-    def test_checker_parallelism_knob_delegates(
-        self, wp_schema, wp_medium, pool_for_any_size
-    ):
-        corrupt_some(wp_medium)
-        expected = verdicts(oracle_check(wp_schema, wp_medium))
-        checker = LegalityChecker(wp_schema, parallelism=2)
-        try:
-            report = checker.check(wp_medium)
-            assert verdicts(report) == expected
-            assert report.stats.workers == 2
-            assert checker.is_legal(wp_medium) is False
-        finally:
-            checker.close()
 
     def test_extras_checked(self, wp_schema_extras, fig1):
         # Section 6.1 extras (uid keys) still run on the engine path.
@@ -254,39 +212,20 @@ class TestStats:
 
     def test_merge_and_hit_rate(self):
         a = CheckStats(cache_hits=3, cache_misses=1)
-        b = CheckStats(cache_hits=1, cache_misses=3, workers=4)
+        b = CheckStats(cache_hits=1, cache_misses=3)
         a.merge(b)
         assert a.cache_hits == 4 and a.cache_misses == 4
         assert a.hit_rate == pytest.approx(0.5)
-        assert a.workers == 4
-
-    def test_parallel_stats_record_pool_shape(
-        self, wp_schema, wp_medium, pool_for_any_size
-    ):
-        with CheckSession(wp_schema, parallelism=2) as session:
-            report = session.check(wp_medium)
-        assert report.stats.workers == 2
-        assert report.stats.chunks >= 1
 
 
-class TestPoolBehaviour:
-    def test_min_parallel_keeps_small_checks_inline(self, wp_schema, fig1):
-        assert len(fig1) < engine.MIN_PARALLEL
-        with CheckSession(wp_schema, parallelism=4) as session:
-            report = session.check(fig1)
-            assert session._executor is None  # pool never spun up
-        assert report.stats.workers == 0
-
-    def test_close_is_idempotent(self, wp_schema, fig1, pool_for_any_size):
-        session = CheckSession(wp_schema, parallelism=2)
+class TestLifecycle:
+    def test_close_is_idempotent(self, wp_schema, fig1):
+        session = CheckSession(wp_schema)
         session.check(fig1)
         session.close()
         session.close()
-        # a closed session still checks (inline or by respawning a pool)
+        # a closed session still checks: it holds nothing to release
         assert session.check(fig1).is_legal
-
-    def test_default_parallelism_positive(self):
-        assert default_parallelism() >= 1
 
 
 class TestIncrementalIntegration:

@@ -167,7 +167,9 @@ class TestOneCheckingPath:
                 ast.parse(path.read_text(encoding="utf-8")),
             )
 
-    def test_no_function_takes_a_structure_selector(self):
+    def _takers(self, *params):
+        """``[(module, owner, function), ...]`` for every function in
+        ``src/repro`` with a parameter named one of ``params``."""
         import ast
 
         takers = []
@@ -183,13 +185,44 @@ class TestOneCheckingPath:
                                   args.vararg, args.kwarg]
                         if a is not None
                     }
-                    if "structure" in names:
+                    if names & set(params):
                         takers.append(
                             (module, getattr(owner, "name", None), node.name)
                         )
+        return takers
+
+    def test_no_function_takes_a_structure_selector(self):
         # the one survivor is an expectation ("batched" or ValueError),
         # pinned by benchmarks/e2e/layers.py
-        assert takers == [("legality/checker.py", "LegalityChecker", "__init__")]
+        assert self._takers("structure") == [
+            ("legality/checker.py", "LegalityChecker", "__init__")
+        ]
+
+    def test_no_function_takes_a_pool_size(self):
+        """The engine has one path, sequential and memoized: nothing
+        sizes a worker pool, from the CLI down to the session."""
+        from repro.legality import engine
+
+        assert self._takers("parallelism", "jobs") == []
+        assert not hasattr(engine, "MIN_PARALLEL")
+
+    def test_the_legality_engine_imports_no_worker_pool(self):
+        import ast
+
+        importers = []
+        for module, tree in self._modules():
+            if not module.startswith("legality/"):
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "concurrent" for name in names):
+                    importers.append(module)
+        assert importers == []
 
     def test_the_naive_oracle_is_named_only_where_it_lives(self):
         import ast

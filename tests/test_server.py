@@ -300,18 +300,6 @@ class TestReads:
 
         asyncio.run(run())
 
-    def test_jobs_means_what_check_jobs_means(self, plain_store):
-        # 1 (the default) is the sequential engine, 0 one worker per CPU:
-        # one meaning for `serve --jobs`, `check --jobs` and `jobs=`.
-        from repro.legality.engine import default_parallelism
-
-        path, schema, registry = plain_store
-        for jobs, workers in ((None, 1), (1, 1), (3, 3), (0, default_parallelism())):
-            options = {} if jobs is None else {"jobs": jobs}
-            server = DirectoryServer(path, schema, registry, **options)
-            with server._open_view(None) as view:
-                assert view.session.parallelism == workers
-
 
 class TestWrites:
     def test_add_then_visible_to_fresh_search(self, plain_store):
@@ -992,20 +980,18 @@ class TestMalformedFields:
         self, plain_store, kind, drain, monkeypatch, caplog
     ):
         """A member stopped while connections are half-way through
-        closing (each is giving back a view, made slow here so that the
-        stop always lands inside it): their tasks must end finished —
-        not cancelled by the stop, nor left for the loop's shutdown to
-        cancel after it.  asyncio's stream callback logs a cancelled
-        connection task as an exception in a callback."""
-        from repro.store.reader import StoreReader
+        closing (each is waiting for its socket to close, made slow here
+        so that the stop always lands inside it): their tasks must end
+        finished — not cancelled by the stop, nor left for the loop's
+        shutdown to cancel after it.  asyncio's stream callback logs a
+        cancelled connection task as an exception in a callback."""
+        wait_closed = asyncio.StreamWriter.wait_closed
 
-        close = StoreReader.close
+        async def slow_wait_closed(writer):
+            await asyncio.sleep(0.15)
+            await wait_closed(writer)
 
-        def slow_close(view):
-            time.sleep(0.15)
-            close(view)
-
-        monkeypatch.setattr(StoreReader, "close", slow_close)
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", slow_wait_closed)
 
         async def run():
             server, member, stop = await _member(kind, plain_store)

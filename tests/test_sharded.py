@@ -400,11 +400,6 @@ class TestCutIntegrity:
             assert not reader.is_legal()
             assert reader.check().of_kind(Kind.ORPHANED_SHARD)
             assert reader.search(filter="(objectClass=person)")
-        # A view checked with content workers (what `check --store
-        # --jobs 2` opens) agrees.
-        with CompositeReader.open(path, schema, registry,
-                                  parallelism=2) as reader:
-            assert reader.check().of_kind(Kind.ORPHANED_SHARD)
             assert len(reader.instance) == 4
 
     def test_checker_crash_leaves_no_durable_footprint(
@@ -506,21 +501,6 @@ class TestCompositeReader:
                 assert reader.instance.find("uid=c,ou=attLabs,o=att") is not None
         finally:
             store.close()
-
-    def test_parallel_check_matches_composite_check(
-        self, tmp_path, schema, registry
-    ):
-        store = make_store(tmp_path, schema, registry)
-        path = str(tmp_path / "sharded")
-        try:
-            serial = store.check()
-        finally:
-            store.close()
-        with CompositeReader.open(path, schema, registry,
-                                  parallelism=2) as reader:
-            report = reader.check()
-            assert len(reader.instance) == 6
-        assert report.is_legal == serial.is_legal
 
     def test_shard_writers_do_not_lock_each_other(self, tmp_path, schema, registry):
         """One writer per shard is a supported topology: the advisory

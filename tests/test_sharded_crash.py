@@ -6,17 +6,32 @@ The default lane runs the named-point matrix (every protocol step of
 the commit and abort paths) and a strided slice of the full I/O-op
 matrix; the nightly slow lane runs every op index at three torn-write
 fractions.  The scenario is ``tests/harness/crash2pc.py``, the contract
-``invariants.spanning_commit_atomic``.
+``invariants.spanning_commit_atomic``.  A coordinator-log append that
+fails without a crash is held to the same contract.
 """
 
 from __future__ import annotations
 
+import errno
+import os
+
 import pytest
 
 from harness.crash import dry_run, run_matrix
-from harness.crash2pc import abort_tx, commit_tx, spanning_scenario, verify_atomic
+from harness.crash2pc import (
+    abort_tx,
+    commit_tx,
+    make_sharded,
+    spanning_scenario,
+    verify_atomic,
+)
 from invariants import committed_prefix
+from repro.errors import StoreError
 from repro.store.faults import FaultPlan, FaultyIO, InjectedCrash
+from repro.store.sharded import ShardedStore
+from repro.store.txlog import TXLOG_FILE
+from repro.store.wal import StoreIO
+from repro.workloads import whitepages_registry, whitepages_schema
 
 COMMIT_PATH_POINTS = (
     "2pc:begin",
@@ -76,6 +91,57 @@ class TestNamedFaultPoints:
             )
 
         assert run_matrix(tmp_path, scenario, verify, fractions=()) == len(set(points))
+
+
+class _FailingTxlogAppend(StoreIO):
+    """Lands the coordinator-log record in ``state`` whole, then raises
+    ``EIO`` once — what a failed fsync after the write looks like."""
+
+    def __init__(self, state: str) -> None:
+        self.record = f'"state": "{state}"'.encode("utf-8")
+        self.failed = False
+
+    def append_bytes(self, path, data):
+        super().append_bytes(path, data)
+        if (
+            not self.failed
+            and os.path.basename(path) == TXLOG_FILE
+            and self.record in data
+        ):
+            self.failed = True
+            raise OSError(errno.EIO, "fsync failed (injected)")
+
+
+class TestFailedCoordinatorAppend:
+    """A failed coordinator-log append may still have landed, so the
+    coordinator fails stop like a store whose journal append failed:
+    every later spanning write is refused until a reopen, which resolves
+    the transaction from what is on disk — pre-transaction after a
+    failed ``begin``, committed after a failed ``commit``."""
+
+    @pytest.mark.parametrize("state, side", [("begin", 0), ("commit", 1)],
+                             ids=["begin", "commit"])
+    def test_reopen_resolves_a_failed_append(self, tmp_path, state, side):
+        states, _ = dry_run(tmp_path / "dry", spanning_scenario(commit_tx(1)))
+        workdir = tmp_path / "failed"
+        workdir.mkdir()
+        path = str(workdir / "store")
+        make_sharded(path)
+        store = ShardedStore.open(
+            path, whitepages_schema(), whitepages_registry(),
+            io=_FailingTxlogAppend(state),
+        )
+        try:
+            with pytest.raises(StoreError, match=rf"append failed \({state} for tx-1\)"):
+                store.apply(commit_tx(1))
+            with pytest.raises(StoreError, match="reopen"):
+                store.apply(commit_tx(2))
+        finally:
+            store.close()
+        # reopen: nothing in doubt, a clean coordinator log, and the
+        # transaction on the side its durable records name
+        got = verify_atomic(workdir, states, states[1][0] - 1, f"failed {state}")
+        assert got == states[side][1]
 
 
 class TestOpMatrix:

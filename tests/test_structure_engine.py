@@ -1,4 +1,4 @@
-"""Tests for the batched, parallel, memoized structure-check engine.
+"""Tests for the batched, memoized structure-check engine.
 
 The engine must be *report-identical* to ``QueryStructureChecker`` (same
 violations, same order) and verdict-identical to
@@ -69,9 +69,9 @@ class TestDifferential:
     def test_engine_matches_both_checkers(self, seed, size, schema_seed):
         schema = big_random_schema(schema_seed)
         instance = random_forest(n_entries=size, labels=LABELS, seed=seed)
-        with StructureEngine(schema) as engine:
-            engine_report = engine.check(instance)
-            assert engine.is_legal(instance) == engine_report.is_legal
+        engine = StructureEngine(schema)
+        engine_report = engine.check(instance)
+        assert engine.is_legal(instance) == engine_report.is_legal
         query_report = QueryStructureChecker(schema).check(instance)
         naive_report = NaiveStructureChecker(schema).check(instance)
         # byte-identical to the query reduction, including order
@@ -79,29 +79,16 @@ class TestDifferential:
         # verdict-identical to the naive baseline
         assert verdict_signature(engine_report) == verdict_signature(naive_report)
 
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_parallel_reports_are_deterministic(self, schema_seed):
-        schema = big_random_schema(schema_seed)
-        instance = random_forest(n_entries=60, labels=LABELS, seed=schema_seed)
-        sequential = QueryStructureChecker(schema).check(instance)
-        with StructureEngine(schema, parallelism=4) as engine:
-            first = engine.check(instance)
-            engine.clear_memo()
-            second = engine.check(instance)
-        assert report_lines(first) == report_lines(second)
-        assert report_lines(first) == report_lines(sequential)
-
     def test_warm_check_after_updates_stays_identical(self):
         schema = big_random_schema(3)
         instance = random_forest(n_entries=50, labels=LABELS, seed=3)
-        with StructureEngine(schema) as engine:
-            engine.check(instance)
-            for i in range(8):
-                instance.add_entry(None, f"o=new{i}", [LABELS[i % 3], "top"])
-                warm = engine.check(instance)
-                cold = QueryStructureChecker(schema).check(instance)
-                assert report_lines(warm) == report_lines(cold)
+        engine = StructureEngine(schema)
+        engine.check(instance)
+        for i in range(8):
+            instance.add_entry(None, f"o=new{i}", [LABELS[i % 3], "top"])
+            warm = engine.check(instance)
+            cold = QueryStructureChecker(schema).check(instance)
+            assert report_lines(warm) == report_lines(cold)
 
 
 class TestBatching:
@@ -115,12 +102,12 @@ class TestBatching:
             .require("k1", Axis.ANCESTOR, "k6")
         )
         instance = tower_instance()
-        with StructureEngine(schema) as engine:
-            engine.check(instance)
-            assert engine.last_batched == 5
-            # one reverse sweep answers all descendant checks, one
-            # forward sweep all ancestor checks — never one per element
-            assert engine.last_flag_passes == 2
+        engine = StructureEngine(schema)
+        engine.check(instance)
+        assert engine.last_batched == 5
+        # one reverse sweep answers all descendant checks, one
+        # forward sweep all ancestor checks — never one per element
+        assert engine.last_flag_passes == 2
 
     def test_batched_cost_beats_per_query(self):
         elements = [(LABELS[i % 8], LABELS[(i + 3) % 8]) for i in range(16)]
@@ -128,10 +115,10 @@ class TestBatching:
         for source, target in elements:
             schema.require_descendant(source, target)
         instance = tower_instance(n=400)
-        with StructureEngine(schema) as engine:
-            engine.check(instance)
-            batched_cost = engine.last_cost
-            assert engine.last_batched > 0
+        engine = StructureEngine(schema)
+        engine.check(instance)
+        batched_cost = engine.last_cost
+        assert engine.last_batched > 0
         query = QueryStructureChecker(schema)
         query.check(instance)
         assert batched_cost < query.last_cost
@@ -139,24 +126,24 @@ class TestBatching:
     def test_required_class_is_constant_cost(self):
         schema = StructureSchema().require_class("k0")
         instance = tower_instance(n=200)
-        with StructureEngine(schema) as engine:
-            report = engine.check(instance)
-            assert report.is_legal
-            assert engine.last_cost == 1
-            assert engine.last_flag_passes == 0
+        engine = StructureEngine(schema)
+        report = engine.check(instance)
+        assert report.is_legal
+        assert engine.last_cost == 1
+        assert engine.last_flag_passes == 0
 
 
 class TestMemoization:
     def test_warm_recheck_evaluates_nothing(self):
         schema = big_random_schema(11)
         instance = random_forest(n_entries=40, labels=LABELS, seed=11)
-        with StructureEngine(schema) as engine:
-            engine.check(instance)
-            assert engine.last_checks_evaluated == len(engine.checks)
-            engine.check(instance)
-            assert engine.last_checks_evaluated == 0
-            assert engine.last_cache_hits == len(engine.checks)
-            assert engine.last_cost == 0
+        engine = StructureEngine(schema)
+        engine.check(instance)
+        assert engine.last_checks_evaluated == len(engine.checks)
+        engine.check(instance)
+        assert engine.last_checks_evaluated == 0
+        assert engine.last_cache_hits == len(engine.checks)
+        assert engine.last_cost == 0
 
     def test_only_dirty_class_elements_reevaluate(self):
         schema = (
@@ -167,17 +154,17 @@ class TestMemoization:
             .require_class("k6")
         )
         instance = random_forest(n_entries=40, labels=LABELS, seed=2)
-        with StructureEngine(schema) as engine:
-            engine.check(instance)
-            # touch k2 only: exactly one element mentions it
-            instance.add_entry(None, "o=dirty", ["k2", "top"])
-            engine.check(instance)
-            assert engine.last_checks_evaluated == 1
-            assert engine.last_cache_hits == len(engine.checks) - 1
-            # touching an unmentioned class re-evaluates nothing
-            instance.add_entry(None, "o=other", ["k7", "top"])
-            engine.check(instance)
-            assert engine.last_checks_evaluated == 0
+        engine = StructureEngine(schema)
+        engine.check(instance)
+        # touch k2 only: exactly one element mentions it
+        instance.add_entry(None, "o=dirty", ["k2", "top"])
+        engine.check(instance)
+        assert engine.last_checks_evaluated == 1
+        assert engine.last_cache_hits == len(engine.checks) - 1
+        # touching an unmentioned class re-evaluates nothing
+        instance.add_entry(None, "o=other", ["k7", "top"])
+        engine.check(instance)
+        assert engine.last_checks_evaluated == 0
 
     def test_memo_never_leaks_across_instances(self):
         schema = StructureSchema().require_child("k0", "k1")
@@ -187,78 +174,28 @@ class TestMemoization:
         illegal = DirectoryInstance()
         illegal.add_entry(None, "o=a", ["k0", "top"])
         illegal.add_entry("o=a", "o=b,o=a", ["k2", "top"])
-        with StructureEngine(schema) as engine:
-            assert engine.is_legal(legal)
-            assert not engine.is_legal(illegal)
-            assert engine.is_legal(legal)
+        engine = StructureEngine(schema)
+        assert engine.is_legal(legal)
+        assert not engine.is_legal(illegal)
+        assert engine.is_legal(legal)
 
     def test_memo_is_bounded_by_schema_size(self):
         schema = big_random_schema(5)
-        with StructureEngine(schema) as engine:
-            for seed in range(6):
-                engine.check(random_forest(n_entries=20, labels=LABELS, seed=seed))
-            assert engine.memo_size <= len(engine.checks)
+        engine = StructureEngine(schema)
+        for seed in range(6):
+            engine.check(random_forest(n_entries=20, labels=LABELS, seed=seed))
+        assert engine.memo_size <= len(engine.checks)
 
     def test_clear_memo(self):
         schema = big_random_schema(13)
         instance = random_forest(n_entries=30, labels=LABELS, seed=13)
-        with StructureEngine(schema) as engine:
-            engine.check(instance)
-            assert engine.memo_size > 0
-            engine.clear_memo()
-            assert engine.memo_size == 0
-            engine.check(instance)
-            assert engine.last_cache_hits == 0
-
-
-class TestPoolDegradation:
-    def test_broken_pool_falls_back_inline(self, monkeypatch):
-        schema = big_random_schema(17)
-        instance = random_forest(n_entries=50, labels=LABELS, seed=17)
-        expected = report_lines(QueryStructureChecker(schema).check(instance))
-        engine = StructureEngine(schema, parallelism=4)
-        try:
-            executor = engine._get_executor()
-            assert executor is not None
-
-            def explode(*args, **kwargs):
-                raise RuntimeError("pool died")
-
-            monkeypatch.setattr(executor, "map", explode)
-            assert report_lines(engine.check(instance)) == expected
-            assert engine._pool_broken
-            # subsequent calls stay inline and stay correct
-            engine.clear_memo()
-            assert report_lines(engine.check(instance)) == expected
-        finally:
-            engine.close()
-
-    def test_pool_unavailable_at_construction(self, monkeypatch):
-        import repro.legality.structure_engine as mod
-
-        def no_pool(*args, **kwargs):
-            raise OSError("no threads for you")
-
-        monkeypatch.setattr(mod, "ThreadPoolExecutor", no_pool)
-        schema = big_random_schema(19)
-        instance = random_forest(n_entries=50, labels=LABELS, seed=19)
-        with StructureEngine(schema, parallelism=4) as engine:
-            report = engine.check(instance)
-        expected = QueryStructureChecker(schema).check(instance)
-        assert report_lines(report) == report_lines(expected)
-
-
-class TestLifecycle:
-    def test_close_is_idempotent(self):
-        engine = StructureEngine(StructureSchema().require_class("k0"))
-        engine.close()
-        engine.close()
-
-    def test_unknown_parallelism_normalised(self):
-        engine = StructureEngine(StructureSchema(), parallelism=0)
-        assert engine.parallelism == 1
-        engine = StructureEngine(StructureSchema(), parallelism=None)
-        assert engine.parallelism == 1
+        engine = StructureEngine(schema)
+        engine.check(instance)
+        assert engine.memo_size > 0
+        engine.clear_memo()
+        assert engine.memo_size == 0
+        engine.check(instance)
+        assert engine.last_cache_hits == 0
 
 
 if __name__ == "__main__":  # pragma: no cover

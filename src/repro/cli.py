@@ -369,6 +369,8 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
         print(f"coordinator log: {exc}")
         print("IN-DOUBT 2PC STATE (coordinator log is corrupt)")
         return 3
+    if None not in paths:
+        _print_txlog(txlog)
     _print_replica_state(args.directory)
     legal = True
     if args.schema:
@@ -433,6 +435,22 @@ def _fsck_view(view, paths):
     for violation in report:
         print(f"  {violation}")
     return report
+
+
+def _print_txlog(txlog) -> None:
+    """A sharded store's coordinator log in one line: its records (a
+    serving primary never compacts it, so this keeps growing), its
+    generation and its unfinished transactions."""
+    if txlog is None:
+        print("coordinator log: none (no spanning transaction yet)")
+        return
+    states = txlog.states()
+    records = sum(len(entry.history) for entry in states.values())
+    print(
+        f"coordinator log: {records} records, generation "
+        f"{txlog.generation}, {len(txlog.unfinished())} unfinished "
+        "transaction(s)"
+    )
 
 
 def _print_replica_state(directory: str) -> None:

@@ -130,7 +130,11 @@ Operations
       the shard layout file, and the per-shard frontier the batch just
       shipped lands on (a coordinator-consistent cut — the follower
       applies everything since the last cut atomically, so it never
-      observes half a spanning transaction).
+      observes half a spanning transaction);
+    * ``kind: "error"`` — the last message of a stream the server cannot
+      go on shipping (``error``: why, e.g. a corrupt coordinator log);
+      the connection closes after it, and a replica reports the text as
+      its ``sync_error`` and retries.
 
     See :mod:`repro.store.replicate` for the exact stream contract.
 ``topology``

@@ -73,6 +73,7 @@ from repro.store import (
     open_view,
     promote,
 )
+from repro.store.replicate import encode_error_message
 
 __all__ = ["DirectoryServer"]
 
@@ -703,13 +704,25 @@ class DirectoryServer(WireService):
         committed delta past the follower's position, so a slow
         follower costs O(1) server memory — it lags on disk, not in
         RAM.  The poll's file I/O runs on the shared executor, never on
-        the event loop.
+        the event loop.  A poll that fails — a corrupt coordinator log —
+        ends the stream with one ``error`` message naming the cause, and
+        the connection is closed: the follower records it as its
+        ``sync_error`` and retries, instead of waiting in silence on a
+        stream that will never move.
         """
         loop = asyncio.get_running_loop()
         feed = self._subscribe()
         try:
             while True:
-                batch = await loop.run_in_executor(None, source.poll)
+                try:
+                    batch = await loop.run_in_executor(None, source.poll)
+                except Exception as exc:
+                    await write_frame(
+                        writer,
+                        encode_error_message(f"{type(exc).__name__}: {exc}"),
+                    )
+                    writer.close()
+                    return
                 for message in batch:
                     await write_frame(writer, message)
                 if not batch:

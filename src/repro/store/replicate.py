@@ -44,17 +44,25 @@ primary's history are recognisably stale ever after.
 
 Sharded stores replicate too (:class:`ShardedFrameSource` /
 :class:`ShardedReplicaApplier`): one per-shard ``FrameSource`` each,
-multiplexed under a single **coordinator cut**.  Every poll captures
-the coordinator log's transaction states once, and each shard's stream
+multiplexed under a single **coordinator cut**.  Every poll brings
+its tail of the coordinator log up to date (O(|Δ|): only the records
+appended since the last poll are folded), and each shard's stream
 is gated to stop in front of any decided 2PC pair whose transaction is
-not yet *complete* (all participants' decides durable) — the same
-discipline ``CompositeReader._capture_txn_cut`` uses for local reads —
-so a follower set never holds half a spanning transaction.  Two extra
-message kinds carry the topology: ``shardmap`` ships the shard layout
-once, and ``cut`` closes every batch with the frontier the follower
-must reach before its composite view may be served.  Promotion of a
-cohort (:func:`promote` over a sharded directory) inspects every shard
-against the last replicated cut first and promotes all of them or none.
+not yet *complete* (all participants' decides durable) — stricter than
+``CompositeReader._capture_txn_cut``, which shows a transaction to local
+reads once its commit is durable, because a follower has no coordinator
+log to settle a prepare whose decide is still in flight — so a follower
+set never holds half a spanning transaction.  Two extra message kinds
+carry the topology: ``shardmap`` ships the shard layout once, and
+``cut`` closes every batch with the frontier the follower must reach
+before its composite view may be served.  Promotion of a cohort
+(:func:`promote` over a sharded directory) inspects every shard against
+the last replicated cut first and promotes all of them or none.
+
+A source that cannot go on — a corrupt coordinator log, say — ends the
+stream with one ``error`` message carrying the reason;
+:func:`decode_stream_message` raises it as :class:`ReplicationError`, so
+the follower reports it instead of idling at its old frontier.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ import os
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ReplicaDivergedError, ReplicationError, StoreError
 from repro.ldif.writer import serialize_ldif
@@ -90,7 +98,7 @@ from repro.store.shardmap import (
     shard_dir,
     shard_map_path,
 )
-from repro.store.txlog import inspect_txlog
+from repro.store.txlog import TxLogTail, TxState
 from repro.store.wal import StoreIO
 
 __all__ = [
@@ -103,6 +111,7 @@ __all__ = [
     "StreamMessage",
     "decode_stream_message",
     "encode_cut_message",
+    "encode_error_message",
     "encode_frames_message",
     "encode_schema_message",
     "encode_shard_map_message",
@@ -266,16 +275,25 @@ def encode_cut_message(frontier) -> dict:
     }
 
 
+def encode_error_message(text: str) -> dict:
+    """An ``error`` message: the last one a source that cannot go on
+    sends, carrying why."""
+    return {"op": "repl", "kind": "error", "error": text}
+
+
 def decode_stream_message(message: dict) -> StreamMessage:
     """Validate and decode a stream message.
 
     Raises :class:`ReplicationError` on structural damage, checksum
     mismatch, or a ``frames`` payload violating the committed-slice
-    contract (:func:`repro.store.wal.verify_stream`).
+    contract (:func:`repro.store.wal.verify_stream`) — and, carrying its
+    text, on an ``error`` message.
     """
     if not isinstance(message, dict) or message.get("op") != "repl":
         raise ReplicationError(f"not a replication stream message: {message!r}")
     kind = message.get("kind")
+    if kind == "error":
+        raise ReplicationError(str(message.get("error")))
     shard = message.get("shard")
     if shard is not None and not isinstance(shard, str):
         raise ReplicationError(f"stream message carries bad shard {shard!r}")
@@ -652,16 +670,18 @@ class ShardedFrameSource:
     """Multiplex per-shard :class:`FrameSource` streams under one
     coordinator cut.
 
-    Every ``poll()`` first captures the coordinator log's transaction
-    states (PR 7's ``_capture_txn_cut`` discipline, applied to
-    shipping): each shard's stream is then gated to stop in front of
-    any decided 2PC pair whose transaction the captured cut does not
-    show *complete* — all participants' decides durable.  Because every
-    decide is durable before the coordinator's ``complete`` record, a
-    transaction the cut completes is shippable from **every** shard in
-    the same batch, so the batch — closed by a ``cut`` message carrying
-    the landing frontier — is atomic across the follower set: no
-    follower ever holds half a spanning transaction.
+    Every ``poll()`` first brings its coordinator-log tail
+    (:class:`~repro.store.txlog.TxLogTail`) up to date — folding only
+    the records appended since the last poll — and so captures the
+    transaction states: each shard's stream is then gated to stop in
+    front of any decided 2PC pair whose transaction the captured cut
+    does not show *complete* — all participants' decides durable.
+    Because every decide is durable before the coordinator's
+    ``complete`` record, a transaction the cut completes is shippable
+    from **every** shard in the same batch, so the batch — closed by a
+    ``cut`` message carrying the landing frontier — is atomic across
+    the follower set: no follower ever holds half a spanning
+    transaction.
     """
 
     def __init__(
@@ -672,7 +692,6 @@ class ShardedFrameSource:
         io: Optional[StoreIO] = None,
         batch_bytes: int = STREAM_BATCH_BYTES,
     ) -> None:
-        self._dir = directory
         self._io = io if io is not None else StoreIO()
         shard_map, local_schema = _cohort_layout(directory, schema)
         self._sources: Dict[str, FrameSource] = {
@@ -687,7 +706,8 @@ class ShardedFrameSource:
         }
         self._shard_map_text = self._io.read_text(shard_map_path(directory))
         self._sent_shard_map = False
-        self._txn_states: Dict[str, object] = {}
+        self._txlog = TxLogTail(directory, self._io)
+        self._txn_states: Mapping[str, TxState] = {}
 
     @property
     def position(self) -> Position:
@@ -711,12 +731,10 @@ class ShardedFrameSource:
 
     def poll(self) -> List[dict]:
         """The next batch: shard-tagged stream messages closed by one
-        ``cut`` message (empty list = every shard caught up)."""
-        try:
-            log = inspect_txlog(self._dir, io=self._io)
-        except StoreError:
-            return []  # coordinator log mid-write; retry next poll
-        self._txn_states = dict(log.states()) if log is not None else {}
+        ``cut`` message (empty list = every shard caught up).  A corrupt
+        coordinator log raises :class:`StoreError`: no decision past the
+        damage can be trusted, and a torn tail never raises."""
+        self._txn_states = self._txlog.read() or {}
         body: List[dict] = []
         for name, source in self._sources.items():
             for message in source.poll():
@@ -901,6 +919,14 @@ class ReplicaApplier(_Follower):
         and :class:`ReplicaDivergedError` when the local position
         cannot align with the stream (resync from a snapshot).
         """
+        decoded = self._apply(message)
+        self._save_state()
+        return decoded
+
+    def _apply(self, message) -> StreamMessage:
+        """:meth:`apply_message` without the ``replica.state`` write —
+        what a cohort calls for its members, whose record is the
+        cohort's own ``cut.state`` and ``replica.state``."""
         self._ensure_open()
         decoded = self._decoded(message)
         if decoded.kind == "snapshot":
@@ -914,7 +940,6 @@ class ReplicaApplier(_Follower):
                 f"{self.directory} replicates a plain store, but the "
                 f"upstream ships a sharded one ({decoded.kind!r} message)"
             )
-        self._save_state()
         return decoded
 
     def close(self) -> None:
@@ -1094,10 +1119,12 @@ class ShardedReplicaApplier(_Follower):
     lock a composite read surface must hold while refreshing — so no
     reader ever observes one shard past a spanning transaction and a
     sibling short of it.  After each batch the landing frontier is
-    checked against the cut and recorded durably (``cut.state``); a
-    restarted cohort is :meth:`consistent` only when every shard
-    recovers to exactly the recorded cut, and must not serve (or be
-    promoted) until a new cut lands otherwise.
+    checked against the cut and, once the lock is released, recorded
+    durably (``cut.state``, then the cohort's ``replica.state``; the
+    members keep no ``replica.state`` of their own); a restarted cohort
+    is :meth:`consistent` only when every shard recovers to exactly the
+    recorded cut, and must not serve (or be promoted) until a new cut
+    lands otherwise.
     """
 
     def _open(self) -> None:
@@ -1258,10 +1285,17 @@ class ShardedReplicaApplier(_Follower):
         self._open_shards()
 
     def _apply_cut(self, decoded: StreamMessage) -> None:
+        """Land the buffered batch: under :attr:`lock` only what a
+        reader must not see half of — the member journal appends (each
+        fsynced) and replays, the landing check and the in-memory cut —
+        then, with the lock released, record ``cut.state`` and the
+        cohort's ``replica.state``.  A crash before ``cut.state`` leaves
+        the cohort off its recorded cut (:meth:`consistent` is false
+        until the next cut lands), as a crash inside the lock would."""
         assert decoded.frontier is not None
         with self.lock:
             for message in self._pending:
-                self._appliers[message.shard].apply_message(message)
+                self._appliers[message.shard]._apply(message)
             self._pending = []
             landed = self.position()
             if landed != decoded.frontier:
@@ -1271,8 +1305,8 @@ class ShardedReplicaApplier(_Follower):
                     "follower set diverge"
                 )
             self._cut = decoded.frontier
-            self._save_cut_state()
-            self._save_state()
+        self._save_cut_state()
+        self._save_state()
 
     def _save_cut_state(self) -> None:
         assert self._cut is not None

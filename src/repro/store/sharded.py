@@ -117,7 +117,7 @@ import contextlib
 import functools
 import os
 import shutil
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import ModelError, StoreError, UpdateError
 from repro.ldif.modify import ModifyRecord
@@ -143,7 +143,13 @@ from repro.store.journal import DirectoryStore
 from repro.store.position import Position
 from repro.store.reader import ReaderLag, RefreshResult, StoreReader
 from repro.store.recovery import replay_change
-from repro.store.txlog import TXLOG_FILE, TxLog, inspect_txlog
+from repro.store.txlog import (
+    TXLOG_FILE,
+    TxLog,
+    TxLogTail,
+    TxState,
+    inspect_txlog,
+)
 from repro.store.wal import StoreIO
 from repro.store.shardmap import (
     ShardMap,
@@ -1261,7 +1267,8 @@ class CompositeReader:
         self.stitches = 0
         self.followed = 0
         self._cohort = None
-        self._txn_cut: Dict[str, str] = {}
+        self._txlog = TxLogTail(directory)
+        self._txn_cut: Mapping[str, TxState] = {}
         self._txn_cut_stamp: Optional[Tuple[int, int, int]] = None
         for spec in shard_map:
             readers[spec.name].txn_resolver = self._txn_verdict
@@ -1494,9 +1501,11 @@ class CompositeReader:
 
     def _capture_txn_cut(self) -> None:
         """Pin this refresh to the coordinator log's current decision
-        set.  Re-parsed only when the log file changed (cheap stat
-        probe); an unreadable or absent log yields an empty cut, which
-        keeps every in-flight spanning transaction withheld."""
+        set.  The log is read only when the file changed (cheap stat
+        probe), and then only the records appended since the last read
+        (:class:`~repro.store.txlog.TxLogTail`); an unreadable or absent
+        log yields an empty cut, which keeps every in-flight spanning
+        transaction withheld."""
         stamp = self._txlog_stamp()
         if stamp is None:
             self._txn_cut = {}
@@ -1505,17 +1514,11 @@ class CompositeReader:
         if stamp == self._txn_cut_stamp:
             return
         try:
-            log = inspect_txlog(self._dir, io=StoreIO())
+            self._txn_cut = self._txlog.read() or {}
         except StoreError:
             self._txn_cut = {}
             self._txn_cut_stamp = None
             return
-        states = log.states() if log is not None else {}
-        self._txn_cut = {
-            txid: entry.verdict
-            for txid, entry in states.items()
-            if entry.decided
-        }
         self._txn_cut_stamp = stamp
 
     def _txlog_stamp(self) -> Optional[Tuple[int, int, int]]:
@@ -1536,7 +1539,8 @@ class CompositeReader:
         matters twice over: a transaction with no durable commit may
         still abort, and one that committed *after* the cut was
         invisible to sibling shards scanned earlier in this pass."""
-        return self._txn_cut.get(txid)
+        entry = self._txn_cut.get(txid)
+        return entry.verdict if entry is not None and entry.decided else None
 
     def lag(self) -> Dict[str, ReaderLag]:
         """Per-shard lag behind the on-disk committed state."""

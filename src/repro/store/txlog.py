@@ -45,6 +45,14 @@ so the handle's memory no longer knows what the disk says.  Like a
 store whose journal append failed, the handle then fails stop — every
 later append raises until the sharded store is reopened, and the reopen
 resolves the transaction from whatever is on disk.
+
+Readers follow the log the way a :class:`~repro.store.reader.StoreReader`
+follows a journal: a :class:`TxLogTail` folds only the frames appended
+since its last read, and starts over when the file was replaced.  The
+log grows by three records per spanning transaction and a serving
+primary does not compact it, so a reader that re-read the whole file
+would pay O(log) per commit.  There is one fold: :meth:`TxLog.open` and
+:func:`inspect_txlog` are a fresh tail's first read.
 """
 
 from __future__ import annotations
@@ -52,13 +60,16 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import StoreError
 from repro.store import wal
 from repro.store.wal import StoreIO
 
-__all__ = ["TXLOG_FILE", "TXLOG_QUARANTINE_FILE", "TxState", "TxLog"]
+__all__ = [
+    "TXLOG_FILE", "TXLOG_QUARANTINE_FILE", "TxState", "TxLog", "TxLogTail",
+]
 
 TXLOG_FILE = "txlog"
 TXLOG_QUARANTINE_FILE = "txlog.quarantine"
@@ -97,10 +108,11 @@ class TxLog:
 
     Opened (and exclusively owned) by the :class:`ShardedStore` writer —
     the per-shard advisory locks already serialize writers on the root,
-    so the log itself needs no extra lock.  Readers only load it, never
-    write it: :func:`inspect_txlog` gives a composite view its
-    coordinator cut and a sharded frame source its decided
-    transactions.
+    so the log itself needs no extra lock.  Readers never write it: a
+    composite view (its coordinator cut) and a sharded frame source (its
+    decided transactions) each follow it with one :class:`TxLogTail`,
+    and :func:`inspect_txlog` is one fresh read for ``fsck``,
+    ``recover`` and in-doubt resolution.
     """
 
     def __init__(
@@ -128,29 +140,30 @@ class TxLog:
     @classmethod
     def open(cls, root: str, io: Optional[StoreIO] = None) -> "TxLog":
         """Load (or initialise) the coordinator log at ``root`` for
-        writing: :func:`inspect_txlog`'s fold, after a torn tail is
-        quarantined into ``txlog.quarantine`` and truncated — presumed
-        abort makes that safe.  Corruption raises
+        writing: a :class:`TxLogTail`'s first read, after which a torn
+        tail is quarantined into ``txlog.quarantine`` and truncated —
+        presumed abort makes that safe.  Corruption raises
         :class:`~repro.errors.StoreError`: decisions may be damaged, so
         nothing that depends on them may proceed.
         """
         io = io if io is not None else StoreIO()
-        path = cls._path(root)
-        if not os.path.exists(path):
+        tail = TxLogTail(root, io)
+        if tail.read() is None:
             return cls(root, io, generation=1, seq=0, states={}, next_txid=1)
-        data = io.read_bytes(path)
-        scanned = wal.scan(data)
-        if scanned.tail_state == "torn":
-            tail = data[scanned.tail_offset:]
+        if tail._torn is not None:
+            offset, reason = tail._torn
+            path = cls._path(root)
+            data = io.read_bytes(path)
             header = (
-                f"# quarantined {len(tail)} bytes from {TXLOG_FILE} offset "
-                f"{scanned.tail_offset} (torn tail: {scanned.tail_reason})\n"
+                f"# quarantined {len(data) - offset} bytes from {TXLOG_FILE} "
+                f"offset {offset} (torn tail: {reason})\n"
             ).encode("utf-8")
             io.append_bytes(
-                os.path.join(root, TXLOG_QUARANTINE_FILE), header + tail + b"\n"
+                os.path.join(root, TXLOG_QUARANTINE_FILE),
+                header + data[offset:] + b"\n",
             )
-            io.write_file_atomic(path, data[:scanned.tail_offset])
-        return _fold(root, io, path, scanned)
+            io.write_file_atomic(path, data[:offset])
+        return tail._as_log()
 
     # ------------------------------------------------------------------
     # the protocol surface
@@ -213,6 +226,11 @@ class TxLog:
     def states(self) -> Dict[str, TxState]:
         """Every transaction the log knows about (read-only snapshot)."""
         return dict(self._states)
+
+    @property
+    def generation(self) -> int:
+        """The log's generation: 1, and one more per :meth:`compact`."""
+        return self._generation
 
     def compact(self) -> None:
         """Rewrite the log keeping only unfinished transactions, under a
@@ -329,46 +347,126 @@ def inspect_txlog(root: str, io: Optional[StoreIO] = None) -> Optional[TxLog]:
     """Load the coordinator log at ``root`` read-only; ``None`` when the
     root has none.  Never rewrites anything: a torn tail is tolerated
     (its frames past the committed prefix are simply not loaded) and
-    corruption raises."""
-    io = io if io is not None else StoreIO()
-    path = os.path.join(root, TXLOG_FILE)
-    if not os.path.exists(path):
+    corruption raises.  One :class:`TxLogTail` read."""
+    tail = TxLogTail(root, io)
+    if tail.read() is None:
         return None
-    return _fold(root, io, path, wal.scan(io.read_bytes(path)))
+    return tail._as_log()
 
 
-def _fold(root: str, io: StoreIO, path: str, scanned: wal.ScanResult) -> TxLog:
-    """Fold the scanned records into a :class:`TxLog`: each
-    transaction's latest state, its participants and history, the next
-    free txid.  A corrupt tail raises."""
-    if scanned.tail_state == "corrupt":
-        raise StoreError(
-            f"coordinator log {path!r} is corrupt at byte "
-            f"{scanned.tail_offset} ({scanned.tail_reason}); 2PC decisions "
-            "may be damaged — quarantine it manually before reopening the "
-            "sharded store"
+class TxLogTail:
+    """A read-only follower of the coordinator log: each :meth:`read`
+    folds only the frames appended since the last one, so a reader that
+    keeps one tail pays O(|Δ|) per spanning commit, not O(log).
+
+    It holds the identity of the file it reads (``fstat`` of the handle
+    it reads through), the byte offset its fold reached, the last seq
+    and generation, and the folded :class:`TxState` map.  It starts
+    over from byte 0 when the file was replaced (a compaction or a
+    torn-tail quarantine writes a new inode), shrank, or its new frames
+    do not continue the last seq and generation.  A torn tail is a
+    writer mid-append and waits for the next read; corruption raises
+    :class:`~repro.errors.StoreError` naming its absolute byte offset.
+    Bytes already folded are not read again, so damage to them shows at
+    the next fresh read — a new tail, :meth:`TxLog.open`, ``fsck`` — as
+    damage to a journal prefix a reader already replayed does.
+    """
+
+    def __init__(self, root: str, io: Optional[StoreIO] = None) -> None:
+        self._root = root
+        self._io = io if io is not None else StoreIO()
+        self._path = os.path.join(root, TXLOG_FILE)
+        self._start_over(None)
+
+    def _start_over(self, identity: Optional[Tuple[int, int]]) -> None:
+        self._identity = identity
+        self._offset = 0
+        self._seq = 0
+        self._generation = 1
+        self._states: Dict[str, TxState] = {}
+        self._max_txid = 0
+        #: ``(offset, reason)`` of the torn tail the last read stopped
+        #: at, ``None`` when it ended clean.
+        self._torn: Optional[Tuple[int, str]] = None
+
+    def read(self) -> Optional[Mapping[str, TxState]]:
+        """Fold the frames appended since the last read; returns every
+        transaction's state (a read-only view the next read updates),
+        or ``None`` when the root has no log."""
+        try:
+            handle = self._io.open_bytes(self._path, "rb")
+        except FileNotFoundError:
+            self._start_over(None)
+            return None
+        with handle:
+            probe = os.fstat(handle.fileno())
+            identity = (probe.st_dev, probe.st_ino)
+            if identity != self._identity or probe.st_size < self._offset:
+                self._start_over(identity)
+            handle.seek(self._offset)
+            scanned = wal.scan(handle.read())
+            if self._offset and not self._continues(scanned):
+                self._start_over(identity)
+                handle.seek(0)
+                scanned = wal.scan(handle.read())
+        try:
+            self._fold(scanned)
+        except StoreError:
+            self._start_over(None)
+            raise
+        return MappingProxyType(self._states)
+
+    def _continues(self, scanned: wal.ScanResult) -> bool:
+        """Whether bytes read at the offset extend what was folded: no
+        damage, and a first frame that follows the last seq within the
+        same generation."""
+        if scanned.tail_state == "corrupt":
+            return False
+        if not scanned.records:
+            return True
+        first = scanned.records[0]
+        return (
+            first.seq == self._seq + 1
+            and first.generation == self._generation
         )
-    states: Dict[str, TxState] = {}
-    max_txid = 0
-    generation = 1
-    for record in scanned.records:
-        generation = record.generation
-        txid, state, participants = TxLog._decode_payload(
-            record.payload, record.offset, path
+
+    def _fold(self, scanned: wal.ScanResult) -> None:
+        """THE fold of decision records into transaction states — each
+        transaction's latest state, its participants and history, the
+        highest txid number — behind :meth:`TxLog.open`,
+        :func:`inspect_txlog` and every reader's :meth:`read`."""
+        if scanned.tail_state == "corrupt":
+            raise StoreError(
+                f"coordinator log {self._path!r} is corrupt at byte "
+                f"{self._offset + scanned.tail_offset} ({scanned.tail_reason}); "
+                "2PC decisions may be damaged — quarantine it manually before "
+                "reopening the sharded store"
+            )
+        for record in scanned.records:
+            txid, state, participants = TxLog._decode_payload(
+                record.payload, self._offset + record.offset, self._path
+            )
+            entry = self._states.get(txid)
+            if entry is None:
+                entry = TxState(txid, state, tuple(participants))
+                self._states[txid] = entry
+            else:
+                entry.state = state
+                if participants:
+                    entry.participants = tuple(participants)
+            entry.history.append(state)
+            self._max_txid = max(self._max_txid, _txid_sort_key(txid)[1])
+            self._seq, self._generation = record.seq, record.generation
+        self._offset += scanned.tail_offset
+        self._torn = (
+            (self._offset, scanned.tail_reason or "")
+            if scanned.tail_state == "torn" else None
         )
-        entry = states.get(txid)
-        if entry is None:
-            entry = TxState(txid, state, tuple(participants))
-            states[txid] = entry
-        else:
-            entry.state = state
-            if participants:
-                entry.participants = tuple(participants)
-        entry.history.append(state)
-        if txid.startswith("tx-"):
-            try:
-                max_txid = max(max_txid, int(txid[3:]))
-            except ValueError:
-                pass
-    seq = scanned.records[-1].seq if scanned.records else 0
-    return TxLog(root, io, generation, seq, states, max_txid + 1)
+
+    def _as_log(self) -> TxLog:
+        """The folded log as a :class:`TxLog` handle, which takes over
+        the states map (the tail is not read again)."""
+        return TxLog(
+            self._root, self._io, self._generation, self._seq, self._states,
+            self._max_txid + 1,
+        )

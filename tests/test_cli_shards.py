@@ -572,6 +572,38 @@ class TestKindMatrix:
             )).applied
         return members(path)[self.MEMBER[kind]]
 
+    def test_fsck_reports_the_coordinator_log(self, store, capsys):
+        """``fsck`` on a sharded store prints one ``coordinator log:``
+        line — records, generation, unfinished transactions — so the
+        growth of a log a serving primary never compacts is visible.  A
+        plain store has no coordinator log and prints no such line."""
+        from repro.schema.dsl import load_dsl
+        from repro.store import open_store
+
+        kind, schema, path = store
+
+        def logged():
+            assert main(["fsck", path]) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("coordinator log:")]
+
+        assert logged() == ([] if kind == "plain" else [
+            "coordinator log: none (no spanning transaction yet)"
+        ])
+        with open_store(path, load_dsl(schema)) as writer:
+            for index in (1, 2):  # spanning, when sharded
+                assert writer.apply(UpdateTransaction().insert(
+                    f"uid=a{index},o=att", ["person", "top"],
+                    {"uid": [f"a{index}"], "name": [f"a {index}"]},
+                ).insert(
+                    f"uid=b{index},ou=attLabs,o=att", ["person", "top"],
+                    {"uid": [f"b{index}"], "name": [f"b {index}"]},
+                )).applied
+        assert logged() == ([] if kind == "plain" else [
+            "coordinator log: 6 records, generation 1, 0 unfinished "
+            "transaction(s)"
+        ])
+
     @pytest.mark.parametrize("damage", sorted(DAMAGE))
     def test_a_damaged_member_is_found_and_repaired(self, store, damage,
                                                     capsys):

@@ -12,6 +12,7 @@ generation bump.
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
@@ -30,12 +31,14 @@ from repro.store.replicate import (
     FrameSource,
     ReplicaApplier,
     decode_stream_message,
+    encode_error_message,
     encode_schema_message,
     promote,
     pump,
     read_replica_state,
     schema_fingerprint,
 )
+from repro.store.wal import StoreIO
 from repro.workloads import (
     figure1_instance,
     generate_whitepages,
@@ -82,6 +85,12 @@ class TestEnvelope:
             decode_stream_message(
                 {"op": "repl", "kind": "frames", "generation": 1}
             )
+
+    def test_error_message_raises_its_text(self):
+        """A source that cannot go on ends its stream with an ``error``
+        message; decoding it raises the text for the follower to report."""
+        with pytest.raises(ReplicationError, match="^StoreError: boom$"):
+            decode_stream_message(encode_error_message("StoreError: boom"))
 
     def test_fingerprint_is_deterministic(self):
         crc = schema_fingerprint(whitepages_schema())
@@ -637,6 +646,117 @@ class TestShardedReplication:
         with pytest.raises(StoreError, match=r"shard 'att' stands at \(2, 0\)"):
             promote(cohort_dir, schema, registry)
         assert not os.path.exists(os.path.join(cohort_dir, PROMOTE_STATE_FILE))
+
+
+class _CutProbeIO(StoreIO):
+    """Watches a cohort's fault points: records every name, checks the
+    batch lock is free at ``repl:cut-state`` and, once armed, holds
+    that point until released."""
+
+    def __init__(self):
+        self.cohort = None
+        self.points = []
+        self.locked_at_cut_state = []
+        self.hold = False
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def fault_point(self, name):
+        self.points.append(name)
+        if name == "repl:cut-state":
+            self.locked_at_cut_state.append(self.cohort.lock.locked())
+            if self.hold:
+                self.entered.set()
+                assert self.release.wait(10), "never released"
+
+
+class TestCohortBatchLock:
+    """A cohort holds its batch lock only while the member journals
+    move: ``cut.state`` and ``replica.state`` are written after it is
+    released, and the members keep no ``replica.state`` of their own."""
+
+    @staticmethod
+    def _follower(sharded_primary):
+        from repro.store.replicate import ShardedFrameSource, ShardedReplicaApplier
+
+        store, primary_dir, schema, registry, cohort_dir = sharded_primary
+        io = _CutProbeIO()
+        cohort = ShardedReplicaApplier(cohort_dir, schema, registry, io=io)
+        io.cohort = cohort
+        source = ShardedFrameSource(primary_dir, schema)
+        pump(source, cohort)
+        return store, source, cohort, io
+
+    def test_state_files_are_written_outside_the_lock(self, sharded_primary):
+        store, source, cohort, io = self._follower(sharded_primary)
+        with cohort:
+            io.points.clear()
+            _spanning_commit(store, 1)
+            batch = source.poll()
+            assert {m["kind"] for m in batch} == {"frames", "cut"}
+            for message in batch:
+                cohort.apply_message(message)
+            assert cohort.consistent() and cohort.position() == store.position()
+            assert "repl:cut-state" in io.points
+            assert "repl:state" not in io.points  # no member wrote one
+            assert io.locked_at_cut_state and not any(io.locked_at_cut_state)
+
+    def test_a_view_refreshes_while_cut_state_is_written(self, sharded_primary):
+        """A connection view of the cohort reaches the new cut while the
+        applier is still inside the ``cut.state`` write: the lock its
+        refresh takes is already free."""
+        store, source, cohort, io = self._follower(sharded_primary)
+        with cohort:
+            view = cohort.open_view()
+            view.refresh()
+            _spanning_commit(store, 1)
+            io.hold = True
+            failures = []
+
+            def applying_pump():
+                try:
+                    pump(source, cohort)
+                except BaseException as exc:  # reported by the main thread
+                    failures.append(exc)
+
+            applying = threading.Thread(target=applying_pump)
+            applying.start()
+            try:
+                assert io.entered.wait(10)
+                refreshed = threading.Thread(target=view.refresh)
+                refreshed.start()
+                refreshed.join(5)
+                assert not refreshed.is_alive(), "refresh waited on the cut.state write"
+                assert view.position() == store.position()
+                assert len(view.search(filter=parse_filter("(uid=l1)"))) == 1
+            finally:
+                io.release.set()
+                applying.join(10)
+                view.close()
+            assert not applying.is_alive() and not failures, failures
+            assert cohort.consistent()
+
+    def test_members_keep_no_replica_state(self, sharded_primary):
+        from repro.store.shardmap import shard_dir
+
+        store, source, cohort, _ = self._follower(sharded_primary)
+        cohort_dir = sharded_primary[4]
+
+        def member_states():
+            return {
+                name: read_replica_state(shard_dir(cohort_dir, name))
+                for name in ("att", "labs")
+            }
+
+        with cohort:
+            before = member_states()
+            _spanning_commit(store, 1)
+            pump(source, cohort)
+            assert cohort.position() == store.position()
+            assert member_states() == before
+            assert read_replica_state(cohort_dir)["shards"] == {
+                name: list(position) for name, position in store.position().items()
+            }
 
 
 class TestFoldAwareAttach:

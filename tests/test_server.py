@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import os
 import random
 import struct
 import threading
@@ -39,6 +40,7 @@ from repro.server.protocol import (
 )
 from repro.store import DirectoryStore, open_view
 from repro.store.sharded import ShardedStore
+from repro.store.txlog import TXLOG_FILE
 from repro.workloads import (
     figure1_instance,
     generate_whitepages,
@@ -1405,6 +1407,55 @@ class TestReplicaSyncErrors:
                 await via_door.close()
             finally:
                 await door.stop(drain=False)
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
+        assert capsys.readouterr().err.count("cannot follow") == 1
+
+    def test_corrupt_coordinator_log_is_reported_not_swallowed(
+        self, sharded_store, tmp_path, capsys
+    ):
+        """A sharded primary whose coordinator log turned corrupt used
+        to stall every follower in silence: the ship loop's poll
+        swallowed the ``StoreError`` and the follower kept answering
+        ``consistent``, no lag, no ``sync_error`` at its old cut.  Now
+        the stream ends with an ``error`` message and the follower
+        reports it, printed once, while it retries.  The damaged log is
+        written over the old one — a new file, as a restore from a
+        damaged copy leaves it — so even a follower that has read the
+        log up to its end reads it again from the start."""
+        path, schema, registry = sharded_store
+
+        async def run():
+            primary = await _serve(sharded_store)
+            replica = await _replica_of(primary, tmp_path, schema, registry)
+            try:
+                writer, probe = await _client(primary), await _client(replica)
+                for index in (1, 2):
+                    head = (await writer.txn(_spanning_changes(index)))["position"]
+                assert head == {"att": [1, 4], "labs": [1, 4]}
+                await _caught_up(probe, head)
+                log = os.path.join(path, TXLOG_FILE)
+                with open(log, "rb") as fh:
+                    data = bytearray(fh.read())
+                data[data.index(b"\n") + 3] ^= 0x01  # inside the first payload
+                with open(log + ".damaged", "wb") as fh:
+                    fh.write(data)
+                os.replace(log + ".damaged", log)
+                third = (await writer.txn(_spanning_changes(3)))["position"]
+                assert third == {"att": [1, 6], "labs": [1, 6]}
+                deadline = asyncio.get_event_loop().time() + 5.0
+                while "sync_error" not in (reply := await probe.position()):
+                    assert asyncio.get_event_loop().time() < deadline, reply
+                    await asyncio.sleep(0.02)
+                assert "coordinator log" in reply["sync_error"]
+                assert "is corrupt at byte 0" in reply["sync_error"]
+                assert reply["position"] == head
+                await asyncio.sleep(0.5)  # two more retries, same error
+                await writer.close()
+                await probe.close()
+            finally:
                 await replica.stop(drain=False)
                 await primary.stop(drain=False)
 

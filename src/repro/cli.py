@@ -371,7 +371,7 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
         return 3
     if None not in paths:
         _print_txlog(txlog)
-    _print_replica_state(args.directory)
+    _print_replica_state(args.directory, reports)
     legal = True
     if args.schema:
         try:
@@ -453,23 +453,30 @@ def _print_txlog(txlog) -> None:
     )
 
 
-def _print_replica_state(directory: str) -> None:
-    """Report the replication-follower sidecars, when present."""
+def _print_replica_state(directory: str, reports: dict) -> None:
+    """Report the replication-follower sidecars, when present.  A
+    cohort is synced to its recorded cut; a plain follower to its
+    recovered journal in ``reports`` (none under ``--read-only``,
+    whose view lines carry it instead)."""
     from repro.store import Position
     from repro.store.replicate import read_cut_state, read_replica_state
 
-    state = read_replica_state(directory)
-    if state is not None:
-        try:
-            synced = f"synced to {Position.from_fields(state)}"
-        except ValueError:
-            synced = "at an unreadable position"
-        print(
-            "replica state: following "
-            f"{state.get('upstream') or '<unknown upstream>'} — {synced} "
-            "(promote before writing locally)"
+    members = None
+    if reports:
+        members = Position(
+            {name: (report.generation, report.last_seq)
+             for name, report in reports.items()}
         )
     cut = read_cut_state(directory)
+    state = read_replica_state(directory)
+    if state is not None:
+        synced = cut if cut is not None else members
+        print(
+            "replica state: following "
+            f"{state.get('upstream') or '<unknown upstream>'}"
+            f"{'' if synced is None else f' — synced to {synced}'} "
+            "(promote before writing locally)"
+        )
     if cut is not None:
         frontier = ", ".join(
             f"{name}: ({pos[0]}, {pos[1]})" for name, pos in sorted(cut.items())
@@ -478,6 +485,11 @@ def _print_replica_state(directory: str) -> None:
             f"replicated cut: {frontier} (the cohort is promotable only "
             "on this frontier)"
         )
+        if members is not None and members != cut:
+            print(
+                f"replicated cut: the members stand at {members}, off the "
+                "recorded cut"
+            )
 
 
 def _fsck_frontdoor(address: str) -> int:

@@ -424,8 +424,9 @@ class FilterPlanner:
     """Rewrites filter trees into candidate sets over secondary indexes.
 
     :meth:`plan` returns a **sound superset** of the entries a filter
-    can match, as a set of entry ids — or ``None`` when the filter (or
-    the relevant index) cannot bound the result, in which case the
+    can match, as a read-only set of entry ids (the probed postings'
+    views, combined without copying them) — or ``None`` when the filter
+    (or the relevant index) cannot bound the result, in which case the
     caller scans.  The residual ``matches`` pass always runs over the
     candidates, so planning affects cost, never results:
 
@@ -452,7 +453,7 @@ class FilterPlanner:
     def __init__(self, indexes) -> None:
         self.indexes = indexes
 
-    def plan(self, filt: Filter) -> Optional[Set[int]]:
+    def plan(self, filt: Filter) -> Optional[AbstractSet[int]]:
         """A candidate-id superset for ``filt``, or ``None`` when the
         indexes cannot bound it (caller falls back to scanning)."""
         indexes = self.indexes
@@ -472,7 +473,7 @@ class FilterPlanner:
             ]
             return indexes.substring_candidates(filt.attribute, parts)
         if isinstance(filt, And):
-            result: Optional[Set[int]] = None
+            result: Optional[AbstractSet[int]] = None
             for operand in filt.operands:
                 planned = self.plan(operand)
                 if planned is None:
@@ -482,7 +483,10 @@ class FilterPlanner:
                     break
             return result
         if isinstance(filt, Or):
-            union: Set[int] = set()
+            # Imported here: the store package imports this module.
+            from repro.store.index import PostingView
+
+            union: AbstractSet[int] = PostingView()
             for operand in filt.operands:
                 planned = self.plan(operand)
                 if planned is None:

@@ -187,7 +187,8 @@ class PlannedSearch:
         self.bounded = planned is not None
         # The probe bounds the result from one side and the scope from
         # the other: walk whichever is smaller (a unit's dozen children,
-        # not the directory's thousands of persons).
+        # not the directory's thousands of persons).  A probed posting
+        # is a view, so weighing it copies nothing.
         if planned is not None and (
             _scope_size(instance, base_entry, scope) < len(planned)
         ):

@@ -7,28 +7,39 @@ This module is the access-structure half of that move (slapd's
 :class:`AttributeIndexes` object rides on a
 :class:`~repro.model.instance.DirectoryInstance` and maintains
 
-* an **equality** index ``attribute -> text -> {eid}`` over the text
+* an **equality** index ``attribute -> text -> [eid]`` over the text
   form of every value (exactly the form
   :class:`~repro.query.filters.Equals` compares against for string
   operands),
-* a **presence** index ``attribute -> {eid}``,
+* a **presence** index ``attribute -> [eid]``,
 * a **substring** index of character 3-grams
-  ``attribute -> gram -> {eid}`` (candidates for
+  ``attribute -> gram -> [eid]`` (candidates for
   :class:`~repro.query.filters.Substring` come from intersecting the
   postings of the pattern's grams),
-* a **key** index ``attribute -> value -> {eid}`` over the Section 6.1
+* a **key** index ``attribute -> value -> [eid]`` over the Section 6.1
   key attributes, keyed by the *raw* value with plain ``dict`` equality
   — the same equality :class:`~repro.legality.extras.ExtrasChecker`
   uses, so ``1`` and ``True`` collide while ``30`` and ``"30"`` stay
   distinct, and
-* a **referential** index ``attribute -> normalized target DN -> {eid}``
+* a **referential** index ``attribute -> normalized target DN -> [eid]``
   over the Section 6.1 referential attributes, supporting the reverse
   probe "who references the entry being deleted?".
+
+Every posting ``[eid]`` is a strictly increasing list of entry ids —
+about a quarter of a ``set``'s footprint, and most postings hold one id
+or thousands.  Entry ids only grow, so indexing a new entry appends;
+re-indexing or removing one bisects.  A probe hands out a
+:class:`PostingView` — the posting itself, read-only, never copied:
+its size is known in O(1) (the search planner weighs it against the
+scope before anything is walked), and ``&``/``|`` combine views by
+bisect membership, smallest first.
 
 Maintenance is incremental and *lazy*: instance mutations only mark the
 touched entry id dirty (O(1) per mutation, via the observer hooks in
 :mod:`repro.model.instance` / :mod:`repro.model.entry`); the postings
-are patched in O(|dirty|) at the next probe.  Every index answer is a
+are patched in O(|dirty|) at the next probe.  A view therefore reads
+the posting as of its probe only until the next probe of the same
+indexes.  Every index answer is a
 **sound superset** of the matching entries — the query layer always
 runs the real ``matches`` predicate over the candidates — so a bug here
 can cost time, never correctness.
@@ -46,16 +57,20 @@ that frame.
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import json
 import operator
 import os
+from bisect import bisect_left
 from typing import (
+    AbstractSet,
     Any,
     Callable,
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -77,6 +92,7 @@ __all__ = [
     "AttributeIndexes",
     "ExtrasDeltaProbe",
     "MemberIndexes",
+    "PostingView",
     "delta_extras_violations",
     "extras_index_attributes",
     "index_sidecar_path",
@@ -90,6 +106,92 @@ __all__ = [
 GRAM = 3
 
 INDEX_SIDECAR_FORMAT = 1
+
+#: A posting: entry ids, strictly increasing.
+Posting = List[int]
+
+
+def _insert(bucket: Dict[Any, Posting], key: Any, eid: int) -> None:
+    """Add ``eid`` to ``bucket[key]`` unless it holds it already: a
+    one-id list for a new key (most postings stay one id), an append
+    for the newest id (ids only grow), a bisect for a re-indexed older
+    entry."""
+    posting = bucket.get(key)
+    if posting is None:
+        bucket[key] = [eid]
+    elif posting[-1] < eid:
+        posting.append(eid)
+    else:
+        i = bisect_left(posting, eid)
+        if posting[i] != eid:
+            posting.insert(i, eid)
+
+
+def _discard(bucket: Dict[Any, Posting], key: Any, eid: int) -> None:
+    """Take ``eid`` out of ``bucket[key]`` (a no-op when it holds no
+    such id), dropping the posting once it is empty."""
+    posting = bucket.get(key)
+    if posting is None:
+        return
+    i = bisect_left(posting, eid)
+    if i < len(posting) and posting[i] == eid:
+        del posting[i]
+        if not posting:
+            del bucket[key]
+
+
+class PostingView(collections.abc.Set):
+    """A read-only set view of one sorted posting, as a probe hands it
+    out: nothing is copied, ``len`` is O(1) and membership a bisect.
+
+    ``&`` and ``|`` combine two views into a new one; an intersection
+    walks the smaller side and bisects into the larger.  Iteration is
+    in id order.  Anything else — a composite's ``_MemberCandidates`` —
+    gets ``NotImplemented`` and answers through its reflected operator.
+    """
+
+    __slots__ = ("_ids",)
+
+    def __init__(self, ids: Sequence[int] = ()) -> None:
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids)
+
+    def __contains__(self, eid: object) -> bool:
+        ids = self._ids
+        i = bisect_left(ids, eid)
+        return i < len(ids) and ids[i] == eid
+
+    def __and__(self, other):
+        if not isinstance(other, PostingView):
+            return NotImplemented
+        small, large = sorted((self._ids, other._ids), key=len)
+        n = len(large)
+        kept = []
+        for eid in small:
+            i = bisect_left(large, eid)
+            if i < n and large[i] == eid:
+                kept.append(eid)
+        return PostingView(kept)
+
+    def __or__(self, other):
+        if not isinstance(other, PostingView):
+            return NotImplemented
+        if not other:
+            return self
+        if not self:
+            return other
+        return PostingView(sorted(set(self._ids).union(other._ids)))
+
+    __rand__ = __and__
+    __ror__ = __or__
+
+    def __repr__(self) -> str:
+        return f"PostingView({list(self._ids)!r})"
 
 
 def _normalize_dn(text: str) -> Optional[str]:
@@ -132,11 +234,11 @@ class AttributeIndexes:
         self.instance = instance
         self.key_attributes = frozenset(key_attributes)
         self.referential_attributes = frozenset(referential_attributes)
-        self._eq: Dict[str, Dict[str, Set[int]]] = {}
-        self._present: Dict[str, Set[int]] = {}
-        self._grams: Dict[str, Dict[str, Set[int]]] = {}
-        self._keys: Dict[str, Dict[Any, Set[int]]] = {}
-        self._refs: Dict[str, Dict[str, Set[int]]] = {}
+        self._eq: Dict[str, Dict[str, Posting]] = {}
+        self._present: Dict[str, Posting] = {}
+        self._grams: Dict[str, Dict[str, Posting]] = {}
+        self._keys: Dict[str, Dict[Any, Posting]] = {}
+        self._refs: Dict[str, Dict[str, Posting]] = {}
         #: eid -> the attribute/value snapshot currently folded into the
         #: postings.  Mandatory for unindexing: by the time a deletion
         #: is flushed the entry (and its values) are gone.
@@ -171,7 +273,9 @@ class AttributeIndexes:
 
     def rebuild(self) -> None:
         """Discard everything and re-derive the postings from the live
-        instance — the cold-start path a bad sidecar falls back to."""
+        instance — the cold-start path a bad sidecar falls back to.
+        The instance holds its entries in id order, so every posting
+        grows by appends."""
         self._eq = {}
         self._present = {}
         self._grams = {}
@@ -205,41 +309,43 @@ class AttributeIndexes:
     # ------------------------------------------------------------------
     # probes (each one flushes pending maintenance first)
     # ------------------------------------------------------------------
-    def equality_candidates(self, attribute: str, text: str) -> Set[int]:
+    def equality_candidates(self, attribute: str, text: str) -> PostingView:
         """Ids of entries holding a value whose text form is ``text`` —
         a sound superset of ``Equals(attribute, text)`` matches."""
         self._refresh()
-        return self._count(set(self._eq.get(attribute, {}).get(text, ())))
+        return self._count(PostingView(self._eq.get(attribute, {}).get(text, ())))
 
-    def presence_candidates(self, attribute: str) -> Set[int]:
+    def presence_candidates(self, attribute: str) -> PostingView:
         """Ids of entries with at least one value for ``attribute``."""
         self._refresh()
-        return self._count(set(self._present.get(attribute, ())))
+        return self._count(PostingView(self._present.get(attribute, ())))
 
     def substring_candidates(
         self, attribute: str, parts: Sequence[str]
-    ) -> Set[int]:
+    ) -> PostingView:
         """A sound candidate superset for a substring pattern whose
         literal chunks are ``parts``: the intersection of the gram
-        postings, falling back to the presence set when no chunk is
-        long enough to contribute a gram."""
+        postings, smallest first, falling back to the presence posting
+        when no chunk is long enough to contribute a gram."""
         self._refresh()
         grams: Set[str] = set()
         for part in parts:
             for i in range(len(part) - GRAM + 1):
                 grams.add(part[i : i + GRAM])
         if not grams:
-            return self._count(set(self._present.get(attribute, ())))
+            return self._count(PostingView(self._present.get(attribute, ())))
         bucket = self._grams.get(attribute, {})
-        postings = sorted((bucket.get(gram, set()) for gram in grams), key=len)
-        result = set(postings[0])
+        postings = sorted(
+            (PostingView(bucket.get(gram, ())) for gram in grams), key=len
+        )
+        result = postings[0]
         for posting in postings[1:]:
             result &= posting
             if not result:
                 break
         return self._count(result)
 
-    def key_holders(self, attribute: str, value: Any) -> Set[int]:
+    def key_holders(self, attribute: str, value: Any) -> PostingView:
         """Ids of entries holding ``value`` under the key ``attribute``
         (raw-value equality, matching the Section 6.1 checker)."""
         self._refresh()
@@ -247,13 +353,15 @@ class AttributeIndexes:
             posting = self._keys.get(attribute, {}).get(value, ())
         except TypeError:  # unhashable key value was never indexed
             posting = ()
-        return self._count(set(posting))
+        return self._count(PostingView(posting))
 
-    def referrers(self, attribute: str, norm_target: str) -> Set[int]:
+    def referrers(self, attribute: str, norm_target: str) -> PostingView:
         """Ids of entries whose referential ``attribute`` points at the
         entry with normalized DN ``norm_target``."""
         self._refresh()
-        return self._count(set(self._refs.get(attribute, {}).get(norm_target, ())))
+        return self._count(
+            PostingView(self._refs.get(attribute, {}).get(norm_target, ()))
+        )
 
     def counters(self) -> Tuple[int, int, int]:
         """The cumulative ``(probes, hits, candidates)`` counters."""
@@ -294,22 +402,24 @@ class AttributeIndexes:
         norm_key = self.instance._norm_key
         eids = sorted(self._snapshots)
         position = {eid: i for i, eid in enumerate(eids)}
+        # Positions follow id order, so a sorted posting maps to sorted
+        # positions.
         return {
             "dns": [norm_key[eid] for eid in eids],
             "eq": {
                 attribute: {
-                    text: sorted(position[eid] for eid in posting)
+                    text: [position[eid] for eid in posting]
                     for text, posting in buckets.items()
                 }
                 for attribute, buckets in self._eq.items()
             },
             "present": {
-                attribute: sorted(position[eid] for eid in posting)
+                attribute: [position[eid] for eid in posting]
                 for attribute, posting in self._present.items()
             },
             "grams": {
                 attribute: {
-                    gram: sorted(position[eid] for eid in posting)
+                    gram: [position[eid] for eid in posting]
                     for gram, posting in buckets.items()
                 }
                 for attribute, buckets in self._grams.items()
@@ -320,7 +430,8 @@ class AttributeIndexes:
         """Fold persisted postings in, mapping DNs back to the live
         instance's entry ids.  Any mismatch — a DN that does not
         resolve, a count that disagrees, a malformed shape — rejects
-        the whole sidecar (the caller rebuilds)."""
+        the whole sidecar (the caller rebuilds).  A DN's position need
+        not follow the live ids' order, so each posting is sorted once."""
         instance = self.instance
         dns = postings.get("dns")
         if not isinstance(dns, list) or len(dns) != len(instance):
@@ -335,18 +446,18 @@ class AttributeIndexes:
         try:
             eq = {
                 attribute: {
-                    text: {eids[i] for i in posting}
+                    text: sorted(eids[i] for i in posting)
                     for text, posting in buckets.items()
                 }
                 for attribute, buckets in postings["eq"].items()
             }
             present = {
-                attribute: {eids[i] for i in posting}
+                attribute: sorted(eids[i] for i in posting)
                 for attribute, posting in postings["present"].items()
             }
             grams = {
                 attribute: {
-                    gram: {eids[i] for i in posting}
+                    gram: sorted(eids[i] for i in posting)
                     for gram, posting in buckets.items()
                 }
                 for attribute, buckets in postings["grams"].items()
@@ -372,7 +483,7 @@ class AttributeIndexes:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _count(self, result: Set[int]) -> Set[int]:
+    def _count(self, result: PostingView) -> PostingView:
         self.probes += 1
         if result:
             self.hits += 1
@@ -386,7 +497,7 @@ class AttributeIndexes:
         if not self._dirty:
             return
         entries = self.instance._entries
-        for eid in self._dirty:
+        for eid in sorted(self._dirty):  # new entries append in id order
             old = self._snapshots.pop(eid, None)
             if old is not None:
                 self._unindex_entry(eid, old)
@@ -400,49 +511,41 @@ class AttributeIndexes:
 
     def _index_entry(self, eid: int, snapshot: Dict[str, Tuple[Any, ...]]) -> None:
         for attribute, values in snapshot.items():
-            self._present.setdefault(attribute, set()).add(eid)
+            _insert(self._present, attribute, eid)
             eq_bucket = self._eq.setdefault(attribute, {})
             gram_bucket = self._grams.setdefault(attribute, {})
             for value in values:
                 text = value if isinstance(value, str) else str(value)
-                eq_bucket.setdefault(text, set()).add(eid)
+                _insert(eq_bucket, text, eid)
                 for i in range(len(text) - GRAM + 1):
-                    gram_bucket.setdefault(text[i : i + GRAM], set()).add(eid)
+                    _insert(gram_bucket, text[i : i + GRAM], eid)
         self._index_extras(eid, snapshot)
 
     def _index_extras(self, eid: int, snapshot: Dict[str, Tuple[Any, ...]]) -> None:
         for attribute in self.key_attributes:
             for value in snapshot.get(attribute, ()):
                 try:
-                    self._keys.setdefault(attribute, {}).setdefault(
-                        value, set()
-                    ).add(eid)
+                    _insert(self._keys.setdefault(attribute, {}), value, eid)
                 except TypeError:
                     pass  # unhashable values cannot be probed either
         for attribute in self.referential_attributes:
             for value in snapshot.get(attribute, ()):
                 norm = _normalize_dn(value if isinstance(value, str) else str(value))
                 if norm is not None:
-                    self._refs.setdefault(attribute, {}).setdefault(
-                        norm, set()
-                    ).add(eid)
+                    _insert(self._refs.setdefault(attribute, {}), norm, eid)
 
     def _unindex_entry(self, eid: int, snapshot: Dict[str, Tuple[Any, ...]]) -> None:
         for attribute, values in snapshot.items():
-            present = self._present.get(attribute)
-            if present is not None:
-                present.discard(eid)
-                if not present:
-                    del self._present[attribute]
+            _discard(self._present, attribute, eid)
             eq_bucket = self._eq.get(attribute)
             gram_bucket = self._grams.get(attribute)
             for value in values:
                 text = value if isinstance(value, str) else str(value)
                 if eq_bucket is not None:
-                    self._discard(eq_bucket, text, eid)
+                    _discard(eq_bucket, text, eid)
                 if gram_bucket is not None:
                     for i in range(len(text) - GRAM + 1):
-                        self._discard(gram_bucket, text[i : i + GRAM], eid)
+                        _discard(gram_bucket, text[i : i + GRAM], eid)
             if eq_bucket is not None and not eq_bucket:
                 del self._eq[attribute]
             if gram_bucket is not None and not gram_bucket:
@@ -453,7 +556,7 @@ class AttributeIndexes:
                 continue
             for value in snapshot.get(attribute, ()):
                 try:
-                    self._discard(bucket, value, eid)
+                    _discard(bucket, value, eid)
                 except TypeError:
                     pass
             if not bucket:
@@ -465,17 +568,9 @@ class AttributeIndexes:
             for value in snapshot.get(attribute, ()):
                 norm = _normalize_dn(value if isinstance(value, str) else str(value))
                 if norm is not None:
-                    self._discard(bucket, norm, eid)
+                    _discard(bucket, norm, eid)
             if not bucket:
                 del self._refs[attribute]
-
-    @staticmethod
-    def _discard(bucket: Dict[Any, Set[int]], key: Any, eid: int) -> None:
-        posting = bucket.get(key)
-        if posting is not None:
-            posting.discard(eid)
-            if not posting:
-                del bucket[key]
 
 
 # ----------------------------------------------------------------------
@@ -499,9 +594,10 @@ class MemberIndexes:
     normalized DN string needs appended to become the composite's
     (``""`` for a member grafted at the root, else ``",<normalized DN of
     the entry it hangs under>"``).  Every probe goes to every member
-    and answers with a :class:`_MemberCandidates` — member-local ids,
-    combinable and countable as they are, mapped onto composite ids
-    only when iterated.  The planner's contract is unchanged: a sound
+    and answers with a :class:`_MemberCandidates` — the members'
+    :class:`PostingView` answers, combinable and countable as they are
+    (no posting is copied to be weighed), mapped onto composite ids only
+    when iterated.  The planner's contract is unchanged: a sound
     superset, judged again by the caller.
 
     The members' indexes observe their own instances, so the composite's
@@ -548,7 +644,7 @@ class MemberIndexes:
             [getattr(instance.indexes, probe)(*args) for instance, _ in self._members],
         )
 
-    def _translate(self, per_member: Sequence[Set[int]]) -> Iterable[int]:
+    def _translate(self, per_member: Sequence[AbstractSet[int]]) -> Iterable[int]:
         """Composite ids of the members' candidates, through the
         normalized DN both sides key their entries by.  A candidate the
         composite does not hold means it is not the stitch of these
@@ -569,17 +665,19 @@ class MemberIndexes:
 
 
 class _MemberCandidates:
-    """One candidate set of a :class:`MemberIndexes`: a set of
-    member-local entry ids per member.  ``&``, ``|`` and ``len`` work
+    """One candidate set of a :class:`MemberIndexes`: a
+    :class:`PostingView` of member-local entry ids per member.  ``&``, ``|`` and ``len`` work
     member by member (the planner's gate reads the summed count before
-    anything is mapped); iterating yields composite entry ids.  A plain
-    ``set`` on the other side of an operator is the planner's own empty
-    one — its FALSE plan, or the accumulator an ``Or`` starts from —
-    and stands for "no candidate in any member"."""
+    anything is mapped); iterating yields composite entry ids.  A
+    :class:`PostingView` on the other side of an operator is the
+    planner's own empty one — its FALSE plan, or the accumulator an
+    ``Or`` starts from — and stands for "no candidate in any member"."""
 
     __slots__ = ("_view", "_per_member")
 
-    def __init__(self, view: MemberIndexes, per_member: List[Set[int]]) -> None:
+    def __init__(
+        self, view: MemberIndexes, per_member: List[AbstractSet[int]]
+    ) -> None:
         self._view = view
         self._per_member = per_member
 

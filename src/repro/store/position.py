@@ -11,9 +11,8 @@ process, and the only place they are parsed and validated:
   and ``cut.state`` — ``{"generation": g, "seq": s}`` for a plain
   store, ``{shard: [g, s]}`` for a sharded one (:meth:`Position.to_wire`
   / :meth:`Position.from_wire`);
-* the ``replicate`` request and acknowledgement, and ``replica.state``
-  — the same fields inline for a plain store, nested under ``"shards"``
-  for a sharded one (:meth:`Position.to_fields` /
+* the ``replicate`` request and acknowledgement — the same fields
+  inline for a plain store, nested under ``"shards"`` for a sharded one (:meth:`Position.to_fields` /
   :meth:`Position.from_fields`).
 
 Every field is an integer, never a ``bool`` (``isinstance(True, int)``
@@ -107,8 +106,8 @@ class Position:
     @classmethod
     def from_fields(cls, fields: Mapping) -> "Position":
         """Parse the position fields of a ``replicate`` request or
-        acknowledgement, or of ``replica.state``: absent plain fields
-        are 0, and an empty ``shards`` map is a fresh cohort."""
+        acknowledgement: absent plain fields are 0, and an empty
+        ``shards`` map is a fresh cohort."""
         if "shards" not in fields:
             return cls.plain(fields.get("generation", 0), fields.get("seq", 0))
         if not isinstance(fields["shards"], dict):

@@ -793,6 +793,8 @@ class _Follower:
         if upstream is None and state is not None:
             upstream = state.get("upstream")
         self.upstream = upstream
+        #: What ``replica.state`` holds now (``None`` when absent).
+        self._recorded_state = state
         self._open()
 
     def lag_frames(self) -> Optional[int]:
@@ -805,7 +807,7 @@ class _Follower:
 
     def status(self) -> dict:
         """Introspection snapshot for CLI/fsck reporting: the durable
-        position in its ``replica.state`` fields, plus the counters."""
+        position (:meth:`Position.to_fields`), plus the counters."""
         return {
             "directory": self.directory,
             "upstream": self.upstream,
@@ -835,14 +837,17 @@ class _Follower:
             raise StoreError(f"replica applier for {self.directory} is closed")
 
     def _save_state(self) -> None:
-        """Record the advisory ``replica.state``: who is followed, under
-        which schema, up to where."""
-        payload = {
-            "upstream": self.upstream,
-            "schema_crc": self.schema_crc,
-            **self.position().to_fields(),
-        }
-        _write_state(self._io, self.directory, REPLICA_STATE_FILE, payload)
+        """Record the advisory ``replica.state`` — who is followed,
+        under which schema — when that differs from what it holds: the
+        first applied message (attach, snapshot install), the first
+        after a reattach.  The synced position is not in it: that is
+        the journal's (a cohort's ``cut.state``), so an applied message
+        costs no state write."""
+        payload = {"upstream": self.upstream, "schema_crc": self.schema_crc}
+        if payload != self._recorded_state:
+            self._io.fault_point("repl:state")
+            _write_state(self._io, self.directory, REPLICA_STATE_FILE, payload)
+            self._recorded_state = payload
 
 
 class ReplicaApplier(_Follower):
@@ -924,7 +929,7 @@ class ReplicaApplier(_Follower):
         return decoded
 
     def _apply(self, message) -> StreamMessage:
-        """:meth:`apply_message` without the ``replica.state`` write —
+        """:meth:`apply_message` without the ``replica.state`` record —
         what a cohort calls for its members, whose record is the
         cohort's own ``cut.state`` and ``replica.state``."""
         self._ensure_open()
@@ -1090,10 +1095,6 @@ class ReplicaApplier(_Follower):
         self._io.fault_point("repl:manifest")
         write_manifest(self.directory, manifest, self._io)
 
-    def _save_state(self) -> None:
-        self._io.fault_point("repl:state")
-        super()._save_state()
-
 
 def read_replica_state(directory: str) -> Optional[dict]:
     """The advisory ``replica.state`` file, or ``None`` when absent or
@@ -1120,8 +1121,8 @@ class ShardedReplicaApplier(_Follower):
     reader ever observes one shard past a spanning transaction and a
     sibling short of it.  After each batch the landing frontier is
     checked against the cut and, once the lock is released, recorded
-    durably (``cut.state``, then the cohort's ``replica.state``; the
-    members keep no ``replica.state`` of their own); a restarted cohort
+    durably in ``cut.state`` (the cohort's ``replica.state`` names only
+    the upstream; the members keep none of their own); a restarted cohort
     is :meth:`consistent` only when every shard recovers to exactly the
     recorded cut, and must not serve (or be promoted) until a new cut
     lands otherwise.
@@ -1288,8 +1289,9 @@ class ShardedReplicaApplier(_Follower):
         """Land the buffered batch: under :attr:`lock` only what a
         reader must not see half of — the member journal appends (each
         fsynced) and replays, the landing check and the in-memory cut —
-        then, with the lock released, record ``cut.state`` and the
-        cohort's ``replica.state``.  A crash before ``cut.state`` leaves
+        then, with the lock released, record ``cut.state`` (and the
+        cohort's ``replica.state``, when its upstream changed).  A crash
+        before ``cut.state`` leaves
         the cohort off its recorded cut (:meth:`consistent` is false
         until the next cut lands), as a crash inside the lock would."""
         assert decoded.frontier is not None

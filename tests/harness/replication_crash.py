@@ -11,7 +11,7 @@ position.  Only the follower's (or the promoter's) I/O is faulted.
   primary's journal and snapshot of that generation, resume to the
   primary's frontier, and promote to a writable store holding it.
 * :func:`cohort_follower` — the same life of a two-shard cohort:
-  bootstrap, two spanning commits, a compaction fold, one more commit.
+  bootstrap, two spanning commits, a compaction fold, two more commits.
   A wreckage that stands on a recorded cut holds a committed state;
   every wreckage resumes onto the frontier and promotes.
 * :func:`cohort_promotion` — a cohort that replicated one spanning
@@ -227,8 +227,9 @@ def cohort_follower(workdir, io):
             ship()
         primary.compact()
         ship()  # the fold
-        assert primary.apply(commit_tx(3)).applied
-        ship()
+        for i in (3, 4):
+            assert primary.apply(commit_tx(i)).applied
+            ship()
     finally:
         if applier is not None:
             applier.close()

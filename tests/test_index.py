@@ -16,12 +16,20 @@ naive scan:
   never a wrong answer — and a lock-free reader following the WAL
   across a compaction keeps its indexes in agreement with the scan
   oracle.
+
+Postings are sorted id lists, and two more properties pin that down:
+incremental maintenance leaves every posting strictly increasing and
+equal to what a rebuild (and a sidecar round trip) derives, and the
+lists take well under half the memory of the ``set`` postings they
+replaced.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -43,6 +51,7 @@ from repro.query.search import search
 from repro.store import DirectoryStore
 from repro.store.index import (
     AttributeIndexes,
+    PostingView,
     index_sidecar_path,
     index_sidecar_status,
 )
@@ -55,6 +64,11 @@ from repro.workloads import (
 )
 
 from growth import fit_growth
+
+#: Checked-in files: ``indexes_format1.cache`` is the sidecar of
+#: ``TestSidecarLifecycle.closed_store`` as written when postings were
+#: ``set``s.
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def naive(instance, filt, **scoped):
@@ -218,11 +232,19 @@ class TestPlannerDifferential:
                 instance, filt, **scoped
             ), f"planner diverged from scan for {filt} under {scoped}"
 
-    def test_small_scope_is_walked_instead_of_the_candidates(self, instance):
+    def test_small_scope_is_walked_instead_of_the_candidates(
+        self, instance, monkeypatch
+    ):
         """``(objectClass=person)`` one level under a unit: probed as
         ever (the probe count is a benchmark metric), then judged on the
-        unit's three children, not on every person of the directory."""
-        judged = []
+        unit's three children, not on every person of the directory —
+        and the posting is weighed, never iterated (nor copied)."""
+        judged, iterated = [], []
+        iterate = PostingView.__iter__
+        monkeypatch.setattr(
+            PostingView, "__iter__",
+            lambda view: iterated.append(len(view)) or iterate(view),
+        )
 
         class Judged(Equals):
             def matches(self, entry):
@@ -238,8 +260,10 @@ class TestPlannerDifferential:
         found = search(instance, base=str(unit.dn), scope="one", filter=filt)
         assert instance.indexes.counters()[0] == probes + 1
         assert len(found) == len(judged) == 3 < persons
+        assert iterated == []
         del judged[:]
         assert len(search(instance, filter=filt)) == persons == len(judged)
+        assert iterated == [persons]  # the directory-wide search walks it
 
 
 #: A 10x span in |D| (~160 to ~1450 entries; persons dominate).
@@ -391,6 +415,25 @@ class TestSidecarLifecycle:
             assert not rebuild_counter, "clean sidecar must adopt, not rebuild"
             assert _agrees_with_oracle(store.instance)
 
+    def test_a_sidecar_written_by_set_postings_is_adopted(
+        self, closed_store, rebuild_counter
+    ):
+        """The sidecar format did not change with the posting layout:
+        the list postings export the very bytes the ``set`` postings
+        did, and a sidecar the ``set`` writer left is adopted as it is."""
+        path, schema = closed_store
+        with open(os.path.join(DATA, "indexes_format1.cache"), "rb") as fh:
+            written_by_sets = fh.read()
+        sidecar = index_sidecar_path(path)
+        with open(sidecar, "rb") as fh:
+            assert fh.read() == written_by_sets
+        with open(sidecar, "wb") as fh:
+            fh.write(written_by_sets)
+        assert index_sidecar_status(path, schema, 1, 2) == "present"
+        with DirectoryStore.open(path, schema) as store:
+            assert not rebuild_counter, "an old sidecar must adopt, not rebuild"
+            assert _agrees_with_oracle(store.instance)
+
     def test_missing_sidecar_rebuilds(self, closed_store, rebuild_counter):
         path, schema = closed_store
         os.unlink(index_sidecar_path(path))
@@ -480,3 +523,147 @@ class TestSidecarLifecycle:
         finally:
             reader.close()
             store.close()
+
+
+def _postings(indexes):
+    """Every posting of ``indexes``: ``{(table, attribute, key): ids}``."""
+    flat = {
+        ("present", attribute, None): posting
+        for attribute, posting in indexes._present.items()
+    }
+    for table in ("_eq", "_grams", "_keys", "_refs"):
+        for attribute, bucket in getattr(indexes, table).items():
+            for key, posting in bucket.items():
+                flat[table, attribute, key] = posting
+    return flat
+
+
+class TestPostingMaintenance:
+    """Incremental maintenance of the sorted id lists, differentially:
+    after every step of a seeded mutation stream each posting is
+    strictly increasing and equals what :meth:`AttributeIndexes.rebuild`
+    derives from the live entries and what an export → adopt round trip
+    yields — into the same instance, and into a copy that numbers its
+    entries in document order, as a reader bootstrapped from the
+    snapshot does."""
+
+    KEYS = frozenset({"uid"})
+    REFS = frozenset({"seeAlso"})
+
+    def _assert_exact(self, indexes, step):
+        indexes.delta_checkpoint()  # fold the pending maintenance in
+        held = _postings(indexes)
+        exported = indexes.export_postings()
+        for instance in (indexes.instance, indexes.instance.copy()):
+            rebuilt = AttributeIndexes(instance, self.KEYS, self.REFS)
+            rebuilt.rebuild()
+            adopted = AttributeIndexes(instance, self.KEYS, self.REFS)
+            assert adopted._adopt(exported)
+            derived = _postings(rebuilt)
+            for where, posting in derived.items():
+                assert posting and all(
+                    a < b for a, b in zip(posting, posting[1:])
+                ), f"step {step}: {where} is not strictly increasing: {posting}"
+            assert _postings(adopted) == derived, f"step {step}: round trip disagrees"
+            if instance is indexes.instance:
+                assert held == derived, f"step {step}: maintenance disagrees"
+
+    @staticmethod
+    def _mutate(instance, rng, serial):
+        persons = sorted(instance.entries_with_class("person"))
+        units = sorted(instance.entries_with_class("orgUnit"))
+        dns = [instance.dn_string_of(eid) for eid in instance.entry_ids()]
+        kind = rng.choice(
+            ["add", "add", "delete", "modify", "empty", "class", "subtree"]
+        )
+        if kind == "add" or not persons:
+            n = next(serial)
+            # a shared uid puts several ids on one key posting
+            uid = f"p{n}" if rng.random() < 0.7 else rng.choice(["dup", "twin"])
+            attributes = {
+                "uid": [uid],
+                "name": [f"person {n}", f"alias {n % 5}"][: rng.randint(1, 2)],
+                "score": [rng.randint(0, 30)],
+            }
+            if rng.random() < 0.5:
+                attributes["seeAlso"] = [rng.choice(dns + ["not a dn"])]
+            instance.add_entry(
+                rng.choice(units), f"uid=n{n}", ["person", "top"], attributes
+            )
+        elif kind == "delete":
+            instance.delete_entry(rng.choice(persons))
+        elif kind == "modify":  # an older id re-indexed: an insert, not an append
+            entry = instance.entry(rng.choice(persons))
+            entry.add_value("name", f"renamed {next(serial)}")
+            entry.replace_values("score", [rng.randint(0, 30)])
+            if rng.random() < 0.5:
+                entry.replace_values("seeAlso", [rng.choice(dns)])
+        elif kind == "empty":  # every value of an attribute removed
+            entry = instance.entry(rng.choice(persons))
+            for value in entry.values("name"):
+                entry.remove_value("name", value)
+        elif kind == "class":
+            entry = instance.entry(rng.choice(persons))
+            if entry.belongs_to("manager"):
+                entry.remove_class("manager")
+            else:
+                entry.add_class("manager")
+        else:  # a subtree deleted and re-added under the same DN: new ids
+            unit = rng.choice(units)
+            parent = instance.parent_id(unit)
+            instance.insert_subtree(parent, instance.delete_subtree(unit))
+
+    def test_seeded_stream_keeps_every_posting_exact(self):
+        registry = whitepages_registry()
+        registry.declare("score", INTEGER)
+        registry.declare("seeAlso")
+        instance = generate_whitepages(
+            orgs=1, units_per_level=2, depth=1, persons_per_unit=3,
+            seed=11, registry=registry,
+        )
+        indexes = AttributeIndexes.attach(instance, self.KEYS, self.REFS)
+        self._assert_exact(indexes, "attach")
+        rng, serial = random.Random(30), itertools.count()
+        for step in range(150):
+            for _ in range(rng.randint(1, 3)):  # several changes per flush
+                self._mutate(instance, rng, serial)
+            self._assert_exact(indexes, step)
+        postings = _postings(indexes)
+        assert any(len(ids) > 1 for where, ids in postings.items() if where[0] == "_keys")
+        assert any(where[0] == "_refs" for where in postings)
+
+
+def test_list_postings_take_at_most_half_of_sets():
+    """The memory the sorted-list layout exists for, as a ratio (an
+    absolute byte count differs across Python versions): the postings
+    :meth:`AttributeIndexes.attach` builds take at most half of what the
+    same postings take as ``set``s."""
+    instance = generate_whitepages(
+        orgs=1, units_per_level=3, depth=2, persons_per_unit=40, seed=7
+    )
+
+    def as_sets(table):
+        return {
+            key: set(value) if isinstance(value, list) else as_sets(value)
+            for key, value in table.items()
+        }
+
+    tracemalloc.start()
+    try:
+        indexes = AttributeIndexes.attach(instance, frozenset({"uid"}), frozenset())
+        tables = [getattr(indexes, name) for name in
+                  ("_eq", "_present", "_grams", "_keys", "_refs")]
+        before = tracemalloc.get_traced_memory()[0]
+        sets = [as_sets(table) for table in tables]
+        set_bytes = tracemalloc.get_traced_memory()[0] - before
+        # Dropping the list postings frees their containers; the keys
+        # stay, shared with the set copies, so neither side counts them.
+        before = tracemalloc.get_traced_memory()[0]
+        indexes._eq = indexes._present = indexes._grams = {}
+        indexes._keys = indexes._refs = {}
+        del tables
+        list_bytes = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sets and list_bytes > 0
+    assert list_bytes <= set_bytes / 2, (list_bytes, set_bytes)

@@ -182,6 +182,44 @@ class TestReplicaApplier:
             assert applier.frames_applied == applied
             assert applier.position() == (store.generation, store.journal_length)
 
+    def test_replica_state_is_written_only_when_the_upstream_changes(
+        self, primary, capsys
+    ):
+        """``replica.state`` names the upstream and the schema, not a
+        position: applied commits write no state (no ``repl:state``
+        crossing), the first message after a reattach writes it once,
+        and ``fsck`` reads the synced position off the journal."""
+        from repro.cli import main
+        from repro.store.faults import FaultPlan, FaultyIO
+
+        store, primary_dir, schema, registry, replica_dir = primary
+        io = FaultyIO(FaultPlan())
+        source = FrameSource(primary_dir, schema)
+        with ReplicaApplier(
+            replica_dir, schema, registry, io=io, upstream="first:1"
+        ) as applier:
+            pump(source, applier)  # the bootstrap records the upstream
+            assert io.plan.points.count("repl:state") == 1
+            assert read_replica_state(replica_dir) == {
+                "upstream": "first:1", "schema_crc": applier.schema_crc,
+            }
+            _commit(store, 3)
+            pump(source, applier)
+            assert io.plan.points.count("repl:state") == 1
+            applier.upstream = "second:2"  # what a reattach does
+            _commit(store)
+            pump(source, applier)
+            assert io.plan.points.count("repl:state") == 2
+            assert read_replica_state(replica_dir)["upstream"] == "second:2"
+            synced = applier.position()
+        assert synced == (store.generation, store.journal_length)
+        capsys.readouterr()
+        assert main(["fsck", replica_dir]) == 0
+        assert (
+            f"replica state: following second:2 — synced to {synced} "
+            in capsys.readouterr().out
+        )
+
     def test_catch_up_ships_the_delta_not_the_snapshot(self, tmp_path):
         """A follower's catch-up costs O(|Δ|): after Δ commits on a
         ~2k-entry primary exactly Δ frames ship, a sliver of the
@@ -737,6 +775,10 @@ class TestCohortBatchLock:
             assert cohort.consistent()
 
     def test_members_keep_no_replica_state(self, sharded_primary):
+        """The frontier is recorded in ``cut.state`` only: a commit
+        leaves the members without a ``replica.state`` and the cohort's
+        own, which names the upstream, byte for byte as it was."""
+        from repro.store.replicate import read_cut_state
         from repro.store.shardmap import shard_dir
 
         store, source, cohort, _ = self._follower(sharded_primary)
@@ -748,15 +790,52 @@ class TestCohortBatchLock:
                 for name in ("att", "labs")
             }
 
+        def cohort_state():
+            with open(os.path.join(cohort_dir, REPLICA_STATE_FILE), "rb") as fh:
+                return fh.read()
+
         with cohort:
-            before = member_states()
+            before, recorded = member_states(), cohort_state()
             _spanning_commit(store, 1)
             pump(source, cohort)
             assert cohort.position() == store.position()
-            assert member_states() == before
-            assert read_replica_state(cohort_dir)["shards"] == {
-                name: list(position) for name, position in store.position().items()
-            }
+            assert member_states() == before == {"att": None, "labs": None}
+            assert read_cut_state(cohort_dir) == store.position()
+            assert cohort_state() == recorded
+            assert set(read_replica_state(cohort_dir)) == {"upstream", "schema_crc"}
+
+    def test_fsck_reports_a_cohort_killed_before_its_cut(
+        self, sharded_primary, capsys
+    ):
+        """A cohort is synced to its recorded cut, not to its member
+        journals: killed at ``repl:cut-state`` its members stand past
+        the cut, and ``fsck`` flags them instead of reporting their
+        tails as the synced frontier."""
+        from repro.cli import main
+        from repro.store.faults import FaultPlan, FaultyIO, InjectedCrash
+        from repro.store.replicate import (
+            ShardedFrameSource,
+            ShardedReplicaApplier,
+            read_cut_state,
+        )
+
+        store, primary_dir, schema, registry, cohort_dir = sharded_primary
+        io = FaultyIO(FaultPlan())
+        source = ShardedFrameSource(primary_dir, schema)
+        with ShardedReplicaApplier(cohort_dir, schema, registry, io=io) as cohort:
+            pump(source, cohort)
+            cut = read_cut_state(cohort_dir)
+            _spanning_commit(store, 1)
+            io.plan.crash_at_point = "repl:cut-state"
+            with pytest.raises(InjectedCrash):
+                pump(source, cohort)
+            members = cohort.position()
+        assert members == store.position() != cut == read_cut_state(cohort_dir)
+        capsys.readouterr()
+        assert main(["fsck", cohort_dir]) == 0
+        out = capsys.readouterr().out
+        assert f" — synced to {cut} (promote before writing locally)" in out
+        assert f"the members stand at {members}, off the recorded cut" in out
 
 
 class TestFoldAwareAttach:

@@ -1292,15 +1292,23 @@ class TestPlannedSearchWork:
         assert fit_growth(sizes, scanned_work) == pytest.approx(1.0)
 
     def test_one_level_under_a_unit_walks_the_unit_and_maps_nothing(
-        self, tmp_path, schema, registry
+        self, tmp_path, schema, registry, monkeypatch
     ):
         """``(objectClass=person)`` one level under a unit: every shard
         is probed, the candidates (every person of the directory)
         outnumber the unit's children, so the children are walked — and
         the gate decided that on member-local counts, before mapping a
-        single candidate onto the composite."""
+        single candidate onto the composite or iterating (copying) a
+        single member posting."""
         from repro.query.filters import Equals
+        from repro.store.index import PostingView
 
+        iterated = []
+        iterate = PostingView.__iter__
+        monkeypatch.setattr(
+            PostingView, "__iter__",
+            lambda view: iterated.append(len(view)) or iterate(view),
+        )
         with self._reader(tmp_path, schema, registry, 2) as reader:
             composite = reader.instance
             unit = next(e for e in composite if e.belongs_to("orgUnit"))
@@ -1319,6 +1327,7 @@ class TestPlannedSearchWork:
             assert sorted(judged) == sorted(children)
             assert len(found) == len(children) < candidates
             assert composite.indexes.translated == 0
+            assert iterated == []
             assert (reader.stitches, reader.followed) == (1, 0)
 
     def test_canonical_search_reads_no_interval(

@@ -7,7 +7,10 @@ model uses relations (Section 2.1).  It owns a set of
 
 * a DN index (entries addressable by distinguished name),
 * a per-class index ``c -> {entries with c in class(r)}``, updated
-  incrementally as classes change, and
+  incrementally as classes change,
+* optionally, :class:`~repro.model.pathcounts.PathCounts` — per entry,
+  how many children / descendants hold a class — patched by every
+  mutator in O(depth) once attached, and
 * a *preorder/postorder interval numbering*, built lazily and then
   **maintained**: once a reader has asked for it, every later insertion
   and deletion patches it in O(|Δ|) (see :meth:`_ensure_order` for the
@@ -45,6 +48,7 @@ from repro.errors import (
 from repro.model.attributes import AttributeRegistry
 from repro.model.dn import DN, RDN, parse_dn, parse_rdn
 from repro.model.entry import Entry
+from repro.model.pathcounts import PathCounts
 
 __all__ = ["DirectoryInstance"]
 
@@ -112,8 +116,10 @@ class DirectoryInstance:
         # can be patched lazily in O(|Δ|); the model layer only knows
         # the two-method observer protocol, not the index structure.
         self.indexes: Optional[Any] = None
-        # Structural-mutation counter (any shape change bumps it).
-        self._shape_generation = 0
+        # Optional per-entry counts of the children / descendants that
+        # hold a class (repro.model.pathcounts), patched by the mutators
+        # below in O(depth) per changed entry.
+        self.path_counts: Optional[PathCounts] = None
         #: Full renumberings of the forest so far (:meth:`_ensure_order`).
         #: An instance whose numbering is maintained across updates keeps
         #: this at 1 however many entries come and go.
@@ -187,12 +193,13 @@ class DirectoryInstance:
         for object_class in entry.classes:
             self._class_index.setdefault(object_class, set()).add(eid)
             self._bump_class(object_class)
+        if self.path_counts is not None:
+            self.path_counts.shift(eid, entry._classes, 1)
         if attributes:
             for name, values in attributes.items():
                 for value in values:
                     entry.add_value(name, value)
         self._notify_entry_changed(eid)
-        self._shape_generation += 1
         if self._order is not None:
             self._number_last_child(eid, parent_eid)
         return entry
@@ -214,6 +221,8 @@ class DirectoryInstance:
         # Notify before the DN index entry disappears: the observer
         # captures the normalized DN for reverse-reference probes.
         self._notify_entry_removed(eid)
+        if self.path_counts is not None:
+            self.path_counts.subtree_removed(eid)
         if self._order is not None:
             del self._order[self._order_index(eid)]
             self._forget_labels(eid)
@@ -235,7 +244,6 @@ class DirectoryInstance:
         del self._parent[eid]
         del self._children[eid]
         node._owner = None
-        self._shape_generation += 1
 
     # ------------------------------------------------------------------
     # subtree operations (update granularity of Theorem 4.1)
@@ -265,7 +273,8 @@ class DirectoryInstance:
     ) -> None:
         """Undo a :meth:`delete_subtree`: graft the one-rooted ``subtree``
         it returned back under ``parent`` as sibling number ``index``.
-        Anywhere but last, the numbering goes stale (one renumber)."""
+        Anywhere but last, the numbering goes stale (one renumber); the
+        path counts come back entry by entry through the graft."""
         self.insert_subtree(parent, subtree)
         siblings = self._roots if parent is None else self._children[self._resolve(parent)]
         if index < len(siblings) - 1:
@@ -286,6 +295,8 @@ class DirectoryInstance:
         """
         eid = self._resolve(entry)
         removed = self.extract_subtree(eid)
+        if self.path_counts is not None:  # while the ancestors are linked
+            self.path_counts.subtree_removed(eid)
         numbered = self._order is not None
         if numbered:
             start = self._order_index(eid)
@@ -320,7 +331,6 @@ class DirectoryInstance:
             del self._parent[node_eid]
             del self._children[node_eid]
             node._owner = None
-        self._shape_generation += 1
         return removed
 
     def extract_subtree(self, entry: Entry | int | DN | str) -> "DirectoryInstance":
@@ -449,14 +459,6 @@ class DirectoryInstance:
             self._class_version.get(object_class, 0),
             len(self._class_index.get(object_class, ())),
         )
-
-    @property
-    def shape_generation(self) -> int:
-        """Counts structural mutations (inserts/deletes anywhere) — an
-        observability hook: a re-check that hits only memoized structure
-        verdicts despite a bumped generation demonstrates the dirty-set
-        gate is the per-class fingerprints, not whole-tree staleness."""
-        return self._shape_generation
 
     # ------------------------------------------------------------------
     # structure navigation
@@ -616,6 +618,8 @@ class DirectoryInstance:
     def _on_class_added(self, eid: int, object_class: str) -> None:
         self._class_index.setdefault(object_class, set()).add(eid)
         self._bump_class(object_class)
+        if self.path_counts is not None:
+            self.path_counts.shift(eid, (object_class,), 1)
         self._notify_entry_changed(eid)
 
     def _on_class_removed(self, eid: int, object_class: str) -> None:
@@ -625,6 +629,8 @@ class DirectoryInstance:
             if not bucket:
                 del self._class_index[object_class]
             self._bump_class(object_class)
+        if self.path_counts is not None:
+            self.path_counts.shift(eid, (object_class,), -1)
         self._notify_entry_changed(eid)
 
     def _notify_entry_changed(self, eid: int) -> None:

@@ -19,7 +19,7 @@ inference system:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import ClassHierarchyError, SchemaError
 from repro.schema.elements import Disjoint, Subclass
@@ -197,7 +197,3 @@ class ClassSchema:
                 if b in ancestors_a or a in self.superclasses(b):
                     continue
                 yield Disjoint(a, b)
-
-    def core_chain_classes(self, classes: Iterable[str]) -> Set[str]:
-        """Filter ``classes`` down to the core ones."""
-        return {c for c in classes if c in self._parent}

@@ -83,10 +83,6 @@ class DirectorySchema:
             raise SchemaError("; ".join(problems))
         return self
 
-    def content_components(self) -> tuple:
-        """The content schema ``(A, H)`` as a pair (Section 3.1)."""
-        return (self.attribute_schema, self.class_schema)
-
     def all_elements(self) -> Iterator[SchemaElement]:
         """The element set ``Γ`` of Theorem 5.2: the elements of ``H``
         (subclass edges and disjointness of incomparable cores) and of

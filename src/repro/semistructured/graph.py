@@ -153,8 +153,3 @@ class DataGraph:
     def edges(self) -> Iterator[Tuple[Hashable, Hashable]]:
         """All parent→child edges."""
         return iter(self._graph.edges)
-
-    @property
-    def nx_graph(self) -> nx.DiGraph:
-        """The underlying :class:`networkx.DiGraph` (read-only use)."""
-        return self._graph

@@ -97,7 +97,7 @@ from repro.store.recovery import (
     SNAPSHOT_FILE,
 )
 from repro.store.wal import StoreIO
-from repro.updates.incremental import IncrementalChecker, UpdateOutcome
+from repro.updates.incremental import IncrementalChecker, UpdateOutcome, attach_path_counts
 from repro.updates.operations import UpdateTransaction
 
 if TYPE_CHECKING:
@@ -314,6 +314,10 @@ class DirectoryStore:
             directory, schema, generation, journal_count
         )
         _index.AttributeIndexes.attach(instance, keys, refs, postings)
+        # Counted children and descendants let the guard judge Figure 5's
+        # required child/descendant deletion rows on the path above the
+        # pruned root instead of over all of D − Δ.
+        attach_path_counts(instance, schema)
         #: The Section 6.1 delta check — the one-member case of the
         #: probe a sharded coordinator runs over all its shards (whose
         #: local schemas carry no extras, so they hold none).

@@ -69,7 +69,7 @@ from repro.store.recovery import (
     parse_record,
 )
 from repro.store.wal import StoreIO
-from repro.updates.incremental import IncrementalChecker
+from repro.updates.incremental import IncrementalChecker, attach_path_counts
 from repro.updates.operations import UpdateTransaction
 
 __all__ = ["StoreReader", "RefreshResult", "ReaderLag"]
@@ -728,6 +728,9 @@ class StoreReader:
                 self._dir, self.schema, generation, 0
             )
             _index.AttributeIndexes.attach(instance, keys, refs, postings)
+            # The path counts too: the replay keeps them exact, and an
+            # armed guard answers Figure 5's full deletion rows from them.
+            attach_path_counts(instance, self.schema)
             replayable = wal.ScanResult(
                 [r for r in scanned.records if r.generation == generation],
                 scanned.tail_offset,

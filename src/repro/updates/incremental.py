@@ -8,11 +8,16 @@ only *describes* its change to that step:
 
 * :meth:`try_insert` grafts a subtree Δ: content-check Δ in isolation,
   then the Figure 5 insertion rows, one Δ-scoped query each;
-* :meth:`try_delete` prunes a subtree: the Figure 5 deletion rows (a
-  full re-check only for required-child/descendant) plus the *counted*
-  required-class test — ``Cr`` is incrementally testable for deletion
-  "if we had the ability to associate each ci with the number of
-  entries that belong to ci", and the per-class index has those counts;
+* :meth:`try_delete` prunes a subtree: the Figure 5 deletion rows plus
+  the *counted* required-class test — ``Cr`` is incrementally testable
+  for deletion "if we had the ability to associate each ci with the
+  number of entries that belong to ci", and the per-class index has
+  those counts.  Only the required-child/descendant rows evaluate at
+  all: on a bare instance as the Figure 4 query over all of ``D − Δ``
+  (the paper's full re-check), on an instance carrying
+  :class:`~repro.model.pathcounts.PathCounts` (every store instance,
+  :func:`attach_path_counts`) as one count lookup per entry on the path
+  above the pruned root — the same offenders, in O(depth);
 * :meth:`try_move` and :meth:`try_modify` (extensions) are judged by
   both row sets, resp. the extension table of :mod:`repro.updates.table`;
 * :meth:`apply_transaction` runs a Section 4.1 transaction through the
@@ -31,10 +36,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.axes import Axis
 from repro.errors import ModelError, UpdateError
 from repro.model.dn import DN, parse_rdn
 from repro.model.entry import Entry
 from repro.model.instance import DirectoryInstance
+from repro.model.pathcounts import PathCounts
 from repro.legality.engine import CheckSession
 from repro.legality.metrics import CheckStats
 from repro.legality.report import Kind, LegalityReport, Violation
@@ -43,10 +50,10 @@ from repro.query.evaluator import QueryEvaluator
 from repro.schema.directory_schema import DirectorySchema
 from repro.schema.elements import ForbiddenEdge, RequiredEdge, SchemaElement
 from repro.updates.operations import UpdateTransaction
-from repro.updates.table import build_delta_query, build_modify_queries
+from repro.updates.table import build_delta_query, build_modify_queries, path_answerable
 from repro.updates.transactions import decompose
 
-__all__ = ["UpdateOutcome", "IncrementalChecker"]
+__all__ = ["UpdateOutcome", "IncrementalChecker", "attach_path_counts"]
 
 #: The inverse of each primitive mutation a change made, oldest first —
 #: recorded *while* it is applied, never computed from the pre-state, so
@@ -126,9 +133,13 @@ class _Row:
     element: SchemaElement
     query: Optional[Query]  #: ``None``: a ∅-scoped row, nothing to evaluate
     check: str  #: what ``outcome.checks`` records for the row
-    #: A Figure 5 deletion row that re-checks in full what a vacated
-    #: position leaves behind (see the two uses in ``_guarded``).
+    #: A Figure 5 deletion row that re-checks what a vacated position
+    #: leaves behind (see its uses in ``_guarded``).
     vacated: bool = False
+    #: A full row of a required child/descendant element: where the
+    #: instance counts the element's target, its offenders are found on
+    #: the path above the change instead (``_guarded``).
+    path: bool = False
 
 
 class IncrementalChecker:
@@ -163,9 +174,10 @@ class IncrementalChecker:
         self.session = session if session is not None else CheckSession(schema)
         self.relationships = schema.structure_schema.relationship_elements()
         # Figure 5 and the modification extension table, compiled once.
-        # Every deletion row that evaluates at all is a full re-check;
-        # an extension row goes with the class whose gain or loss
-        # triggers it.
+        # Every deletion row that evaluates at all is a full re-check,
+        # and so is the extension row of a lost target (the only
+        # removal row that evaluates); an extension row goes with the
+        # class whose gain or loss triggers it.
         self._insert_rows: List[_Row] = []
         self._delete_rows: List[_Row] = []
         self._modify_rows: List[Tuple[str, str, _Row]] = []
@@ -177,10 +189,14 @@ class IncrementalChecker:
             self._delete_rows.append(
                 _Row(element, None, f"skip: {element} (∅-scoped row)")
                 if query is None
-                else _Row(element, query, f"full re-check for {element} on D−Δ", vacated=True)
+                else _Row(
+                    element, query, f"full re-check for {element} on D−Δ",
+                    vacated=True, path=path_answerable(element),
+                )
             )
             for change, trigger, check, query in build_modify_queries(element):
-                self._modify_rows.append((change, trigger, _Row(element, query, check)))
+                path = change == "removed" and path_answerable(element)
+                self._modify_rows.append((change, trigger, _Row(element, query, check, path=path)))
         if not assume_legal:
             # The baseline is the session's full pass: it both vets the
             # starting instance and warms the fingerprint cache, so the
@@ -200,6 +216,7 @@ class IncrementalChecker:
         mutate: Callable[[UndoToken], AbstractSet],
         rows: Sequence[_Row] = (),
         lost: Optional[AbstractSet] = None,
+        anchor: Optional[int] = None,
     ) -> UpdateOutcome:
         """Apply a change, judge it, keep it iff it is legal.
 
@@ -212,15 +229,24 @@ class IncrementalChecker:
         required-class test (end of Section 4) runs over ``lost``, the
         classes that may have lost members (``None``: none did).
 
+        ``anchor`` is the parent of the entry the change pruned, moved
+        away or re-classed (``None`` for a root, or no such entry): on a
+        legal ``D`` a required child/descendant element can be newly
+        violated only there, resp. there and above.  A ``path`` row
+        whose target the instance counts is answered on that path, one
+        count lookup per entry; the full query runs otherwise.
+
         The only rollback in this module, the same for a violation and
         an exception: the token runs, leaving the instance as found.
         """
         instance, checks = self.instance, outcome.checks
+        counts = instance.path_counts
         kept = False
         try:
             delta_ids = mutate(outcome.token)
             if outcome.report.is_legal:
                 evaluator = self._delta_evaluator(delta_ids)
+                looked_up = 0
                 for row in rows:
                     element = row.element
                     if row.query is None:
@@ -237,16 +263,36 @@ class IncrementalChecker:
                             f"{element.source!r} entries remain)"
                         )
                         continue
-                    offenders = evaluator.evaluate(row.query)
-                    if row.vacated and delta_ids:
-                        # A move's Δ left the vacated position but not the
-                        # instance: it cannot have lost a witness there.
-                        offenders = (offenders - delta_ids) & instance.entry_id_view()
-                    checks.append(row.check)
+                    if (
+                        row.path and counts is not None
+                        and counts.tracks(element.axis, element.target)
+                    ):
+                        # A modified entry that gained the source class
+                        # is a candidate too, as in the full query; a
+                        # moved subtree is none (the insertion rows
+                        # judge it).
+                        path = self._path(element.axis, anchor, () if row.vacated else delta_ids)
+                        looked_up += len(path)
+                        offenders = {
+                            entry.eid for entry in path
+                            if entry.belongs_to(element.source)
+                            and not counts.count(element.axis, element.target, entry.eid)
+                        }
+                        checks.append(
+                            f"path check for {element}: {len(path)} count "
+                            f"lookup(s) above the change"
+                        )
+                    else:
+                        offenders = evaluator.evaluate(row.query)
+                        if row.vacated and delta_ids:
+                            # A move's Δ left the vacated position but not
+                            # the instance: it cannot have lost a witness.
+                            offenders = (offenders - delta_ids) & instance.entry_id_view()
+                        checks.append(row.check)
                     if offenders:
                         self._report_structural(outcome.report, element, offenders)
-                outcome.cost += evaluator.cost
-                self.session.stats.queries_evaluated += evaluator.cost
+                outcome.cost += evaluator.cost + looked_up
+                self.session.stats.queries_evaluated += evaluator.cost + looked_up
                 if lost is not None:
                     required = self.schema.structure_schema.required_classes
                     for name in sorted(required & lost):
@@ -327,6 +373,7 @@ class IncrementalChecker:
         """
         outcome = UpdateOutcome()
         root_entry = self.instance.entry(str(root) if isinstance(root, DN) else root)
+        anchor = self.instance.parent_id(root_entry)
         required = self.schema.structure_schema.required_classes
 
         def prune(token: UndoToken) -> AbstractSet:
@@ -337,7 +384,7 @@ class IncrementalChecker:
             outcome.checks.append("content: deletion cannot violate the content schema")
             return frozenset()  # Δ has left the instance
 
-        return self._guarded(outcome, prune, self._delete_rows, required)
+        return self._guarded(outcome, prune, self._delete_rows, required, anchor)
 
     def try_move(
         self,
@@ -382,8 +429,11 @@ class IncrementalChecker:
             # Content is unchanged by construction; structure is not.
             return self._graft(destination, removed, token)
 
+        anchor = self.instance.parent_id(entry)
         try:
-            self._guarded(outcome, relocate, self._insert_rows + self._delete_rows)
+            self._guarded(
+                outcome, relocate, self._insert_rows + self._delete_rows, anchor=anchor
+            )
         except ModelError as exc:
             # e.g. duplicate DN at the destination: already restored
             raise UpdateError(f"move failed: {exc}") from exc
@@ -442,7 +492,7 @@ class IncrementalChecker:
         rows = [row for change, trigger, row in self._modify_rows if trigger in changed[change]]
         # No class gained or lost: content is all there is to judge.
         lost = changed["removed"] if any(changed.values()) else None
-        return self._guarded(outcome, rewrite, rows, lost)
+        return self._guarded(outcome, rewrite, rows, lost, self.instance.parent_id(entry))
 
     def apply_transaction(self, transaction: UpdateTransaction) -> UpdateOutcome:
         """Run a whole transaction: decompose into subtree updates
@@ -473,6 +523,20 @@ class IncrementalChecker:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _path(
+        self, axis: Axis, anchor: Optional[int], extra: AbstractSet
+    ) -> List[Entry]:
+        """The entries whose count of an ``axis``-relative may have
+        fallen: ``anchor``, and on the descendant axis its ancestors,
+        after the entries of ``extra``."""
+        instance = self.instance
+        path = [instance.entry(eid) for eid in extra]
+        if anchor is not None:
+            path.append(instance.entry(anchor))
+            if axis is Axis.DESCENDANT:
+                path.extend(instance.ancestors_of(anchor))
+        return path
+
     def _delta_evaluator(self, delta_ids: AbstractSet) -> QueryEvaluator:
         """An evaluator over the updated instance with Figure 5's four
         scopes bound.  ``D + Δ`` and ``D`` are views, never copies:
@@ -536,3 +600,17 @@ class IncrementalChecker:
         size the benchmark gates assert on).
         """
         return self.session.check(self.instance)
+
+
+def attach_path_counts(instance: DirectoryInstance, schema: DirectorySchema) -> PathCounts:
+    """Count, on ``instance``, the target class of every required child
+    and descendant element of ``schema`` — what lets an
+    :class:`IncrementalChecker` judge those elements' full rows on the
+    path above a change (see :func:`repro.updates.table.path_answerable`).
+    One pass over the instance; its mutators keep the counts from then
+    on."""
+    targets: dict = {Axis.CHILD: set(), Axis.DESCENDANT: set()}
+    for element in schema.structure_schema.relationship_elements():
+        if path_answerable(element):
+            targets[element.axis].add(element.target)
+    return PathCounts.attach(instance, targets[Axis.CHILD], targets[Axis.DESCENDANT])

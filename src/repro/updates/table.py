@@ -35,9 +35,17 @@ Row derivations (insertions of a subtree ``Δ`` into a legal ``D``):
 Deletions of a subtree ``Δ`` from a legal ``D``:
 
 ``ci → cj``, ``ci →→ cj``
-    *Not incrementally testable*: removing a subtree can remove a
-    remaining entry's last required child/descendant — the Figure 4 query
-    must be re-evaluated on all of ``D - Δ``.
+    *Not incrementally testable* by a Δ-query: removing a subtree can
+    remove a remaining entry's last required child/descendant, and no
+    scoping of the Figure 4 query names those entries.  The row's plan
+    is that query on all of ``D - Δ`` (``full``), and a bare instance
+    runs exactly that.  A checker that can walk the tree needs less:
+    only the pruned root's parent (child axis) or its ancestors
+    (descendant axis) can have lost their last ``cj`` relative.  On an
+    instance that carries :class:`~repro.model.pathcounts.PathCounts`
+    for ``cj``, the incremental checker answers the row with one count
+    lookup per entry on that path (:func:`path_answerable`; the proof
+    sketch is in DESIGN.md §6, "Deletions judged on the ancestor path").
 ``cj ← ci``, ``cj ←← ci``
     No check (``∅`` scopes): a deleted subtree contains all of its own
     descendants, so no surviving entry loses a parent or ancestor.
@@ -69,6 +77,7 @@ __all__ = [
     "build_delta_query",
     "MODIFY_TABLE",
     "build_modify_queries",
+    "path_answerable",
 ]
 
 Operation = Literal["insert", "delete"]
@@ -182,6 +191,16 @@ def build_delta_query(element: SchemaElement, operation: Operation) -> Optional[
     return _plan_query(element, rule_for(element, operation).plan)
 
 
+def path_answerable(element: SchemaElement) -> bool:
+    """Whether ``element``'s full rows — its Figure 5 deletion row, and
+    the extension table's row for a lost target — can be answered on
+    the path above the change instead: a required child or descendant
+    element, whose offenders on a legal ``D`` are the changed entry's
+    parent, resp. ancestors, that are left without a ``target``
+    relative."""
+    return isinstance(element, RequiredEdge) and element.axis.downward
+
+
 def empty_scoped_query(element: SchemaElement) -> Query:
     """The ``∅``-scoped Δ-query of a ``skip`` row, for display/printing
     parity with Figure 5 (never worth evaluating)."""
@@ -203,7 +222,10 @@ def empty_scoped_query(element: SchemaElement) -> Query:
 #                              on Δ, inner on the updated instance
 # required, removed as target  others may have relied on the entry as
 #                              their relative: full re-check (as for
-#                              Figure 5's non-incremental deletions)
+#                              Figure 5's non-incremental deletions; for
+#                              a child/descendant element, answered on
+#                              the entry's parent/ancestors where the
+#                              instance carries path counts)
 # forbidden, added             the entry is the one new endpoint of a
 #                              pair: its side on Δ
 # anything else                no check: a new target or a lost source

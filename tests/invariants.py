@@ -79,7 +79,7 @@ def canonical_records(instance):
 
 def instance_state(instance):
     """Rollback-exact: everything an undo must restore.  Entry ids are
-    never reused, so the postings are keyed by DN."""
+    never reused, so the postings and the path counts are keyed by DN."""
     by_interval = sorted(instance, key=instance.interval_of)
     classes = sorted({c for entry in instance for c in entry.classes})
     state = {
@@ -87,6 +87,12 @@ def instance_state(instance):
         "counts": {c: instance.class_count(c) for c in classes},
         "order": [str(entry.dn) for entry in by_interval],
     }
+    counts = instance.path_counts
+    if counts is not None:
+        state["path_counts"] = {
+            (axis.value, cls): {instance.dn_string_of(eid): n for eid, n in table.items()}
+            for (axis, cls), table in counts.export().items()
+        }
     export = getattr(instance.indexes, "export_postings", None)
     if export is not None:  # postings of its own (a composite has none)
         exported = export()

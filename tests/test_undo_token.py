@@ -12,6 +12,10 @@ or *raised* half-way:
   with the change forced in;
 * applied, then the token  ⇒  exactly as before — what
   ``StagedWrite.abort`` and a 2PC abort rely on.
+
+"Exactly as before" includes the path counts a store instance carries
+(:func:`~repro.updates.incremental.attach_path_counts`), so every world
+here carries them.
 """
 
 import random
@@ -29,7 +33,7 @@ from repro.model.instance import DirectoryInstance
 from repro.schema.class_schema import TOP
 from repro.store.index import AttributeIndexes
 from repro.store.recovery import replay_transaction
-from repro.updates.incremental import IncrementalChecker
+from repro.updates.incremental import IncrementalChecker, attach_path_counts
 from repro.updates.operations import UpdateTransaction
 from repro.workloads import generate_whitepages, random_schema, whitepages_schema
 
@@ -207,6 +211,7 @@ def _play(family, seed, plan):
         return
     schema, instance = world
     AttributeIndexes.attach(instance)
+    attach_path_counts(instance, schema)
     guard = IncrementalChecker(schema, instance)
     rng = random.Random(seed)
     for kind, undo in plan:
@@ -256,3 +261,27 @@ def test_undo_token_is_exact(family, seed, plan):
 @given(_FAMILIES, _SEEDS, _PLANS)
 def test_undo_token_is_exact_slow(family, seed, plan):
     _play(family, seed, plan)
+
+
+def test_rejected_delete_restored_before_a_sibling_keeps_the_counts():
+    """A rejected delete of a subtree that is not its parent's last
+    child: ``restore_subtree`` puts it back at its old place, the path
+    that renumbers, and the path counts come back with it."""
+    schema = whitepages_schema()
+    instance = generate_whitepages(orgs=1, units_per_level=1, depth=1,
+                                   persons_per_unit=1, seed=5)
+    attach_path_counts(instance, schema)
+    guard = IncrementalChecker(schema, instance)
+    person = DirectoryInstance(attributes=instance.attributes)
+    person.add_entry(None, "uid=late", ["person", "top"],
+                     {"uid": ["late"], "name": ["late comer"]})
+    assert guard.try_insert("o=org0", person).applied
+    unit, late = instance.children_of("o=org0")  # the only unit, then a person
+    before = instance_state(instance)
+    renumbers = instance.renumbers
+    outcome = guard.try_delete(str(unit.dn))
+    assert not outcome.applied  # organization → orgUnit
+    assert any("path check for organization → orgUnit" in c for c in outcome.checks)
+    assert instance_state(instance) == before
+    assert instance.renumbers == renumbers + 1
+    assert [e.rdn for e in instance.children_of("o=org0")] == [unit.rdn, late.rdn]

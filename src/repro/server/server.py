@@ -4,22 +4,32 @@ Concurrency model
 -----------------
 *Reads never block the writer, and the writer never blocks reads.*
 
-Each connection owns its own lock-free view
-(:func:`repro.store.open_view` — the store directory says whether it
-is plain or sharded), bootstrapped on the connection's first read and
-refreshed O(|Δ|) before every read operation, so every response
-reflects a *committed* frontier (readers withhold in-doubt 2PC
-prepares by construction).  Read operations (refresh + search/check)
-run on the shared default executor, with one exception: a search on a
-view that is *idle* — its O(1) disk probes find nothing a refresh
-would replay, and nothing is left to stitch or renumber — is planned
-on the event loop, and when the planner bounds it by the filter's
-index postings it is answered there too, with no executor hop and no
-refresh.  Its work is then bounded by those postings, never by the
-directory: bootstrap, stitching, renumbering, replay, unplanned scans
-and ``check`` never run on the loop.  Each connection handles its
-frames sequentially, so its reader is only ever touched by one thread
-at a time.
+A member keeps **one served copy**, and every connection reads it.  On
+a primary it is one lock-free view (:func:`repro.store.open_view` —
+the store directory says whether it is plain or sharded), opened by the
+first read and refreshed O(|Δ|) before a read that finds it behind, so
+every response reflects a *committed* frontier (readers withhold
+in-doubt 2PC prepares by construction).  On a replica it is the copy
+its applier applies into (:func:`repro.store.open_replica`): the plain
+applier's reader, or the cohort's composite over its member readers.
+Only the applier advances a replica's copy; a read never refreshes it.
+
+One :class:`~repro.store.reader.CopyLock` per served copy keeps every
+read off its replays: the applier's (held alone while it replays a
+landed batch or swaps in a reader it bootstrapped), or the server's for
+a primary's view (held alone while it refreshes).  A read holds it for
+its whole answer and reads the reply's ``position`` under it.  Searches
+share it when the copy is *idle* and numbered — its O(1) disk probes
+find nothing to replay, and nothing is left to stitch or renumber — so
+planning and running them only read; a search on a copy that is not,
+and every ``check``, hold it alone.  A search is first tried on the
+event loop without waiting: it is planned there, and when the planner
+bounds it by the filter's index postings it is answered there too, with
+no executor hop.  Its work is then bounded by those postings, never by
+the directory.  Everything else runs on the shared default executor,
+waiting there for the lock.  The lock never covers the disk: an applier
+appends and fsyncs outside it, and bootstraps a snapshot's reader
+before swapping it in.
 
 All mutations funnel through the single owning writer
 (:func:`repro.store.open_store`), serialized by an
@@ -73,6 +83,7 @@ from repro.store import (
     open_view,
     promote,
 )
+from repro.store.reader import CopyLock
 from repro.store.replicate import encode_error_message
 
 __all__ = ["DirectoryServer"]
@@ -127,21 +138,16 @@ class _CommitFeed:
 
 
 class _Connection(Connection):
-    """A server connection adds the serving reader (opened lazily on
-    the first read) and the watch/replicate fanout tasks."""
+    """A server connection adds the watch/replicate fanout tasks, and
+    the member's served copy its last read answered from."""
 
     def __init__(self, writer) -> None:
         super().__init__(writer)
-        self.view = None  # opened lazily by the first read operation
-        #: The replica applier the server followed when ``view`` was
-        #: opened (``None`` on a primary); ``_ensure_view`` reopens the
-        #: view once the server no longer follows that applier.
-        self.view_source = None
+        #: The served copy this connection last read (introspection:
+        #: every connection of a member reads the same one).
+        self.view = None
         self.watch_task: Optional[asyncio.Task] = None
         self.replicate_task: Optional[asyncio.Task] = None
-
-    def position_payload(self) -> dict:
-        return self.view.position().to_wire()
 
     async def release(self) -> None:
         for fanout in (self.watch_task, self.replicate_task):
@@ -151,8 +157,6 @@ class _Connection(Connection):
                     await fanout
                 except asyncio.CancelledError:
                     pass
-        if self.view is not None:
-            self.view.close()
 
 
 class DirectoryServer(WireService):
@@ -226,6 +230,11 @@ class DirectoryServer(WireService):
         )
         self._commit_seq = 0
         self._feeds: set = set()
+        #: A primary's served copy, opened by the first read, and the
+        #: lock every read and refresh of it holds (a replica's are its
+        #: applier's ``reader`` and ``lock``).
+        self._view = None
+        self._view_lock = CopyLock()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -259,23 +268,6 @@ class DirectoryServer(WireService):
             self.store_path, self.schema, self.registry,
             upstream=self.replica_of,
         )
-
-    def _open_view(self, applier):
-        """Open a serving view; ``applier`` is the replica applier the
-        server follows (``None`` on a primary).  A replica's applier
-        opens its views: over a sharded cohort they follow the shipped
-        2PC decisions and refresh only on a replicated cut, where a
-        primary's view pins each refresh to the coordinator log."""
-        try:
-            if applier is not None:
-                return applier.open_view()
-            return open_view(self.store_path, self.schema, self.registry)
-        except OSError as exc:
-            # A replica before its bootstrap snapshot has nothing to
-            # read yet; surface that as a store error, not a dead socket.
-            raise StoreError(
-                f"{self.store_path} holds no readable state yet ({exc})"
-            ) from exc
 
     async def _quiesce(self) -> None:
         # Wake watch/replicate tasks so draining connections can exit.
@@ -316,8 +308,14 @@ class DirectoryServer(WireService):
         loop = asyncio.get_running_loop()
         held = self._applier if self._applier is not None else self.store
         self._applier = self.store = None
-        if held is not None:
-            await loop.run_in_executor(None, held.close)
+        view, self._view = self._view, None
+
+        def close():
+            for holder in (held, view):
+                if holder is not None:
+                    holder.close()
+
+        await loop.run_in_executor(None, close)
         self._writer_pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------
@@ -405,66 +403,112 @@ class DirectoryServer(WireService):
             await asyncio.sleep(0.2)
 
     # ------------------------------------------------------------------
-    # per-connection views
+    # reads: one served copy per member, shared by every connection
     # ------------------------------------------------------------------
-    async def _ensure_view(self, connection: _Connection) -> None:
-        """Open the connection's serving view on first use.  Lazy so a
-        replica accepts connections (ping, position, watch) before its
-        bootstrap snapshot has landed.
+    def _served(self, applier, refresh: bool):
+        """The member's served copy, for a caller holding its lock.
 
-        A view opened while following an applier does not outlive it:
-        the applier closes under the write lock in ``_op_promote``,
-        from which moment the view refuses to refresh, and the
-        connection's next read lands here and reopens it for the
-        server's new role — a promoted server writes 2PC frames, whose
-        atomic visibility needs the coordinator cut a primary's view
-        pins to."""
-        loop = asyncio.get_running_loop()
-        applier = self._applier
-        if (
-            connection.view is not None
-            and connection.view_source is not applier
-        ):
-            connection.view.close()
-            connection.view = None
-        if connection.view is None:
-            connection.view = await loop.run_in_executor(
-                None, self._open_view, applier
+        On a replica it is the copy ``applier`` applies into, never
+        refreshed here.  On a primary it is the one view: with
+        ``refresh`` (an exclusive hold, off the loop) opened by the
+        first read and brought to the committed frontier, otherwise as
+        it stands — ``None`` before it was opened."""
+        if applier is not None:
+            return applier.served()
+        if self.store is None:
+            raise StoreError(
+                f"{self.store_path} is changing role (a promotion is in "
+                "progress); retry"
             )
-            connection.view_source = applier
+        if not refresh:
+            return self._view
+        if self._view is None:
+            self._view = open_view(self.store_path, self.schema, self.registry)
+        else:
+            self._view.refresh()
+        return self._view
 
-    # ------------------------------------------------------------------
-    # reads: refresh the connection's view, serve from it
-    # ------------------------------------------------------------------
+    @staticmethod
+    def _ready(copy) -> bool:
+        """Whether a search can share ``copy`` as it stands: idle
+        (nothing to replay, stitch or flush) and numbered, so planning
+        and running it only read."""
+        return copy is not None and copy.idle() and copy.instance.numbered
+
+    async def _read(self, connection: _Connection, answer, plan=None):
+        """``answer(copy, planned)`` from the member's served copy, and
+        the copy's position, both taken under the copy's lock — so the
+        position a reply carries is the one its answer was read at.
+
+        A search (``plan``) shares the lock with other searches when the
+        copy is :meth:`_ready`.  The loop tries first, without waiting:
+        it plans the search, and a bounded plan — the candidates came
+        off the indexes — is answered there too.  Everything else runs
+        on the executor: a search the loop could not take or answer
+        (waiting out an exclusive holder, or planned again there), and,
+        holding the lock alone, a search on a copy that is not ready (a
+        primary refreshes it first) and every ``check``."""
+        applier = self._applier
+        lock = self._view_lock if applier is None else applier.lock
+        if plan is not None and lock.acquire_shared(blocking=False):
+            try:
+                copy = self._served(applier, refresh=False)
+                if self._ready(copy):
+                    planned = plan(copy)
+                    if planned.bounded:
+                        connection.view = copy
+                        return answer(copy, planned), copy.position().to_wire()
+            finally:
+                lock.release_shared()
+
+        def read(applier, refresh):
+            copy = self._served(applier, refresh)
+            if not refresh and not self._ready(copy):
+                return None
+            connection.view = copy
+            planned = plan(copy) if plan is not None else None
+            return answer(copy, planned), copy.position().to_wire()
+
+        def locked():
+            while True:
+                applier = self._applier
+                lock = self._view_lock if applier is None else applier.lock
+                if plan is not None:
+                    with lock.shared():
+                        if applier is not self._applier:
+                            continue  # promoted while this read waited
+                        replied = read(applier, refresh=False)
+                    if replied is not None:
+                        return replied
+                with lock.exclusive():
+                    if applier is not self._applier:
+                        continue
+                    return read(applier, refresh=True)
+
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, locked)
+
     async def _op_search(self, connection: _Connection, request: dict) -> dict:
-        """Answer a search from the connection's view.  A view that is
-        idle (a refresh would replay nothing) and numbered is planned on
-        the event loop, and a bounded plan — the filter's candidates
-        came off the indexes — runs there too: no executor hop, no
-        refresh.  Every other search (frames to replay, a stitch or a
-        renumber ahead, an unplanned scan) runs on the executor."""
+        """Answer a search from the member's served copy: on the event
+        loop when the copy is idle and the plan bounded (no executor
+        hop), otherwise on the executor (:meth:`_read`)."""
         from repro.query.filter_parser import parse_filter
 
         filter_text = request.get("filter")
         size_limit = request.get("size_limit")
-        await self._ensure_view(connection)
-        view = connection.view
+        parsed = parse_filter(filter_text) if filter_text else None
 
-        def plan():
-            parsed = parse_filter(filter_text) if filter_text else None
+        def plan(copy):
             # Over-fetch by one so the cut happens *after* canonical
             # ordering and the client learns whether results were
             # dropped, without ever scanning past limit + 1 matches.
-            return view.plan_search(
+            return copy.plan_search(
                 base=request.get("base"), scope=request.get("scope", "sub"),
                 filter=parsed,
                 size_limit=None if size_limit is None else size_limit + 1,
             )
 
-        def answer(planned):
-            if planned is None:  # not current: replay first, then plan
-                view.refresh()
-                planned = plan()
+        def answer(copy, planned):
             entries = planned.run()
             truncated = size_limit is not None and len(entries) > size_limit
             if truncated:
@@ -472,35 +516,27 @@ class DirectoryServer(WireService):
             instance = planned.instance
             return [_entry_payload(instance, e) for e in entries], truncated
 
-        planned = plan() if view.idle() and view.instance.numbered else None
-        if planned is not None and planned.bounded:
-            entries, truncated = answer(planned)
-        else:
-            loop = asyncio.get_running_loop()
-            entries, truncated = await loop.run_in_executor(None, answer, planned)
+        (entries, truncated), position = await self._read(
+            connection, answer, plan
+        )
         return ok_response(
             request.get("id"),
             entries=entries,
             truncated=truncated,
-            position=connection.position_payload(),
+            position=position,
         )
 
     async def _op_check(self, connection: _Connection, request: dict) -> dict:
-        await self._ensure_view(connection)
+        def answer(copy, planned):
+            return copy.check(), len(copy.instance)
 
-        def run():
-            connection.view.refresh()
-            report = connection.view.check()
-            return report, len(connection.view.instance)
-
-        loop = asyncio.get_running_loop()
-        report, entries = await loop.run_in_executor(None, run)
+        (report, entries), position = await self._read(connection, answer)
         return ok_response(
             request.get("id"),
             legal=report.is_legal,
             violations=_violations_payload(report),
             entries=entries,
-            position=connection.position_payload(),
+            position=position,
         )
 
     # ------------------------------------------------------------------

@@ -101,8 +101,9 @@ def open_view(directory, schema, registry=None, **options):
     """Open a lock-free read-only view of the store ``directory``
     holds: ``view.refresh()`` / ``search`` / ``check`` / ``position()``
     / ``instance`` / ``close()``.  A sharded primary's view pins each
-    refresh to the coordinator log; a replica's views come from its
-    applier's ``open_view`` instead."""
+    refresh to the coordinator log.  A replica is read from the copy
+    its applier applies into instead (``applier.served()``, under
+    ``applier.lock``), which no read refreshes."""
     kind = CompositeReader if is_sharded(directory) else StoreReader
     return kind.open(directory, schema, registry, **options)
 
@@ -125,7 +126,8 @@ def open_source(directory, schema, position):
 def open_replica(directory, schema, registry=None, **options):
     """Open the follower applier for ``directory``:
     ``applier.apply_message`` / ``position()`` / ``lag_frames()`` /
-    ``consistent()`` / ``open_view()`` / ``close()``.  A fresh
+    ``consistent()`` / ``served()`` (the replica's one served copy, read
+    under ``applier.lock``) / ``close()``.  A fresh
     directory opens plain until :func:`~repro.store.replicate.follow`
     has the upstream's acknowledgement to go by."""
     kind = ShardedReplicaApplier if is_sharded(directory) else ReplicaApplier

@@ -67,14 +67,13 @@ the follower reports it instead of idling at its old frontier.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import os
-import threading
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReplicaDivergedError, ReplicationError, StoreError
 from repro.ldif.writer import serialize_ldif
@@ -85,7 +84,7 @@ from repro.store import wal
 from repro.store.journal import DirectoryStore
 from repro.store.manifest import Manifest, read_manifest, write_manifest
 from repro.store.position import Position
-from repro.store.reader import StoreReader
+from repro.store.reader import CopyLock, StoreReader
 from repro.store.recovery import (
     JOURNAL_FILE,
     REPLICA_STATE_FILE,
@@ -857,21 +856,35 @@ class ReplicaApplier(_Follower):
     appliers scribbling one journal would corrupt it), appends shipped
     frames to the local journal with fsync, and replays them through an
     embedded :class:`StoreReader` — the identical bootstrap/replay path
-    every reader uses, so the replica's view *is* a reader's view.  A
+    every reader uses, so the replica's copy *is* a reader's view.  A
     restarted applier recovers its durable position (torn tail
     truncated exactly like any crashed store) and resumes from there.
 
-    The full read surface is the embedded reader: ``instance`` for
-    search/check, ``position()``/``lag_frames()`` for introspection.
+    :attr:`reader` is the replica's one served copy: a replica server's
+    connections all read it, each read holding :attr:`lock`, and only
+    the applier advances it.  Each message applies in two halves: the
+    disk half (:meth:`_stage` — the journal append and its fsync, the
+    snapshot files of an install or a fold, the bootstrap of the reader
+    they are read back into) runs outside the lock, and the memory half
+    (:meth:`_land` — the replay of the appended frames, or the swap of
+    the freshly opened reader) runs under it.  So no read overlaps a
+    replay, and no read waits on the disk.
     """
 
     def _open(self) -> None:
         self.reader: Optional[StoreReader] = None
+        self.lock = CopyLock()
+        #: A reader opened on freshly installed files (a snapshot, a
+        #: fold), swapped in for :attr:`reader` by the next :meth:`_land`.
+        self._incoming: Optional[StoreReader] = None
+        #: Where the disk stands once staged messages are landed
+        #: (``None`` when nothing is staged: the reader's position).
+        self._staged: Optional[Position] = None
         self._announced: Optional[int] = None
         self.frames_applied = 0
         self.bytes_applied = 0
         self.snapshots_installed = 0
-        self._lock = DirectoryStore._acquire_lock(self.directory)
+        self._advisory = DirectoryStore._acquire_lock(self.directory)
         try:
             if os.path.exists(os.path.join(self.directory, SNAPSHOT_FILE)):
                 # Truncate a torn tail from a crashed append before
@@ -882,25 +895,26 @@ class ReplicaApplier(_Follower):
                     self.directory, self._schema, self._registry, io=self._io
                 )
         except BaseException:
-            DirectoryStore._release_lock(self._lock)
+            DirectoryStore._release_lock(self._advisory)
             raise
 
     # -- read surface --------------------------------------------------
     @property
     def instance(self):
         """The replica's current directory instance (read surface)."""
+        return self.served().instance
+
+    def served(self) -> StoreReader:
+        """The served copy — :attr:`reader` — for a read that holds
+        :attr:`lock`; :class:`StoreError` while nothing was replicated
+        into the directory yet, or once the applier is closed."""
         self._ensure_open()
         if self.reader is None:
             raise StoreError(
                 f"replica {self.directory} holds no state yet; it needs "
                 "a snapshot from its primary"
             )
-        return self.reader.instance
-
-    def open_view(self) -> StoreReader:
-        """A long-lived lock-free view of the replicated copy, for a
-        replica server's connections."""
-        return StoreReader.open(self.directory, self._schema, self._registry)
+        return self.reader
 
     def position(self) -> Position:
         """``(generation, seq)`` durably applied — ``(0, 0)`` before
@@ -924,14 +938,19 @@ class ReplicaApplier(_Follower):
         and :class:`ReplicaDivergedError` when the local position
         cannot align with the stream (resync from a snapshot).
         """
-        decoded = self._apply(message)
+        decoded = self._stage(message)
+        with self.lock.exclusive():
+            retired = self._land()
+        if retired is not None:
+            retired.close()
         self._save_state()
         return decoded
 
-    def _apply(self, message) -> StreamMessage:
-        """:meth:`apply_message` without the ``replica.state`` record —
-        what a cohort calls for its members, whose record is the
-        cohort's own ``cut.state`` and ``replica.state``."""
+    def _stage(self, message) -> StreamMessage:
+        """The disk half of a message — what a cohort calls for each of
+        its members' messages before it lands them all under its own
+        lock (their record is the cohort's ``cut.state`` and
+        ``replica.state``).  The served copy is not touched."""
         self._ensure_open()
         decoded = self._decoded(message)
         if decoded.kind == "snapshot":
@@ -939,7 +958,7 @@ class ReplicaApplier(_Follower):
         elif decoded.kind == "schema":
             self._handle_schema(decoded)
         elif decoded.kind == "frames":
-            self._apply_frames(decoded)
+            self._append_frames(decoded)
         else:
             raise ReplicationError(
                 f"{self.directory} replicates a plain store, but the "
@@ -947,15 +966,45 @@ class ReplicaApplier(_Follower):
             )
         return decoded
 
+    def _land(self) -> Optional[StoreReader]:
+        """The memory half, with the served copy's lock held: swap in the
+        reader opened on newly installed files, and replay the frames
+        appended since.  Returns the reader it retired (close it once
+        the lock is released), or ``None``."""
+        retired = None
+        if self._incoming is not None:
+            retired, self.reader, self._incoming = self.reader, self._incoming, None
+            if retired is not None:  # a cohort's copy follows its members
+                self.reader.on_replay = retired.on_replay
+        if self._staged is not None:
+            result = self.reader.refresh()
+            if self.reader.position() != self._staged:
+                raise ReplicationError(
+                    f"staged the journal through {self._staged} but the "
+                    f"view stands at {self.reader.position()} "
+                    f"({result.note or 'no note'})"
+                )
+            self._staged = None
+        return retired
+
+    def _staged_position(self) -> Position:
+        """Where the local journal stands: past :meth:`position` by what
+        is staged and not landed yet."""
+        return self._staged if self._staged is not None else self.position()
+
     def close(self) -> None:
-        """Release the reader and the advisory lock (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self.reader is not None:
-            self.reader.close()
-            self.reader = None
-        DirectoryStore._release_lock(self._lock)
+        """Release the reader and the advisory lock (idempotent).  Taken
+        under :attr:`lock`, so a read of the served copy finishes first
+        and every later one is refused."""
+        with self.lock.exclusive():
+            if self._closed:
+                return
+            self._closed = True
+            for reader in (self.reader, self._incoming):
+                if reader is not None:
+                    reader.close()
+            self.reader = self._incoming = None
+        DirectoryStore._release_lock(self._advisory)
 
     # -- internals -----------------------------------------------------
     def _check_schema(self, decoded: StreamMessage) -> None:
@@ -983,22 +1032,13 @@ class ReplicaApplier(_Follower):
         # A snapshot installs state but does not license data frames:
         # the stream must still announce the generation (schema first).
         self._announced = None
-        if self.reader is not None:
-            self.reader.close()
-        self.reader = StoreReader.open(
-            self.directory, self._schema, self._registry, io=self._io
-        )
-        if self.reader.position() != (decoded.generation, 0):
-            raise ReplicationError(
-                f"installed snapshot generation {decoded.generation} but "
-                f"the local view bootstrapped at {self.reader.position()}"
-            )
+        self._open_incoming(decoded.generation)
         self.snapshots_installed += 1
 
     def _handle_schema(self, decoded: StreamMessage) -> None:
         self._check_schema(decoded)
         assert decoded.base_seq is not None
-        pos = self.position()
+        pos = self._staged_position()
         if pos == (decoded.generation, decoded.base_seq):
             self._announced = decoded.generation
             return
@@ -1018,13 +1058,21 @@ class ReplicaApplier(_Follower):
 
     def _fold(self, generation: int, folded_seq: int) -> None:
         """Compact locally: our state at the folded frontier *is* the
-        new generation's snapshot, so write it from our own instance
+        new generation's snapshot, so write it from our own journal
         instead of re-downloading — same serialization the primary's
-        ``compact()`` used, hence byte-identical."""
-        assert self.reader is not None
-        text = wal.encode_snapshot(
-            generation, serialize_ldif(self.reader.instance)
-        )
+        ``compact()`` used, hence byte-identical.  The state is read
+        back from the disk into a private reader: the served copy may
+        trail the journal (a cohort lands its batch at once), and it is
+        never serialized outside its lock."""
+        with StoreReader.open(
+            self.directory, self._schema, self._registry, io=self._io
+        ) as folded:
+            if folded.position() != (generation - 1, folded_seq):
+                raise ReplicationError(
+                    f"cannot fold at seq {folded_seq}: the local journal "
+                    f"reads back at {folded.position()}"
+                )
+            text = wal.encode_snapshot(generation, serialize_ldif(folded.instance))
         self._io.fault_point("repl:fold-snapshot")
         self._io.write_file_atomic(
             os.path.join(self.directory, SNAPSHOT_FILE), text.encode("utf-8")
@@ -1034,14 +1082,29 @@ class ReplicaApplier(_Follower):
             os.path.join(self.directory, JOURNAL_FILE), b""
         )
         self._publish_manifest(generation, folded_seq=folded_seq)
-        result = self.reader.refresh()
-        if self.reader.position() != (generation, 0):
-            raise ReplicationError(
-                f"local fold to generation {generation} left the view at "
-                f"{self.reader.position()} ({result.note or 'no note'})"
-            )
+        self._open_incoming(generation)
 
-    def _apply_frames(self, decoded: StreamMessage) -> None:
+    def _open_incoming(self, generation: int) -> None:
+        """Bootstrap a reader from the snapshot just installed — off the
+        served copy's lock — for :meth:`_land` to swap in."""
+        if self._incoming is not None:
+            self._incoming.close()
+            self._incoming = None
+        incoming = StoreReader.open(
+            self.directory, self._schema, self._registry, io=self._io
+        )
+        if incoming.position() != (generation, 0):
+            incoming.close()
+            raise ReplicationError(
+                f"installed a snapshot of generation {generation} but the "
+                f"local view bootstrapped at {incoming.position()}"
+            )
+        self._incoming = incoming
+        self._staged = incoming.position()
+
+    def _append_frames(self, decoded: StreamMessage) -> None:
+        """Append shipped frames to the local journal (fsynced); their
+        replay onto the served copy is :meth:`_land`'s."""
         assert decoded.records is not None and decoded.data is not None
         if self._announced != decoded.generation:
             raise ReplicationError(
@@ -1049,8 +1112,8 @@ class ReplicaApplier(_Follower):
                 f"before a schema frame announced it (announced: "
                 f"{self._announced}); schema frames must precede data"
             )
-        assert self.reader is not None
-        generation, seq = self.position()
+        assert self.reader is not None or self._incoming is not None
+        generation, seq = self._staged_position()
         if generation != decoded.generation:
             raise ReplicaDivergedError(
                 f"replica at generation {generation} received frames for "
@@ -1068,13 +1131,7 @@ class ReplicaApplier(_Follower):
         self._io.append_bytes(
             os.path.join(self.directory, JOURNAL_FILE), decoded.data
         )
-        result = self.reader.refresh()
-        if self.reader.position() != (generation, last_seq):
-            raise ReplicationError(
-                f"appended frames through seq {last_seq} but the view "
-                f"stands at {self.reader.position()} "
-                f"({result.note or 'no note'})"
-            )
+        self._staged = Position.plain(generation, last_seq)
         self.frames_applied += len(decoded.records)
         self.bytes_applied += len(decoded.data)
 
@@ -1111,33 +1168,58 @@ def read_replica_state(directory: str) -> Optional[dict]:
 # ----------------------------------------------------------------------
 # replica side, sharded: the cohort applier
 # ----------------------------------------------------------------------
+class _MemberReaders(Mapping):
+    """A cohort's member readers by shard, looked up through the member
+    appliers on every access — a member that swapped a freshly opened
+    reader in (a snapshot install, a fold) is read through at once."""
+
+    def __init__(self, appliers: Dict[str, ReplicaApplier]) -> None:
+        self._appliers = appliers
+
+    def __getitem__(self, name: str) -> StoreReader:
+        return self._appliers[name].reader
+
+    def __iter__(self):
+        return iter(self._appliers)
+
+    def __len__(self) -> int:
+        return len(self._appliers)
+
+
 class ShardedReplicaApplier(_Follower):
     """A follower *set*: one :class:`ReplicaApplier` per shard, batches
     applied atomically at ``cut`` boundaries.
 
     Shard-tagged messages buffer until the batch's ``cut`` message
-    arrives; the whole batch then applies under :attr:`lock` — the same
-    lock a composite read surface must hold while refreshing — so no
-    reader ever observes one shard past a spanning transaction and a
-    sibling short of it.  After each batch the landing frontier is
-    checked against the cut and, once the lock is released, recorded
-    durably in ``cut.state`` (the cohort's ``replica.state`` names only
-    the upstream; the members keep none of their own); a restarted cohort
-    is :meth:`consistent` only when every shard recovers to exactly the
-    recorded cut, and must not serve (or be promoted) until a new cut
-    lands otherwise.
+    arrives.  The batch's disk half — every member's journal appends
+    and fsyncs, snapshot installs and folds — then runs with no lock
+    held, and its memory half under :attr:`lock`: the member replays,
+    the landing check against the cut and the in-memory cut.  A read of
+    the served copy (:attr:`reader`, a composite over the member
+    appliers' own readers) holds the same lock, so no reader ever
+    observes one shard past a spanning transaction and a sibling short
+    of it, and none waits on the disk.  Once the lock is released the
+    frontier is recorded durably in ``cut.state`` (the cohort's
+    ``replica.state`` names only the upstream; the members keep none of
+    their own); a restarted cohort is :meth:`consistent` only when every
+    shard recovers to exactly the recorded cut, and must not serve (or
+    be promoted) until a new cut lands otherwise.
     """
 
     def _open(self) -> None:
-        self.lock = threading.Lock()
+        self.lock = CopyLock()
         self._appliers: Dict[str, ReplicaApplier] = {}
         self._pending: List[StreamMessage] = []
         self._cut: Optional[Position] = None
+        #: The served copy, built once every member holds a reader
+        #: (:meth:`_build_served`).
+        self.reader = None
         try:
             if os.path.exists(shard_map_path(self.directory)):
                 self._open_shards()
             if self._appliers:
                 self._cut = read_cut_state(self.directory)
+                self._build_served()
         except BaseException:
             self.close()
             raise
@@ -1160,51 +1242,49 @@ class ShardedReplicaApplier(_Follower):
 
     @property
     def instance(self):
-        """A stitched composite instance of the cohort (read surface).
-
-        Opens a fresh lock-free composite reader per call, under
-        :attr:`lock` so the stitch never straddles a batch apply."""
-        from repro.store.sharded import CompositeReader
-
-        self._ensure_open()
-        if not self._appliers:
-            raise StoreError(
-                f"sharded replica {self.directory} holds no state yet; "
-                "it needs a shard map and snapshots from its primary"
-            )
-        with self.lock, CompositeReader.open(
-            self.directory, self._schema, self._registry
-        ) as reader:
-            return reader.instance
-
-    def open_view(self):
-        """A long-lived lock-free composite view of the cohort, for a
-        replica server's connections.  Its 2PC visibility follows the
-        shipped ``#DECIDE`` frames and every ``refresh()`` runs inside
-        :meth:`at_cut` (see ``CompositeReader._serve_cohort``); once
-        this applier is closed — promotion — the view refuses to
-        refresh and must be reopened on the promoted store."""
-        from repro.store.sharded import CompositeReader
-
-        self._ensure_open()
-        view = CompositeReader.open(self.directory, self._schema, self._registry)
-        view._serve_cohort(self)
-        return view
-
-    @contextlib.contextmanager
-    def at_cut(self):
-        """Hold the batch lock on a replicated cut: the only window in
-        which reading the shard journals cannot show half a spanning
-        transaction.  Raises :class:`StoreError` between cuts."""
-        with self.lock:
+        """The served composite's state as a fresh stitch of its member
+        readers' instances (read surface; no bootstrap, no disk) —
+        byte for byte the composite's definition, which the followed
+        composite matches only order-free.  Taken under :attr:`lock` so
+        it never straddles a batch; on or off the recorded cut."""
+        with self.lock.exclusive():
             self._ensure_open()
-            if not self.consistent():
+            composite = self.reader
+            if composite is None:
                 raise StoreError(
-                    f"replica {self.directory} has not reached a "
-                    "consistent replicated cut yet; retry after the "
-                    "next sync batch"
+                    f"sharded replica {self.directory} holds no state yet; "
+                    "it needs a shard map and snapshots from its primary"
                 )
-            yield
+            return composite.stitch()
+
+    def served(self):
+        """The served copy — a composite over the member appliers'
+        readers — for a read that holds :attr:`lock`.  Raises
+        :class:`StoreError` off the recorded cut (between a crash and
+        the next landed cut, the members may stand past it) and once
+        the applier is closed."""
+        self._ensure_open()
+        composite = self.reader if self.consistent() else None
+        if composite is None:
+            raise StoreError(
+                f"replica {self.directory} has not reached a "
+                "consistent replicated cut yet; retry after the "
+                "next sync batch"
+            )
+        return composite
+
+    def _build_served(self) -> None:
+        """Build :attr:`reader` over the member readers once each member
+        holds one — at open, or with the lock held alone."""
+        from repro.store.sharded import CompositeReader
+
+        if self.reader is None and self._appliers and all(
+            applier.reader is not None for applier in self._appliers.values()
+        ):
+            self.reader = CompositeReader.of_cohort(
+                self.directory, self._schema, self._registry,
+                _MemberReaders(self._appliers),
+            )
 
     def position(self) -> Position:
         """``{shard: (generation, seq)}`` durably applied — ``{}``
@@ -1244,13 +1324,15 @@ class ShardedReplicaApplier(_Follower):
         return decoded
 
     def close(self) -> None:
-        """Close every shard applier (idempotent).  Taken under the
-        batch lock, so a view refreshing :meth:`at_cut` finishes first
-        and every later refresh is refused."""
-        with self.lock:
+        """Close the served copy and every shard applier (idempotent).
+        Taken under the batch lock, so a read of the served copy
+        finishes first and every later one is refused."""
+        with self.lock.exclusive():
             if self._closed:
                 return
             self._closed = True
+            if self.reader is not None:
+                self.reader.close()
         for applier in self._appliers.values():
             applier.close()
 
@@ -1286,19 +1368,21 @@ class ShardedReplicaApplier(_Follower):
         self._open_shards()
 
     def _apply_cut(self, decoded: StreamMessage) -> None:
-        """Land the buffered batch: under :attr:`lock` only what a
-        reader must not see half of — the member journal appends (each
-        fsynced) and replays, the landing check and the in-memory cut —
-        then, with the lock released, record ``cut.state`` (and the
-        cohort's ``replica.state``, when its upstream changed).  A crash
-        before ``cut.state`` leaves
-        the cohort off its recorded cut (:meth:`consistent` is false
-        until the next cut lands), as a crash inside the lock would."""
+        """Land the buffered batch: first, with no lock held, every
+        member's disk half (appends and fsyncs, snapshot installs,
+        folds); then under :attr:`lock` only what a reader must not see
+        half of — the member replays, the landing check and the
+        in-memory cut; then, with the lock released again, record
+        ``cut.state`` (and the cohort's ``replica.state``, when its
+        upstream changed).  A crash before ``cut.state`` leaves the
+        cohort off its recorded cut (:meth:`consistent` is false until
+        the next cut lands)."""
         assert decoded.frontier is not None
-        with self.lock:
-            for message in self._pending:
-                self._appliers[message.shard]._apply(message)
-            self._pending = []
+        pending, self._pending = self._pending, []
+        for message in pending:
+            self._appliers[message.shard]._stage(message)
+        with self.lock.exclusive():
+            retired = [applier._land() for applier in self._appliers.values()]
             landed = self.position()
             if landed != decoded.frontier:
                 raise ReplicationError(
@@ -1307,6 +1391,10 @@ class ShardedReplicaApplier(_Follower):
                     "follower set diverge"
                 )
             self._cut = decoded.frontier
+            self._build_served()
+        for reader in retired:
+            if reader is not None:
+                reader.close()
         self._save_cut_state()
         self._save_state()
 

@@ -113,7 +113,6 @@ transactions in the stream.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import os
 import shutil
@@ -1230,6 +1229,10 @@ class CompositeReader:
     next use, whenever a shard view was rebuilt (compaction,
     re-bootstrap), a change names an entry above a nested shard's base
     (it can re-parent a whole shard slice), or a follow raised.
+
+    A replica cohort serves one composite of its own
+    (:meth:`of_cohort`): built over the readers its member appliers
+    own and advance, never refreshed or closed by a read.
     """
 
     def __init__(
@@ -1237,7 +1240,7 @@ class CompositeReader:
         directory: str,
         schema: DirectorySchema,
         shard_map: ShardMap,
-        readers: Dict[str, StoreReader],
+        readers: Mapping[str, StoreReader],
         scope: ShardScope,
         registry: Optional[AttributeRegistry] = None,
     ) -> None:
@@ -1266,12 +1269,13 @@ class CompositeReader:
         #: open reader: one stitch, every shard change followed).
         self.stitches = 0
         self.followed = 0
-        self._cohort = None
+        #: Whether the shard readers are a replica cohort's, fed by its
+        #: appliers (:meth:`of_cohort`) rather than opened by this view.
+        self._fed = False
         self._txlog = TxLogTail(directory)
         self._txn_cut: Mapping[str, TxState] = {}
         self._txn_cut_stamp: Optional[Tuple[int, int, int]] = None
         for spec in shard_map:
-            readers[spec.name].txn_resolver = self._txn_verdict
             readers[spec.name].on_replay = functools.partial(
                 self._follow, spec
             )
@@ -1297,15 +1301,46 @@ class CompositeReader:
             for reader in readers.values():
                 reader.close()
             raise
-        return cls(directory, schema, shard_map, readers, scope, registry)
+        view = cls(directory, schema, shard_map, readers, scope, registry)
+        for reader in readers.values():
+            reader.txn_resolver = view._txn_verdict
+        return view
+
+    @classmethod
+    def of_cohort(
+        cls,
+        directory: str,
+        schema: DirectorySchema,
+        registry: Optional[AttributeRegistry],
+        readers: Mapping[str, StoreReader],
+    ) -> "CompositeReader":
+        """The served copy of a replica cohort: a composite over
+        ``readers``, its member appliers' own (a live mapping — a member
+        that swaps a reader in is read through at once), which it
+        neither refreshes nor closes.
+
+        A replica has no coordinator log: the primary ships a decided
+        2PC pair only once its transaction is complete on every shard,
+        and the cohort lands each shipped batch under its lock and
+        records the cut it lands on.  So the member readers trust the
+        shipped ``#DECIDE`` frames (no resolver), and a read — under
+        that lock, on a recorded cut — finds every shard holding a
+        spanning transaction whole or not at all."""
+        shard_map = read_shard_map(directory)
+        scope = analyze_shard_scope(schema, shard_map)
+        view = cls(directory, schema, shard_map, readers, scope, registry)
+        view._fed = True
+        return view
 
     def close(self) -> None:
-        """Close every per-shard reader (idempotent)."""
+        """Retire the view (idempotent), closing every per-shard reader
+        it opened — a cohort's are its appliers' to close."""
         if self._closed:
             return
         self._closed = True
-        for reader in self._readers.values():
-            reader.close()
+        if not self._fed:
+            for reader in self._readers.values():
+                reader.close()
 
     def __enter__(self) -> "CompositeReader":
         return self
@@ -1384,6 +1419,16 @@ class CompositeReader:
             self.stitches += 1
         return self._composite
 
+    def stitch(self) -> DirectoryInstance:
+        """A fresh stitch of the shard views as they stand, detached from
+        this view: the composite's definition, byte for byte.
+        :attr:`instance` holds the same entries, but an entry it
+        followed under a graft point comes after the grafted shard
+        base, where a stitch puts it before."""
+        self._ensure_open()
+        views = {name: r.instance for name, r in self._readers.items()}
+        return _stitch(self.shard_map, views, self._registry)
+
     def _stitched(self) -> bool:
         """Whether the held composite is the stitch of the shard views'
         current instance objects (so :attr:`instance` would not stitch)."""
@@ -1397,13 +1442,12 @@ class CompositeReader:
         :attr:`instance` would not stitch: every shard view is
         :meth:`StoreReader.idle`, the composite is held and stitched
         from them, and — on a primary's view — the coordinator log is
-        the one the last refresh pinned its cut to.  A replica-cohort
-        view needs no cut lock for this: unchanged shard journals mean
-        it still sits on the cut it last refreshed to.  Never mutates
-        the view."""
+        the one the last refresh pinned its cut to.  On a cohort's
+        served copy it says its appliers have replayed every journal
+        byte they appended.  Never mutates the view."""
         if self._closed or not self._stitched():
             return False
-        if self._cohort is None and self._txlog_stamp() != self._txn_cut_stamp:
+        if not self._fed and self._txlog_stamp() != self._txn_cut_stamp:
             return False
         return all(reader.idle() for reader in self._readers.values())
 
@@ -1466,38 +1510,20 @@ class CompositeReader:
         every shard — no decide frame can exist yet — matching the
         presumed-abort rule for writer crashes.
 
-        A view of a replica cohort (:meth:`_serve_cohort`) has no
-        coordinator log to pin to; it refreshes inside the cohort's
-        replicated cut instead, and raises :class:`StoreError` when the
-        cohort is between cuts or closed."""
+        A cohort's served copy (:meth:`of_cohort`) refuses: its
+        appliers advance it, a batch at a time under the cohort's lock,
+        and its member journals may hold a batch half appended."""
         self._ensure_open()
-        if self._cohort is None:
-            self._capture_txn_cut()
-            gate = contextlib.nullcontext()
-        else:
-            gate = self._cohort.at_cut()
-        with gate:
-            return CompositeRefreshResult({
-                name: reader.refresh(strict=strict)
-                for name, reader in self._readers.items()
-            })
-
-    def _serve_cohort(self, cohort) -> None:
-        """Make this a view of a replica cohort's directory (called by
-        :meth:`~repro.store.replicate.ShardedReplicaApplier.open_view`,
-        the only place such a view comes from).
-
-        A replica has no coordinator log: the primary ships a decided
-        2PC pair only once its transaction is complete on every shard,
-        and the cohort applies each shipped batch under its lock and
-        records the cut it lands on.  So instead of pinning a refresh
-        to a coordinator cut, the view trusts the shipped ``#DECIDE``
-        frames and refreshes only inside ``cohort.at_cut()`` — under
-        the batch lock, on a recorded cut — where every shard journal
-        holds a spanning transaction whole or not at all."""
-        self._cohort = cohort
-        for reader in self._readers.values():
-            reader.txn_resolver = None
+        if self._fed:
+            raise StoreError(
+                f"{self._dir} is a replica cohort's served copy; its "
+                "appliers advance it, a read never refreshes it"
+            )
+        self._capture_txn_cut()
+        return CompositeRefreshResult({
+            name: reader.refresh(strict=strict)
+            for name, reader in self._readers.items()
+        })
 
     def _capture_txn_cut(self) -> None:
         """Pin this refresh to the coordinator log's current decision

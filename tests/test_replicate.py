@@ -455,12 +455,13 @@ class TestShardedReplication:
                 ), f"round {index}: follower diverged from the primary"
 
     def test_open_view_follows_spanning_transactions(self, sharded_primary):
-        """A long-lived view of the cohort — opened the way a replica
-        server opens one per connection, *before* the spanning
-        transaction commits — advances with every shipped cut.  It
-        used to pin each refresh to a coordinator log a replica does
-        not have, and froze for ever in front of the first shipped
-        ``#PREPARE``/``#DECIDE`` pair."""
+        """The cohort's served copy — taken the way a replica server's
+        reads take it, *before* the spanning transaction commits —
+        advances with every shipped cut, its applier replaying each
+        batch into it once.  A view of the cohort used to pin each
+        refresh to a coordinator log a replica does not have, and froze
+        for ever in front of the first shipped ``#PREPARE``/``#DECIDE``
+        pair."""
         from repro.store.replicate import (
             ShardedFrameSource,
             ShardedReplicaApplier,
@@ -470,13 +471,14 @@ class TestShardedReplication:
         source = ShardedFrameSource(primary_dir, schema)
         with ShardedReplicaApplier(cohort_dir, schema, registry) as applier:
             pump(source, applier)
-            with applier.open_view() as view:
+            with applier.lock.exclusive():
+                view = applier.served()
                 assert len(view.instance) == len(store.composite_instance())
-                for index in (1, 2):  # the second pair is followed too
-                    _spanning_commit(store, index)
-                    pump(source, applier)
-                    result = view.refresh()
-                    assert result.advanced and not result.stale
+            for index in (1, 2):  # the second pair is followed too
+                _spanning_commit(store, index)
+                pump(source, applier)
+                with applier.lock.exclusive():
+                    assert applier.served() is view
                     assert view.position() == applier.position()
                     assert view.position() == store.position()
                     found = {
@@ -485,24 +487,25 @@ class TestShardedReplication:
                             filter=parse_filter(f"(|(uid=r{index})(uid=l{index}))")
                         )
                     }
-                    assert found == {
-                        f"uid=r{index},o=att",
-                        f"uid=l{index},ou=attLabs,o=att",
-                    }
-                # same content as the primary (sibling order is the
-                # view's own history, so compare order-free)
-                assert canonical_records(view.instance) == canonical_records(
-                    store.composite_instance()
-                )
-                assert view.stitches == 1  # followed, not re-stitched
+                assert found == {
+                    f"uid=r{index},o=att",
+                    f"uid=l{index},ou=attLabs,o=att",
+                }
+            # same content as the primary (sibling order is the copy's
+            # own history, so compare order-free)
+            assert canonical_records(view.instance) == canonical_records(
+                store.composite_instance()
+            )
+            assert view.stitches == 1  # followed, not re-stitched
 
     def test_view_refuses_to_refresh_off_cut_or_after_close(
         self, sharded_primary
     ):
-        """The view may trust shipped decides only inside the cohort's
-        replicated cut: between cuts, and once the applier is closed
-        (promotion), ``refresh`` raises instead of reading journals a
-        batch — or a promoted writer — may be half way through."""
+        """The served copy is whole only on the cohort's replicated cut:
+        between cuts, and once the applier is closed (promotion), a read
+        is refused instead of answered from members a batch — or a
+        promoted writer — may be half way through.  And a read never
+        refreshes it: its applier is the only one to advance it."""
         from repro.store.replicate import (
             ShardedFrameSource,
             ShardedReplicaApplier,
@@ -513,21 +516,56 @@ class TestShardedReplication:
         applier = ShardedReplicaApplier(cohort_dir, schema, registry)
         try:
             pump(source, applier)
-            view = applier.open_view()
-            try:
+            with applier.lock.exclusive():
+                view = applier.served()
+            with pytest.raises(StoreError, match="appliers advance it"):
                 view.refresh()
-                recorded, applier._cut = applier._cut, None  # between cuts
-                with pytest.raises(StoreError, match="consistent replicated cut"):
-                    view.refresh()
-                applier._cut = recorded
-                view.refresh()
-                applier.close()
-                with pytest.raises(StoreError, match="closed"):
-                    view.refresh()
-            finally:
-                view.close()
+            recorded, applier._cut = applier._cut, None  # between cuts
+            with pytest.raises(StoreError, match="consistent replicated cut"):
+                applier.served()
+            applier._cut = recorded
+            assert applier.served() is view
+            applier.close()
+            with pytest.raises(StoreError, match="closed"):
+                applier.served()
+            with pytest.raises(StoreError, match="closed"):
+                view.search()
         finally:
             applier.close()
+
+    def test_repeated_instance_reads_bootstrap_nothing(
+        self, sharded_primary, monkeypatch
+    ):
+        """``instance`` stitches the served copy's member instances: the
+        member readers were bootstrapped once, by the applier, and no
+        read of the instance bootstraps one again."""
+        from repro.store.reader import StoreReader
+        from repro.store.replicate import (
+            ShardedFrameSource,
+            ShardedReplicaApplier,
+        )
+
+        store, primary_dir, schema, registry, cohort_dir = sharded_primary
+        source = ShardedFrameSource(primary_dir, schema)
+        with ShardedReplicaApplier(cohort_dir, schema, registry) as applier:
+            pump(source, applier)
+            bootstrapped = []
+            bootstrap = StoreReader._bootstrap
+
+            def counted(reader):
+                bootstrapped.append(reader)
+                return bootstrap(reader)
+
+            monkeypatch.setattr(StoreReader, "_bootstrap", counted)
+            first = state_digest(applier.instance)
+            assert first == state_digest(store.composite_instance())
+            assert {state_digest(applier.instance) for _ in range(3)} == {first}
+            _spanning_commit(store, 1)
+            pump(source, applier)
+            assert state_digest(applier.instance) == state_digest(
+                store.composite_instance()
+            )
+            assert bootstrapped == []
 
     def test_resume_from_durable_cut(self, sharded_primary):
         from repro.store.replicate import (
@@ -740,13 +778,11 @@ class TestCohortBatchLock:
             assert io.locked_at_cut_state and not any(io.locked_at_cut_state)
 
     def test_a_view_refreshes_while_cut_state_is_written(self, sharded_primary):
-        """A connection view of the cohort reaches the new cut while the
-        applier is still inside the ``cut.state`` write: the lock its
-        refresh takes is already free."""
+        """A read of the cohort's served copy reaches the new cut while
+        the applier is still inside the ``cut.state`` write: the lock
+        the read takes is already free, and the batch already landed."""
         store, source, cohort, io = self._follower(sharded_primary)
         with cohort:
-            view = cohort.open_view()
-            view.refresh()
             _spanning_commit(store, 1)
             io.hold = True
             failures = []
@@ -761,16 +797,22 @@ class TestCohortBatchLock:
             applying.start()
             try:
                 assert io.entered.wait(10)
-                refreshed = threading.Thread(target=view.refresh)
-                refreshed.start()
-                refreshed.join(5)
-                assert not refreshed.is_alive(), "refresh waited on the cut.state write"
-                assert view.position() == store.position()
-                assert len(view.search(filter=parse_filter("(uid=l1)"))) == 1
+                read = {}
+
+                def reading():
+                    with cohort.lock.shared():
+                        view = cohort.served()
+                        read["position"] = view.position()
+                        read["found"] = len(view.search(filter=parse_filter("(uid=l1)")))
+
+                reader = threading.Thread(target=reading)
+                reader.start()
+                reader.join(5)
+                assert not reader.is_alive(), "the read waited on the cut.state write"
+                assert read == {"position": store.position(), "found": 1}
             finally:
                 io.release.set()
                 applying.join(10)
-                view.close()
             assert not applying.is_alive() and not failures, failures
             assert cohort.consistent()
 

@@ -1,0 +1,429 @@
+"""One served copy per member (:mod:`repro.server.server`).
+
+A member's connections all read one copy: a primary's one view, a
+replica's the copy its applier applies into.  These gate what sharing
+it must keep: N connections open nothing beyond the member's one copy;
+replies stay committed states, never behind a connection's floor,
+while the applier replays under them; a promotion retires the copy it
+followed; and a replica holds about one reader's bytes, not two.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import gc
+import json
+import sys
+import threading
+import time
+import tracemalloc
+
+import pytest
+
+from invariants import committed_at, read_floor_monotonic
+from repro.errors import StoreError
+from repro.store import DirectoryStore
+from repro.store.reader import CopyLock, StoreReader
+from repro.workloads import generate_whitepages, whitepages_registry, whitepages_schema
+from tests.test_server import (  # noqa: F401 - plain_store is a fixture
+    FOUR_SHARDS,
+    _caught_up,
+    _client,
+    _person,
+    _replica_of,
+    _searched_to,
+    _serve,
+    _white_pages,
+    plain_store,
+)
+
+#: A bounded lookup (planned on the indexes: answered on the loop) and
+#: an unbounded scan (the executor).
+LOOKUP = "(objectClass=person)"
+
+
+def _key(position: dict) -> str:
+    return json.dumps(position, sort_keys=True)
+
+
+def _dns(entries) -> list:
+    return sorted(entry["dn"].casefold() for entry in entries)
+
+
+@pytest.fixture()
+def bootstraps(monkeypatch):
+    """The directories of every successful :class:`StoreReader`
+    bootstrap from here on."""
+    seen = []
+    bootstrap = StoreReader._bootstrap
+
+    def counted(reader):
+        done = bootstrap(reader)
+        if done:
+            seen.append(reader._dir)
+        return done
+
+    monkeypatch.setattr(StoreReader, "_bootstrap", counted)
+    return seen
+
+
+class TestFanIn:
+    @pytest.mark.parametrize("kind", ["plain", "sharded"])
+    def test_n_connections_open_one_copy_per_member(
+        self, kind, tmp_path, bootstraps
+    ):
+        """Eight direct connections searching and checking, on a primary
+        and on its replica, bootstrap one copy per member in total:
+        the primary's view, and the replica's applier copy."""
+        store = _white_pages(kind, tmp_path)
+        primary_dir = store[0]
+        replica_dir = str(tmp_path / "replica")
+
+        async def run():
+            primary = await _serve(store)
+            replica = await _replica_of(primary, tmp_path, *store[1:])
+            try:
+                head = (await (probe := await _client(primary)).position())["position"]
+                await probe.close()
+                for server in (primary, replica):
+                    clients = [await _client(server) for _ in range(8)]
+                    await _searched_to(clients[0], head)
+                    replies = await asyncio.gather(
+                        *(c.search(filter=LOOKUP) for c in clients),
+                        *(c.search() for c in clients),
+                        *(c.check() for c in clients),
+                    )
+                    assert {_key(r["position"]) for r in replies} == {_key(head)}
+                    views = {id(c.view) for c in server._connections.values()
+                             if c.view is not None}
+                    assert len(views) == 1
+                    for client in clients:
+                        await client.close()
+            finally:
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
+        per_member = len(FOUR_SHARDS) if kind == "sharded" else 1
+        assert sum(d.startswith(primary_dir) for d in bootstraps) == per_member
+        assert sum(d.startswith(replica_dir) for d in bootstraps) == per_member
+
+
+def _records(index: int) -> list:
+    """``(dn, uid)`` of the people commit ``index`` adds: one, or on
+    every fifth commit two in different organizations — a spanning 2PC
+    commit on four shards."""
+    orgs = [index % 4] if index % 5 else [index % 4, (index + 2) % 4]
+    return [(f"uid=f{index}-{org},o=org{org}", f"f{index}-{org}") for org in orgs]
+
+
+def _add(index: int) -> str:
+    return "\n".join(
+        f"dn: {dn}\nchangetype: add\nobjectClass: person\nobjectClass: top\n"
+        f"uid: {uid}\nname: f {index}\n"
+        for dn, uid in _records(index)
+    )
+
+
+def _delete(index: int) -> str:
+    """Delete everything commit ``index`` added, in one ``txn``."""
+    return "\n".join(f"dn: {dn}\nchangetype: delete\n" for dn, _ in _records(index))
+
+
+def _member_of(dn: str, kind: str) -> str:
+    """The shard a (case-folded) DN lives on; a plain store's one member."""
+    if kind == "plain":
+        return ""
+    return f"s{dn.rsplit('o=org', 1)[1][0]}"
+
+
+def _members_at(position: dict) -> dict:
+    """``{member: (generation, seq)}`` of a ``position`` payload."""
+    if "generation" in position:
+        return {"": (position["generation"], position["seq"])}
+    return {name: tuple(pair) for name, pair in position.items()}
+
+
+class TestFollowedWhileRead:
+    @pytest.mark.parametrize("kind", ["plain", "sharded"])
+    def test_replies_are_committed_states_while_the_applier_replays(
+        self, kind, tmp_path
+    ):
+        """A replica follows 200 commits while three connections search
+        (a bounded lookup on the loop, an unbounded scan on the
+        executor) and check.  Every reply is, member by member, the
+        primary's state at the reply's position, and no connection is
+        ever served behind a position it was served before."""
+        store = _white_pages(kind, tmp_path)
+        commits = 200
+        #: ``{query: {member: {(generation, seq): its slice of the answer}}}``
+        oracles = {"lookup": {}, "scan": {}}
+
+        def slices(dns):
+            held = {}
+            for dn in dns:
+                held.setdefault(_member_of(dn, kind), []).append(dn)
+            return held
+
+        def record(instance, position):
+            everyone = list(instance)
+            answers = {
+                "scan": everyone,
+                "lookup": [e for e in everyone if "person" in e.classes],
+            }
+            for query, entries in answers.items():
+                held = slices(sorted(instance.dn_string_of(e).casefold() for e in entries))
+                for name, at in _members_at(position).items():
+                    oracles[query].setdefault(name, {})[at] = held.get(name, [])
+
+        def judge(query, position, dns):
+            held = slices(dns)
+            for name, at in _members_at(position).items():
+                committed_at(
+                    oracles[query][name], at, held.get(name, []),
+                    f" ({query} of member {name!r} on the replica)",
+                )
+
+        def counted(position, entries):
+            return entries == sum(
+                len(oracles["scan"][name][at])
+                for name, at in _members_at(position).items()
+            )
+
+        async def run():
+            primary = await _serve(store)
+            replica = await _replica_of(primary, tmp_path, *store[1:])
+            done = asyncio.Event()
+            served = {"lookup": 0, "scan": 0, "check": 0}
+
+            def instance():
+                held = primary.store
+                return held.composite_instance() if kind == "sharded" else held.instance
+
+            async def read(client):
+                floor, turn = None, 0
+                while not done.is_set():
+                    query = ("lookup", "scan", "check")[turn % 3]
+                    turn += 1
+                    if query == "check":
+                        reply = await client.check()
+                        assert reply["legal"], reply["violations"]
+                    else:
+                        reply = await client.search(
+                            filter=LOOKUP if query == "lookup" else None
+                        )
+                    position = reply["position"]
+                    read_floor_monotonic(position, last_served=floor)
+                    if query == "check":
+                        assert counted(position, reply["entries"]), reply
+                    else:
+                        judge(query, position, _dns(reply["entries"]))
+                    served[query] += 1
+                    floor = position
+
+            try:
+                writer = await _client(primary, dn="cn=writer")
+                head = (await writer.position())["position"]
+                record(instance(), head)
+                readers = [await _client(replica) for _ in range(3)]
+                await _searched_to(readers[0], head)
+                with replica._applier.lock.exclusive():
+                    copy = replica._applier.served()
+                    assert copy.plan_search(filter=LOOKUP).bounded
+                    assert not copy.plan_search().bounded
+                reading = [asyncio.ensure_future(read(c)) for c in readers]
+                for index in range(commits):
+                    change = _delete(index - 1) if index % 4 == 3 else _add(index)
+                    reply = await writer.txn(change)
+                    assert reply["applied"], reply
+                    record(instance(), reply["position"])
+                probe = await _client(replica)
+                await _caught_up(probe, reply["position"])
+                await probe.close()
+                done.set()
+                await asyncio.gather(*reading)
+                assert min(served.values()) > 10, served
+                for client in (writer, *readers):
+                    await client.close()
+            finally:
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
+
+
+class TestPromotion:
+    def test_plain_connection_open_across_promotion_sees_own_commits(
+        self, plain_store, tmp_path
+    ):
+        """The plain twin of ``TestShardedReplicaServing``'s promotion
+        case: the copy a connection read while the member followed is
+        the applier's, and the promotion closes it; the same connection
+        then reads the promoted server's own commits, at the write's
+        position, from the primary's view."""
+        _, schema, registry = plain_store
+
+        async def run():
+            primary = await _serve(plain_store)
+            replica = await _replica_of(primary, tmp_path, schema, registry)
+            try:
+                writer = await _client(primary, dn="cn=writer")
+                client = await _client(replica, dn="cn=survivor")
+                applied = await writer.add(**_person(1))
+                await _searched_to(client, applied["position"])
+                follower_view = next(
+                    c.view for c in replica._connections.values()
+                    if c.bound_dn == "cn=survivor"
+                )
+                assert follower_view is replica._applier.reader
+                await writer.close()
+                await primary.stop(drain=False)
+
+                promoted = await client.promote()
+                assert promoted["role"] == "primary"
+                for index in (2, 3):
+                    applied = await client.add(**_person(index))
+                    assert applied["applied"] is True
+                    found = await client.search(filter="(objectClass=person)")
+                    assert found["position"] == applied["position"]
+                    uids = {e["attributes"]["uid"][0] for e in found["entries"]}
+                    assert {"w1", f"w{index}"} <= uids
+                primary_view = next(
+                    c.view for c in replica._connections.values()
+                    if c.bound_dn == "cn=survivor"
+                )
+                # the follower-mode copy did not outlive the promotion
+                assert primary_view is not follower_view
+                with pytest.raises(StoreError, match="closed"):
+                    follower_view.refresh()
+                await client.close()
+            finally:
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
+
+
+class TestOneCopyOfBytes:
+    def test_replica_with_readers_holds_about_one_reader(self, tmp_path):
+        """A replica with three reading connections retains at most
+        1.25x the bytes of one :meth:`StoreReader.open` of its
+        directory — its readers share the applier's copy.  A ratio
+        under tracemalloc, not a byte count, over what the library
+        allocates below its server: the sockets, tasks and frames of
+        the server, the clients and asyncio (larger under ``-X dev``)
+        are no copy of the directory."""
+        schema, registry = whitepages_schema(), whitepages_registry()
+        path = str(tmp_path / "primary")
+        instance = generate_whitepages(
+            orgs=3, units_per_level=3, depth=2, persons_per_unit=8, seed=5,
+            registry=registry,
+        )
+        DirectoryStore.create(path, schema, instance, registry).close()
+        replica_dir = str(tmp_path / "replica")
+
+        def traced() -> int:
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces([
+                tracemalloc.Filter(True, "*/repro/*"),
+                tracemalloc.Filter(False, "*/repro/server/*"),
+            ])
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        async def run():
+            primary = await _serve((path, schema, registry))
+            try:
+                head = (await (probe := await _client(primary)).position())["position"]
+                tracemalloc.start()
+                try:
+                    before = traced()
+                    replica = await _replica_of(primary, tmp_path, schema, registry)
+                    readers = [await _client(replica) for _ in range(3)]
+                    await _searched_to(readers[0], head)
+                    for client in readers:
+                        await client.search(filter="(uid=u1)")
+                        await client.search(scope="one")
+                        assert (await client.check())["legal"]
+                    held = traced() - before
+                    for client in readers:
+                        await client.close()
+                    await replica.stop(drain=False)
+                    before = traced()
+                    one = StoreReader.open(replica_dir, schema, registry)
+                    single = traced() - before
+                    one.close()
+                finally:
+                    tracemalloc.stop()
+                await probe.close()
+            finally:
+                await primary.stop(drain=False)
+            return held, single
+
+        held, single = asyncio.run(run())
+        assert held <= 1.25 * single, (held, single, held / single)
+
+
+class TestCopyLock:
+    def test_no_shared_hold_overlaps_an_exclusive_one(self):
+        """Eight threads on two cores, switching every 10 µs: readers
+        never see an exclusive holder inside, and exclusive holders'
+        read-modify-write updates are never lost."""
+        lock = CopyLock()
+        state = {"inside": 0, "writes": 0, "overlaps": 0}
+        rounds = 400
+
+        def reader():
+            for _ in range(rounds):
+                with lock.shared():
+                    if state["inside"]:
+                        state["overlaps"] += 1
+
+        def writer():
+            for _ in range(rounds):
+                with lock.exclusive():
+                    state["inside"] += 1
+                    writes = state["writes"]
+                    time.sleep(0)
+                    state["writes"] = writes + 1
+                    state["inside"] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=t) for t in [reader] * 5 + [writer] * 3]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert state == {"inside": 0, "writes": 3 * rounds, "overlaps": 0}
+        assert not lock.locked()
+
+    def test_a_waiting_exclusive_holder_bars_new_shared_ones(self):
+        """The loop's non-blocking try fails while a replay holds or
+        waits for the lock, and the replay runs once the hold it waited
+        for is given back."""
+        lock = CopyLock()
+        assert lock.acquire_shared(blocking=False)
+        entered = threading.Event()
+
+        def replay():
+            with lock.exclusive():
+                entered.set()
+
+        replaying = threading.Thread(target=replay)
+        replaying.start()
+        deadline = time.monotonic() + 10
+        while lock.acquire_shared(blocking=False):  # until the replay waits
+            lock.release_shared()
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        assert not entered.is_set()
+        lock.release_shared()
+        replaying.join(10)
+        assert not replaying.is_alive() and entered.is_set()
+        assert lock.acquire_shared(blocking=False)
+        lock.release_shared()
+        assert not lock.locked()

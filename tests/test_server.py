@@ -1,12 +1,13 @@
 """The asyncio network front-end (:mod:`repro.server`).
 
 Covers the framing layer, the LDAP-ish operation surface (bind model,
-search/check reads over per-connection readers, add/delete/txn/modify
-writes through the single store writer), the commit-notify channel, the
-sharded composite surface (spanning transactions through 2PC), graceful
-drain — and the concurrency acceptance gate: N clients searching while
-a writer commits must each observe only committed frontiers, never a
-torn spanning transaction (in-doubt 2PC state).
+search/check reads over the member's one served copy,
+add/delete/txn/modify writes through the single store writer), the
+commit-notify channel, the sharded composite surface (spanning
+transactions through 2PC), graceful drain — and the concurrency
+acceptance gate: N clients searching while a writer commits must each
+observe only committed frontiers, never a torn spanning transaction
+(in-doubt 2PC state).
 
 No pytest-asyncio here: each test drives its own loop via
 ``asyncio.run`` so the suite stays dependency-free.
@@ -2028,11 +2029,13 @@ class TestLoopEqualsExecutor:
         asyncio.run(run())
 
     def test_replica_cohort(self, tmp_path):
-        """The same on a cohort following a sharded primary; and a
-        cohort between cuts keeps answering from the cut its idle view
-        sits on, while a view that is not idle answers ``store_error``."""
+        """The same on a cohort following a sharded primary, whose
+        served copy is the one its applier applies into: every reply
+        equals the primary's own view at the head the cohort reached.
+        And a cohort off its recorded cut refuses every connection —
+        its one copy is whole only on a cut — until the cut is back."""
         store = _white_pages("sharded", tmp_path)
-        _, schema, registry = store
+        path, schema, registry = store
 
         async def run():
             executor = _count_jobs()
@@ -2048,32 +2051,29 @@ class TestLoopEqualsExecutor:
                         assert (await writer.delete("uid=local,o=org0"))["applied"]
                     head = (await writer.position())["position"]
                     await _searched_to(client, head)
-                    reference = replica._applier.open_view()
-                    try:
-                        reference.refresh()
+                    with open_view(path, schema, registry) as reference:
                         assert reference.position().to_wire() == head
                         inline, sent = await _answers_agree(
                             client, reference, rng, executor
                         )
-                        assert 0 < inline < sent, state
-                    finally:
-                        reference.close()
+                    assert 0 < inline < sent, state
+                # the fold swapped in member readers bootstrapped once from
+                # the folded snapshots, and the copy stitched them again
                 _, stitches, bootstraps = _view_work(_view_of(replica, "cn=test"))
-                assert (stitches, bootstraps) == (2, [2] * len(FOUR_SHARDS))
+                assert (stitches, bootstraps) == (2, [1] * len(FOUR_SHARDS))
                 applier = replica._applier
-                reference = applier.open_view()
-                reference.refresh()
                 cut, applier._cut = applier._cut, None  # between cuts
                 try:
-                    await _answers_agree(client, reference, rng, executor)
                     late = await _client(replica)
-                    with pytest.raises(ServerError) as refused:
-                        await late.search(filter="(uid=u1)")
-                    assert refused.value.code == "store_error"
+                    for connection in (client, late):
+                        with pytest.raises(ServerError) as refused:
+                            await connection.search(filter="(uid=u1)")
+                        assert refused.value.code == "store_error"
                     await late.close()
                 finally:
                     applier._cut = cut
-                    reference.close()
+                with open_view(path, schema, registry) as reference:
+                    await _answers_agree(client, reference, rng, executor)
                 await writer.close()
                 await client.close()
             finally:

@@ -380,7 +380,7 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
             print(f"fsck: {exc}")
             return 1
         with view:
-            legal = _fsck_view(view, paths).is_legal
+            legal = _fsck_view(view).is_legal
     for name, report in reports.items():
         if report.in_doubt_txid is not None:
             txid = report.in_doubt_txid
@@ -403,33 +403,25 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     return 0 if legal else 1
 
 
-def _fsck_view(view, paths):
+def _fsck_view(view):
     """The view half of ``fsck --schema``: the routing cut, a line per
-    member (position, entries, lag, index sidecar), the view's totals,
-    then the one verdict, which is returned.  A sidecar in any state
-    but ``present`` is informational: the next open rebuilds it."""
+    member (position, entries, lag), the view's totals, then the one
+    verdict, which is returned."""
     from repro.store import Position, ReaderLag
-    from repro.store.index import index_sidecar_status
 
     for line in view.describe_cut():
         print(line)
-    lags, sidecars = [], set()
+    lags = []
     for name, (generation, seq) in sorted(view.position().items()):
         member = view.shard_reader(name)
         lags.append(member.lag())
-        sidecar = index_sidecar_status(
-            paths[name], member.schema, generation, seq
-        )
-        sidecars.add(sidecar)
         print(
             f"  {Position({name: (generation, seq)})} "
-            f"({len(member.instance)} entries; {lags[-1]}; "
-            f"index sidecar {sidecar})"
+            f"({len(member.instance)} entries; {lags[-1]})"
         )
     lag = ReaderLag(sum(one.generations for one in lags),
                     sum(one.frames for one in lags))
-    print(f"view: {view.position()}; lag: {lag}; "
-          f"index sidecar: {', '.join(sorted(sidecars))}")
+    print(f"view: {view.position()}; lag: {lag}")
     report = view.check()
     print("legality: " + ("legal" if report.is_legal else "ILLEGAL"))
     for violation in report:
@@ -1121,7 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[expects],
         help="scan every member of a store directory for journal damage "
         "and in-doubt 2PC state (dry run); with --schema also report "
-        "each member's position, lag and index sidecar and the legality "
+        "each member's position and lag and the legality "
         "verdict",
     )
     fsck.add_argument(

@@ -12,8 +12,9 @@ keeps the class set as the single source of truth and synthesizes the
 
 Entries are owned by a :class:`~repro.model.instance.DirectoryInstance`,
 which assigns them an integer id and maintains the forest relation and the
-per-class index.  Mutating an entry's classes notifies the owner so indexes
-stay correct.
+per-class index.  Every mutator tells the owner before it changes the
+entry and after, so indexes stay correct.  The class set is a frozenset
+the owner interns: entries with equal classes share one object.
 
 Each entry also exposes a *content fingerprint*
 (:meth:`Entry.content_fingerprint`): a stable digest of
@@ -57,13 +58,15 @@ class Entry:
         owner: Optional["DirectoryInstance"] = None,
         eid: int = -1,
     ) -> None:
-        class_set = set(classes)
+        class_set = frozenset(classes)
         if not class_set:
             raise ModelError("class(r) must be a non-empty set (Definition 2.1)")
         self._owner = owner
         self.eid = eid
         self.rdn = rdn
-        self._classes: set = class_set
+        self._classes: FrozenSet[str] = (
+            class_set if owner is None else owner._interned_classes(class_set)
+        )
         self._attributes: Dict[str, List[Any]] = {}
         self._fingerprint: Optional[str] = None
         if attributes:
@@ -77,7 +80,7 @@ class Entry:
     @property
     def classes(self) -> FrozenSet[str]:
         """The set ``class(r)`` of object classes the entry belongs to."""
-        return frozenset(self._classes)
+        return self._classes
 
     def belongs_to(self, object_class: str) -> bool:
         """Whether ``object_class in class(r)``."""
@@ -87,8 +90,7 @@ class Entry:
         """Add an object class to ``class(r)`` (idempotent)."""
         if object_class in self._classes:
             return
-        self._classes.add(object_class)
-        self._fingerprint = None
+        self._set_classes(self._classes | {object_class})
         if self._owner is not None:
             self._owner._on_class_added(self.eid, object_class)
 
@@ -105,10 +107,17 @@ class Entry:
             raise ModelError(f"entry does not belong to {object_class!r}")
         if len(self._classes) == 1:
             raise ModelError("class(r) must stay non-empty (Definition 2.1)")
-        self._classes.remove(object_class)
-        self._fingerprint = None
+        self._set_classes(self._classes - {object_class})
         if self._owner is not None:
             self._owner._on_class_removed(self.eid, object_class)
+
+    def _set_classes(self, classes: FrozenSet[str]) -> None:
+        owner = self._owner
+        if owner is not None:
+            owner._notify_entry_changing(self.eid)
+            classes = owner._interned_classes(classes)
+        self._classes = classes
+        self._fingerprint = None
 
     # ------------------------------------------------------------------
     # attribute values
@@ -154,12 +163,17 @@ class Entry:
             return
         if self._owner is not None and self._owner.attributes is not None:
             value = self._owner.attributes.coerce(attribute, value)
-        bucket = self._attributes.setdefault(attribute, [])
-        if value not in bucket:
-            bucket.append(value)
-            self._fingerprint = None
-            if self._owner is not None:
-                self._owner._notify_entry_changed(self.eid)
+        bucket = self._attributes.get(attribute)
+        if bucket is not None and value in bucket:
+            return
+        if self._owner is not None:
+            self._owner._notify_entry_changing(self.eid)
+        if bucket is None:
+            bucket = self._attributes[attribute] = []
+        bucket.append(value)
+        self._fingerprint = None
+        if self._owner is not None:
+            self._owner._notify_entry_changed(self.eid)
 
     def remove_value(self, attribute: str, value: Any) -> None:
         """Remove a pair from ``val(r)``.
@@ -175,6 +189,8 @@ class Entry:
         bucket = self._attributes.get(attribute)
         if not bucket or value not in bucket:
             raise ModelError(f"entry has no pair ({attribute!r}, {value!r})")
+        if self._owner is not None:
+            self._owner._notify_entry_changing(self.eid)
         bucket.remove(value)
         self._fingerprint = None
         if not bucket:

@@ -31,6 +31,7 @@ from bisect import bisect_left
 from typing import (
     Any,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     KeysView,
@@ -101,6 +102,9 @@ class DirectoryInstance:
         # eid -> normalized DN string: the entry's _by_dn key.
         self._norm_key: Dict[int, str] = {}
         self._class_index: Dict[str, Set[int]] = {}
+        # One frozenset per distinct class combination, shared by every
+        # entry that holds it (a directory has a handful of them).
+        self._class_sets: Dict[FrozenSet[str], FrozenSet[str]] = {}
         self._next_eid = 0
         # Per-class mutation counters: bumped on every membership change
         # of the class's bucket.  Together with the instance token they
@@ -114,7 +118,9 @@ class DirectoryInstance:
         # Optional secondary indexes (repro.store.index.AttributeIndexes).
         # When attached, every mutation notifies them so their postings
         # can be patched lazily in O(|Δ|); the model layer only knows
-        # the two-method observer protocol, not the index structure.
+        # the observer protocol (``entry_changing`` before an entry's
+        # values or classes change, ``entry_changed`` after, and
+        # ``entry_removed``), not the index structure.
         self.indexes: Optional[Any] = None
         # Optional per-entry counts of the children / descendants that
         # hold a class (repro.model.pathcounts), patched by the mutators
@@ -632,6 +638,15 @@ class DirectoryInstance:
         if self.path_counts is not None:
             self.path_counts.shift(eid, (object_class,), -1)
         self._notify_entry_changed(eid)
+
+    def _interned_classes(self, classes: FrozenSet[str]) -> FrozenSet[str]:
+        """The one shared object equal to ``classes``."""
+        return self._class_sets.setdefault(classes, classes)
+
+    def _notify_entry_changing(self, eid: int) -> None:
+        indexes = self.indexes
+        if indexes is not None:
+            indexes.entry_changing(eid)
 
     def _notify_entry_changed(self, eid: int) -> None:
         indexes = self.indexes

@@ -44,24 +44,19 @@ indexes.  Every index answer is a
 runs the real ``matches`` predicate over the candidates — so a bug here
 can cost time, never correctness.
 
-Persistence follows the ``verdicts.cache`` discipline exactly
-(:mod:`repro.store.sidecar`): a checksummed, schema- and
-generation-stamped sidecar (``indexes.cache``) that is best-effort on
-save and paranoid on load — corrupt, stale, or missing means a
-transparent rebuild, never a wrong answer.  Postings are persisted
-keyed by normalized DN (entry ids are assigned at parse time and do not
-survive a reopen), and additionally stamped with the journal *position*
-so a sidecar exported mid-generation only warm-starts a view at exactly
-that frame.
+An index holds its postings and nothing per entry: to unindex a changed
+entry it needs the values it indexed, and the instance hands those over
+through :meth:`AttributeIndexes.entry_changing` *before* the entry first
+changes since the last flush.  Only changed entries are snapshotted,
+and only until the flush folds them in.  Nothing is persisted: every
+open derives the postings from the instance it opened.
 """
 
 from __future__ import annotations
 
 import collections.abc
 import itertools
-import json
 import operator
-import os
 from bisect import bisect_left
 from typing import (
     AbstractSet,
@@ -83,10 +78,7 @@ from repro.legality.report import Kind, Violation
 from repro.model.dn import parse_dn
 from repro.model.entry import Entry
 from repro.model.instance import DirectoryInstance
-from repro.schema.directory_schema import DirectorySchema
 from repro.schema.extras import SchemaExtras
-from repro.store.recovery import INDEX_SIDECAR_FILE
-from repro.store.sidecar import schema_digest, verdict_crc
 
 __all__ = [
     "AttributeIndexes",
@@ -95,17 +87,11 @@ __all__ = [
     "PostingView",
     "delta_extras_violations",
     "extras_index_attributes",
-    "index_sidecar_path",
-    "index_sidecar_status",
-    "load_index_sidecar",
-    "save_index_sidecar",
 ]
 
 #: Substring-index gram width.  Three is the classic slapd choice:
 #: wide enough to prune, narrow enough that most patterns contain one.
 GRAM = 3
-
-INDEX_SIDECAR_FORMAT = 1
 
 #: A posting: entry ids, strictly increasing.
 Posting = List[int]
@@ -239,10 +225,15 @@ class AttributeIndexes:
         self._grams: Dict[str, Dict[str, Posting]] = {}
         self._keys: Dict[str, Dict[Any, Posting]] = {}
         self._refs: Dict[str, Dict[str, Posting]] = {}
-        #: eid -> the attribute/value snapshot currently folded into the
-        #: postings.  Mandatory for unindexing: by the time a deletion
-        #: is flushed the entry (and its values) are gone.
-        self._snapshots: Dict[int, Dict[str, Tuple[Any, ...]]] = {}
+        #: eid -> the attribute/value snapshot folded into the postings,
+        #: for the indexed entries changed since the last flush only —
+        #: taken by :meth:`entry_changing` before the first change, and
+        #: dropped once the flush has unindexed it.
+        self._old: Dict[int, Dict[str, Tuple[Any, ...]]] = {}
+        #: Every live entry below this id was in the instance at the last
+        #: flush, so the postings hold it; ids only grow, so the entries
+        #: at or above it are new since then and hold no posting yet.
+        self._indexed_below = 0
         self._dirty: Set[int] = set()
         #: Normalized DNs captured at deletion time (the DN index entry
         #: is gone before the lazy flush runs).
@@ -260,47 +251,51 @@ class AttributeIndexes:
         instance: DirectoryInstance,
         key_attributes: Iterable[str] = (),
         referential_attributes: Iterable[str] = (),
-        postings: Optional[dict] = None,
     ) -> "AttributeIndexes":
-        """Create indexes for ``instance``, adopt ``postings`` when they
-        line up with it (else rebuild from scratch), and install the
-        result as ``instance.indexes``."""
+        """Create indexes for ``instance``, derive their postings from
+        it, and install the result as ``instance.indexes``."""
         indexes = cls(instance, key_attributes, referential_attributes)
-        if postings is None or not indexes._adopt(postings):
-            indexes.rebuild()
+        indexes.rebuild()
         instance.indexes = indexes
         return indexes
 
     def rebuild(self) -> None:
         """Discard everything and re-derive the postings from the live
-        instance — the cold-start path a bad sidecar falls back to.
-        The instance holds its entries in id order, so every posting
-        grows by appends."""
+        instance.  The instance holds its entries in id order, so every
+        posting grows by appends."""
         self._eq = {}
         self._present = {}
         self._grams = {}
         self._keys = {}
         self._refs = {}
-        self._snapshots = {}
+        self._old = {}
         self._dirty.clear()
         self._removed_dns.clear()
         for eid, entry in self.instance._entries.items():
-            snapshot = self._snapshot(entry)
-            self._snapshots[eid] = snapshot
-            self._index_entry(eid, snapshot)
+            self._index_entry(eid, self._snapshot(entry))
+        self._indexed_below = self.instance._next_eid
 
     # ------------------------------------------------------------------
     # observer hooks (called by the owning instance)
     # ------------------------------------------------------------------
+    def entry_changing(self, eid: int) -> None:
+        """Called *before* a value or class of ``eid`` changes: keep the
+        values the postings hold for it, once per flush, so the flush
+        can unindex them.  An entry new since the flush holds none."""
+        if eid < self._indexed_below and eid not in self._old:
+            self._old[eid] = self._snapshot(self.instance._entries[eid])
+
     def entry_changed(self, eid: int) -> None:
         """Mark ``eid`` dirty (value or class mutation, or insertion);
         O(1) — the postings are patched lazily at the next probe."""
         self._dirty.add(eid)
 
     def entry_removed(self, eid: int) -> None:
-        """Mark ``eid`` dirty for removal, capturing its normalized DN
-        now — the instance's DN tables forget it before the lazy flush
-        (or a reverse referential probe) runs."""
+        """Mark ``eid`` dirty for removal, capturing its indexed values
+        and its normalized DN now — the entry and the instance's DN
+        tables are gone before the lazy flush (or a reverse referential
+        probe) runs."""
+        self.entry_changing(eid)
         self._dirty.add(eid)
         norm = self.instance._norm_key.get(eid)
         if norm is not None:
@@ -392,95 +387,6 @@ class AttributeIndexes:
         return touched, removed
 
     # ------------------------------------------------------------------
-    # persistence (DN-keyed: entry ids do not survive a reopen)
-    # ------------------------------------------------------------------
-    def export_postings(self) -> dict:
-        """The eq/presence/gram postings in sidecar form.  The key and
-        referential indexes are not persisted — re-deriving them needs
-        no gram work, and raw values do not round-trip through JSON."""
-        self._refresh()
-        norm_key = self.instance._norm_key
-        eids = sorted(self._snapshots)
-        position = {eid: i for i, eid in enumerate(eids)}
-        # Positions follow id order, so a sorted posting maps to sorted
-        # positions.
-        return {
-            "dns": [norm_key[eid] for eid in eids],
-            "eq": {
-                attribute: {
-                    text: [position[eid] for eid in posting]
-                    for text, posting in buckets.items()
-                }
-                for attribute, buckets in self._eq.items()
-            },
-            "present": {
-                attribute: [position[eid] for eid in posting]
-                for attribute, posting in self._present.items()
-            },
-            "grams": {
-                attribute: {
-                    gram: [position[eid] for eid in posting]
-                    for gram, posting in buckets.items()
-                }
-                for attribute, buckets in self._grams.items()
-            },
-        }
-
-    def _adopt(self, postings: dict) -> bool:
-        """Fold persisted postings in, mapping DNs back to the live
-        instance's entry ids.  Any mismatch — a DN that does not
-        resolve, a count that disagrees, a malformed shape — rejects
-        the whole sidecar (the caller rebuilds).  A DN's position need
-        not follow the live ids' order, so each posting is sorted once."""
-        instance = self.instance
-        dns = postings.get("dns")
-        if not isinstance(dns, list) or len(dns) != len(instance):
-            return False
-        by_dn = instance._by_dn
-        eids: List[int] = []
-        for dn in dns:
-            eid = by_dn.get(dn)
-            if eid is None:
-                return False
-            eids.append(eid)
-        try:
-            eq = {
-                attribute: {
-                    text: sorted(eids[i] for i in posting)
-                    for text, posting in buckets.items()
-                }
-                for attribute, buckets in postings["eq"].items()
-            }
-            present = {
-                attribute: sorted(eids[i] for i in posting)
-                for attribute, posting in postings["present"].items()
-            }
-            grams = {
-                attribute: {
-                    gram: sorted(eids[i] for i in posting)
-                    for gram, posting in buckets.items()
-                }
-                for attribute, buckets in postings["grams"].items()
-            }
-        except (AttributeError, IndexError, KeyError, TypeError):
-            return False
-        self._eq = eq
-        self._present = present
-        self._grams = grams
-        # Keys, referential postings, and unindex snapshots come from
-        # the live entries — one cheap pass, no gram derivation.
-        self._keys = {}
-        self._refs = {}
-        self._snapshots = {}
-        self._dirty.clear()
-        self._removed_dns.clear()
-        for eid, entry in instance._entries.items():
-            snapshot = self._snapshot(entry)
-            self._snapshots[eid] = snapshot
-            self._index_extras(eid, snapshot)
-        return True
-
-    # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _count(self, result: PostingView) -> PostingView:
@@ -497,17 +403,17 @@ class AttributeIndexes:
         if not self._dirty:
             return
         entries = self.instance._entries
+        old = self._old
         for eid in sorted(self._dirty):  # new entries append in id order
-            old = self._snapshots.pop(eid, None)
-            if old is not None:
-                self._unindex_entry(eid, old)
+            snapshot = old.pop(eid, None)
+            if snapshot is not None:
+                self._unindex_entry(eid, snapshot)
             entry = entries.get(eid)
             if entry is not None:
-                snapshot = self._snapshot(entry)
-                self._snapshots[eid] = snapshot
-                self._index_entry(eid, snapshot)
+                self._index_entry(eid, self._snapshot(entry))
         self._dirty.clear()
         self._removed_dns.clear()
+        self._indexed_below = self.instance._next_eid
 
     def _index_entry(self, eid: int, snapshot: Dict[str, Tuple[Any, ...]]) -> None:
         for attribute, values in snapshot.items():
@@ -519,9 +425,6 @@ class AttributeIndexes:
                 _insert(eq_bucket, text, eid)
                 for i in range(len(text) - GRAM + 1):
                     _insert(gram_bucket, text[i : i + GRAM], eid)
-        self._index_extras(eid, snapshot)
-
-    def _index_extras(self, eid: int, snapshot: Dict[str, Tuple[Any, ...]]) -> None:
         for attribute in self.key_attributes:
             for value in snapshot.get(attribute, ()):
                 try:
@@ -601,8 +504,8 @@ class MemberIndexes:
     superset, judged again by the caller.
 
     The members' indexes observe their own instances, so the composite's
-    mutations (:meth:`entry_changed`, :meth:`entry_removed`) need no
-    upkeep here.
+    mutations (:meth:`entry_changing`, :meth:`entry_changed`,
+    :meth:`entry_removed`) need no upkeep here.
     """
 
     def __init__(
@@ -615,6 +518,9 @@ class MemberIndexes:
         #: Member-local candidates mapped onto composite ids so far — a
         #: search that walks its scope instead maps none.
         self.translated = 0
+
+    def entry_changing(self, eid: int) -> None:
+        """Observer hook of the composite: nothing to keep."""
 
     def entry_changed(self, eid: int) -> None:
         """Observer hook of the composite: nothing to patch."""
@@ -879,103 +785,3 @@ class ExtrasDeltaProbe:
             index_probes=probes, index_hits=hits, index_candidates=candidates
         )
 
-
-# ----------------------------------------------------------------------
-# sidecar persistence (``indexes.cache``)
-# ----------------------------------------------------------------------
-def index_sidecar_path(directory: str) -> str:
-    """Where the index sidecar lives inside a store ``directory``."""
-    return os.path.join(directory, INDEX_SIDECAR_FILE)
-
-
-def save_index_sidecar(
-    directory: str,
-    schema: DirectorySchema,
-    generation: int,
-    position: int,
-    indexes: AttributeIndexes,
-) -> None:
-    """Persist the postings atomically, best-effort (writer only).
-    ``position`` is the journal frame count the export reflects."""
-    try:
-        postings = indexes.export_postings()
-        payload = {
-            "format": INDEX_SIDECAR_FORMAT,
-            "schema": schema_digest(schema),
-            "generation": generation,
-            "position": position,
-            "crc": verdict_crc(postings),
-            "postings": postings,
-        }
-        path = index_sidecar_path(directory)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)
-    except Exception:  # pragma: no cover - persistence is best-effort
-        pass
-
-
-def load_index_sidecar(
-    directory: str,
-    schema: DirectorySchema,
-    generation: int,
-    position: int,
-) -> Optional[dict]:
-    """The persisted postings when the sidecar is intact, bound to
-    ``schema``, and stamped exactly ``(generation, position)``;
-    ``None`` (rebuild) for anything else."""
-    try:
-        with open(index_sidecar_path(directory), "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != INDEX_SIDECAR_FORMAT:
-            return None
-        if payload.get("schema") != schema_digest(schema):
-            return None
-        if payload.get("generation") != generation:
-            return None
-        if payload.get("position") != position:
-            return None
-        postings = payload.get("postings")
-        if payload.get("crc") != verdict_crc(postings):
-            return None
-        if not isinstance(postings, dict):
-            return None
-        return postings
-    except Exception:
-        return None
-
-
-def index_sidecar_status(
-    directory: str,
-    schema: DirectorySchema,
-    generation: int,
-    position: int,
-) -> str:
-    """Health of the index sidecar relative to the store state
-    ``(generation, position)``: ``"present"``, ``"missing"``,
-    ``"stale"`` (well-formed but for another schema/generation/
-    position), or ``"corrupt"`` (unreadable or checksum-failed).
-
-    Informational only — ``fsck`` prints it but never changes its exit
-    code for it, because every non-``present`` state just means the
-    next open rebuilds.
-    """
-    path = index_sidecar_path(directory)
-    if not os.path.exists(path):
-        return "missing"
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except Exception:
-        return "corrupt"
-    if not isinstance(payload, dict) or payload.get("format") != INDEX_SIDECAR_FORMAT:
-        return "corrupt"
-    postings = payload.get("postings")
-    if payload.get("crc") != verdict_crc(postings) or not isinstance(postings, dict):
-        return "corrupt"
-    if payload.get("schema") != schema_digest(schema):
-        return "stale"
-    if payload.get("generation") != generation or payload.get("position") != position:
-        return "stale"
-    return "present"

@@ -92,6 +92,7 @@ from repro.store.manifest import (
 from repro.store.position import Position
 from repro.store.recovery import (
     JOURNAL_FILE,
+    LEFTOVER_INDEX_FILE,
     LOCK_FILE,
     RecoveryReport,
     SNAPSHOT_FILE,
@@ -299,9 +300,8 @@ class DirectoryStore:
         #: Verdicts imported from the warm-start sidecar at open time
         #: (0 when the sidecar was absent, stale, or corrupt).
         self.warm_start_verdicts = 0
-        #: Secondary indexes (:mod:`repro.store.index`): adopt the index
-        #: sidecar when it is stamped with exactly this (generation,
-        #: journal position), else rebuild from the recovered instance.
+        #: Secondary indexes (:mod:`repro.store.index`), derived from the
+        #: recovered instance.
         #: The sharded coordinator widens the key/referential sets so
         #: per-shard stores (whose local schema has no extras) still
         #: maintain the postings its global Section 6.1 probes need.
@@ -310,10 +310,7 @@ class DirectoryStore:
             keys = keys | frozenset(index_key_attributes)
         if index_referential_attributes is not None:
             refs = refs | frozenset(index_referential_attributes)
-        postings = _index.load_index_sidecar(
-            directory, schema, generation, journal_count
-        )
-        _index.AttributeIndexes.attach(instance, keys, refs, postings)
+        _index.AttributeIndexes.attach(instance, keys, refs)
         # Counted children and descendants let the guard judge Figure 5's
         # required child/descendant deletion rows on the path above the
         # pruned root instead of over all of D − Δ.
@@ -463,7 +460,7 @@ class DirectoryStore:
             if report.in_doubt_txid is not None:
                 store._pending_txid = report.in_doubt_txid
                 store._pending_payload = report.in_doubt_payload
-            store._adopt_manifest()
+            store._reconcile_manifest()
             if report.legacy_format and not report.read_only:
                 store.compact()  # rewrites snapshot+journal in WAL format
                 report.notes.append(
@@ -509,7 +506,6 @@ class DirectoryStore:
         self._closed = True
         if self._poisoned is None and not self._read_only:
             self._save_sidecar()
-            self._save_index_sidecar()
         self._release_lock(self._lock_handle)
         self._lock_handle = None
 
@@ -745,7 +741,7 @@ class DirectoryStore:
         self._journal_count = 0
         self._publish_manifest(folded_seq=folded)
         self._save_sidecar()
-        self._save_index_sidecar()
+        self._remove_leftover_index_file()
 
     # ------------------------------------------------------------------
     # introspection
@@ -785,18 +781,14 @@ class DirectoryStore:
             return
         _sidecar.save_sidecar(self._dir, self.schema, self._generation, verdicts)
 
-    def _save_index_sidecar(self) -> None:
-        """Persist the secondary-index postings, stamped with the exact
-        (generation, journal position) they reflect.  Skipped while a
-        prepared-but-undecided 2PC transaction is applied in memory:
-        recovery withholds that prepare from replay, so the stamp would
-        claim a state the next open does not reconstruct."""
-        indexes = self.instance.indexes
-        if indexes is None or self._pending_txid is not None:
-            return
-        _index.save_index_sidecar(
-            self._dir, self.schema, self._generation, self._journal_count, indexes
-        )
+    def _remove_leftover_index_file(self) -> None:
+        """Delete the postings file older stores persisted beside the
+        snapshot: nothing reads it, and every open derives the postings
+        from the instance."""
+        try:
+            os.unlink(os.path.join(self._dir, LEFTOVER_INDEX_FILE))
+        except OSError:
+            pass
 
     def _load_sidecar(self) -> None:
         verdicts = _sidecar.load_sidecar(self._dir, self.schema)
@@ -813,7 +805,7 @@ class DirectoryStore:
     # ------------------------------------------------------------------
     # manifest publication (writer side of the reader rendezvous)
     # ------------------------------------------------------------------
-    def _adopt_manifest(self) -> None:
+    def _reconcile_manifest(self) -> None:
         """At open: pick up the published version counter and republish
         when the manifest is missing or disagrees with the recovered
         generation (a writer crashed inside compact's publish window,

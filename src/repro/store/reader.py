@@ -794,14 +794,9 @@ class StoreReader:
             self._offset = 0
             # Attach secondary indexes *before* replaying the journal
             # tail, so the replay flows through the observer hooks and
-            # the postings stay exact.  The sidecar only warm-starts a
-            # view pinned at exactly (generation, position 0) — the
-            # writer's compact() export; any other stamp rebuilds.
+            # the postings stay exact.
             keys, refs = _index.extras_index_attributes(self.schema.extras)
-            postings = _index.load_index_sidecar(
-                self._dir, self.schema, generation, 0
-            )
-            _index.AttributeIndexes.attach(instance, keys, refs, postings)
+            _index.AttributeIndexes.attach(instance, keys, refs)
             # The path counts too: the replay keeps them exact, and an
             # armed guard answers Figure 5's full deletion rows from them.
             attach_path_counts(instance, self.schema)

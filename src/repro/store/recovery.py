@@ -75,11 +75,10 @@ LOCK_FILE = "lock"
 #: a reopened store seeds its legality session's fingerprint cache from
 #: it; a missing/stale/corrupt sidecar simply means a cold start.
 SIDECAR_FILE = "verdicts.cache"
-#: Secondary-index sidecar (same best-effort discipline): the persisted
-#: attribute-level postings of :mod:`repro.store.index`.  Stamped with
-#: the generation *and* journal position it was exported at; anything
-#: else means a transparent rebuild, never a wrong answer.
-INDEX_SIDECAR_FILE = "indexes.cache"
+#: Where older stores persisted the postings of :mod:`repro.store.index`.
+#: Nothing reads it: every open derives the postings from its instance,
+#: and the next compaction deletes a leftover file.
+LEFTOVER_INDEX_FILE = "indexes.cache"
 #: Replication-follower state (:mod:`repro.store.replicate`): upstream
 #: address plus the last durably applied stream position.  Advisory like
 #: the manifest — the snapshot/journal stay the single source of truth,

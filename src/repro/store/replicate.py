@@ -707,6 +707,9 @@ class ShardedFrameSource:
         self._sent_shard_map = False
         self._txlog = TxLogTail(directory, self._io)
         self._txn_states: Mapping[str, TxState] = {}
+        #: This poll's verdict on each txid absent from its capture, so
+        #: every shard ships or withholds the same transactions.
+        self._absent: Dict[str, bool] = {}
 
     @property
     def position(self) -> Position:
@@ -734,6 +737,7 @@ class ShardedFrameSource:
         coordinator log raises :class:`StoreError`: no decision past the
         damage can be trusted, and a torn tail never raises."""
         self._txn_states = self._txlog.read() or {}
+        self._absent = {}
         body: List[dict] = []
         for name, source in self._sources.items():
             for message in source.poll():
@@ -752,13 +756,23 @@ class ShardedFrameSource:
 
     def _gate(self, txid: Optional[str]) -> bool:
         """Ship a decided pair iff its transaction is *complete* at the
-        captured cut.  An absent txid means the coordinator already
-        retired it (``complete`` precedes retirement), which is equally
-        proof every participant's decide is durable."""
+        captured cut.  A txid the capture does not hold was either
+        retired by a compaction (``complete`` precedes retirement, so
+        every participant's decide is durable) or begun after the
+        capture, with this shard's decide durable and a sibling's
+        perhaps not yet.  It ships only when the log cannot have begun
+        it since: no frame appended after the capture names it, and
+        the file was not replaced.  Its begin was durable before its
+        prepare, which this shard's poll just read."""
         if txid is None:
             return True
         state = self._txn_states.get(txid)
-        return state is None or state.state == "complete"
+        if state is not None:
+            return state.state == "complete"
+        shippable = self._absent.get(txid)
+        if shippable is None:
+            shippable = self._absent[txid] = not self._txlog.may_name_since(txid)
+        return shippable
 
 
 # ----------------------------------------------------------------------

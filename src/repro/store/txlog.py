@@ -416,6 +416,36 @@ class TxLogTail:
             raise
         return MappingProxyType(self._states)
 
+    def may_name_since(self, txid: str) -> bool:
+        """Whether the log may hold a record of ``txid`` that the last
+        :meth:`read` did not fold: the file was replaced, shrank, came
+        or went, or a frame appended since names ``txid``.  Reads only
+        those new bytes and folds nothing, so the states the last read
+        returned stay what they were."""
+        try:
+            handle = self._io.open_bytes(self._path, "rb")
+        except FileNotFoundError:
+            return self._identity is not None
+        with handle:
+            probe = os.fstat(handle.fileno())
+            if (probe.st_dev, probe.st_ino) != self._identity \
+                    or probe.st_size < self._offset:
+                return True
+            handle.seek(self._offset)
+            scanned = wal.scan(handle.read())
+        if not self._continues(scanned):
+            return True
+        try:
+            named = [
+                TxLog._decode_payload(
+                    record.payload, self._offset + record.offset, self._path
+                )[0]
+                for record in scanned.records
+            ]
+        except StoreError:
+            return True
+        return txid in named
+
     def _continues(self, scanned: wal.ScanResult) -> bool:
         """Whether bytes read at the offset extend what was folded: no
         damage, and a first frame that follows the last seq within the

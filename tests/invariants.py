@@ -9,7 +9,8 @@ takes its verdict from here.  Two kinds of definition:
 * :func:`canonical_records` — order-free (attribute and sibling order
   are not content);
 * :func:`instance_state` — rollback-exact: the serialization plus class
-  counts, document order and index postings.
+  counts, document order and every index posting
+  (:func:`postings_by_dn`).
 
 **Contracts** — each a pure function of (acknowledged history,
 observed state) that raises :class:`AssertionError` naming itself:
@@ -22,6 +23,8 @@ observed state) that raises :class:`AssertionError` naming itself:
 * :func:`spanning_commit_atomic` — a spanning commit recovers whole or
   not at all, and nothing stays in doubt;
 * :func:`composite_never_torn` — the member slices sum to the composite;
+* :func:`spanning_read_whole` — a read shows every spanning transaction
+  whole or not at all;
 * :func:`read_floor_monotonic` — a read meets its ``require_seq`` and
   never goes behind what its connection was served;
 * :func:`followed_equals_full` — Theorem 4.2: a followed verdict is the
@@ -36,6 +39,7 @@ import hashlib
 
 from repro.ldif import serialize_ldif
 from repro.server.frontdoor import position_geq
+from repro.store.index import AttributeIndexes
 
 __all__ = [
     "canonical_records",
@@ -46,8 +50,10 @@ __all__ = [
     "composite_never_torn",
     "followed_equals_full",
     "instance_state",
+    "postings_by_dn",
     "read_floor_monotonic",
     "spanning_commit_atomic",
+    "spanning_read_whole",
     "state_digest",
     "violation_elements",
 ]
@@ -93,29 +99,28 @@ def instance_state(instance):
             (axis.value, cls): {instance.dn_string_of(eid): n for eid, n in table.items()}
             for (axis, cls), table in counts.export().items()
         }
-    export = getattr(instance.indexes, "export_postings", None)
-    if export is not None:  # postings of its own (a composite has none)
-        exported = export()
-        dns = exported["dns"]
-
-        def named(posting):
-            return sorted(dns[i] for i in posting)
-
-        def live(buckets):  # an emptied bucket is as good as none
-            return {key: named(p) for key, p in buckets.items() if p}
-
-        state["postings"] = {
-            "dns": sorted(dns),
-            "present": live(exported["present"]),
-            **{
-                kind: {
-                    a: live(buckets)
-                    for a, buckets in exported[kind].items() if live(buckets)
-                }
-                for kind in ("eq", "grams")
-            },
-        }
+    indexes = instance.indexes
+    if isinstance(indexes, AttributeIndexes):  # a composite has none of its own
+        state["postings"] = postings_by_dn(indexes)
     return state
+
+
+def postings_by_dn(indexes):
+    """Every posting of ``indexes`` — equality, presence, 3-gram, key and
+    referential — as ``{(table, attribute, key): sorted DNs}``, pending
+    maintenance folded in first.  Entry ids are never reused, so only
+    DNs compare across an undo or across two instances."""
+    indexes.delta_checkpoint()
+    name = indexes.instance.dn_string_of
+    flat = {
+        ("present", attribute, None): sorted(map(name, posting))
+        for attribute, posting in indexes._present.items()
+    }
+    for table in ("_eq", "_grams", "_keys", "_refs"):
+        for attribute, bucket in getattr(indexes, table).items():
+            for key, posting in bucket.items():
+                flat[table, attribute, key] = sorted(map(name, posting))
+    return flat
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +185,20 @@ def composite_never_torn(composite, slices, where="") -> None:
         f"composite_never_torn{where}: the composite holds "
         f"{len(composite)} entries, its slices {sizes}"
     )
+
+
+def spanning_read_whole(held, spanning, where="") -> None:
+    """A read holds each spanning transaction's entries all or none:
+    ``held`` is what it returned, ``spanning`` the entries of each
+    spanning transaction (a torn cut shows some of one's and not the
+    rest)."""
+    held = set(held)
+    for entries in spanning:
+        shown = sorted(entry for entry in entries if entry in held)
+        assert not shown or len(shown) == len(set(entries)), (
+            f"spanning_read_whole{where}: the read shows {shown} of the "
+            f"spanning transaction {sorted(entries)}"
+        )
 
 
 def read_floor_monotonic(served, require=None, last_served=None) -> None:

@@ -267,26 +267,6 @@ class TestFsckAndRecover:
         assert "committed records: 1" in out
         assert "quarantined bytes: 0" in out
         assert "legality: legal" in out
-        assert "index sidecar: present" in out
-
-    def test_fsck_index_sidecar_health_never_changes_exit_code(
-        self, store_dir, capsys
-    ):
-        import os
-
-        from repro.store.index import index_sidecar_path
-
-        schema, path = store_dir
-        sidecar = index_sidecar_path(path)
-        os.unlink(sidecar)
-        assert main(["fsck", path, "--schema", schema]) == 0
-        out = capsys.readouterr().out
-        assert "index sidecar: missing" in out and "HEALTHY" in out
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            fh.write("{not json")
-        assert main(["fsck", path, "--schema", schema]) == 0
-        out = capsys.readouterr().out
-        assert "index sidecar: corrupt" in out and "HEALTHY" in out
 
     def test_fsck_reports_torn_tail(self, store_dir, capsys):
         import os

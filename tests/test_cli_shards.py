@@ -175,10 +175,8 @@ class TestFsckShards:
         assert "shard map: 2 shard(s) [nested cut]" in out
         assert "att: base o=att" in out
         assert "labs: base ou=attLabs,o=att" in out
-        assert ("att: generation 1, seq 0 "
-                "(2 entries; current; index sidecar present)") in out
-        assert ("labs: generation 1, seq 0 "
-                "(4 entries; current; index sidecar present)") in out
+        assert "att: generation 1, seq 0 (2 entries; current)" in out
+        assert "labs: generation 1, seq 0 (4 entries; current)" in out
         assert "scope:" in out
         assert "HEALTHY" in out
 

@@ -10,18 +10,19 @@ naive scan:
   deliberately mixed-typed values (the ``_comparable`` edges) produce
   byte-identical results with and without indexes.
 
-* **Sidecar lifecycle.**  The persisted postings are a pure cache: a
-  missing, stale (wrong generation after compaction), or corrupt
-  (byte-flipped anywhere) sidecar must trigger a transparent rebuild —
-  never a wrong answer — and a lock-free reader following the WAL
+* **Lifecycle.**  Nothing is persisted: every open derives the
+  postings from its instance, a lock-free reader following the WAL
   across a compaction keeps its indexes in agreement with the scan
-  oracle.
+  oracle, and a postings file an older store left beside its snapshot
+  changes nothing and is gone after the next compaction.
 
 Postings are sorted id lists, and two more properties pin that down:
 incremental maintenance leaves every posting strictly increasing and
-equal to what a rebuild (and a sidecar round trip) derives, and the
-lists take well under half the memory of the ``set`` postings they
-replaced.
+equal to what a rebuild derives, and the lists take well under half the
+memory of the ``set`` postings they replaced.  A copy costs its live
+size: opening one allocates little beyond what it keeps, the indexes
+hold no per-entry snapshot between changes, and equal class sets are
+one object.
 """
 
 from __future__ import annotations
@@ -49,12 +50,8 @@ from repro.query.evaluator import FilterPlanner
 from repro.query.filter_parser import parse_filter
 from repro.query.search import search
 from repro.store import DirectoryStore
-from repro.store.index import (
-    AttributeIndexes,
-    PostingView,
-    index_sidecar_path,
-    index_sidecar_status,
-)
+from repro.store.index import AttributeIndexes, PostingView
+from repro.store.recovery import LEFTOVER_INDEX_FILE
 from repro.store.reader import StoreReader
 from repro.updates.operations import UpdateTransaction
 from repro.workloads import (
@@ -64,11 +61,7 @@ from repro.workloads import (
 )
 
 from growth import fit_growth
-
-#: Checked-in files: ``indexes_format1.cache`` is the sidecar of
-#: ``TestSidecarLifecycle.closed_store`` as written when postings were
-#: ``set``s.
-DATA = os.path.join(os.path.dirname(__file__), "data")
+from invariants import postings_by_dn
 
 
 def naive(instance, filt, **scoped):
@@ -103,7 +96,7 @@ def instance():
             org, f"uid=scored{i}", ["person", "top"],
             {"uid": [f"scored{i}"], "name": [f"scored {i}"], "score": [score]},
         )
-    AttributeIndexes.attach(built, frozenset({"uid"}), frozenset(), None)
+    AttributeIndexes.attach(built, frozenset({"uid"}), frozenset())
     return built
 
 
@@ -293,7 +286,7 @@ class TestWorkAcrossTheLadder:
                 built.find("o=org0"), f"uid={NEEDLE}", ["person", "top"],
                 {"uid": [NEEDLE], "name": ["probe person"]},
             )
-            AttributeIndexes.attach(built, frozenset(), frozenset(), None)
+            AttributeIndexes.attach(built, frozenset(), frozenset())
             sizes.append(len(built))
             eids = sorted(built.entry_ids())
             uid = next(  # mid-directory: its trigrams collide with neighbours
@@ -351,7 +344,7 @@ class TestWorkAcrossTheLadder:
         assert fit_growth(sizes, work) < 1.0, (sizes, work)
 
 
-SIDECAR_FILTERS = (
+SAMPLE_FILTERS = (
     "(uid=u1)",
     "(uid=*1*)",
     "(&(objectClass=person)(name=*a*))",
@@ -363,127 +356,57 @@ SIDECAR_FILTERS = (
 def _agrees_with_oracle(instance):
     """Every sample filter answers identically with and without
     indexes on ``instance``."""
-    for text in SIDECAR_FILTERS:
+    for text in SAMPLE_FILTERS:
         filt = parse_filter(text)
         if indexed(instance, filt) != naive(instance, filt):
             return False
     return True
 
 
-class TestSidecarLifecycle:
-    @pytest.fixture()
-    def closed_store(self, tmp_path):
-        """A store created with Section 6.1 extras (so key postings are
-        live), two committed transactions, cleanly closed — its index
-        sidecar sits at (generation 1, position 2)."""
+class TestIndexLifecycle:
+    def test_a_leftover_index_file_is_ignored_and_compacted_away(self, tmp_path):
+        """A store directory holding the postings file older stores
+        wrote opens, serves and checks exactly like one created from the
+        same instance without it, and its next compaction deletes the
+        file."""
         schema = whitepages_schema(extras=True)
-        path = str(tmp_path / "store")
-        store = DirectoryStore.create(
-            path, schema,
-            generate_whitepages(orgs=1, units_per_level=2, depth=1,
-                                persons_per_unit=3, seed=11),
+        paths = [str(tmp_path / name) for name in ("leftover", "clean")]
+        instance = generate_whitepages(
+            orgs=1, units_per_level=2, depth=1, persons_per_unit=3, seed=11
         )
-        for i in range(2):
-            assert store.apply(
-                UpdateTransaction().insert(
-                    f"uid=extra{i},o=org0", ["person", "top"],
-                    {"uid": [f"extra{i}"], "name": [f"extra {i}"]},
-                )
-            ).applied
-        store.close()
-        return path, schema
-
-    @pytest.fixture()
-    def rebuild_counter(self, monkeypatch):
-        """Counts :meth:`AttributeIndexes.rebuild` calls."""
-        calls = []
-        original = AttributeIndexes.rebuild
-
-        def counting(self):
-            calls.append(1)
-            return original(self)
-
-        monkeypatch.setattr(AttributeIndexes, "rebuild", counting)
-        return calls
-
-    def test_clean_reopen_adopts_the_sidecar(
-        self, closed_store, rebuild_counter
-    ):
-        path, schema = closed_store
-        assert index_sidecar_status(path, schema, 1, 2) == "present"
-        with DirectoryStore.open(path, schema) as store:
-            assert not rebuild_counter, "clean sidecar must adopt, not rebuild"
-            assert _agrees_with_oracle(store.instance)
-
-    def test_a_sidecar_written_by_set_postings_is_adopted(
-        self, closed_store, rebuild_counter
-    ):
-        """The sidecar format did not change with the posting layout:
-        the list postings export the very bytes the ``set`` postings
-        did, and a sidecar the ``set`` writer left is adopted as it is."""
-        path, schema = closed_store
-        with open(os.path.join(DATA, "indexes_format1.cache"), "rb") as fh:
-            written_by_sets = fh.read()
-        sidecar = index_sidecar_path(path)
-        with open(sidecar, "rb") as fh:
-            assert fh.read() == written_by_sets
-        with open(sidecar, "wb") as fh:
-            fh.write(written_by_sets)
-        assert index_sidecar_status(path, schema, 1, 2) == "present"
-        with DirectoryStore.open(path, schema) as store:
-            assert not rebuild_counter, "an old sidecar must adopt, not rebuild"
-            assert _agrees_with_oracle(store.instance)
-
-    def test_missing_sidecar_rebuilds(self, closed_store, rebuild_counter):
-        path, schema = closed_store
-        os.unlink(index_sidecar_path(path))
-        assert index_sidecar_status(path, schema, 1, 2) == "missing"
-        with DirectoryStore.open(path, schema) as store:
-            assert rebuild_counter
-            assert _agrees_with_oracle(store.instance)
-
-    def test_corrupt_byte_sweep_rebuilds(self, closed_store):
-        path, schema = closed_store
-        sidecar = index_sidecar_path(path)
-        with open(sidecar, "rb") as fh:
-            pristine = fh.read()
-        positions = range(0, len(pristine), max(1, len(pristine) // 24))
-        for position in positions:
-            flipped = bytearray(pristine)
-            flipped[position] ^= 0xFF
-            with open(sidecar, "wb") as fh:
-                fh.write(bytes(flipped))
-            status = index_sidecar_status(path, schema, 1, 2)
-            assert status in ("corrupt", "stale"), (
-                f"flip at byte {position} went undetected ({status})"
-            )
+        for path in paths:
+            DirectoryStore.create(path, schema, instance.copy()).close()
+        leftover = os.path.join(paths[0], LEFTOVER_INDEX_FILE)
+        with open(leftover, "w", encoding="utf-8") as fh:
+            fh.write('{"format": 1, "postings": {"dns": []}}')
+        answers = []
+        for path in paths:
             with DirectoryStore.open(path, schema) as store:
+                assert store.apply(
+                    UpdateTransaction().insert(
+                        "uid=late,o=org0", ["person", "top"],
+                        {"uid": ["late"], "name": ["late one"]},
+                    )
+                ).applied
                 assert _agrees_with_oracle(store.instance)
-            # Reopening rewrote the sidecar at close; restore the flip
-            # target for the next sweep position.
-            with open(sidecar, "wb") as fh:
-                fh.write(pristine)
-
-    def test_stale_after_compaction_rebuilds(
-        self, closed_store, rebuild_counter
-    ):
-        path, schema = closed_store
-        sidecar = index_sidecar_path(path)
-        with open(sidecar, "rb") as fh:
-            old = fh.read()
-        with DirectoryStore.open(path, schema) as store:
-            store.compact()
-        del rebuild_counter[:]
-        # Resurrect the pre-compaction sidecar: well-formed, wrong
-        # generation — the reopen must notice and rebuild.
-        with open(sidecar, "wb") as fh:
-            fh.write(old)
-        with DirectoryStore.open(path, schema) as store:
-            assert index_sidecar_status(
-                path, schema, store.generation, 0
-            ) == "stale"
-            assert rebuild_counter
-            assert _agrees_with_oracle(store.instance)
+                view = StoreReader.open(path, schema)
+                try:
+                    answers.append((
+                        postings_by_dn(store.instance.indexes),
+                        postings_by_dn(view.instance.indexes),
+                        [indexed(view.instance, parse_filter(text))
+                         for text in SAMPLE_FILTERS],
+                        [str(v) for v in view.check()],
+                        [str(v) for v in store.check()],
+                    ))
+                finally:
+                    view.close()
+                if path == paths[0]:
+                    assert os.path.exists(leftover)
+                    store.compact()
+                    assert not os.path.exists(leftover)
+        assert answers[0] == answers[1]
+        assert answers[0][0] == answers[0][1]
 
     def test_reader_follows_wal_across_compaction(self, tmp_path):
         schema = whitepages_schema(extras=True)
@@ -542,31 +465,31 @@ class TestPostingMaintenance:
     """Incremental maintenance of the sorted id lists, differentially:
     after every step of a seeded mutation stream each posting is
     strictly increasing and equals what :meth:`AttributeIndexes.rebuild`
-    derives from the live entries and what an export → adopt round trip
-    yields — into the same instance, and into a copy that numbers its
-    entries in document order, as a reader bootstrapped from the
-    snapshot does."""
+    derives from the live entries — in the same instance, and, DN for
+    DN, in a copy that numbers its entries in document order, as a
+    reader bootstrapped from the snapshot does."""
 
     KEYS = frozenset({"uid"})
     REFS = frozenset({"seeAlso"})
 
     def _assert_exact(self, indexes, step):
         indexes.delta_checkpoint()  # fold the pending maintenance in
+        assert not indexes._old, f"step {step}: a flush kept unindex snapshots"
         held = _postings(indexes)
-        exported = indexes.export_postings()
         for instance in (indexes.instance, indexes.instance.copy()):
             rebuilt = AttributeIndexes(instance, self.KEYS, self.REFS)
             rebuilt.rebuild()
-            adopted = AttributeIndexes(instance, self.KEYS, self.REFS)
-            assert adopted._adopt(exported)
             derived = _postings(rebuilt)
             for where, posting in derived.items():
                 assert posting and all(
                     a < b for a, b in zip(posting, posting[1:])
                 ), f"step {step}: {where} is not strictly increasing: {posting}"
-            assert _postings(adopted) == derived, f"step {step}: round trip disagrees"
             if instance is indexes.instance:
                 assert held == derived, f"step {step}: maintenance disagrees"
+            else:
+                assert postings_by_dn(rebuilt) == postings_by_dn(indexes), (
+                    f"step {step}: a copy's rebuild disagrees"
+                )
 
     @staticmethod
     def _mutate(instance, rng, serial):
@@ -667,3 +590,104 @@ def test_list_postings_take_at_most_half_of_sets():
         tracemalloc.stop()
     assert sets and list_bytes > 0
     assert list_bytes <= set_bytes / 2, (list_bytes, set_bytes)
+
+
+class TestACopyCostsItsLiveSize:
+    """Ratio gates, not byte counts (those differ across Python
+    versions): what a served copy allocates and keeps beyond its
+    instance and postings."""
+
+    @pytest.fixture()
+    def store_dir(self, tmp_path):
+        """An indexed white-pages store (Section 6.1 extras, so the key
+        and referential postings are live) with a committed journal."""
+        schema = whitepages_schema(extras=True)
+        path = str(tmp_path / "store")
+        with DirectoryStore.create(
+            path, schema,
+            generate_whitepages(orgs=2, units_per_level=3, depth=2,
+                                persons_per_unit=40, seed=7),
+        ) as store:
+            for i in range(5):
+                assert store.apply(UpdateTransaction().insert(
+                    f"uid=j{i},o=org0", ["person", "top"],
+                    {"uid": [f"j{i}"], "name": [f"journal {i}"]},
+                )).applied
+        return path, schema
+
+    def test_open_peaks_near_what_it_retains(self, store_dir):
+        """A :meth:`StoreReader.open` of the store peaks at most 1.15x
+        the bytes it keeps: its transients (the snapshot text, the
+        journal scan, each entry's values while it is indexed) are small
+        beside the copy itself."""
+        path, schema = store_dir
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            reader = StoreReader.open(path, schema)
+            retained, peak = tracemalloc.get_traced_memory()
+            retained -= before
+            peak -= before
+        finally:
+            tracemalloc.stop()
+        try:
+            assert len(reader.instance) > 900
+            assert peak <= 1.15 * retained, (peak, retained, peak / retained)
+        finally:
+            reader.close()
+
+    def test_no_unindex_snapshot_outlives_a_flush(self, store_dir):
+        """After an open, and after every flush, the indexes hold no
+        entry's values; between a change and its flush they hold the
+        changed entries' old values, and only theirs."""
+        path, schema = store_dir
+        with DirectoryStore.open(path, schema) as store:
+            reader = StoreReader.open(path, schema)
+            try:
+                for instance in (store.instance, reader.instance):
+                    indexes = instance.indexes
+                    assert indexes._old == {}
+                    person = instance.find("uid=j1,o=org0")
+                    person.add_value("name", "renamed")
+                    person.add_value("name", "renamed twice")
+                    unit = instance.find(str(instance.entry(
+                        next(iter(instance.entries_with_class("orgUnit")))).dn))
+                    fresh = instance.add_entry(
+                        unit, "uid=fresh", ["person", "top"],
+                        {"uid": ["fresh"], "name": ["fresh one"]},
+                    )
+                    fresh.add_class("manager")
+                    assert set(indexes._old) == {person.eid}
+                    assert indexes._old[person.eid]["name"] == ("journal 1",)
+                    instance.delete_entry(person)
+                    assert set(indexes._old) == {person.eid}
+                    assert indexes.equality_candidates("uid", "fresh")
+                    assert not indexes.equality_candidates("uid", "j1")
+                    assert indexes._old == {}
+            finally:
+                reader.close()
+
+    def test_equal_class_sets_are_one_object(self, store_dir):
+        """Entries with equal class sets share one frozenset, also after
+        a class is added and removed again."""
+        path, schema = store_dir
+        reader = StoreReader.open(path, schema)
+        try:
+            instance = reader.instance
+            by_value = {}
+            for entry in instance:
+                assert isinstance(entry.classes, frozenset)
+                assert by_value.setdefault(entry.classes, entry.classes) is entry.classes
+            assert 20 * len(by_value) < len(instance)
+            first, second = [
+                instance.entry(eid)
+                for eid in sorted(instance.entries_with_class("person"))
+                if instance.entry(eid).classes == {"person", "top"}
+            ][:2]
+            first.add_class("manager")
+            assert first.classes is not second.classes
+            first.remove_class("manager")
+            assert first.classes is second.classes
+        finally:
+            reader.close()

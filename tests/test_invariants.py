@@ -15,6 +15,7 @@ from invariants import (
     followed_equals_full,
     read_floor_monotonic,
     spanning_commit_atomic,
+    spanning_read_whole,
     state_digest,
 )
 from repro.workloads import figure1_instance
@@ -67,6 +68,13 @@ def test_spanning_commit_atomic():
 def test_composite_never_torn():
     with breaks("composite_never_torn"):
         composite_never_torn(range(5), [range(2), range(2)])
+
+
+def test_spanning_read_whole():
+    spanning = [("a", "b"), ("c", "d")]
+    spanning_read_whole(["a", "b", "x"], spanning)
+    with breaks("spanning_read_whole"):
+        spanning_read_whole(["a", "b", "c"], spanning)
 
 
 def test_read_floor_monotonic():

@@ -724,6 +724,106 @@ class TestShardedReplication:
         assert not os.path.exists(os.path.join(cohort_dir, PROMOTE_STATE_FILE))
 
 
+class _HoldAtPoint(StoreIO):
+    """The writer's I/O: holds a spanning commit at one named fault
+    point until released."""
+
+    def __init__(self, point):
+        self.point = point
+        self.reached = threading.Event()
+        self.release = threading.Event()
+
+    def fault_point(self, name):
+        if name == self.point:
+            self.reached.set()
+            assert self.release.wait(10), "never released"
+
+
+class _BeforeJournalRead(StoreIO):
+    """A frame source's I/O: runs ``hook`` once, just before its next
+    read of ``journal``'s tail — after the poll captured the
+    coordinator log."""
+
+    def __init__(self, journal):
+        self.journal = journal
+        self.hook = None
+
+    def read_bytes_from(self, path, offset):
+        if self.hook is not None and path == self.journal:
+            hook, self.hook = self.hook, None
+            hook()
+        return super().read_bytes_from(path, offset)
+
+
+class TestCutAgainstAConcurrentCommit:
+    """A poll interleaved with a two-shard 2PC commit, deterministically:
+    the source captures the coordinator log, then the writer begins,
+    prepares both shards, commits and decides ``att`` — and is held
+    there, ``labs`` still undecided — while the source reads the shard
+    tails.  The transaction began after the capture, so its txid is
+    absent from it: the source must not read that as "retired"."""
+
+    def test_a_transaction_begun_after_the_capture_ships_whole(
+        self, sharded_primary
+    ):
+        from repro.store.replicate import ShardedFrameSource, ShardedReplicaApplier
+        from repro.store.sharded import ShardedStore, shard_dir
+
+        store, primary_dir, schema, registry, cohort_dir = sharded_primary
+        store.close()
+        writer_io = _HoldAtPoint("2pc:decided:att")
+        store = ShardedStore.open(primary_dir, schema, registry, io=writer_io)
+        source_io = _BeforeJournalRead(
+            os.path.join(shard_dir(primary_dir, "att"), "journal.ldif")
+        )
+        source = ShardedFrameSource(primary_dir, schema, io=source_io)
+        failures = []
+
+        def commit():
+            try:
+                _spanning_commit(store, 1)
+            except BaseException as exc:  # reported by the main thread
+                failures.append(exc)
+
+        writer = threading.Thread(target=commit)
+
+        def start_the_commit():
+            writer.start()
+            assert writer_io.reached.wait(10), failures
+
+        def whole(instance):
+            halves = [
+                instance.find("uid=r1,o=att") is not None,
+                instance.find("uid=l1,ou=attLabs,o=att") is not None,
+            ]
+            assert halves[0] == halves[1], f"a torn cut: {halves}"
+            return halves[0]
+
+        try:
+            with ShardedReplicaApplier(cohort_dir, schema, registry) as cohort:
+                pump(source, cohort)
+                source_io.hook = start_the_commit
+                for message in source.poll():
+                    cohort.apply_message(message)
+                assert writer_io.reached.is_set(), "the poll never read att's tail"
+                assert not whole(cohort.instance)
+                assert cohort.consistent()
+                writer_io.release.set()
+                writer.join(10)
+                assert not writer.is_alive() and not failures, failures
+                pump(source, cohort)
+                assert whole(cohort.instance)
+                assert cohort.consistent()
+                assert state_digest(cohort.instance) == state_digest(
+                    store.composite_instance()
+                )
+        finally:
+            writer_io.release.set()
+            if writer.ident is not None:
+                writer.join(10)
+            store.close()
+
+
 class _CutProbeIO(StoreIO):
     """Watches a cohort's fault points: records every name, checks the
     batch lock is free at ``repl:cut-state`` and, once armed, holds

@@ -20,7 +20,7 @@ import tracemalloc
 
 import pytest
 
-from invariants import committed_at, read_floor_monotonic
+from invariants import committed_at, read_floor_monotonic, spanning_read_whole
 from repro.errors import StoreError
 from repro.store import DirectoryStore
 from repro.store.reader import CopyLock, StoreReader
@@ -152,10 +152,16 @@ class TestFollowedWhileRead:
         """A replica follows 200 commits while three connections search
         (a bounded lookup on the loop, an unbounded scan on the
         executor) and check.  Every reply is, member by member, the
-        primary's state at the reply's position, and no connection is
-        ever served behind a position it was served before."""
+        primary's state at the reply's position, shows every spanning
+        commit whole or not at all, and no connection is ever served
+        behind a position it was served before."""
         store = _white_pages(kind, tmp_path)
         commits = 200
+        #: The people each two-organization commit added, together.
+        spanning = [
+            [dn for dn, _ in _records(index)]
+            for index in range(commits) if len(_records(index)) > 1
+        ]
         #: ``{query: {member: {(generation, seq): its slice of the answer}}}``
         oracles = {"lookup": {}, "scan": {}}
 
@@ -183,6 +189,7 @@ class TestFollowedWhileRead:
                     oracles[query][name], at, held.get(name, []),
                     f" ({query} of member {name!r} on the replica)",
                 )
+            spanning_read_whole(dns, spanning, f" ({query} at {position})")
 
         def counted(position, entries):
             return entries == sum(

@@ -19,10 +19,15 @@ read off its replays: the applier's (held alone while it replays a
 landed batch or swaps in a reader it bootstrapped), or the server's for
 a primary's view (held alone while it refreshes).  A read holds it for
 its whole answer and reads the reply's ``position`` under it.  Searches
-share it when the copy is *idle* and numbered — its O(1) disk probes
-find nothing to replay, and nothing is left to stitch or renumber — so
-planning and running them only read; a search on a copy that is not,
-and every ``check``, hold it alone.  A search is first tried on the
+share it when the copy is *ready* — a fact the member holds in memory
+and never asks the disk: the copy is settled (its content is exactly
+its position, no 2PC transaction withheld or applied early, the
+composite stitched from its members), numbered, and, on a primary,
+standing at the frontier the writer last published.  A replica's copy
+is ready whenever it is settled: it moves only when its applier lands
+a message whole, under the lock.  So planning and running a search
+only read; a search on a copy that is not ready, and every ``check``,
+hold it alone.  A search is first tried on the
 event loop without waiting: it is planned there, and when the planner
 bounds it by the filter's index postings it is answered there too, with
 no executor hop.  Its work is then bounded by those postings, never by
@@ -230,6 +235,10 @@ class DirectoryServer(WireService):
         )
         self._commit_seq = 0
         self._feeds: set = set()
+        #: A primary's committed frontier as its writer last published
+        #: it: read on the writer thread after every write (atomically
+        #: with the commit), at start and at promotion.
+        self._frontier: Optional[Position] = None
         #: A primary's served copy, opened by the first read, and the
         #: lock every read and refresh of it holds (a replica's are its
         #: applier's ``reader`` and ``lock``).
@@ -261,6 +270,7 @@ class DirectoryServer(WireService):
             self.store = await loop.run_in_executor(
                 None, open_store, self.store_path, self.schema, self.registry
             )
+            self._frontier = self.store.position()
         await self._listen()
 
     def _open_applier(self):
@@ -428,12 +438,20 @@ class DirectoryServer(WireService):
             self._view.refresh()
         return self._view
 
-    @staticmethod
-    def _ready(copy) -> bool:
-        """Whether a search can share ``copy`` as it stands: idle
-        (nothing to replay, stitch or flush) and numbered, so planning
-        and running it only read."""
-        return copy is not None and copy.idle() and copy.instance.numbered
+    def _ready(self, applier, copy) -> bool:
+        """Whether a search can share ``copy`` as it stands, so planning
+        and running it only read: settled (nothing withheld, applied
+        early or left to stitch), numbered, and current.  A replica's
+        copy is current whenever no one holds it alone: only its applier
+        moves it, landing each message whole.  A primary's is current at
+        the frontier the writer last published (a write outside
+        :meth:`_run_write` is one this server does not serve).  Memory
+        only: no file is read or stat'ed."""
+        if copy is None or not copy.settled():
+            return False
+        if applier is None and copy.position() != self._frontier:
+            return False
+        return copy.instance.numbered
 
     async def _read(self, connection: _Connection, answer, plan=None):
         """``answer(copy, planned)`` from the member's served copy, and
@@ -441,7 +459,8 @@ class DirectoryServer(WireService):
         position a reply carries is the one its answer was read at.
 
         A search (``plan``) shares the lock with other searches when the
-        copy is :meth:`_ready`.  The loop tries first, without waiting:
+        copy is :meth:`_ready` — decided in memory, with no file read or
+        stat'ed.  The loop tries first, without waiting:
         it plans the search, and a bounded plan — the candidates came
         off the indexes — is answered there too.  Everything else runs
         on the executor: a search the loop could not take or answer
@@ -453,7 +472,7 @@ class DirectoryServer(WireService):
         if plan is not None and lock.acquire_shared(blocking=False):
             try:
                 copy = self._served(applier, refresh=False)
-                if self._ready(copy):
+                if self._ready(applier, copy):
                     planned = plan(copy)
                     if planned.bounded:
                         connection.view = copy
@@ -463,7 +482,7 @@ class DirectoryServer(WireService):
 
         def read(applier, refresh):
             copy = self._served(applier, refresh)
-            if not refresh and not self._ready(copy):
+            if not refresh and not self._ready(applier, copy):
                 return None
             connection.view = copy
             planned = plan(copy) if plan is not None else None
@@ -490,7 +509,7 @@ class DirectoryServer(WireService):
 
     async def _op_search(self, connection: _Connection, request: dict) -> dict:
         """Answer a search from the member's served copy: on the event
-        loop when the copy is idle and the plan bounded (no executor
+        loop when the copy is ready and the plan bounded (no executor
         hop), otherwise on the executor (:meth:`_read`)."""
         from repro.query.filter_parser import parse_filter
 
@@ -548,11 +567,6 @@ class DirectoryServer(WireService):
             f"this server is a replica of {self.replica_of}; "
             "send writes to the primary",
         )
-
-    def _store_position(self) -> dict:
-        """The committed frontier, read on the writer thread so a write
-        response's position is atomic with its commit."""
-        return self.store.position().to_wire()
 
     async def _op_write(self, connection: _Connection, request: dict) -> dict:
         from repro.ldif.changes import parse_changes
@@ -631,20 +645,27 @@ class DirectoryServer(WireService):
             position=position,
         )
 
-    async def _run_write(self, write, change):
+    async def _run_write(self, write, *args):
         """Run one store write (``store.apply`` or ``store.modify`` —
-        both are ``stage(change).commit()``) on the dedicated writer
-        thread: the store object is single-writer, and the journal
-        fsync must not stall the event loop.  Returns ``(what the write
-        returned, position)``, the position read on the same thread so
-        it is atomic with the commit."""
+        both are ``stage(change).commit()`` — or anything else that
+        moves the store, such as ``store.compact``) on the dedicated
+        writer thread: the store object is single-writer, and the
+        journal fsync must not stall the event loop.  Returns ``(what
+        the write returned, position)``.  The position is read on the
+        same thread, so it is atomic with the commit, and published as
+        the frontier a read of the primary's view is current at — also
+        when the write raised, since it may have moved the store."""
 
         def run():
-            return write(change), self._store_position()
+            try:
+                return write(*args)
+            finally:
+                self._frontier = self.store.position()
 
         async with self._write_lock:
             loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(self._writer_pool, run)
+            result = await loop.run_in_executor(self._writer_pool, run)
+            return result, self._frontier.to_wire()
 
     async def _commit_happened(self) -> None:
         self._commit_seq += 1
@@ -730,7 +751,7 @@ class DirectoryServer(WireService):
             self._replicate_loop(connection.writer, source)
         )
         return ok_response(
-            request.get("id"), mode="stream", **self.store.position().to_fields()
+            request.get("id"), mode="stream", **self._frontier.to_fields()
         )
 
     async def _replicate_loop(self, writer, source) -> None:
@@ -779,8 +800,10 @@ class DirectoryServer(WireService):
         """Role and committed frontier — the health-probe surface the
         front door polls; answered without a bind or a serving view so
         a bootstrapping replica is still observable."""
-        holder = self._applier if self._applier is not None else self.store
-        position = None if holder is None else holder.position()
+        if self._applier is not None:
+            position = self._applier.position()
+        else:
+            position = None if self.store is None else self._frontier
         payload = {
             "role": self.role,
             "position": {} if position is None else position.to_wire(),
@@ -819,10 +842,11 @@ class DirectoryServer(WireService):
 
             def run():
                 applier.close()
-                return promote(self.store_path, self.schema, self.registry)
+                store = promote(self.store_path, self.schema, self.registry)
+                return store, store.position()
 
             try:
-                self.store = await loop.run_in_executor(
+                self.store, self._frontier = await loop.run_in_executor(
                     self._writer_pool, run
                 )
             except (StoreError, OSError) as exc:
@@ -837,7 +861,7 @@ class DirectoryServer(WireService):
         self.replica_of = None
         await self._commit_happened()  # wake feeds: the world changed
         return ok_response(
-            request_id, role="primary", position=self._store_position()
+            request_id, role="primary", position=self._frontier.to_wire()
         )
 
     async def _op_reattach(self, connection: _Connection, request: dict) -> dict:

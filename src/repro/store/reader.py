@@ -419,6 +419,18 @@ class StoreReader:
         is ahead of :meth:`position` by exactly this transaction."""
         return self._resolved_txid
 
+    def settled(self) -> bool:
+        """Whether the view is open and its content is exactly its
+        :meth:`position`: no 2PC transaction withheld in front of it
+        (:attr:`pending_txid`) or applied ahead of it
+        (:attr:`resolved_txid`).  Memory only — where the files on disk
+        stand is :meth:`refresh`'s business, not a read's."""
+        return (
+            not self._closed
+            and self._pending_txid is None
+            and self._resolved_txid is None
+        )
+
     def lag(self) -> ReaderLag:
         """How far the view trails the committed state on disk *right
         now* (a snapshot in time: the writer may advance immediately
@@ -529,22 +541,6 @@ class StoreReader:
             # rewritten.  Re-bootstrap rather than guess.
             return "rebuild"
         return "current" if journal_size == self._offset else "tail"
-
-    def idle(self) -> bool:
-        """Whether :meth:`refresh` would replay nothing right now: the
-        view is open, holds no withheld or early-applied 2PC
-        transaction, and the disk probe :meth:`refresh` starts with
-        finds no byte past the view's offset.  Never mutates the view."""
-        if (
-            self._closed
-            or self._pending_txid is not None
-            or self._resolved_txid is not None
-        ):
-            return False
-        try:
-            return self._probe() == "current"
-        except OSError:
-            return False
 
     def _refresh_once(self) -> RefreshResult:
         try:

@@ -1287,7 +1287,18 @@ class CompositeReader:
         schema: DirectorySchema,
         registry: Optional[AttributeRegistry] = None,
     ) -> "CompositeReader":
-        """Open read-only views of every shard (no locks taken)."""
+        """Open read-only views of every shard (no locks taken), then
+        bring them to one coordinator cut.
+
+        Each shard view bootstraps on its own, without a cut, so a
+        spanning commit that lands between two bootstraps can show on
+        one shard and not another: a shard opened after its ``#DECIDE``
+        frame replays the pair, one opened before its prepare shows
+        nothing.  The :meth:`refresh` that closes the open is pinned to
+        a cut captured after every bootstrap, and that cut commits any
+        transaction some shard already shows (its decide follows the
+        coordinator's commit record), whose prepares are durable on
+        every other shard — so each of them applies it too."""
         shard_map = read_shard_map(directory)
         scope = analyze_shard_scope(schema, shard_map)
         local_schema = shard_local_schema(schema, scope)
@@ -1297,13 +1308,14 @@ class CompositeReader:
                 readers[spec.name] = StoreReader.open(
                     shard_dir(directory, spec.name), local_schema, registry
                 )
+            view = cls(directory, schema, shard_map, readers, scope, registry)
+            for reader in readers.values():
+                reader.txn_resolver = view._txn_verdict
+            view.refresh()
         except BaseException:
             for reader in readers.values():
                 reader.close()
             raise
-        view = cls(directory, schema, shard_map, readers, scope, registry)
-        for reader in readers.values():
-            reader.txn_resolver = view._txn_verdict
         return view
 
     @classmethod
@@ -1437,19 +1449,17 @@ class CompositeReader:
             for name, reader in self._readers.items()
         )
 
-    def idle(self) -> bool:
-        """Whether :meth:`refresh` would replay nothing and
-        :attr:`instance` would not stitch: every shard view is
-        :meth:`StoreReader.idle`, the composite is held and stitched
-        from them, and — on a primary's view — the coordinator log is
-        the one the last refresh pinned its cut to.  On a cohort's
-        served copy it says its appliers have replayed every journal
-        byte they appended.  Never mutates the view."""
-        if self._closed or not self._stitched():
-            return False
-        if not self._fed and self._txlog_stamp() != self._txn_cut_stamp:
-            return False
-        return all(reader.idle() for reader in self._readers.values())
+    def settled(self) -> bool:
+        """Whether the view is open, every shard view is
+        :meth:`StoreReader.settled` and the held composite is the stitch
+        of their current instances (so :attr:`instance` would not
+        stitch): its content is exactly its :meth:`position`, whole.
+        Memory only, like the shard views' test."""
+        return (
+            not self._closed
+            and self._stitched()
+            and all(reader.settled() for reader in self._readers.values())
+        )
 
     def _follow(self, spec: ShardSpec, change) -> None:
         """Replay onto the held composite a change the shard ``spec``
@@ -1577,7 +1587,7 @@ class CompositeReader:
         """The current view's position, one member per shard."""
         self._ensure_open()
         return Position(
-            {name: r.position().raw for name, r in self._readers.items()}
+            {name: (r.generation(), r.seq()) for name, r in self._readers.items()}
         )
 
     def shard_reader(self, name: str) -> StoreReader:

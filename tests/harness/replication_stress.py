@@ -115,7 +115,6 @@ async def _primary(
     )
     await server.start()
     _write_atomic(os.path.join(workdir, PORT_FILE), f"{server.port}\n")
-    loop = asyncio.get_running_loop()
     try:
         record(oracle, server.store)
         client = await DirectoryClient.connect("127.0.0.1", server.port)
@@ -132,11 +131,9 @@ async def _primary(
             )
             record(oracle, server.store)
             if compact_every and (i + 1) % compact_every == 0:
-                # Same single writer thread the server's mutations use —
-                # the storm above is sequential, so nothing overlaps.
-                await loop.run_in_executor(
-                    server._writer_pool, server.store.compact
-                )
+                # Through the server's writer funnel, like its own
+                # mutations: it publishes the frontier reads are served at.
+                await server._run_write(server.store.compact)
                 await server._commit_happened()  # wake replication feeds
                 record(oracle, server.store)
         await client.unbind()

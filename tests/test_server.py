@@ -39,7 +39,8 @@ from repro.server.protocol import (
     parse_address,
     read_frame,
 )
-from repro.store import DirectoryStore, open_view
+from repro.store import DirectoryStore, StoreIO, open_view
+from repro.store.recovery import JOURNAL_FILE
 from repro.store.sharded import ShardedStore
 from repro.store.txlog import TXLOG_FILE
 from repro.workloads import (
@@ -49,6 +50,7 @@ from repro.workloads import (
     whitepages_schema,
 )
 from tests.test_index import _random_filter
+from tests.test_replicate import _HoldAtPoint
 from invariants import instance_state
 
 PARENT = "ou=databases,ou=attLabs,o=att"
@@ -1900,6 +1902,229 @@ class TestSearchOnTheLoop:
 
 
 # ----------------------------------------------------------------------
+# readiness is a memory fact: no lookup asks the disk where its copy is
+# ----------------------------------------------------------------------
+#: Every fault point a two-shard spanning commit of ``NESTED_BASES``
+#: crosses, in order.
+SPANNING_COMMIT_POINTS = [
+    "2pc:begin", "2pc:prepared:att", "2pc:prepared:labs", "2pc:decision",
+    "2pc:committed", "2pc:decided:att", "2pc:decided:labs", "2pc:complete",
+]
+
+
+class _HoldAfterAppend(StoreIO):
+    """An applier's I/O: once armed, holds the next journal append just
+    after its fsync — the message staged, not landed — until released."""
+
+    def __init__(self):
+        self.armed = False
+        self.reached = threading.Event()
+        self.release = threading.Event()
+
+    def append_bytes(self, path, data):
+        super().append_bytes(path, data)
+        if self.armed and os.path.basename(path) == JOURNAL_FILE:
+            self.armed = False
+            self.reached.set()
+            assert self.release.wait(30), "never released"
+
+
+class _FileSystemCalls:
+    """Counts snapshot-header reads and ``os.stat`` calls (which
+    ``os.path.getsize`` makes too) from any thread."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        read_head, stat = StoreIO.read_head, os.stat
+
+        def counted_read_head(io, path):
+            self.calls += 1
+            return read_head(io, path)
+
+        def counted_stat(*args, **kwargs):
+            self.calls += 1
+            return stat(*args, **kwargs)
+
+        monkeypatch.setattr(StoreIO, "read_head", counted_read_head)
+        monkeypatch.setattr(os, "stat", counted_stat)
+
+
+async def _settled_jobs(executor):
+    """The job count once the default executor has stopped taking jobs
+    (a primary's replication loop polls once more after it ships)."""
+    jobs = -1
+    while jobs != executor.jobs:
+        jobs = executor.jobs
+        await asyncio.sleep(0.1)
+    return jobs
+
+
+class TestReadinessInMemory:
+    """Whether a search may share the served copy is decided from what
+    the member holds in memory: the copy is settled and numbered, and a
+    primary's stands at the frontier its writer last published.  No
+    file is read or stat'ed to decide it, and a replica whose applier
+    has appended a message but not landed it still answers on the loop,
+    at the landed position."""
+
+    @pytest.mark.parametrize("kind", ["plain", "sharded"])
+    def test_a_replica_answers_on_the_loop_while_its_applier_stages(
+        self, kind, tmp_path, monkeypatch
+    ):
+        import repro.server.server as server_module
+
+        store = _white_pages(kind, tmp_path)
+        _, schema, registry = store
+        io = _HoldAfterAppend()
+        open_replica = server_module.open_replica
+        monkeypatch.setattr(
+            server_module, "open_replica",
+            lambda *args, **options: open_replica(*args, io=io, **options),
+        )
+
+        async def run():
+            executor = _count_jobs()
+            primary = await _serve(store)
+            replica = await _replica_of(primary, tmp_path, schema, registry)
+            try:
+                writer = await _client(primary, dn="cn=writer")
+                head = (await writer.position())["position"]
+                client = await _client(replica, dn="cn=reader")
+                await _searched_to(client, head)
+                io.armed = True
+                applied = await writer.add(
+                    "uid=fresh,o=org1", ["person", "top"],
+                    {"uid": ["fresh"], "name": ["fresh person"]},
+                )
+                assert applied["applied"]
+                loop = asyncio.get_running_loop()
+                assert await loop.run_in_executor(None, io.reached.wait, 10)
+                jobs = await _settled_jobs(executor)
+                for n in range(50):
+                    uid = f"u{1 + n % PERSONS}"
+                    found = await client.search(filter=f"(uid={uid})")
+                    assert [e["attributes"]["uid"] for e in found["entries"]] \
+                        == [[uid]]
+                    assert found["position"] == head
+                assert executor.jobs == jobs
+                io.release.set()
+                await _searched_to(client, applied["position"])
+                found = await client.search(filter="(uid=fresh)")
+                assert len(found["entries"]) == 1
+                await writer.close()
+                await client.close()
+            finally:
+                io.release.set()
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize("member", ["primary", "replica"])
+    @pytest.mark.parametrize("kind", ["plain", "sharded"])
+    def test_a_ready_lookup_makes_no_file_system_call(
+        self, kind, member, tmp_path, monkeypatch
+    ):
+        store = _white_pages(kind, tmp_path)
+        _, schema, registry = store
+
+        async def run():
+            primary = await _serve(store)
+            replica = None
+            try:
+                writer = await _client(primary, dn="cn=writer")
+                applied = await writer.add(
+                    "uid=fresh,o=org1", ["person", "top"],
+                    {"uid": ["fresh"], "name": ["fresh person"]},
+                )
+                served = primary
+                if member == "replica":
+                    replica = served = await _replica_of(
+                        primary, tmp_path, schema, registry
+                    )
+                client = await _client(served, dn="cn=reader")
+                await _searched_to(client, applied["position"])
+                await _lookups(client, 1)
+                counted = _FileSystemCalls(monkeypatch)
+                await _lookups(client)
+                assert counted.calls == 0
+                monkeypatch.undo()
+                await writer.close()
+                await client.close()
+            finally:
+                if replica is not None:
+                    await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize("opened", ["warm", "cold"])
+    @pytest.mark.parametrize("point", SPANNING_COMMIT_POINTS)
+    def test_a_held_spanning_commit_is_read_whole(
+        self, point, opened, sharded_store, monkeypatch
+    ):
+        """A spanning commit held at each of its fault points by a
+        writer-side I/O: a search of the primary shows both halves or
+        neither — on a view opened before the commit (answered on the
+        loop, at the frontier published before it), on a view the held
+        commit's first search opens, and after a ``check`` refreshed it
+        (the copy held alone) — and once released, a search at the
+        write's position shows the write."""
+        import repro.server.server as server_module
+
+        io = _HoldAtPoint(point)
+        monkeypatch.setattr(
+            server_module, "open_store",
+            lambda path, schema, registry: ShardedStore.open(
+                path, schema, registry, io=io
+            ),
+        )
+
+        def whole(reply):
+            uids = {e["attributes"]["uid"][0] for e in reply["entries"]}
+            halves = ("a0" in uids, "b0" in uids)
+            assert halves[0] == halves[1], (point, halves, reply["position"])
+            return halves[0]
+
+        async def run():
+            executor = _count_jobs()
+            server = await _serve(sharded_store)
+            try:
+                writer = await _client(server, dn="cn=writer")
+                reader = await _client(server)
+                before = (await reader.position())["position"]
+                if opened == "warm":
+                    assert not whole(await reader.search(filter="(uid=*)"))
+                write = asyncio.ensure_future(writer.txn(_spanning_changes(0)))
+                loop = asyncio.get_running_loop()
+                assert await loop.run_in_executor(None, io.reached.wait, 10)
+                jobs = executor.jobs
+                found = await reader.search(filter="(uid=*)")
+                if opened == "warm":
+                    assert executor.jobs == jobs  # on the loop
+                    assert found["position"] == before
+                    assert not whole(found)
+                else:
+                    whole(found)
+                assert (await reader.check())["legal"]
+                whole(await reader.search(filter="(uid=*)"))
+                assert not write.done()
+                io.release.set()
+                applied = await write
+                assert applied["applied"]
+                found = await reader.search(filter="(uid=*)")
+                assert found["position"] == applied["position"]
+                assert whole(found)
+                await writer.close()
+                await reader.close()
+            finally:
+                io.release.set()
+                await server.stop()
+
+        asyncio.run(run())
+
+
+# ----------------------------------------------------------------------
 # differential: answered on the loop ≡ answered on the executor ≡ a
 # freshly opened view
 # ----------------------------------------------------------------------
@@ -1993,8 +2218,9 @@ class TestLoopEqualsExecutor:
             )
             assert applied["applied"]
             yield "spanning 2PC"
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(server._writer_pool, server.store.compact)
+        # through the writer funnel, like every write: the primary's view
+        # is current at the frontier that funnel publishes
+        await server._run_write(server.store.compact)
         yield "compaction"
 
     @pytest.mark.parametrize("kind", ["plain", "sharded"])

@@ -1860,10 +1860,11 @@ class TestCoordinatorCutReads:
     shard or on none — decided by the coordinator log's durable commit
     record, captured once per refresh (the coordinator cut).
 
-    Each case crashes a writer at a named 2PC protocol point and opens a
-    reader on the crashed directory *before* recovery runs, freezing the
-    exact intermediate journal states the concurrent-server test only
-    hits probabilistically."""
+    Each case crashes a writer at a named 2PC protocol point and reads
+    the crashed directory *before* recovery runs, freezing the exact
+    intermediate journal states the concurrent-server test only hits
+    probabilistically — with a reader opened before the writer began,
+    or one opened on the wreckage."""
 
     ATT_DN = "uid=c1att,o=att"
     LABS_DN = "uid=c1labs,ou=databases,ou=attLabs,o=att"
@@ -1887,6 +1888,27 @@ class TestCoordinatorCutReads:
         )
         assert reader.stitches == 1
 
+    @pytest.mark.parametrize("point", [
+        "2pc:begin", "2pc:prepared:att", "2pc:prepared:labs", "2pc:decision",
+        "2pc:committed", "2pc:decided:att", "2pc:decided:labs", "2pc:complete",
+    ])
+    def test_a_reader_opened_mid_commit_is_whole(
+        self, tmp_path, schema, registry, point
+    ):
+        """The shard views bootstrap one after another, with no cut; the
+        open ends with a refresh pinned to one, so a view opened on a
+        commit stopped at any protocol point shows it on every shard or
+        on none — on every shard once the commit record is durable."""
+        path = self._crash_at(tmp_path, point)
+        with CompositeReader.open(path, schema, registry) as reader:
+            halves = [
+                reader.instance.find(dn) is not None
+                for dn in (self.ATT_DN, self.LABS_DN)
+            ]
+        committed = point in ("2pc:committed", "2pc:decided:att",
+                              "2pc:decided:labs", "2pc:complete")
+        assert halves == [committed, committed]
+
     @pytest.mark.parametrize("point", ["2pc:committed", "2pc:decided:att"])
     def test_cut_committed_transaction_visible_on_every_shard(
         self, tmp_path, schema, registry, point
@@ -1894,11 +1916,24 @@ class TestCoordinatorCutReads:
         """Once the coordinator's commit record is durable, the refresh
         cut proves the outcome: shards whose decide frame never landed
         apply the prepared payload early instead of withholding it."""
-        path = self._crash_at(tmp_path, point)
+        from harness.crash2pc import commit_tx, make_sharded
+        from repro.store.faults import FaultPlan, FaultyIO, InjectedCrash
+
+        path = str(tmp_path / "store")
+        make_sharded(path)
         with CompositeReader.open(path, schema, registry) as reader:
-            # Stitched before the refresh, so the early-resolved
+            # Stitched before the writer began, so the early-resolved
             # payloads reach the composite by being followed.
             assert reader.instance.find(self.LABS_DN) is None
+            store = ShardedStore.open(
+                path, schema, registry,
+                io=FaultyIO(FaultPlan(crash_at_point=point)),
+            )
+            with pytest.raises(InjectedCrash):
+                try:
+                    store.apply(commit_tx(1))
+                finally:
+                    store.close()
             reader.refresh()
             instance = reader.instance
             self._assert_followed_is_fresh_stitch(reader)

@@ -36,7 +36,7 @@ violations, same order.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.legality.content import ContentChecker
 from repro.legality.extras import ExtrasChecker
@@ -234,44 +234,3 @@ class CheckSession:
         while len(self._cache) >= CACHE_LIMIT:
             self._cache.popitem(last=False)
         self._cache[fingerprint] = verdict
-
-    # ------------------------------------------------------------------
-    # cache persistence (the DirectoryStore sidecar)
-    # ------------------------------------------------------------------
-    def export_verdicts(self) -> Dict[str, List[List[Optional[str]]]]:
-        """The fingerprint cache as a JSON-serializable mapping —
-        ``fingerprint -> [[kind, message, element-or-null], ...]`` —
-        for the :mod:`repro.store.journal` warm-start sidecar.
-        Fingerprints are content digests (position-independent and
-        stable across processes), so exported verdicts stay valid for
-        any instance checked under the same schema."""
-        return {
-            fingerprint: [list(entry) for entry in verdict]
-            for fingerprint, verdict in self._cache.items()
-        }
-
-    def import_verdicts(self, payload: Mapping[str, object]) -> int:
-        """Warm the fingerprint cache from :meth:`export_verdicts`
-        output.  Malformed rows are rejected wholesale (``ValueError``)
-        — a corrupt sidecar must degrade to a cold start, never seed a
-        wrong verdict.  Returns the number of verdicts imported."""
-        staged: List[Tuple[str, Verdict]] = []
-        for fingerprint, rows in payload.items():
-            if not isinstance(fingerprint, str) or not isinstance(rows, list):
-                raise ValueError("malformed verdict-cache payload")
-            verdict: List[Tuple[str, str, Optional[str]]] = []
-            for row in rows:
-                if (
-                    not isinstance(row, list)
-                    or len(row) != 3
-                    or not isinstance(row[0], str)
-                    or not isinstance(row[1], str)
-                    or not (row[2] is None or isinstance(row[2], str))
-                ):
-                    raise ValueError("malformed verdict-cache payload")
-                verdict.append((row[0], row[1], row[2]))
-            staged.append((fingerprint, tuple(verdict)))
-        for fingerprint, verdict in staged:
-            self._store(fingerprint, verdict)
-        return len(staged)
-

@@ -246,8 +246,8 @@ class Entry:
         be reused across any entries (or re-checks) sharing a
         fingerprint.  The digest is position-independent (the DN does not
         participate) and process-independent (``blake2b``, not the
-        per-process-salted builtin ``hash``), so verdicts persisted by
-        one process (the warm-start sidecar) stay valid in another.
+        per-process-salted builtin ``hash``), so a verdict stays valid
+        in any process.
 
         The digest is cached on the entry and invalidated by every
         class/value mutation, so recomputing it for an unchanged entry

@@ -285,17 +285,21 @@ async def follow_upstream(
     """The upstream-follow loop, as an async iterator of ``(applier,
     message)``.
 
-    Subscribes ``client`` at ``applier``'s durable position and points
-    the applier at the frontier the upstream acknowledged
-    (:func:`repro.store.follow` — over a fresh directory that may
-    reopen it as the upstream's kind; ``applier.frontier`` is that
-    frontier), yielding ``(applier, None)``.  Then, for ever: await the
-    next pushed stream message (``timeout`` seconds at most), apply it
-    on ``executor`` — off the event loop, the applier fsyncs — and
-    yield ``(applier, message)``.  The consumer decides when to stop;
-    ``stop``, a future, ends the iteration once it completes, and only
-    *between* messages, never with one half applied.
+    Lands whatever an earlier follow left staged, subscribes ``client``
+    at ``applier``'s durable position and points the applier at the
+    frontier the upstream acknowledged (:func:`repro.store.follow` —
+    over a fresh directory that may reopen it as the upstream's kind;
+    ``applier.frontier`` is that frontier), yielding ``(applier,
+    None)``.  Then, for ever: await the next pushed stream message
+    (``timeout`` seconds at most), apply it (:func:`_apply`: the disk
+    halves on ``executor``, the land here, on the event loop that reads
+    the applier's served copy), and yield ``(applier, message)``.  The
+    consumer decides when to stop; ``stop``, a future, ends the
+    iteration once it completes, and only *between* messages.  A cancel
+    never leaves a message half applied either: it waits for the one
+    under way.
     """
+    applier.land()
     applier = follow(applier, await client.replicate(applier.position()))
     yield applier, None
     loop = asyncio.get_running_loop()
@@ -311,8 +315,26 @@ async def follow_upstream(
                 message = incoming.result()
             finally:
                 incoming.cancel()  # a no-op unless stopped or cancelled while waiting
-        await loop.run_in_executor(executor, applier.apply_message, message)
+        applying = asyncio.ensure_future(_apply(applier, message, executor))
+        try:
+            await asyncio.shield(applying)
+        except asyncio.CancelledError:
+            await asyncio.wait({applying})
+            if not applying.cancelled():
+                applying.exception()  # the cancel is what the caller hears of
+            raise
         yield applier, message
+
+
+async def _apply(applier, message, executor) -> None:
+    """One stream message, whole: staged on ``executor`` (the disk
+    half, which waits on the fsync), landed here on the event loop, and
+    its state files recorded on ``executor`` again when it changed any."""
+    loop = asyncio.get_running_loop()
+    await loop.run_in_executor(executor, applier.stage, message)
+    applier.land()
+    if applier.unrecorded():
+        await loop.run_in_executor(executor, applier.record)
 
 
 async def sync_replica(

@@ -2,7 +2,7 @@
 
 Concurrency model
 -----------------
-*Reads never block the writer, and the writer never blocks reads.*
+*The event loop runs the Python; a thread only waits on the disk.*
 
 A member keeps **one served copy**, and every connection reads it.  On
 a primary it is one lock-free view (:func:`repro.store.open_view` —
@@ -14,33 +14,37 @@ its applier applies into (:func:`repro.store.open_replica`): the plain
 applier's reader, or the cohort's composite over its member readers.
 Only the applier advances a replica's copy; a read never refreshes it.
 
-One :class:`~repro.store.reader.CopyLock` per served copy keeps every
-read off its replays: the applier's (held alone while it replays a
-landed batch or swaps in a reader it bootstrapped), or the server's for
-a primary's view (held alone while it refreshes).  A read holds it for
-its whole answer and reads the reply's ``position`` under it.  Searches
-share it when the copy is *ready* — a fact the member holds in memory
-and never asks the disk: the copy is settled (its content is exactly
-its position, no 2PC transaction withheld or applied early, the
-composite stitched from its members), numbered, and, on a primary,
-standing at the frontier the writer last published.  A replica's copy
-is ready whenever it is settled: it moves only when its applier lands
-a message whole, under the lock.  So planning and running a search
-only read; a search on a copy that is not ready, and every ``check``,
-hold it alone.  A search is first tried on the
-event loop without waiting: it is planned there, and when the planner
-bounds it by the filter's index postings it is answered there too, with
-no executor hop.  Its work is then bounded by those postings, never by
-the directory.  Everything else runs on the shared default executor,
-waiting there for the lock.  The lock never covers the disk: an applier
-appends and fsyncs outside it, and bootstraps a snapshot's reader
-before swapping it in.
+The event loop is the only thread that reads or changes a served copy.
+A read runs there from plan to reply, whatever its plan, and so does a
+``check``; neither yields, so the position a reply carries is the one
+its answer was read at.  A primary's view that is not *ready* is
+refreshed there first.  Ready is a fact the member holds in memory and
+never asks the disk: the copy is settled (its content is exactly its
+position, no 2PC transaction withheld or applied early, the composite
+stitched from its members), numbered, and, on a primary, standing at
+the frontier the writer last published.  A replica lands each stream
+message there too: its applier stages the message on a thread — the
+disk half, which never touches the copy — and the loop replays it.
+
+A thread only waits on the disk, or builds an object nothing else
+holds yet.  These are every ``run_in_executor`` of a member:
+
+* the writer thread (``_writer_pool``, one thread): every store write
+  (:meth:`DirectoryServer._run_write` — the journal append and its
+  fsync, a compaction's snapshot), an applier's stage (append + fsync,
+  a snapshot install or fold, the bootstrap of the reader it swaps in)
+  and the record after its land (a cohort's ``cut.state``), a
+  promotion, and the close of whatever store or applier the server
+  holds, queued behind the last of them;
+* the default executor: opening the store, an applier, or the
+  primary's view (one open, which every concurrent first read awaits),
+  and a replication source's ``poll`` of the journal tail.
 
 All mutations funnel through the single owning writer
 (:func:`repro.store.open_store`), serialized by an
-:class:`asyncio.Lock` and executed on a dedicated one-thread executor —
-the fsync of a commit happens off the event loop, so in-flight searches
-on other connections keep being served while the writer is on disk.
+:class:`asyncio.Lock`; the writer thread returns the frontier it read
+after each write and the loop publishes it, so in-flight searches on
+other connections keep being served while the writer is on disk.
 Spanning transactions ride the two-phase commit path unchanged.
 
 After every committed write the server publishes the new commit
@@ -88,7 +92,6 @@ from repro.store import (
     open_view,
     promote,
 )
-from repro.store.reader import CopyLock
 from repro.store.replicate import encode_error_message
 
 __all__ = ["DirectoryServer"]
@@ -237,13 +240,13 @@ class DirectoryServer(WireService):
         self._feeds: set = set()
         #: A primary's committed frontier as its writer last published
         #: it: read on the writer thread after every write (atomically
-        #: with the commit), at start and at promotion.
+        #: with the commit) and published on the loop; also at start
+        #: and at promotion.
         self._frontier: Optional[Position] = None
-        #: A primary's served copy, opened by the first read, and the
-        #: lock every read and refresh of it holds (a replica's are its
-        #: applier's ``reader`` and ``lock``).
+        #: A primary's served copy, opened by the first read (a
+        #: replica's is its applier's), and that open while under way.
         self._view = None
-        self._view_lock = CopyLock()
+        self._view_opening: Optional[asyncio.Future] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -313,19 +316,23 @@ class DirectoryServer(WireService):
 
     async def _release(self) -> None:
         """Stop following and close whichever of applier and store this
-        server holds (releasing the directory's advisory lock)."""
+        server holds (releasing the directory's advisory lock) — on the
+        writer thread, behind any write or stage a cancel left running
+        there, so the lock is never released under a journal append."""
         await self._stop_sync()
-        loop = asyncio.get_running_loop()
         held = self._applier if self._applier is not None else self.store
         self._applier = self.store = None
         view, self._view = self._view, None
-
-        def close():
-            for holder in (held, view):
-                if holder is not None:
-                    holder.close()
-
-        await loop.run_in_executor(None, close)
+        opening, self._view_opening = self._view_opening, None
+        if opening is not None:
+            await asyncio.wait({opening})
+            if not opening.cancelled() and opening.exception() is None:
+                view = opening.result()
+        if view is not None:
+            view.close()
+        if held is not None:
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(self._writer_pool, held.close)
         self._writer_pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------
@@ -345,8 +352,8 @@ class DirectoryServer(WireService):
             await asyncio.gather(task, return_exceptions=True)
 
     async def _sync_loop(self) -> None:
-        """Follow the upstream primary, applying every stream message
-        durably on the writer thread; reconnects with backoff on any
+        """Follow the upstream primary, staging every stream message on
+        the writer thread and landing it on the loop; reconnects with backoff on any
         break (including a ``reattach`` repointing the upstream).  A
         failure that is not a broken connection — a schema fingerprint
         or shard layout mismatch, a diverged position — is retried the
@@ -372,8 +379,9 @@ class DirectoryServer(WireService):
                 # still the server's when the loop yields its successor
                 # — a fresh directory is reopened as the upstream's
                 # kind — and no await separates that yield from the
-                # assignment below.  Messages are applied on the writer
-                # thread, which also serialises them before a promote.
+                # assignment below.  Messages are staged on the writer
+                # thread, which also serialises them before a promote,
+                # and landed on the loop.
                 async for applier, message in follow_upstream(
                     client, self._applier, executor=self._writer_pool
                 ):
@@ -415,119 +423,86 @@ class DirectoryServer(WireService):
     # ------------------------------------------------------------------
     # reads: one served copy per member, shared by every connection
     # ------------------------------------------------------------------
-    def _served(self, applier, refresh: bool):
-        """The member's served copy, for a caller holding its lock.
+    async def _served(self):
+        """The member's served copy, ready to read.  On a replica it is
+        the copy its applier applies into, never refreshed here.  On a
+        primary it is the one view: opened by the first read, on a
+        thread (:meth:`_open_view`; every concurrent first read awaits
+        the same open), and refreshed and numbered inline when it is not
+        :meth:`_ready`."""
+        while self._applier is None and self._view is None:
+            if self.store is None:
+                raise StoreError(
+                    f"{self.store_path} is changing role (a promotion is "
+                    "in progress); retry"
+                )
+            if self._view_opening is None:
+                self._view_opening = asyncio.get_running_loop().run_in_executor(
+                    None, self._open_view
+                )
+                self._view_opening.add_done_callback(self._opened)
+            await asyncio.shield(self._view_opening)
+        if self._applier is not None:
+            return self._applier.served()
+        view = self._view
+        if not self._ready(view):
+            view.refresh()
+            view.instance.ensure_numbered()
+        return view
 
-        On a replica it is the copy ``applier`` applies into, never
-        refreshed here.  On a primary it is the one view: with
-        ``refresh`` (an exclusive hold, off the loop) opened by the
-        first read and brought to the committed frontier, otherwise as
-        it stands — ``None`` before it was opened."""
-        if applier is not None:
-            return applier.served()
-        if self.store is None:
-            raise StoreError(
-                f"{self.store_path} is changing role (a promotion is in "
-                "progress); retry"
-            )
-        if not refresh:
-            return self._view
-        if self._view is None:
-            self._view = open_view(self.store_path, self.schema, self.registry)
-        else:
-            self._view.refresh()
-        return self._view
+    def _open_view(self):
+        """Open the primary's view, and stitch and number it, on a
+        thread: nothing else holds it yet."""
+        view = open_view(self.store_path, self.schema, self.registry)
+        view.instance.ensure_numbered()
+        return view
 
-    def _ready(self, applier, copy) -> bool:
-        """Whether a search can share ``copy`` as it stands, so planning
-        and running it only read: settled (nothing withheld, applied
-        early or left to stitch), numbered, and current.  A replica's
-        copy is current whenever no one holds it alone: only its applier
-        moves it, landing each message whole.  A primary's is current at
-        the frontier the writer last published (a write outside
+    def _opened(self, opening: asyncio.Future) -> None:
+        """Serve the view ``opening`` opened — unless the server let go
+        of that open meanwhile; a failed open is tried again by the
+        next read."""
+        if self._view_opening is opening:
+            self._view_opening = None
+            if not opening.cancelled() and opening.exception() is None:
+                self._view = opening.result()
+
+    def _ready(self, copy) -> bool:
+        """Whether a primary's view can be read as it stands: settled
+        (nothing withheld, applied early or left to stitch), numbered,
+        and at the frontier the writer last published (a write outside
         :meth:`_run_write` is one this server does not serve).  Memory
         only: no file is read or stat'ed."""
-        if copy is None or not copy.settled():
-            return False
-        if applier is None and copy.position() != self._frontier:
-            return False
-        return copy.instance.numbered
+        return (
+            copy.settled()
+            and copy.position() == self._frontier
+            and copy.instance.numbered
+        )
 
-    async def _read(self, connection: _Connection, answer, plan=None):
-        """``answer(copy, planned)`` from the member's served copy, and
-        the copy's position, both taken under the copy's lock — so the
-        position a reply carries is the one its answer was read at.
-
-        A search (``plan``) shares the lock with other searches when the
-        copy is :meth:`_ready` — decided in memory, with no file read or
-        stat'ed.  The loop tries first, without waiting:
-        it plans the search, and a bounded plan — the candidates came
-        off the indexes — is answered there too.  Everything else runs
-        on the executor: a search the loop could not take or answer
-        (waiting out an exclusive holder, or planned again there), and,
-        holding the lock alone, a search on a copy that is not ready (a
-        primary refreshes it first) and every ``check``."""
-        applier = self._applier
-        lock = self._view_lock if applier is None else applier.lock
-        if plan is not None and lock.acquire_shared(blocking=False):
-            try:
-                copy = self._served(applier, refresh=False)
-                if self._ready(applier, copy):
-                    planned = plan(copy)
-                    if planned.bounded:
-                        connection.view = copy
-                        return answer(copy, planned), copy.position().to_wire()
-            finally:
-                lock.release_shared()
-
-        def read(applier, refresh):
-            copy = self._served(applier, refresh)
-            if not refresh and not self._ready(applier, copy):
-                return None
-            connection.view = copy
-            planned = plan(copy) if plan is not None else None
-            return answer(copy, planned), copy.position().to_wire()
-
-        def locked():
-            while True:
-                applier = self._applier
-                lock = self._view_lock if applier is None else applier.lock
-                if plan is not None:
-                    with lock.shared():
-                        if applier is not self._applier:
-                            continue  # promoted while this read waited
-                        replied = read(applier, refresh=False)
-                    if replied is not None:
-                        return replied
-                with lock.exclusive():
-                    if applier is not self._applier:
-                        continue
-                    return read(applier, refresh=True)
-
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, locked)
+    async def _read(self, connection: _Connection, answer):
+        """``answer(copy)`` from the member's served copy, and the copy's
+        position, both taken on the loop with no await between them — so
+        the position a reply carries is the one its answer was read at."""
+        copy = await self._served()
+        connection.view = copy
+        return answer(copy), copy.position().to_wire()
 
     async def _op_search(self, connection: _Connection, request: dict) -> dict:
-        """Answer a search from the member's served copy: on the event
-        loop when the copy is ready and the plan bounded (no executor
-        hop), otherwise on the executor (:meth:`_read`)."""
+        """Answer a search from the member's served copy, on the loop."""
         from repro.query.filter_parser import parse_filter
 
         filter_text = request.get("filter")
         size_limit = request.get("size_limit")
         parsed = parse_filter(filter_text) if filter_text else None
 
-        def plan(copy):
+        def answer(copy):
             # Over-fetch by one so the cut happens *after* canonical
             # ordering and the client learns whether results were
             # dropped, without ever scanning past limit + 1 matches.
-            return copy.plan_search(
+            planned = copy.plan_search(
                 base=request.get("base"), scope=request.get("scope", "sub"),
                 filter=parsed,
                 size_limit=None if size_limit is None else size_limit + 1,
             )
-
-        def answer(copy, planned):
             entries = planned.run()
             truncated = size_limit is not None and len(entries) > size_limit
             if truncated:
@@ -535,9 +510,7 @@ class DirectoryServer(WireService):
             instance = planned.instance
             return [_entry_payload(instance, e) for e in entries], truncated
 
-        (entries, truncated), position = await self._read(
-            connection, answer, plan
-        )
+        (entries, truncated), position = await self._read(connection, answer)
         return ok_response(
             request.get("id"),
             entries=entries,
@@ -546,7 +519,7 @@ class DirectoryServer(WireService):
         )
 
     async def _op_check(self, connection: _Connection, request: dict) -> dict:
-        def answer(copy, planned):
+        def answer(copy):
             return copy.check(), len(copy.instance)
 
         (report, entries), position = await self._read(connection, answer)
@@ -652,19 +625,24 @@ class DirectoryServer(WireService):
         writer thread: the store object is single-writer, and the
         journal fsync must not stall the event loop.  Returns ``(what
         the write returned, position)``.  The position is read on the
-        same thread, so it is atomic with the commit, and published as
-        the frontier a read of the primary's view is current at — also
-        when the write raised, since it may have moved the store."""
+        same thread, so it is atomic with the commit, and published
+        here, on the loop, as the frontier a read of the primary's view
+        is current at — also when the write raised, since it may have
+        moved the store."""
 
         def run():
             try:
-                return write(*args)
-            finally:
-                self._frontier = self.store.position()
+                return write(*args), None, self.store.position()
+            except BaseException as exc:
+                return None, exc, self.store.position()
 
         async with self._write_lock:
             loop = asyncio.get_running_loop()
-            result = await loop.run_in_executor(self._writer_pool, run)
+            result, error, self._frontier = await loop.run_in_executor(
+                self._writer_pool, run
+            )
+            if error is not None:
+                raise error
             return result, self._frontier.to_wire()
 
     async def _commit_happened(self) -> None:

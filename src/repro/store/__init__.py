@@ -102,8 +102,8 @@ def open_view(directory, schema, registry=None, **options):
     holds: ``view.refresh()`` / ``search`` / ``check`` / ``position()``
     / ``instance`` / ``close()``.  A sharded primary's view pins each
     refresh to the coordinator log.  A replica is read from the copy
-    its applier applies into instead (``applier.served()``, under
-    ``applier.lock``), which no read refreshes."""
+    its applier applies into instead (``applier.served()``, on the
+    thread that lands its messages), which no read refreshes."""
     kind = CompositeReader if is_sharded(directory) else StoreReader
     return kind.open(directory, schema, registry, **options)
 
@@ -125,9 +125,11 @@ def open_source(directory, schema, position):
 
 def open_replica(directory, schema, registry=None, **options):
     """Open the follower applier for ``directory``:
-    ``applier.apply_message`` / ``position()`` / ``lag_frames()`` /
+    ``applier.apply_message`` (= ``stage``, the disk half, ``land``,
+    the memory half, then ``record``, the state files the land changed)
+    / ``position()`` / ``lag_frames()`` /
     ``consistent()`` / ``served()`` (the replica's one served copy, read
-    under ``applier.lock``) / ``close()``.  A fresh
+    on the thread that lands) / ``close()``.  A fresh
     directory opens plain until :func:`~repro.store.replicate.follow`
     has the upstream's acknowledgement to go by."""
     kind = ShardedReplicaApplier if is_sharded(directory) else ReplicaApplier

@@ -80,7 +80,6 @@ from repro.model.instance import DirectoryInstance
 from repro.schema.directory_schema import DirectorySchema
 from repro.store import index as _index
 from repro.store import recovery as _recovery
-from repro.store import sidecar as _sidecar
 from repro.store import wal
 from repro.store.manifest import (
     MANIFEST_FILE,
@@ -92,7 +91,7 @@ from repro.store.manifest import (
 from repro.store.position import Position
 from repro.store.recovery import (
     JOURNAL_FILE,
-    LEFTOVER_INDEX_FILE,
+    LEFTOVER_FILES,
     LOCK_FILE,
     RecoveryReport,
     SNAPSHOT_FILE,
@@ -297,9 +296,6 @@ class DirectoryStore:
         self._pending_txid: Optional[str] = None
         self._pending_payload: Optional[str] = None
         self._pending_staged: Optional[StagedWrite] = None
-        #: Verdicts imported from the warm-start sidecar at open time
-        #: (0 when the sidecar was absent, stale, or corrupt).
-        self.warm_start_verdicts = 0
         #: Secondary indexes (:mod:`repro.store.index`), derived from the
         #: recovered instance.
         #: The sharded coordinator widens the key/referential sets so
@@ -467,7 +463,6 @@ class DirectoryStore:
                     "upgraded legacy store to the WAL format (generation "
                     f"{store._generation})"
                 )
-            store._load_sidecar()
             return store
         except BaseException:
             cls._release_lock(lock)
@@ -498,14 +493,11 @@ class DirectoryStore:
         return StoreReader.open(directory, schema, registry, io=io)
 
     def close(self) -> None:
-        """Persist the warm-start sidecar (best effort) and release the
-        advisory lock.  Idempotent; the store object must not be used
-        afterwards."""
+        """Release the advisory lock.  Idempotent; the store object must
+        not be used afterwards."""
         if self._closed:
             return
         self._closed = True
-        if self._poisoned is None and not self._read_only:
-            self._save_sidecar()
         self._release_lock(self._lock_handle)
         self._lock_handle = None
 
@@ -740,8 +732,7 @@ class DirectoryStore:
         self._generation = new_generation
         self._journal_count = 0
         self._publish_manifest(folded_seq=folded)
-        self._save_sidecar()
-        self._remove_leftover_index_file()
+        self._remove_leftover_files()
 
     # ------------------------------------------------------------------
     # introspection
@@ -770,37 +761,16 @@ class DirectoryStore:
         """Whether recovery degraded the store to read-only mode."""
         return self._read_only
 
-    # ------------------------------------------------------------------
-    # warm-start sidecar (shared logic in repro.store.sidecar; only the
-    # writer ever saves it — readers load it read-only)
-    # ------------------------------------------------------------------
-    def _save_sidecar(self) -> None:
-        try:
-            verdicts = self._guard.session.export_verdicts()
-        except Exception:  # pragma: no cover - persistence is best-effort
-            return
-        _sidecar.save_sidecar(self._dir, self.schema, self._generation, verdicts)
-
-    def _remove_leftover_index_file(self) -> None:
-        """Delete the postings file older stores persisted beside the
-        snapshot: nothing reads it, and every open derives the postings
-        from the instance."""
-        try:
-            os.unlink(os.path.join(self._dir, LEFTOVER_INDEX_FILE))
-        except OSError:
-            pass
-
-    def _load_sidecar(self) -> None:
-        verdicts = _sidecar.load_sidecar(self._dir, self.schema)
-        if verdicts is None:
-            self.warm_start_verdicts = 0
-            return
-        try:
-            self.warm_start_verdicts = self._guard.session.import_verdicts(
-                verdicts
-            )
-        except ValueError:
-            self.warm_start_verdicts = 0
+    def _remove_leftover_files(self) -> None:
+        """Delete the caches older stores persisted beside the snapshot
+        (:data:`~repro.store.recovery.LEFTOVER_FILES`): nothing reads
+        them, and every open derives postings and verdicts from the
+        instance."""
+        for name in LEFTOVER_FILES:
+            try:
+                os.unlink(os.path.join(self._dir, name))
+            except OSError:
+                pass
 
     # ------------------------------------------------------------------
     # manifest publication (writer side of the reader rendezvous)

@@ -36,15 +36,12 @@ pass; once it has found the view legal **the verdict follows the
 frames** (Theorem 4.2): every frame replayed from then on goes through
 the same incremental guard the writer ran at ``stage``, so the next
 ``check`` has nothing left to compute.  Readers never write anything:
-not the journal, not the snapshot, not the ``verdicts.cache`` sidecar
-(which they load once, read-only, at open).
+not the journal, not the snapshot.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
@@ -59,7 +56,6 @@ from repro.model.instance import DirectoryInstance
 from repro.query.search import PlannedSearch, SearchScope
 from repro.schema.directory_schema import DirectorySchema
 from repro.store import index as _index
-from repro.store import sidecar as _sidecar
 from repro.store import wal
 from repro.store.journal import _kind_of
 from repro.store.manifest import read_manifest
@@ -74,75 +70,13 @@ from repro.store.wal import StoreIO
 from repro.updates.incremental import IncrementalChecker, attach_path_counts
 from repro.updates.operations import UpdateTransaction
 
-__all__ = ["CopyLock", "StoreReader", "RefreshResult", "ReaderLag"]
+__all__ = ["StoreReader", "RefreshResult", "ReaderLag"]
 
 #: Bootstrap attempts before giving up on a store the writer keeps
 #: compacting out from under us.  Each retry re-reads snapshot+journal
 #: from scratch; a writer would have to complete a full compaction
 #: inside every single read window to defeat it.
 _BOOTSTRAP_RETRIES = 3
-
-
-class CopyLock:
-    """The lock of a served copy — one view that many connections read:
-    any number of reads share it, and whatever changes the copy (a
-    replay, a refresh, a read that numbers, stitches or checks) holds
-    it alone.  A waiting exclusive holder bars new shared ones, so a
-    stream of reads never starves the replay behind it."""
-
-    def __init__(self) -> None:
-        self._state = threading.Condition()
-        self._shared = 0
-        self._exclusive = False
-        self._waiting = 0
-
-    def acquire_shared(self, blocking: bool = True) -> bool:
-        """Take a shared hold; with ``blocking=False`` only if no
-        exclusive holder has it or waits for it (returns whether)."""
-        with self._state:
-            if not blocking and (self._exclusive or self._waiting):
-                return False
-            while self._exclusive or self._waiting:
-                self._state.wait()
-            self._shared += 1
-            return True
-
-    def release_shared(self) -> None:
-        """Give back one shared hold."""
-        with self._state:
-            self._shared -= 1
-            if not self._shared:
-                self._state.notify_all()
-
-    @contextlib.contextmanager
-    def shared(self):
-        """Hold it shared for the ``with`` block, waiting if need be."""
-        self.acquire_shared()
-        try:
-            yield
-        finally:
-            self.release_shared()
-
-    @contextlib.contextmanager
-    def exclusive(self):
-        """Hold it alone for the ``with`` block, once every shared hold
-        taken before is given back."""
-        with self._state:
-            self._waiting += 1
-            while self._exclusive or self._shared:
-                self._state.wait()
-            self._waiting -= 1
-            self._exclusive = True
-        try:
-            yield
-        finally:
-            with self._state:
-                self._exclusive = False
-                self._state.notify_all()
-
-    def locked(self) -> bool:
-        """Whether anyone holds it, shared or exclusive."""
-        return self._exclusive or self._shared > 0
 
 
 @dataclass(frozen=True)
@@ -247,9 +181,6 @@ class StoreReader:
         #: composite it holds, so a refresh costs O(|Δ|) there exactly
         #: as it does here.  The hook must not raise.
         self.on_replay: Optional[Callable[[object], None]] = None
-        #: Verdicts imported (read-only) from the writer's warm-start
-        #: sidecar at open time; 0 when absent, stale, or corrupt.
-        self.warm_start_verdicts = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -282,12 +213,6 @@ class StoreReader:
                 f"after {_BOOTSTRAP_RETRIES} attempts (a writer is "
                 "compacting faster than the reader can read)"
             )
-        verdicts = _sidecar.load_sidecar(directory, schema)
-        if verdicts is not None:
-            try:
-                reader.warm_start_verdicts = session.import_verdicts(verdicts)
-            except ValueError:
-                reader.warm_start_verdicts = 0
         reader._flush_indexes()
         return reader
 
@@ -494,8 +419,7 @@ class StoreReader:
 
     def _flush_indexes(self) -> None:
         """Fold the index maintenance the replay left pending in now, so
-        a search that follows only reads the postings: the reads sharing
-        a served copy (:class:`CopyLock`) never write to it."""
+        a search that follows only reads the postings."""
         indexes = self.instance.indexes
         if indexes is not None:
             indexes.delta_checkpoint()

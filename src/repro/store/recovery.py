@@ -71,14 +71,11 @@ SNAPSHOT_FILE = "snapshot.ldif"
 JOURNAL_FILE = "journal.ldif"
 QUARANTINE_FILE = "journal.quarantine"
 LOCK_FILE = "lock"
-#: Warm-start verdict cache (best-effort sidecar, never authoritative):
-#: a reopened store seeds its legality session's fingerprint cache from
-#: it; a missing/stale/corrupt sidecar simply means a cold start.
-SIDECAR_FILE = "verdicts.cache"
-#: Where older stores persisted the postings of :mod:`repro.store.index`.
-#: Nothing reads it: every open derives the postings from its instance,
-#: and the next compaction deletes a leftover file.
-LEFTOVER_INDEX_FILE = "indexes.cache"
+#: Where older stores persisted the postings of :mod:`repro.store.index`
+#: and the legality session's verdicts.  Nothing reads them: every open
+#: derives both from its instance, and the next compaction deletes a
+#: leftover file.
+LEFTOVER_FILES = ("indexes.cache", "verdicts.cache")
 #: Replication-follower state (:mod:`repro.store.replicate`): upstream
 #: address plus the last durably applied stream position.  Advisory like
 #: the manifest — the snapshot/journal stay the single source of truth,

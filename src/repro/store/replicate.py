@@ -84,7 +84,7 @@ from repro.store import wal
 from repro.store.journal import DirectoryStore
 from repro.store.manifest import Manifest, read_manifest, write_manifest
 from repro.store.position import Position
-from repro.store.reader import CopyLock, StoreReader
+from repro.store.reader import StoreReader
 from repro.store.recovery import (
     JOURNAL_FILE,
     REPLICA_STATE_FILE,
@@ -849,18 +849,40 @@ class _Follower:
         if self._closed:
             raise StoreError(f"replica applier for {self.directory} is closed")
 
-    def _save_state(self) -> None:
-        """Record the advisory ``replica.state`` — who is followed,
-        under which schema — when that differs from what it holds: the
-        first applied message (attach, snapshot install), the first
-        after a reattach.  The synced position is not in it: that is
-        the journal's (a cohort's ``cut.state``), so an applied message
-        costs no state write."""
-        payload = {"upstream": self.upstream, "schema_crc": self.schema_crc}
+    def apply_message(self, message) -> StreamMessage:
+        """Apply one stream message durably — :meth:`stage`, then
+        :meth:`land`, then :meth:`record`; returns the decoded form.
+
+        Raises :class:`ReplicationError` on contract violations —
+        notably data frames whose generation no schema frame announced
+        (the schema-before-data ordering is *enforced*, not assumed) —
+        and :class:`ReplicaDivergedError` when the local position
+        cannot align with the stream (resync from a snapshot).
+        """
+        decoded = self.stage(message)
+        self.land()
+        self.record()
+        return decoded
+
+    def unrecorded(self) -> bool:
+        """Whether :meth:`record` has a state file to write."""
+        return self._state() != self._recorded_state
+
+    def record(self) -> None:
+        """The disk half that follows a land: record the advisory
+        ``replica.state`` — who is followed, under which schema — when
+        that differs from what it holds: the first applied message
+        (attach, snapshot install), the first after a reattach.  The
+        synced position is not in it: that is the journal's (a cohort's
+        ``cut.state``), so an applied message costs no state write."""
+        payload = self._state()
         if payload != self._recorded_state:
             self._io.fault_point("repl:state")
             _write_state(self._io, self.directory, REPLICA_STATE_FILE, payload)
             self._recorded_state = payload
+
+    def _state(self) -> dict:
+        return {"upstream": self.upstream, "schema_crc": self.schema_crc}
 
 
 class ReplicaApplier(_Follower):
@@ -875,21 +897,22 @@ class ReplicaApplier(_Follower):
     truncated exactly like any crashed store) and resumes from there.
 
     :attr:`reader` is the replica's one served copy: a replica server's
-    connections all read it, each read holding :attr:`lock`, and only
-    the applier advances it.  Each message applies in two halves: the
-    disk half (:meth:`_stage` — the journal append and its fsync, the
-    snapshot files of an install or a fold, the bootstrap of the reader
-    they are read back into) runs outside the lock, and the memory half
-    (:meth:`_land` — the replay of the appended frames, or the swap of
-    the freshly opened reader) runs under it.  So no read overlaps a
-    replay, and no read waits on the disk.
+    connections all read it, and only the applier advances it.  Each
+    message applies in two halves: :meth:`stage`, the disk half — the
+    journal append and its fsync, the snapshot files of an install or a
+    fold, the bootstrap of the reader they are read back into — which
+    never touches the served copy, so it may wait on the disk on another
+    thread; and :meth:`land`, the memory half — the replay of the
+    appended frames, or the swap of the freshly opened reader — which
+    runs where the copy is read.  So no read overlaps a replay, and no
+    read waits on the disk.  :meth:`record` then writes what state file
+    the landed message changed.
     """
 
     def _open(self) -> None:
         self.reader: Optional[StoreReader] = None
-        self.lock = CopyLock()
         #: A reader opened on freshly installed files (a snapshot, a
-        #: fold), swapped in for :attr:`reader` by the next :meth:`_land`.
+        #: fold), swapped in for :attr:`reader` by the next :meth:`land`.
         self._incoming: Optional[StoreReader] = None
         #: Where the disk stands once staged messages are landed
         #: (``None`` when nothing is staged: the reader's position).
@@ -905,9 +928,7 @@ class ReplicaApplier(_Follower):
                 # tailing again: appending past torn bytes would turn a
                 # benign crash into a corrupt journal.
                 recover(self.directory, io=self._io, repair=True)
-                self.reader = StoreReader.open(
-                    self.directory, self._schema, self._registry, io=self._io
-                )
+                self.reader = self._open_reader()
         except BaseException:
             DirectoryStore._release_lock(self._advisory)
             raise
@@ -919,9 +940,9 @@ class ReplicaApplier(_Follower):
         return self.served().instance
 
     def served(self) -> StoreReader:
-        """The served copy — :attr:`reader` — for a read that holds
-        :attr:`lock`; :class:`StoreError` while nothing was replicated
-        into the directory yet, or once the applier is closed."""
+        """The served copy — :attr:`reader`; :class:`StoreError` while
+        nothing was replicated into the directory yet, or once the
+        applier is closed."""
         self._ensure_open()
         if self.reader is None:
             raise StoreError(
@@ -943,28 +964,12 @@ class ReplicaApplier(_Follower):
         return True
 
     # -- stream application --------------------------------------------
-    def apply_message(self, message) -> StreamMessage:
-        """Apply one stream message durably; returns the decoded form.
-
-        Raises :class:`ReplicationError` on contract violations —
-        notably data frames whose generation no schema frame announced
-        (the schema-before-data ordering is *enforced*, not assumed) —
-        and :class:`ReplicaDivergedError` when the local position
-        cannot align with the stream (resync from a snapshot).
-        """
-        decoded = self._stage(message)
-        with self.lock.exclusive():
-            retired = self._land()
-        if retired is not None:
-            retired.close()
-        self._save_state()
-        return decoded
-
-    def _stage(self, message) -> StreamMessage:
+    def stage(self, message) -> StreamMessage:
         """The disk half of a message — what a cohort calls for each of
-        its members' messages before it lands them all under its own
-        lock (their record is the cohort's ``cut.state`` and
-        ``replica.state``).  The served copy is not touched."""
+        its members' messages before it lands them all at once (their
+        record is the cohort's).  The served copy is not touched, so
+        this may run on a thread while the copy is read.  Returns the
+        decoded message; :meth:`land` makes it visible."""
         self._ensure_open()
         decoded = self._decoded(message)
         if decoded.kind == "snapshot":
@@ -980,16 +985,16 @@ class ReplicaApplier(_Follower):
             )
         return decoded
 
-    def _land(self) -> Optional[StoreReader]:
-        """The memory half, with the served copy's lock held: swap in the
-        reader opened on newly installed files, and replay the frames
-        appended since.  Returns the reader it retired (close it once
-        the lock is released), or ``None``."""
-        retired = None
+    def land(self) -> None:
+        """The memory half, on the thread that reads the served copy:
+        swap in the reader opened on newly installed files, and replay
+        the frames staged since.  A no-op when nothing is staged."""
+        self._ensure_open()
         if self._incoming is not None:
             retired, self.reader, self._incoming = self.reader, self._incoming, None
             if retired is not None:  # a cohort's copy follows its members
                 self.reader.on_replay = retired.on_replay
+                retired.close()
         if self._staged is not None:
             result = self.reader.refresh()
             if self.reader.position() != self._staged:
@@ -999,7 +1004,6 @@ class ReplicaApplier(_Follower):
                     f"({result.note or 'no note'})"
                 )
             self._staged = None
-        return retired
 
     def _staged_position(self) -> Position:
         """Where the local journal stands: past :meth:`position` by what
@@ -1007,17 +1011,15 @@ class ReplicaApplier(_Follower):
         return self._staged if self._staged is not None else self.position()
 
     def close(self) -> None:
-        """Release the reader and the advisory lock (idempotent).  Taken
-        under :attr:`lock`, so a read of the served copy finishes first
-        and every later one is refused."""
-        with self.lock.exclusive():
-            if self._closed:
-                return
-            self._closed = True
-            for reader in (self.reader, self._incoming):
-                if reader is not None:
-                    reader.close()
-            self.reader = self._incoming = None
+        """Release the reader and the advisory lock (idempotent); every
+        later read is refused."""
+        if self._closed:
+            return
+        self._closed = True
+        for reader in (self.reader, self._incoming):
+            if reader is not None:
+                reader.close()
+        self.reader = self._incoming = None
         DirectoryStore._release_lock(self._advisory)
 
     # -- internals -----------------------------------------------------
@@ -1076,8 +1078,8 @@ class ReplicaApplier(_Follower):
         instead of re-downloading — same serialization the primary's
         ``compact()`` used, hence byte-identical.  The state is read
         back from the disk into a private reader: the served copy may
-        trail the journal (a cohort lands its batch at once), and it is
-        never serialized outside its lock."""
+        trail the journal (a cohort lands its batch at once), and only
+        its own thread reads it."""
         with StoreReader.open(
             self.directory, self._schema, self._registry, io=self._io
         ) as folded:
@@ -1099,14 +1101,12 @@ class ReplicaApplier(_Follower):
         self._open_incoming(generation)
 
     def _open_incoming(self, generation: int) -> None:
-        """Bootstrap a reader from the snapshot just installed — off the
-        served copy's lock — for :meth:`_land` to swap in."""
+        """Bootstrap a reader from the snapshot just installed — an
+        object nothing else holds yet — for :meth:`land` to swap in."""
         if self._incoming is not None:
             self._incoming.close()
             self._incoming = None
-        incoming = StoreReader.open(
-            self.directory, self._schema, self._registry, io=self._io
-        )
+        incoming = self._open_reader()
         if incoming.position() != (generation, 0):
             incoming.close()
             raise ReplicationError(
@@ -1116,9 +1116,19 @@ class ReplicaApplier(_Follower):
         self._incoming = incoming
         self._staged = incoming.position()
 
+    def _open_reader(self) -> StoreReader:
+        """A reader of the local files, numbered: it becomes the served
+        copy, and the thread that opens it is the one with time to
+        number it."""
+        reader = StoreReader.open(
+            self.directory, self._schema, self._registry, io=self._io
+        )
+        reader.instance.ensure_numbered()
+        return reader
+
     def _append_frames(self, decoded: StreamMessage) -> None:
         """Append shipped frames to the local journal (fsynced); their
-        replay onto the served copy is :meth:`_land`'s."""
+        replay onto the served copy is :meth:`land`'s."""
         assert decoded.records is not None and decoded.data is not None
         if self._announced != decoded.generation:
             raise ReplicationError(
@@ -1205,26 +1215,29 @@ class ShardedReplicaApplier(_Follower):
     applied atomically at ``cut`` boundaries.
 
     Shard-tagged messages buffer until the batch's ``cut`` message
-    arrives.  The batch's disk half — every member's journal appends
-    and fsyncs, snapshot installs and folds — then runs with no lock
-    held, and its memory half under :attr:`lock`: the member replays,
-    the landing check against the cut and the in-memory cut.  A read of
-    the served copy (:attr:`reader`, a composite over the member
-    appliers' own readers) holds the same lock, so no reader ever
-    observes one shard past a spanning transaction and a sibling short
-    of it, and none waits on the disk.  Once the lock is released the
-    frontier is recorded durably in ``cut.state`` (the cohort's
-    ``replica.state`` names only the upstream; the members keep none of
-    their own); a restarted cohort is :meth:`consistent` only when every
-    shard recovers to exactly the recorded cut, and must not serve (or
-    be promoted) until a new cut lands otherwise.
+    arrives.  Its disk half (:meth:`stage`) then runs every member's
+    journal appends and fsyncs, snapshot installs and folds, and checks
+    that the members stand on the cut.  Its memory half (:meth:`land`)
+    replays the batch into the served copy (:attr:`reader`, a composite
+    over the member appliers' own readers) and serves it from the new
+    cut, on the thread that reads the copy — so no reader ever observes
+    one shard past a spanning transaction and a sibling short of it,
+    and none waits on the disk.  Then :meth:`record` writes the cut
+    durably to ``cut.state`` (the cohort's ``replica.state`` names only
+    the upstream; the members keep none of their own).  A restarted
+    cohort is :meth:`consistent` only when every shard recovers to
+    exactly the recorded cut, and must not serve (or be promoted) until
+    a new cut lands otherwise.
     """
 
     def _open(self) -> None:
-        self.lock = CopyLock()
         self._appliers: Dict[str, ReplicaApplier] = {}
         self._pending: List[StreamMessage] = []
         self._cut: Optional[Position] = None
+        #: A cut staged (its members appended) and not landed yet, and
+        #: one landed and not yet recorded in ``cut.state``.
+        self._landing: Optional[Position] = None
+        self._recording: Optional[Position] = None
         #: The served copy, built once every member holds a reader
         #: (:meth:`_build_served`).
         self.reader = None
@@ -1259,24 +1272,21 @@ class ShardedReplicaApplier(_Follower):
         """The served composite's state as a fresh stitch of its member
         readers' instances (read surface; no bootstrap, no disk) —
         byte for byte the composite's definition, which the followed
-        composite matches only order-free.  Taken under :attr:`lock` so
-        it never straddles a batch; on or off the recorded cut."""
-        with self.lock.exclusive():
-            self._ensure_open()
-            composite = self.reader
-            if composite is None:
-                raise StoreError(
-                    f"sharded replica {self.directory} holds no state yet; "
-                    "it needs a shard map and snapshots from its primary"
-                )
-            return composite.stitch()
+        composite matches only order-free.  On or off the recorded
+        cut."""
+        self._ensure_open()
+        if self.reader is None:
+            raise StoreError(
+                f"sharded replica {self.directory} holds no state yet; "
+                "it needs a shard map and snapshots from its primary"
+            )
+        return self.reader.stitch()
 
     def served(self):
         """The served copy — a composite over the member appliers'
-        readers — for a read that holds :attr:`lock`.  Raises
-        :class:`StoreError` off the recorded cut (between a crash and
-        the next landed cut, the members may stand past it) and once
-        the applier is closed."""
+        readers.  Raises :class:`StoreError` off the recorded cut
+        (between a crash and the next landed cut, the members may stand
+        past it) and once the applier is closed."""
         self._ensure_open()
         composite = self.reader if self.consistent() else None
         if composite is None:
@@ -1289,7 +1299,7 @@ class ShardedReplicaApplier(_Follower):
 
     def _build_served(self) -> None:
         """Build :attr:`reader` over the member readers once each member
-        holds one — at open, or with the lock held alone."""
+        holds one — at open, or when a cut lands."""
         from repro.store.sharded import CompositeReader
 
         if self.reader is None and self._appliers and all(
@@ -1297,7 +1307,7 @@ class ShardedReplicaApplier(_Follower):
         ):
             self.reader = CompositeReader.of_cohort(
                 self.directory, self._schema, self._registry,
-                _MemberReaders(self._appliers),
+                self._shard_map, _MemberReaders(self._appliers),
             )
 
     def position(self) -> Position:
@@ -1313,53 +1323,93 @@ class ShardedReplicaApplier(_Follower):
         return self._cut is not None and self.position() == self._cut
 
     # -- stream application --------------------------------------------
-    def apply_message(self, message) -> StreamMessage:
-        """Buffer shard-tagged messages; a ``cut`` applies the whole
-        batch atomically under :attr:`lock` and records the frontier."""
+    def stage(self, message) -> StreamMessage:
+        """The disk half: install a shard map, buffer a shard-tagged
+        message, or, at a ``cut``, stage the buffered batch into the
+        members (:meth:`_stage_cut`).  The served copy is not touched,
+        so this may run on a thread while the copy is read; :meth:`land`
+        makes a staged cut visible."""
         self._ensure_open()
         decoded = self._decoded(message)
         if decoded.kind == "shardmap":
             self._install_shard_map(decoded)
-            return decoded
-        if decoded.kind == "cut":
-            self._apply_cut(decoded)
-            return decoded
-        if decoded.shard is None:
+        elif decoded.kind == "cut":
+            self._stage_cut(decoded)
+        elif decoded.shard is None:
             raise ReplicationError(
                 f"sharded stream message of kind {decoded.kind!r} "
                 "carries no shard tag"
             )
-        if decoded.shard not in self._appliers:
+        elif decoded.shard not in self._appliers:
             raise ReplicationError(
                 f"stream message for unknown shard {decoded.shard!r} "
                 "(shard map not installed, or layouts diverge)"
             )
-        self._pending.append(decoded)
+        else:
+            self._pending.append(decoded)
         return decoded
 
+    def land(self) -> None:
+        """The memory half, on the thread that reads the served copy:
+        land every member's staged messages at once, and serve the copy
+        from the staged cut.  Members staged without a cut (a batch
+        whose stage failed half way) land too, off the recorded cut, so
+        the copy is refused until the next cut lands."""
+        self._ensure_open()
+        for applier in self._appliers.values():
+            applier.land()
+        if self._landing is not None:
+            self._cut = self._recording = self._landing
+            self._landing = None
+            self._build_served()
+
+    def unrecorded(self) -> bool:
+        return self._recording is not None or super().unrecorded()
+
+    def record(self) -> None:
+        """The disk half that follows a land: record the cut it landed
+        on in ``cut.state``, then the cohort's ``replica.state`` when
+        its upstream changed.  A crash before ``cut.state`` leaves the
+        cohort off its recorded cut (:meth:`consistent` is false until
+        the next cut lands)."""
+        if self._recording is not None:
+            self._io.fault_point("repl:cut-state")
+            _write_state(
+                self._io, self.directory, CUT_STATE_FILE,
+                self._recording.to_wire(),
+            )
+            self._recording = None
+        super().record()
+
     def close(self) -> None:
-        """Close the served copy and every shard applier (idempotent).
-        Taken under the batch lock, so a read of the served copy
-        finishes first and every later one is refused."""
-        with self.lock.exclusive():
-            if self._closed:
-                return
-            self._closed = True
-            if self.reader is not None:
-                self.reader.close()
+        """Close the served copy and every shard applier (idempotent);
+        every later read is refused."""
+        if self._closed:
+            return
+        self._closed = True
+        if self.reader is not None:
+            self.reader.close()
         for applier in self._appliers.values():
             applier.close()
 
     # -- internals -----------------------------------------------------
     def _open_shards(self) -> None:
         shard_map, local_schema = _cohort_layout(self.directory, self._schema)
-        for spec in shard_map:
-            self._appliers[spec.name] = ReplicaApplier(
-                shard_dir(self.directory, spec.name),
-                local_schema,
-                self._registry,
-                io=self._io,
-            )
+        appliers = {}
+        try:
+            for spec in shard_map:
+                appliers[spec.name] = ReplicaApplier(
+                    shard_dir(self.directory, spec.name),
+                    local_schema,
+                    self._registry,
+                    io=self._io,
+                )
+        except BaseException:
+            for applier in appliers.values():
+                applier.close()
+            raise
+        # One assignment: a read of the cohort never sees half the members.
+        self._shard_map, self._appliers = shard_map, appliers
 
     def _install_shard_map(self, decoded: StreamMessage) -> None:
         assert decoded.shard_map is not None
@@ -1381,43 +1431,25 @@ class ShardedReplicaApplier(_Follower):
         )
         self._open_shards()
 
-    def _apply_cut(self, decoded: StreamMessage) -> None:
-        """Land the buffered batch: first, with no lock held, every
-        member's disk half (appends and fsyncs, snapshot installs,
-        folds); then under :attr:`lock` only what a reader must not see
-        half of — the member replays, the landing check and the
-        in-memory cut; then, with the lock released again, record
-        ``cut.state`` (and the cohort's ``replica.state``, when its
-        upstream changed).  A crash before ``cut.state`` leaves the
-        cohort off its recorded cut (:meth:`consistent` is false until
-        the next cut lands)."""
+    def _stage_cut(self, decoded: StreamMessage) -> None:
+        """Stage the buffered batch: every member's disk half (appends
+        and fsyncs, snapshot installs, folds); then check the members
+        stand on the cut, for :meth:`land` to serve it."""
         assert decoded.frontier is not None
         pending, self._pending = self._pending, []
         for message in pending:
-            self._appliers[message.shard]._stage(message)
-        with self.lock.exclusive():
-            retired = [applier._land() for applier in self._appliers.values()]
-            landed = self.position()
-            if landed != decoded.frontier:
-                raise ReplicationError(
-                    f"batch landed the cohort at {landed}, but the cut "
-                    f"says {decoded.frontier}; the stream and the "
-                    "follower set diverge"
-                )
-            self._cut = decoded.frontier
-            self._build_served()
-        for reader in retired:
-            if reader is not None:
-                reader.close()
-        self._save_cut_state()
-        self._save_state()
-
-    def _save_cut_state(self) -> None:
-        assert self._cut is not None
-        self._io.fault_point("repl:cut-state")
-        _write_state(
-            self._io, self.directory, CUT_STATE_FILE, self._cut.to_wire()
-        )
+            self._appliers[message.shard].stage(message)
+        staged = Position({
+            name: applier._staged_position().raw
+            for name, applier in self._appliers.items()
+        })
+        if staged != decoded.frontier:
+            raise ReplicationError(
+                f"batch landed the cohort at {staged}, but the cut "
+                f"says {decoded.frontier}; the stream and the "
+                "follower set diverge"
+            )
+        self._landing = decoded.frontier
 
 
 def read_cut_state(directory: str) -> Optional[Position]:

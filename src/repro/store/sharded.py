@@ -1324,21 +1324,21 @@ class CompositeReader:
         directory: str,
         schema: DirectorySchema,
         registry: Optional[AttributeRegistry],
+        shard_map: ShardMap,
         readers: Mapping[str, StoreReader],
     ) -> "CompositeReader":
-        """The served copy of a replica cohort: a composite over
-        ``readers``, its member appliers' own (a live mapping — a member
-        that swaps a reader in is read through at once), which it
-        neither refreshes nor closes.
+        """The served copy of a replica cohort laid out by
+        ``shard_map``: a composite over ``readers``, its member
+        appliers' own (a live mapping — a member that swaps a reader in
+        is read through at once), which it neither refreshes nor closes.
 
         A replica has no coordinator log: the primary ships a decided
         2PC pair only once its transaction is complete on every shard,
-        and the cohort lands each shipped batch under its lock and
-        records the cut it lands on.  So the member readers trust the
-        shipped ``#DECIDE`` frames (no resolver), and a read — under
-        that lock, on a recorded cut — finds every shard holding a
-        spanning transaction whole or not at all."""
-        shard_map = read_shard_map(directory)
+        and the cohort lands each shipped batch whole, on the thread
+        that reads it, at the cut it recorded.  So the member readers
+        trust the shipped ``#DECIDE`` frames (no resolver), and a read
+        on a recorded cut finds every shard holding a spanning
+        transaction whole or not at all."""
         scope = analyze_shard_scope(schema, shard_map)
         view = cls(directory, schema, shard_map, readers, scope, registry)
         view._fed = True
@@ -1521,8 +1521,8 @@ class CompositeReader:
         presumed-abort rule for writer crashes.
 
         A cohort's served copy (:meth:`of_cohort`) refuses: its
-        appliers advance it, a batch at a time under the cohort's lock,
-        and its member journals may hold a batch half appended."""
+        appliers advance it, a landed batch at a time, and its member
+        journals may hold a batch half appended."""
         self._ensure_open()
         if self._fed:
             raise StoreError(

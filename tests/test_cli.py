@@ -523,7 +523,7 @@ class TestFsckReadOnly:
         import os
 
         schema, path, store = live_store
-        store.compact()  # manifest + sidecar on disk too
+        store.compact()  # manifest on disk too
         before = {
             name: open(os.path.join(path, name), "rb").read()
             for name in sorted(os.listdir(path))

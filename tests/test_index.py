@@ -51,7 +51,7 @@ from repro.query.filter_parser import parse_filter
 from repro.query.search import search
 from repro.store import DirectoryStore
 from repro.store.index import AttributeIndexes, PostingView
-from repro.store.recovery import LEFTOVER_INDEX_FILE
+from repro.store.recovery import LEFTOVER_FILES
 from repro.store.reader import StoreReader
 from repro.updates.operations import UpdateTransaction
 from repro.workloads import (
@@ -376,7 +376,8 @@ class TestIndexLifecycle:
         )
         for path in paths:
             DirectoryStore.create(path, schema, instance.copy()).close()
-        leftover = os.path.join(paths[0], LEFTOVER_INDEX_FILE)
+        assert "indexes.cache" in LEFTOVER_FILES
+        leftover = os.path.join(paths[0], "indexes.cache")
         with open(leftover, "w", encoding="utf-8") as fh:
             fh.write('{"format": 1, "postings": {"dns": []}}')
         answers = []

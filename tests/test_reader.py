@@ -10,7 +10,6 @@ read-only discipline, and the advisory-lock fix (typed error with
 holder pid; readers never lock).
 """
 
-import json
 import os
 
 import pytest
@@ -24,7 +23,7 @@ from repro.store.manifest import (
     decode_manifest,
     encode_manifest,
 )
-from repro.store.recovery import JOURNAL_FILE, SIDECAR_FILE, SNAPSHOT_FILE
+from repro.store.recovery import JOURNAL_FILE, SNAPSHOT_FILE
 from repro.updates.operations import UpdateTransaction
 from repro.workloads import (
     figure1_instance,
@@ -35,6 +34,7 @@ from repro.workloads import (
 )
 
 from growth import fit_growth
+from tests.test_store import _leftover_verdicts
 
 
 def unit_tx(i):
@@ -328,60 +328,42 @@ class TestReadSurface:
 
 
 class TestSidecarDiscipline:
-    """Satellite: the ``verdicts.cache`` sidecar under the split."""
-
-    def _sidecar(self, store_dir):
-        return os.path.join(store_dir, SIDECAR_FILE)
+    """Satellite: the ``verdicts.cache`` older stores wrote beside the
+    snapshot, under the split — a reader neither reads nor writes it."""
 
     def test_reader_never_writes_sidecar(self, store):
-        store.compact()  # writer publishes a sidecar
-        path = self._sidecar(store._dir)
-        assert os.path.exists(path)
+        path = _leftover_verdicts(
+            store._dir, store.schema, store.instance
+        )
         before = open(path, "rb").read()
         with open_reader(store._dir) as reader:
-            assert reader.warm_start_verdicts > 0
-            reader.check()
+            assert reader.check().is_legal  # the bogus verdicts are unread
             reader.refresh()
         assert open(path, "rb").read() == before
 
     def test_reader_missing_sidecar_stays_missing(self, store):
-        path = self._sidecar(store._dir)
+        path = os.path.join(store._dir, "verdicts.cache")
         assert not os.path.exists(path)
         with open_reader(store._dir) as reader:
-            assert reader.warm_start_verdicts == 0
             assert reader.check().is_legal
         assert not os.path.exists(path)
 
     def test_corrupt_sidecar_cold_start_never_wrong(self, store):
-        store.compact()
-        path = self._sidecar(store._dir)
-        payload = json.loads(open(path).read())
-        payload["verdicts"] = {"deadbeef": [["bogus", "violation", "x"]]}
-        open(path, "w").write(json.dumps(payload))  # crc now stale
+        _leftover_verdicts(store._dir, store.schema, store.instance, "garble")
         with open_reader(store._dir) as reader:
-            assert reader.warm_start_verdicts == 0
-            assert reader.check().is_legal
-
-    def test_stale_schema_digest_cold_start(self, store):
-        store.compact()
-        path = self._sidecar(store._dir)
-        payload = json.loads(open(path).read())
-        payload["schema"] = "0" * len(payload["schema"])
-        open(path, "w").write(json.dumps(payload))
-        with open_reader(store._dir) as reader:
-            assert reader.warm_start_verdicts == 0
-            assert reader.check().is_legal
+            report = reader.check()
+            assert report.is_legal
+            assert report.stats.entries_checked == len(reader.instance)
 
     def test_compact_under_live_reader_keeps_memo_correct(self, store):
-        """The writer compacting (and rewriting the sidecar) while a
-        reader holds the old view must not corrupt the reader's warm
-        memo: verdicts are content-keyed, so the reader's answers stay
-        correct before and after it follows the compaction."""
-        store.compact()
+        """The writer compacting while a reader holds the old view must
+        not corrupt the reader's memo: verdicts are content-keyed, so
+        the reader's answers stay correct before and after it follows
+        the compaction."""
         with open_reader(store._dir) as reader:
-            assert reader.warm_start_verdicts > 0
+            assert reader.check().is_legal  # fills the memo
             assert store.apply(unit_tx(1)).applied
-            store.compact()  # rewrites snapshot AND sidecar under the reader
+            store.compact()  # rewrites the snapshot under the reader
             assert reader.check().is_legal  # old view, warm memo: still right
             reader.refresh()
             assert serialize_ldif(reader.instance) == serialize_ldif(store.instance)

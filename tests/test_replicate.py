@@ -471,22 +471,20 @@ class TestShardedReplication:
         source = ShardedFrameSource(primary_dir, schema)
         with ShardedReplicaApplier(cohort_dir, schema, registry) as applier:
             pump(source, applier)
-            with applier.lock.exclusive():
-                view = applier.served()
-                assert len(view.instance) == len(store.composite_instance())
+            view = applier.served()
+            assert len(view.instance) == len(store.composite_instance())
             for index in (1, 2):  # the second pair is followed too
                 _spanning_commit(store, index)
                 pump(source, applier)
-                with applier.lock.exclusive():
-                    assert applier.served() is view
-                    assert view.position() == applier.position()
-                    assert view.position() == store.position()
-                    found = {
-                        view.dn_string_of(entry)
-                        for entry in view.search(
-                            filter=parse_filter(f"(|(uid=r{index})(uid=l{index}))")
-                        )
-                    }
+                assert applier.served() is view
+                assert view.position() == applier.position()
+                assert view.position() == store.position()
+                found = {
+                    view.dn_string_of(entry)
+                    for entry in view.search(
+                        filter=parse_filter(f"(|(uid=r{index})(uid=l{index}))")
+                    )
+                }
                 assert found == {
                     f"uid=r{index},o=att",
                     f"uid=l{index},ou=attLabs,o=att",
@@ -516,8 +514,7 @@ class TestShardedReplication:
         applier = ShardedReplicaApplier(cohort_dir, schema, registry)
         try:
             pump(source, applier)
-            with applier.lock.exclusive():
-                view = applier.served()
+            view = applier.served()
             with pytest.raises(StoreError, match="appliers advance it"):
                 view.refresh()
             recorded, applier._cut = applier._cut, None  # between cuts
@@ -825,14 +822,14 @@ class TestCutAgainstAConcurrentCommit:
 
 
 class _CutProbeIO(StoreIO):
-    """Watches a cohort's fault points: records every name, checks the
-    batch lock is free at ``repl:cut-state`` and, once armed, holds
-    that point until released."""
+    """Watches a cohort's fault points: records every name, and where
+    the cohort's served copy stands at ``repl:cut-state``; once armed,
+    holds that point until released."""
 
     def __init__(self):
         self.cohort = None
         self.points = []
-        self.locked_at_cut_state = []
+        self.served_at_cut_state = []
         self.hold = False
         self.entered = threading.Event()
         self.release = threading.Event()
@@ -840,16 +837,16 @@ class _CutProbeIO(StoreIO):
     def fault_point(self, name):
         self.points.append(name)
         if name == "repl:cut-state":
-            self.locked_at_cut_state.append(self.cohort.lock.locked())
+            self.served_at_cut_state.append(self.cohort.position())
             if self.hold:
                 self.entered.set()
                 assert self.release.wait(10), "never released"
 
 
 class TestCohortBatchLock:
-    """A cohort holds its batch lock only while the member journals
-    move: ``cut.state`` and ``replica.state`` are written after it is
-    released, and the members keep no ``replica.state`` of their own."""
+    """A cohort records ``cut.state`` (and ``replica.state``) once its
+    batch landed in its served copy, and the members keep no
+    ``replica.state`` of their own."""
 
     @staticmethod
     def _follower(sharded_primary):
@@ -861,9 +858,12 @@ class TestCohortBatchLock:
         io.cohort = cohort
         source = ShardedFrameSource(primary_dir, schema)
         pump(source, cohort)
+        io.served_at_cut_state.clear()
         return store, source, cohort, io
 
     def test_state_files_are_written_outside_the_lock(self, sharded_primary):
+        """The state files are written after the land: the served copy
+        already stands on the cut ``cut.state`` records."""
         store, source, cohort, io = self._follower(sharded_primary)
         with cohort:
             io.points.clear()
@@ -875,41 +875,34 @@ class TestCohortBatchLock:
             assert cohort.consistent() and cohort.position() == store.position()
             assert "repl:cut-state" in io.points
             assert "repl:state" not in io.points  # no member wrote one
-            assert io.locked_at_cut_state and not any(io.locked_at_cut_state)
+            assert io.served_at_cut_state == [store.position()]
 
     def test_a_view_refreshes_while_cut_state_is_written(self, sharded_primary):
         """A read of the cohort's served copy reaches the new cut while
-        the applier is still inside the ``cut.state`` write: the lock
-        the read takes is already free, and the batch already landed."""
+        the applier is still inside the ``cut.state`` write, on another
+        thread: the batch already landed, and nothing waits for it."""
         store, source, cohort, io = self._follower(sharded_primary)
         with cohort:
             _spanning_commit(store, 1)
+            for message in source.poll():
+                cohort.stage(message)
+            cohort.land()
             io.hold = True
             failures = []
 
-            def applying_pump():
+            def recording():
                 try:
-                    pump(source, cohort)
+                    cohort.record()
                 except BaseException as exc:  # reported by the main thread
                     failures.append(exc)
 
-            applying = threading.Thread(target=applying_pump)
+            applying = threading.Thread(target=recording)
             applying.start()
             try:
                 assert io.entered.wait(10)
-                read = {}
-
-                def reading():
-                    with cohort.lock.shared():
-                        view = cohort.served()
-                        read["position"] = view.position()
-                        read["found"] = len(view.search(filter=parse_filter("(uid=l1)")))
-
-                reader = threading.Thread(target=reading)
-                reader.start()
-                reader.join(5)
-                assert not reader.is_alive(), "the read waited on the cut.state write"
-                assert read == {"position": store.position(), "found": 1}
+                view = cohort.served()
+                assert view.position() == store.position()
+                assert len(view.search(filter=parse_filter("(uid=l1)"))) == 1
             finally:
                 io.release.set()
                 applying.join(10)

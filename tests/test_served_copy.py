@@ -4,7 +4,7 @@ A member's connections all read one copy: a primary's one view, a
 replica's the copy its applier applies into.  These gate what sharing
 it must keep: N connections open nothing beyond the member's one copy;
 replies stay committed states, never behind a connection's floor,
-while the applier replays under them; a promotion retires the copy it
+while the applier follows between them; a promotion retires the copy it
 followed; and a replica holds about one reader's bytes, not two.
 """
 
@@ -13,20 +13,22 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
-import sys
+import os
 import threading
-import time
 import tracemalloc
 
 import pytest
 
 from invariants import committed_at, read_floor_monotonic, spanning_read_whole
 from repro.errors import StoreError
-from repro.store import DirectoryStore
-from repro.store.reader import CopyLock, StoreReader
+from repro.model.instance import DirectoryInstance
+from repro.store import DirectoryStore, Position, members, wal
+from repro.store.reader import StoreReader
+from repro.store.recovery import JOURNAL_FILE
 from repro.workloads import generate_whitepages, whitepages_registry, whitepages_schema
 from tests.test_server import (  # noqa: F401 - plain_store is a fixture
     FOUR_SHARDS,
+    _HoldAfterAppend,
     _caught_up,
     _client,
     _person,
@@ -37,8 +39,8 @@ from tests.test_server import (  # noqa: F401 - plain_store is a fixture
     plain_store,
 )
 
-#: A bounded lookup (planned on the indexes: answered on the loop) and
-#: an unbounded scan (the executor).
+#: A bounded lookup (planned on the indexes) and an unbounded scan;
+#: both are answered on the loop.
 LOOKUP = "(objectClass=person)"
 
 
@@ -234,10 +236,9 @@ class TestFollowedWhileRead:
                 record(instance(), head)
                 readers = [await _client(replica) for _ in range(3)]
                 await _searched_to(readers[0], head)
-                with replica._applier.lock.exclusive():
-                    copy = replica._applier.served()
-                    assert copy.plan_search(filter=LOOKUP).bounded
-                    assert not copy.plan_search().bounded
+                copy = replica._applier.served()
+                assert copy.plan_search(filter=LOOKUP).bounded
+                assert not copy.plan_search().bounded
                 reading = [asyncio.ensure_future(read(c)) for c in readers]
                 for index in range(commits):
                     change = _delete(index - 1) if index % 4 == 3 else _add(index)
@@ -370,67 +371,240 @@ class TestOneCopyOfBytes:
         assert held <= 1.25 * single, (held, single, held / single)
 
 
-class TestCopyLock:
-    def test_no_shared_hold_overlaps_an_exclusive_one(self):
-        """Eight threads on two cores, switching every 10 µs: readers
-        never see an exclusive holder inside, and exclusive holders'
-        read-modify-write updates are never lost."""
-        lock = CopyLock()
-        state = {"inside": 0, "writes": 0, "overlaps": 0}
-        rounds = 400
+# ----------------------------------------------------------------------
+# the loop is the served copy's only thread
+# ----------------------------------------------------------------------
+#: Every ``DirectoryInstance`` method that changes an instance: the
+#: tree, the class index, an entry's values, and the numbering.
+MUTATORS = (
+    "add_entry", "delete_entry", "insert_subtree", "restore_subtree",
+    "delete_subtree", "_on_class_added", "_on_class_removed",
+    "_notify_entry_changed", "_ensure_order",
+)
 
-        def reader():
-            for _ in range(rounds):
-                with lock.shared():
-                    if state["inside"]:
-                        state["overlaps"] += 1
 
-        def writer():
-            for _ in range(rounds):
-                with lock.exclusive():
-                    state["inside"] += 1
-                    writes = state["writes"]
-                    time.sleep(0)
-                    state["writes"] = writes + 1
-                    state["inside"] -= 1
+def _served_instances(server):
+    """The instances a member's served copy is made of right now: the
+    plain copy's, or a composite's held composite and its members'."""
+    copy = server._view if server._applier is None else server._applier.reader
+    if copy is None:
+        return []
+    if not hasattr(copy, "shard_map"):
+        return [copy.instance]
+    return [copy._composite, *(
+        copy.shard_reader(name).instance for name in copy.shard_map.names()
+    )]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=t) for t in [reader] * 5 + [writer] * 3]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(60)
-            assert not any(thread.is_alive() for thread in threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert state == {"inside": 0, "writes": 3 * rounds, "overlaps": 0}
-        assert not lock.locked()
 
-    def test_a_waiting_exclusive_holder_bars_new_shared_ones(self):
-        """The loop's non-blocking try fails while a replay holds or
-        waits for the lock, and the replay runs once the hold it waited
-        for is given back."""
-        lock = CopyLock()
-        assert lock.acquire_shared(blocking=False)
-        entered = threading.Event()
+class _LoopOnly:
+    """Wraps every mutator of :class:`DirectoryInstance`: a call on an
+    instance some server serves is counted when it runs on the loop's
+    thread, and recorded when it runs anywhere else.  An instance no
+    server serves yet — a view's first open, an applier's incoming
+    reader — may be built on any thread."""
 
-        def replay():
-            with lock.exclusive():
-                entered.set()
+    def __init__(self, monkeypatch):
+        self.servers = []
+        self.loop = None
+        self.on_loop = 0
+        self.elsewhere = []
+        for name in MUTATORS:
+            monkeypatch.setattr(
+                DirectoryInstance, name, self._wrapped(name, getattr(DirectoryInstance, name))
+            )
 
-        replaying = threading.Thread(target=replay)
-        replaying.start()
-        deadline = time.monotonic() + 10
-        while lock.acquire_shared(blocking=False):  # until the replay waits
-            lock.release_shared()
-            assert time.monotonic() < deadline
-            time.sleep(0.001)
-        assert not entered.is_set()
-        lock.release_shared()
-        replaying.join(10)
-        assert not replaying.is_alive() and entered.is_set()
-        assert lock.acquire_shared(blocking=False)
-        lock.release_shared()
-        assert not lock.locked()
+    def _wrapped(self, name, mutator):
+        def guarded(instance, *args, **kwargs):
+            if any(
+                instance is served
+                for server in self.servers
+                for served in _served_instances(server)
+            ):
+                if threading.get_ident() == self.loop:
+                    self.on_loop += 1
+                else:
+                    self.elsewhere.append((name, threading.current_thread().name))
+            return mutator(instance, *args, **kwargs)
+
+        return guarded
+
+
+async def _read_your_write(client, reply, uid):
+    """Search the write ``reply`` made until its position shows, and
+    the entry ``uid`` with it."""
+    await _searched_to(client, reply["position"])
+    found = await client.search(filter=f"(uid={uid})")
+    assert len(found["entries"]) == 1 and found["position"] == reply["position"]
+
+
+class TestOnTheLoop:
+    @pytest.mark.parametrize("kind", ["plain", "sharded"])
+    def test_a_served_copy_changes_only_on_the_loop(
+        self, kind, tmp_path, monkeypatch
+    ):
+        """Through a primary's writes read back at once (spanning 2PC
+        commits on four shards), a compaction, a replica following
+        them and its promotion: every change to an instance a member
+        serves — a refresh, a landed replay, a fold, a renumber — runs
+        on the event loop's thread."""
+        store = _white_pages(kind, tmp_path)
+        _, schema, registry = store
+        guard = _LoopOnly(monkeypatch)
+
+        async def run():
+            guard.loop = threading.get_ident()
+            primary = await _serve(store)
+            replica = await _replica_of(primary, tmp_path, schema, registry)
+            guard.servers += [primary, replica]
+            try:
+                writer = await _client(primary, dn="cn=writer")
+                reader = await _client(primary)
+                follower = await _client(replica)
+                for index in range(6):
+                    reply = await writer.txn(_add(index))
+                    assert reply["applied"], reply
+                    for client in (reader, follower):
+                        await _read_your_write(client, reply, _records(index)[0][1])
+                for client in (reader, follower):
+                    assert (await client.check())["legal"]
+                await primary._run_write(primary.store.compact)
+                reply = await writer.txn(_delete(0))  # ships the fold
+                assert reply["applied"], reply
+                for client in (reader, follower):
+                    await _searched_to(client, reply["position"])
+                    assert (await client.check())["legal"]
+                await writer.close()
+                await reader.close()
+                await primary.stop(drain=False)
+                assert (await follower.promote())["role"] == "primary"
+                reply = await follower.txn(_add(6))
+                assert reply["applied"], reply
+                await _read_your_write(follower, reply, _records(6)[0][1])
+                await follower.close()
+            finally:
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
+        assert guard.elsewhere == [], sorted(set(guard.elsewhere))
+        assert guard.on_loop > 0
+
+
+# ----------------------------------------------------------------------
+# a message staged and not landed: reattach and promote take it whole
+# ----------------------------------------------------------------------
+def _journal_seqs(directory):
+    """Each member's journal frame seqs, and whether its tail is clean."""
+    seqs = {}
+    for name, member in members(directory).items():
+        with open(os.path.join(member, JOURNAL_FILE), "rb") as fh:
+            scanned = wal.scan(fh.read())
+        seqs[name] = ([record.seq for record in scanned.records], scanned.tail_state)
+    return seqs
+
+
+class TestStagedNotLanded:
+    """A replica whose applier holds a message between its stage (the
+    journal append, fsynced) and its land, when the member is told to
+    reattach or is promoted."""
+
+    @staticmethod
+    async def _held(kind, tmp_path, monkeypatch):
+        import repro.server.server as server_module
+
+        store = _white_pages(kind, tmp_path)
+        _, schema, registry = store
+        io = _HoldAfterAppend()
+        open_replica = server_module.open_replica
+        monkeypatch.setattr(
+            server_module, "open_replica",
+            lambda *args, **options: open_replica(*args, io=io, **options),
+        )
+        primary = await _serve(store)
+        replica = await _replica_of(primary, tmp_path, schema, registry)
+        writer = await _client(primary, dn="cn=writer")
+        client = await _client(replica)
+        head = (await writer.position())["position"]
+        await _searched_to(client, head)
+        io.armed = True
+        reply = await writer.txn(_add(0))  # spanning on four shards
+        assert reply["applied"], reply
+        loop = asyncio.get_running_loop()
+        assert await loop.run_in_executor(None, io.reached.wait, 10)
+        return io, primary, replica, writer, client, head, reply
+
+    @pytest.mark.parametrize("kind", ["plain", "sharded"])
+    def test_a_reattach_lands_it_once(self, kind, tmp_path, monkeypatch):
+        """The replica converges to the primary, each frame appended
+        once, with no ``sync_error`` left and no read served behind one
+        served before it."""
+
+        async def run():
+            io, primary, replica, writer, client, head, reply = await self._held(
+                kind, tmp_path, monkeypatch
+            )
+            floor = head
+            try:
+                probe = await _client(replica, dn="cn=probe")
+                reattach = asyncio.ensure_future(
+                    probe.reattach(f"127.0.0.1:{primary.port}")
+                )
+                for _ in range(5):  # the copy answers at the landed position
+                    found = await client.search(filter="(uid=u1)")
+                    assert found["position"] == head
+                io.release.set()
+                assert (await reattach)["upstream"] == f"127.0.0.1:{primary.port}"
+                for index, expected in ((0, reply), (1, None)):
+                    if expected is None:
+                        expected = await writer.txn(_add(index))
+                        assert expected["applied"], expected
+                    while (found := await client.search(filter="(uid=u1)"))[
+                        "position"
+                    ] != expected["position"]:
+                        read_floor_monotonic(found["position"], last_served=floor)
+                        floor = found["position"]
+                        await asyncio.sleep(0.02)
+                    read_floor_monotonic(found["position"], last_served=floor)
+                    floor = found["position"]
+                    uid = _records(index)[0][1]
+                    assert len((await client.search(filter=f"(uid={uid})"))["entries"]) == 1
+                position = await _caught_up(probe, expected["position"])
+                assert "sync_error" not in position, position
+                await probe.close()
+            finally:
+                io.release.set()
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
+        for name, (seqs, tail) in _journal_seqs(str(tmp_path / "replica")).items():
+            assert seqs == list(range(1, len(seqs) + 1)) and tail == "clean", (name, seqs)
+
+    @pytest.mark.parametrize("kind", ["plain", "sharded"])
+    def test_a_promotion_includes_it(self, kind, tmp_path, monkeypatch):
+        """The promoted primary stands past the staged message, and
+        serves it."""
+
+        async def run():
+            io, primary, replica, writer, client, head, reply = await self._held(
+                kind, tmp_path, monkeypatch
+            )
+            try:
+                promoting = asyncio.ensure_future(client.promote())
+                await asyncio.sleep(0.1)
+                io.release.set()
+                promoted = await promoting
+                assert promoted["role"] == "primary"
+                assert Position.from_wire(promoted["position"]) >= Position.from_wire(
+                    reply["position"]
+                )
+                for _, uid in _records(0):
+                    found = await client.search(filter=f"(uid={uid})")
+                    assert len(found["entries"]) == 1
+                    assert found["position"] == promoted["position"]
+            finally:
+                io.release.set()
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())

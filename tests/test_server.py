@@ -21,12 +21,11 @@ import os
 import random
 import struct
 import threading
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import FilterSyntaxError, QueryError, StoreError
+from repro.errors import FilterSyntaxError, QueryError, StoreError, StoreLockedError
 from repro.query.filter_parser import parse_filter
 from repro.server import DirectoryClient, DirectoryServer, FrontDoor
 from repro.server.client import ServerError
@@ -1709,10 +1708,10 @@ def _white_pages(kind, tmp_path):
 
 
 class _CountingExecutor(concurrent.futures.ThreadPoolExecutor):
-    """A loop's default executor that counts the jobs handed to it."""
+    """An executor that counts the jobs handed to it."""
 
-    def __init__(self) -> None:
-        super().__init__(max_workers=4)
+    def __init__(self, max_workers=4) -> None:
+        super().__init__(max_workers=max_workers)
         self.jobs = 0
 
     def submit(self, fn, /, *args, **kwargs):
@@ -1724,6 +1723,14 @@ def _count_jobs() -> _CountingExecutor:
     executor = _CountingExecutor()
     asyncio.get_running_loop().set_default_executor(executor)
     return executor
+
+
+def _count_writer_jobs(server) -> _CountingExecutor:
+    """Swap a started server's (still idle) writer thread for a counting
+    one."""
+    server._writer_pool.shutdown()
+    server._writer_pool = _CountingExecutor(max_workers=1)
+    return server._writer_pool
 
 
 def _view_of(server, dn):
@@ -1766,10 +1773,11 @@ async def _searched_to(client, position, timeout=15.0):
 
 
 class TestSearchOnTheLoop:
-    """A search on an idle view that the planner bounds is answered on
-    the event loop — no executor job, no refresh, nothing rebuilt —
-    and everything else still takes the executor, counted by the jobs
-    a counting default executor sees."""
+    """Every read is answered on the event loop, whatever its plan — no
+    executor job, and on an idle view no refresh and nothing rebuilt —
+    counted by the jobs a counting default executor sees.  A commit is
+    one job on the writer thread, and the read after it refreshes the
+    view on the loop."""
 
     @pytest.mark.parametrize("kind", ["plain", "sharded"])
     def test_idle_lookups_take_no_job_and_a_commit_takes_one(
@@ -1780,6 +1788,7 @@ class TestSearchOnTheLoop:
         async def run():
             executor = _count_jobs()
             server = await _serve(store)
+            writes = _count_writer_jobs(server)
             try:
                 client = await _client(server, dn="cn=reader")
                 await _lookups(client, 1)  # opens the view: off the loop
@@ -1794,14 +1803,13 @@ class TestSearchOnTheLoop:
                     {"uid": ["fresh"], "name": ["fresh person"]},
                 )
                 assert applied["applied"]
-                jobs = executor.jobs
+                assert (executor.jobs, writes.jobs) == (jobs, 1)
                 found = await client.search(filter="(uid=fresh)")
-                assert executor.jobs == jobs + 1  # the refresh that sees it
+                assert executor.jobs == jobs  # refreshed on the loop
                 assert len(found["entries"]) == 1
                 assert found["position"] == applied["position"]
-                jobs = executor.jobs
                 await _lookups(client)
-                assert executor.jobs == jobs
+                assert (executor.jobs, writes.jobs) == (jobs, 1)
                 await writer.close()
                 await client.close()
             finally:
@@ -1836,7 +1844,9 @@ class TestSearchOnTheLoop:
         asyncio.run(run())
 
     @pytest.mark.parametrize("kind", ["plain", "sharded"])
-    def test_a_scan_and_a_check_take_one_job_each(self, kind, tmp_path):
+    def test_a_scan_and_a_check_take_no_job(self, kind, tmp_path):
+        """After a commit, an unfiltered scan (which refreshes the view)
+        and a full check are each answered on the loop."""
         store = _white_pages(kind, tmp_path)
 
         async def run():
@@ -1845,56 +1855,19 @@ class TestSearchOnTheLoop:
             try:
                 client = await _client(server)
                 await _lookups(client, 1)
+                applied = await client.add(
+                    "uid=fresh,o=org1", ["person", "top"],
+                    {"uid": ["fresh"], "name": ["fresh person"]},
+                )
+                assert applied["applied"]
                 jobs = executor.jobs
                 everything = await client.search()
-                assert executor.jobs == jobs + 1
+                assert executor.jobs == jobs
+                assert everything["position"] == applied["position"]
                 assert len(everything["entries"]) == len(server.store.instance)
-                jobs = executor.jobs
                 assert (await client.check())["legal"]
-                assert executor.jobs == jobs + 1
+                assert executor.jobs == jobs
                 await client.close()
-            finally:
-                await server.stop()
-
-        asyncio.run(run())
-
-    def test_a_slow_scan_does_not_hold_up_the_loop(self, tmp_path, monkeypatch):
-        """An unplanned scan slowed to 0.3 s runs on one connection; a
-        ping and a planned lookup on another answer meanwhile."""
-        import importlib
-
-        # the module: ``repro.query.search`` is also the function's name
-        search_module = importlib.import_module("repro.query.search")
-        store = _white_pages("sharded", tmp_path)
-        started = threading.Event()
-        candidates = search_module._candidates
-
-        def slow_candidates(*args):
-            started.set()
-            time.sleep(0.3)
-            yield from candidates(*args)
-
-        async def run():
-            server = await _serve(store)
-            try:
-                scanner, looker = await _client(server), await _client(server)
-                await _lookups(scanner, 1)
-                await _lookups(looker, 1)
-                monkeypatch.setattr(search_module, "_candidates", slow_candidates)
-                scan = asyncio.ensure_future(scanner.search())
-                while not started.is_set():
-                    await asyncio.sleep(0.002)
-                began = time.perf_counter()
-                assert (await looker.ping())["ok"]
-                pinged = time.perf_counter() - began
-                began = time.perf_counter()
-                await _lookups(looker, 1)
-                looked = time.perf_counter() - began
-                assert not scan.done()
-                assert pinged < 0.1 and looked < 0.1, (pinged, looked)
-                assert len((await scan)["entries"]) == len(server.store.instance)
-                await scanner.close()
-                await looker.close()
             finally:
                 await server.stop()
 
@@ -2124,6 +2097,55 @@ class TestReadinessInMemory:
         asyncio.run(run())
 
 
+class TestRelease:
+    def test_a_kill_closes_the_store_after_its_held_append(
+        self, plain_store, monkeypatch
+    ):
+        """A write that ``kill()`` cancels keeps running on the writer
+        thread; the store is closed behind it there, so the directory's
+        advisory lock is not released while its journal append is
+        held — and is released once it is done."""
+        import repro.server.server as server_module
+
+        path, _, _ = plain_store
+        io = _HoldAfterAppend()
+        monkeypatch.setattr(
+            server_module, "open_store",
+            lambda directory, schema, registry: DirectoryStore.open(
+                directory, schema, registry, io=io
+            ),
+        )
+
+        def lock_is_free():
+            try:
+                handle = DirectoryStore._acquire_lock(path)
+            except StoreLockedError:
+                return False
+            DirectoryStore._release_lock(handle)
+            return True
+
+        async def run():
+            server = await _serve(plain_store)
+            try:
+                client = await _client(server)
+                io.armed = True
+                write = asyncio.ensure_future(client.add(**_person(1)))
+                loop = asyncio.get_running_loop()
+                assert await loop.run_in_executor(None, io.reached.wait, 10)
+                killing = asyncio.ensure_future(server.kill())
+                await asyncio.sleep(0.3)  # a kill closing at once is done by now
+                assert not lock_is_free()
+                io.release.set()
+                await killing
+                assert lock_is_free()
+                await asyncio.gather(write, return_exceptions=True)
+                await client.close()
+            finally:
+                io.release.set()
+
+        asyncio.run(run())
+
+
 # ----------------------------------------------------------------------
 # differential: answered on the loop ≡ answered on the executor ≡ a
 # freshly opened view
@@ -2171,29 +2193,24 @@ def _requests(rng, instance, count=40):
     return requests
 
 
-async def _answers_agree(client, reference, rng, executor):
+async def _answers_agree(client, reference, rng):
     """Send every request over the wire and compare each reply with the
-    reference view's.  Returns ``(answered with no executor job, sent)``."""
-    inline = 0
-    requests = _requests(rng, reference.instance)
-    for request in requests:
+    reference view's."""
+    for request in _requests(rng, reference.instance):
         expected = _expected(reference, **request)
-        jobs = executor.jobs
         try:
             reply = await client.search(**request)
             got = {key: reply[key] for key in ("entries", "truncated", "position")}
         except ServerError as exc:
             got = exc.code
-        inline += executor.jobs == jobs
         assert got == expected, request
-    return inline, len(requests)
 
 
 class TestLoopEqualsExecutor:
-    """Replies over the wire — answered on the loop or on the executor,
-    whichever the server picked — equal a freshly opened view's
-    in-process search, at open, idle, after a local commit, after a
-    spanning 2PC, after a compaction and on a replica cohort."""
+    """Replies over the wire — every plan answered on the loop — equal a
+    freshly opened view's in-process search, at open, idle, after a
+    local commit, after a spanning 2PC, after a compaction and on a
+    replica cohort."""
 
     @staticmethod
     async def _states(server, writer, kind):
@@ -2229,7 +2246,6 @@ class TestLoopEqualsExecutor:
         path, schema, registry = store
 
         async def run():
-            executor = _count_jobs()
             server = await _serve(store)
             rng = random.Random(kind)
             try:
@@ -2237,10 +2253,7 @@ class TestLoopEqualsExecutor:
                 client = await _client(server)
                 async for state in self._states(server, writer, kind):
                     with open_view(path, schema, registry) as reference:
-                        inline, sent = await _answers_agree(
-                            client, reference, rng, executor
-                        )
-                    assert 0 < inline < sent, state  # both paths taken
+                        await _answers_agree(client, reference, rng)
                 # the compaction was read through a re-bootstrap
                 renumbers, stitches, bootstraps = _view_work(
                     _view_of(server, "cn=test")
@@ -2264,7 +2277,6 @@ class TestLoopEqualsExecutor:
         path, schema, registry = store
 
         async def run():
-            executor = _count_jobs()
             primary = await _serve(store)
             replica = await _replica_of(primary, tmp_path, schema, registry)
             rng = random.Random("cohort")
@@ -2279,10 +2291,7 @@ class TestLoopEqualsExecutor:
                     await _searched_to(client, head)
                     with open_view(path, schema, registry) as reference:
                         assert reference.position().to_wire() == head
-                        inline, sent = await _answers_agree(
-                            client, reference, rng, executor
-                        )
-                    assert 0 < inline < sent, state
+                        await _answers_agree(client, reference, rng)
                 # the fold swapped in member readers bootstrapped once from
                 # the folded snapshots, and the copy stitched them again
                 _, stitches, bootstraps = _view_work(_view_of(replica, "cn=test"))
@@ -2299,7 +2308,7 @@ class TestLoopEqualsExecutor:
                 finally:
                     applier._cut = cut
                 with open_view(path, schema, registry) as reference:
-                    await _answers_agree(client, reference, rng, executor)
+                    await _answers_agree(client, reference, rng)
                 await writer.close()
                 await client.close()
             finally:

@@ -30,8 +30,7 @@ from repro.legality.report import Kind
 from repro.model.dn import parse_dn
 from repro.store import DirectoryStore
 from repro.store.sharded import CompositeReader, ShardedStore
-from repro.store.recovery import SIDECAR_FILE
-from repro.store.shardmap import read_shard_map, shard_dir, shard_map_path
+from repro.store.shardmap import read_shard_map, shard_map_path
 from repro.store.txlog import TXLOG_FILE
 from repro.updates.operations import UpdateTransaction
 from repro.workloads import (
@@ -1752,10 +1751,7 @@ def test_four_check_surfaces_agree_in_order(tmp_path, registry, damage):
                 parent = None if dn.parent().is_empty() else str(dn.parent())
                 union.add_entry(parent, str(dn.rdns[0]), *op[2:])
 
-    # Views warm-start from the verdict sidecar a closing writer leaves;
-    # without it both check surfaces do the same (cold) engine work.
-    for name in shard_map.names():
-        os.unlink(os.path.join(shard_dir(path, name), SIDECAR_FILE))
+    # Every open checks cold: both check surfaces do the same engine work.
     with CompositeReader.open(path, schema, registry) as reader:
         view = reader.check()
         entries = len(reader.instance)

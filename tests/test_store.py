@@ -385,97 +385,95 @@ class TestCommitStats:
         assert outcome.stats.entries_checked >= 1
 
 
-class TestWarmStartSidecar:
-    def sidecar_path(self, path):
-        return os.path.join(path, "verdicts.cache")
+def _leftover_verdicts(path, schema, instance, damage=None):
+    """Write the ``verdicts.cache`` older stores kept beside the
+    snapshot, in its last format (``damage``: ``None`` intact, or
+    ``"truncate"`` / ``"garble"`` / ``"bad-crc"``).  It maps every
+    entry's content to a bogus violation: read, it would poison every
+    verdict of ``instance``.  Returns the file's path."""
+    import hashlib
+    import json
+    import zlib
 
-    def test_close_writes_sidecar_and_reopen_starts_warm(
-        self, tmp_path, wp_schema
-    ):
-        path = str(tmp_path / "store")
-        DirectoryStore.create(path, wp_schema, figure1_instance()).close()
-        assert os.path.exists(self.sidecar_path(path))
+    from repro.schema.dsl import serialize_dsl
+
+    verdicts = {
+        entry.content_fingerprint(): [["bogus", "read from a leftover file", None]]
+        for entry in instance
+    }
+    canonical = json.dumps(verdicts, sort_keys=True, separators=(",", ":"))
+    payload = {
+        "format": 1,
+        "schema": hashlib.blake2b(serialize_dsl(schema).encode("utf-8")).hexdigest(),
+        "generation": 1,
+        "crc": zlib.crc32(canonical.encode("utf-8")) + (damage == "bad-crc"),
+        "verdicts": verdicts,
+    }
+    data = json.dumps(payload, sort_keys=True).encode("utf-8")
+    if damage == "truncate":
+        data = data[: len(data) // 2]
+    elif damage == "garble":
+        data = data[:4] + b"\x00\xffnonsense" + data[14:]
+    leftover = os.path.join(path, "verdicts.cache")
+    with open(leftover, "wb") as fh:
+        fh.write(data)
+    return leftover
+
+
+class TestWarmStartSidecar:
+    """What is left of the warm-start verdict sidecar: no store writes a
+    ``verdicts.cache`` any more, one an older store left is never read —
+    every open checks cold — and the next compaction deletes it."""
+
+    @staticmethod
+    def _reopened_cold(path, schema, leftover):
         with DirectoryStore.open(
-            path, wp_schema, registry=whitepages_registry()
+            path, schema, registry=whitepages_registry()
         ) as reopened:
-            assert reopened.warm_start_verdicts > 0
-            # a warm recheck resolves every entry from imported verdicts
             guard = reopened._guard
             baseline = guard.session.stats.copy()
             assert guard.recheck().is_legal
             delta = guard.session.stats.since(baseline)
-            assert delta.entries_checked == 0
-            assert delta.cache_hits > 0
-
-    def test_compact_refreshes_the_sidecar(self, tmp_path, wp_schema):
-        path = str(tmp_path / "store")
-        store = DirectoryStore.create(path, wp_schema, figure1_instance())
-        assert store.apply(unit_tx(1)).applied
-        store.compact()
-        assert os.path.exists(self.sidecar_path(path))
-        store.close()
-        with DirectoryStore.open(
-            path, wp_schema, registry=whitepages_registry()
-        ) as reopened:
-            assert reopened.warm_start_verdicts > 0
+            assert delta.cache_hits == 0
+            assert delta.entries_checked == len(reopened.instance)
+            assert os.path.exists(leftover)
+            reopened.compact()
+            assert not os.path.exists(leftover)
 
     @pytest.mark.parametrize("damage", ["truncate", "garble", "bad-crc"])
     def test_corrupt_sidecar_degrades_to_cold_start(
         self, tmp_path, wp_schema, damage
     ):
-        import json
-
         path = str(tmp_path / "store")
         DirectoryStore.create(path, wp_schema, figure1_instance()).close()
-        sidecar = self.sidecar_path(path)
-        if damage == "truncate":
-            with open(sidecar, "r+b") as fh:
-                fh.truncate(os.path.getsize(sidecar) // 2)
-        elif damage == "garble":
-            with open(sidecar, "r+b") as fh:
-                fh.seek(4)
-                fh.write(b"\x00\xffnonsense")
-        else:  # valid JSON, wrong checksum
-            with open(sidecar, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            payload["crc"] = (payload["crc"] + 1) & 0xFFFFFFFF
-            with open(sidecar, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-        with DirectoryStore.open(
-            path, wp_schema, registry=whitepages_registry()
-        ) as reopened:
-            # cold start, never a wrong verdict
-            assert reopened.warm_start_verdicts == 0
-            assert reopened.check().is_legal
-            assert serialize_ldif(reopened.instance) == serialize_ldif(
-                figure1_instance()
-            )
+        leftover = _leftover_verdicts(path, wp_schema, figure1_instance(), damage)
+        self._reopened_cold(path, wp_schema, leftover)
 
     def test_schema_mismatch_sidecar_ignored(self, tmp_path, wp_schema):
-        import json
-
         path = str(tmp_path / "store")
         DirectoryStore.create(path, wp_schema, figure1_instance()).close()
-        sidecar = self.sidecar_path(path)
-        with open(sidecar, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        payload["schema"] = "0" * len(payload["schema"])
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        with DirectoryStore.open(
-            path, wp_schema, registry=whitepages_registry()
-        ) as reopened:
-            assert reopened.warm_start_verdicts == 0
-            assert reopened.check().is_legal
+        leftover = _leftover_verdicts(
+            path, whitepages_schema(extras=True), figure1_instance()
+        )
+        self._reopened_cold(path, wp_schema, leftover)
+
+    def test_an_intact_leftover_is_never_read(self, tmp_path, wp_schema):
+        path = str(tmp_path / "store")
+        DirectoryStore.create(path, wp_schema, figure1_instance()).close()
+        leftover = _leftover_verdicts(path, wp_schema, figure1_instance())
+        self._reopened_cold(path, wp_schema, leftover)
 
     def test_missing_sidecar_is_fine(self, tmp_path, wp_schema):
+        """``create``, a commit, a compaction and ``close`` write none."""
         path = str(tmp_path / "store")
-        DirectoryStore.create(path, wp_schema, figure1_instance()).close()
-        os.remove(self.sidecar_path(path))
+        store = DirectoryStore.create(path, wp_schema, figure1_instance())
+        assert store.apply(unit_tx(1)).applied
+        store.compact()
+        store.close()
+        assert "verdicts.cache" not in os.listdir(path)
         with DirectoryStore.open(
             path, wp_schema, registry=whitepages_registry()
         ) as reopened:
-            assert reopened.warm_start_verdicts == 0
             assert reopened.check().is_legal
 
 

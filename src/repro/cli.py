@@ -486,8 +486,10 @@ def _print_replica_state(directory: str, reports: dict) -> None:
 
 def _fsck_frontdoor(address: str) -> int:
     """``fsck --frontdoor HOST:PORT``: report a running front door's
-    topology — every member's address, liveness, and cached frontier,
-    plus recorded lost floors.  Exit 0 when the primary is alive."""
+    topology — every member's address, liveness, last reported
+    frontier and read outcomes (replies served, replies discarded as
+    stale), plus recorded lost floors.  Exit 0 when the primary is
+    alive."""
     import asyncio
 
     from repro.server.client import DirectoryClient, ServerError
@@ -522,7 +524,9 @@ def _fsck_frontdoor(address: str) -> int:
                 else "unknown frontier"
             )
             liveness = "alive" if member.get("alive") else "DOWN"
-            print(f"  {role} {member['address']}: {liveness}, {frontier}")
+            print(f"  {role} {member['address']}: {liveness}, {frontier}, "
+                  f"{member['served']} read(s) served, "
+                  f"{member['stale']} stale discarded")
             if member.get("sync_error"):
                 print(f"    not following: {member['sync_error']}")
 

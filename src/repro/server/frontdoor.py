@@ -11,10 +11,18 @@ clients a single address that scales reads with hardware:
 * ``search`` / ``check`` spread across the followers under a
   **bounded-staleness contract**: the client may pass ``require_seq``
   (a ``position`` payload an earlier response carried — the router
-  serves the read from a replica whose applied frontier is at least
-  that position, falling through to the primary when every follower
-  lags) or ``max_lag`` (frames of acceptable lag; ``0`` means primary
-  reads).  Every reply still carries ``position``, so requests chain.
+  serves the read from a follower it knows holds that position, and
+  from the primary when it knows of none) or ``max_lag`` (frames of
+  acceptable lag; ``0`` means primary reads).  Every reply still
+  carries ``position``, so requests chain.
+
+What the door knows of a member's position is the member's latest
+report: the ``position`` of its last forwarded reply or health probe.
+Nothing is pushed to the door, so a follower that lands a write after
+its last report is not read at that write until its next reply or
+probe says so.  A belief is not a guarantee either: every reply's
+position is checked against the requirement, and a staler answer is
+discarded (and counted) before the next candidate is tried.
 
 Per connection the front door additionally enforces **monotonic
 reads**: the largest position any response on that connection carried
@@ -103,7 +111,13 @@ class _Backend:
         self.prober: Optional[DirectoryClient] = None
         self.alive = True
         self.fails = 0
+        #: The member's latest reported frontier (not the largest ever
+        #: seen: a re-created follower reports a smaller one).
         self.position: Optional[Position] = None
+        #: Read replies returned to clients, and read replies discarded
+        #: as staler than the read's requirement.
+        self.served = 0
+        self.stale = 0
         #: Why a replica member's sync loop is failing, as its last
         #: probe reported it (``None``: following, or the primary).
         self.sync_error: Optional[str] = None
@@ -115,10 +129,21 @@ class _Backend:
             "position": (
                 None if self.position is None else self.position.to_wire()
             ),
+            "served": self.served,
+            "stale": self.stale,
         }
         if self.sync_error is not None:
             payload["sync_error"] = self.sync_error
         return payload
+
+    def heard(self, payload: Optional[dict]) -> Optional[Position]:
+        """Take the ``position`` a reply of this member carried as what
+        the door knows of it; a reply without one (``{}``) changes
+        nothing."""
+        position = _parse(payload)
+        if position is not None:
+            self.position = position
+        return position
 
 
 class _FrontConnection(Connection):
@@ -305,8 +330,7 @@ class FrontDoor(WireService):
                 "lost the primary mid-write; the write may or may not "
                 "have committed — verify and retry after failover",
             )
-        position = _parse(response.get("position"))
-        backend.position = _merge(backend.position, position)
+        position = backend.heard(response.get("position"))
         connection.floor = _merge(connection.floor, position)
         response["id"] = request_id
         return response
@@ -347,20 +371,21 @@ class FrontDoor(WireService):
                 return error_response(request_id, exc.code, exc.message)
             except (ConnectionError, OSError, asyncio.TimeoutError,
                     asyncio.IncompleteReadError):
-                # Reads are side-effect-free: a follower dying
-                # mid-search retries transparently on the next route.
-                if backend is not self._primary:
-                    await self._mark_dead(backend)
-                    continue
+                # Reads are side-effect-free: a member dying mid-search
+                # retries transparently on the next route.  After a
+                # primary, those are the followers not known to hold
+                # the requirement: one may have caught up unheard.
+                if backend is self._primary:
+                    self._probe_now.set()
                 await self._mark_dead(backend)
-                self._probe_now.set()
-                break
-            position = _parse(response.get("position"))
-            backend.position = _merge(backend.position, position)
+                continue
+            position = backend.heard(response.get("position"))
             if require is not None and (
                 position is None or not position >= require
             ):
+                backend.stale += 1
                 continue  # served, but staler than the contract allows
+            backend.served += 1
             connection.floor = _merge(connection.floor, position)
             response["id"] = request_id
             return response
@@ -373,13 +398,14 @@ class FrontDoor(WireService):
     def _read_candidates(
         self, require: Optional[Position], max_lag: Optional[int]
     ) -> List[_Backend]:
-        """Follower rotation, staleness-filtered, primary always last.
+        """The members to try, in order.
 
-        ``max_lag=0`` short-circuits to the primary.  A follower whose
-        cached frontier already satisfies ``require`` is preferred;
-        ones that might have caught up since their last probe still get
-        a try (the response's position is verified either way) before
-        the read falls through to the primary."""
+        ``max_lag=0`` is the primary alone.  Otherwise the live
+        followers within ``max_lag`` take turns (one rotation per
+        read).  A read without a requirement tries them all, then the
+        primary.  A read with one tries first the followers known to
+        hold it, then the primary, and only then the rest: those are
+        reached when the primary does not answer, as in a failover."""
         if max_lag == 0:
             return [self._primary]
         followers = [b for b in self._replicas if b.alive]
@@ -399,14 +425,14 @@ class FrontDoor(WireService):
                 return lag is not None and lag <= max_lag
 
             followers = [b for b in followers if within_lag(b)]
-        if require is not None:
-            satisfied = [
-                b for b in followers
-                if b.position is not None and b.position >= require
-            ]
-            lagging = [b for b in followers if b not in satisfied]
-            followers = satisfied + lagging
-        return followers + [self._primary]
+        if require is None:
+            return followers + [self._primary]
+        known = [
+            b for b in followers
+            if b.position is not None and b.position >= require
+        ]
+        unknown = [b for b in followers if b not in known]
+        return known + [self._primary] + unknown
 
     # ------------------------------------------------------------------
     # health and failover
@@ -450,9 +476,7 @@ class FrontDoor(WireService):
             return
         backend.fails = 0
         backend.alive = True
-        backend.position = _merge(
-            backend.position, _parse(response.get("position"))
-        )
+        backend.heard(response.get("position"))
         backend.sync_error = response.get("sync_error")
 
     async def _failover(self) -> None:

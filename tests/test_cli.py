@@ -609,6 +609,7 @@ class TestFrontdoorCli:
             assert code == 0, out
             assert "TOPOLOGY SERVING" in out
             assert "primary" in out and "alive" in out
+            assert "0 read(s) served, 0 stale discarded" in out
         finally:
             done.set()
             thread.join(30)

@@ -1,10 +1,12 @@
 """The read-balancing front door (:mod:`repro.server.frontdoor`).
 
 Covers the routing surface — writes to the primary, reads across
-replicas — and the bounded-staleness contract's edges: ``require_seq``
-beyond every follower falls through to the primary, ``max_lag=0``
-equals primary reads, a follower dying mid-search retries
-transparently, and the per-connection monotonic floor.  The
+replicas — and the bounded-staleness contract's edges: a read with a
+requirement (``require_seq`` or the connection's monotonic floor)
+searches only followers the door has heard hold it, and the primary
+otherwise; the door believes a member's latest report; ``max_lag=0``
+equals primary reads; a member dying mid-search, the primary
+included, retries transparently on the next candidate.  The
 kill-the-primary-mid-storm failover matrix lives in
 ``tests/test_failover.py``; this file pins the deterministic edges
 (replica sync loops are stalled on purpose where lag must be exact).
@@ -21,7 +23,7 @@ import pytest
 from repro.server import DirectoryClient, DirectoryServer, FrontDoor
 from repro.server.client import ServerError
 from repro.server.frontdoor import position_geq, position_max
-from repro.store import DirectoryStore
+from repro.store import DirectoryStore, Position
 from repro.store.sharded import ShardedStore
 from repro.workloads import (
     figure1_instance,
@@ -64,6 +66,25 @@ class _Topology:
                     await asyncio.sleep(0.05)
             finally:
                 await client.close()
+
+    async def wait_door_heard(self, position, timeout=15.0):
+        """Block until the door's table holds every replica at or past
+        ``position``: the door has heard it from a reply or a probe."""
+        deadline = asyncio.get_event_loop().time() + timeout
+        client = await self.client(dn="cn=probe")
+        try:
+            while True:
+                table = await client.request("topology")
+                if all(
+                    position_geq(member["position"], position)
+                    for member in table["replicas"]
+                ):
+                    return
+                if asyncio.get_event_loop().time() > deadline:
+                    raise AssertionError(f"door never heard {position}: {table}")
+                await asyncio.sleep(0.02)
+        finally:
+            await client.close()
 
     async def stall_replica_sync(self):
         """Freeze every replica at its current frontier (the lag the
@@ -115,6 +136,25 @@ async def _topology(
         else {"generation": 1, "seq": 0}
     )
     return topo
+
+
+def _count_calls(topo, op):
+    """Count the ``op`` requests each member runs, keyed ``primary``,
+    ``replica0``, ``replica1``, ..."""
+    counted = {}
+    members = [("primary", topo.primary)] + [
+        (f"replica{index}", replica) for index, replica in enumerate(topo.replicas)
+    ]
+    for name, member in members:
+        handler = getattr(member, f"_op_{op}")
+        counted[name] = 0
+
+        async def counting(connection, request, name=name, handler=handler):
+            counted[name] += 1
+            return await handler(connection, request)
+
+        setattr(member, f"_op_{op}", counting)
+    return counted
 
 
 def _person(index):
@@ -256,17 +296,19 @@ class TestStalenessContract:
                 # freeze the followers at the bootstrap frontier, then
                 # advance the primary past them
                 await topo.stall_replica_sync()
+                searched = _count_calls(topo, "search")
                 client = await topo.client()
                 dn, classes, attributes = _person(1)
                 written = await client.add(dn, classes, attributes)
                 position = written["position"]
                 # read-your-writes: every follower is stuck at seq 0,
-                # so this must fall through to the primary
+                # so the primary serves it, and no follower is searched
                 found = await client.search(
                     filter="(uid=w1)", require_seq=position
                 )
                 assert len(found["entries"]) == 1
                 assert position_geq(found["position"], position)
+                assert searched == {"primary": 1, "replica0": 0, "replica1": 0}
                 await client.close()
             finally:
                 await topo.stop()
@@ -354,6 +396,15 @@ class TestStalenessContract:
                     assert position_geq(
                         found["position"], written["position"]
                     )
+                # the door counts its read outcomes: the primary served
+                # all six, and no follower's stale answer was discarded
+                table = await client.request("topology")
+                assert table["primary"]["served"] == 6
+                assert table["primary"]["stale"] == 0
+                assert [
+                    (member["served"], member["stale"])
+                    for member in table["replicas"]
+                ] == [(0, 0), (0, 0)]
                 await client.close()
             finally:
                 await topo.stop()
@@ -367,11 +418,77 @@ class TestStalenessContract:
                 client = await topo.client()
                 dn, classes, attributes = _person(1)
                 written = await client.add(dn, classes, attributes)
-                await topo.wait_replicas_at(written["position"])
-                found = await client.search(
-                    filter="(uid=w1)", require_seq=written["position"]
+                # a follower is read at the write once the door has
+                # heard that it holds it (here: from the probe)
+                await topo.wait_door_heard(written["position"])
+                searched = _count_calls(topo, "search")
+                for _ in range(8):
+                    found = await client.search(
+                        filter="(uid=w1)", require_seq=written["position"]
+                    )
+                    assert len(found["entries"]) == 1
+                assert searched == {"primary": 0, "replica0": 4, "replica1": 4}
+                await client.close()
+            finally:
+                await topo.stop()
+
+        asyncio.run(run())
+
+    def test_the_door_believes_a_members_latest_report(self, tmp_path):
+        """A member's position in the door's table is what it last
+        reported, not the largest it ever reported: a follower known
+        ahead of what it holds (say, a re-created directory) is tried
+        once, answers stale, and is not tried again until news."""
+
+        async def run():
+            # no probe during the test: only forwarded replies inform
+            topo = await _topology(tmp_path, probe_interval=30)
+            try:
+                await topo.stall_replica_sync()
+                client = await topo.client()
+                written = await client.add(*_person(1))
+                topo.door._replicas[0].position = Position.from_wire(
+                    {"generation": 1, "seq": 99}
                 )
+                searched = _count_calls(topo, "search")
+                for expected in (
+                    {"primary": 1, "replica0": 1, "replica1": 0},
+                    {"primary": 2, "replica0": 1, "replica1": 0},
+                ):
+                    found = await client.search(filter="(uid=w1)")
+                    assert len(found["entries"]) == 1
+                    assert position_geq(found["position"], written["position"])
+                    assert searched == expected
+                table = await client.request("topology")
+                held_back = table["replicas"][0]
+                assert held_back["position"] == {"generation": 1, "seq": 0}
+                assert (held_back["served"], held_back["stale"]) == (0, 1)
+                assert table["primary"]["served"] == 2
+                await client.close()
+            finally:
+                await topo.stop()
+
+        asyncio.run(run())
+
+    def test_a_floored_read_survives_the_primary_dying_on_an_unheard_follower(
+        self, tmp_path
+    ):
+        """A floored read tries the followers the door has not heard
+        hold its floor after the primary: when the primary dies under
+        the read, a follower that caught up unheard still serves it."""
+
+        async def run():
+            # the door never probes during the test, so it has not
+            # heard that the followers caught up
+            topo = await _topology(tmp_path, probe_interval=30)
+            try:
+                client = await topo.client()
+                written = await client.add(*_person(1))
+                await topo.wait_replicas_at(written["position"])
+                await topo.primary.kill()
+                found = await client.search(filter="(uid=w1)")
                 assert len(found["entries"]) == 1
+                assert position_geq(found["position"], written["position"])
                 await client.close()
             finally:
                 await topo.stop()
@@ -387,30 +504,13 @@ class TestStalenessContract:
 
         async def run():
             topo = await _topology(tmp_path)
-            computed = {}
-
-            def count(member, name):
-                check = member._op_check
-                computed[name] = 0
-
-                async def counting(connection, request):
-                    computed[name] += 1
-                    return await check(connection, request)
-
-                member._op_check = counting
-
-            count(topo.primary, "primary")
-            for index, replica in enumerate(topo.replicas):
-                count(replica, f"replica{index}")
+            computed = _count_calls(topo, "check")
             try:
+                # every check after the first is floored by the
+                # connection, and a floored read goes only to followers
+                # the door has heard from; wait until it has heard both
+                await topo.wait_door_heard({"generation": 1, "seq": 0})
                 client = await topo.client()
-                # a follower whose frontier the door has not probed yet
-                # is tried last; wait until it knows both
-                while not all(
-                    member["position"]
-                    for member in (await client.request("topology"))["replicas"]
-                ):
-                    await asyncio.sleep(0.02)
                 for _ in range(8):
                     assert (await client.check())["legal"]
                 assert computed == {"primary": 0, "replica0": 4, "replica1": 4}

@@ -15,9 +15,10 @@ machinery itself uses the algebra in :mod:`repro.query.ast` directly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from enum import Enum
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import QueryError
 from repro.model.dn import DN
@@ -110,6 +111,57 @@ def _candidates(
         yield from instance.descendants_of(base)
 
 
+def _ranked_candidates(
+    instance: DirectoryInstance,
+    base: Optional[Entry],
+    scope: SearchScope,
+    rank: Callable[[Entry], Any],
+) -> Iterator[Entry]:
+    """What :func:`_candidates` yields, in canonical order instead of
+    document order: the scope depth-first, root first, each node's
+    children taken sorted by ``rank``.  Lazy — a node's children are
+    sorted only when the walk is about to descend into them, so a
+    search cut at its size limit sorts no child list below the last
+    entry it kept."""
+    if scope is SearchScope.BASE:
+        if base is not None:
+            yield base
+        return
+    top = instance.roots() if base is None else instance.children_of(base)
+    top.sort(key=rank)
+    if scope is SearchScope.ONE:
+        yield from top
+        return
+    if base is not None and scope is SearchScope.SUB:
+        yield base
+    stack = top[::-1]
+    while stack:
+        entry = stack.pop()
+        yield entry
+        stack.extend(
+            sorted(instance.children_of(entry), key=rank, reverse=True)
+        )
+
+
+def _rank_path(
+    instance: DirectoryInstance,
+    base: Optional[Entry],
+    rank: Callable[[Entry], Any],
+    entry: Entry,
+) -> Tuple[Any, ...]:
+    """The ranks of ``entry`` and its ancestors below ``base``, root
+    first: sorting a scope's entries by it gives the order
+    :func:`_ranked_candidates` walks them in (a parent's path is a
+    prefix of its children's, siblings differ in their last rank)."""
+    stop = None if base is None else base.eid
+    path = []
+    eid: Optional[int] = entry.eid
+    while eid != stop:
+        path.append(rank(instance.entry(eid)))
+        eid = instance.parent_id(eid)
+    return tuple(reversed(path))
+
+
 def _planned_walk(
     instance: DirectoryInstance,
     base: Optional[Entry],
@@ -120,8 +172,8 @@ def _planned_walk(
     """The candidates that lie in scope — one O(1) scope test each, not
     a pass over the scope.  In document order (O(|C| log |C|), one
     :meth:`~DirectoryInstance.interval_of` per candidate) only when the
-    caller asks for it: a search with its own ``order`` re-sorts the
-    matches anyway."""
+    caller asks for it: a ranked search sorts the matches by their rank
+    paths anyway."""
     if document_order:
         planned = sorted(planned, key=lambda eid: instance.interval_of(eid)[0])
     for eid in planned:
@@ -143,6 +195,13 @@ class PlannedSearch:
     terms rather than by the directory.  An unbounded plan scans its
     scope.
 
+    With a ``rank`` the answer comes in canonical order: a plan that
+    walks its scope (unbounded, or a scope smaller than the posting)
+    walks it depth-first, each node's children sorted by rank, and
+    stops at the size limit; a plan that keeps its posting sorts the
+    matching candidates by their root-first rank paths — the same
+    order — and cuts them after.
+
     Raises
     ------
     QueryError
@@ -157,7 +216,7 @@ class PlannedSearch:
         scope: Union[SearchScope, str] = SearchScope.SUB,
         filter: Union[Filter, str, None] = None,
         size_limit: Optional[int] = None,
-        order: Optional[Callable[[Entry], Any]] = None,
+        rank: Optional[Callable[[Entry], Any]] = None,
     ) -> None:
         scope = SearchScope(scope)
         if size_limit is not None and size_limit < 0:
@@ -199,22 +258,26 @@ class PlannedSearch:
         self._scope = scope
         self._predicate = predicate
         self._size_limit = size_limit
-        self._order = order
+        self._rank = rank
         self._planned = planned
 
     def run(self) -> List[Entry]:
         """The matching entries, in order, cut to the size limit."""
         instance, base, scope = self.instance, self._base, self._scope
+        rank = self._rank
         if self._planned is not None:
             walk = _planned_walk(
-                instance, base, scope, self._planned, self._order is None
+                instance, base, scope, self._planned, rank is None
             )
-        else:
+        elif rank is None:
             walk = _candidates(instance, base, scope)
+        else:
+            walk = _ranked_candidates(instance, base, scope, rank)
         matching = (entry for entry in walk if self._predicate.matches(entry))
-        if self._order is None:
-            return list(itertools.islice(matching, self._size_limit))
-        return sorted(matching, key=self._order)[: self._size_limit]
+        if self._planned is not None and rank is not None:
+            path = functools.partial(_rank_path, instance, base, rank)
+            return sorted(matching, key=path)[: self._size_limit]
+        return list(itertools.islice(matching, self._size_limit))
 
 
 def search(
@@ -223,7 +286,7 @@ def search(
     scope: Union[SearchScope, str] = SearchScope.SUB,
     filter: Union[Filter, str, None] = None,
     size_limit: Optional[int] = None,
-    order: Optional[Callable[[Entry], Any]] = None,
+    rank: Optional[Callable[[Entry], Any]] = None,
 ) -> List[Entry]:
     """Scoped LDAP search: :class:`PlannedSearch` planned and run.
 
@@ -240,13 +303,15 @@ def search(
     size_limit:
         Keep only the first this many matches (LDAP ``sizeLimit``);
         ``0`` keeps none.
-    order:
-        A sort key over entries that no two entries share (tied
-        entries come in no specified order).  Without one the matches
-        come in document order and the search stops at the limit; with
-        one they come sorted by it, and the limit keeps the first of
-        *that* order (how a stitched composite answers in canonical
-        order — its document order depends on the shard layout).
+    rank:
+        A sort key over entries that no two siblings share.  Without
+        one the matches come in document order; with one they come in
+        the canonical order it defines — root first, each entry before
+        its descendants, siblings sorted by rank — whatever order the
+        children were inserted in (how a stitched composite answers
+        independently of its shard layout).  Either way the limit keeps
+        the first matches of that order, and a search that walks its
+        scope stops there.
 
     Raises
     ------
@@ -254,4 +319,4 @@ def search(
         If the base DN does not name an entry, or the size limit is
         negative.
     """
-    return PlannedSearch(instance, base, scope, filter, size_limit, order).run()
+    return PlannedSearch(instance, base, scope, filter, size_limit, rank).run()

@@ -408,16 +408,12 @@ def _stitch(
     return composite
 
 
-def _global_document_key(instance: DirectoryInstance, entry: Entry):
-    """Sort key giving the canonical global document order of a
-    composite view: the root-first tuple of normalized RDN strings.
-
-    Tuple comparison makes a parent sort before every descendant (its
-    path is a strict prefix) and orders siblings by normalized RDN, so
-    the order depends only on the *content* of the directory — not on
-    shard layout, stitch order, or per-shard insertion history."""
-    dn = instance.dn_of(entry)
-    return tuple(str(rdn) for rdn in reversed(dn.normalized().rdns))
+def _sibling_rank(entry: Entry) -> str:
+    """An entry's rank among its siblings in a composite view: its
+    normalized RDN string.  The canonical order it defines (root first,
+    siblings by rank) depends only on the *content* of the directory —
+    not on shard layout, stitch order, or per-shard insertion history."""
+    return str(entry.rdn.normalized())
 
 
 def _canonical_plan(
@@ -428,11 +424,11 @@ def _canonical_plan(
     size_limit: Optional[int],
 ) -> PlannedSearch:
     """Scoped search over a stitched composite, planned: results in
-    canonical global document order; ``size_limit`` truncates *after*
-    ordering so the first N results are deterministic too."""
+    canonical global document order, walked by :func:`_sibling_rank`;
+    ``size_limit`` keeps the first N of that order, so the first N
+    results are deterministic too."""
     return PlannedSearch(
-        instance, base, scope, filter, size_limit,
-        order=functools.partial(_global_document_key, instance),
+        instance, base, scope, filter, size_limit, rank=_sibling_rank
     )
 
 
@@ -1124,11 +1120,14 @@ class ShardedStore:
         size_limit: Optional[int] = None,
     ) -> List[Entry]:
         """Scoped LDAP search over the stitched composite view, in
-        canonical global document order (layout-independent).  The
-        filter is planned on the shards' own indexes — the composite
-        carries a view of them (:func:`_stitch`), no postings — and the
-        composite still decides scope, the residual ``matches`` pass
-        and the order."""
+        canonical global document order (layout-independent): root
+        first, siblings by normalized RDN, ``size_limit`` keeping the
+        first N.  The filter is planned on the shards' own indexes — the
+        composite carries a view of them (:func:`_stitch`), no postings —
+        and the composite still decides scope, the residual ``matches``
+        pass and the order: a search that walks its scope walks it in
+        that order and stops at the limit, one that keeps its posting
+        sorts the matches (:class:`~repro.query.search.PlannedSearch`)."""
         self._ensure_open()
         return _canonical_plan(
             self.composite_instance(), base, scope, filter, size_limit
@@ -1371,11 +1370,14 @@ class CompositeReader:
         size_limit: Optional[int] = None,
     ) -> List[Entry]:
         """Scoped LDAP search over the stitched composite view, in
-        canonical global document order (layout-independent).  The
-        filter is planned on the shards' own indexes — the composite
-        carries a view of them (:func:`_stitch`), no postings — and the
-        composite still decides scope, the residual ``matches`` pass
-        and the order."""
+        canonical global document order (layout-independent): root
+        first, siblings by normalized RDN, ``size_limit`` keeping the
+        first N.  The filter is planned on the shards' own indexes — the
+        composite carries a view of them (:func:`_stitch`), no postings —
+        and the composite still decides scope, the residual ``matches``
+        pass and the order: a search that walks its scope walks it in
+        that order and stops at the limit, one that keeps its posting
+        sorts the matches (:class:`~repro.query.search.PlannedSearch`)."""
         return self.plan_search(base, scope, filter, size_limit).run()
 
     def plan_search(
@@ -1385,7 +1387,11 @@ class CompositeReader:
         filter=None,
         size_limit: Optional[int] = None,
     ) -> PlannedSearch:
-        """:meth:`search`, planned on the current view and not yet run."""
+        """:meth:`search`, planned on the current view and not yet run:
+        the scope and limit validated, the base resolved, the shard
+        indexes probed and the walk-or-posting choice made; its
+        :meth:`~repro.query.search.PlannedSearch.run` answers in the
+        canonical order."""
         self._ensure_open()
         return _canonical_plan(self.instance, base, scope, filter, size_limit)
 

@@ -959,6 +959,70 @@ class TestDeterministicSearchOrder:
             store.close()
 
 
+def test_capped_walk_ignores_child_list_order(tmp_path, schema, registry):
+    """A composite's child lists are in stitch and insertion order, not
+    in rank order: the grafted ``ou=attLabs`` comes after ``o=att``'s own
+    children, an ``ou=aaa`` the open reader follows under ``o=att`` lands
+    after it, and a ``uid=aardvark`` added under a unit lands after its
+    siblings.  Every scope, base and size limit still answers in
+    canonical order, walked (match-all) and posting-bounded alike."""
+    store = make_store(tmp_path, schema, registry)
+    reader = CompositeReader.open(str(tmp_path / "sharded"), schema, registry)
+    try:
+        reader.instance  # stitched here, before the commit
+        tx = UpdateTransaction()
+        tx.insert("ou=aaa,o=att", ["orgUnit", "orgGroup", "top"], {"ou": ["aaa"]})
+        tx.insert(
+            "uid=zed,ou=aaa,o=att", ["person", "top"],
+            {"uid": ["zed"], "name": ["zed"]},
+        )
+        tx.insert(
+            "uid=aardvark,ou=databases,ou=attLabs,o=att", ["person", "top"],
+            {"uid": ["aardvark"], "name": ["aardvark"]},
+        )
+        assert store.apply(tx).applied
+        assert not reader.refresh().stale
+        assert reader.stitches == 1  # followed, not stitched afresh
+        for surface in (reader, store):
+            composite = surface.instance
+            for parent in ("o=att", "ou=databases,ou=attLabs,o=att"):
+                ranks = [
+                    str(e.rdn.normalized()) for e in composite.children_of(parent)
+                ]
+                assert ranks != sorted(ranks), f"{parent}'s children are in rank order"
+            names = composite.dn_string_of
+            for base in (None, "o=att", "ou=attLabs,o=att"):
+                for scope in ("one", "sub", "children"):
+                    for text in (None, "(objectClass=person)"):
+                        full = [
+                            names(e)
+                            for e in surface.search(base=base, scope=scope, filter=text)
+                        ]
+                        assert full == sorted(full, key=_canonical_key)
+                        for limit in range(len(full) + 1):
+                            assert [
+                                names(e)
+                                for e in surface.search(
+                                    base=base, scope=scope, filter=text,
+                                    size_limit=limit,
+                                )
+                            ] == full[:limit]
+        assert [reader.dn_string_of(e) for e in reader.search()] == [
+            "o=att",
+            "ou=aaa,o=att",
+            "uid=zed,ou=aaa,o=att",
+            "ou=attLabs,o=att",
+            "ou=databases,ou=attLabs,o=att",
+            "uid=aardvark,ou=databases,ou=attLabs,o=att",
+            "uid=laks,ou=databases,ou=attLabs,o=att",
+            "uid=suciu,ou=databases,ou=attLabs,o=att",
+            "uid=armstrong,o=att",
+        ]
+    finally:
+        reader.close()
+        store.close()
+
+
 # ----------------------------------------------------------------------
 # the composite's search is planned on the shard indexes:
 # planned ≡ scan ≡ union store
@@ -1328,6 +1392,36 @@ class TestPlannedSearchWork:
             assert composite.indexes.translated == 0
             assert iterated == []
             assert (reader.stitches, reader.followed) == (1, 0)
+
+    def test_capped_org_scan_judges_the_same_entries_at_every_size(
+        self, tmp_path, schema, registry
+    ):
+        """``(objectClass=person)`` under an org with ``size_limit=k``:
+        the directory's persons outnumber the org's subtree, so the scope
+        is walked in canonical order and the walk stops at the k-th
+        match — the org, its first unit and that unit's first k persons
+        are judged whatever the size of the org (sorting every match of
+        the org first judged all of them)."""
+        from growth import fit_growth
+        from repro.query.filters import Equals
+        from test_index import LADDER
+
+        k = 5
+        org_matches, walked_work = [], []
+        for rung in LADDER:
+            with self._reader(tmp_path, schema, registry, rung) as reader:
+                judged = []
+                persons = self._judging(Equals, judged)("objectClass", "person")
+                asked = dict(base="o=org1", filter=persons, size_limit=k)
+                found = reader.search(**asked)
+                walked_work.append(len(judged))
+                full = reader.search(base="o=org1", filter="(objectClass=person)")
+                names = [reader.dn_string_of(e) for e in full]
+                assert names == sorted(names, key=_canonical_key)
+                assert found == full[:k] == _scanned(reader, **asked)
+                org_matches.append(len(full))
+        assert walked_work == [k + 2] * len(LADDER)
+        assert fit_growth(LADDER, org_matches) == pytest.approx(1.0, abs=0.05)
 
     def test_canonical_search_reads_no_interval(
         self, tmp_path, schema, registry, monkeypatch

@@ -15,10 +15,9 @@ machinery itself uses the algebra in :mod:`repro.query.ast` directly.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from enum import Enum
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import QueryError
 from repro.model.dn import DN
@@ -143,23 +142,33 @@ def _ranked_candidates(
         )
 
 
-def _rank_path(
+def _rank_paths(
     instance: DirectoryInstance,
     base: Optional[Entry],
     rank: Callable[[Entry], Any],
-    entry: Entry,
-) -> Tuple[Any, ...]:
-    """The ranks of ``entry`` and its ancestors below ``base``, root
-    first: sorting a scope's entries by it gives the order
-    :func:`_ranked_candidates` walks them in (a parent's path is a
-    prefix of its children's, siblings differ in their last rank)."""
-    stop = None if base is None else base.eid
-    path = []
-    eid: Optional[int] = entry.eid
-    while eid != stop:
-        path.append(rank(instance.entry(eid)))
-        eid = instance.parent_id(eid)
-    return tuple(reversed(path))
+) -> Callable[[Entry], Tuple[Any, ...]]:
+    """A key giving the ranks of an entry and its ancestors below
+    ``base``, root first: sorting a scope's entries by it gives the
+    order :func:`_ranked_candidates` walks them in (a parent's path is a
+    prefix of its children's, siblings differ in their last rank).  An
+    entry's path is its parent's plus its own rank, so the key memoizes
+    paths by eid and ranks each entry on the matches' paths once."""
+    paths: Dict[Optional[int], Tuple[Any, ...]] = {
+        None if base is None else base.eid: ()
+    }
+
+    def path(entry: Entry) -> Tuple[Any, ...]:
+        climbed = []
+        eid: Optional[int] = entry.eid
+        while eid not in paths:
+            climbed.append(eid)
+            eid = instance.parent_id(eid)
+        known = paths[eid]
+        for eid in reversed(climbed):
+            known = paths[eid] = known + (rank(instance.entry(eid)),)
+        return known
+
+    return path
 
 
 def _planned_walk(
@@ -275,7 +284,7 @@ class PlannedSearch:
             walk = _ranked_candidates(instance, base, scope, rank)
         matching = (entry for entry in walk if self._predicate.matches(entry))
         if self._planned is not None and rank is not None:
-            path = functools.partial(_rank_path, instance, base, rank)
+            path = _rank_paths(instance, base, rank)
             return sorted(matching, key=path)[: self._size_limit]
         return list(itertools.islice(matching, self._size_limit))
 

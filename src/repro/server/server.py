@@ -806,15 +806,16 @@ class DirectoryServer(WireService):
         refusing while any 2PC prepare is in doubt or, sharded, while
         the cohort is off its replicated cut.  On refusal the applier
         and sync loop are restarted, so a failed candidate keeps
-        following its upstream."""
+        following its upstream.  The role is read under the lock: a
+        second promote that waited for it finds a primary."""
         request_id = request.get("id")
-        if self._applier is None:
-            raise BadRequest(
-                "this server is already a primary; only a replica can "
-                "be promoted"
-            )
         loop = asyncio.get_running_loop()
         async with self._write_lock:
+            if self._applier is None:
+                raise BadRequest(
+                    "this server is already a primary; only a replica can "
+                    "be promoted"
+                )
             await self._stop_sync()
             applier, self._applier = self._applier, None
 

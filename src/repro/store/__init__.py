@@ -3,11 +3,17 @@
 * :class:`DirectoryStore` — the store engine (locking, degraded mode);
 * :class:`StoreReader` — lock-free read-only views that follow the
   writer's WAL incrementally (:mod:`repro.store.reader`);
-* :mod:`repro.store.wal` — checksummed journal frames and the
-  :class:`~repro.store.wal.StoreIO` indirection layer;
+* :mod:`repro.store.wal` — checksummed journal frames, the snapshot
+  header, and the :class:`~repro.store.wal.StoreIO` indirection layer;
 * :mod:`repro.store.recovery` — WAL scan, quarantine, verification;
-* :mod:`repro.store.manifest` — the writer's advisory publication file;
 * :mod:`repro.store.faults` — deterministic fault injection for tests.
+
+A plain store directory (and each member of a sharded one) holds
+``snapshot.ldif``, ``journal.ldif`` and ``lock`` (with ``lock.guard``,
+which serializes stale-lock reclaim), plus ``replica.state`` while it
+follows an upstream.  The snapshot's first line —
+``# repro-store snapshot gen=N format=1``, with ``folds=S`` when a
+compaction wrote it — is the one place a generation describes itself.
 
 One position, one opener
 ------------------------
@@ -35,7 +41,6 @@ member directories, keyed like a :class:`Position`.
 import contextlib
 
 from repro.store.journal import DirectoryStore
-from repro.store.manifest import Manifest, read_manifest
 from repro.store.position import Position
 from repro.store.reader import ReaderLag, RefreshResult, StoreReader
 from repro.store.recovery import RecoveryReport, recover
@@ -56,8 +61,6 @@ __all__ = [
     "StoreReader",
     "RefreshResult",
     "ReaderLag",
-    "Manifest",
-    "read_manifest",
     "RecoveryReport",
     "recover",
     "StoreIO",

@@ -58,7 +58,7 @@ import glob
 import os
 import shutil
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.errors import (
     StoreError,
@@ -81,13 +81,6 @@ from repro.schema.directory_schema import DirectorySchema
 from repro.store import index as _index
 from repro.store import recovery as _recovery
 from repro.store import wal
-from repro.store.manifest import (
-    MANIFEST_FILE,
-    Manifest,
-    encode_manifest,
-    read_manifest,
-    write_manifest,
-)
 from repro.store.position import Position
 from repro.store.recovery import (
     JOURNAL_FILE,
@@ -99,11 +92,6 @@ from repro.store.recovery import (
 from repro.store.wal import StoreIO
 from repro.updates.incremental import IncrementalChecker, UpdateOutcome, attach_path_counts
 from repro.updates.operations import UpdateTransaction
-
-if TYPE_CHECKING:
-    # The reader borrows this module's change-kind table to re-run the
-    # guard on the frames it follows, so the import points that way.
-    from repro.store.reader import StoreReader
 
 __all__ = ["DirectoryStore", "StagedWrite"]
 
@@ -287,7 +275,6 @@ class DirectoryStore:
         self._poisoned: Optional[str] = None
         self.recovery_report = recovery
         self._closed = False
-        self._manifest_version = 0
         #: 2PC participant state: the prepared-but-undecided transaction
         #: (at most one — the WAL scan discipline enforces it).  On the
         #: writer path it is applied in memory and ``_pending_staged``
@@ -381,9 +368,6 @@ class DirectoryStore:
             io.fsync(handle)
         with io.open_bytes(os.path.join(temp, JOURNAL_FILE), "wb") as handle:
             io.fsync(handle)
-        with io.open_bytes(os.path.join(temp, MANIFEST_FILE), "wb") as handle:
-            handle.write(encode_manifest(Manifest(version=1, generation=1)))
-            io.fsync(handle)
         io.fsync_dir(temp)
         if os.path.isdir(target):  # exists but empty: make room for rename
             os.rmdir(target)
@@ -391,7 +375,7 @@ class DirectoryStore:
         io.fsync_dir(os.path.dirname(os.path.abspath(target)))
 
         lock = cls._acquire_lock(target)
-        store = cls(
+        return cls(
             target,
             schema,
             instance,
@@ -403,8 +387,6 @@ class DirectoryStore:
             index_key_attributes=index_key_attributes,
             index_referential_attributes=index_referential_attributes,
         )
-        store._manifest_version = 1
-        return store
 
     @classmethod
     def open(
@@ -425,10 +407,8 @@ class DirectoryStore:
         quarantined and truncated automatically, a stale (pre-compaction)
         journal is discarded, and the recovered instance is verified
         against ``schema``.  Real damage opens the store in degraded
-        read-only mode (``strict=True`` raises instead).
-
-        Legacy (pre-WAL) stores are recovered through the old commit-
-        marker format and transparently upgraded to the WAL format.
+        read-only mode (``strict=True`` raises instead).  A snapshot
+        without its header raises :class:`~repro.errors.StoreError`.
         """
         io = io if io is not None else StoreIO()
         if not os.path.isdir(directory):
@@ -456,41 +436,10 @@ class DirectoryStore:
             if report.in_doubt_txid is not None:
                 store._pending_txid = report.in_doubt_txid
                 store._pending_payload = report.in_doubt_payload
-            store._reconcile_manifest()
-            if report.legacy_format and not report.read_only:
-                store.compact()  # rewrites snapshot+journal in WAL format
-                report.notes.append(
-                    "upgraded legacy store to the WAL format (generation "
-                    f"{store._generation})"
-                )
             return store
         except BaseException:
             cls._release_lock(lock)
             raise
-
-    @classmethod
-    def open_reader(
-        cls,
-        directory: str,
-        schema: DirectorySchema,
-        registry: Optional[AttributeRegistry] = None,
-        *,
-        io: Optional[StoreIO] = None,
-    ) -> "StoreReader":
-        """Open a lock-free read-only view of the store.
-
-        Unlike :meth:`open`, this neither takes the advisory lock nor
-        rewrites any file: any number of readers can coexist with one
-        live writer.  The view bootstraps from the last compacted
-        snapshot plus the committed journal prefix and follows the
-        writer incrementally via
-        :meth:`~repro.store.reader.StoreReader.refresh`.  See
-        :class:`~repro.store.reader.StoreReader` for the staleness and
-        crash-consistency contract.
-        """
-        from repro.store.reader import StoreReader
-
-        return StoreReader.open(directory, schema, registry, io=io)
 
     def close(self) -> None:
         """Release the advisory lock.  Idempotent; the store object must
@@ -706,12 +655,16 @@ class DirectoryStore:
         place atomically; the journal (whose records carry *g*) is then
         reset.  A crash between the two steps is safe: recovery sees
         old-generation records under a new-generation snapshot and
-        discards them as stale instead of double-applying.
+        discards them as stale instead of double-applying.  The header
+        also records the frontier folded (``folds=<seq>``), so a
+        replication shipper can let a follower standing there fold
+        locally instead of downloading the snapshot.
         """
         self._ensure_writable()
         new_generation = self._generation + 1
         snapshot_text = wal.encode_snapshot(
-            new_generation, serialize_ldif(self.instance)
+            new_generation, serialize_ldif(self.instance),
+            folds=self._journal_count,
         )
         try:
             self._io.write_file_atomic(
@@ -728,10 +681,8 @@ class DirectoryStore:
                 "compaction failed; the store is poisoned — close and "
                 f"reopen to recover: {exc}"
             ) from exc
-        folded = self._journal_count
         self._generation = new_generation
         self._journal_count = 0
-        self._publish_manifest(folded_seq=folded)
         self._remove_leftover_files()
 
     # ------------------------------------------------------------------
@@ -762,50 +713,14 @@ class DirectoryStore:
         return self._read_only
 
     def _remove_leftover_files(self) -> None:
-        """Delete the caches older stores persisted beside the snapshot
+        """Delete the files older stores persisted beside the snapshot
         (:data:`~repro.store.recovery.LEFTOVER_FILES`): nothing reads
-        them, and every open derives postings and verdicts from the
-        instance."""
+        them."""
         for name in LEFTOVER_FILES:
             try:
                 os.unlink(os.path.join(self._dir, name))
             except OSError:
                 pass
-
-    # ------------------------------------------------------------------
-    # manifest publication (writer side of the reader rendezvous)
-    # ------------------------------------------------------------------
-    def _reconcile_manifest(self) -> None:
-        """At open: pick up the published version counter and republish
-        when the manifest is missing or disagrees with the recovered
-        generation (a writer crashed inside compact's publish window,
-        or the store predates manifests)."""
-        existing = read_manifest(self._dir, self._io)
-        self._manifest_version = existing.version if existing else 0
-        if existing is None or existing.generation != self._generation:
-            self._publish_manifest()
-
-    def _publish_manifest(self, folded_seq: Optional[int] = None) -> None:
-        """Atomically publish the current generation for readers.
-
-        Best-effort on I/O *errors* — the snapshot header is the
-        authoritative generation, so a stale manifest only costs
-        readers a fallback probe — but an injected crash
-        (``BaseException``) propagates so the fault matrix exercises
-        every publish window.  Compaction passes ``folded_seq`` — the
-        previous generation's journal frontier its snapshot folds — so
-        a replication shipper can recognise caught-up followers.
-        """
-        manifest = Manifest(
-            version=self._manifest_version + 1,
-            generation=self._generation,
-            folded_seq=folded_seq,
-        )
-        try:
-            write_manifest(self._dir, manifest, self._io)
-        except Exception:
-            return
-        self._manifest_version = manifest.version
 
     # ------------------------------------------------------------------
     # internals

@@ -17,9 +17,9 @@ state, no reader→writer communication:
   silently, at a frame boundary — the moment it meets a torn or
   uncommitted suffix.  This is exactly recovery's committed-prefix
   rule (:mod:`repro.store.recovery`), applied incrementally;
-* the ``manifest`` file (:mod:`repro.store.manifest`) is an advisory
-  rendezvous naming the snapshot/journal files; the snapshot header
-  stays authoritative for the generation.
+* the snapshot header is the one place a generation describes itself:
+  a reader probes its first line (O(1)) to notice a compaction, and a
+  snapshot without one is damage (:class:`~repro.errors.StoreError`).
 
 The resulting guarantee, stress- and crash-tested by ``tests/harness``:
 **every state a reader observes is a committed state the writer really
@@ -58,14 +58,8 @@ from repro.schema.directory_schema import DirectorySchema
 from repro.store import index as _index
 from repro.store import wal
 from repro.store.journal import _kind_of
-from repro.store.manifest import read_manifest
 from repro.store.position import Position
-from repro.store.recovery import (
-    JOURNAL_FILE,
-    SNAPSHOT_FILE,
-    _scan_legacy,
-    parse_record,
-)
+from repro.store.recovery import JOURNAL_FILE, SNAPSHOT_FILE, parse_record
 from repro.store.wal import StoreIO
 from repro.updates.incremental import IncrementalChecker, attach_path_counts
 from repro.updates.operations import UpdateTransaction
@@ -114,8 +108,7 @@ class RefreshResult:
 class StoreReader:
     """A read-only, incrementally refreshable view of a store.
 
-    Create via :meth:`open` (or
-    :meth:`~repro.store.journal.DirectoryStore.open_reader`).  The view
+    Create via :meth:`open`.  The view
     is pinned at the committed state found at open time; call
     :meth:`refresh` to follow the writer.  Close it (or use it as a
     context manager) when done — readers hold **no lock**, so closing
@@ -157,8 +150,6 @@ class StoreReader:
         #: Session stats as of the last report, so a followed report
         #: carries exactly the Δ-check work done since.
         self._reported = CheckStats()
-        self._snapshot_name = SNAPSHOT_FILE
-        self._journal_name = JOURNAL_FILE
         self._closed = False
         self._pending_txid: Optional[str] = None
         self._resolved_txid: Optional[str] = None
@@ -198,7 +189,8 @@ class StoreReader:
 
         Bootstraps from the last compacted snapshot plus the committed
         journal prefix.  Never blocks on, and is never blocked by, the
-        writer's advisory lock.
+        writer's advisory lock.  A snapshot without its header raises
+        :class:`~repro.errors.StoreError`.
         """
         io = io if io is not None else StoreIO()
         if not os.path.isdir(directory):
@@ -362,9 +354,7 @@ class StoreReader:
         after).  Never mutates the view."""
         self._ensure_open()
         try:
-            disk_generation = wal.header_generation(
-                self._io.read_head(self._snapshot_path())
-            )
+            disk_generation = self._head_generation()
         except OSError:
             return ReaderLag(generations=0, frames=0)
         if disk_generation != self._generation:
@@ -425,10 +415,17 @@ class StoreReader:
             indexes.delta_checkpoint()
 
     def _snapshot_path(self) -> str:
-        return os.path.join(self._dir, self._snapshot_name)
+        return os.path.join(self._dir, SNAPSHOT_FILE)
 
     def _journal_path(self) -> str:
-        return os.path.join(self._dir, self._journal_name)
+        return os.path.join(self._dir, JOURNAL_FILE)
+
+    def _head_generation(self) -> int:
+        """The generation the snapshot on disk carries, from its first
+        line.  Raises :class:`OSError` when the snapshot is unreadable,
+        :class:`StoreError` when it has no header."""
+        path = self._snapshot_path()
+        return wal.parse_header(self._io.read_head(path), path).generation
 
     def _scan_journal_for(
         self, generation: int, offset: int
@@ -439,8 +436,6 @@ class StoreReader:
             data = self._io.read_bytes_from(self._journal_path(), offset)
         except OSError:
             return None
-        if generation == wal.LEGACY_GENERATION:
-            return _scan_legacy(data)
         return wal.scan(data, expect_generation=generation)
 
     def _probe(self) -> str:
@@ -448,10 +443,9 @@ class StoreReader:
         snapshot header's generation and the journal's size alone —
         O(1), no journal byte read: ``"current"`` (nothing past the
         view's offset), ``"tail"`` (new journal bytes to scan) or
-        ``"rebuild"`` (re-bootstrap).  Raises :class:`OSError` when the
-        snapshot is unreadable."""
-        head = self._io.read_head(self._snapshot_path())
-        if wal.header_generation(head) != self._generation:
+        ``"rebuild"`` (re-bootstrap).  Raises as
+        :meth:`_head_generation` does."""
+        if self._head_generation() != self._generation:
             return "rebuild"
         try:
             journal_size = os.path.getsize(self._journal_path())
@@ -491,9 +485,7 @@ class StoreReader:
             # compaction racing the header probe (new-generation frames
             # under an old-generation snapshot read): check once more.
             try:
-                now = wal.header_generation(
-                    self._io.read_head(self._snapshot_path())
-                )
+                now = self._head_generation()
             except OSError:
                 now = self._generation
             if now != self._generation:
@@ -667,26 +659,17 @@ class StoreReader:
         consistent read succeeded; the caller decides whether that is
         fatal (open) or merely stale (refresh)."""
         for _ in range(_BOOTSTRAP_RETRIES):
-            manifest = read_manifest(self._dir, self._io)
-            snapshot_name = manifest.snapshot if manifest else SNAPSHOT_FILE
-            journal_name = manifest.journal if manifest else JOURNAL_FILE
             try:
-                text = self._io.read_text(
-                    os.path.join(self._dir, snapshot_name)
-                )
+                text = self._io.read_text(self._snapshot_path())
             except OSError:
                 continue
-            generation, ldif_text = wal.decode_snapshot(text)
+            header, ldif_text = wal.decode_snapshot(text, self._snapshot_path())
+            generation = header.generation
             try:
-                journal_bytes = self._io.read_bytes(
-                    os.path.join(self._dir, journal_name)
-                )
+                journal_bytes = self._io.read_bytes(self._journal_path())
             except OSError:
                 journal_bytes = b""
-            if generation == wal.LEGACY_GENERATION:
-                scanned = _scan_legacy(journal_bytes)
-            else:
-                scanned = wal.scan(journal_bytes, expect_generation=generation)
+            scanned = wal.scan(journal_bytes, expect_generation=generation)
             if scanned.tail_state == "corrupt" and not scanned.records:
                 # Could be a compaction race (newer-generation frames
                 # under the snapshot we just read): check the header
@@ -694,18 +677,11 @@ class StoreReader:
                 # which is still a consistent committed prefix (here:
                 # the bare snapshot).
                 try:
-                    now = wal.header_generation(
-                        self._io.read_head(
-                            os.path.join(self._dir, snapshot_name)
-                        )
-                    )
+                    if self._head_generation() != generation:
+                        continue
                 except OSError:
                     continue
-                if now != generation:
-                    continue
             instance = parse_ldif(ldif_text, attributes=self._registry)
-            self._snapshot_name = snapshot_name
-            self._journal_name = journal_name
             self.instance = instance
             self._guard = None  # it vouches for the instance just replaced
             self._resolved_txid = None

@@ -65,22 +65,21 @@ __all__ = [
     "replay_transaction",
 ]
 
-_LEGACY_COMMIT_MARKER = "# commit"
-
 SNAPSHOT_FILE = "snapshot.ldif"
 JOURNAL_FILE = "journal.ldif"
 QUARANTINE_FILE = "journal.quarantine"
 LOCK_FILE = "lock"
-#: Where older stores persisted the postings of :mod:`repro.store.index`
-#: and the legality session's verdicts.  Nothing reads them: every open
-#: derives both from its instance, and the next compaction deletes a
-#: leftover file.
-LEFTOVER_FILES = ("indexes.cache", "verdicts.cache")
-#: Replication-follower state (:mod:`repro.store.replicate`): upstream
-#: address plus the last durably applied stream position.  Advisory like
-#: the manifest — the snapshot/journal stay the single source of truth,
-#: the state file only tells ``fsck`` and a restarted applier where the
-#: copy came from.  ``promote`` removes it.
+#: Where older stores persisted the postings of :mod:`repro.store.index`,
+#: the legality session's verdicts, and an advisory copy of the snapshot
+#: header's fields.  Nothing reads them: every open derives postings and
+#: verdicts from its instance, the header describes its generation, and
+#: the next compaction deletes a leftover file.
+LEFTOVER_FILES = ("indexes.cache", "verdicts.cache", "manifest")
+#: Replication-follower state (:mod:`repro.store.replicate`): the
+#: upstream address and the schema fingerprint it streams under.
+#: Advisory — the snapshot/journal stay the single source of truth, the
+#: state file only tells ``fsck`` and a restarted applier where the copy
+#: came from.  ``promote`` removes it.
 REPLICA_STATE_FILE = "replica.state"
 
 
@@ -99,7 +98,6 @@ class RecoveryReport:
     repaired: bool = False  # files were rewritten (quarantine + truncate)
     read_only: bool = False  # damage requires operator attention
     legal: Optional[bool] = None  # None = not verified (no schema given)
-    legacy_format: bool = False  # pre-WAL marker journal
     #: Sequence number of the last frame kept in the journal (0 when
     #: empty).  With 2PC pairs this is *frames*, not transactions:
     #: a decided prepare/decide pair advances it by two.
@@ -128,7 +126,7 @@ class RecoveryReport:
         """Human-readable multi-line report (the ``fsck`` output)."""
         lines = [
             f"store: {self.directory}",
-            f"format: {'legacy (pre-WAL)' if self.legacy_format else 'wal v1'}",
+            "format: wal v1",
             f"generation: {self.generation}",
             f"committed records: {self.committed}",
             f"stale records discarded: {self.stale_discarded}",
@@ -198,55 +196,13 @@ def parse_record(record: wal.WalRecord):
     return parse_changes(record.payload)
 
 
-def _scan_legacy(data: bytes) -> wal.ScanResult:
-    """Scan a pre-WAL marker journal into a :class:`~repro.store.wal.ScanResult`.
-
-    The marker is matched *exactly* as the legacy ``_append_journal``
-    wrote it (a line that is precisely ``# commit``).  The seed reader's
-    ``line.strip()`` match also fired on whitespace-variant lines —
-    including LDIF continuation lines like ``" # commit"`` that belong
-    to a record's *data* — silently splitting records it should have
-    replayed whole.
-    """
-    text = data.decode("utf-8", errors="replace")
-    records: List[wal.WalRecord] = []
-    block_lines: List[str] = []
-    offset = 0
-    block_start = 0
-    for line in text.splitlines(keepends=True):
-        bare = line.rstrip("\n").rstrip("\r")
-        line_end = offset + len(line.encode("utf-8"))
-        if bare == _LEGACY_COMMIT_MARKER:
-            records.append(
-                wal.WalRecord(
-                    seq=len(records) + 1,
-                    generation=wal.LEGACY_GENERATION,
-                    payload="".join(block_lines),
-                    offset=block_start,
-                    frame_length=line_end - block_start,
-                )
-            )
-            block_lines = []
-            block_start = line_end
-        else:
-            block_lines.append(line)
-        offset = line_end
-    committed_end = records[-1].end if records else 0
-    tail = data[committed_end:]
-    if tail.strip():
-        return wal.ScanResult(
-            records, committed_end, "torn",
-            "bytes after the last commit marker", total=len(data),
-        )
-    return wal.ScanResult(records, len(data), "clean", total=len(data))
-
-
 def scan_store(
     directory: str, io: Optional[StoreIO] = None
-) -> Tuple[int, str, wal.ScanResult, bool, bytes]:
+) -> Tuple[int, str, wal.ScanResult, bytes]:
     """Read and decode the store's files without replaying anything.
 
-    Returns ``(generation, snapshot_ldif, scan_result, legacy, journal_bytes)``.
+    Returns ``(generation, snapshot_ldif, scan_result, journal_bytes)``;
+    a snapshot without its header raises :class:`StoreError`.
     """
     io = io if io is not None else StoreIO()
     snapshot_path, journal_path, _ = _paths(directory)
@@ -254,17 +210,15 @@ def scan_store(
         raise FileNotFoundError(f"{directory!r} is not a store directory")
     if not os.path.exists(snapshot_path):
         raise FileNotFoundError(f"{directory!r} has no {SNAPSHOT_FILE}")
-    generation, ldif_text = wal.decode_snapshot(io.read_text(snapshot_path))
-    legacy = generation == wal.LEGACY_GENERATION
-
+    header, ldif_text = wal.decode_snapshot(
+        io.read_text(snapshot_path), snapshot_path
+    )
+    generation = header.generation
     if not os.path.exists(journal_path):
         empty = wal.ScanResult([], 0, "clean", total=0)
-        return generation, ldif_text, empty, legacy, b""
-
+        return generation, ldif_text, empty, b""
     data = io.read_bytes(journal_path)
-    if legacy:
-        return generation, ldif_text, _scan_legacy(data), True, data
-    return generation, ldif_text, wal.scan(data, expect_generation=generation), False, data
+    return generation, ldif_text, wal.scan(data, expect_generation=generation), data
 
 
 def _quarantine_and_truncate(
@@ -321,11 +275,8 @@ def recover(
     """
     io = io if io is not None else StoreIO()
     report = RecoveryReport(directory)
-    generation, ldif_text, scanned, legacy, journal_bytes = scan_store(
-        directory, io
-    )
+    generation, ldif_text, scanned, journal_bytes = scan_store(directory, io)
     report.generation = generation
-    report.legacy_format = legacy
     report.tail_state = scanned.tail_state
     report.tail_bytes = scanned.tail_bytes
 

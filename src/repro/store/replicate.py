@@ -67,7 +67,6 @@ the follower reports it instead of idling at its old frontier.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import zlib
@@ -82,7 +81,6 @@ from repro.schema.directory_schema import DirectorySchema
 from repro.schema.dsl import serialize_dsl
 from repro.store import wal
 from repro.store.journal import DirectoryStore
-from repro.store.manifest import Manifest, read_manifest, write_manifest
 from repro.store.position import Position
 from repro.store.reader import StoreReader
 from repro.store.recovery import (
@@ -319,10 +317,13 @@ def decode_stream_message(message: dict) -> StreamMessage:
         crc = message.get("schema_crc")
         if not isinstance(text, str) or not isinstance(crc, int):
             raise ReplicationError("malformed snapshot message")
-        snap_generation, _ = wal.decode_snapshot(text)
-        if snap_generation != generation:
+        try:
+            header, _ = wal.decode_snapshot(text, "the shipped snapshot")
+        except StoreError as exc:
+            raise ReplicationError(str(exc)) from exc
+        if header.generation != generation:
             raise ReplicationError(
-                f"snapshot header says generation {snap_generation}, "
+                f"snapshot header says generation {header.generation}, "
                 f"message says {generation}"
             )
         return StreamMessage(
@@ -418,23 +419,17 @@ class FrameSource:
         self._pending_announce = False
         if generation < 1 or seq < 0:
             return False
-        head = self._head_generation()
-        if head != generation:
+        head = self._head()
+        if head is None or head.generation != generation:
             # A follower standing exactly at a frontier the primary has
             # since folded (the survivor of a promotion) re-attaches
             # through the fold: the next poll announces it and the
             # follower compacts locally — no snapshot re-download.
-            if head == generation + 1:
-                manifest = read_manifest(self._dir, self._io)
-                if (
-                    manifest is not None
-                    and manifest.generation == head
-                    and manifest.folded_seq == seq
-                ):
-                    self._generation, self._seq, self._offset = (
-                        generation, seq, 0
-                    )
-                    return True
+            if head is not None and (head.generation, head.folds) == (
+                generation + 1, seq
+            ):
+                self._generation, self._seq, self._offset = generation, seq, 0
+                return True
             return False
         try:
             data = self._io.read_bytes(self._journal_path())
@@ -453,7 +448,8 @@ class FrameSource:
             offset = match.end
         # Close the compaction race: the journal we just scanned must
         # still belong to the generation we are attaching to.
-        if self._head_generation() != generation:
+        head = self._head()
+        if head is None or head.generation != generation:
             return False
         self._generation, self._seq, self._offset = generation, seq, offset
         self._pending_announce = True
@@ -463,10 +459,10 @@ class FrameSource:
         """The next stream messages (empty list = caught up)."""
         if self._generation is None:
             return self._snapshot_messages()
-        head = self._head_generation()
+        head = self._head()
         if head is None:
             return []  # snapshot mid-publish; retry next poll
-        if head != self._generation:
+        if head.generation != self._generation:
             return self._resolve_generation_change(head)
         messages = []
         if self._pending_announce:
@@ -488,8 +484,8 @@ class FrameSource:
             # The bytes at our offset no longer continue our position:
             # the journal was swapped underneath us.  A compaction shows
             # up in the header; anything else forces a snapshot resync.
-            head = self._head_generation()
-            if head is not None and head != self._generation:
+            head = self._head()
+            if head is not None and head.generation != self._generation:
                 return messages + self._resolve_generation_change(head)
             self._generation = None
             return messages + self._snapshot_messages()
@@ -507,13 +503,15 @@ class FrameSource:
     def _journal_path(self) -> str:
         return os.path.join(self._dir, JOURNAL_FILE)
 
-    def _head_generation(self) -> Optional[int]:
+    def _head(self) -> Optional[wal.SnapshotHeader]:
+        """The snapshot's header, from its first line; ``None`` when the
+        snapshot is unreadable, :class:`StoreError` when it has none."""
+        path = self._snapshot_path()
         try:
-            return wal.header_generation(
-                self._io.read_head(self._snapshot_path())
-            )
+            line = self._io.read_head(path)
         except OSError:
             return None
+        return wal.parse_header(line, path)
 
     def _snapshot_messages(self) -> List[dict]:
         for _ in range(_SNAPSHOT_RETRIES):
@@ -521,12 +519,8 @@ class FrameSource:
                 text = self._io.read_text(self._snapshot_path())
             except OSError:
                 continue
-            generation, _ = wal.decode_snapshot(text)
-            if generation == wal.LEGACY_GENERATION:
-                raise ReplicationError(
-                    f"{self._dir} is a legacy (pre-WAL) store; open it "
-                    "once with a writer to upgrade before replicating"
-                )
+            header, _ = wal.decode_snapshot(text, self._snapshot_path())
+            generation = header.generation
             self._generation, self._seq, self._offset = generation, 0, 0
             self._pending_announce = False
             return [
@@ -597,30 +591,25 @@ class FrameSource:
             )
         return messages
 
-    def _resolve_generation_change(self, head: int) -> List[dict]:
+    def _resolve_generation_change(self, head: wal.SnapshotHeader) -> List[dict]:
         """The primary compacted.  Fold if provable, else resync.
 
-        A fold is provable when the new manifest records the folded
-        frontier and it equals everything we shipped, or when the old
-        journal still sits on disk (the crash window between snapshot
-        publish and journal reset) and scans as a complete decided
-        history we can finish shipping.
+        A fold is provable when the new snapshot's header records the
+        folded frontier and it equals everything we shipped, or when the
+        old journal still sits on disk (the crash window between
+        snapshot publish and journal reset) and scans as a complete
+        decided history we can finish shipping.
         """
         self._pending_announce = False
-        if head == self._generation + 1:
-            manifest = read_manifest(self._dir, self._io)
-            if (
-                manifest is not None
-                and manifest.generation == head
-                and manifest.folded_seq == self._seq
-            ):
-                self._generation, self._seq, self._offset = head, 0, 0
+        if head.generation == self._generation + 1:
+            if head.folds == self._seq:
+                self._generation, self._seq, self._offset = head.generation, 0, 0
                 return [
                     encode_schema_message(
-                        head, self._schema_crc, 0, folds=manifest.folded_seq
+                        head.generation, self._schema_crc, 0, folds=head.folds
                     )
                 ]
-            messages = self._finish_old_generation(head)
+            messages = self._finish_old_generation(head.generation)
             if messages is not None:
                 return messages
         self._generation = None
@@ -1044,7 +1033,6 @@ class ReplicaApplier(_Follower):
         self._io.write_file_atomic(
             os.path.join(self.directory, JOURNAL_FILE), b""
         )
-        self._publish_manifest(decoded.generation)
         # A snapshot installs state but does not license data frames:
         # the stream must still announce the generation (schema first).
         self._announced = None
@@ -1075,11 +1063,11 @@ class ReplicaApplier(_Follower):
     def _fold(self, generation: int, folded_seq: int) -> None:
         """Compact locally: our state at the folded frontier *is* the
         new generation's snapshot, so write it from our own journal
-        instead of re-downloading — same serialization the primary's
-        ``compact()`` used, hence byte-identical.  The state is read
-        back from the disk into a private reader: the served copy may
-        trail the journal (a cohort lands its batch at once), and only
-        its own thread reads it."""
+        instead of re-downloading — same serialization and header,
+        fold proof included, as the primary's ``compact()``, hence
+        byte-identical.  The state is read back from the disk into a
+        private reader: the served copy may trail the journal (a cohort
+        lands its batch at once), and only its own thread reads it."""
         with StoreReader.open(
             self.directory, self._schema, self._registry, io=self._io
         ) as folded:
@@ -1088,7 +1076,9 @@ class ReplicaApplier(_Follower):
                     f"cannot fold at seq {folded_seq}: the local journal "
                     f"reads back at {folded.position()}"
                 )
-            text = wal.encode_snapshot(generation, serialize_ldif(folded.instance))
+            text = wal.encode_snapshot(
+                generation, serialize_ldif(folded.instance), folds=folded_seq
+            )
         self._io.fault_point("repl:fold-snapshot")
         self._io.write_file_atomic(
             os.path.join(self.directory, SNAPSHOT_FILE), text.encode("utf-8")
@@ -1097,7 +1087,6 @@ class ReplicaApplier(_Follower):
         self._io.write_file_atomic(
             os.path.join(self.directory, JOURNAL_FILE), b""
         )
-        self._publish_manifest(generation, folded_seq=folded_seq)
         self._open_incoming(generation)
 
     def _open_incoming(self, generation: int) -> None:
@@ -1158,23 +1147,6 @@ class ReplicaApplier(_Follower):
         self._staged = Position.plain(generation, last_seq)
         self.frames_applied += len(decoded.records)
         self.bytes_applied += len(decoded.data)
-
-    def _publish_manifest(
-        self, generation: int, folded_seq: Optional[int] = None
-    ) -> None:
-        current = read_manifest(self.directory, self._io)
-        if current is None:
-            manifest = Manifest(
-                version=1, generation=generation, role="replica",
-                folded_seq=folded_seq,
-            )
-        else:
-            manifest = dataclasses.replace(
-                current.bump(generation=generation),
-                role="replica", folded_seq=folded_seq,
-            )
-        self._io.fault_point("repl:manifest")
-        write_manifest(self.directory, manifest, self._io)
 
 
 def read_replica_state(directory: str) -> Optional[dict]:
@@ -1647,8 +1619,8 @@ def _promote_cohort(directory: str, schema, registry, io: StoreIO):
         # holding the state that run recorded for it before its first
         # bump; re-running must finish the cohort, not refuse it.  A
         # follower killed inside a fold or a resync leaves the same
-        # position (and a manifest that may lag the snapshot), but no
-        # recorded intent — and possibly a state past the cut.
+        # position, but no recorded intent — and possibly a state past
+        # the cut.
         if (
             held is not None
             and position == (held[0] + 1, 0)

@@ -2,7 +2,7 @@
 
 :class:`ShardedStore` routes disjoint DIT subtrees to independent
 :class:`~repro.store.journal.DirectoryStore` directories — one WAL,
-snapshot, manifest, and advisory lock per shard — via a persisted,
+snapshot, and advisory lock per shard — via a persisted,
 checksummed shard map (:mod:`repro.store.shardmap`).
 :class:`CompositeReader` stitches per-shard lock-free
 :class:`~repro.store.reader.StoreReader` views back into one read
@@ -18,7 +18,7 @@ Layout::
       shardmap            # checksummed routing table (written LAST)
       shards/
         <name>/           # a plain DirectoryStore per shard
-          snapshot.ldif, journal.ldif, manifest, lock, ...
+          snapshot.ldif, journal.ldif, lock
 
 Enforcement split:
 

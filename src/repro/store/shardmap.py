@@ -4,10 +4,9 @@ A sharded store routes DIT subtrees to independent
 :class:`~repro.store.journal.DirectoryStore` directories by
 *prefix-of-DN* (suffix in LDAP spelling: a shard's ``base`` names the
 subtree it owns).  The map itself is a tiny checksummed JSON file,
-``shardmap``, at the sharded store's root — same idiom as the store
-manifest (body + CRC32, atomic write-new-then-rename), but
-**authoritative**: unlike the manifest there is no fallback source for
-the routing cut, so a missing or damaged shard map refuses to open
+``shardmap``, at the sharded store's root (body + CRC32, atomic
+write-new-then-rename).  There is no fallback source for the routing
+cut, so a missing or damaged shard map refuses to open
 (:class:`~repro.errors.ShardMapError`) rather than guessing.
 
 Routing semantics (:meth:`ShardMap.route`):
@@ -220,7 +219,7 @@ class ShardMap:
 
 
 # ----------------------------------------------------------------------
-# persistence (manifest idiom: canonical body + CRC32, atomic replace)
+# persistence (canonical body + CRC32, atomic replace)
 # ----------------------------------------------------------------------
 def shard_dir(root: str, name: str) -> str:
     """The directory of shard ``name`` under a sharded store root."""

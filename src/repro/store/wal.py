@@ -71,6 +71,8 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.errors import StoreError
+
 __all__ = [
     "WalRecord",
     "ScanResult",
@@ -80,10 +82,10 @@ __all__ = [
     "encode_decide",
     "scan",
     "resolve_decided",
+    "SnapshotHeader",
     "encode_snapshot",
     "decode_snapshot",
-    "header_generation",
-    "LEGACY_GENERATION",
+    "parse_header",
 ]
 
 _HEADER_RE = re.compile(
@@ -98,12 +100,9 @@ _DECIDE_RE = re.compile(
     rb"gen=(\d+) len=(\d+) crc=0x([0-9a-f]{1,8})$"
 )
 _TRAILER = b"#END\n"
-_SNAPSHOT_HEADER_RE = re.compile(r"^# repro-store snapshot gen=(\d+) format=1\s*$")
-
-#: Generation reported for snapshots written before the WAL engine
-#: existed (no header comment).  Their journals use the legacy
-#: ``# commit`` marker format.
-LEGACY_GENERATION = 0
+_SNAPSHOT_HEADER_RE = re.compile(
+    r"^# repro-store snapshot gen=(\d+) format=1(?: folds=(\d+))?\s*$"
+)
 
 
 def _crc(seq: int, generation: int, payload: bytes) -> int:
@@ -393,31 +392,49 @@ def verify_stream(data: bytes, generation: int, start_seq: int) -> List[WalRecor
 # ----------------------------------------------------------------------
 # snapshot header
 # ----------------------------------------------------------------------
-def encode_snapshot(generation: int, ldif_text: str) -> str:
-    """Prefix LDIF content with the generation header comment (the LDIF
-    parser skips ``#`` lines, so the snapshot stays a valid LDIF file)."""
-    return f"# repro-store snapshot gen={generation} format=1\n{ldif_text}"
+@dataclass(frozen=True)
+class SnapshotHeader:
+    """What a snapshot's first line says about the state it holds."""
+
+    generation: int
+    #: The journal frontier (frame seq of generation ``generation - 1``)
+    #: this snapshot folds, when a compaction — the primary's or a
+    #: follower's local fold — wrote it; ``None`` otherwise (``create``,
+    #: a follower's installed copy of a snapshot without one).  It lets
+    #: a replication shipper prove that a follower standing at
+    #: ``(generation - 1, folds)`` already holds exactly this state.
+    folds: Optional[int] = None
 
 
-def decode_snapshot(text: str) -> Tuple[int, str]:
-    """Split a snapshot file into ``(generation, ldif_text)``.
-
-    A snapshot without the header comment was written by the pre-WAL
-    store: it reports :data:`LEGACY_GENERATION` and its journal is read
-    with the legacy ``# commit`` marker scanner.
-    """
-    first, _, rest = text.partition("\n")
-    match = _SNAPSHOT_HEADER_RE.match(first)
-    if match is None:
-        return LEGACY_GENERATION, text
-    return int(match.group(1)), rest
+def encode_snapshot(
+    generation: int, ldif_text: str, folds: Optional[int] = None
+) -> str:
+    """Prefix LDIF content with the header comment (the LDIF parser
+    skips ``#`` lines, so the snapshot stays a valid LDIF file)."""
+    proof = "" if folds is None else f" folds={folds}"
+    return f"# repro-store snapshot gen={generation} format=1{proof}\n{ldif_text}"
 
 
-def header_generation(first_line: str) -> int:
-    """Generation id from a snapshot's first line (the O(1) probe a
-    reader uses to notice a compaction without decoding the snapshot)."""
+def parse_header(first_line: str, path: str) -> SnapshotHeader:
+    """The header a snapshot's first line carries — the O(1) probe a
+    reader uses to notice a compaction without decoding the snapshot.
+    A first line that is no header is damage: :class:`StoreError`
+    naming ``path``."""
     match = _SNAPSHOT_HEADER_RE.match(first_line)
-    return LEGACY_GENERATION if match is None else int(match.group(1))
+    if match is None:
+        raise StoreError(
+            f"{path} does not begin with a snapshot header (first line "
+            f"{first_line[:60]!r}); it is damaged or was not written by "
+            "this store"
+        )
+    folds = match.group(2)
+    return SnapshotHeader(int(match.group(1)), None if folds is None else int(folds))
+
+
+def decode_snapshot(text: str, path: str) -> Tuple[SnapshotHeader, str]:
+    """Split a snapshot file into its header and its LDIF text."""
+    first, _, rest = text.partition("\n")
+    return parse_header(first, path), rest
 
 
 # ----------------------------------------------------------------------

@@ -227,7 +227,7 @@ def cohort_follower(workdir, io):
             ship()
         primary.compact()
         ship()  # the fold
-        for i in (3, 4):
+        for i in (3, 4, 5, 6):
             assert primary.apply(commit_tx(i)).applied
             ship()
     finally:

@@ -315,6 +315,25 @@ class TestFsckAndRecover:
         assert "REPAIRED" in capsys.readouterr().out
         assert main(["fsck", path, "--schema", schema]) == 0
 
+    @pytest.mark.parametrize("command", ["fsck", "recover"])
+    def test_headerless_snapshot_is_damage(self, store_dir, capsys, command):
+        """A snapshot whose first line is no generation header: both
+        commands name the file and exit 1, and neither rewrites it."""
+        import os
+
+        schema, path = store_dir
+        snapshot = os.path.join(path, "snapshot.ldif")
+        with open(snapshot, encoding="utf-8") as fh:
+            headed = fh.read()
+        headerless = headed.partition("\n")[2].encode("utf-8")
+        with open(snapshot, "wb") as fh:
+            fh.write(headerless)
+        assert main([command, path, "--schema", schema]) == 1
+        out = capsys.readouterr().out
+        assert f"{command}: {snapshot} does not begin with a snapshot header" in out
+        with open(snapshot, "rb") as fh:
+            assert fh.read() == headerless
+
 
 class TestCheck:
     def test_legal_instance_exits_zero(self, paths, capsys):
@@ -523,7 +542,7 @@ class TestFsckReadOnly:
         import os
 
         schema, path, store = live_store
-        store.compact()  # manifest on disk too
+        store.compact()
         before = {
             name: open(os.path.join(path, name), "rb").read()
             for name in sorted(os.listdir(path))

@@ -32,7 +32,7 @@ def test_every_declared_fault_point_is_crossed(tmp_path):
     for index, scenario in enumerate(SCENARIOS):
         crossed.update(dry_run(tmp_path / str(index), scenario)[1].points)
     declared = declared_points()
-    assert len(declared) >= 21
+    assert len(declared) >= 20
     missing = sorted(
         name for name, pattern in declared.items()
         if not any(re.fullmatch(pattern, point) for point in crossed)

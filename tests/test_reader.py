@@ -5,7 +5,7 @@ matrix in ``test_reader_crash.py``, randomized interleavings in
 ``test_reader_fuzz.py``; this file covers the reader's contract one
 behavior at a time: bootstrap, incremental refresh, compaction
 follow-through, staleness introspection and ``strict`` semantics, the
-manifest rendezvous, the read surface (search/check), the sidecar
+snapshot header as the one self-description, the read surface (search/check), the sidecar
 read-only discipline, and the advisory-lock fix (typed error with
 holder pid; readers never lock).
 """
@@ -16,13 +16,7 @@ import pytest
 
 from repro.errors import StaleReadError, StoreError, StoreLockedError
 from repro.ldif import serialize_ldif
-from repro.store import DirectoryStore, StoreReader, read_manifest
-from repro.store.manifest import (
-    MANIFEST_FILE,
-    Manifest,
-    decode_manifest,
-    encode_manifest,
-)
+from repro.store import DirectoryStore, StoreReader
 from repro.store.recovery import JOURNAL_FILE, SNAPSHOT_FILE
 from repro.updates.operations import UpdateTransaction
 from repro.workloads import (
@@ -66,7 +60,7 @@ def store(tmp_path):
 
 
 def open_reader(store_dir):
-    return DirectoryStore.open_reader(
+    return StoreReader.open(
         store_dir, whitepages_schema(), whitepages_registry()
     )
 
@@ -235,60 +229,33 @@ class TestStaleness:
 
 
 class TestManifest:
-    def test_create_publishes_manifest(self, store):
-        manifest = read_manifest(store._dir)
-        assert manifest == Manifest(version=1, generation=1)
-
-    def test_compact_bumps_version_and_generation(self, store):
-        store.compact()
-        store.compact()
-        manifest = read_manifest(store._dir)
-        assert manifest.version == 3
-        assert manifest.generation == 3
+    """Older stores kept an advisory ``manifest`` file beside the
+    snapshot; the snapshot header now says everything it said."""
 
     def test_corrupt_manifest_is_advisory(self, store):
-        """A garbled manifest never blocks a reader: the snapshot header
-        stays authoritative."""
+        """A manifest an older store left — here a garbled one — never
+        blocks a reader, and the next compaction deletes it."""
         assert store.apply(unit_tx(1)).applied
-        path = os.path.join(store._dir, MANIFEST_FILE)
+        path = os.path.join(store._dir, "manifest")
         with open(path, "wb") as fh:
             fh.write(b'{"garbage": tru')
-        assert read_manifest(store._dir) is None
         with open_reader(store._dir) as reader:
             assert reader.position() == (1, 1)
             assert serialize_ldif(reader.instance) == serialize_ldif(store.instance)
-
-    def test_missing_manifest_is_advisory(self, store):
-        os.unlink(os.path.join(store._dir, MANIFEST_FILE))
+        store.compact()
+        assert not os.path.exists(path)
         with open_reader(store._dir) as reader:
-            assert reader.position() == (1, 0)
+            assert reader.position() == (2, 0)
 
-    def test_reopen_adopts_and_heals_manifest(self, tmp_path):
-        store = DirectoryStore.create(
-            str(tmp_path / "s"), whitepages_schema(), figure1_instance()
-        )
-        store.compact()  # version 2, generation 2
-        store.close()
-        os.unlink(os.path.join(str(tmp_path / "s"), MANIFEST_FILE))
-        store = DirectoryStore.open(
-            str(tmp_path / "s"), whitepages_schema(),
-            registry=whitepages_registry(),
-        )
-        try:
-            manifest = read_manifest(store._dir)
-            assert manifest is not None
-            assert manifest.generation == 2
-        finally:
-            store.close()
-
-    def test_codec_round_trip_and_damage(self):
-        manifest = Manifest(version=7, generation=3)
-        data = encode_manifest(manifest)
-        assert decode_manifest(data) == manifest
-        with pytest.raises(ValueError):
-            decode_manifest(data.replace(b'"generation": 3', b'"generation": 4'))
-        with pytest.raises(ValueError):
-            decode_manifest(b"[1, 2]")
+    def test_headerless_snapshot_refuses_to_open(self, store):
+        """A snapshot whose first line is no header is damage: the
+        reader names the file instead of guessing at its format."""
+        path = os.path.join(store._dir, SNAPSHOT_FILE)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_ldif(store.instance))
+        with pytest.raises(StoreError, match="snapshot header") as excinfo:
+            open_reader(store._dir)
+        assert path in str(excinfo.value)
 
 
 class TestReadSurface:

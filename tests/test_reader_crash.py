@@ -125,7 +125,7 @@ class TestReaderNeverWrites:
             path, whitepages_schema(), figure1_instance(), whitepages_registry()
         )
         assert store.apply(unit_tx(1)).applied
-        store.compact()  # publish the manifest too
+        store.compact()  # a second generation too
         assert store.apply(unit_tx(2)).applied
         store.close()
         before = snapshot_files(path)

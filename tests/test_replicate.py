@@ -24,9 +24,10 @@ from repro.errors import (
     StoreLockedError,
 )
 from repro.query.filter_parser import parse_filter
-from repro.store import DirectoryStore
-from repro.store.manifest import read_manifest
-from repro.store.recovery import REPLICA_STATE_FILE, SNAPSHOT_FILE
+from repro.ldif import serialize_ldif
+from repro.store import DirectoryStore, wal
+from repro.store.faults import InjectedCrash
+from repro.store.recovery import JOURNAL_FILE, REPLICA_STATE_FILE, SNAPSHOT_FILE
 from repro.store.replicate import (
     FrameSource,
     ReplicaApplier,
@@ -59,6 +60,33 @@ def primary(tmp_path):
     )
     yield store, primary_dir, schema, registry, str(tmp_path / "replica")
     store.close()
+
+
+def _header(directory):
+    """The header of a store directory's snapshot."""
+    path = os.path.join(directory, SNAPSHOT_FILE)
+    with open(path, encoding="utf-8") as handle:
+        return wal.parse_header(handle.readline().rstrip("\n"), path)
+
+
+def _snapshot_bytes(directory):
+    with open(os.path.join(directory, SNAPSHOT_FILE), "rb") as handle:
+        return handle.read()
+
+
+class _AfterJournalReset(StoreIO):
+    """A writer's I/O that calls ``then`` once an armed compaction has
+    reset the journal — its new snapshot renamed into place, its
+    ``compact`` not yet returned."""
+
+    def __init__(self):
+        self.then = None
+
+    def write_file_atomic(self, path, data):
+        super().write_file_atomic(path, data)
+        if self.then is not None and os.path.basename(path) == JOURNAL_FILE:
+            then, self.then = self.then, None
+            then()
 
 
 def _commit(store, count=1):
@@ -135,6 +163,20 @@ class TestFrameSource:
         store, primary_dir, schema, _, _ = primary
         source = FrameSource(primary_dir, schema)
         assert source.attach(store.generation + 5, 0) is False
+
+    def test_poll_refuses_a_headerless_snapshot(self, primary):
+        """A snapshot whose first line is no header is damage, whether
+        the source tails the journal or would ship the snapshot."""
+        store, primary_dir, schema, _, _ = primary
+        attached = FrameSource(primary_dir, schema)
+        assert attached.attach(store.generation, 0) is True
+        path = os.path.join(primary_dir, SNAPSHOT_FILE)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(serialize_ldif(store.instance))
+        for source in (attached, FrameSource(primary_dir, schema)):
+            with pytest.raises(StoreError, match="snapshot header") as excinfo:
+                source.poll()
+            assert path in str(excinfo.value)
 
 
 class TestSchemaBeforeData:
@@ -293,8 +335,113 @@ class TestReplicaApplier:
             assert applier.snapshots_installed == 1  # the bootstrap only
             assert applier.position() == (store.generation, 1)
             assert state_digest(applier.instance) == state_digest(store.instance)
-            manifest = read_manifest(replica_dir)
-            assert manifest is not None and manifest.role == "replica"
+            assert read_replica_state(replica_dir) is not None
+
+    def test_fold_snapshot_equals_the_primarys_byte_for_byte(self, primary):
+        """A follower's fold writes the snapshot the primary's compaction
+        wrote — the same state, the same header, fold proof included."""
+        store, primary_dir, schema, registry, replica_dir = primary
+        source = FrameSource(primary_dir, schema)
+        with ReplicaApplier(replica_dir, schema, registry) as applier:
+            pump(source, applier)
+            _commit(store, 3)
+            pump(source, applier)
+            store.compact()
+            pump(source, applier)
+            assert applier.snapshots_installed == 1  # folded, not shipped
+        assert _header(primary_dir) == wal.SnapshotHeader(2, folds=3)
+        assert _snapshot_bytes(replica_dir) == _snapshot_bytes(primary_dir)
+
+    def test_a_compaction_held_after_its_journal_reset_ships_a_fold(self, tmp_path):
+        """Between ``compact``'s journal reset and its return, a source
+        at the folded frontier already ships the fold: the proof is in
+        the snapshot that was renamed into place, not in a later file."""
+        schema, registry = whitepages_schema(), whitepages_registry()
+        primary_dir, replica_dir = str(tmp_path / "primary"), str(tmp_path / "replica")
+        io = _AfterJournalReset()
+        store = DirectoryStore.create(
+            primary_dir, schema, figure1_instance(), registry, io=io
+        )
+        source = FrameSource(primary_dir, schema)
+        shipped = []
+        try:
+            with ReplicaApplier(replica_dir, schema, registry) as applier:
+                pump(source, applier)
+                _commit(store, 2)
+                pump(source, applier)
+                io.then = lambda: shipped.extend(source.poll())
+                store.compact()
+                assert [(m["kind"], m.get("folds")) for m in shipped] == [
+                    ("schema", 2)
+                ]
+                for message in shipped:
+                    applier.apply_message(message)
+                assert applier.position() == (2, 0)
+                assert applier.snapshots_installed == 1
+        finally:
+            store.close()
+
+    def test_a_primary_killed_after_its_journal_reset_still_lets_a_follower_fold(
+        self, tmp_path
+    ):
+        """The primary dies right after ``compact`` reset its journal.
+        Reopened, it still proves the fold to a follower standing at the
+        folded frontier: that follower compacts locally instead of
+        downloading the snapshot again."""
+        schema, registry = whitepages_schema(), whitepages_registry()
+        primary_dir, replica_dir = str(tmp_path / "primary"), str(tmp_path / "replica")
+        io = _AfterJournalReset()
+        store = DirectoryStore.create(
+            primary_dir, schema, figure1_instance(), registry, io=io
+        )
+
+        def kill():
+            raise InjectedCrash("killed after the journal reset")
+
+        with ReplicaApplier(replica_dir, schema, registry) as applier:
+            source = FrameSource(primary_dir, schema)
+            pump(source, applier)
+            _commit(store, 2)
+            pump(source, applier)
+            frontier = applier.position()
+            io.then = kill
+            with pytest.raises(InjectedCrash):
+                store.compact()
+            store.close()  # what the kernel does for a killed holder
+            with DirectoryStore.open(primary_dir, schema, registry) as reopened:
+                source = FrameSource(primary_dir, schema)
+                assert source.attach(*frontier) is True
+                pump(source, applier)
+                assert applier.snapshots_installed == 1
+                assert applier.position() == reopened.position() == (2, 0)
+                assert state_digest(applier.instance) == state_digest(
+                    reopened.instance
+                )
+
+    def test_a_member_directory_holds_snapshot_journal_and_lock(self, primary):
+        """``create``, ``compact``, a follower's snapshot install and
+        fold, and ``promote`` leave no file but the snapshot, the
+        journal and the lock (with the guard its reclaim takes) — and
+        ``replica.state`` while following."""
+        store, primary_dir, schema, registry, replica_dir = primary
+        member = ["journal.ldif", "lock", "lock.guard", "snapshot.ldif"]
+        follower = sorted(member + [REPLICA_STATE_FILE])
+        assert sorted(os.listdir(primary_dir)) == member
+        _commit(store, 2)
+        store.compact()
+        assert sorted(os.listdir(primary_dir)) == member
+        source = FrameSource(primary_dir, schema)
+        with ReplicaApplier(replica_dir, schema, registry) as applier:
+            pump(source, applier)
+            assert sorted(os.listdir(replica_dir)) == follower
+            _commit(store, 2)
+            pump(source, applier)
+            store.compact()
+            pump(source, applier)
+            assert applier.snapshots_installed == 1  # the install, then a fold
+            assert sorted(os.listdir(replica_dir)) == follower
+        with promote(replica_dir, schema, registry):
+            assert sorted(os.listdir(replica_dir)) == member
 
     def test_directory_lock_excludes_second_applier(self, primary):
         _, _, schema, registry, replica_dir = primary
@@ -336,8 +483,6 @@ class TestPromotion:
             assert not os.path.exists(
                 os.path.join(replica_dir, REPLICA_STATE_FILE)
             )
-            manifest = read_manifest(replica_dir)
-            assert manifest is not None and manifest.role != "replica"
         finally:
             promoted.close()
 
@@ -653,7 +798,6 @@ class TestShardedReplication:
         member is bumped."""
         import json
 
-        from repro.store.manifest import read_manifest
         from repro.store.replicate import (
             CUT_STATE_FILE,
             ShardedFrameSource,
@@ -673,19 +817,19 @@ class TestShardedReplication:
             json.dump({name: list(pos) for name, pos in cut.items()}, handle)
         with pytest.raises(StoreError, match="replicated cut"):
             promote(cohort_dir, schema, registry)
-        for name in ("att", "labs"):
-            manifest = read_manifest(shard_dir(cohort_dir, name))
-            assert manifest.role == "replica"  # nobody was bumped
+        assert read_replica_state(cohort_dir) is not None  # still following
+        for name in ("att", "labs"):  # nobody was bumped
+            assert _header(shard_dir(cohort_dir, name)).generation == 1
 
-    @pytest.mark.parametrize("point, manifests", [
-        # both members folded and published their generation-2 manifests
-        ("repl:cut-state", [("replica", 2, 2), ("replica", 2, 2)]),
-        # att's fold snapshot landed, its manifest did not: byte for byte
-        # what a promotion killed inside att's compaction leaves
-        ("repl:manifest", [("replica", 1, None), ("replica", 1, None)]),
-    ], ids=["repl:cut-state", "repl:manifest"])
+    @pytest.mark.parametrize("point, headers", [
+        # both members folded: generation 2, folding seq 2
+        ("repl:cut-state", [(2, 2), (2, 2)]),
+        # att's fold snapshot landed, its journal was not reset: byte for
+        # byte what a promotion killed inside att's compaction leaves
+        ("repl:fold-journal", [(2, 2), (1, None)]),
+    ], ids=["repl:cut-state", "repl:fold-journal"])
     def test_promote_refuses_a_fold_the_cut_never_recorded(
-        self, sharded_primary, point, manifests
+        self, sharded_primary, point, headers
     ):
         """A follower killed on a batch that carried a compaction fold
         stands one generation past its cut, like a member a crashed
@@ -713,9 +857,9 @@ class TestShardedReplication:
                 pump(source, applier)
         assert read_cut_state(cohort_dir) == {"att": (1, 2), "labs": (1, 2)}
         assert [
-            (m.role, m.generation, m.folded_seq)
-            for m in (read_manifest(shard_dir(cohort_dir, n)) for n in ("att", "labs"))
-        ] == manifests
+            (h.generation, h.folds)
+            for h in (_header(shard_dir(cohort_dir, n)) for n in ("att", "labs"))
+        ] == headers
         with pytest.raises(StoreError, match=r"shard 'att' stands at \(2, 0\)"):
             promote(cohort_dir, schema, registry)
         assert not os.path.exists(os.path.join(cohort_dir, PROMOTE_STATE_FILE))

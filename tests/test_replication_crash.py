@@ -46,7 +46,6 @@ from repro.workloads import (
 REPLICA_POINTS = (
     "repl:snapshot-install",
     "repl:journal-reset",
-    "repl:manifest",
     "repl:state",
     "repl:frames-append",
     "repl:fold-snapshot",
@@ -65,7 +64,7 @@ PROMOTE_POINTS = (
 SCENARIOS = {
     "plain": (plain_scenario, verify_plain, 30, 5),
     "cohort-follower": (cohort_follower, verify_cohort_follower, 100, 25),
-    "cohort-promotion": (cohort_promotion, verify_cohort_promotion, 30, 10),
+    "cohort-promotion": (cohort_promotion, verify_cohort_promotion, 27, 10),
 }
 
 

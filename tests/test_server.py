@@ -1529,6 +1529,39 @@ class TestReplicaSyncErrors:
 
         asyncio.run(run())
 
+    def test_two_concurrent_promotes_make_one_primary(self, plain_store, tmp_path):
+        """Two ``promote`` requests race to a caught-up replica: the one
+        that takes the write lock first promotes it, the other finds a
+        primary once it holds the lock and is refused like any promote
+        of a primary — not run against an applier that is gone."""
+        _, schema, registry = plain_store
+
+        async def run():
+            primary = await _serve(plain_store)
+            replica = await _replica_of(primary, tmp_path, schema, registry)
+            try:
+                writer = await _client(primary)
+                head = (await writer.add(**_person(0)))["position"]
+                clients = [await _client(replica, dn=f"cn=elector{i}") for i in (0, 1)]
+                await _caught_up(clients[0], head)
+                replies = await asyncio.gather(
+                    *(client.promote() for client in clients),
+                    return_exceptions=True,
+                )
+                promoted = [r for r in replies if isinstance(r, dict)]
+                refused = [r for r in replies if isinstance(r, ServerError)]
+                assert [r["role"] for r in promoted] == ["primary"], replies
+                assert [r.code for r in refused] == ["bad_request"], replies
+                assert "already a primary" in str(refused[0])
+                assert (await clients[1].position())["role"] == "primary"
+                for client in (writer, *clients):
+                    await client.close()
+            finally:
+                await replica.stop(drain=False)
+                await primary.stop(drain=False)
+
+        asyncio.run(run())
+
     @pytest.mark.parametrize("kind", ["plain", "sharded"])
     def test_promoting_an_unbootstrapped_replica_is_refused(
         self, kind, request, tmp_path

@@ -1423,6 +1423,39 @@ class TestPlannedSearchWork:
         assert walked_work == [k + 2] * len(LADDER)
         assert fit_growth(LADDER, org_matches) == pytest.approx(1.0, abs=0.05)
 
+    def test_ranked_matches_rank_each_entry_on_their_paths_once(
+        self, tmp_path, schema, registry, monkeypatch
+    ):
+        """A search that keeps its posting sorts the matches by their
+        rank paths.  A path is its parent's path plus one rank, so each
+        entry on the matches' paths is ranked once — not once per match
+        below it (the sum of the path lengths)."""
+        from repro.store import sharded
+
+        ranked = []
+        rank = sharded._sibling_rank
+        monkeypatch.setattr(
+            sharded, "_sibling_rank",
+            lambda entry: ranked.append(entry.eid) or rank(entry),
+        )
+        with self._reader(tmp_path, schema, registry, 2) as reader:
+            composite = reader.instance
+            plan = reader.plan_search(filter="(objectClass=person)")
+            assert plan.bounded
+            found = plan.run()
+            paths = []
+            for entry in found:
+                eid, path = entry.eid, []
+                while eid is not None:
+                    path.append(eid)
+                    eid = composite.parent_id(eid)
+                paths.append(path)
+            on_paths = {eid for path in paths for eid in path}
+            assert sorted(ranked) == sorted(on_paths)
+            assert len(on_paths) < sum(map(len, paths))
+            names = [reader.dn_string_of(e) for e in found]
+            assert names == sorted(names, key=_canonical_key)
+
     def test_canonical_search_reads_no_interval(
         self, tmp_path, schema, registry, monkeypatch
     ):

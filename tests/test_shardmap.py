@@ -1,5 +1,5 @@
 """The persisted, checksummed shard map: routing semantics, validation
-of the cut, and the manifest-idiom persistence (damage refuses to open
+of the cut, and the checksummed persistence (damage refuses to open
 — the map is authoritative, there is no fallback)."""
 
 from __future__ import annotations

@@ -255,30 +255,23 @@ class TestUpdatesAndRecovery:
     def test_check_reports_current_contents(self, store):
         assert store.check().is_legal
 
-    def test_legacy_store_is_recovered_and_upgraded(self, tmp_path, wp_schema):
-        """A pre-WAL store (no snapshot header, `# commit` markers) opens
-        through the legacy scanner and is rewritten in the WAL format."""
-        from repro.ldif.changes import serialize_changes
-
+    def test_headerless_snapshot_is_refused(self, tmp_path, wp_schema):
+        """A snapshot whose first line is no generation header is damage:
+        ``open`` refuses it with a StoreError naming the file, touches
+        nothing, and leaves the lock free."""
         path = tmp_path / "store"
         path.mkdir()
-        (path / "snapshot.ldif").write_text(
-            serialize_ldif(figure1_instance()), encoding="utf-8"
-        )
-        tx = unit_tx(1)
-        (path / "journal.ldif").write_text(
-            serialize_changes(tx) + "\n# commit\n\n", encoding="utf-8"
-        )
-        with DirectoryStore.open(
-            str(path), wp_schema, registry=whitepages_registry()
-        ) as store:
-            assert store.recovery_report.legacy_format
-            assert store.instance.find("uid=member1,ou=unit1,o=att") is not None
-            assert store.generation == 1  # upgraded: compacted into WAL format
-            assert not store.read_only
-        # the upgraded snapshot now carries the generation header
-        head = (path / "snapshot.ldif").read_text(encoding="utf-8").splitlines()[0]
-        assert head.startswith("# repro-store snapshot gen=1")
+        snapshot = path / "snapshot.ldif"
+        snapshot.write_text(serialize_ldif(figure1_instance()), encoding="utf-8")
+        (path / "journal.ldif").write_bytes(b"")
+        before = snapshot.read_bytes()
+        for _ in range(2):  # the refusal released the lock it took
+            with pytest.raises(StoreError, match="snapshot header") as excinfo:
+                DirectoryStore.open(
+                    str(path), wp_schema, registry=whitepages_registry()
+                )
+            assert str(snapshot) in str(excinfo.value)
+        assert snapshot.read_bytes() == before
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 4))

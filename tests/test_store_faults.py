@@ -27,7 +27,7 @@ from repro.store.faults import (
     InjectedIOError,
 )
 from repro.store.recovery import recover
-from repro.store.wal import scan
+from repro.store.wal import encode_snapshot, scan
 from repro.workloads import figure1_instance, whitepages_registry, whitepages_schema
 
 
@@ -110,7 +110,8 @@ class TestCrashMatrix:
         path = tmp_path / "store"
         path.mkdir()
         (path / "snapshot.ldif").write_text(
-            serialize_ldif(figure1_instance()), encoding="utf-8"
+            encode_snapshot(1, serialize_ldif(figure1_instance())),
+            encoding="utf-8",
         )
         with reopen_clean(str(path)) as store:
             assert serialize_ldif(store.instance) == serialize_ldif(
@@ -206,11 +207,10 @@ class TestSurvivableIOErrors:
             try:
                 self._survive(tmp_path / f"fsync-{k}", FaultPlan(fail_fsync_at=k))
                 # The scenario completed despite the failed fsync: only
-                # permissible for an *advisory* write (the manifest,
-                # whose publish is best-effort because the snapshot
-                # header stays authoritative) — never for a snapshot or
-                # journal fsync.  Durability must therefore be whole:
-                # reopening yields the full final scenario state.
+                # permissible for an *advisory* write, and the store
+                # writes none — every fsync is a snapshot or journal
+                # one.  Durability must still be whole: reopening
+                # yields the full final scenario state.
                 with reopen_clean(path) as survived:
                     assert state_digest(survived.instance) == states[-1][1]
                 survived_advisory += 1
@@ -225,10 +225,9 @@ class TestSurvivableIOErrors:
                 assert recovered.check().is_legal
                 assert state_digest(recovered.instance) in all_states
                 assert recovered.apply(unit_tx(9)).applied
-        # Exactly one advisory fsync per scenario (compact's manifest
-        # publish): if this grows, a durable-path fsync has been
-        # silently downgraded to best-effort.
-        assert survived_advisory <= 1
+        # No advisory fsync in the scenario: a survivor means a
+        # durable-path fsync has been silently downgraded to best-effort.
+        assert survived_advisory == 0
 
 
 class TestExplicitRecovery:

@@ -1,5 +1,5 @@
-"""Unit tests for the WAL frame format, snapshot header, legacy journal
-scanning, and the typed recovery errors."""
+"""Unit tests for the WAL frame format, the snapshot header, and the
+typed recovery errors."""
 
 import json
 import os
@@ -7,10 +7,14 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import CorruptJournalError, ReplicationError, StaleJournalError
-from repro.ldif import serialize_ldif
+from repro.errors import (
+    CorruptJournalError,
+    ReplicationError,
+    StaleJournalError,
+    StoreError,
+)
 from repro.store import DirectoryStore
-from repro.store.recovery import recover, scan_store
+from repro.store.recovery import recover
 from repro.store.replicate import (
     decode_stream_message,
     encode_frames_message,
@@ -18,7 +22,7 @@ from repro.store.replicate import (
     encode_snapshot_message,
 )
 from repro.store.wal import (
-    LEGACY_GENERATION,
+    SnapshotHeader,
     decode_snapshot,
     encode_decide,
     encode_prepare,
@@ -188,89 +192,64 @@ class Test2PCFrames:
 
 class TestSnapshotHeader:
     def test_roundtrip(self):
-        generation, text = decode_snapshot(encode_snapshot(42, "dn: o=att\n"))
-        assert generation == 42
+        header, text = decode_snapshot(encode_snapshot(42, "dn: o=att\n"), "s")
+        assert header == SnapshotHeader(42, folds=None)
         assert text == "dn: o=att\n"
 
-    def test_missing_header_is_legacy(self):
-        generation, text = decode_snapshot("dn: o=att\nobjectClass: org\n")
-        assert generation == LEGACY_GENERATION
-        assert text.startswith("dn: o=att")
+    def test_fold_proof_roundtrip(self):
+        text = encode_snapshot(3, "dn: o=att\n", folds=17)
+        assert text.startswith("# repro-store snapshot gen=3 format=1 folds=17\n")
+        assert decode_snapshot(text, "s") == (SnapshotHeader(3, 17), "dn: o=att\n")
+
+    def test_missing_header_is_refused(self):
+        with pytest.raises(StoreError, match="snapshot header") as excinfo:
+            decode_snapshot("dn: o=att\nobjectClass: org\n", "/x/snapshot.ldif")
+        assert "/x/snapshot.ldif" in str(excinfo.value)
 
     def test_header_is_an_ldif_comment(self):
         from repro.ldif.reader import parse_ldif_records
 
-        text = encode_snapshot(3, "dn: o=att\nobjectClass: organization\n")
+        text = encode_snapshot(3, "dn: o=att\nobjectClass: organization\n", folds=2)
         records = parse_ldif_records(text)
         assert len(records) == 1  # the header line parses as a comment
 
 
-def _legacy_store(tmp_path, journal_text):
-    path = tmp_path / "store"
-    path.mkdir()
-    (path / "snapshot.ldif").write_text(
-        serialize_ldif(figure1_instance()), encoding="utf-8"
+def _unit_tx(i=1):
+    return UpdateTransaction().insert(
+        f"ou=unit{i},o=att", ["orgUnit", "orgGroup", "top"],
+        {"ou": [f"unit{i}"]},
+    ).insert(
+        f"uid=m{i},ou=unit{i},o=att", ["person", "top"],
+        {"uid": [f"m{i}"], "name": [f"m {i}"]},
     )
-    (path / "journal.ldif").write_text(journal_text, encoding="utf-8")
-    return str(path)
 
 
-class TestLegacyJournal:
-    def _tx_text(self, i=1):
-        from repro.ldif.changes import serialize_changes
-
-        tx = UpdateTransaction().insert(
-            f"ou=unit{i},o=att", ["orgUnit", "orgGroup", "top"],
-            {"ou": [f"unit{i}"]},
-        ).insert(
-            f"uid=m{i},ou=unit{i},o=att", ["person", "top"],
-            {"uid": [f"m{i}"], "name": [f"m {i}"]},
+class TestStrictErrors:
+    def test_stale_journal_raises_in_strict_mode(self, tmp_path):
+        path = str(tmp_path / "store")
+        store = DirectoryStore.create(
+            path, whitepages_schema(), figure1_instance()
         )
-        return serialize_changes(tx)
-
-    def test_exact_marker_commits(self, tmp_path):
-        path = _legacy_store(tmp_path, self._tx_text() + "\n# commit\n\n")
-        generation, _, result, legacy, _ = scan_store(path)
-        assert legacy and generation == LEGACY_GENERATION
-        assert len(result.records) == 1
-        assert result.tail_state == "clean"
-
-    def test_whitespace_variant_marker_is_data_not_marker(self, tmp_path):
-        """The seed reader's ``line.strip()`` match fired on LDIF
-        continuation lines like ``" # commit"``; the scanner now matches
-        the marker exactly as the writer emitted it."""
-        body = (
-            "dn: ou=x,o=att\nchangetype: add\nobjectClass: orgUnit\n"
-            "description: prefix\n # commit suffix\n"  # folded LDIF line
-        )
-        path = _legacy_store(tmp_path, body + "\n# commit\n\n")
-        _, _, result, _, _ = scan_store(path)
-        assert len(result.records) == 1
-        # the folded line stayed inside the record's payload
-        assert " # commit" in result.records[0].payload
-
-    def test_torn_legacy_tail_quarantined(self, tmp_path):
-        path = _legacy_store(
-            tmp_path,
-            self._tx_text(1) + "\n# commit\n\ndn: ou=torn,o=att\nchangetype",
-        )
-        instance, report = recover(
-            path, whitepages_schema(), whitepages_registry()
-        )
-        assert report.tail_state == "torn"
-        assert report.replayed == 1
-        assert not report.read_only
-        assert instance.find("ou=unit1,o=att") is not None
-        assert os.path.exists(os.path.join(path, "journal.quarantine"))
+        assert store.apply(_unit_tx(1)).applied
+        old_journal = open(os.path.join(path, "journal.ldif"), "rb").read()
+        store.compact()
+        open(os.path.join(path, "journal.ldif"), "wb").write(old_journal)
+        store.close()
+        with pytest.raises(StaleJournalError):
+            recover(path, whitepages_schema(), whitepages_registry(),
+                    strict=True)
 
     def test_replay_error_raises_typed_error_with_index(self, tmp_path):
-        """Satellite: replay errors surface as CorruptJournalError with
-        the offending record index, not an unhandled parse exception."""
+        """Replay errors surface as CorruptJournalError with the
+        offending record index, not an unhandled parse exception."""
+        path = str(tmp_path / "store")
+        with DirectoryStore.create(
+            path, whitepages_schema(), figure1_instance()
+        ) as store:
+            assert store.apply(_unit_tx(1)).applied
         bad = "dn: ou=nope,o=att\nchangetype: frobnicate\n"
-        path = _legacy_store(
-            tmp_path,
-            self._tx_text(1) + "\n# commit\n" + bad + "\n# commit\n\n",
-        )
+        with open(os.path.join(path, "journal.ldif"), "ab") as fh:
+            fh.write(encode_record(2, 1, bad))
         with pytest.raises(CorruptJournalError) as excinfo:
             recover(path, whitepages_schema(), whitepages_registry(),
                     strict=True)
@@ -282,28 +261,6 @@ class TestLegacyJournal:
         assert report.read_only
         assert report.replayed == 1
         assert instance.find("ou=unit1,o=att") is not None
-
-
-class TestStrictErrors:
-    def test_stale_journal_raises_in_strict_mode(self, tmp_path):
-        path = str(tmp_path / "store")
-        store = DirectoryStore.create(
-            path, whitepages_schema(), figure1_instance()
-        )
-        tx = UpdateTransaction().insert(
-            "ou=unit1,o=att", ["orgUnit", "orgGroup", "top"], {"ou": ["unit1"]}
-        ).insert(
-            "uid=m1,ou=unit1,o=att", ["person", "top"],
-            {"uid": ["m1"], "name": ["m 1"]},
-        )
-        assert store.apply(tx).applied
-        old_journal = open(os.path.join(path, "journal.ldif"), "rb").read()
-        store.compact()
-        open(os.path.join(path, "journal.ldif"), "wb").write(old_journal)
-        store.close()
-        with pytest.raises(StaleJournalError):
-            recover(path, whitepages_schema(), whitepages_registry(),
-                    strict=True)
 
     def test_corrupt_tail_raises_in_strict_mode(self, tmp_path):
         path = str(tmp_path / "store")
@@ -455,4 +412,6 @@ class TestFrameRoundTripProperties:
         decoded = decode_stream_message(message)
         assert decoded.kind == "snapshot"
         assert decoded.snapshot == text
-        assert decode_snapshot(decoded.snapshot) == (generation, ldif)
+        assert decode_snapshot(decoded.snapshot, "s") == (
+            SnapshotHeader(generation), ldif
+        )

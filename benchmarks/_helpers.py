@@ -38,13 +38,6 @@ WHITEPAGES_TIERS = {
 }
 
 
-def cold_check(session, instance):
-    """A full check that reuses nothing memoized: what the paper's
-    Theorem 3.1 series and every cold timing measure."""
-    session.clear_cache()
-    return session.check(instance)
-
-
 @lru_cache(maxsize=None)
 def whitepages_instance(tier: str):
     """A cached legal white-pages instance of the given tier."""

@@ -1,4 +1,4 @@
-"""Experiment STRUCT — the batched, memoized structure-check engine.
+"""Experiment STRUCT — the batched structure-check engine.
 
 Gates for :class:`repro.legality.structure_engine.StructureEngine`:
 
@@ -7,10 +7,6 @@ Gates for :class:`repro.legality.structure_engine.StructureEngine`:
   shared bitmask sweeps must cost >= 3x fewer evaluator work units than
   the per-query checker's one-flag-pass-per-element strategy.  Reports
   must be byte-identical regardless.
-* **Warm re-check ∝ dirty classes** — after an update touching one
-  class, a warm ``check()`` re-evaluates exactly the elements whose
-  source/target classes intersect the dirty set (machine-independent
-  work-counter gate).
 * **Differential** — the batched engine, the per-query reduction, and
   the naive baseline agree verdict-for-verdict on randomized forests and
   randomized mixed-axis schemas.
@@ -114,11 +110,7 @@ def test_batched_beats_per_query_cost(benchmark):
     benchmark.extra_info["entries"] = len(instance)
     benchmark.extra_info["cost_ratio"] = round(ratio, 2)
 
-    def cold_check():
-        engine.clear_memo()
-        return engine.check(instance)
-
-    benchmark(cold_check)
+    benchmark(lambda: engine.check(instance))
     assert ratio >= 3.0, (
         f"batched sweep should be >= 3x cheaper, got {ratio:.2f}x "
         f"({query_cost} vs {batched_cost} work units)"
@@ -126,53 +118,7 @@ def test_batched_beats_per_query_cost(benchmark):
 
 
 # ----------------------------------------------------------------------
-# gate 2: warm re-check work ∝ dirty classes
-# ----------------------------------------------------------------------
-def test_warm_recheck_tracks_dirty_classes(benchmark):
-    schema = _flag_bound_schema(32)
-    instance = _big_forest().copy()
-    dirty_class = LABELS[2]
-    intersecting = sum(
-        1
-        for element in schema.relationship_elements()
-        if dirty_class in (element.source, element.target)
-    )
-    assert 0 < intersecting < len(schema.relationship_elements())
-
-    engine = StructureEngine(schema)
-    engine.check(instance)
-    cold_cost = engine.last_cost
-
-    engine.check(instance)
-    assert engine.last_checks_evaluated == 0, "clean re-check did work"
-    assert engine.last_cost == 0
-
-    instance.add_entry(None, "o=dirty", [dirty_class, "top"])
-    engine.check(instance)
-    warm_cost = engine.last_cost
-    rows = [
-        (f"|D|={len(instance)}", f"|S|={len(schema)}"),
-        (f"cold cost={cold_cost}",),
-        (f"dirty class={dirty_class!r}", f"intersecting={intersecting}"),
-        (f"warm re-evaluated={engine.last_checks_evaluated}",
-         f"memo hits={engine.last_cache_hits}"),
-        (f"warm cost={warm_cost}",),
-    ]
-    print_series("STRUCT: warm re-check vs dirty set", rows)
-    assert engine.last_checks_evaluated == intersecting, (
-        f"touching {dirty_class!r} re-evaluated "
-        f"{engine.last_checks_evaluated} elements, expected {intersecting}"
-    )
-    assert engine.last_cache_hits == len(engine.checks) - intersecting
-    assert warm_cost < cold_cost
-
-    benchmark.extra_info["entries"] = len(instance)
-    benchmark.extra_info["intersecting"] = intersecting
-    benchmark(lambda: engine.check(instance).is_legal)
-
-
-# ----------------------------------------------------------------------
-# gate 3: randomized differential, three strategies
+# gate 2: randomized differential, three strategies
 # ----------------------------------------------------------------------
 def test_batched_per_query_naive_agree(benchmark):
     """The naive baseline is quadratic, so this gate runs on small

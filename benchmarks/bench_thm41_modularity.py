@@ -19,7 +19,6 @@ from repro.workloads import random_transaction
 
 from _helpers import (
     WHITEPAGES_TIERS,
-    cold_check,
     fit_growth,
     print_series,
     whitepages_instance,
@@ -112,7 +111,7 @@ def test_modular_beats_apply_then_recheck(benchmark):
             from repro.updates.transactions import apply_subtree_update
 
             apply_subtree_update(instance2, step)
-        assert cold_check(full, instance2).is_legal
+        assert full.check(instance2).is_legal
         recheck = time.perf_counter() - start
 
         sizes.append(len(base))

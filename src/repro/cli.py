@@ -49,11 +49,11 @@ applied or, on any violation, rolled back with an explanation.
 
 There is one checking path: ``validate``, ``check``, the server's
 ``check`` op, ``create`` and ``fsck --schema`` all reach
-:meth:`repro.legality.engine.CheckSession.check` (memoized content →
+:meth:`repro.legality.engine.CheckSession.check` (content →
 batched structure engine → Section 6.1 extras), one sequential path
 with no setting.  ``validate`` is ``check --data`` under its old name.
 ``--profile`` prints the engine's counter/timer table (entries checked,
-cache hits, query work, per-phase wall time).
+query work, per-phase wall time).
 ``--follow``, ``--interval`` and ``--iterations`` apply to ``--store``
 only; with ``--data`` they are exit 2 and one line.
 """
@@ -1007,7 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check",
         parents=[expects],
-        help="legality test on the memoized engine",
+        help="legality test (content, structure, extras)",
     )
     check.add_argument("--schema", required=True, help="bounding-schema DSL file")
     source = check.add_mutually_exclusive_group(required=True)

@@ -21,8 +21,8 @@ class LegalityChecker(CheckSession):
     """Tests whether directory instances are legal w.r.t. one schema.
 
     The checker is schema-bound and reusable across instances: the
-    Figure 4 queries are compiled once at construction time, and
-    verdicts are memoized under content and class fingerprints.
+    Figure 4 queries are compiled once at construction time; every
+    check is one full pass.
 
     Parameters
     ----------

@@ -67,9 +67,7 @@ class ContentChecker:
         classes = entry.classes
 
         # Sorted, like every loop below: the verdict — text and order —
-        # must be a function of the class *set*, because the session
-        # memoizes it under a content fingerprint and hands it to every
-        # entry with that content.
+        # is a function of the class *set*, not of its iteration order.
         core: List[str] = []
         for name in sorted(classes):
             if name not in schema:

@@ -2,8 +2,8 @@
 
 :class:`CheckStats` is the machine-readable record one
 :class:`~repro.legality.engine.CheckSession` check leaves behind:
-counters (entries content-checked, fingerprint-cache hits/misses, query
-evaluator work, violations found) and per-phase wall-clock timings.  The
+counters (entries content-checked, query evaluator work, violations
+found) and per-phase wall-clock timings.  The
 engine attaches a snapshot to every
 :class:`~repro.legality.report.LegalityReport` it produces
 (``report.stats``) and keeps a cumulative copy on the session;
@@ -31,21 +31,20 @@ class CheckStats:
     Attributes
     ----------
     entries_checked:
-        Per-entry content checks actually *executed* — fingerprint-cache
-        hits do not count.  On a warm re-check after a subtree update
-        this is proportional to ``|Δ|``, not ``|D|``.
+        Per-entry content checks executed: ``|D|`` for a full check, the
+        entries of Δ for a guarded update.
     cache_hits / cache_misses:
-        Fingerprint-cache outcomes.  ``hits + misses`` equals the number
-        of entries visited by memoized content phases.
+        Always 0: the engine keeps no verdict cache.  The fields stay
+        only because ``benchmarks/e2e/layers.py`` reads them for its
+        ``incremental.cache_hit_share`` row; they go in the
+        benchmark-only change that retires that row (ROADMAP item
+        1B(b)).
     queries_evaluated:
         Work done by the hierarchical query evaluator (entries touched)
         during structure checking.
     structure_checks:
-        Structure-schema elements actually *evaluated* (memoized verdict
-        hits do not count) — the structure-phase analogue of
-        ``entries_checked``.
-    structure_cache_hits:
-        Structure verdicts served from the per-element fingerprint memo.
+        Structure-schema elements evaluated — the structure-phase
+        analogue of ``entries_checked``.
     structure_batched:
         Structure elements answered by the combined bitmask flag pass
         instead of an individual Figure 4 query evaluation.
@@ -72,7 +71,6 @@ class CheckStats:
     cache_misses: int = 0
     queries_evaluated: int = 0
     structure_checks: int = 0
-    structure_cache_hits: int = 0
     structure_batched: int = 0
     flag_passes: int = 0
     violations: int = 0
@@ -101,7 +99,6 @@ class CheckStats:
         self.cache_misses += other.cache_misses
         self.queries_evaluated += other.queries_evaluated
         self.structure_checks += other.structure_checks
-        self.structure_cache_hits += other.structure_cache_hits
         self.structure_batched += other.structure_batched
         self.flag_passes += other.flag_passes
         self.violations += other.violations
@@ -128,9 +125,6 @@ class CheckStats:
             cache_misses=self.cache_misses - baseline.cache_misses,
             queries_evaluated=self.queries_evaluated - baseline.queries_evaluated,
             structure_checks=self.structure_checks - baseline.structure_checks,
-            structure_cache_hits=(
-                self.structure_cache_hits - baseline.structure_cache_hits
-            ),
             structure_batched=self.structure_batched - baseline.structure_batched,
             flag_passes=self.flag_passes - baseline.flag_passes,
             violations=self.violations - baseline.violations,
@@ -152,22 +146,12 @@ class CheckStats:
         """Total wall time across all recorded phases."""
         return sum(self.phase_seconds.values())
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of memoized lookups answered from the cache."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
     def rows(self) -> List[Tuple[str, str]]:
         """(label, value) rows for the ``--profile`` table."""
         rows: List[Tuple[str, str]] = [
             ("entries content-checked", str(self.entries_checked)),
-            ("fingerprint cache hits", str(self.cache_hits)),
-            ("fingerprint cache misses", str(self.cache_misses)),
-            ("cache hit rate", f"{self.hit_rate:.1%}"),
             ("query work (entries touched)", str(self.queries_evaluated)),
             ("structure checks evaluated", str(self.structure_checks)),
-            ("structure memo hits", str(self.structure_cache_hits)),
             ("structure checks batched", str(self.structure_batched)),
             ("flag passes", str(self.flag_passes)),
             ("violations", str(self.violations)),

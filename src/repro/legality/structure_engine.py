@@ -1,4 +1,4 @@
-"""The batched, memoized structure-check engine.
+"""The batched structure-check engine.
 
 Theorem 3.1 bounds the structure check by ``O(|S| * |D|)`` — per query.
 Evaluated one at a time, every Figure 4 check whose operands are large
@@ -8,7 +8,7 @@ relative to ``|D|`` falls back to a whole-forest flag pass
 many full ``O(|D|)`` sweeps where one would do.  SHACL validators face
 the same shapes-over-graph problem and win by sharing graph traversals
 across shapes; :class:`StructureEngine` does the analogue for the whole
-translated check set, in three layers:
+translated check set, in two layers:
 
 1. **Batched flag propagation** — checks whose inner operand is an
    ``(objectClass=c)`` selection *and* whose adaptive evaluation would
@@ -29,14 +29,10 @@ translated check set, in three layers:
    element order, so reports are byte-identical to the sequential
    checkers'.
 
-3. **Per-element memoization** — each verdict is keyed on the
-   *fingerprints* of the classes the element mentions
-   (:meth:`repro.model.instance.DirectoryInstance.class_fingerprint`,
-   plus the instance token).  Entry ids are never reused and entries
-   never re-parent while keeping their id (moves are delete+insert), so
-   a structure verdict is a pure function of the mentioned classes'
-   member sets: a ``recheck()`` after a subtree update re-evaluates
-   only elements whose source/target classes intersect the dirty set.
+Every check evaluates every element: the engine keeps no verdict
+between calls.  A view that must keep its verdict under updates does so
+with the Section 4 Δ-checks as it replays frames
+(:mod:`repro.updates.incremental`), not by re-running this engine.
 
 Verdicts are differentially identical to both
 :class:`~repro.legality.structure.QueryStructureChecker` and
@@ -65,15 +61,10 @@ from repro.schema.structure_schema import StructureSchema
 
 __all__ = ["StructureEngine"]
 
-#: A memoized verdict: the violation-witness set for relationship
+#: One element's verdict: the violation-witness set for relationship
 #: elements (empty = legal), or the non-emptiness bit for required
-#: classes.  Witnesses are entry ids; DNs are rendered at report time
-#: (valid because a fingerprint hit implies the source member set — a
-#: superset of the witnesses — is unchanged).
+#: classes.  Witnesses are entry ids; DNs are rendered at report time.
 _Verdict = Union[FrozenSet[int], bool]
-
-#: A memo key: (instance token, fingerprints of the mentioned classes).
-_MemoKey = Tuple[int, ...]
 
 
 class StructureEngine:
@@ -98,30 +89,10 @@ class StructureEngine:
         ]
         #: Evaluator work (entries touched) of the most recent call.
         self.last_cost = 0
-        #: Elements actually evaluated by the most recent call (memo
-        #: hits excluded) — the dirty set after an update.
-        self.last_checks_evaluated = 0
-        #: Memoized verdicts served by the most recent call.
-        self.last_cache_hits = 0
         #: Elements answered by the combined bitmask pass.
         self.last_batched = 0
         #: Whole-forest flag sweeps performed (at most 2 per call).
         self.last_flag_passes = 0
-        # check index -> (memo key, verdict); bounded by |S| since each
-        # index keeps only its latest verdict.
-        self._memo: Dict[int, Tuple[_MemoKey, _Verdict]] = {}
-
-    # ------------------------------------------------------------------
-    # memo
-    # ------------------------------------------------------------------
-    def clear_memo(self) -> None:
-        """Drop every memoized structure verdict."""
-        self._memo.clear()
-
-    @property
-    def memo_size(self) -> int:
-        """Number of elements with a memoized verdict (``<= |S|``)."""
-        return len(self._memo)
 
     # ------------------------------------------------------------------
     # checking
@@ -148,63 +119,18 @@ class StructureEngine:
     # ------------------------------------------------------------------
     def _verdicts(self, instance: DirectoryInstance) -> List[_Verdict]:
         self.last_cost = 0
-        self.last_checks_evaluated = 0
-        self.last_cache_hits = 0
         self.last_batched = 0
         self.last_flag_passes = 0
 
-        # A check leaves its instance numbered, memo hits or not: the
-        # searches after it plan on the interval numbering.
+        # A check leaves its instance numbered: the searches after it
+        # plan on the interval numbering.
         instance.ensure_numbered()
 
-        token = instance.instance_token
         verdicts: List[Optional[_Verdict]] = [None] * len(self.checks)
-        pending: List[Tuple[int, _MemoKey]] = []
-        for index, check in enumerate(self.checks):
-            key = self._memo_key(token, instance, check)
-            cached = self._memo.get(index)
-            if cached is not None and cached[0] == key:
-                verdicts[index] = cached[1]
-                self.last_cache_hits += 1
-                continue
-            pending.append((index, key))
-
-        if pending:
-            self._evaluate_pending(instance, pending, verdicts)
-            self.last_checks_evaluated += len(pending)
-            for index, key in pending:
-                verdict = verdicts[index]
-                assert verdict is not None
-                self._memo[index] = (key, verdict)
-        final: List[_Verdict] = []
-        for verdict in verdicts:  # all checks answered; keep alignment
-            assert verdict is not None
-            final.append(verdict)
-        return final
-
-    def _memo_key(
-        self, token: int, instance: DirectoryInstance, check: TranslatedCheck
-    ) -> _MemoKey:
-        element = check.element
-        if isinstance(element, RequiredClass):
-            return (token, *instance.class_fingerprint(element.object_class))
-        assert isinstance(element, (RequiredEdge, ForbiddenEdge))
-        return (
-            token,
-            *instance.class_fingerprint(element.source),
-            *instance.class_fingerprint(element.target),
-        )
-
-    def _evaluate_pending(
-        self,
-        instance: DirectoryInstance,
-        pending: List[Tuple[int, _MemoKey]],
-        verdicts: List[Optional[_Verdict]],
-    ) -> None:
         batched: List[Tuple[int, Union[RequiredEdge, ForbiddenEdge]]] = []
         queried: List[int] = []
-        for index, _ in pending:
-            element = self.checks[index].element
+        for index, check in enumerate(self.checks):
+            element = check.element
             if isinstance(element, RequiredClass):
                 # O(1) via the per-class index — no query needed.
                 self.last_cost += 1
@@ -217,6 +143,11 @@ class StructureEngine:
             self._evaluate_batched(instance, batched, verdicts)
         if queried:
             self._evaluate_queries(instance, queried, verdicts)
+        final: List[_Verdict] = []
+        for verdict in verdicts:  # all checks answered; keep alignment
+            assert verdict is not None
+            final.append(verdict)
+        return final
 
     # ------------------------------------------------------------------
     # layer 1: batched flag propagation

@@ -15,18 +15,10 @@ which assigns them an integer id and maintains the forest relation and the
 per-class index.  Every mutator tells the owner before it changes the
 entry and after, so indexes stay correct.  The class set is a frozenset
 the owner interns: entries with equal classes share one object.
-
-Each entry also exposes a *content fingerprint*
-(:meth:`Entry.content_fingerprint`): a stable digest of
-``(class(r), val(r))`` — exactly the inputs of the Section 3.1 per-entry
-content check.  The legality engine (:mod:`repro.legality.engine`)
-memoizes content verdicts under this key; the cached digest is
-invalidated here, at the mutation sites, so staleness is impossible.
 """
 
 from __future__ import annotations
 
-from hashlib import blake2b
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ModelError
@@ -48,7 +40,7 @@ class Entry:
     only useful in tests.
     """
 
-    __slots__ = ("_owner", "eid", "rdn", "_classes", "_attributes", "_fingerprint")
+    __slots__ = ("_owner", "eid", "rdn", "_classes", "_attributes")
 
     def __init__(
         self,
@@ -68,7 +60,6 @@ class Entry:
             class_set if owner is None else owner._interned_classes(class_set)
         )
         self._attributes: Dict[str, List[Any]] = {}
-        self._fingerprint: Optional[str] = None
         if attributes:
             for name, values in attributes.items():
                 for value in values:
@@ -117,7 +108,6 @@ class Entry:
             owner._notify_entry_changing(self.eid)
             classes = owner._interned_classes(classes)
         self._classes = classes
-        self._fingerprint = None
 
     # ------------------------------------------------------------------
     # attribute values
@@ -171,7 +161,6 @@ class Entry:
         if bucket is None:
             bucket = self._attributes[attribute] = []
         bucket.append(value)
-        self._fingerprint = None
         if self._owner is not None:
             self._owner._notify_entry_changed(self.eid)
 
@@ -192,7 +181,6 @@ class Entry:
         if self._owner is not None:
             self._owner._notify_entry_changing(self.eid)
         bucket.remove(value)
-        self._fingerprint = None
         if not bucket:
             del self._attributes[attribute]
         if self._owner is not None:
@@ -234,40 +222,6 @@ class Entry:
     def value_count(self) -> int:
         """``|val(r)|`` — the number of (attribute, value) pairs."""
         return len(self._classes) + sum(len(v) for v in self._attributes.values())
-
-    # ------------------------------------------------------------------
-    # content fingerprint
-    # ------------------------------------------------------------------
-    def content_fingerprint(self) -> str:
-        """A stable digest of ``(class(r), val(r))``.
-
-        Two entries have equal fingerprints exactly when the Section 3.1
-        content check cannot distinguish them, so a content verdict may
-        be reused across any entries (or re-checks) sharing a
-        fingerprint.  The digest is position-independent (the DN does not
-        participate) and process-independent (``blake2b``, not the
-        per-process-salted builtin ``hash``), so a verdict stays valid
-        in any process.
-
-        The digest is cached on the entry and invalidated by every
-        class/value mutation, so recomputing it for an unchanged entry
-        is O(1).
-        """
-        fingerprint = self._fingerprint
-        if fingerprint is None:
-            digest = blake2b(digest_size=12)
-            for name in sorted(self._classes):
-                digest.update(b"\x00c")
-                digest.update(name.encode("utf-8"))
-            for name in sorted(self._attributes):
-                digest.update(b"\x00a")
-                digest.update(name.encode("utf-8"))
-                for value in sorted(repr(v) for v in self._attributes[name]):
-                    digest.update(b"\x00v")
-                    digest.update(value.encode("utf-8"))
-            fingerprint = digest.hexdigest()
-            self._fingerprint = fingerprint
-        return fingerprint
 
     # ------------------------------------------------------------------
     # position

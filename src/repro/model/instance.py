@@ -26,7 +26,6 @@ of these primitives by :meth:`insert_subtree` and :meth:`delete_subtree`.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from typing import (
     Any,
@@ -52,12 +51,6 @@ from repro.model.entry import Entry
 from repro.model.pathcounts import PathCounts
 
 __all__ = ["DirectoryInstance"]
-
-#: Process-wide instance identities.  Entry ids are only unique within
-#: one instance, so caches keyed by per-class fingerprints additionally
-#: carry the owning instance's token to stay sound across instances
-#: (two fresh instances both start their class versions at zero).
-_INSTANCE_TOKENS = itertools.count(1)
 
 #: Distance between consecutive interval labels after a full renumber:
 #: the room every entry keeps, before its ``post``, for children it does
@@ -106,15 +99,6 @@ class DirectoryInstance:
         # entry that holds it (a directory has a handful of them).
         self._class_sets: Dict[FrozenSet[str], FrozenSet[str]] = {}
         self._next_eid = 0
-        # Per-class mutation counters: bumped on every membership change
-        # of the class's bucket.  Together with the instance token they
-        # make :meth:`class_fingerprint` a sound cache key for anything
-        # that depends only on a class's member set (entry ids are never
-        # reused and entries never re-parent while keeping their id, so
-        # structure verdicts are pure functions of the mentioned
-        # classes' member sets).
-        self._class_version: Dict[str, int] = {}
-        self.instance_token = next(_INSTANCE_TOKENS)
         # Optional secondary indexes (repro.store.index.AttributeIndexes).
         # When attached, every mutation notifies them so their postings
         # can be patched lazily in O(|Δ|); the model layer only knows
@@ -198,7 +182,6 @@ class DirectoryInstance:
         self._norm_key[eid] = norm
         for object_class in entry.classes:
             self._class_index.setdefault(object_class, set()).add(eid)
-            self._bump_class(object_class)
         if self.path_counts is not None:
             self.path_counts.shift(eid, entry._classes, 1)
         if attributes:
@@ -245,7 +228,6 @@ class DirectoryInstance:
                 bucket.discard(eid)
                 if not bucket:
                     del self._class_index[object_class]
-                self._bump_class(object_class)
         del self._entries[eid]
         del self._parent[eid]
         del self._children[eid]
@@ -332,7 +314,6 @@ class DirectoryInstance:
                     bucket.discard(node_eid)
                     if not bucket:
                         del self._class_index[object_class]
-                    self._bump_class(object_class)
             stack.extend(self._children[node_eid])
             del self._parent[node_eid]
             del self._children[node_eid]
@@ -448,23 +429,6 @@ class DirectoryInstance:
         """``|{r : object_class in class(r)}|`` — supports the counted
         variant of incremental ``c-box`` testing (end of Section 4)."""
         return len(self._class_index.get(object_class, ()))
-
-    def class_fingerprint(self, object_class: str) -> Tuple[int, int]:
-        """A ``(version, count)`` pair that changes whenever the member
-        set of ``object_class`` changes.
-
-        The version counter is bumped on every bucket mutation (entry
-        added/deleted, class added/removed on a live entry) and never
-        reused, so equal fingerprints *within one instance* imply the
-        member set is unchanged since the fingerprint was taken.  The
-        structure-check engine keys its per-element verdict memo on the
-        fingerprints of the element's mentioned classes (plus
-        :attr:`instance_token` to separate instances).
-        """
-        return (
-            self._class_version.get(object_class, 0),
-            len(self._class_index.get(object_class, ())),
-        )
 
     # ------------------------------------------------------------------
     # structure navigation
@@ -623,7 +587,6 @@ class DirectoryInstance:
 
     def _on_class_added(self, eid: int, object_class: str) -> None:
         self._class_index.setdefault(object_class, set()).add(eid)
-        self._bump_class(object_class)
         if self.path_counts is not None:
             self.path_counts.shift(eid, (object_class,), 1)
         self._notify_entry_changed(eid)
@@ -634,7 +597,6 @@ class DirectoryInstance:
             bucket.discard(eid)
             if not bucket:
                 del self._class_index[object_class]
-            self._bump_class(object_class)
         if self.path_counts is not None:
             self.path_counts.shift(eid, (object_class,), -1)
         self._notify_entry_changed(eid)
@@ -657,11 +619,6 @@ class DirectoryInstance:
         indexes = self.indexes
         if indexes is not None:
             indexes.entry_removed(eid)
-
-    def _bump_class(self, object_class: str) -> None:
-        self._class_version[object_class] = (
-            self._class_version.get(object_class, 0) + 1
-        )
 
     def _ensure_order(self) -> None:
         """Number the forest if its numbering is stale.

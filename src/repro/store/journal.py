@@ -475,8 +475,8 @@ class DirectoryStore:
         — reopening recovers exactly the durable committed prefix.
 
         The returned outcome carries ``outcome.stats``: the legality
-        work this transaction cost (content checks, cache hits, query
-        work — the ``check --profile`` counters), as the delta of the
+        work this transaction cost (content checks, query work — the
+        ``check --profile`` counters), as the delta of the
         guard session's cumulative :class:`CheckStats`.  What is checked
         is :meth:`stage`'s to say; a rejected transaction is rolled back
         in memory and never journaled.
@@ -644,8 +644,8 @@ class DirectoryStore:
 
     def check(self) -> LegalityReport:
         """A full legality report of the current contents (including
-        the Section 6.1 extras pass when the schema declares one) —
-        cold, independent of everything the guard has memoized."""
+        the Section 6.1 extras pass when the schema declares one): one
+        full pass on a fresh session, off the guard's counters."""
         return self._guard.full_recheck()
 
     def compact(self) -> None:

@@ -155,11 +155,8 @@ class IncrementalChecker:
         fully checked once up front.
     session:
         An optional :class:`~repro.legality.engine.CheckSession` to
-        route per-entry content checks through.  The checker feeds every
-        Δ it vets into the session's fingerprint cache, so a subsequent
-        :meth:`recheck` re-runs content checks only on content the
-        session has not seen — cost O(|Δ|), not O(|D|).  When ``None``
-        a private sequential session is created.
+        route per-entry content checks through; its ``stats`` count the
+        Δ entries checked.  When ``None`` a private session is created.
     """
 
     def __init__(
@@ -198,9 +195,7 @@ class IncrementalChecker:
                 path = change == "removed" and path_answerable(element)
                 self._modify_rows.append((change, trigger, _Row(element, query, check, path=path)))
         if not assume_legal:
-            # The baseline is the session's full pass: it both vets the
-            # starting instance and warms the fingerprint cache, so the
-            # first incremental step already re-checks only its Δ.
+            # The baseline is the session's full pass.
             baseline = self.session.check(instance)
             if not baseline.is_legal:
                 raise UpdateError(
@@ -350,9 +345,6 @@ class IncrementalChecker:
         outcome = UpdateOutcome()
 
         # Content schema: Δ checked in isolation suffices (Section 4.2).
-        # Going through the session memoizes the verdicts: Δ's
-        # fingerprints stay valid after the graft (fingerprints are
-        # position-independent), so later session re-checks skip Δ.
         for entry in delta:
             outcome.report.extend(self.session.check_entry(entry))
         outcome.cost += len(delta)
@@ -483,7 +475,6 @@ class IncrementalChecker:
                     prior = entry.values(name)
                     entry.replace_values(name, values)
                     token.append(partial(entry.replace_values, name, prior))
-            # memoized through the session like every content verdict
             outcome.report.extend(self.session.check_entry(entry))
             outcome.cost += 1
             outcome.checks.append("content check of the modified entry")
@@ -584,22 +575,9 @@ class IncrementalChecker:
     # ------------------------------------------------------------------
     def full_recheck(self) -> LegalityReport:
         """Non-incremental full legality check of the current instance —
-        the *cold* baseline the FIG5 benchmark compares against: a
-        fresh session, so nothing this checker's session has memoized
-        is reused."""
+        the baseline the FIG5 benchmark compares against.  It runs on a
+        fresh session, so its counters stay off this checker's."""
         return CheckSession(self.schema).check(self.instance)
-
-    def recheck(self) -> LegalityReport:
-        """Warm full re-check through the session.
-
-        Content verdicts for every entry whose fingerprint the session
-        has already seen — the whole instance minus the dirty set — come
-        from the cache, so the content work is O(|Δ|).  The returned
-        report carries the session's :class:`CheckStats` for this call
-        under ``report.stats`` (``entries_checked`` is the dirty-set
-        size the benchmark gates assert on).
-        """
-        return self.session.check(self.instance)
 
 
 def attach_path_counts(instance: DirectoryInstance, schema: DirectorySchema) -> PathCounts:

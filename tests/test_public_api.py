@@ -199,7 +199,7 @@ class TestOneCheckingPath:
         ]
 
     def test_no_function_takes_a_pool_size(self):
-        """The engine has one path, sequential and memoized: nothing
+        """The engine has one path, sequential: nothing
         sizes a worker pool, from the CLI down to the session."""
         from repro.legality import engine
 
@@ -360,12 +360,11 @@ class TestOneBenchmark:
     """The seam PR 20 shut: wall-clock claims about the serving stack
     live in ``BENCHMARK.json`` (``benchmarks/e2e``), work-unit claims in
     tier-1 tests.  What is left under ``benchmarks/`` is the paper's
-    FIG/THM/SEC reproduction, and only its two engine benches still
-    read a scale knob."""
+    FIG/THM/SEC reproduction, and only its structure engine bench still
+    reads a scale knob."""
 
     REPO = pathlib.Path(__file__).resolve().parent.parent
     KNOBS = {
-        "bench_legality.py": "BENCH_LEGALITY_SCALE",
         "bench_structure.py": "BENCH_STRUCTURE_SCALE",
     }
 

@@ -11,6 +11,7 @@ holder pid; readers never lock).
 """
 
 import os
+import tracemalloc
 
 import pytest
 
@@ -324,17 +325,49 @@ class TestSidecarDiscipline:
 
     def test_compact_under_live_reader_keeps_memo_correct(self, store):
         """The writer compacting while a reader holds the old view must
-        not corrupt the reader's memo: verdicts are content-keyed, so
-        the reader's answers stay correct before and after it follows
-        the compaction."""
+        not corrupt the reader's followed verdict: its answers stay
+        correct before and after it follows the compaction."""
         with open_reader(store._dir) as reader:
-            assert reader.check().is_legal  # fills the memo
+            assert reader.check().is_legal  # the one full pass
             assert store.apply(unit_tx(1)).applied
             store.compact()  # rewrites the snapshot under the reader
-            assert reader.check().is_legal  # old view, warm memo: still right
+            assert reader.check().is_legal  # old view: still right
             reader.refresh()
             assert serialize_ldif(reader.instance) == serialize_ldif(store.instance)
             assert reader.check().is_legal
+
+
+class TestACheckedCopyCostsNoVerdictState:
+    """A ratio gate, not a byte count (those differ across Python
+    versions): a view's first full check leaves nothing behind per
+    entry.  Its verdict is kept by following the frames afterwards, so
+    the pass itself has nothing to remember.  The copy is numbered
+    first, as every served copy is before it answers a read: the
+    interval labels belong to the copy, not to the check."""
+
+    def test_first_check_retains_under_20_bytes_per_entry(self, tmp_path):
+        path = str(tmp_path / "store")
+        DirectoryStore.create(
+            path, whitepages_schema(),
+            generate_whitepages(orgs=4, units_per_level=5, depth=3,
+                                persons_per_unit=12, seed=7,
+                                registry=whitepages_registry()),
+            whitepages_registry(),
+        ).close()
+        with open_reader(path) as reader:
+            entries = len(reader.instance)
+            reader.instance.ensure_numbered()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                report = reader.check()
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert report.is_legal
+            assert reader.full_checks == 1
+        assert entries >= 8000
+        assert retained < 20 * entries, (retained, retained / entries)
 
 
 class TestAdvisoryLock:

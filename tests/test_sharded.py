@@ -1887,8 +1887,8 @@ def test_four_check_surfaces_agree_in_order(tmp_path, registry, damage):
 
     assert writer.violations == view.violations
     assert _counters(writer.stats) == _counters(view.stats)
-    assert writer.stats.cache_misses + writer.stats.cache_hits == entries
-    assert view.stats.cache_misses + view.stats.cache_hits == entries
+    assert writer.stats.entries_checked == entries
+    assert view.stats.entries_checked == entries
     assert writer.is_legal == damage.endswith("clean")
     assert bool(writer.of_kind(Kind.ORPHANED_SHARD)) == orphaned
     if orphaned:

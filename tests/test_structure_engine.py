@@ -1,9 +1,9 @@
-"""Tests for the batched, memoized structure-check engine.
+"""Tests for the batched structure-check engine.
 
 The engine must be *report-identical* to ``QueryStructureChecker`` (same
 violations, same order) and verdict-identical to
-``NaiveStructureChecker`` on arbitrary instances; its memo must
-re-evaluate exactly the elements whose classes intersect the dirty set.
+``NaiveStructureChecker`` on arbitrary instances, and every check must
+evaluate every element: it keeps no verdict between calls.
 """
 
 import random
@@ -133,40 +133,18 @@ class TestBatching:
         assert engine.last_flag_passes == 0
 
 
-class TestMemoization:
-    def test_warm_recheck_evaluates_nothing(self):
+class TestEveryCheckIsWhole:
+    def test_every_check_evaluates_every_element(self):
         schema = big_random_schema(11)
         instance = random_forest(n_entries=40, labels=LABELS, seed=11)
         engine = StructureEngine(schema)
         engine.check(instance)
-        assert engine.last_checks_evaluated == len(engine.checks)
+        cost = engine.last_cost
+        assert cost > 0
         engine.check(instance)
-        assert engine.last_checks_evaluated == 0
-        assert engine.last_cache_hits == len(engine.checks)
-        assert engine.last_cost == 0
+        assert engine.last_cost == cost
 
-    def test_only_dirty_class_elements_reevaluate(self):
-        schema = (
-            StructureSchema()
-            .require_child("k0", "k1")
-            .require_descendant("k2", "k3")
-            .forbid_child("k4", "k5")
-            .require_class("k6")
-        )
-        instance = random_forest(n_entries=40, labels=LABELS, seed=2)
-        engine = StructureEngine(schema)
-        engine.check(instance)
-        # touch k2 only: exactly one element mentions it
-        instance.add_entry(None, "o=dirty", ["k2", "top"])
-        engine.check(instance)
-        assert engine.last_checks_evaluated == 1
-        assert engine.last_cache_hits == len(engine.checks) - 1
-        # touching an unmentioned class re-evaluates nothing
-        instance.add_entry(None, "o=other", ["k7", "top"])
-        engine.check(instance)
-        assert engine.last_checks_evaluated == 0
-
-    def test_memo_never_leaks_across_instances(self):
+    def test_verdicts_never_leak_across_instances(self):
         schema = StructureSchema().require_child("k0", "k1")
         legal = DirectoryInstance()
         legal.add_entry(None, "o=a", ["k0", "top"])
@@ -178,24 +156,6 @@ class TestMemoization:
         assert engine.is_legal(legal)
         assert not engine.is_legal(illegal)
         assert engine.is_legal(legal)
-
-    def test_memo_is_bounded_by_schema_size(self):
-        schema = big_random_schema(5)
-        engine = StructureEngine(schema)
-        for seed in range(6):
-            engine.check(random_forest(n_entries=20, labels=LABELS, seed=seed))
-        assert engine.memo_size <= len(engine.checks)
-
-    def test_clear_memo(self):
-        schema = big_random_schema(13)
-        instance = random_forest(n_entries=30, labels=LABELS, seed=13)
-        engine = StructureEngine(schema)
-        engine.check(instance)
-        assert engine.memo_size > 0
-        engine.clear_memo()
-        assert engine.memo_size == 0
-        engine.check(instance)
-        assert engine.last_cache_hits == 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,6 +6,10 @@ Gate for :class:`repro.legality.engine.CheckSession`:
   agrees verdict-for-verdict with the sequential reference
   (``tests/oracle.py``: one Figure 4 query at a time, and the naive
   quadratic baseline) on legal and corrupted instances.
+* **Work unit** — the content pass is compiled once per class set: a
+  check builds one plan per distinct class set (not per entry), a
+  second check builds none, and the verdict, in order, is the
+  sequential reference's.
 
 There is one checking path and no engine knob: every check is one full
 pass, so every timing below is a cold one.
@@ -69,3 +73,29 @@ def test_engine_sequential_naive_agree(benchmark, bad):
     benchmark.extra_info["violations"] = len(sequential)
     with CheckSession(schema) as session:
         benchmark(lambda: session.check(instance))
+
+
+# ----------------------------------------------------------------------
+# the gate: work unit — one content plan per class set
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("bad", [0, 7])
+def test_content_plans_are_one_per_class_set(bad):
+    """Plans built == distinct class sets, on a legal instance and on
+    one with injected content violations; the session's ordered verdict
+    is the sequential reference's."""
+    schema = wp_schema()
+    instance = whitepages_instance("large")
+    if bad:
+        instance = _corrupt(instance, random.Random(bad), bad)
+    class_sets = {entry.classes for entry in instance}
+    reference = [
+        (v.kind, v.message, v.dn, v.element)
+        for v in oracle_check(schema, instance).violations
+    ]
+    with CheckSession(schema) as session:
+        report = session.check(instance)
+        assert session.plans_built == len(class_sets) < len(instance) / 10
+        assert session.check(instance).violations == report.violations
+        assert session.plans_built == len(class_sets)
+    assert [(v.kind, v.message, v.dn, v.element) for v in report.violations] == reference
+    assert len(reference) == bad

@@ -6,19 +6,26 @@ content format directly: ``dn:`` lines, ``attribute: value`` lines, base64
 values (``::``), line continuations (a leading space), comments (``#``), and
 an optional ``version:`` header.
 
-Records are assembled into a :class:`~repro.model.instance.DirectoryInstance`
-by sorting on DN depth so parents are created before children; a record
-whose parent DN is absent becomes an error (matching LDAP server behaviour).
+:func:`parse_ldif` assembles a :class:`~repro.model.instance.DirectoryInstance`
+in one streaming pass: lines are read off the text one at a time, and
+each record is added, under its parent entry, as soon as it completes.
+Only a record whose parent has not appeared yet waits, keyed by the
+parent's normalized DN, and is added right after its parent; a
+document in document order (every snapshot this library writes) keeps
+nothing waiting.  A record whose parent never appears is an error
+(matching LDAP server behaviour).
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+import itertools
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import LdifError
 from repro.model.attributes import OBJECT_CLASS, AttributeRegistry
-from repro.model.dn import DN, parse_dn
+from repro.model.dn import DN, RDN, parse_dn
+from repro.model.entry import Entry
 from repro.model.instance import DirectoryInstance
 
 __all__ = ["LdifRecord", "parse_ldif_records", "parse_ldif", "load_ldif"]
@@ -50,12 +57,19 @@ class LdifRecord:
         return f"LdifRecord({self.dn!s}, {len(self.attributes)} lines)"
 
 
-def _unfold(lines: Iterable[str]) -> Iterator[str]:
-    """Join continuation lines (RFC 2849: a line starting with one space
-    continues the previous line)."""
+def _lines(text: str) -> Iterator[str]:
+    """The logical lines of ``text``, one at a time and without a list
+    of them all: RFC 2849 separators (LF or CRLF), with continuation
+    lines (a leading space) joined to the line they continue."""
     current: Optional[str] = None
-    for raw in lines:
-        line = raw.rstrip("\n").rstrip("\r")
+    start, end = 0, len(text)
+    find = text.find
+    while start < end:
+        stop = find("\n", start)
+        if stop < 0:
+            stop = end
+        line = text[start:stop].rstrip("\r")
+        start = stop + 1
         if line.startswith(" "):
             if current is None:
                 raise LdifError("continuation line with no preceding line")
@@ -69,11 +83,11 @@ def _unfold(lines: Iterable[str]) -> Iterator[str]:
 
 
 def _parse_attribute_line(line: str) -> Tuple[str, str]:
-    if line.strip() == "-":
-        # clause separator inside a changetype:modify record (RFC 2849)
-        return ("-", "")
     colon = line.find(":")
     if colon <= 0:
+        if line.strip() == "-":
+            # clause separator inside a changetype:modify record (RFC 2849)
+            return ("-", "")
         raise LdifError(f"malformed LDIF line: {line!r}")
     name = line[:colon].strip()
     rest = line[colon + 1:]
@@ -88,6 +102,37 @@ def _parse_attribute_line(line: str) -> Tuple[str, str]:
     return name, value
 
 
+def _iter_records(text: str) -> Iterator[LdifRecord]:
+    """The records of LDIF ``text``, each as soon as it completes."""
+    block: List[str] = []
+    for line in itertools.chain(_lines(text), ("",)):  # "" ends the last
+        if line.strip():
+            if not line.startswith("#"):
+                block.append(line)
+            continue
+        if block:
+            record = _record(block)
+            block = []
+            if record is not None:
+                yield record
+
+
+def _record(lines: List[str]) -> Optional[LdifRecord]:
+    """One record from its non-comment lines (``None`` for a lone
+    ``version:`` header)."""
+    if lines[0].lower().startswith("version:"):
+        lines = lines[1:]
+        if not lines:
+            return None
+    first = lines[0]
+    name, value = _parse_attribute_line(first)
+    if name.lower() != "dn":
+        raise LdifError(f"record does not start with a dn: line ({first!r})")
+    return LdifRecord(
+        parse_dn(value), [_parse_attribute_line(line) for line in lines[1:]]
+    )
+
+
 def parse_ldif_records(text: str) -> List[LdifRecord]:
     """Parse LDIF text into a list of :class:`LdifRecord`.
 
@@ -97,34 +142,7 @@ def parse_ldif_records(text: str) -> List[LdifRecord]:
         On malformed lines, records without a leading ``dn:`` line, or
         invalid base64 payloads.
     """
-    records: List[LdifRecord] = []
-    block: List[str] = []
-
-    def flush() -> None:
-        if not block:
-            return
-        lines = [l for l in block if l and not l.startswith("#")]
-        block.clear()
-        if not lines:
-            return
-        if lines and lines[0].lower().startswith("version:"):
-            lines = lines[1:]
-            if not lines:
-                return
-        first, *rest = lines
-        name, value = _parse_attribute_line(first)
-        if name.lower() != "dn":
-            raise LdifError(f"record does not start with a dn: line ({first!r})")
-        attributes = [_parse_attribute_line(line) for line in rest]
-        records.append(LdifRecord(parse_dn(value), attributes))
-
-    for line in _unfold(text.splitlines()):
-        if not line.strip():
-            flush()
-        else:
-            block.append(line)
-    flush()
-    return records
+    return list(_iter_records(text))
 
 
 def parse_ldif(
@@ -133,8 +151,8 @@ def parse_ldif(
 ) -> DirectoryInstance:
     """Parse LDIF text directly into a :class:`DirectoryInstance`.
 
-    Records may appear in any order; they are topologically sorted by DN
-    depth before insertion.
+    Records may appear in any order: one whose parent has not appeared
+    yet waits for it.  Siblings keep their document order.
 
     Raises
     ------
@@ -142,27 +160,67 @@ def parse_ldif(
         If a record's parent DN does not occur in the document (and is not
         empty), or two records share a DN.
     """
-    records = parse_ldif_records(text)
     instance = DirectoryInstance(attributes=attributes)
-    for record in sorted(records, key=lambda r: r.dn.depth()):
-        parent_dn = record.dn.parent()
-        if parent_dn.is_empty():
-            parent: Optional[str] = None
+    # normalized parent DN -> [(document position, record)] still waiting
+    waiting: Dict[str, List[Tuple[int, LdifRecord]]] = {}
+    # consecutive siblings share a parent: the last one found, by RDNs
+    last_rdns: Tuple[RDN, ...] = ()
+    last_parent: Optional[int] = None
+    for position, record in enumerate(_iter_records(text)):
+        parent_rdns = record.dn.rdns[1:]
+        if not parent_rdns:
+            parent = None
+        elif parent_rdns == last_rdns:
+            parent = last_parent
         else:
-            if instance.find(parent_dn) is None:
-                raise LdifError(
-                    f"record {record.dn!s} has no parent record {parent_dn!s}"
-                )
-            parent = str(parent_dn)
-        classes = record.object_classes()
-        if not classes:
-            raise LdifError(f"record {record.dn!s} has no objectClass values")
-        values: Dict[str, List[Any]] = record.other_attributes()
-        try:
-            instance.add_entry(parent, record.dn.rdn, classes, values)
-        except Exception as exc:
-            raise LdifError(f"cannot add record {record.dn!s}: {exc}") from exc
+            key = str(DN(parent_rdns).normalized())
+            parent = instance.id_of_normalized_dn(key)
+            if parent is None:
+                waiting.setdefault(key, []).append((position, record))
+                continue
+            last_rdns, last_parent = parent_rdns, parent
+        entry = _add(instance, parent, record)
+        if waiting:
+            _add_waiting(instance, entry, waiting)
+    if waiting:
+        # The record the depth-ordered load would have stopped at: the
+        # shallowest one left, first in document order.
+        _, record = min(
+            (item for items in waiting.values() for item in items),
+            key=lambda item: (item[1].dn.depth(), item[0]),
+        )
+        raise LdifError(
+            f"record {record.dn!s} has no parent record {record.dn.parent()!s}"
+        )
     return instance
+
+
+def _add(
+    instance: DirectoryInstance, parent: Optional[int], record: LdifRecord
+) -> Entry:
+    classes = record.object_classes()
+    if not classes:
+        raise LdifError(f"record {record.dn!s} has no objectClass values")
+    values: Dict[str, List[Any]] = record.other_attributes()
+    try:
+        return instance.add_entry(parent, record.dn.rdn, classes, values)
+    except Exception as exc:
+        raise LdifError(f"cannot add record {record.dn!s}: {exc}") from exc
+
+
+def _add_waiting(
+    instance: DirectoryInstance,
+    entry: Entry,
+    waiting: Dict[str, List[Tuple[int, LdifRecord]]],
+) -> None:
+    """Add the records that waited for ``entry``, and theirs in turn."""
+    added = [entry]
+    while added and waiting:
+        parent = added.pop()
+        for _, record in waiting.pop(
+            instance.normalized_dn_string_of(parent), ()
+        ):
+            added.append(_add(instance, parent.eid, record))
 
 
 def load_ldif(path: str, attributes: Optional[AttributeRegistry] = None) -> DirectoryInstance:

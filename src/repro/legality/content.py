@@ -29,7 +29,7 @@ The per-entry cost matches the Section 3.1 bound
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import AbstractSet, List, Optional, Set
 
 from repro.model.attributes import OBJECT_CLASS
 from repro.model.entry import Entry
@@ -57,14 +57,15 @@ class ContentChecker:
         """All content violations of one entry."""
         where = dn if dn is not None else str(entry.dn)
         violations: List[Violation] = []
-        violations.extend(self._check_classes(entry, where))
+        violations.extend(self.class_violations(entry.classes, where))
         violations.extend(self._check_attributes(entry, where))
         return violations
 
-    def _check_classes(self, entry: Entry, where: str) -> List[Violation]:
+    def class_violations(self, classes: AbstractSet[str], where: str) -> List[Violation]:
+        """The class-schema violations of an entry at ``where`` whose
+        class set is ``classes`` — a function of the set alone."""
         schema = self.class_schema
         violations: List[Violation] = []
-        classes = entry.classes
 
         # Sorted, like every loop below: the verdict — text and order —
         # is a function of the class *set*, not of its iteration order.

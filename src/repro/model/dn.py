@@ -154,6 +154,16 @@ def parse_rdn(text: str) -> RDN:
         If the component has no unescaped ``=`` separator or an empty
         attribute name.
     """
+    if "\\" not in text:
+        # Nothing escaped: the first "=" separates, and the rest is
+        # the value verbatim (what the loop below computes, in C).
+        name, seen, rest = text.partition("=")
+        if not seen:
+            raise ModelError(f"RDN {text!r} has no '=' separator")
+        name = name.strip()
+        if not name:
+            raise ModelError(f"RDN {text!r} has an empty attribute name")
+        return RDN(name, rest.strip())
     attribute, value, seen_eq = [], [], False
     i = 0
     while i < len(text):
@@ -177,6 +187,8 @@ def parse_rdn(text: str) -> RDN:
 
 
 def _split_unescaped(text: str, sep: str) -> Sequence[str]:
+    if "\\" not in text:
+        return text.split(sep)
     parts, current, i = [], [], 0
     while i < len(text):
         ch = text[i]

@@ -19,7 +19,7 @@ the owner interns: entries with equal classes share one object.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, Iterator, KeysView, List, Optional, Tuple
 
 from repro.errors import ModelError
 from repro.model.attributes import OBJECT_CLASS
@@ -209,6 +209,11 @@ class Entry:
         """Names of attributes with at least one value, including
         ``objectClass``."""
         return (OBJECT_CLASS,) + tuple(self._attributes.keys())
+
+    def held_attributes(self) -> KeysView[str]:
+        """Names of attributes with at least one value, ``objectClass``
+        excluded, as a live set view (nothing is copied)."""
+        return self._attributes.keys()
 
     def pairs(self) -> Iterator[Tuple[str, Any]]:
         """Iterate over ``val(r)`` as (attribute, value) pairs, including

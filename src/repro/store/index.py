@@ -15,7 +15,10 @@ This module is the access-structure half of that move (slapd's
 * a **substring** index of character 3-grams
   ``attribute -> gram -> [eid]`` (candidates for
   :class:`~repro.query.filters.Substring` come from intersecting the
-  postings of the pattern's grams),
+  postings of the pattern's grams).  An attribute's grams are derived
+  on its first substring probe and maintained from then on: most
+  attributes are never probed that way, and grams are most of what an
+  eager build inserts,
 * a **key** index ``attribute -> value -> [eid]`` over the Section 6.1
   key attributes, keyed by the *raw* value with plain ``dict`` equality
   — the same equality :class:`~repro.legality.extras.ExtrasChecker`
@@ -222,6 +225,9 @@ class AttributeIndexes:
         self.referential_attributes = frozenset(referential_attributes)
         self._eq: Dict[str, Dict[str, Posting]] = {}
         self._present: Dict[str, Posting] = {}
+        #: Gram postings of the attributes probed for a substring so
+        #: far, and of no other: an attribute is a key from its first
+        #: probe on, even once its postings are empty.
         self._grams: Dict[str, Dict[str, Posting]] = {}
         self._keys: Dict[str, Dict[Any, Posting]] = {}
         self._refs: Dict[str, Dict[str, Posting]] = {}
@@ -261,7 +267,8 @@ class AttributeIndexes:
 
     def rebuild(self) -> None:
         """Discard everything and re-derive the postings from the live
-        instance.  The instance holds its entries in id order, so every
+        instance; an attribute's grams wait for its next substring
+        probe.  The instance holds its entries in id order, so every
         posting grows by appends."""
         self._eq = {}
         self._present = {}
@@ -321,8 +328,11 @@ class AttributeIndexes:
         """A sound candidate superset for a substring pattern whose
         literal chunks are ``parts``: the intersection of the gram
         postings, smallest first, falling back to the presence posting
-        when no chunk is long enough to contribute a gram."""
+        when no chunk is long enough to contribute a gram.  The first
+        probe of ``attribute`` derives its gram postings."""
         self._refresh()
+        if attribute not in self._grams:
+            self._build_grams(attribute)
         grams: Set[str] = set()
         for part in parts:
             for i in range(len(part) - GRAM + 1):
@@ -415,16 +425,28 @@ class AttributeIndexes:
         self._removed_dns.clear()
         self._indexed_below = self.instance._next_eid
 
+    def _build_grams(self, attribute: str) -> None:
+        """Derive ``attribute``'s gram postings from the live instance,
+        right after a flush; entries come in id order, so every posting
+        grows by appends."""
+        bucket = self._grams[attribute] = {}
+        for eid, entry in self.instance._entries.items():
+            for value in entry.values(attribute):
+                text = value if isinstance(value, str) else str(value)
+                for i in range(len(text) - GRAM + 1):
+                    _insert(bucket, text[i : i + GRAM], eid)
+
     def _index_entry(self, eid: int, snapshot: Dict[str, Tuple[Any, ...]]) -> None:
         for attribute, values in snapshot.items():
             _insert(self._present, attribute, eid)
             eq_bucket = self._eq.setdefault(attribute, {})
-            gram_bucket = self._grams.setdefault(attribute, {})
+            gram_bucket = self._grams.get(attribute)
             for value in values:
                 text = value if isinstance(value, str) else str(value)
                 _insert(eq_bucket, text, eid)
-                for i in range(len(text) - GRAM + 1):
-                    _insert(gram_bucket, text[i : i + GRAM], eid)
+                if gram_bucket is not None:
+                    for i in range(len(text) - GRAM + 1):
+                        _insert(gram_bucket, text[i : i + GRAM], eid)
         for attribute in self.key_attributes:
             for value in snapshot.get(attribute, ()):
                 try:
@@ -451,8 +473,6 @@ class AttributeIndexes:
                         _discard(gram_bucket, text[i : i + GRAM], eid)
             if eq_bucket is not None and not eq_bucket:
                 del self._eq[attribute]
-            if gram_bucket is not None and not gram_bucket:
-                del self._grams[attribute]
         for attribute in self.key_attributes:
             bucket = self._keys.get(attribute)
             if bucket is None:

@@ -664,6 +664,7 @@ class StoreReader:
             except OSError:
                 continue
             header, ldif_text = wal.decode_snapshot(text, self._snapshot_path())
+            del text  # the decoded LDIF is a copy; hold one text, not two
             generation = header.generation
             try:
                 journal_bytes = self._io.read_bytes(self._journal_path())
@@ -682,6 +683,7 @@ class StoreReader:
                 except OSError:
                     continue
             instance = parse_ldif(ldif_text, attributes=self._registry)
+            del ldif_text
             self.instance = instance
             self._guard = None  # it vouches for the instance just replaced
             self._resolved_txid = None

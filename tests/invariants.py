@@ -51,6 +51,7 @@ __all__ = [
     "followed_equals_full",
     "instance_state",
     "postings_by_dn",
+    "probe_every_gram",
     "read_floor_monotonic",
     "spanning_commit_atomic",
     "spanning_read_whole",
@@ -110,7 +111,7 @@ def postings_by_dn(indexes):
     referential — as ``{(table, attribute, key): sorted DNs}``, pending
     maintenance folded in first.  Entry ids are never reused, so only
     DNs compare across an undo or across two instances."""
-    indexes.delta_checkpoint()
+    probe_every_gram(indexes)
     name = indexes.instance.dn_string_of
     flat = {
         ("present", attribute, None): sorted(map(name, posting))
@@ -121,6 +122,15 @@ def postings_by_dn(indexes):
             for key, posting in bucket.items():
                 flat[table, attribute, key] = sorted(map(name, posting))
     return flat
+
+
+def probe_every_gram(indexes):
+    """Probe every held attribute for a substring, so each one's 3-gram
+    postings exist (they are derived on an attribute's first probe) and
+    a comparison covers all of them, pending maintenance folded in."""
+    indexes.delta_checkpoint()
+    for attribute in list(indexes._present):
+        indexes.substring_candidates(attribute, ["xxx"])
 
 
 # ----------------------------------------------------------------------

@@ -61,7 +61,7 @@ from repro.workloads import (
 )
 
 from growth import fit_growth
-from invariants import postings_by_dn
+from invariants import postings_by_dn, probe_every_gram
 
 
 def naive(instance, filt, **scoped):
@@ -450,7 +450,9 @@ class TestIndexLifecycle:
 
 
 def _postings(indexes):
-    """Every posting of ``indexes``: ``{(table, attribute, key): ids}``."""
+    """Every posting of ``indexes``: ``{(table, attribute, key): ids}``,
+    the 3-gram postings of every held attribute included."""
+    probe_every_gram(indexes)
     flat = {
         ("present", attribute, None): posting
         for attribute, posting in indexes._present.items()
@@ -462,13 +464,55 @@ def _postings(indexes):
     return flat
 
 
+class TestGramsOnFirstProbe:
+    """An attribute's 3-gram postings are derived on its first substring
+    probe, not at open, and maintained from then on."""
+
+    def test_a_copy_holds_grams_only_for_what_was_probed(self, tmp_path):
+        schema = whitepages_schema(extras=True)
+        path = str(tmp_path / "store")
+        DirectoryStore.create(path, schema, generate_whitepages(
+            orgs=1, units_per_level=2, depth=1, persons_per_unit=3, seed=11
+        )).close()
+
+        def person(uid, name):
+            return UpdateTransaction().insert(
+                f"uid={uid},o=org0", ["person", "top"],
+                {"uid": [uid], "name": [name]},
+            )
+
+        with DirectoryStore.open(path, schema) as store, \
+                StoreReader.open(path, schema) as view:
+            copies = (store.instance, view.instance)
+            assert store.apply(person("w1", "walter")).applied
+            view.refresh()
+            for copy in copies:
+                copy.indexes.delta_checkpoint()
+                assert copy.indexes._grams == {}
+                assert copy.indexes._present  # the eager postings are there
+            for copy in copies:
+                filt = parse_filter("(name=*x*)")
+                assert indexed(copy, filt) == naive(copy, filt)
+                assert set(copy.indexes._grams) == {"name"}
+            assert store.apply(person("x1", "xavier")).applied
+            view.refresh()
+            for copy in copies:
+                filt = parse_filter("(name=*avie*)")
+                found = indexed(copy, filt)
+                assert found == naive(copy, filt) == ["uid=x1,o=org0"]
+                assert set(copy.indexes._grams) == {"name"}
+                assert copy.indexes._grams["name"]["avi"]
+
+
 class TestPostingMaintenance:
     """Incremental maintenance of the sorted id lists, differentially:
     after every step of a seeded mutation stream each posting is
     strictly increasing and equals what :meth:`AttributeIndexes.rebuild`
     derives from the live entries — in the same instance, and, DN for
     DN, in a copy that numbers its entries in document order, as a
-    reader bootstrapped from the snapshot does."""
+    reader bootstrapped from the snapshot does.  The stream mixes in
+    substring probes, so gram postings derived mid-batch are held to
+    the rebuild too."""
 
     KEYS = frozenset({"uid"})
     REFS = frozenset({"seeAlso"})
@@ -498,9 +542,17 @@ class TestPostingMaintenance:
         units = sorted(instance.entries_with_class("orgUnit"))
         dns = [instance.dn_string_of(eid) for eid in instance.entry_ids()]
         kind = rng.choice(
-            ["add", "add", "delete", "modify", "empty", "class", "subtree"]
+            ["add", "add", "delete", "modify", "empty", "class", "subtree", "probe"]
         )
-        if kind == "add" or not persons:
+        if kind == "probe":  # mid-batch: derives or folds in grams lazily
+            attribute = rng.choice(["name", "uid", "score", "seeAlso", "mail"])
+            chunk = rng.choice(["son", "ali", "p1", "er", "1 2"])
+            candidates = set(instance.indexes.substring_candidates(attribute, [chunk]))
+            assert candidates >= {
+                entry.eid for entry in instance
+                if any(chunk in str(v) for v in entry.values(attribute))
+            }
+        elif kind == "add" or not persons:
             n = next(serial)
             # a shared uid puts several ids on one key posting
             uid = f"p{n}" if rng.random() < 0.7 else rng.choice(["dup", "twin"])
@@ -560,8 +612,9 @@ class TestPostingMaintenance:
 def test_list_postings_take_at_most_half_of_sets():
     """The memory the sorted-list layout exists for, as a ratio (an
     absolute byte count differs across Python versions): the postings
-    :meth:`AttributeIndexes.attach` builds take at most half of what the
-    same postings take as ``set``s."""
+    :meth:`AttributeIndexes.attach` builds, and every attribute's gram
+    postings, take at most half of what the same postings take as
+    ``set``s."""
     instance = generate_whitepages(
         orgs=1, units_per_level=3, depth=2, persons_per_unit=40, seed=7
     )
@@ -575,6 +628,7 @@ def test_list_postings_take_at_most_half_of_sets():
     tracemalloc.start()
     try:
         indexes = AttributeIndexes.attach(instance, frozenset({"uid"}), frozenset())
+        probe_every_gram(indexes)  # the gram postings are measured too
         tables = [getattr(indexes, name) for name in
                   ("_eq", "_present", "_grams", "_keys", "_refs")]
         before = tracemalloc.get_traced_memory()[0]

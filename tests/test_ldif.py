@@ -1,5 +1,7 @@
 """Unit and property tests for LDIF parsing and serialization."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -84,6 +86,106 @@ class TestReader:
         text = "dn: o=att\nobjectClass: top\n\ndn: o=att\nobjectClass: top\n"
         with pytest.raises(LdifError):
             parse_ldif(text)
+
+
+def _shuffled_records(text, seed):
+    """The records of ``text`` in a seeded random order that keeps each
+    parent's children in their document order (a reader adds siblings
+    in the order it meets them), so children often come first."""
+    records = parse_ldif_records(text)
+    blocks = [block for block in text.split("\n\n") if block.startswith("dn:")]
+    assert len(blocks) == len(records)
+    rng = random.Random(seed)
+    slots = list(range(len(blocks)))
+    rng.shuffle(slots)
+    by_parent = {}
+    for index, record in enumerate(records):
+        by_parent.setdefault(str(record.dn.parent()), []).append(index)
+    placed = [None] * len(blocks)
+    for indexes in by_parent.values():
+        for slot, index in zip(sorted(slots[i] for i in indexes), indexes):
+            placed[slot] = index
+    return [blocks[index] for index in placed], [records[index] for index in placed]
+
+
+def _shape(instance):
+    """Per entry in document order: DN, child DNs in order, classes and
+    values — what two parses of one directory must agree on."""
+    return [
+        (
+            instance.dn_string_of(entry),
+            [instance.dn_string_of(child) for child in instance.children_of(entry)],
+            sorted(entry.classes),
+            {name: entry.values(name) for name in entry.attribute_names()},
+        )
+        for entry in instance
+    ]
+
+
+class TestStreamingParse:
+    """:func:`parse_ldif` adds each record as it completes; only a record
+    whose parent has not appeared yet waits for it."""
+
+    def test_a_shuffled_document_parses_to_the_same_directory(self):
+        original = generate_whitepages(
+            orgs=2, units_per_level=2, depth=2, persons_per_unit=4, seed=5
+        )
+        text = serialize_ldif(original)
+        for seed in range(3):
+            blocks, records = _shuffled_records(text, seed)
+            seen = set()
+            early = 0
+            for record in records:
+                early += str(record.dn.parent()) not in seen and record.dn.depth() > 1
+                seen.add(str(record.dn))
+            assert early > 10, "the shuffle must put children before parents"
+            shuffled = parse_ldif(
+                "\n\n".join(blocks) + "\n", attributes=original.attributes
+            )
+            assert _shape(shuffled) == _shape(original)
+
+    def test_a_waiting_chain_lands_under_its_late_root(self):
+        text = (
+            "dn: uid=p,ou=u,o=late\nobjectClass: top\n\n"
+            "dn: ou=u,o=late\nobjectClass: top\n\n"
+            "dn: uid=q,ou=u,o=late\nobjectClass: top\n\n"
+            "dn: o=late\nobjectClass: top\n"
+        )
+        instance = parse_ldif(text)
+        assert [instance.dn_string_of(entry) for entry in instance] == [
+            "o=late", "ou=u,o=late", "uid=p,ou=u,o=late", "uid=q,ou=u,o=late",
+        ]
+
+    def test_the_refusals_keep_their_messages(self):
+        with pytest.raises(LdifError, match=r"^record ou=orphan,o=ghost has no "
+                           r"parent record o=ghost$"):
+            parse_ldif("dn: ou=orphan,o=ghost\nobjectClass: top\n")
+        # deeper orphans wait too; the shallowest, first in the
+        # document, is named (what a depth-ordered load stops at)
+        with pytest.raises(LdifError, match=r"^record ou=b,o=ghost has no "
+                           r"parent record o=ghost$"):
+            parse_ldif(
+                "dn: uid=x,ou=a,o=ghost\nobjectClass: top\n\n"
+                "dn: ou=b,o=ghost\nobjectClass: top\n\n"
+                "dn: ou=a,o=ghost\nobjectClass: top\n"
+            )
+        with pytest.raises(LdifError, match=r"^cannot add record o=att: an entry "
+                           r"with DN 'o=att' already exists$"):
+            parse_ldif("dn: o=att\nobjectClass: top\n\ndn: o=att\nobjectClass: top\n")
+        with pytest.raises(LdifError, match=r"^record o=att has no objectClass values$"):
+            parse_ldif("dn: o=att\no: att\n")
+
+    def test_record_parsing_keeps_its_list_api(self):
+        records = parse_ldif_records(SIMPLE + "\ndn: ou=x,o=absent\nobjectClass: top\n")
+        assert isinstance(records, list)
+        assert [str(record.dn) for record in records] == [
+            "o=att", "ou=labs,o=att", "ou=x,o=absent",
+        ]
+
+    def test_crlf_lines_parse_like_lf_lines(self):
+        assert _shape(parse_ldif(SIMPLE.replace("\n", "\r\n"))) == _shape(
+            parse_ldif(SIMPLE)
+        )
 
 
 class TestWriter:

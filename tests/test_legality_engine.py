@@ -9,9 +9,12 @@ import pytest
 from oracle import oracle_check, verdicts
 
 from repro.legality.checker import LegalityChecker
+from repro.legality.content import ContentChecker
 from repro.legality.engine import CheckSession
 from repro.legality.metrics import CheckStats
+from repro.legality.report import Kind
 from repro.updates.incremental import IncrementalChecker
+from repro.workloads import generate_whitepages, whitepages_schema
 
 
 def corrupt_some(instance, count=4):
@@ -101,6 +104,68 @@ class TestPerEntryVerdicts:
             assert session.check_entry(entry) == []
             assert session.stats.entries_checked == 2 * len(fig1) + 1
             assert session.stats.cache_hits == session.stats.cache_misses == 0
+
+
+class TestContentPlans:
+    """The content pass is compiled once per class set: a legal entry is
+    passed by its set's plan, any other goes to the literal
+    :meth:`ContentChecker.check_entry`, so the verdict is the oracle's."""
+
+    def test_plans_built_are_the_class_sets_not_the_entries(self, wp_schema):
+        # the legality_audit benchmark's data: 8,066 entries, 20 class sets
+        instance = generate_whitepages(
+            orgs=4, units_per_level=5, depth=3, persons_per_unit=12, seed=42
+        )
+        class_sets = {entry.classes for entry in instance}
+        assert len(class_sets) == 20 and len(instance) == 8066
+        with CheckSession(wp_schema) as session:
+            assert session.check(instance).is_legal
+            assert session.plans_built == len(class_sets)
+            assert session.check(instance).is_legal
+            assert session.plans_built == len(class_sets)
+
+    def test_every_content_kind_matches_the_oracle(self, wp_registry):
+        schema = whitepages_schema(extras=True)
+        schema.extras.declare_extensible("consultant")
+        instance = generate_whitepages(
+            orgs=1, units_per_level=2, depth=1, persons_per_unit=3, seed=3,
+            registry=wp_registry,
+        )
+        unit = sorted(instance.entries_with_class("orgUnit"))[0]
+        person = {"name": ["b"]}
+        bad = [
+            ("b1", ["mystery", "person", "top"], person),  # unknown class
+            ("b2", ["online"], {"mail": ["b2@x"]}),  # no core class
+            ("b3", ["staffMember", "top"], person),  # missing superclass
+            ("b4", ["staffMember", "person", "researcher", "top"], person),
+            ("b5", ["person", "manager", "top"], person),  # disallowed aux
+            ("b6", ["person", "top"], {}),  # missing required attribute
+            ("b7", ["person", "top"], {**person, "location": ["FP"]}),
+            # an extensible class exempts it from the allowed check only
+            ("b8", ["staffMember", "person", "consultant", "top"],
+             {**person, "location": ["FP"]}),
+            ("b9", ["staffMember", "person", "consultant", "top"], {}),
+        ]
+        for uid, classes, values in bad:
+            instance.add_entry(unit, f"uid={uid}", classes, {"uid": [uid], **values})
+        expected = oracle_check(schema, instance)
+        with CheckSession(schema) as session:
+            report = session.check(instance)
+            assert verdicts(report) == verdicts(expected)
+            assert [str(v) for v in report.violations] == [
+                str(v) for v in expected.violations
+            ]
+            assert {v.kind for v in report.violations} >= Kind.CONTENT_KINDS
+            assert not [v for v in report.violations if v.dn.startswith("uid=b8,")]
+            # the Δ hook agrees entry by entry, DN given or not
+            content = ContentChecker(schema)
+            for entry in instance:
+                dn = instance.dn_string_of(entry)
+                assert session.check_entry(entry, dn=dn) == content.check_entry(
+                    entry, dn=dn
+                )
+                assert session.check_entry(entry) == content.check_entry(entry)
+            assert session.plans_built == len({entry.classes for entry in instance})
 
 
 class TestStats:

@@ -368,7 +368,7 @@ class TestOneBenchmark:
         "bench_structure.py": "BENCH_STRUCTURE_SCALE",
     }
 
-    def test_the_bench_lane_reads_only_the_two_engine_knobs(self):
+    def test_the_bench_lane_reads_only_the_structure_engine_knob(self):
         import ast
 
         read = {}

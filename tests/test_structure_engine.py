@@ -79,7 +79,7 @@ class TestDifferential:
         # verdict-identical to the naive baseline
         assert verdict_signature(engine_report) == verdict_signature(naive_report)
 
-    def test_warm_check_after_updates_stays_identical(self):
+    def test_a_reused_engine_after_updates_stays_identical(self):
         schema = big_random_schema(3)
         instance = random_forest(n_entries=50, labels=LABELS, seed=3)
         engine = StructureEngine(schema)

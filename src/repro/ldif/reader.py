@@ -128,8 +128,11 @@ def _record(lines: List[str]) -> Optional[LdifRecord]:
     name, value = _parse_attribute_line(first)
     if name.lower() != "dn":
         raise LdifError(f"record does not start with a dn: line ({first!r})")
+    # Unmemoised: a document names each DN once, so a snapshot's
+    # records would fill the memo with entries nothing looks up again.
     return LdifRecord(
-        parse_dn(value), [_parse_attribute_line(line) for line in lines[1:]]
+        parse_dn.__wrapped__(value),
+        [_parse_attribute_line(line) for line in lines[1:]],
     )
 
 

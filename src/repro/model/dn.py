@@ -29,13 +29,15 @@ __all__ = ["RDN", "DN", "parse_dn", "parse_rdn"]
 _ESCAPED_CHARS = ',+"\\<>;='
 
 #: Bound of each memo below.  DN text is re-parsed, re-escaped and
-#: re-normalized on every hot path (two parses per entry at bootstrap,
-#: one escape per RDN per ``str(dn)`` on the write and replication
-#: paths, a ``normalized()`` per DN lookup and per Theorem 4.1 grouping
-#: key) and a directory draws its RDNs from a small vocabulary, so the
-#: memos hit almost always; :class:`RDN` and :class:`DN` are frozen, so
-#: handing the same value to every caller is safe.  A raising input is
-#: never cached (``lru_cache`` stores results only).
+#: re-normalized on every hot path (a write's DNs and lookups, one
+#: escape per RDN per ``str(dn)`` on the write and replication paths, a
+#: ``normalized()`` per DN lookup and per Theorem 4.1 grouping key) and
+#: a directory draws its RDNs from a small vocabulary, so the memos hit
+#: almost always; :class:`RDN` and :class:`DN` are frozen, so handing
+#: the same value to every caller is safe.  An LDIF record's DN is
+#: parsed unmemoised (``parse_dn.__wrapped__``): a document names each
+#: DN once.  A raising input is never cached (``lru_cache`` stores
+#: results only).
 _MEMO_SIZE = 1 << 15
 
 

@@ -486,7 +486,6 @@ class ShardedStore:
         # it, and `open_shard` writers can never coexist with one.
         self._txlog = TxLog.open(directory, io=self._io)
         self._closed = False
-        self._composite_cache: Optional[Tuple[Position, DirectoryInstance]] = None
         #: Global key/referential checks by per-shard index probes,
         #: merged at the composite step: each shard maintains postings
         #: for the *global* extras attributes (its local schema carries
@@ -752,8 +751,6 @@ class ShardedStore:
             if entry.state == "begin":
                 self._txlog.abort(txid)
             self._txlog.complete(txid)
-        if resolved:
-            self._composite_cache = None
         return resolved
 
     def close(self) -> None:
@@ -918,17 +915,13 @@ class ShardedStore:
             # The staged state must never outlive the check: roll the
             # memory back, then propagate.  Nothing was written, so a
             # crash here needs no recovery work at all.
-            try:
-                staged.abort()
-            finally:
-                self._composite_cache = None
+            staged.abort()
             raise
         outcome.stats = _summed(outcome.stats, probed)
         if composite.is_legal:
             staged.commit()
             return outcome
         staged.abort()
-        self._composite_cache = None
         return UpdateOutcome(
             report=composite,
             cost=outcome.cost,
@@ -946,7 +939,6 @@ class ShardedStore:
         those hold — the directory-wide Section 6.1 extras delta, whose
         index work is the second half of the result (so ``--profile``
         shows the O(|Δ|) key-check work exactly as a union store does)."""
-        self._composite_cache = None
         composite = _composite_report(
             self.scope,
             _members(
@@ -1018,7 +1010,6 @@ class ShardedStore:
                         self._io.fault_point(f"2pc:decided:{name}")
                     self._io.fault_point("2pc:complete")
                     self._txlog.complete(txid)
-                    self._composite_cache = None
                     return self._merge_outcomes(
                         outcomes,
                         LegalityReport(),
@@ -1062,7 +1053,6 @@ class ShardedStore:
             self._shards[name].decide(txid, "abort")
             self._io.fault_point(f"2pc:decided:{name}")
         self._txlog.complete(txid)
-        self._composite_cache = None
 
     @staticmethod
     def _merge_outcomes(
@@ -1134,21 +1124,14 @@ class ShardedStore:
         ).run()
 
     def composite_instance(self) -> DirectoryInstance:
-        """The stitched union of all shard states (cached per
-        position; rebuilt only after a commit or compaction)."""
+        """The stitched union of all shard states, stitched afresh on
+        each call (a served copy is a :class:`CompositeReader`'s)."""
         self._ensure_open()
-        position = self.position()
-        if self._composite_cache is not None:
-            cached_at, cached = self._composite_cache
-            if cached_at == position:
-                return cached
-        stitched = _stitch(
+        return _stitch(
             self.shard_map,
             {name: s.instance for name, s in self._shards.items()},
             self._registry,
         )
-        self._composite_cache = (position, stitched)
-        return stitched
 
     @property
     def instance(self) -> DirectoryInstance:
@@ -1171,7 +1154,6 @@ class ShardedStore:
         for store in self._shards.values():
             store.compact()
         self._txlog.compact()
-        self._composite_cache = None
 
     def _ensure_open(self) -> None:
         if self._closed:

@@ -131,9 +131,8 @@ async def _primary(
             )
             record(oracle, server.store)
             if compact_every and (i + 1) % compact_every == 0:
-                # Through the server's writer funnel, like its own
-                # mutations: it publishes the frontier reads are served at.
-                await server._run_write(server.store.compact)
+                # On the loop, like the server's own writes.
+                server.store.compact()
                 await server._commit_happened()  # wake replication feeds
                 record(oracle, server.store)
         await client.unbind()

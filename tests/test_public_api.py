@@ -356,6 +356,68 @@ class TestOneWireService:
                 assert inspect.iscoroutinefunction(getattr(member, handler))
 
 
+class TestWritesOnTheLoop:
+    """A primary's writes run on its event loop: no ``run_in_executor``
+    under ``server/`` sits in ``_op_write``, ``_op_modify`` or anything
+    they call, so a write cannot drift back onto a thread unnoticed."""
+
+    WRITES = {"_op_write", "_op_modify"}
+
+    @staticmethod
+    def _server_functions():
+        """``(functions, executors)``: every function under ``server/``
+        by name (a nested one under its own name too), and the
+        ``module:function`` enclosing each ``run_in_executor`` call."""
+        import ast
+
+        functions, executors = {}, []
+        for module, tree in TestOneCheckingPath._modules():
+            if not module.startswith("server/"):
+                continue
+
+            def visit(node, function):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    functions.setdefault(node.name, []).append(node)
+                    function = node.name
+                elif isinstance(node, ast.Call) and \
+                        getattr(node.func, "attr", None) == "run_in_executor":
+                    executors.append(f"{module}:{function}")
+                for child in ast.iter_child_nodes(node):
+                    visit(child, function)
+
+            visit(tree, None)
+        return functions, executors
+
+    @staticmethod
+    def _reached(functions, roots):
+        """``roots`` and every function they call or hand on, followed
+        through bare names and ``self.<name>``."""
+        import ast
+
+        reached, pending = set(), list(roots)
+        while pending:
+            name = pending.pop()
+            if name in reached or name not in functions:
+                continue
+            reached.add(name)
+            for function in functions[name]:
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Name):
+                        pending.append(node.id)
+                    elif isinstance(node, ast.Attribute) and \
+                            getattr(node.value, "id", None) == "self":
+                        pending.append(node.attr)
+        return reached
+
+    def test_no_write_runs_in_an_executor(self):
+        functions, executors = self._server_functions()
+        reached = self._reached(functions, self.WRITES)
+        assert self.WRITES <= reached and executors
+        assert [
+            site for site in executors if site.partition(":")[2] in reached
+        ] == []
+
+
 class TestOneBenchmark:
     """The seam PR 20 shut: wall-clock claims about the serving stack
     live in ``BENCHMARK.json`` (``benchmarks/e2e``), work-unit claims in

@@ -370,6 +370,30 @@ class TestACheckedCopyCostsNoVerdictState:
         assert retained < 20 * entries, (retained, retained / entries)
 
 
+class TestAnOpenLeavesTheDnMemoAlone:
+    """A snapshot names each DN once, so a bootstrap parses its records'
+    DNs unmemoised: ``parse_dn``'s memo is for the write and lookup
+    traffic that names the same DNs again, not for a copy's open."""
+
+    def test_an_open_adds_far_fewer_memo_entries_than_it_reads(self, tmp_path):
+        from repro.model.dn import parse_dn
+
+        path = str(tmp_path / "store")
+        DirectoryStore.create(
+            path, whitepages_schema(),
+            generate_whitepages(orgs=2, units_per_level=3, depth=2,
+                                persons_per_unit=10, seed=3,
+                                registry=whitepages_registry()),
+            whitepages_registry(),
+        ).close()
+        parse_dn.cache_clear()
+        with open_reader(path) as reader:
+            entries = len(reader.instance)
+        added = parse_dn.cache_info().currsize
+        assert entries >= 250
+        assert added < entries // 10, (added, entries)
+
+
 class TestAdvisoryLock:
     """Satellite: typed lock errors with holder pid; readers don't lock."""
 

@@ -49,7 +49,6 @@ from repro.workloads import (
     whitepages_schema,
 )
 from tests.test_index import _random_filter
-from tests.test_replicate import _HoldAtPoint
 from invariants import instance_state
 
 PARENT = "ou=databases,ou=attLabs,o=att"
@@ -1271,49 +1270,6 @@ class TestConcurrentClients:
 
         asyncio.run(run())
 
-    def test_searches_answer_while_a_write_is_in_flight(self, plain_store):
-        """Reads never block on the writer — the claim the retired
-        ``bench_server`` gated as a p99 ratio, here without a clock: a
-        commit is held on the writer thread, and every other connection
-        keeps answering searches from the frontier before it."""
-        import threading
-
-        async def run():
-            server = await _serve(plain_store)
-            held, release = threading.Event(), threading.Event()
-            apply = server.store.apply
-
-            def slow_apply(transaction):
-                held.set()
-                assert release.wait(30.0)
-                return apply(transaction)
-
-            server.store.apply = slow_apply
-            try:
-                writer = await _client(server, dn="cn=writer")
-                readers = [await _client(server) for _ in range(4)]
-                write = asyncio.ensure_future(writer.add(**_person(0)))
-                await asyncio.get_running_loop().run_in_executor(
-                    None, held.wait, 30.0
-                )
-                for reader in readers:
-                    found = await asyncio.wait_for(
-                        reader.search(filter="(objectClass=person)"), 10.0
-                    )
-                    assert found["position"] == {"generation": 1, "seq": 0}
-                assert not write.done()
-                release.set()
-                assert (await write)["applied"]
-                found = await readers[0].search(filter="(uid=w0)")
-                assert len(found["entries"]) == 1
-                for client in (writer, *readers):
-                    await client.close()
-            finally:
-                release.set()
-                await server.stop()
-
-        asyncio.run(run())
-
     def test_no_client_observes_in_doubt_2pc_state(self, sharded_store):
         async def run():
             server = await _serve(sharded_store)
@@ -1808,14 +1764,12 @@ async def _searched_to(client, position, timeout=15.0):
 class TestSearchOnTheLoop:
     """Every read is answered on the event loop, whatever its plan — no
     executor job, and on an idle view no refresh and nothing rebuilt —
-    counted by the jobs a counting default executor sees.  A commit is
-    one job on the writer thread, and the read after it refreshes the
-    view on the loop."""
+    counted by the jobs a counting default executor sees.  A commit
+    runs on the loop too, no job on the writer thread, and the read
+    after it refreshes the view on the loop."""
 
     @pytest.mark.parametrize("kind", ["plain", "sharded"])
-    def test_idle_lookups_take_no_job_and_a_commit_takes_one(
-        self, kind, tmp_path
-    ):
+    def test_idle_lookups_and_a_commit_take_no_job(self, kind, tmp_path):
         store = _white_pages(kind, tmp_path)
 
         async def run():
@@ -1836,13 +1790,13 @@ class TestSearchOnTheLoop:
                     {"uid": ["fresh"], "name": ["fresh person"]},
                 )
                 assert applied["applied"]
-                assert (executor.jobs, writes.jobs) == (jobs, 1)
+                assert (executor.jobs, writes.jobs) == (jobs, 0)
                 found = await client.search(filter="(uid=fresh)")
                 assert executor.jobs == jobs  # refreshed on the loop
                 assert len(found["entries"]) == 1
                 assert found["position"] == applied["position"]
                 await _lookups(client)
-                assert (executor.jobs, writes.jobs) == (jobs, 1)
+                assert (executor.jobs, writes.jobs) == (jobs, 0)
                 await writer.close()
                 await client.close()
             finally:
@@ -2069,30 +2023,59 @@ class TestReadinessInMemory:
     def test_a_held_spanning_commit_is_read_whole(
         self, point, opened, sharded_store, monkeypatch
     ):
-        """A spanning commit held at each of its fault points by a
-        writer-side I/O: a search of the primary shows both halves or
-        neither — on a view opened before the commit (answered on the
-        loop, at the frontier published before it), on a view the held
-        commit's first search opens, and after a ``check`` refreshed it
-        (the copy held alone) — and once released, a search at the
-        write's position shows the write."""
+        """A spanning commit held at each of its fault points.  The
+        commit runs on the loop, so no search of the primary is answered
+        while it is held: a view opened before it ("warm") is untouched
+        at the held point, and the view a first search opens on a thread
+        meanwhile ("cold"), which reads the disk mid-commit, shows both
+        halves or neither.  Either way the search after the commit is
+        answered at the write's position and shows the write whole."""
+        loop_thread = threading.get_ident()
+        reached, opened_view = threading.Event(), threading.Event()
+        seen = {}
+
+        def whole(instance):
+            halves = (
+                instance.find("uid=a0,o=att") is not None,
+                instance.find(f"uid=b0,{PARENT}") is not None,
+            )
+            assert halves[0] == halves[1], (point, halves)
+            return halves[0]
+
+        class HoldAtPoint(StoreIO):
+            def fault_point(self, name):
+                if name != point:
+                    return
+                seen["thread"] = threading.get_ident()
+                if opened == "warm":
+                    view = server._view
+                    seen["held"] = (view.position().to_wire(), whole(view.instance))
+                else:
+                    reached.set()
+                    assert opened_view.wait(10), "the view never opened"
+
+        open_view = DirectoryServer._open_view
+
+        def open_mid_commit(self):
+            assert reached.wait(10), "the commit never reached the point"
+            view = open_view(self)
+            seen["opened"] = whole(view.instance)
+            opened_view.set()
+            return view
+
         import repro.server.server as server_module
 
-        io = _HoldAtPoint(point)
         monkeypatch.setattr(
             server_module, "open_store",
             lambda path, schema, registry: ShardedStore.open(
-                path, schema, registry, io=io
+                path, schema, registry, io=HoldAtPoint()
             ),
         )
-
-        def whole(reply):
-            uids = {e["attributes"]["uid"][0] for e in reply["entries"]}
-            halves = ("a0" in uids, "b0" in uids)
-            assert halves[0] == halves[1], (point, halves, reply["position"])
-            return halves[0]
+        monkeypatch.setattr(DirectoryServer, "_open_view", open_mid_commit)
+        server = None
 
         async def run():
+            nonlocal server
             executor = _count_jobs()
             server = await _serve(sharded_store)
             try:
@@ -2100,31 +2083,32 @@ class TestReadinessInMemory:
                 reader = await _client(server)
                 before = (await reader.position())["position"]
                 if opened == "warm":
-                    assert not whole(await reader.search(filter="(uid=*)"))
-                write = asyncio.ensure_future(writer.txn(_spanning_changes(0)))
-                loop = asyncio.get_running_loop()
-                assert await loop.run_in_executor(None, io.reached.wait, 10)
-                jobs = executor.jobs
-                found = await reader.search(filter="(uid=*)")
-                if opened == "warm":
-                    assert executor.jobs == jobs  # on the loop
-                    assert found["position"] == before
-                    assert not whole(found)
+                    reached.set()  # the first search opens the view now
+                    await reader.search(filter="(uid=*)")
+                    assert not whole(server._view.instance)
+                    jobs = executor.jobs
                 else:
-                    whole(found)
-                assert (await reader.check())["legal"]
-                whole(await reader.search(filter="(uid=*)"))
-                assert not write.done()
-                io.release.set()
-                applied = await write
+                    search = asyncio.ensure_future(reader.search(filter="(uid=*)"))
+                    while server._view_opening is None:
+                        await asyncio.sleep(0.01)
+                applied = await writer.txn(_spanning_changes(0))
                 assert applied["applied"]
-                found = await reader.search(filter="(uid=*)")
+                assert seen["thread"] == loop_thread
+                if opened == "warm":
+                    assert seen["held"] == (before, False)
+                    found = await reader.search(filter="(uid=*)")
+                    assert executor.jobs == jobs  # refreshed on the loop
+                else:
+                    assert "opened" in seen
+                    found = await search
                 assert found["position"] == applied["position"]
-                assert whole(found)
+                assert whole(server._view.instance)
+                assert (await reader.check())["legal"]
                 await writer.close()
                 await reader.close()
             finally:
-                io.release.set()
+                reached.set()
+                opened_view.set()
                 await server.stop()
 
         asyncio.run(run())
@@ -2132,49 +2116,54 @@ class TestReadinessInMemory:
 
 class TestRelease:
     def test_a_kill_closes_the_store_after_its_held_append(
-        self, plain_store, monkeypatch
+        self, plain_store, tmp_path, monkeypatch
     ):
-        """A write that ``kill()`` cancels keeps running on the writer
-        thread; the store is closed behind it there, so the directory's
-        advisory lock is not released while its journal append is
-        held — and is released once it is done."""
+        """A replica's stage that ``kill()`` cancels keeps running on the
+        writer thread; the applier is closed behind it there, so the
+        replica directory's advisory lock is not released while its
+        journal append is held — and is released once it is done.  (A
+        primary's write runs on the loop: a kill never finds one
+        midway.)"""
         import repro.server.server as server_module
 
-        path, _, _ = plain_store
+        _, schema, registry = plain_store
         io = _HoldAfterAppend()
+        open_replica = server_module.open_replica
         monkeypatch.setattr(
-            server_module, "open_store",
-            lambda directory, schema, registry: DirectoryStore.open(
-                directory, schema, registry, io=io
-            ),
+            server_module, "open_replica",
+            lambda *args, **options: open_replica(*args, io=io, **options),
         )
 
         def lock_is_free():
             try:
-                handle = DirectoryStore._acquire_lock(path)
+                handle = DirectoryStore._acquire_lock(str(tmp_path / "replica"))
             except StoreLockedError:
                 return False
             DirectoryStore._release_lock(handle)
             return True
 
         async def run():
-            server = await _serve(plain_store)
+            primary = await _serve(plain_store)
+            replica = await _replica_of(primary, tmp_path, schema, registry)
             try:
-                client = await _client(server)
+                writer = await _client(primary, dn="cn=writer")
+                probe = await _client(replica, dn=None)
+                await _caught_up(probe, (await writer.position())["position"])
                 io.armed = True
-                write = asyncio.ensure_future(client.add(**_person(1)))
+                assert (await writer.add(**_person(1)))["applied"]
                 loop = asyncio.get_running_loop()
                 assert await loop.run_in_executor(None, io.reached.wait, 10)
-                killing = asyncio.ensure_future(server.kill())
+                killing = asyncio.ensure_future(replica.kill())
                 await asyncio.sleep(0.3)  # a kill closing at once is done by now
                 assert not lock_is_free()
                 io.release.set()
                 await killing
                 assert lock_is_free()
-                await asyncio.gather(write, return_exceptions=True)
-                await client.close()
+                await asyncio.gather(probe.close(), return_exceptions=True)
+                await writer.close()
             finally:
                 io.release.set()
+                await primary.stop(drain=False)
 
         asyncio.run(run())
 
@@ -2268,9 +2257,8 @@ class TestLoopEqualsExecutor:
             )
             assert applied["applied"]
             yield "spanning 2PC"
-        # through the writer funnel, like every write: the primary's view
-        # is current at the frontier that funnel publishes
-        await server._run_write(server.store.compact)
+        # on the loop, like every write of the primary's
+        server.store.compact()
         yield "compaction"
 
     @pytest.mark.parametrize("kind", ["plain", "sharded"])

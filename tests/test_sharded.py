@@ -1134,12 +1134,19 @@ def _planned_search_differential(tmp_path, layout, examples):
         )
 
     def assert_planned_on_the_members():
-        for surface in (reader, sharded):
-            view = surface.instance.indexes
-            assert isinstance(view, MemberIndexes)
-            mapped = view.translated
-            assert len(surface.search(filter="(uid=Comma)")) == 1
-            assert view.translated == mapped + 1
+        # The store stitches its composite afresh on every call: hold
+        # one, so the search below is planned on the view read here.
+        composite = sharded.composite_instance()
+        sharded.composite_instance = lambda: composite
+        try:
+            for surface in (reader, sharded):
+                view = surface.instance.indexes
+                assert isinstance(view, MemberIndexes)
+                mapped = view.translated
+                assert len(surface.search(filter="(uid=Comma)")) == 1
+                assert view.translated == mapped + 1
+        finally:
+            del sharded.composite_instance
 
     try:
         # at open
@@ -1279,11 +1286,15 @@ def test_size_limit_means_one_thing_plain_and_composite(tmp_path, schema, regist
     ) as composite, StoreReader.open(
         str(tmp_path / "plain"), schema, registry
     ) as plain:
+        def ids(entries):
+            # by entry id: the store stitches a fresh composite per search
+            return [entry.eid for entry in entries]
+
         for surface in (plain, composite, sharded):
             for text in (None, "(objectClass=person)", "(uid=laks)"):
-                full = surface.search(filter=text)
+                full = ids(surface.search(filter=text))
                 for limit in (0, 1, 2, len(full) + 1):
-                    assert surface.search(filter=text, size_limit=limit) == full[:limit]
+                    assert ids(surface.search(filter=text, size_limit=limit)) == full[:limit]
                 with pytest.raises(QueryError, match="size limit"):
                     surface.search(filter=text, size_limit=-1)
 

@@ -243,6 +243,19 @@ class DirectoryClient:
         raises ``ConnectionError`` once the connection is gone."""
         return await self._next_pushed(self._stream, timeout)
 
+    def received_stream_messages(self) -> list:
+        """The stream messages already received and not handed out yet,
+        without waiting; a lost connection is left for the next
+        :meth:`next_stream_message` to report."""
+        messages = []
+        while not self._stream.empty():
+            frame = self._stream.get_nowait()
+            if frame is _LOST:  # always the last frame queued
+                self._stream.put_nowait(_LOST)
+                break
+            messages.append(frame)
+        return messages
+
     async def unbind(self) -> None:
         """End the session and close the connection."""
         try:
@@ -283,7 +296,7 @@ async def follow_upstream(
     stop: Optional[asyncio.Future] = None,
 ):
     """The upstream-follow loop, as an async iterator of ``(applier,
-    message)``.
+    messages)``.
 
     Lands whatever an earlier follow left staged, subscribes ``client``
     at ``applier``'s durable position and points the applier at the
@@ -291,13 +304,15 @@ async def follow_upstream(
     over a fresh directory that may reopen it as the upstream's kind;
     ``applier.frontier`` is that frontier), yielding ``(applier,
     None)``.  Then, for ever: await the next pushed stream message
-    (``timeout`` seconds at most), apply it (:func:`_apply`: the disk
-    halves on ``executor``, the land here, on the event loop that reads
-    the applier's served copy), and yield ``(applier, message)``.  The
-    consumer decides when to stop; ``stop``, a future, ends the
-    iteration once it completes, and only *between* messages.  A cancel
-    never leaves a message half applied either: it waits for the one
-    under way.
+    (``timeout`` seconds at most), apply it together with every message
+    received behind it (:func:`_apply`: the disk halves on
+    ``executor``, the land here, on the event loop that reads the
+    applier's served copy), and yield ``(applier, messages)``.  A
+    follower that fell behind so catches up in a few landings, however
+    busy the loop is.  The consumer decides when to stop; ``stop``, a
+    future, ends the iteration once it completes, and only *between*
+    landings.  A cancel never leaves a landing half done either: it
+    waits for the one under way.
     """
     applier.land()
     applier = follow(applier, await client.replicate(applier.position()))
@@ -315,7 +330,8 @@ async def follow_upstream(
                 message = incoming.result()
             finally:
                 incoming.cancel()  # a no-op unless stopped or cancelled while waiting
-        applying = asyncio.ensure_future(_apply(applier, message, executor))
+        messages = [message, *client.received_stream_messages()]
+        applying = asyncio.ensure_future(_apply(applier, messages, executor))
         try:
             await asyncio.shield(applying)
         except asyncio.CancelledError:
@@ -323,15 +339,20 @@ async def follow_upstream(
             if not applying.cancelled():
                 applying.exception()  # the cancel is what the caller hears of
             raise
-        yield applier, message
+        yield applier, messages
 
 
-async def _apply(applier, message, executor) -> None:
-    """One stream message, whole: staged on ``executor`` (the disk
-    half, which waits on the fsync), landed here on the event loop, and
-    its state files recorded on ``executor`` again when it changed any."""
+async def _apply(applier, messages, executor) -> None:
+    """Stream messages in order, whole: staged on ``executor`` in one
+    job (the disk halves, which wait on the fsyncs), landed here on the
+    event loop at once, and their state files recorded on ``executor``
+    again when they changed any."""
+    def stage():
+        for message in messages:
+            applier.stage(message)
+
     loop = asyncio.get_running_loop()
-    await loop.run_in_executor(executor, applier.stage, message)
+    await loop.run_in_executor(executor, stage)
     applier.land()
     if applier.unrecorded():
         await loop.run_in_executor(executor, applier.record)

@@ -24,7 +24,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import LdifError
 from repro.model.attributes import OBJECT_CLASS, AttributeRegistry
-from repro.model.dn import DN, RDN, parse_dn
+from repro.model.dn import DN, RDN, fresh_keys, parse_dn, parse_record_dn
 from repro.model.entry import Entry
 from repro.model.instance import DirectoryInstance
 
@@ -102,8 +102,9 @@ def _parse_attribute_line(line: str) -> Tuple[str, str]:
     return name, value
 
 
-def _iter_records(text: str) -> Iterator[LdifRecord]:
-    """The records of LDIF ``text``, each as soon as it completes."""
+def _iter_records(text: str, parse_name) -> Iterator[LdifRecord]:
+    """The records of LDIF ``text``, each as soon as it completes, its
+    DN parsed by ``parse_name``."""
     block: List[str] = []
     for line in itertools.chain(_lines(text), ("",)):  # "" ends the last
         if line.strip():
@@ -111,13 +112,13 @@ def _iter_records(text: str) -> Iterator[LdifRecord]:
                 block.append(line)
             continue
         if block:
-            record = _record(block)
+            record = _record(block, parse_name)
             block = []
             if record is not None:
                 yield record
 
 
-def _record(lines: List[str]) -> Optional[LdifRecord]:
+def _record(lines: List[str], parse_name) -> Optional[LdifRecord]:
     """One record from its non-comment lines (``None`` for a lone
     ``version:`` header)."""
     if lines[0].lower().startswith("version:"):
@@ -128,10 +129,8 @@ def _record(lines: List[str]) -> Optional[LdifRecord]:
     name, value = _parse_attribute_line(first)
     if name.lower() != "dn":
         raise LdifError(f"record does not start with a dn: line ({first!r})")
-    # Unmemoised: a document names each DN once, so a snapshot's
-    # records would fill the memo with entries nothing looks up again.
     return LdifRecord(
-        parse_dn.__wrapped__(value),
+        parse_name(value),
         [_parse_attribute_line(line) for line in lines[1:]],
     )
 
@@ -145,7 +144,9 @@ def parse_ldif_records(text: str) -> List[LdifRecord]:
         On malformed lines, records without a leading ``dn:`` line, or
         invalid base64 payloads.
     """
-    return list(_iter_records(text))
+    # Unmemoised DNs: a document names each once.  Their RDNs go through
+    # the memo, as change and modify records name entries again.
+    return list(_iter_records(text, parse_dn.__wrapped__))
 
 
 def parse_ldif(
@@ -169,7 +170,9 @@ def parse_ldif(
     # consecutive siblings share a parent: the last one found, by RDNs
     last_rdns: Tuple[RDN, ...] = ()
     last_parent: Optional[int] = None
-    for position, record in enumerate(_iter_records(text)):
+    # A snapshot names each entry once: its DN, own RDN and keys go
+    # round the DN memos, which would keep one entry per entry.
+    for position, record in enumerate(_iter_records(text, parse_record_dn)):
         parent_rdns = record.dn.rdns[1:]
         if not parent_rdns:
             parent = None
@@ -205,8 +208,9 @@ def _add(
     if not classes:
         raise LdifError(f"record {record.dn!s} has no objectClass values")
     values: Dict[str, List[Any]] = record.other_attributes()
+    rdn = record.dn.rdn
     try:
-        return instance.add_entry(parent, record.dn.rdn, classes, values)
+        return instance._add_named(parent, rdn, fresh_keys(rdn), classes, values)
     except Exception as exc:
         raise LdifError(f"cannot add record {record.dn!s}: {exc}") from exc
 

@@ -5,12 +5,12 @@ socket.  :mod:`repro.server.protocol` defines a small LDAP-ish wire
 subset (bind, search, add/delete/modify as transactions, unbind, plus a
 ``check`` extended operation) over length-prefixed JSON framing;
 :mod:`repro.server.server` serves it from one copy per member, read
-by every connection — a primary's lock-free view
-(:func:`repro.store.open_view`, refreshed O(|Δ|) before a read that
-finds it behind, so reads never block the writer), a replica's the
-copy its applier applies into — and a single write path through the
-owning store (:func:`repro.store.open_store`) — plain or sharded,
-whichever the directory holds;
+by every connection — a plain primary's writer, a sharded primary's
+lock-free view (:func:`repro.store.open_view`, refreshed O(|Δ|) before
+a read that finds it behind), a replica's the copy its applier applies
+into — and a single write path through the owning store
+(:func:`repro.store.open_store`) — plain or sharded, whichever the
+directory holds;
 :mod:`repro.server.client` is the asyncio client used by the tests,
 the end-to-end benchmark and the front door's backend pool;
 :mod:`repro.server.frontdoor` is the read-balancing proxy that routes

@@ -50,6 +50,11 @@ and the returned :class:`StagedWrite` leaves through ``commit()`` (one
 ordinary frame), ``abort()`` (the guard's undo token, nothing durable)
 or ``prepare(txid)``; :meth:`apply` and :meth:`modify` are
 ``stage(change).commit()``.
+
+The writer is a read surface too (:meth:`DirectoryStore.plan_search`,
+:meth:`DirectoryStore.check`): a plain primary serves its writer's
+instance.  Its verdict follows the guard as a reader's view follows its
+frames, and a poisoned store refuses reads as it refuses writes.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import glob
 import os
 import shutil
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from repro.errors import (
     StoreError,
@@ -77,6 +82,7 @@ from repro.ldif.writer import serialize_ldif
 from repro.legality.report import LegalityReport
 from repro.model.attributes import AttributeRegistry
 from repro.model.instance import DirectoryInstance
+from repro.query.search import PlannedSearch, SearchScope
 from repro.schema.directory_schema import DirectorySchema
 from repro.store import index as _index
 from repro.store import recovery as _recovery
@@ -90,7 +96,12 @@ from repro.store.recovery import (
     SNAPSHOT_FILE,
 )
 from repro.store.wal import StoreIO
-from repro.updates.incremental import IncrementalChecker, UpdateOutcome, attach_path_counts
+from repro.updates.incremental import (
+    FollowedVerdict,
+    IncrementalChecker,
+    UpdateOutcome,
+    attach_path_counts,
+)
 from repro.updates.operations import UpdateTransaction
 
 __all__ = ["DirectoryStore", "StagedWrite"]
@@ -267,6 +278,9 @@ class DirectoryStore:
         self.schema = schema
         self.instance = instance
         self._guard = guard
+        #: The writer's verdict: every write goes through :attr:`_guard`,
+        #: so once a full pass finds the store legal it follows them.
+        self._verdict = FollowedVerdict(guard.session)
         self._generation = generation
         self._journal_count = journal_count
         self._io = io if io is not None else StoreIO()
@@ -629,6 +643,7 @@ class DirectoryStore:
             else:
                 staged.outcome.token.clear()
         elif verdict == "commit":
+            self._verdict.drop()  # applied blind: no guard vouches for it
             self._replay(
                 lambda: _recovery.replay_transaction(
                     self.instance, parse_changes(payload)
@@ -642,11 +657,30 @@ class DirectoryStore:
         ``None`` — while set, ordinary writes refuse."""
         return self._pending_txid
 
+    # ------------------------------------------------------------------
+    # the read surface: a plain primary serves its writer's instance
+    # ------------------------------------------------------------------
+    def plan_search(
+        self,
+        base=None,
+        scope: Union[SearchScope, str] = SearchScope.SUB,
+        filter=None,
+        size_limit: Optional[int] = None,
+    ) -> PlannedSearch:
+        """A scoped LDAP search (Section 3) of the current contents,
+        planned and not yet run; it answers in document order, as a
+        reader's view of this store does."""
+        self._ensure_readable()
+        return PlannedSearch(self.instance, base, scope, filter, size_limit)
+
     def check(self) -> LegalityReport:
-        """A full legality report of the current contents (including
-        the Section 6.1 extras pass when the schema declares one): one
-        full pass on a fresh session, off the guard's counters."""
-        return self._guard.full_recheck()
+        """Legality report of the current contents
+        (:class:`~repro.updates.incremental.FollowedVerdict`): a full
+        pass of the guard's session until one finds the store legal;
+        from then on the Δ-check work the guard did since the last
+        report, plus the Section 6.1 extras in full."""
+        self._ensure_readable()
+        return self._verdict.check(self.instance)
 
     def compact(self) -> None:
         """Fold the journal into a fresh snapshot.
@@ -725,13 +759,19 @@ class DirectoryStore:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _ensure_writable(self, allow_pending: bool = False) -> None:
+    def _ensure_readable(self) -> None:
+        """Refuse a closed or poisoned store.  A poisoned writer's memory
+        may hold a change its journal does not (a failed append or
+        fsync): no read may show it, and no write may follow it."""
         if self._closed:
             raise StoreError("store is closed")
         if self._poisoned is not None:
             raise StoreError(
                 f"store is poisoned ({self._poisoned}); close and reopen"
             )
+
+    def _ensure_writable(self, allow_pending: bool = False) -> None:
+        self._ensure_readable()
         if self._read_only:
             raise StoreReadOnlyError(
                 "store is in degraded read-only mode (recovery found "

@@ -53,7 +53,7 @@ from repro.updates.operations import UpdateTransaction
 from repro.updates.table import build_delta_query, build_modify_queries, path_answerable
 from repro.updates.transactions import decompose
 
-__all__ = ["UpdateOutcome", "IncrementalChecker", "attach_path_counts"]
+__all__ = ["UpdateOutcome", "IncrementalChecker", "FollowedVerdict", "attach_path_counts"]
 
 #: The inverse of each primitive mutation a change made, oldest first —
 #: recorded *while* it is applied, never computed from the pre-state, so
@@ -578,6 +578,58 @@ class IncrementalChecker:
         the baseline the FIG5 benchmark compares against.  It runs on a
         fresh session, so its counters stay off this checker's."""
         return CheckSession(self.schema).check(self.instance)
+
+
+class FollowedVerdict:
+    """Theorem 4.2 as a verdict: the legality of an instance whose every
+    change, since a full pass found it legal, went through an
+    :class:`IncrementalChecker` on :attr:`session`.  A reader's view and
+    a store's writer both answer ``check()`` here.
+
+    :meth:`check` is a full session pass until one finds the instance
+    legal.  From then on the verdict *follows*: the report holds no
+    content or structure violation, its ``stats`` are the Δ-check work
+    the guard did since the previous report, and the Section 6.1
+    extras, which are not incremental, run in full.  Whoever changes
+    the instance without the guard — a blind replay, a rejected frame
+    applied anyway, a rebuilt instance — calls :meth:`drop`, and the
+    next check is a full pass again.
+    """
+
+    def __init__(self, session: CheckSession) -> None:
+        self.session = session
+        #: Whether the verdict follows (see above).
+        self.holds = False
+        #: ``check()`` calls answered by a full pass, and by the followed
+        #: verdict: a legal history checked after every change shows
+        #: ``full_checks == 1``.
+        self.full_checks = 0
+        self.followed_checks = 0
+        #: Session stats as of the last report, so a followed report
+        #: carries exactly the Δ-check work done since.
+        self._reported = CheckStats()
+
+    def check(self, instance: DirectoryInstance) -> LegalityReport:
+        """The legality report of ``instance`` (see the class)."""
+        session = self.session
+        if self.holds:
+            self.followed_checks += 1
+            stats = session.stats.since(self._reported)
+            report = LegalityReport(stats=stats)
+            if session.extras is not None:
+                with stats.timer("extras"):
+                    report.extend(session.extras.check(instance).violations)
+            stats.violations = len(report)
+        else:
+            self.full_checks += 1
+            report = session.check(instance)
+            self.holds = report.is_legal
+        self._reported = session.stats.copy()
+        return report
+
+    def drop(self) -> None:
+        """The instance changed without the guard: check it in full next."""
+        self.holds = False
 
 
 def attach_path_counts(instance: DirectoryInstance, schema: DirectorySchema) -> PathCounts:

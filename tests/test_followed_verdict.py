@@ -1,5 +1,6 @@
 """Theorem 4.2 on the serving path, stated once: a reader's *followed*
-verdict ≡ the full check of a freshly opened reader.
+verdict ≡ the full check of a freshly opened reader, and a writer's ≡ a
+fresh full pass over its instance.
 
 Once ``StoreReader.check()`` has found its view legal, the reader runs
 every frame it replays through the incremental guard, and ``check()``
@@ -8,6 +9,12 @@ answers from that.  Everything here compares that answer with
 position — same ``is_legal``, same violations — and pins the *work*:
 a followed ``check()`` touches the session not at all, which is what
 fails at a commit where the verdict does not follow the frames.
+
+``DirectoryStore.check()`` (what a plain primary serves) follows the
+same way (:class:`~repro.updates.incremental.FollowedVerdict`): every
+write goes through its guard, a rejected one is rolled back, and only a
+blind in-memory change — ``resolve_pending`` replaying an in-doubt
+payload — brings the full pass back.
 """
 
 import random
@@ -17,8 +24,11 @@ from hypothesis import given, settings, strategies as st
 
 from invariants import canonical_records, followed_equals_full, state_digest
 from repro.ldif.modify import ModifyOp, ModifyRecord, serialize_modification
+from repro.legality.engine import CheckSession
 from repro.model.dn import parse_dn
+from repro.query.filter_parser import parse_filter
 from repro.store import DirectoryStore, StoreReader, wal
+from repro.store.index import AttributeIndexes
 from repro.store.recovery import JOURNAL_FILE
 from repro.store.sharded import CompositeReader, ShardedStore
 from repro.updates.operations import UpdateTransaction
@@ -59,9 +69,9 @@ def person_tx(uid, parent="ou=attLabs,o=att"):
     )
 
 
-def make_store(tmp_path, name="store"):
+def make_store(tmp_path, name="store", schema=None):
     return DirectoryStore.create(
-        str(tmp_path / name), whitepages_schema(), figure1_instance(),
+        str(tmp_path / name), schema or whitepages_schema(), figure1_instance(),
         whitepages_registry(),
     )
 
@@ -98,6 +108,18 @@ def assert_check_matches_fresh(reader, directory, schema=None, was_legal=True):
     return report
 
 
+def assert_writer_check_matches_fresh(store, was_legal=True):
+    """``store.check()`` held to :func:`invariants.followed_equals_full`
+    against a fresh :class:`CheckSession` pass over the writer's own
+    instance."""
+    before = store._guard.session.stats.copy()
+    report = store.check()
+    work = session_work(store._guard.session.stats.since(before))
+    full = CheckSession(store.schema).check(store.instance)
+    followed_equals_full(report, full, work, was_legal)
+    return report
+
+
 # ----------------------------------------------------------------------
 # every position of the stress harness's writer stream
 # ----------------------------------------------------------------------
@@ -109,6 +131,7 @@ def follow_writer_stream(tmp_path, transactions, compact_every, seed):
     reader = open_reader(store._dir)
     try:
         assert reader.check().is_legal
+        assert store.check().is_legal
         compactions = 0
         for i in range(transactions):
             tx = random_transaction(store.instance, inserts=2, seed=seed + i)
@@ -116,6 +139,7 @@ def follow_writer_stream(tmp_path, transactions, compact_every, seed):
             reader.refresh()
             assert state_digest(reader.instance) == state_digest(store.instance)
             assert assert_check_matches_fresh(reader, store._dir).is_legal
+            assert assert_writer_check_matches_fresh(store).is_legal
             if (i + 1) % compact_every == 0:
                 store.compact()
                 compactions += 1
@@ -128,6 +152,8 @@ def follow_writer_stream(tmp_path, transactions, compact_every, seed):
         assert reader.full_checks == 1 + compactions
         assert reader.followed_checks == transactions
         assert reader.bootstraps == 1 + compactions
+        # a compaction rebuilds no writer instance: one full pass in all
+        assert (store._verdict.full_checks, store._verdict.followed_checks) == (1, transactions)
     finally:
         reader.close()
         store.close()
@@ -225,17 +251,25 @@ def test_followed_equals_fresh_under_a_frame_stream(tmp_path_factory, frames):
     """Same-schema follower: every committed frame passes its guard, so
     one full check serves the whole stream.  Strict follower: the same
     frames, some of which its schema rejects — applied anyway, verdict
-    dropped, full check reports them."""
+    dropped, full check reports them.  Strict writer: a store under the
+    strict schema asked the same changes rejects those and rolls them
+    back, so its verdict follows the whole stream from one full pass."""
     tmp_path = tmp_path_factory.mktemp("frames")
     store = make_store(tmp_path)
     strict = strict_schema()
+    writer = make_store(tmp_path, "strict", strict)
     same = open_reader(store._dir)
     stricter = open_reader(store._dir, strict)
     try:
         assert same.check().is_legal and stricter.check().is_legal
+        assert writer.check().is_legal
         legal = {same: True, stricter: True}
         committed = 0
         for serial, (kind, pick) in enumerate(frames):
+            change = _frame(kind, pick, writer.instance, serial)
+            if change is not None:
+                writer.stage(change).commit()  # kept or rolled back
+                assert assert_writer_check_matches_fresh(writer).is_legal
             change = _frame(kind, pick, store.instance, serial)
             if change is None:
                 continue
@@ -254,10 +288,12 @@ def test_followed_equals_fresh_under_a_frame_stream(tmp_path_factory, frames):
                 ).is_legal
         assert same.full_checks == 1
         assert same.followed_checks == committed
+        assert writer._verdict.full_checks == 1
     finally:
         same.close()
         stricter.close()
         store.close()
+        writer.close()
 
 
 # ----------------------------------------------------------------------
@@ -303,6 +339,136 @@ def test_rejected_frame_is_applied_and_costs_full_checks_until_legal(tmp_path):
         assert assert_check_matches_fresh(reader, store._dir, strict).is_legal
         assert (reader.full_checks, reader.followed_checks) == (4, 2)
     store.close()
+
+
+def test_rejected_write_leaves_the_writer_verdict_legal(tmp_path):
+    """The writer's reject path: its guard refuses the change and rolls
+    it back, so the verdict it follows still holds — every check after
+    the first is followed, at no session work, and equals a fresh pass."""
+    store = make_store(tmp_path, schema=strict_schema())
+    try:
+        assert store.check().is_legal
+        for change, kept in (
+            (person_tx("fine"), True), (staff_tx(), False), (person_tx("after"), True)
+        ):
+            assert store.apply(change).applied == kept
+            assert assert_writer_check_matches_fresh(store).is_legal
+        assert store.instance.find(STAFF_DN) is None
+        assert (store._verdict.full_checks, store._verdict.followed_checks) == (1, 3)
+    finally:
+        store.close()
+
+
+@pytest.mark.parametrize("verdict", ["commit", "abort"])
+def test_resolve_pending_checks_the_writer_in_full_again(tmp_path, verdict):
+    """An in-doubt prepare found at open is resolved by a blind replay of
+    its payload (commit) — no guard vouches for that change, so the next
+    check is a full pass; an abort changes nothing in memory, and the
+    verdict goes on following."""
+    directory = str(tmp_path / "store")
+    store = make_store(tmp_path)
+    store.stage(person_tx("doubt")).prepare("tx-1")
+    store.close()  # a crash before the decide frame
+    store = DirectoryStore.open(directory, whitepages_schema(), whitepages_registry())
+    try:
+        assert store.pending_txid == "tx-1"
+        assert store.instance.find("uid=doubt,ou=attLabs,o=att") is None
+        assert assert_writer_check_matches_fresh(store, was_legal=False).is_legal
+        assert assert_writer_check_matches_fresh(store).is_legal
+        assert (store._verdict.full_checks, store._verdict.followed_checks) == (1, 1)
+        assert store.resolve_pending(verdict) == "tx-1"
+        resolved = store.instance.find("uid=doubt,ou=attLabs,o=att")
+        assert (resolved is not None) == (verdict == "commit")
+        report = assert_writer_check_matches_fresh(
+            store, was_legal=verdict == "abort"
+        )
+        assert report.is_legal
+        assert store._verdict.full_checks == (2 if verdict == "commit" else 1)
+        assert store.apply(person_tx("later")).applied
+        assert assert_writer_check_matches_fresh(store).is_legal
+    finally:
+        store.close()
+
+
+def test_a_search_between_writes_leaves_the_extras_probe_its_delta(
+    tmp_path, monkeypatch
+):
+    """On a schema with Section 6.1 extras, a search and a check of the
+    writer between two writes — both probe its indexes, and so flush
+    their pending maintenance — leave the next write's extras probe the
+    same delta (its dirty set, collected after the write), the same
+    index work and the same verdict as a twin store asked no read."""
+    schema = whitepages_schema(extras=True)
+    collected = []
+    delta_collect = AttributeIndexes.delta_collect
+
+    def recorded(indexes):
+        delta = delta_collect(indexes)
+        collected.append(delta)
+        return delta
+
+    monkeypatch.setattr(AttributeIndexes, "delta_collect", recorded)
+    #: Each write, and the ``uid=k*`` people a search finds after it.
+    writes = [
+        (person_tx("k1"), ["k1"]),
+        (person_tx("k2"), ["k1", "k2"]),
+        # a duplicate key: rejected by the extras probe
+        (person_tx("k1", "ou=databases,ou=attLabs,o=att"), ["k1", "k2"]),
+        (UpdateTransaction().delete("uid=k2,ou=attLabs,o=att"), ["k1"]),
+    ]
+    seen = {}
+    for read in (True, False):
+        collected.clear()
+        store = make_store(tmp_path, f"extras-{read}", schema)
+        outcomes = []
+        try:
+            assert store.check().is_legal
+            for change, people in writes:
+                outcome = store.apply(change)
+                outcomes.append((
+                    outcome.applied, violations(outcome.report),
+                    outcome.stats.index_probes, outcome.stats.index_hits,
+                    outcome.stats.index_candidates,
+                ))
+                if read:
+                    found = store.plan_search(filter=parse_filter("(uid=k*)")).run()
+                    assert sorted(e.values("uid")[0] for e in found) == people
+                    assert store.check().is_legal
+        finally:
+            store.close()
+        seen[read] = (list(collected), outcomes)
+    assert seen[True] == seen[False]
+    assert len(seen[True][0]) == len(writes)  # one settled probe per write
+    assert [applied for applied, *_ in seen[True][1]] == [True, True, False, True]
+
+
+def test_writer_verdict_follows_commits_in_delta_work(tmp_path):
+    """The writer twin of the reader's work-unit gate: after one full
+    pass, 60 one-entry commits cost the writer's session one content
+    check per committed entry (Σ|Δ|, inside each write's guard), and the
+    ``check()`` after each costs it nothing."""
+    schema, registry = whitepages_schema(), whitepages_registry()
+    instance = generate_whitepages(
+        orgs=4, units_per_level=5, depth=2, persons_per_unit=10, seed=42
+    )
+    commits = 60
+    with DirectoryStore.create(
+        str(tmp_path / "writer"), schema, instance, registry
+    ) as store:
+        assert store.check().is_legal
+        armed = store._guard.session.stats.copy()
+        rng = random.Random(5)
+        points = insertion_points(store.instance)
+        for i in range(commits):
+            assert store.apply(person_tx(f"gate{i}", rng.choice(points))).applied
+            assert len(store.plan_search(filter=parse_filter(f"(uid=gate{i})")).run()) == 1
+            before = store._guard.session.stats.copy()
+            assert store.check().is_legal
+            assert session_work(store._guard.session.stats.since(before)) == 0
+        followed = store._guard.session.stats.since(armed)
+        assert followed.entries_checked == commits  # Σ|Δ|
+        assert followed.queries_evaluated > 0  # the Figure 5 Δ-queries did run
+        assert (store._verdict.full_checks, store._verdict.followed_checks) == (1, commits)
 
 
 def test_a_view_never_asked_for_a_verdict_replays_blind(tmp_path):

@@ -373,11 +373,13 @@ class TestACheckedCopyCostsNoVerdictState:
 class TestAnOpenLeavesTheDnMemoAlone:
     """A snapshot names each DN once, so a bootstrap parses its records'
     DNs unmemoised: ``parse_dn``'s memo is for the write and lookup
-    traffic that names the same DNs again, not for a copy's open."""
+    traffic that names the same DNs again, not for a copy's open.  Nor
+    do the RDN memos fill per entry: an entry's own RDN is parsed and
+    keyed unmemoised, and only its parents' RDNs — the directory's
+    vocabulary — go through the memos."""
 
-    def test_an_open_adds_far_fewer_memo_entries_than_it_reads(self, tmp_path):
-        from repro.model.dn import parse_dn
-
+    @staticmethod
+    def _store(tmp_path):
         path = str(tmp_path / "store")
         DirectoryStore.create(
             path, whitepages_schema(),
@@ -386,12 +388,40 @@ class TestAnOpenLeavesTheDnMemoAlone:
                                 registry=whitepages_registry()),
             whitepages_registry(),
         ).close()
+        return path
+
+    def test_an_open_adds_far_fewer_memo_entries_than_it_reads(self, tmp_path):
+        from repro.model.dn import parse_dn
+
+        path = self._store(tmp_path)
         parse_dn.cache_clear()
         with open_reader(path) as reader:
             entries = len(reader.instance)
         added = parse_dn.cache_info().currsize
         assert entries >= 250
         assert added < entries // 10, (added, entries)
+
+    def test_an_open_adds_one_rdn_memo_entry_per_parent_not_per_entry(
+        self, tmp_path
+    ):
+        from repro.model.dn import DN, RDN, _escape_value, parse_rdn
+
+        memos = {
+            "parse_rdn": parse_rdn, "_escape_value": _escape_value,
+            "RDN.normalized": RDN.normalized, "DN.normalized": DN.normalized,
+        }
+        path = self._store(tmp_path)
+        for memo in memos.values():
+            memo.cache_clear()
+        with open_reader(path) as reader:
+            entries = len(reader.instance)
+            parents = len({
+                reader.instance.parent_of(entry).eid for entry in reader.instance
+                if reader.instance.parent_of(entry) is not None
+            })
+        added = {name: memo.cache_info().currsize for name, memo in memos.items()}
+        assert entries >= 250 and parents < entries // 5
+        assert all(size <= parents for size in added.values()), (added, parents, entries)
 
 
 class TestAdvisoryLock:
